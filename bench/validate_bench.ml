@@ -428,6 +428,62 @@ let check_adaptive_ledger rows =
              f))
     (rows_of "adaptive")
 
+(* The substrate experiment's codec rows back the linear-in-l claim for the
+   bignum/bitstring codecs: each op at l = 2^13 and 2^15 bits, with a
+   deterministic allocation figure, and the 2^15 row allocating at most 5x
+   the 2^13 one (quadratic code gives ~16x). *)
+let codec_ops = [ "of_bitstring"; "to_bitstring_fixed"; "append_unaligned" ]
+let codec_bits = [ 8192.; 32768. ]
+
+let check_substrate_row i row =
+  let field key =
+    match List.assoc_opt key row with
+    | Some v -> v
+    | None -> failwith (Printf.sprintf "rows[%d] has no %S key" i key)
+  in
+  let op =
+    match field "op" with
+    | Str op -> op
+    | _ -> failwith (Printf.sprintf "rows[%d].op is not a string" i)
+  in
+  (match field "ops_per_s" with
+  | Num r when r > 0. -> ()
+  | _ -> failwith (Printf.sprintf "rows[%d].ops_per_s is not positive" i));
+  if List.mem op codec_ops then begin
+    (match field "bits" with
+    | Num b when List.mem b codec_bits -> ()
+    | _ -> failwith (Printf.sprintf "rows[%d].bits is not 8192 or 32768" i));
+    match field "alloc_bytes_per_op" with
+    | Num a when a > 0. -> ()
+    | _ -> failwith (Printf.sprintf "rows[%d].alloc_bytes_per_op is not positive" i)
+  end
+
+let check_substrate_ledger rows =
+  let alloc op bits =
+    match
+      List.find_map
+        (function
+          | Obj fields
+            when List.assoc_opt "op" fields = Some (Str op)
+                 && List.assoc_opt "bits" fields = Some (Num bits) ->
+              List.assoc_opt "alloc_bytes_per_op" fields
+          | _ -> None)
+        rows
+    with
+    | Some (Num a) -> a
+    | _ -> failwith (Printf.sprintf "substrate ledger has no %s row at %g bits" op bits)
+  in
+  List.iter
+    (fun op ->
+      let small = alloc op 8192. and large = alloc op 32768. in
+      if large > 5. *. small then
+        failwith
+          (Printf.sprintf
+             "substrate ledger: %s allocates %g B at 2^15 bits, > 5x the %g B at \
+              2^13 (not linear in l)"
+             op large small))
+    codec_ops
+
 let check_engine_ledger rows =
   let poll_sessions =
     List.filter_map
@@ -475,13 +531,15 @@ let validate path =
                   if experiment = "engine" then check_engine_row i fields;
                   if experiment = "auth" then check_auth_row i fields;
                   if experiment = "adaptive" then check_adaptive_row i fields;
-                  if experiment = "obs" then check_obs_row i fields
+                  if experiment = "obs" then check_obs_row i fields;
+                  if experiment = "substrate" then check_substrate_row i fields
               | Obj [] -> failwith (Printf.sprintf "rows[%d] is empty" i)
               | _ -> failwith (Printf.sprintf "rows[%d] is not an object" i))
             rows;
           if experiment = "engine" then check_engine_ledger rows;
           if experiment = "auth" then check_auth_ledger rows;
           if experiment = "adaptive" then check_adaptive_ledger rows;
+          if experiment = "substrate" then check_substrate_ledger rows;
           (List.length rows, experiment)
       | Some _ -> failwith "\"rows\" is not an array"
       | None -> failwith "no top-level \"rows\" key")
@@ -506,9 +564,9 @@ let () =
           Printf.printf "%-28s FAIL: %s\n" path msg)
     paths;
   (* A full-ledger sweep (more than one path) must include the substrate
-     comparison, the fault-adaptive sweep and the observability-plane
-     ledger: losing BENCH_auth.json, BENCH_adaptive.json or BENCH_obs.json
-     from the glob should fail the build, exactly like losing a required
+     comparison, the fault-adaptive sweep, the observability-plane ledger and
+     the kernel ledger: losing BENCH_auth.json, BENCH_adaptive.json,
+     BENCH_obs.json or BENCH_substrate.json from the glob should fail the build, exactly like losing a required
      column from a row. *)
   List.iter
     (fun (experiment, ledger) ->
@@ -524,5 +582,6 @@ let () =
       ("auth", "BENCH_auth.json");
       ("adaptive", "BENCH_adaptive.json");
       ("obs", "BENCH_obs.json");
+      ("substrate", "BENCH_substrate.json");
     ];
   if !failures > 0 then exit 1

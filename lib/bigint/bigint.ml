@@ -166,21 +166,16 @@ let max a b = if compare a b >= 0 then a else b
 
 (* Bit-level ----------------------------------------------------------------- *)
 
+(* Width in bits of a limb (0 for 0). *)
+let limb_width v =
+  let rec go acc v = if v = 0 then acc else go (acc + 1) (v lsr 1) in
+  go 0 v
+
 let mag_bit_length mag =
   let n = Array.length mag in
-  if n = 0 then 0
-  else
-    let top = mag.(n - 1) in
-    let rec width acc v = if v = 0 then acc else width (acc + 1) (v lsr 1) in
-    ((n - 1) * limb_bits) + width 0 top
+  if n = 0 then 0 else ((n - 1) * limb_bits) + limb_width mag.(n - 1)
 
 let bit_length a = Stdlib.max 1 (mag_bit_length a.mag)
-
-let get_bit mag i =
-  (* i is 0-indexed from the least significant bit. *)
-  let limb = i / limb_bits in
-  if limb >= Array.length mag then false
-  else mag.(limb) land (1 lsl (i mod limb_bits)) <> 0
 
 let shift_left a k =
   if k < 0 then invalid_arg "Bigint.shift_left";
@@ -223,25 +218,87 @@ let pow2 k =
   if k < 0 then invalid_arg "Bigint.pow2";
   shift_left one k
 
-(* Division: schoolbook shift-and-subtract on magnitudes. Sufficient for the
-   library's uses (decimal I/O and workload generation). *)
+(* Division: short division by a one-limb divisor, Knuth's algorithm D
+   (TAOCP vol. 2, 4.3.1) otherwise; O(|a|·|b|) limb operations. Both return
+   normalized magnitudes. *)
+let mag_divmod_limb a d =
+  let q = Array.make (Array.length a) 0 in
+  let r = ref 0 in
+  for i = Array.length a - 1 downto 0 do
+    let cur = (!r lsl limb_bits) lor a.(i) in
+    q.(i) <- cur / d;
+    r := cur mod d
+  done;
+  (normalize_mag q, if !r = 0 then [||] else [| !r |])
+
+(* Precondition: |b| >= 2 limbs and a >= b. *)
+let mag_divmod_knuth a b =
+  let n = Array.length b and m = Array.length a - Array.length b in
+  (* D1: shift both operands so the divisor's top limb has its high bit set;
+     the quotient estimate below is then off by at most 2. *)
+  let sh = limb_bits - limb_width b.(n - 1) in
+  let shifted x len =
+    let out = Array.make len 0 and carry = ref 0 in
+    Array.iteri
+      (fun i limb ->
+        let v = (limb lsl sh) lor !carry in
+        out.(i) <- v land limb_mask;
+        carry := v lsr limb_bits)
+      x;
+    if Array.length x < len then out.(Array.length x) <- !carry;
+    out
+  in
+  let v = shifted b n and u = shifted a (m + n + 1) in
+  let vtop = v.(n - 1) and vnext = v.(n - 2) in
+  let q = Array.make (m + 1) 0 in
+  for j = m downto 0 do
+    (* D3: estimate the quotient limb from the top two limbs of the running
+       remainder, refined with the third. Every product stays below 2^62. *)
+    let num = (u.(j + n) lsl limb_bits) lor u.(j + n - 1) in
+    let qhat = ref (num / vtop) and rhat = ref (num mod vtop) in
+    while
+      !rhat < base
+      && (!qhat >= base
+         || !qhat * vnext > (!rhat lsl limb_bits) lor u.(j + n - 2))
+    do
+      decr qhat;
+      rhat := !rhat + vtop
+    done;
+    (* D4: u[j..j+n] -= qhat * v. *)
+    let borrow = ref 0 in
+    for i = 0 to n - 1 do
+      let p = !qhat * v.(i) in
+      let t = u.(i + j) - !borrow - (p land limb_mask) in
+      u.(i + j) <- t land limb_mask;
+      borrow := (p lsr limb_bits) - (t asr limb_bits)
+    done;
+    let t = u.(j + n) - !borrow in
+    u.(j + n) <- t land limb_mask;
+    (* D6: the estimate was one too large; add the divisor back. *)
+    if t < 0 then begin
+      decr qhat;
+      let carry = ref 0 in
+      for i = 0 to n - 1 do
+        let sum = u.(i + j) + v.(i) + !carry in
+        u.(i + j) <- sum land limb_mask;
+        carry := sum lsr limb_bits
+      done;
+      u.(j + n) <- (u.(j + n) + !carry) land limb_mask
+    end;
+    q.(j) <- !qhat
+  done;
+  (* D8: the remainder is u[0..n-1], shifted back. *)
+  let r =
+    Array.init n (fun i ->
+        (u.(i) lsr sh) lor ((u.(i + 1) lsl (limb_bits - sh)) land limb_mask))
+  in
+  (normalize_mag q, normalize_mag r)
+
 let mag_divmod a b =
   if Array.length b = 0 then raise Division_by_zero;
   if mag_compare a b < 0 then ([||], a)
-  else begin
-    let bits_a = mag_bit_length a in
-    let q = ref zero and r = ref zero in
-    for i = bits_a - 1 downto 0 do
-      r := shift_left !r 1;
-      if get_bit a i then r := add !r one;
-      if mag_compare !r.mag b >= 0 then begin
-        r := { neg = false; mag = normalize_mag (mag_sub !r.mag b) };
-        q := add (shift_left !q 1) one
-      end
-      else q := shift_left !q 1
-    done;
-    (!q.mag, !r.mag)
-  end
+  else if Array.length b = 1 then mag_divmod_limb a b.(0)
+  else mag_divmod_knuth a b
 
 let divmod a b =
   let q_mag, r_mag = mag_divmod a.mag b.mag in
@@ -317,30 +374,68 @@ let to_int_opt a =
     Some (if a.neg then -v else v)
   end
 
-let to_bitstring a =
-  let bits = bit_length a in
-  Bitstring.init bits (fun i -> get_bit a.mag (bits - i))
+(* Digit codecs: a magnitude read or written as a sequence of [width]-bit
+   digits (width <= 8), digit 0 the least significant, through one bit
+   accumulator — one pass and one allocation, O(ℓ) for ℓ bits. *)
 
+(* Packs [count] digits into a normalized magnitude, dropping the low [skip]
+   bits of digit 0. *)
+let mag_of_digits ~width ~skip ~count digit =
+  let bits = (count * width) - skip in
+  let mag = Array.make ((bits + limb_bits - 1) / limb_bits) 0 in
+  let acc = ref 0 and fill = ref 0 and l = ref 0 in
+  for i = 0 to count - 1 do
+    let drop = if i = 0 then skip else 0 in
+    acc := !acc lor ((digit i lsr drop) lsl !fill);
+    fill := !fill + width - drop;
+    if !fill >= limb_bits then begin
+      mag.(!l) <- !acc land limb_mask;
+      incr l;
+      acc := !acc lsr limb_bits;
+      fill := !fill - limb_bits
+    end
+  done;
+  if !fill > 0 then mag.(!l) <- !acc;
+  normalize_mag mag
+
+(* Calls [emit i d] for the low [count] digits of [mag * 2^skip]. *)
+let mag_iter_digits mag ~width ~skip ~count emit =
+  let acc = ref 0 and fill = ref skip and l = ref 0 in
+  for i = 0 to count - 1 do
+    if !fill < width && !l < Array.length mag then begin
+      acc := !acc lor (mag.(!l) lsl !fill);
+      fill := !fill + limb_bits;
+      incr l
+    end;
+    emit i (!acc land ((1 lsl width) - 1));
+    acc := !acc lsr width;
+    fill := !fill - width
+  done
+
+(* Bitstrings are packed MSB-first with zero padding after the last bit, so
+   the packed bytes, read as a big-endian number, are VAL shifted left by the
+   padding width. *)
 let to_bitstring_fixed ~bits a =
   if mag_bit_length a.mag > bits then invalid_arg "Bigint.to_bitstring_fixed";
-  Bitstring.init bits (fun i -> get_bit a.mag (bits - i))
+  let nbytes = (bits + 7) / 8 in
+  let buf = Bytes.create nbytes in
+  mag_iter_digits a.mag ~width:8 ~skip:((8 * nbytes) - bits) ~count:nbytes (fun i d ->
+      Bytes.unsafe_set buf (nbytes - 1 - i) (Char.unsafe_chr d));
+  match Bitstring.of_bytes ~len:bits (Bytes.unsafe_to_string buf) with
+  | Some b -> b
+  | None -> assert false (* the padding bits are the shifted-in zeros *)
+
+let to_bitstring a = to_bitstring_fixed ~bits:(bit_length a) a
 
 let of_bitstring b =
-  let len = Bitstring.length b in
-  let acc = ref zero in
-  let i = ref 1 in
-  while !i <= len do
-    (* Consume up to 30 bits at a time. *)
-    let stop = Stdlib.min len (!i + limb_bits - 1) in
-    let width = stop - !i + 1 in
-    let part = ref 0 in
-    for j = !i to stop do
-      part := (!part lsl 1) lor (if Bitstring.get b j then 1 else 0)
-    done;
-    acc := add (shift_left !acc width) (of_int !part);
-    i := stop + 1
-  done;
-  !acc
+  let len = Bitstring.length b and data = Bitstring.to_bytes b in
+  let nbytes = String.length data in
+  {
+    neg = false;
+    mag =
+      mag_of_digits ~width:8 ~skip:((8 * nbytes) - len) ~count:nbytes (fun i ->
+          Char.code (String.unsafe_get data (nbytes - 1 - i)));
+  }
 
 let rec gcd a b =
   let a = abs a and b = abs b in
@@ -352,20 +447,12 @@ let rec gcd a b =
 let to_hex a =
   if is_zero a then "0"
   else begin
-    let bits = mag_bit_length a.mag in
-    let nibbles = (bits + 3) / 4 in
-    let buf = Buffer.create (nibbles + 1) in
-    if a.neg then Buffer.add_char buf '-';
-    for i = nibbles - 1 downto 0 do
-      let nib =
-        ((if get_bit a.mag ((4 * i) + 3) then 8 else 0)
-        lor (if get_bit a.mag ((4 * i) + 2) then 4 else 0)
-        lor (if get_bit a.mag ((4 * i) + 1) then 2 else 0)
-        lor if get_bit a.mag (4 * i) then 1 else 0)
-      in
-      Buffer.add_char buf "0123456789abcdef".[nib]
-    done;
-    Buffer.contents buf
+    let nibbles = (mag_bit_length a.mag + 3) / 4 in
+    let sign = if a.neg then 1 else 0 in
+    let buf = Bytes.make (sign + nibbles) '-' in
+    mag_iter_digits a.mag ~width:4 ~skip:0 ~count:nibbles (fun i d ->
+        Bytes.unsafe_set buf (sign + nibbles - 1 - i) "0123456789abcdef".[d]);
+    Bytes.unsafe_to_string buf
   end
 
 let of_hex s =
@@ -373,18 +460,14 @@ let of_hex s =
   if n = 0 then invalid_arg "Bigint.of_hex: empty";
   let negv, start = match s.[0] with '-' -> (true, 1) | '+' -> (false, 1) | _ -> (false, 0) in
   if start >= n then invalid_arg "Bigint.of_hex: no digits";
-  let acc = ref zero in
-  for i = start to n - 1 do
-    let nib =
-      match s.[i] with
-      | '0' .. '9' as c -> Char.code c - Char.code '0'
-      | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
-      | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
-      | _ -> invalid_arg "Bigint.of_hex: bad digit"
-    in
-    acc := add (shift_left !acc 4) (of_int nib)
-  done;
-  if negv then neg !acc else !acc
+  let nibble i =
+    match s.[n - 1 - i] with
+    | '0' .. '9' as c -> Char.code c - Char.code '0'
+    | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+    | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+    | _ -> invalid_arg "Bigint.of_hex: bad digit"
+  in
+  make negv (mag_of_digits ~width:4 ~skip:0 ~count:(n - start) nibble)
 
 let of_sign_magnitude ~negative m =
   if sign m < 0 then invalid_arg "Bigint.of_sign_magnitude";

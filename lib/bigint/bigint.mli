@@ -19,7 +19,8 @@ val of_string : string -> t
     Raises [Invalid_argument] on malformed input. *)
 
 val to_string : t -> string
-(** Decimal rendering. *)
+(** Decimal rendering: repeated short division by 10^9, O(ℓ²/900) limb
+    operations for an ℓ-bit value. *)
 
 val pp : Format.formatter -> t -> unit
 
@@ -44,7 +45,9 @@ val mul : t -> t -> t
 
 val divmod : t -> t -> t * t
 (** [divmod a b] is [(q, r)] with [a = q*b + r] and [0 <= |r| < |b|], [r]
-    carrying the sign of [a] (truncated division). Raises [Division_by_zero]. *)
+    carrying the sign of [a] (truncated division). Raises [Division_by_zero].
+    Limb-wise long division (Knuth's algorithm D): O(|q|·|b|) limb
+    operations, O(|a|) for a one-limb divisor. *)
 
 val div : t -> t -> t
 val rem : t -> t -> t
@@ -65,11 +68,13 @@ val gcd : t -> t -> t
 (** {1 Hexadecimal I/O} *)
 
 val to_hex : t -> string
-(** Lowercase, no leading zeros, ["-"]-prefixed when negative. *)
+(** Lowercase, no leading zeros, ["-"]-prefixed when negative. O(ℓ), one
+    pass over the limbs. *)
 
 val of_hex : string -> t
 (** Parses an optionally-signed hexadecimal string (["-dead"; "0Ff"]).
-    Raises [Invalid_argument] on malformed input. *)
+    Raises [Invalid_argument] on malformed input. O(ℓ): nibbles are packed
+    straight into limbs. *)
 
 
 (** {1 Bit-level views (bridge to the protocol's bitstrings)} *)
@@ -81,13 +86,15 @@ val bit_length : t -> int
 val to_int_opt : t -> int option
 
 val to_bitstring : t -> Bitstring.t
-(** Minimal binary representation of the magnitude (BITS(|v|)). *)
+(** Minimal binary representation of the magnitude (BITS(|v|)). O(ℓ). *)
 
 val to_bitstring_fixed : bits:int -> t -> Bitstring.t
-(** BITS_bits(|v|). Raises [Invalid_argument] if the magnitude does not fit. *)
+(** BITS_bits(|v|). Raises [Invalid_argument] if the magnitude does not fit.
+    O(bits): limbs are packed into the bitstring's bytes in one pass. *)
 
 val of_bitstring : Bitstring.t -> t
-(** VAL — always non-negative. *)
+(** VAL — always non-negative. O(ℓ) with one limb-array allocation: the
+    packed bytes are read into 30-bit limbs from the least significant end. *)
 
 val of_sign_magnitude : negative:bool -> t -> t
 (** Applies a sign to a non-negative magnitude (the paper's

@@ -33,7 +33,16 @@ let init len f =
   done;
   { len; data = Bytes.unsafe_to_string buf }
 
-let ones len = init len (fun _ -> true)
+(* The [rem]-bit mask over the top of a byte: the bits a string of length
+   [8k + rem] uses in its last byte (all of it when [rem = 0]). *)
+let top_mask rem = if rem = 0 then 0xff else (0xff lsl (8 - rem)) land 0xff
+
+let ones len =
+  if len < 0 then invalid_arg "Bitstring.ones";
+  let nbytes = bytes_needed len in
+  let buf = Bytes.make nbytes '\xff' in
+  if nbytes > 0 then Bytes.unsafe_set buf (nbytes - 1) (Char.unsafe_chr (top_mask (len land 7)));
+  { len; data = Bytes.unsafe_to_string buf }
 
 let of_bool_list bits =
   let arr = Array.of_list bits in
@@ -60,53 +69,108 @@ let sub b ~pos ~len =
   if len < 0 || pos < 1 || pos + len - 1 > b.len then
     invalid_arg "Bitstring.sub";
   if len = b.len then b
-  else if (pos - 1) land 7 = 0 then begin
-    (* Byte-aligned fast path. *)
+  else begin
     let nbytes = bytes_needed len in
-    let buf = Bytes.sub (Bytes.unsafe_of_string b.data) ((pos - 1) lsr 3) nbytes in
-    (* Clear padding bits of the last byte. *)
-    let rem = len land 7 in
-    if rem <> 0 then begin
-      let mask = 0xff lsl (8 - rem) land 0xff in
-      Bytes.set buf (nbytes - 1)
-        (Char.chr (Char.code (Bytes.get buf (nbytes - 1)) land mask))
-    end;
+    let first = (pos - 1) lsr 3 and shift = (pos - 1) land 7 in
+    let buf =
+      if shift = 0 then Bytes.sub (Bytes.unsafe_of_string b.data) first nbytes
+      else begin
+        (* Unaligned: each output byte straddles two source bytes. *)
+        let buf = Bytes.create nbytes in
+        let last = String.length b.data - 1 in
+        for k = 0 to nbytes - 1 do
+          let j = first + k in
+          let hi = Char.code (String.unsafe_get b.data j) lsl shift in
+          let lo =
+            if j < last then Char.code (String.unsafe_get b.data (j + 1)) lsr (8 - shift)
+            else 0
+          in
+          Bytes.unsafe_set buf k (Char.unsafe_chr ((hi lor lo) land 0xff))
+        done;
+        buf
+      end
+    in
+    (* Clear the padding bits of the last byte. *)
+    if nbytes > 0 then
+      Bytes.unsafe_set buf (nbytes - 1)
+        (Char.unsafe_chr
+           (Char.code (Bytes.unsafe_get buf (nbytes - 1)) land top_mask (len land 7)));
     { len; data = Bytes.unsafe_to_string buf }
   end
-  else init len (fun i -> unsafe_get b.data (pos + i - 1))
 
 let range b ~left ~right =
   if left > right then empty else sub b ~pos:left ~len:(right - left + 1)
 
 let prefix b k = sub b ~pos:1 ~len:k
 
-let append a b =
-  if a.len = 0 then b
-  else if b.len = 0 then a
-  else if a.len land 7 = 0 then
-    (* a ends on a byte boundary: plain concatenation of buffers. *)
-    { len = a.len + b.len; data = a.data ^ b.data }
-  else
-    init (a.len + b.len) (fun i ->
-        if i <= a.len then unsafe_get a.data i else unsafe_get b.data (i - a.len))
+(* ORs the bits of [src] into [dst] from 0-indexed bit [off] on. The bytes of
+   [dst] past bit [off] must still be zero: pieces are written left to right. *)
+let blit_into dst off src =
+  let first = off lsr 3 and shift = off land 7 in
+  let nb = String.length src.data in
+  if shift = 0 then Bytes.blit_string src.data 0 dst first nb
+  else begin
+    let last = Bytes.length dst - 1 in
+    for j = 0 to nb - 1 do
+      let c = Char.code (String.unsafe_get src.data j) and k = first + j in
+      Bytes.unsafe_set dst k
+        (Char.unsafe_chr (Char.code (Bytes.unsafe_get dst k) lor (c lsr shift)));
+      (* Past the end only src's zero padding would land. *)
+      if k < last then
+        Bytes.unsafe_set dst (k + 1) (Char.unsafe_chr ((c lsl (8 - shift)) land 0xff))
+    done
+  end
+
+let concat bs =
+  match List.filter (fun b -> b.len > 0) bs with
+  | [] -> empty
+  | [ b ] -> b
+  | bs ->
+      let len = List.fold_left (fun acc b -> acc + b.len) 0 bs in
+      let buf = Bytes.make (bytes_needed len) '\000' in
+      ignore
+        (List.fold_left
+           (fun off b ->
+             blit_into buf off b;
+             off + b.len)
+           0 bs);
+      { len; data = Bytes.unsafe_to_string buf }
+
+let append a b = concat [ a; b ]
 
 let append_bit b bit =
   append b (if bit then { len = 1; data = "\x80" } else { len = 1; data = "\000" })
 
-let concat bs = List.fold_left append empty bs
+(* Leading zero bits of a nonzero byte. *)
+let leading_zeros8 x =
+  let k = ref 0 in
+  while x land (0x80 lsr !k) = 0 do
+    incr k
+  done;
+  !k
 
-let is_prefix ~prefix:p b =
-  p.len <= b.len
-  &&
-  let rec go i = i > p.len || (unsafe_get p.data i = unsafe_get b.data i && go (i + 1)) in
-  go 1
+(* Number of leading bits on which [a] and [b] agree, capped at [n]; both must
+   be at least [n] bits long. Whole 8-byte words are skipped first, then the
+   first differing byte locates the bit. *)
+let mismatch a b n =
+  let nbytes = bytes_needed n in
+  let i = ref 0 in
+  while
+    !i + 8 <= nbytes
+    && (String.get_int64_ne a.data !i : int64) = String.get_int64_ne b.data !i
+  do
+    i := !i + 8
+  done;
+  while !i < nbytes && String.unsafe_get a.data !i = String.unsafe_get b.data !i do
+    incr i
+  done;
+  if !i = nbytes then n
+  else
+    min n ((8 * !i) + leading_zeros8 (Char.code a.data.[!i] lxor Char.code b.data.[!i]))
 
-let longest_common_prefix a b =
-  let n = min a.len b.len in
-  let rec go i =
-    if i > n || unsafe_get a.data i <> unsafe_get b.data i then i - 1 else go (i + 1)
-  in
-  prefix a (go 1)
+let is_prefix ~prefix:p b = p.len <= b.len && mismatch p b p.len = p.len
+
+let longest_common_prefix a b = prefix a (mismatch a b (min a.len b.len))
 
 let of_int v =
   if v < 0 then invalid_arg "Bitstring.of_int";
@@ -115,14 +179,22 @@ let of_int v =
   init k (fun i -> v land (1 lsl (k - i)) <> 0)
 
 let significant_bits b =
-  let rec first_one i = if i > b.len then b.len + 1 else if unsafe_get b.data i then i else first_one (i + 1) in
   if b.len = 0 then 0
   else
-    let f = first_one 1 in
-    if f > b.len then 1 (* all zeros: value 0 needs one bit *) else b.len - f + 1
+    (* The padding is zero, so the first nonzero byte holds the first one. *)
+    let nbytes = String.length b.data in
+    let i = ref 0 in
+    while !i < nbytes && String.unsafe_get b.data !i = '\000' do
+      incr i
+    done;
+    if !i = nbytes then 1 (* all zeros: value 0 needs one bit *)
+    else b.len - ((8 * !i) + leading_zeros8 (Char.code b.data.[!i]))
 
 let strip_leading_zeros b =
-  if b.len = 0 then empty else sub b ~pos:(b.len - significant_bits b + 1) ~len:(significant_bits b)
+  if b.len = 0 then empty
+  else
+    let k = significant_bits b in
+    sub b ~pos:(b.len - k + 1) ~len:k
 
 let pad_to len b =
   if significant_bits b > len then invalid_arg "Bitstring.pad_to";
@@ -155,15 +227,10 @@ let compare a b =
   (* Lexicographic on bits, then shorter < longer. Because trailing padding is
      zeroed we cannot compare buffers directly when lengths differ mod 8. *)
   let n = min a.len b.len in
-  let rec go i =
-    if i > n then Stdlib.compare a.len b.len
-    else
-      match (unsafe_get a.data i, unsafe_get b.data i) with
-      | false, true -> -1
-      | true, false -> 1
-      | _ -> go (i + 1)
-  in
-  go 1
+  let k = mismatch a b n in
+  if k = n then Stdlib.compare a.len b.len
+  else if unsafe_get a.data (k + 1) then 1
+  else -1
 
 let compare_val a b =
   let a = strip_leading_zeros a and b = strip_leading_zeros b in

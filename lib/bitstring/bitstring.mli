@@ -3,7 +3,12 @@
     A value [b : t] is a finite sequence of bits [B1 B2 ... Bk], indexed from 1
     (leftmost / most significant) as in the paper. Bits are packed MSB-first
     into bytes. All operations are pure; the underlying buffer is never
-    mutated after construction. *)
+    mutated after construction.
+
+    Costs are stated in ℓ, the length in bits of the operands. The
+    structural and comparison kernels work a byte (or an 8-byte word) at a
+    time, so their O(ℓ) is ℓ/8 steps; only [init], [get]-driven code and the
+    textual conversions touch single bits. *)
 
 type t
 
@@ -16,7 +21,7 @@ val zero : int -> t
 (** [zero len] is [len] zero bits. Raises [Invalid_argument] if [len < 0]. *)
 
 val ones : int -> t
-(** [ones len] is [len] one bits. *)
+(** [ones len] is [len] one bits. Raises [Invalid_argument] if [len < 0]. *)
 
 val of_bool_list : bool list -> t
 
@@ -48,13 +53,15 @@ val pp : Format.formatter -> t -> unit
 (** {1 Structure} *)
 
 val append : t -> t -> t
-(** Concatenation (paper's [||]). *)
+(** Concatenation (paper's [||]). O(ℓ) byte copies; at an unaligned
+    boundary each byte of the right operand is shifted into place. *)
 
 val append_bit : t -> bool -> t
 
 val sub : t -> pos:int -> len:int -> t
 (** [sub b ~pos ~len] is bits [pos .. pos+len-1], 1-indexed.
-    Raises [Invalid_argument] if the range is not within [b]. *)
+    Raises [Invalid_argument] if the range is not within [b]. O(len): a byte
+    copy, shifted when [pos] is not byte-aligned. *)
 
 val range : t -> left:int -> right:int -> t
 (** [range b ~left ~right] is bits [B_left || ... || B_right] (inclusive,
@@ -65,9 +72,11 @@ val prefix : t -> int -> t
 (** [prefix b k] is the first [k] bits. *)
 
 val is_prefix : prefix:t -> t -> bool
-(** [is_prefix ~prefix:p b] holds iff [p] is a prefix of [b]. *)
+(** [is_prefix ~prefix:p b] holds iff [p] is a prefix of [b]. O(length p):
+    a scan for the first differing word, then byte, then bit. *)
 
 val longest_common_prefix : t -> t -> t
+(** O(ℓ), the same scan as [is_prefix]. *)
 
 (** {1 Numeric interpretation (paper's BITS / VAL)} *)
 
@@ -100,10 +109,10 @@ val pad_to : int -> t -> t
 val min_fill : int -> t -> t
 (** [min_fill len p] is MIN_len(p): [p] right-padded with zeros to [len]
     bits — the smallest [len]-bit value with prefix [p].
-    Raises [Invalid_argument] if [length p > len]. *)
+    Raises [Invalid_argument] if [length p > len]. O(len), via [append]. *)
 
 val max_fill : int -> t -> t
-(** [max_fill len p] is MAX_len(p): [p] right-padded with ones. *)
+(** [max_fill len p] is MAX_len(p): [p] right-padded with ones. O(len). *)
 
 (** {1 Comparison} *)
 
@@ -112,7 +121,8 @@ val equal : t -> t -> bool
 
 val compare : t -> t -> int
 (** Total order: first by bits lexicographically, then by length. For
-    equal-length strings this is exactly the numeric order of VAL. *)
+    equal-length strings this is exactly the numeric order of VAL. O(ℓ),
+    the same scan as [is_prefix]; the result is always -1, 0 or 1. *)
 
 val compare_val : t -> t -> int
 (** Numeric order of VAL regardless of length (leading zeros ignored). *)
@@ -125,6 +135,7 @@ val blocks : block_bits:int -> t -> t list
     multiple of [block_bits] or [block_bits <= 0]. *)
 
 val concat : t list -> t
+(** O(total length): one allocation, each piece shifted into place. *)
 
 (** {1 Byte conversion (wire format)} *)
 

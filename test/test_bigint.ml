@@ -4,6 +4,7 @@ module Z = Bigint
 
 let z = Alcotest.testable Z.pp Z.equal
 let check_z = Alcotest.check z
+let bits_t = Alcotest.testable Bitstring.pp Bitstring.equal
 let zs = Z.of_string
 
 let test_of_to_string () =
@@ -184,6 +185,185 @@ let prop_shift_is_pow2_mul =
     QCheck.(pair arb_small (int_bound 80))
     (fun (x, k) -> Z.equal (Z.shift_left (Z.of_int x) k) (Z.mul (Z.of_int x) (Z.pow2 k)))
 
+(* Differential tests against the bit-serial reference specs ---------------
+
+   [Spec] holds the original implementations of the word-level codecs, each
+   one bit (or one 30-bit chunk, or one nibble) at a time over the public
+   arithmetic. They are quadratic, so the sizes below stay moderate. *)
+
+module Spec = struct
+  (* Bit [i] of |a|, 0-indexed from the least significant end. *)
+  let get_bit a i =
+    let y = Z.shift_right (Z.abs a) i in
+    not (Z.equal y (Z.shift_left (Z.shift_right y 1) 1))
+
+  let mag_bits a = if Z.is_zero a then 0 else Z.bit_length a
+
+  let to_bitstring_fixed ~bits a =
+    if mag_bits a > bits then invalid_arg "Bigint.to_bitstring_fixed";
+    Bitstring.init bits (fun i -> get_bit a (bits - i))
+
+  let to_bitstring a = to_bitstring_fixed ~bits:(Z.bit_length a) a
+
+  let of_bitstring b =
+    let len = Bitstring.length b in
+    let acc = ref Z.zero and i = ref 1 in
+    while !i <= len do
+      let stop = min len (!i + 29) in
+      let part = ref 0 in
+      for j = !i to stop do
+        part := (!part lsl 1) lor if Bitstring.get b j then 1 else 0
+      done;
+      acc := Z.add (Z.shift_left !acc (stop - !i + 1)) (Z.of_int !part);
+      i := stop + 1
+    done;
+    !acc
+
+  let to_hex a =
+    if Z.is_zero a then "0"
+    else
+      let nibbles = (mag_bits a + 3) / 4 in
+      let digit i =
+        (if get_bit a ((4 * i) + 3) then 8 else 0)
+        lor (if get_bit a ((4 * i) + 2) then 4 else 0)
+        lor (if get_bit a ((4 * i) + 1) then 2 else 0)
+        lor if get_bit a (4 * i) then 1 else 0
+      in
+      (if Z.sign a < 0 then "-" else "")
+      ^ String.init nibbles (fun k -> "0123456789abcdef".[digit (nibbles - 1 - k)])
+
+  let of_hex s =
+    let negv = s.[0] = '-' in
+    let acc = ref Z.zero in
+    String.iteri
+      (fun i c ->
+        if not (i = 0 && (c = '-' || c = '+')) then
+          acc := Z.add (Z.shift_left !acc 4) (Z.of_int (int_of_string ("0x" ^ String.make 1 c))))
+      s;
+    if negv then Z.neg !acc else !acc
+
+end
+
+(* A bitstring of [len] bits: [zeros] leading zeros, then random bits. *)
+let gen_bitstring ~max_len =
+  QCheck.Gen.(
+    int_range 0 (max_len / 8) >>= fun bytes ->
+    int_range 0 7 >>= fun r ->
+    let len = (8 * bytes) + r in
+    int_range 0 (min len 70) >>= fun zeros ->
+    bool >>= fun all_zero ->
+    list_repeat len bool >>= fun bits ->
+    return
+      (Bitstring.of_bool_list
+         (List.mapi (fun i b -> (not all_zero) && i >= zeros && b) bits)))
+
+let arb_bitstring ~max_len =
+  QCheck.make ~print:(fun b -> Printf.sprintf "%d bits" (Bitstring.length b)) (gen_bitstring ~max_len)
+
+(* A signed value of up to [max_bits] bits. *)
+let arb_big ~max_bits =
+  QCheck.make ~print:Z.to_string
+    QCheck.Gen.(
+      pair (gen_bitstring ~max_len:max_bits) bool >>= fun (b, negative) ->
+      return (Z.of_sign_magnitude ~negative (Spec.of_bitstring b)))
+
+let prop_spec_of_bitstring =
+  QCheck.Test.make ~name:"of_bitstring = bit-serial spec (to 4 Kbit)" ~count:120
+    (arb_bitstring ~max_len:4200) (fun b -> Z.equal (Z.of_bitstring b) (Spec.of_bitstring b))
+
+let prop_spec_to_bitstring =
+  QCheck.Test.make ~name:"to_bitstring(_fixed) = bit-serial spec" ~count:120
+    QCheck.(pair (arb_big ~max_bits:2100) (int_bound 20)) (fun (v, extra) ->
+      let bits = Spec.mag_bits v + extra in
+      Bitstring.equal (Z.to_bitstring v) (Spec.to_bitstring v)
+      && Bitstring.equal (Z.to_bitstring_fixed ~bits v) (Spec.to_bitstring_fixed ~bits v)
+      && Z.equal (Z.of_bitstring (Z.to_bitstring_fixed ~bits v)) (Z.abs v))
+
+let prop_spec_hex =
+  QCheck.Test.make ~name:"to_hex/of_hex = nibble-serial spec" ~count:120 (arb_big ~max_bits:1100)
+    (fun v ->
+      let h = Z.to_hex v in
+      String.equal h (Spec.to_hex v) && Z.equal (Z.of_hex h) (Spec.of_hex h)
+      && Z.equal (Z.of_hex (String.uppercase_ascii h)) v)
+
+(* Every length mod 8 at and around 4096 bits, and the all-zero and
+   leading-zero shapes, through all three codecs. *)
+let test_codec_lengths () =
+  for len = 4088 to 4104 do
+    let ones = Bitstring.ones len and zeros = Bitstring.zero len in
+    let mixed = Bitstring.init len (fun i -> i > 9 && (i * i) mod 7 < 3) in
+    List.iter
+      (fun (what, b) ->
+        let label = Printf.sprintf "%s len=%d" what len in
+        let v = Z.of_bitstring b in
+        check_z label (Spec.of_bitstring b) v;
+        Alcotest.check bits_t (label ^ " fixed") b (Z.to_bitstring_fixed ~bits:len v);
+        Alcotest.check bits_t (label ^ " minimal") (Spec.to_bitstring v) (Z.to_bitstring v))
+      [ ("ones", ones); ("zeros", zeros); ("mixed", mixed) ]
+  done;
+  check_z "empty" Z.zero (Z.of_bitstring Bitstring.empty);
+  Alcotest.check bits_t "fixed 0 bits" Bitstring.empty (Z.to_bitstring_fixed ~bits:0 Z.zero);
+  Alcotest.check_raises "does not fit" (Invalid_argument "Bigint.to_bitstring_fixed") (fun () ->
+      ignore (Z.to_bitstring_fixed ~bits:100 (Z.pow2 100)))
+
+(* Truncated division identity: a = q·b + r, |r| < |b|, r has a's sign. *)
+let divmod_ok a b =
+  let q, r = Z.divmod a b in
+  Z.equal a (Z.add (Z.mul q b) r)
+  && Z.compare (Z.abs r) (Z.abs b) < 0
+  && (Z.sign r = 0 || Z.sign r = Z.sign a)
+
+let prop_divmod_multi_limb =
+  QCheck.Test.make ~name:"divmod identity on multi-limb operands" ~count:300
+    QCheck.(pair (arb_big ~max_bits:700) (arb_big ~max_bits:400)) (fun (a, b) ->
+      QCheck.assume (not (Z.is_zero b));
+      divmod_ok a b && divmod_ok b (if Z.is_zero a then Z.one else a))
+
+let test_divmod_edges () =
+  let check label a b = Alcotest.(check bool) label true (divmod_ok a b) in
+  (* Divisors whose top limb is 1 (maximal normalization shift) or all ones
+     (none), quotient limbs that need the add-back correction, b > a. *)
+  List.iter
+    (fun k ->
+      let a = Z.sub (Z.pow2 (k + 200)) (Z.of_int 12345) in
+      check (Printf.sprintf "top limb 1, k=%d" k) a (Z.pow2 k);
+      check (Printf.sprintf "top limb 1 + 1, k=%d" k) a (Z.succ (Z.pow2 k));
+      check (Printf.sprintf "all ones, k=%d" k) a (Z.pred (Z.pow2 k));
+      check (Printf.sprintf "b > a, k=%d" k) (Z.pow2 k) (Z.pow2 (k + 1));
+      check (Printf.sprintf "a = b, k=%d" k) (Z.pred (Z.pow2 k)) (Z.pred (Z.pow2 k)))
+    [ 30; 31; 59; 60; 61; 90; 300 ];
+  (* (B^n - 1) / (B^(n/2) + ... ) style operands that push qhat to base. *)
+  let b = Z.add (Z.shift_left (Z.pred (Z.pow2 30)) 60) (Z.pred (Z.pow2 60)) in
+  check "qhat at base" (Z.pred (Z.pow2 300)) b;
+  check "qhat at base, shifted divisor" (Z.pred (Z.pow2 300)) (Z.shift_right b 1);
+  (* Operands whose first quotient estimate overshoots after the refinement,
+     so the multiply-subtract goes negative and the divisor is added back. *)
+  List.iter
+    (fun (a, b) -> check ("add-back " ^ b) (Z.of_hex a) (Z.of_hex b))
+    [
+      ("3ffffffffffffffc1ae015880000002dc422c5", "fffffffffffffffae1e43060000000");
+      ("3fffffff00000000000000000000003fffffff800000020000000", "fffffffc0000000fffffffe0c1476c");
+      ("fffffffe00000003b4bcad444b0051", "2000000080000003fffffff");
+      ("20000000ffffffff0f160fd80000003fffffff", "3ffffffffffffffffffffff");
+    ];
+  let q, r = Z.divmod (Z.pow2 64) (Z.pow2 128) in
+  check_z "b > a quotient" Z.zero q;
+  check_z "b > a remainder" (Z.pow2 64) r;
+  let q, r = Z.divmod (Z.mul (Z.pred (Z.pow2 500)) (Z.succ (Z.pow2 90))) (Z.succ (Z.pow2 90)) in
+  check_z "exact quotient" (Z.pred (Z.pow2 500)) q;
+  check_z "exact remainder" Z.zero r
+
+let test_large_io () =
+  let v = Z.sub (Z.pow2 32768) (Z.of_string "123456789123456789123456789") in
+  let h = Z.to_hex v in
+  Alcotest.(check int) "hex digits" 8192 (String.length h);
+  check_z "hex roundtrip 2^15 bits" v (Z.of_hex h);
+  check_z "negative hex roundtrip 2^15 bits" (Z.neg v) (Z.of_hex (Z.to_hex (Z.neg v)));
+  let d = Z.to_string v in
+  Alcotest.(check int) "decimal digits" 9865 (String.length d);
+  check_z "decimal roundtrip 2^15 bits" v (Z.of_string d);
+  check_z "negative decimal roundtrip 2^15 bits" (Z.neg v) (Z.of_string (Z.to_string (Z.neg v)))
+
 let suite =
   [
     Alcotest.test_case "decimal io" `Quick test_of_to_string;
@@ -206,4 +386,11 @@ let suite =
     QCheck_alcotest.to_alcotest prop_bitstring_roundtrip;
     QCheck_alcotest.to_alcotest prop_mul_big_identity;
     QCheck_alcotest.to_alcotest prop_shift_is_pow2_mul;
+    Alcotest.test_case "codecs at every length mod 8" `Quick test_codec_lengths;
+    Alcotest.test_case "divmod edge operands" `Quick test_divmod_edges;
+    Alcotest.test_case "hex/decimal io at 2^15 bits" `Quick test_large_io;
+    QCheck_alcotest.to_alcotest prop_spec_of_bitstring;
+    QCheck_alcotest.to_alcotest prop_spec_to_bitstring;
+    QCheck_alcotest.to_alcotest prop_spec_hex;
+    QCheck_alcotest.to_alcotest prop_divmod_multi_limb;
   ]

@@ -182,6 +182,139 @@ let prop_blocks_roundtrip =
       B.equal b (B.concat (B.blocks ~block_bits b))
       && List.length (B.blocks ~block_bits b) = count)
 
+(* Differential tests against the bit-serial reference specs ---------------
+
+   [Spec] is the original one-bit-at-a-time implementation of each byte-wise
+   kernel, written against the public [get]/[init] interface. Every kernel
+   must agree with it on every bit alignment of every operand. *)
+
+module Spec = struct
+  let get = B.get
+  let length = B.length
+
+  let append a b =
+    let la = length a in
+    B.init (la + length b) (fun i -> if i <= la then get a i else get b (i - la))
+
+  let sub b ~pos ~len = B.init len (fun i -> get b (pos + i - 1))
+
+  let compare a b =
+    let n = min (length a) (length b) in
+    let rec go i =
+      if i > n then Stdlib.compare (length a) (length b)
+      else
+        match (get a i, get b i) with
+        | false, true -> -1
+        | true, false -> 1
+        | _ -> go (i + 1)
+    in
+    go 1
+
+  let is_prefix ~prefix:p b =
+    length p <= length b
+    &&
+    let rec go i = i > length p || (get p i = get b i && go (i + 1)) in
+    go 1
+
+  let longest_common_prefix a b =
+    let n = min (length a) (length b) in
+    let rec go i = if i > n || get a i <> get b i then i - 1 else go (i + 1) in
+    sub a ~pos:1 ~len:(go 1)
+
+  let min_fill len p = append p (B.init (len - length p) (fun _ -> false))
+  let max_fill len p = append p (B.init (len - length p) (fun _ -> true))
+
+  let significant_bits b =
+    let rec first_one i = if i > length b then length b + 1 else if get b i then i else first_one (i + 1) in
+    if length b = 0 then 0
+    else
+      let f = first_one 1 in
+      if f > length b then 1 else length b - f + 1
+end
+
+(* Two strings with a long common prefix: both cut from one random string,
+   the second with one bit flipped, so mismatches land at every depth and
+   every in-byte position. *)
+let gen_related =
+  QCheck.Gen.(
+    int_range 0 300 >>= fun n ->
+    list_repeat n bool >>= fun base ->
+    int_range 0 n >>= fun la ->
+    int_range 0 n >>= fun lb ->
+    int_range 0 (max 0 (n - 1)) >>= fun flip ->
+    bool >>= fun do_flip ->
+    let x = B.of_bool_list base in
+    let y =
+      B.init n (fun i -> if do_flip && i = flip + 1 then not (B.get x i) else B.get x i)
+    in
+    return (B.prefix x la, B.prefix y lb))
+
+let arb_related =
+  QCheck.make
+    ~print:(fun (a, b) -> Printf.sprintf "(%s, %s)" (B.to_string a) (B.to_string b))
+    gen_related
+
+let prop_spec_append =
+  QCheck.Test.make ~name:"append/concat = bit-serial spec" ~count:300
+    (QCheck.pair arb_bits arb_bits) (fun (a, b) ->
+      B.equal (B.append a b) (Spec.append a b)
+      && B.equal (B.concat [ a; b; a ]) (Spec.append (Spec.append a b) a))
+
+let prop_spec_compare =
+  QCheck.Test.make ~name:"compare/is_prefix/lcp = bit-serial spec" ~count:500 arb_related
+    (fun (a, b) ->
+      B.compare a b = Spec.compare a b
+      && B.compare b a = Spec.compare b a
+      && B.is_prefix ~prefix:a b = Spec.is_prefix ~prefix:a b
+      && B.is_prefix ~prefix:b a = Spec.is_prefix ~prefix:b a
+      && B.equal (B.longest_common_prefix a b) (Spec.longest_common_prefix a b))
+
+let prop_spec_sub_fill =
+  QCheck.Test.make ~name:"sub/min_fill/max_fill = bit-serial spec" ~count:300
+    QCheck.(triple arb_bits small_nat small_nat)
+    (fun (b, x, y) ->
+      let n = B.length b in
+      let pos = if n = 0 then 1 else 1 + (x mod n) in
+      let len = if n = 0 then 0 else y mod (n - pos + 2) in
+      let fill = n + (x mod 70) in
+      B.equal (B.sub b ~pos ~len) (Spec.sub b ~pos ~len)
+      && B.equal (B.min_fill fill b) (Spec.min_fill fill b)
+      && B.equal (B.max_fill fill b) (Spec.max_fill fill b)
+      && B.significant_bits b = Spec.significant_bits b)
+
+(* Exhaustive over small lengths: every pair of operand alignments, every
+   sub window, every fill width. *)
+let test_spec_alignments () =
+  let pattern len seed = B.init len (fun i -> ((i * 7) + seed) mod 5 < 2) in
+  for la = 0 to 20 do
+    for lb = 0 to 20 do
+      let a = pattern la 1 and b = pattern lb 2 in
+      let label what = Printf.sprintf "%s la=%d lb=%d" what la lb in
+      check_bits (label "append") (Spec.append a b) (B.append a b);
+      check_int (label "compare") (Spec.compare a b) (B.compare a b);
+      check_bool (label "is_prefix") (Spec.is_prefix ~prefix:a b) (B.is_prefix ~prefix:a b);
+      check_bits (label "lcp") (Spec.longest_common_prefix a b) (B.longest_common_prefix a b);
+      let ab = B.append a b in
+      check_bool (label "is_prefix of append") true (B.is_prefix ~prefix:a ab);
+      check_bits (label "lcp with append") a (B.longest_common_prefix a ab)
+    done;
+    let b = pattern la 3 in
+    for pos = 1 to la do
+      for len = 0 to la - pos + 1 do
+        check_bits
+          (Printf.sprintf "sub la=%d pos=%d len=%d" la pos len)
+          (Spec.sub b ~pos ~len) (B.sub b ~pos ~len)
+      done
+    done;
+    for len = la to la + 17 do
+      check_bits (Printf.sprintf "min_fill %d %d" la len) (Spec.min_fill len b) (B.min_fill len b);
+      check_bits (Printf.sprintf "max_fill %d %d" la len) (Spec.max_fill len b) (B.max_fill len b)
+    done;
+    check_bits (Printf.sprintf "ones %d" la) (B.init la (fun _ -> true)) (B.ones la);
+    check_int (Printf.sprintf "significant_bits zeros %d" la) (Spec.significant_bits (B.zero la))
+      (B.significant_bits (B.zero la))
+  done
+
 let suite =
   [
     Alcotest.test_case "construction" `Quick test_construction;
@@ -201,4 +334,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_min_max_fill_bounds;
     QCheck_alcotest.to_alcotest prop_strip_preserves_val;
     QCheck_alcotest.to_alcotest prop_blocks_roundtrip;
+    Alcotest.test_case "kernels = spec at every alignment" `Quick test_spec_alignments;
+    QCheck_alcotest.to_alcotest prop_spec_append;
+    QCheck_alcotest.to_alcotest prop_spec_compare;
+    QCheck_alcotest.to_alcotest prop_spec_sub_fill;
   ]
