@@ -1,0 +1,218 @@
+(* Differential pin: [Net.Sim.run] against the frozen reference executor in
+   sim_spec.ml. Over Π_ℤ, Π_ℕ, phase-king and the adaptive wrapper, under the
+   passive, equivocating and crashing adversaries with random corruption sets
+   and seeds, both executors must produce the same outputs, the same
+   [Metrics] (rounds, honest/byzantine bits and messages, per-label bits), the
+   same trace CSV and the same telemetry span, probe and total records. The
+   telemetry timeline ("round" records) is excluded: it is the one stamp the
+   reference files under a different round convention (see sim_spec.ml).
+   Plus the edges: the [max_rounds] boundary, [allow_excess_corruptions] and
+   byzantine truncation at [Sim.max_byzantine_bytes]. *)
+
+open Net
+
+type observed = {
+  outputs : string option list;
+  counters : int * int * int * int * int;
+  labels : (string * int) list;
+  csv : string;
+  telemetry : string list;
+}
+
+let strip_timeline jsonl =
+  List.filter
+    (fun line ->
+      line <> ""
+      && not (String.length line >= 16 && String.sub line 0 16 = {|{"kind":"round",|}))
+    (String.split_on_char '\n' jsonl)
+
+let observe render run =
+  let trace = Trace.create () in
+  let telemetry = Telemetry.create () in
+  let (o : _ Sim.outcome) = run ~trace ~telemetry in
+  let m = o.Sim.metrics in
+  {
+    outputs = Array.to_list (Array.map (Option.map render) o.Sim.outputs);
+    counters =
+      ( m.Metrics.rounds,
+        m.Metrics.honest_bits,
+        m.Metrics.honest_msgs,
+        m.Metrics.byz_bits,
+        m.Metrics.byz_msgs );
+    labels = Metrics.labels m;
+    csv = Trace.to_csv trace;
+    telemetry = strip_timeline (Telemetry.to_jsonl telemetry);
+  }
+
+let check_same name a b =
+  Alcotest.(check (list (option string))) (name ^ ": outputs") a.outputs b.outputs;
+  let c (r, hb, hm, bb, bm) = [ r; hb; hm; bb; bm ] in
+  Alcotest.(check (list int))
+    (name ^ ": rounds, honest bits/msgs, byz bits/msgs")
+    (c a.counters) (c b.counters);
+  Alcotest.(check (list (pair string int))) (name ^ ": labels") a.labels b.labels;
+  Alcotest.(check string) (name ^ ": trace CSV") a.csv b.csv;
+  Alcotest.(check (list string)) (name ^ ": telemetry spans/probes") a.telemetry
+    b.telemetry
+
+(* Run one scenario through both executors; adversaries are built fresh per
+   run (strategies carry PRNG state). *)
+let differential ?max_rounds ?allow_excess_corruptions name ~n ~t ~corrupt
+    ~mk_adversary render protocol =
+  let spec =
+    observe render (fun ~trace ~telemetry ->
+        Sim_spec.run ?max_rounds ?allow_excess_corruptions ~trace ~telemetry ~n ~t
+          ~corrupt ~adversary:(mk_adversary ()) protocol)
+  in
+  let sim =
+    observe render (fun ~trace ~telemetry ->
+        Sim.run ?max_rounds ?allow_excess_corruptions ~trace ~telemetry ~n ~t
+          ~corrupt ~adversary:(mk_adversary ()) protocol)
+  in
+  check_same name spec sim;
+  spec
+
+(* ---- the qcheck sweep ---------------------------------------------------- *)
+
+let protocols =
+  [|
+    ( "pi_z",
+      fun rng ~n ->
+        let inputs =
+          Array.map
+            (fun v -> if Prng.bool rng then Bigint.neg v else v)
+            (Workload.clustered_bits rng ~n ~bits:24 ~shared_prefix_bits:8)
+        in
+        fun ctx -> Proto.map (Convex.agree_int ctx inputs.(ctx.Ctx.me)) Bigint.to_hex );
+    ( "pi_n",
+      fun rng ~n ->
+        let inputs = Workload.uniform_bits rng ~n ~bits:20 in
+        fun ctx -> Proto.map (Convex.agree_nat ctx inputs.(ctx.Ctx.me)) Bigint.to_hex );
+    ( "phase_king",
+      fun rng ~n ->
+        let inputs =
+          Array.init n (fun _ -> if Prng.bool rng then "alpha" else "beta")
+        in
+        fun ctx -> Ba.Phase_king.run_bytes ctx inputs.(ctx.Ctx.me) );
+    ( "adaptive",
+      fun rng ~n ->
+        let inputs = Workload.clustered_bits rng ~n ~bits:24 ~shared_prefix_bits:12 in
+        let p = Workload.pi_z_adaptive () in
+        fun ctx -> Proto.map (p.Workload.run ctx inputs.(ctx.Ctx.me)) Bigint.to_hex );
+  |]
+
+let adversaries =
+  [|
+    ("passive", fun _seed () -> Adversary.passive);
+    ("equivocate", fun seed () -> Adversary.equivocate ~seed);
+    ("crash", fun seed () -> Adversary.crash ~after:(1 + (seed mod 7)));
+  |]
+
+let prop_sim_equals_spec =
+  QCheck.Test.make ~name:"Sim.run = reference spec (protocols x adversaries)"
+    ~count:60
+    QCheck.(
+      quad (int_bound (Array.length protocols - 1))
+        (int_bound (Array.length adversaries - 1))
+        (int_bound 2) (int_bound 100_000))
+    (fun (pi, ai, ni, seed) ->
+      let n = [| 4; 5; 7 |].(ni) in
+      let t = (n - 1) / 3 in
+      let rng = Prng.create seed in
+      (* A random corruption set of size 0..t. *)
+      let corrupt = Array.make n false in
+      for _ = 1 to Prng.int rng (t + 1) do
+        corrupt.(Prng.int rng n) <- true
+      done;
+      let pname, mk_protocol = protocols.(pi) in
+      let aname, mk_adversary = adversaries.(ai) in
+      let protocol = mk_protocol rng ~n in
+      ignore
+        (differential
+           (Printf.sprintf "%s/%s n=%d seed=%d" pname aname n seed)
+           ~n ~t ~corrupt ~mk_adversary:(mk_adversary seed) Fun.id protocol);
+      true)
+
+(* ---- edges --------------------------------------------------------------- *)
+
+(* A fixed-length protocol: [rounds] broadcasts, then the count heard. *)
+let rounds_protocol rounds (ctx : Ctx.t) =
+  let ( let* ) = Proto.( let* ) in
+  let rec go k acc =
+    if k = 0 then Proto.return acc
+    else
+      let* inbox = Proto.broadcast (Printf.sprintf "%d:%d" ctx.Ctx.me k) in
+      go (k - 1) (Array.fold_left (fun a m -> if m = None then a else a + 1) acc inbox)
+  in
+  go rounds 0
+
+let test_max_rounds_boundary () =
+  let n = 4 and t = 1 in
+  let corrupt = Sim.corrupt_first ~n 1 in
+  let mk_adversary () = Adversary.equivocate ~seed:3 in
+  List.iter
+    (fun rounds ->
+      let exact =
+        differential
+          (Printf.sprintf "%d rounds at max_rounds=%d" rounds rounds)
+          ~max_rounds:rounds ~n ~t ~corrupt ~mk_adversary string_of_int
+          (rounds_protocol rounds)
+      in
+      let r, _, _, _, _ = exact.counters in
+      Alcotest.(check int) "ran every round" rounds r;
+      let limit = rounds - 1 in
+      Alcotest.check_raises "reference: one round short raises"
+        (Sim_spec.Round_limit_exceeded limit) (fun () ->
+          ignore
+            (Sim_spec.run ~max_rounds:limit ~n ~t ~corrupt
+               ~adversary:(mk_adversary ()) (rounds_protocol rounds)));
+      Alcotest.check_raises "Sim.run: one round short raises"
+        (Sim.Round_limit_exceeded limit) (fun () ->
+          ignore
+            (Sim.run ~max_rounds:limit ~n ~t ~corrupt ~adversary:(mk_adversary ())
+               (rounds_protocol rounds))))
+    [ 1; 2; 17 ]
+
+let test_allow_excess_corruptions () =
+  let n = 4 and t = 1 in
+  let corrupt = Sim.corrupt_first ~n 2 in
+  let inputs = Array.init n (fun i -> Bigint.of_int (100 + i)) in
+  let protocol ctx = Convex.agree_int ctx inputs.(ctx.Ctx.me) in
+  Alcotest.(check bool) "rejected without the flag" true
+    (match
+       Sim.run ~n ~t ~corrupt ~adversary:Adversary.passive protocol
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  ignore
+    (differential "t+1 corruptions" ~allow_excess_corruptions:true ~n ~t ~corrupt
+       ~mk_adversary:(fun () -> Adversary.equivocate ~seed:9)
+       Bigint.to_hex protocol)
+
+let test_byzantine_truncation () =
+  let huge () =
+    Adversary.make ~name:"huge" (fun view ~sender ~recipient ->
+        if (sender + recipient + view.Adversary.round) mod 2 = 0 then
+          Some (String.make (Sim.max_byzantine_bytes + 4096) 'X')
+        else Some "short")
+  in
+  let n = 4 and t = 1 in
+  let corrupt = Sim.corrupt_first ~n 1 in
+  let o =
+    differential "oversize byzantine messages" ~n ~t ~corrupt ~mk_adversary:huge
+      string_of_int (rounds_protocol 2)
+  in
+  let _, _, _, byz_bits, _ = o.counters in
+  (* Sender 0 to recipients 1..3: oversize to 1 and 3 in round 1, to 2 in
+     round 2; "short" otherwise. *)
+  Alcotest.(check int) "byzantine bits counted at the truncated size"
+    (8 * ((3 * Sim.max_byzantine_bytes) + (3 * String.length "short")))
+    byz_bits
+
+let suite =
+  [
+    QCheck_alcotest.to_alcotest prop_sim_equals_spec;
+    Alcotest.test_case "max_rounds boundary" `Quick test_max_rounds_boundary;
+    Alcotest.test_case "allow_excess_corruptions" `Quick test_allow_excess_corruptions;
+    Alcotest.test_case "byzantine truncation" `Quick test_byzantine_truncation;
+  ]
