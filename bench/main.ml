@@ -938,9 +938,8 @@ let engine_bench () =
      rounds) is invariant in K — sessions are bit-identical to sequential runs —\n\
      while transport frames are shared: frames-saved grows ~linearly in K and the\n\
      engine amortizes the per-frame cost the way a high-traffic oracle deployment\n\
-     must. The unix row drives the same 64 sessions over the thread-per-party\n\
-     socket mesh; the poll rows scale K into the thousands through the\n\
-     single-process event loop (nonblocking sockets, one select, zero threads).";
+     must. The poll rows scale K into the thousands through the single-process\n\
+     event loop (nonblocking sockets, one select, zero threads).";
   let session_inputs k =
     let rng = Prng.create (8100 + k) in
     Workload.clustered_bits rng ~n ~bits:64 ~shared_prefix_bits:32
@@ -1024,28 +1023,6 @@ let engine_bench () =
       if k > 1 then assert (outcome.Engine.aggregate.Engine.frames_saved > 0);
       report "sim" k outcome wall words)
     (if !smoke then [ 1; 4 ] else [ 1; 4; 16; 64 ]);
-  (* The same K sessions over the socket mesh (honest: byzantine behaviour
-     is a simulator concern) AND through the simulator, so the two transport
-     ledgers can be compared entry for entry on an identical workload. The
-     adversarial sim rows above run a *different* workload (outlier inputs,
-     equivocation => different per-session round counts), which is why their
-     naive_frames column legitimately differs from the unix row's; on equal
-     workloads the ledgers must agree exactly, asserted here. *)
-  let k = if !smoke then 8 else 64 in
-  let specs = List.init k (mk_spec ~adversarial:false) in
-  let sim_honest, wall_sim, words_sim =
-    timed (fun () -> Engine.run_sim ~n ~t ~corrupt:(Array.make n false) specs)
-  in
-  report "sim-honest" k sim_honest wall_sim words_sim;
-  let outcome, wall, words = timed (fun () -> Engine.run_unix ~t ~n specs) in
-  assert (outcome.Engine.aggregate.Engine.frames_saved > 0);
-  let a = sim_honest.Engine.aggregate and b = outcome.Engine.aggregate in
-  assert (a.Engine.engine_rounds = b.Engine.engine_rounds);
-  assert (a.Engine.frames_sent = b.Engine.frames_sent);
-  assert (a.Engine.naive_frames = b.Engine.naive_frames);
-  assert (a.Engine.frame_bytes = b.Engine.frame_bytes);
-  assert (a.Engine.payload_bytes = b.Engine.payload_bytes);
-  report "unix" k outcome wall words;
   (* Scale-out rows: the poll backend drives K into the thousands in one
      process — nonblocking sockets, a single select loop, zero threads.
      Honest workload so rows are comparable across K; ascending K keeps the
@@ -1134,14 +1111,12 @@ let engine_bench () =
   Printf.printf
     "\n(kbits/sess is flat in K — multiplexing never inflates a session's own cost;\n\
      'saved' counts frames a frame-per-session transport would have sent extra.\n\
-     The sim-honest and unix rows run the identical honest workload: their full\n\
-     ledgers — engine rounds, frames, naive frames, frame/payload bytes — are\n\
-     asserted equal above and in test_engine. The adversarial sim rows differ in\n\
-     naive_frames only because equivocation + outlier inputs change per-session\n\
-     round counts, i.e. it is a workload difference, not a ledger bug. The poll\n\
-     rows move every frame through nonblocking sockets in one process; their\n\
-     smallest K is ledger-asserted against the simulator on the same workload,\n\
-     and rss-MB is the process's peak resident set after the row.)\n"
+     The sim rows run the adversarial workload (equivocation + outlier inputs),\n\
+     the poll rows the honest one, so their naive_frames columns differ by\n\
+     workload, not by ledger. The poll rows move every frame through nonblocking\n\
+     sockets in one process; their smallest K is ledger-asserted against the\n\
+     simulator on the same workload, and rss-MB is the process's peak resident\n\
+     set after the row.)\n"
 
 (* ------------------------------------------------------------------ *)
 (* B1: bechamel wall-clock micro-benchmarks                            *)
@@ -1618,7 +1593,7 @@ let obs_bench () =
     keep obs_s
       (time (fun () ->
            let obs = Obs.create () in
-           let sampler = Obs.Sampler.create () in
+           let sampler = Engine.Sampler.create () in
            Engine.run_sim ~obs ~sampler ~n ~t ~corrupt (mk_specs ())))
   done;
   let bare_s = !bare_s and obs_s = !obs_s in

@@ -224,7 +224,7 @@ let check_engine_row i row =
     | None -> failwith (Printf.sprintf "rows[%d] has no %S key" i key)
   in
   (match field "backend" with
-  | Str ("sim" | "sim-honest" | "unix" | "poll") -> ()
+  | Str ("sim" | "poll") -> ()
   | Str b -> failwith (Printf.sprintf "rows[%d].backend %S is unknown" i b)
   | _ -> failwith (Printf.sprintf "rows[%d].backend is not a string" i));
   (match field "sessions" with

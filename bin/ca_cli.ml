@@ -103,7 +103,7 @@ let export_telemetry tm path =
   Printf.printf "telemetry:       wrote JSONL to %s\n" path
 
 (* ------------------------------------------------------------------ *)
-(* --domains validation, shared by run/engine/telemetry: reject nonsense,
+(* --domains validation for the engine command: reject nonsense,
    clamp to the hardware bound (oversubscribing the cores only adds barrier
    overhead; bit-identity makes the clamp observable in wall-clock alone),
    and report the decision in the run header. *)
@@ -123,12 +123,11 @@ let effective_domains requested =
 (* ------------------------------------------------------------------ *)
 
 let run_scenario n t protocol_name workload_name adversary_name attack_name
-    ba_name bits aa_rounds seed verbose domains_req telemetry_path =
+    ba_name bits aa_rounds seed verbose telemetry_path =
   if 3 * t >= n then begin
     Printf.eprintf "error: resilience requires t < n/3 (got n=%d, t=%d)\n" n t;
     exit 2
   end;
-  let domains = effective_domains domains_req in
   let rng = Prng.create seed in
   let lookup what table name =
     match List.assoc_opt name table with
@@ -193,7 +192,7 @@ let run_scenario n t protocol_name workload_name adversary_name attack_name
       telemetry_path
   in
   let report =
-    Workload.run_int ?telemetry ~setup ~domains ~n ~t ~corrupt ~adversary
+    Workload.run_int ?telemetry ~setup ~n ~t ~corrupt ~adversary
       ~inputs protocol.Workload.run
   in
   (match (telemetry, telemetry_path) with
@@ -282,29 +281,14 @@ let engine_scenario n t sessions spacing backend adversary_name attack_name
     exit 2
   end;
   (match backend with
-  | "sim" | "unix" | "poll" -> ()
+  | "sim" | "poll" -> ()
   | b ->
-      Printf.eprintf "error: unknown backend %S; available: sim, unix, poll\n"
-        b;
+      Printf.eprintf "error: unknown backend %S; available: sim, poll\n" b;
       exit 2);
-  let unix = String.equal backend "unix" in
-  if unix && (obs_dir <> None || obs_socket <> None) then begin
-    Printf.eprintf
-      "error: the unix backend has no observability hooks; --obs-dir and \
-       --obs-socket require --backend sim or --backend poll\n";
-    exit 2
-  end;
   if obs_socket <> None && not (String.equal backend "poll") then begin
     Printf.eprintf
       "error: --obs-socket serves the live stats endpoint from inside the \
        poll loop; it requires --backend poll\n";
-    exit 2
-  end;
-  if unix && not (String.equal adversary_name "passive") then begin
-    Printf.eprintf
-      "error: the unix backend runs honest executions only; byzantine \
-       behaviour is a simulator concern (use --backend sim or --adversary \
-       passive)\n";
     exit 2
   end;
   let lookup what table name =
@@ -322,9 +306,7 @@ let engine_scenario n t sessions spacing backend adversary_name attack_name
     | `Auth | `AdaptiveAuth -> `Authenticated
   in
   let attack = lookup "attack" attack_catalogue attack_name in
-  let corrupt =
-    if unix then Array.make n false else Workload.spread_corrupt ~n ~t
-  in
+  let corrupt = Workload.spread_corrupt ~n ~t in
   (* Each session gets its own seeded input vector and its own adversary
      instance (strategies carry PRNG state), as the engine requires. *)
   let inputs =
@@ -387,7 +369,7 @@ let engine_scenario n t sessions spacing backend adversary_name attack_name
   let obs =
     if obs_dir = None && obs_socket = None then None else Some (Obs.create ())
   in
-  let sampler = Option.map (fun _ -> Obs.Sampler.create ()) obs_dir in
+  let sampler = Option.map (fun _ -> Engine.Sampler.create ()) obs_dir in
   let endpoint =
     Option.map
       (fun path ->
@@ -405,7 +387,6 @@ let engine_scenario n t sessions spacing backend adversary_name attack_name
       ~finally:(fun () -> Option.iter Obs.Endpoint.close endpoint)
       (fun () ->
         match backend with
-        | "unix" -> Engine.run_unix ?telemetry ~domains ~t ~n specs
         | "poll" ->
             Engine.run_poll ?telemetry ?obs ?sampler ?control ~domains ~n ~t
               ~corrupt specs
@@ -437,7 +418,7 @@ let engine_scenario n t sessions spacing backend adversary_name attack_name
   | Some dir ->
       let o = Option.get obs and smp = Option.get sampler in
       (* Closing sample, so even zero-spacing smoke runs export a series. *)
-      Obs.Sampler.record smp
+      Engine.Sampler.record smp
         ~round:outcome.Engine.aggregate.Engine.engine_rounds ~live:0 ();
       (try Unix.mkdir dir 0o755
        with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
@@ -445,7 +426,7 @@ let engine_scenario n t sessions spacing backend adversary_name attack_name
       write_file
         (Filename.concat dir "obs_det.jsonl")
         (Obs.to_jsonl ~tier:Obs.Det o);
-      write_file (Filename.concat dir "sampler.jsonl") (Obs.Sampler.to_jsonl smp);
+      write_file (Filename.concat dir "sampler.jsonl") (Engine.Sampler.to_jsonl smp);
       (match telemetry with
       | Some tm ->
           write_file (Filename.concat dir "trace.json") (Obs.Trace.chrome_trace tm)
@@ -511,12 +492,11 @@ let engine_scenario n t sessions spacing backend adversary_name attack_name
 (* ------------------------------------------------------------------ *)
 
 let telemetry_scenario n t protocol_name workload_name adversary_name
-    attack_name bits aa_rounds seed top domains_req jsonl_path =
+    attack_name bits aa_rounds seed top jsonl_path =
   if 3 * t >= n then begin
     Printf.eprintf "error: resilience requires t < n/3 (got n=%d, t=%d)\n" n t;
     exit 2
   end;
-  let domains = effective_domains domains_req in
   let rng = Prng.create seed in
   let lookup what table name =
     match List.assoc_opt name table with
@@ -548,7 +528,7 @@ let telemetry_scenario n t protocol_name workload_name adversary_name
       ]
   in
   let report =
-    Workload.run_int ~telemetry:tm ~domains ~n ~t ~corrupt ~adversary ~inputs
+    Workload.run_int ~telemetry:tm ~n ~t ~corrupt ~adversary ~inputs
       protocol.Workload.run
   in
   Format.printf "%a" (Telemetry.pp_report ~top) tm;
@@ -706,7 +686,7 @@ let domains_arg =
     value & opt int 1
     & info [ "domains" ] ~docv:"D"
         ~doc:
-          "Domains (cores) to run the per-round party/session steps on. \
+          "Domains (cores) to run the per-round session steps on. \
            Values below 1 are rejected; values above the host's recommended \
            domain count are clamped to it, and the effective value is \
            printed in the run header. Results are bit-identical for every \
@@ -720,11 +700,11 @@ let telemetry_file_arg =
         ~doc:"Record telemetry (spans, timelines, probes) and write it as JSONL.")
 
 let run_dispatch file n t protocol workload adversary attack ba bits aa_rounds
-    seed verbose domains telemetry =
+    seed verbose telemetry =
   match file with
   | None ->
       run_scenario n t protocol workload adversary attack ba bits aa_rounds
-        seed verbose domains telemetry
+        seed verbose telemetry
   | Some path -> (
       match Scenario.load path with
       | Error msg ->
@@ -734,7 +714,7 @@ let run_dispatch file n t protocol workload adversary attack ba bits aa_rounds
           run_scenario s.Scenario.n s.Scenario.t s.Scenario.protocol
             s.Scenario.workload s.Scenario.adversary s.Scenario.attack
             s.Scenario.ba s.Scenario.bits s.Scenario.aa_rounds s.Scenario.seed
-            verbose domains telemetry)
+            verbose telemetry)
 
 let run_cmd =
   let doc = "run one Convex Agreement scenario in the simulator" in
@@ -742,7 +722,7 @@ let run_cmd =
     Term.(
       const run_dispatch $ file_arg $ n_arg $ t_arg $ protocol_arg $ workload_arg
       $ adversary_arg $ attack_arg $ ba_arg $ bits_arg $ aa_rounds_arg
-      $ seed_arg $ verbose_arg $ domains_arg $ telemetry_file_arg)
+      $ seed_arg $ verbose_arg $ telemetry_file_arg)
 
 let list_cmd =
   let doc = "list protocols, workloads, adversaries and input attacks" in
@@ -780,11 +760,9 @@ let backend_arg =
     value & opt string "sim"
     & info [ "backend" ] ~docv:"NAME"
         ~doc:
-          "Execution backend: $(b,sim) (deterministic lock-step simulator, \
-           supports adversaries), $(b,unix) (socket mesh, one thread per \
-           party, honest only), or $(b,poll) (single-process event loop over \
-           nonblocking sockets, supports adversaries, bit-identical to \
-           $(b,sim)).")
+          "Execution backend: $(b,sim) (deterministic lock-step simulator) \
+           or $(b,poll) (single-process event loop over nonblocking \
+           sockets, bit-identical to $(b,sim)). Both support adversaries.")
 
 let obs_dir_arg =
   Arg.(
@@ -797,7 +775,7 @@ let obs_dir_arg =
            (deterministic tier only — byte-identical across sim/poll and \
            domain counts), $(b,sampler.jsonl) (GC/RSS/poll time series) and \
            $(b,trace.json) (Chrome trace_event timeline for \
-           chrome://tracing or Perfetto). sim and poll backends only.")
+           chrome://tracing or Perfetto).")
 
 let obs_socket_arg =
   Arg.(
@@ -858,7 +836,7 @@ let telemetry_cmd =
     Term.(
       const telemetry_scenario $ n_arg $ t_arg $ protocol_arg $ workload_arg
       $ adversary_arg $ attack_arg $ bits_arg $ aa_rounds_arg $ seed_arg
-      $ top_arg $ domains_arg $ jsonl_arg)
+      $ top_arg $ jsonl_arg)
 
 let () =
   let doc = "communication-optimal convex agreement (PODC 2024) scenario runner" in

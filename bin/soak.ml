@@ -331,11 +331,6 @@ let () =
   let cfg = parse default_cfg (List.tl (Array.to_list Sys.argv)) in
   (match cfg.backend with
   | "sim" | "poll" -> ()
-  | "unix" ->
-      Printf.eprintf
-        "error: the unix backend runs honest executions only; the soak is \
-         adversarial (use --backend sim or --backend poll)\n";
-      exit 2
   | b ->
       Printf.eprintf "error: unknown backend %S; available: sim, poll\n" b;
       exit 2);
@@ -345,7 +340,7 @@ let () =
      sampler ring keeps the most recent snapshots, and the optional endpoint
      serves the dump mid-wave (from inside the poll loop) or between waves. *)
   let obs = Obs.create () in
-  let sampler = Obs.Sampler.create () in
+  let sampler = Engine.Sampler.create () in
   let frame_h = Obs.hist obs ~tier:Obs.Det "engine/frame_bytes" in
   let wall_h = Obs.hist obs ~tier:Obs.Sampled "engine/round_wall_ns" in
   let endpoint =
@@ -417,7 +412,7 @@ let () =
     | Some _ | None -> ());
     (* Per-wave health snapshot: one sampler tick plus a line of cumulative
        obs distributions — the same numbers the live endpoint serves. *)
-    Obs.Sampler.record sampler ~round:!total_rounds ();
+    Engine.Sampler.record sampler ~round:!total_rounds ();
     Option.iter Obs.Endpoint.service endpoint;
     Printf.printf
       "  wave %d health: rounds=%d frames=%d frame-p99=%dB round-p99=%.2fms \
@@ -456,8 +451,8 @@ let () =
     (Obs.Hist.quantile frame_h 0.5)
     (Obs.Hist.quantile frame_h 0.99)
     (float_of_int (Obs.Hist.quantile wall_h 0.99) /. 1e6)
-    (Obs.Sampler.recorded sampler)
-    (Obs.Sampler.dropped sampler);
+    (Engine.Sampler.recorded sampler)
+    (Engine.Sampler.dropped sampler);
   Printf.printf "      allocation: %.0f minor words/wave mean\n"
     (if !waves = 0 then 0.0 else !total_minor_words /. float_of_int !waves);
   (* Flatness: the allocation rate (minor words per frame byte) must not

@@ -25,15 +25,11 @@ let empty_leaf = Sha256.digest "\x02"
 
 (* Per-domain hashing context for [build]: a tree is built once per party
    per Π_ℓBA+ invocation, and the context (message schedule + block buffer)
-   was the build's largest single allocation. DLS is per-domain, not
-   per-thread, and the unix transport runs every party's protocol code on
-   systhreads inside one domain — a preemption mid-hash would let two
-   builds interleave on one context. The busy flag hands a concurrent
-   caller a fresh context instead; [!busy]/[busy := true] has no safe
-   point between the read and the write, so the check-out is atomic
-   w.r.t. systhreads. *)
-let build_ctx : (Sha256.ctx * bool ref) Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> (Sha256.init (), ref false))
+   was the build's largest single allocation. One context per domain is
+   enough: a build runs to completion on its domain (nothing in this repo
+   runs protocol code on systhreads), and it cannot re-enter itself — it
+   calls only Sha256. *)
+let build_ctx : Sha256.ctx Domain.DLS.key = Domain.DLS.new_key Sha256.init
 
 let next_pow2 n =
   let rec go p = if p >= n then p else go (2 * p) in
@@ -48,10 +44,7 @@ let build values =
     go 0 padded
   in
   let levels = Array.init (depth + 1) (fun l -> Bytes.create ((padded lsr l) * dsize)) in
-  let slot, busy = Domain.DLS.get build_ctx in
-  let owned = not !busy in
-  if owned then busy := true;
-  let ctx = if owned then slot else Sha256.init () in
+  let ctx = Domain.DLS.get build_ctx in
   let level0 = levels.(0) in
   for i = 0 to leaves - 1 do
     Sha256.reset ctx;
@@ -71,7 +64,6 @@ let build values =
       Sha256.finalize_into ctx here ~pos:(i * dsize)
     done
   done;
-  if owned then busy := false;
   { leaves; padded; levels }
 
 let root t = Bytes.to_string t.levels.(Array.length t.levels - 1)
@@ -89,22 +81,15 @@ let witness t i =
 
 (* Per-domain verification scratch: a verify runs once per harvested share
    on the Π_ℓBA+ hot path, and the fresh context + digest buffer were most
-   of its allocation. Same systhread caveat and busy-flag discipline as
-   [build_ctx] above — the unix transport verifies from many threads in
-   one domain. *)
-let verify_scratch : (Sha256.ctx * Bytes.t * bool ref) Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> (Sha256.init (), Bytes.create dsize, ref false))
+   of its allocation. Safe per domain for the same reasons as [build_ctx]. *)
+let verify_scratch : (Sha256.ctx * Bytes.t) Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> (Sha256.init (), Bytes.create dsize))
 
 let verify ~root ~index ~value w =
   if index < 0 then false
   else begin
     (* One context and one scratch digest, reused up the path. *)
-    let slot_ctx, slot_h, busy = Domain.DLS.get verify_scratch in
-    let owned = not !busy in
-    if owned then busy := true;
-    let ctx, h =
-      if owned then (slot_ctx, slot_h) else (Sha256.init (), Bytes.create dsize)
-    in
+    let ctx, h = Domain.DLS.get verify_scratch in
     Sha256.reset ctx;
     Sha256.feed_byte ctx 0x00;
     Sha256.feed ctx value;
@@ -128,9 +113,7 @@ let verify ~root ~index ~value w =
             go (idx / 2) rest
           end
     in
-    let result = go index w.path in
-    if owned then busy := false;
-    result
+    go index w.path
   end
 
 let witness_size_bits w = 8 * (1 + (Sha256.digest_size * List.length w.path))

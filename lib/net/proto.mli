@@ -11,8 +11,10 @@
     in lock-step automatically because honest parties branch only on
     agreed-upon data.
 
-    Values of this type are transport-agnostic: {!Sim} executes them in the
-    deterministic adversarial simulator, [Net_unix] over a real socket mesh.
+    Values of this type are transport-agnostic: the round loop ({!Loop})
+    executes them against a rushing adversary, in memory ({!Sim}, the
+    engine's simulator) or over a real socket mesh (the engine's poll
+    backend).
     The constructors are exposed because runtimes pattern-match on them;
     protocol code should use the combinators below. *)
 

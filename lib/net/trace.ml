@@ -1,6 +1,7 @@
 (** Message-level execution traces.
 
-    When a {!Trace.t} is passed to {!Sim.run} (or [Engine.run_sim]), every
+    When a {!Trace.t} is passed to the round loop ({!Loop.run_core}, so
+    {!Sim.run} and the [Engine] backends), every
     delivered message is recorded as an {!event}: round, endpoints, size,
     whether the sender was corrupted, the sender's active metrics label, and
     the session it belongs to. Traces feed the CLI's [trace] command (CSV

@@ -1,14 +1,14 @@
-(** The transport seam between the session engine and the byte-moving layer.
+(** The transport seam between the round loop and the byte-moving layer.
 
-    Each engine round, the engine coalesces every live session's traffic
-    between an ordered pair of parties into one {!Wire.Frame}; a transport's
-    only job is to move those frames from senders to recipients and hand back
-    the decoded entry lists. Factoring this signature out of the execution
-    backends ([Net.Sim]-style in-memory delivery, [Net_unix]'s thread-per-party
-    socket mesh, [Net_poll]'s single-process event loop) lets one engine core
-    drive all of them — and makes the bit-identity invariant structural: the
-    engine computes messages, metrics and telemetry identically no matter
-    which transport carries the bytes.
+    Each engine round, the round loop ({!Loop}) coalesces every live
+    session's traffic between an ordered pair of parties into one
+    {!Wire.Frame}; a transport's only job is to move those frames from
+    senders to recipients and hand back the decoded entry lists. Two
+    transports exist — the in-memory {!loopback} ({!Sim.run} and
+    [Engine.run_sim]) and [Net_poll]'s single-process socket event loop
+    ([Engine.run_poll]) — and one loop drives both, which makes the
+    bit-identity invariant structural: messages, metrics and telemetry are
+    computed identically no matter which transport carries the bytes.
 
     A transport is an {e exchange}: a per-round barrier that accepts the
     round's entry matrix and returns the delivered entries. The engine hands
@@ -50,5 +50,5 @@ type t = {
 
 val loopback : unit -> t
 (** The in-memory transport: delivery is the identity on [entries], no bytes
-    move, [direct = true]. [Engine.run_sim] is the engine core over this
-    transport. *)
+    move, [direct = true]. {!Sim.run} and [Engine.run_sim] are the round
+    loop over this transport. *)

@@ -4,9 +4,9 @@
    active in the same select).
 
    Wire format per direction: u32 big-endian body length, then the encoded
-   Wire.Frame — the same stream Net_unix.run_sessions speaks, decoded here
-   incrementally by Wire.Frame.Decoder so a frame split across any number of
-   partial reads reassembles without ever blocking the loop.
+   Wire.Frame, decoded incrementally by Wire.Frame.Decoder so a frame split
+   across any number of partial reads reassembles without ever blocking the
+   loop.
 
    Allocation discipline: the steady-state byte path reuses per-connection
    buffers end to end. Outbound, each connection owns a grow-only scratch

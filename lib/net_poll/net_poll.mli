@@ -1,12 +1,10 @@
 (** Event-driven transport: a single-process poll loop over nonblocking
-    sockets.
+    sockets — the round loop's real-socket backend ([Engine.run_poll]).
 
-    [Net_unix] spawns one thread per party plus one receiver thread per
-    connection — fine for a handful of parties, hopeless as a substrate for
-    the engine's scale-out story (10⁴+ concurrent sessions from one process).
-    This module moves the same coalesced {!Wire.Frame} traffic with {e zero}
-    threads: one [Unix.select] loop over a full mesh of nonblocking socket
-    pairs, a bounded outbound ring buffer per connection, and the incremental
+    It moves the engine's coalesced {!Wire.Frame} traffic with {e zero}
+    threads, so one process scales to 10⁴+ concurrent sessions: one
+    [Unix.select] loop over a full mesh of nonblocking socket pairs, a
+    bounded outbound ring buffer per connection, and the incremental
     {!Wire.Frame.Decoder} on the receive side, resumable across partial
     reads.
 

@@ -2,9 +2,9 @@
 
    Telemetry answers "where did the bits go" with byte-audited span trees;
    this module answers "how is the run behaving" — latency and size
-   distributions, GC/RSS time series, a loadable trace timeline, and a live
-   stats endpoint — at a cost low enough to leave on during soaks and
-   benches.
+   distributions, a loadable trace timeline, and a live stats endpoint — at
+   a cost low enough to leave on during soaks and benches. (The GC/RSS
+   time-series sampler lives next to its caller, in Engine.)
 
    The design splits every instrument into one of two tiers:
 
@@ -289,103 +289,6 @@ let pp_text fmt t =
 
 let render_text t = Format.asprintf "%a" pp_text t
 
-(* The poll loop's duration events land in two sampled-tier histograms, in
-   nanoseconds. Built lazily here so run_poll can install it in one line. *)
-let poll_sink t =
-  let select_h = hist t ~tier:Sampled "poll/select_wait_ns" in
-  let stall_h = hist t ~tier:Sampled "poll/write_stall_ns" in
-  let ns s = int_of_float (s *. 1e9) in
-  {
-    Net_poll.sink_select_wait = (fun s -> Hist.record select_h (ns s));
-    sink_write_stall = (fun s -> Hist.record stall_h (ns s));
-  }
-
-(* ---- periodic time-series sampler ----------------------------------------- *)
-
-module Sampler = struct
-  type sample = {
-    s_idx : int;
-    s_round : int;
-    s_live : int;
-    s_minor_words : float;
-    s_promoted_words : float;
-    s_major_words : float;
-    s_minor_collections : int;
-    s_major_collections : int;
-    s_heap_words : int;
-    s_compactions : int;
-    s_rss_bytes : int;
-    s_poll : Net_poll.stats option;
-  }
-
-  type t = { ring : sample option array; mutable recorded : int }
-
-  let create ?(capacity = 1024) () =
-    { ring = Array.make (max 1 capacity) None; recorded = 0 }
-
-  let capacity t = Array.length t.ring
-  let recorded t = t.recorded
-  let length t = min t.recorded (capacity t)
-  let dropped t = t.recorded - length t
-
-  let record t ~round ?(live = -1) ?poll () =
-    let q = Gc.quick_stat () in
-    let rss = match Net_poll.rss_bytes () with Some b -> b | None -> -1 in
-    let s =
-      {
-        s_idx = t.recorded;
-        s_round = round;
-        s_live = live;
-        s_minor_words = q.Gc.minor_words;
-        s_promoted_words = q.Gc.promoted_words;
-        s_major_words = q.Gc.major_words;
-        s_minor_collections = q.Gc.minor_collections;
-        s_major_collections = q.Gc.major_collections;
-        s_heap_words = q.Gc.heap_words;
-        s_compactions = q.Gc.compactions;
-        s_rss_bytes = rss;
-        s_poll = poll;
-      }
-    in
-    t.ring.(t.recorded mod capacity t) <- Some s;
-    t.recorded <- t.recorded + 1
-
-  let samples t =
-    (* Chronological: when the ring has wrapped the oldest retained sample
-       sits just past the write position. *)
-    let cap = capacity t and n = length t in
-    let start = if t.recorded <= cap then 0 else t.recorded mod cap in
-    List.init n (fun i ->
-        match t.ring.((start + i) mod cap) with
-        | Some s -> s
-        | None -> assert false)
-
-  let to_jsonl t =
-    let buf = Buffer.create 1024 in
-    Printf.bprintf buf
-      {|{"kind":"sampler","capacity":%d,"recorded":%d,"dropped":%d}|}
-      (capacity t) t.recorded (dropped t);
-    Buffer.add_char buf '\n';
-    List.iter
-      (fun s ->
-        Printf.bprintf buf
-          {|{"kind":"sample","idx":%d,"round":%d,"live":%d,"minor_words":%.0f,"promoted_words":%.0f,"major_words":%.0f,"minor_collections":%d,"major_collections":%d,"heap_words":%d,"compactions":%d,"rss_bytes":%d|}
-          s.s_idx s.s_round s.s_live s.s_minor_words s.s_promoted_words
-          s.s_major_words s.s_minor_collections s.s_major_collections
-          s.s_heap_words s.s_compactions s.s_rss_bytes;
-        (match s.s_poll with
-        | None -> ()
-        | Some p ->
-            Printf.bprintf buf
-              {|,"poll_rounds":%d,"poll_frames":%d,"poll_parked":%d,"poll_max_backlog":%d,"select_wait_mean_s":%.9f,"select_wait_max_s":%.9f|}
-              p.Net_poll.p_rounds p.Net_poll.p_frames p.Net_poll.p_parked
-              p.Net_poll.p_max_backlog p.Net_poll.p_select_wait_mean_s
-              p.Net_poll.p_select_wait_max_s);
-        Buffer.add_string buf "}\n")
-      (samples t);
-    Buffer.contents buf
-end
-
 (* ---- Chrome trace_event (catapult) export --------------------------------- *)
 
 module Trace = struct
@@ -523,8 +426,6 @@ module Endpoint = struct
             (try Unix.close client with Unix.Unix_error _ -> ())
       done
     end
-
-  let attach t net = Net_poll.set_control net (Some (t.e_fd, fun () -> service t))
 
   let close t =
     if not t.e_closed then begin

@@ -1,5 +1,6 @@
-(** Runtime observability plane: histograms, time-series sampler, Chrome
-    trace export, live stats endpoint.
+(** Runtime observability plane: histograms, Chrome trace export, live
+    stats endpoint. (The GC/RSS time-series sampler, which also snapshots
+    the poll mesh's counters, is [Engine.Sampler].)
 
     Layered over (not replacing) [lib/telemetry]: telemetry byte-audits
     {e where the bits went}; this module reports {e how the run behaves} —
@@ -17,8 +18,9 @@
     - {!Sampled}: wall-clock or process-level measurements (durations, GC,
       RSS). Structurally excluded from identity asserts.
 
-    The registry is single-threaded by design: the engine records from its
-    sequential sections only, the poll loop from its own (only) thread. *)
+    The registry is single-threaded by design: the round loop
+    ([Net.Loop]) records from its sequential sections only, the poll loop
+    from its own (only) thread. *)
 
 (** {1 Log-bucketed histograms} *)
 
@@ -119,56 +121,6 @@ val pp_text : Format.formatter -> t -> unit
 
 val render_text : t -> string
 
-val poll_sink : t -> Net_poll.sink
-(** A {!Net_poll.sink} recording select waits and write stalls into the
-    sampled-tier histograms [poll/select_wait_ns] and
-    [poll/write_stall_ns]. *)
-
-(** {1 Periodic time-series sampler} *)
-
-module Sampler : sig
-  type sample = {
-    s_idx : int;  (** Global sample index (dropped samples leave gaps). *)
-    s_round : int;
-    s_live : int;  (** Live sessions at sample time; [-1] unknown. *)
-    s_minor_words : float;
-    s_promoted_words : float;
-    s_major_words : float;
-    s_minor_collections : int;
-    s_major_collections : int;
-    s_heap_words : int;
-    s_compactions : int;
-    s_rss_bytes : int;  (** [-1] where [/proc] is unavailable. *)
-    s_poll : Net_poll.stats option;
-  }
-
-  type t
-  (** A bounded ring of samples: recording past capacity drops the oldest. *)
-
-  val create : ?capacity:int -> unit -> t
-  (** Default capacity 1024. *)
-
-  val record : t -> round:int -> ?live:int -> ?poll:Net_poll.stats -> unit -> unit
-  (** Snapshot [Gc.quick_stat], [Net_poll.rss_bytes] and the given gauges
-      into the ring. Everything here is {!Sampled}-tier by nature. *)
-
-  val capacity : t -> int
-
-  val recorded : t -> int
-  (** Total samples ever recorded (retained + dropped). *)
-
-  val length : t -> int
-  (** Samples currently retained. *)
-
-  val dropped : t -> int
-  val samples : t -> sample list
-  (** Retained samples, chronological. *)
-
-  val to_jsonl : t -> string
-  (** One [sampler] header line (capacity / recorded / dropped), then one
-      [sample] line per retained sample, chronological. *)
-end
-
 (** {1 Chrome trace_event export} *)
 
 module Trace : sig
@@ -203,11 +155,6 @@ module Endpoint : sig
       writes to a stuck client time out (0.5 s) rather than blocking the
       caller — safe to invoke from inside the poll loop. *)
 
-  val attach : t -> Net_poll.t -> unit
-  (** [Net_poll.set_control]: the endpoint's fd joins the poll loop's
-      select set and {!service} runs whenever a client is waiting, so the
-      stats dump is reachable mid-round during long exchanges. *)
-
   val close : t -> unit
   (** Close and unlink; idempotent. *)
 
@@ -226,7 +173,8 @@ module Check : sig
   (** Validate a {!to_jsonl} export; [Ok] carries the line count. *)
 
   val sampler_jsonl : string -> (int, string) result
-  (** Validate a {!Sampler.to_jsonl} export (header line required). *)
+  (** Validate an [Engine.Sampler.to_jsonl] export (header line
+      required). *)
 
   val chrome_trace : string -> (int, string) result
   (** Validate a {!Trace.chrome_trace} export; [Ok] carries the event

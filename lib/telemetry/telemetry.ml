@@ -1,11 +1,12 @@
 (* Deterministic observability: span trees, round timelines, probes.
 
    Recording is mutation of per-(session × party) buckets plus shared
-   per-round timeline cells, all under one mutex (Net_unix runs one thread
-   per party; the lock is uncontended in the simulator). Export walks the
-   buckets in sorted key order and the spans in pre-order, so the JSONL is
-   byte-identical across runs of the same deterministic execution no matter
-   which thread recorded what. *)
+   per-round timeline cells, all under one mutex, so a recorder may be
+   shared across domains (the round loop never does: domain-parallel
+   sessions record into private shards, merged afterwards, so the lock is
+   uncontended). Export walks the buckets in sorted key order and the spans
+   in pre-order, so the JSONL is byte-identical across runs of the same
+   deterministic execution no matter which domain recorded what. *)
 
 let root_label = "(run)"
 let unlabeled = "(unlabeled)"
@@ -176,12 +177,10 @@ let cell t round =
 
 (* The per-message recorder is the hot path (once per sent message); it locks
    directly — no Fun.protect closure — because its body cannot raise. *)
-let message t ~session ~party ~round ?timeline_round ~bytes ~byzantine () =
+let message t ~session ~party ~round ~timeline_round ~bytes ~byzantine =
   Mutex.lock t.mutex;
   let bits = 8 * bytes in
-  let c =
-    cell t (match timeline_round with Some r -> r | None -> round)
-  in
+  let c = cell t timeline_round in
   if byzantine then begin
     c.c_byz_bits <- c.c_byz_bits + bits;
     c.c_byz_msgs <- c.c_byz_msgs + 1

@@ -1,8 +1,8 @@
 (** Deterministic observability for protocol executions.
 
-    A recorder of type {!t} is threaded (optionally) through the runtimes —
-    [Net.Sim.run], [Net_unix.run]/[run_sessions] and the engine backends —
-    which feed it four kinds of events:
+    A recorder of type {!t} is threaded (optionally) through the round loop
+    ([Net.Loop.run_core], and so [Net.Sim.run] and the engine backends),
+    which feeds it four kinds of events:
 
     - {b spans}: every [Proto.Push]/[Proto.Pop] label scope becomes a node in
       a per-(session × party) span tree, carrying its enter/exit round
@@ -13,7 +13,7 @@
       [Metrics.honest_bits] {e exactly} — the ledger-equality invariant the
       tests assert on every backend.
     - {b round timelines}: per engine round, honest/byzantine bits and
-      message counts plus (engine backends) the number of live sessions —
+      message counts plus the number of live sessions —
       streamed into per-round cells, never retaining message lists.
     - {b probes}: protocol-emitted data points ([Proto.probe]), e.g. the
       convex-hull convergence probes of FINDPREFIX and HIGHCOSTCA. Probe
@@ -27,8 +27,10 @@
     compact text report ({!pp_report}: aggregated span tree, per-round
     heatmap, top-k labels, convergence curves).
 
-    The recorder is thread-safe (one mutex; [Net_unix] runs one thread per
-    party) and has no dependencies beyond the in-repo [Bigint]. *)
+    The recorder is safe to share across domains (one mutex, uncontended in
+    the round loop, which gives domain-parallel sessions private shards and
+    merges them with {!merge}) and has no dependencies beyond the in-repo
+    [Bigint]. *)
 
 type t
 
@@ -79,16 +81,14 @@ val message :
   session:int ->
   party:int ->
   round:int ->
-  ?timeline_round:int ->
+  timeline_round:int ->
   bytes:int ->
   byzantine:bool ->
-  unit ->
   unit
-(** Account one sent message ([8 × bytes] bits). Honest messages are
-    attributed to the sender's innermost open span; byzantine ones only to
-    the timeline. [timeline_round] (default [round]) is the engine round the
-    traffic occupies — it differs from the session-local [round] when
-    sessions are admitted late. *)
+(** Account one sent message ([8 × bytes] bits) in session-local round
+    [round]. Honest messages are attributed to the sender's innermost open
+    span; byzantine ones only to the timeline. [timeline_round] is the
+    engine round the traffic occupies — the timeline's key. *)
 
 val live_sessions : t -> round:int -> live:int -> unit
 (** Record the number of live sessions during an engine round. *)

@@ -342,12 +342,10 @@ module Frame = struct
   (* Per-domain (sid, payload offset, payload length) triples from the
      validation pass below — re-walked backwards so the entry list is built
      front-first without the build-reversed-then-[List.rev] second list.
-     DLS is per-domain, not per-thread: the unix transport decodes frames
-     from several systhreads in one domain, and a preemption point inside
-     [Bytes.sub_string] below could interleave two decodes on one array.
-     The busy flag hands a concurrent (or re-entrant) caller a fresh
-     array instead — [!busy]/[busy := true] has no safe point between the
-     read and the write, so the check-out is atomic w.r.t. systhreads. *)
+     The busy flag is the check-out discipline of [encode]'s scratch: a
+     nested decode on the same domain gets a fresh array instead of
+     clobbering the outer one. (The decoder calls no user code, so nothing
+     nests today; the flag keeps the scratch safe if that changes.) *)
   let entry_scratch : (int array ref * bool ref) Domain.DLS.key =
     Domain.DLS.new_key (fun () -> (ref (Array.make 96 0), ref false))
 

@@ -83,7 +83,7 @@ val ( let* ) : 'a option -> ('a -> 'b option) -> 'b option
 
 (** {1 Session-multiplexed frames}
 
-    The session engine ([Engine], [Net_unix.run_sessions]) coalesces all live
+    The round loop ([Net.Loop], behind [Net.Sim] and [Engine]) coalesces all live
     sessions' round-[r] traffic between one ordered pair of parties into a
     single frame, so per-frame transport cost (syscall, header) is paid once
     per pair per round instead of once per session. A session that is silent

@@ -62,7 +62,6 @@ val run_int :
   ?max_rounds:int ->
   ?trace:Net.Trace.t ->
   ?telemetry:Telemetry.t ->
-  ?domains:int ->
   ?setup:[ `Plain | `Authenticated ] ->
   n:int ->
   t:int ->
@@ -71,7 +70,7 @@ val run_int :
   inputs:Bigint.t array ->
   (Net.Ctx.t -> Bigint.t -> Bigint.t Net.Proto.t) ->
   report
-(** [trace], [telemetry], [domains] and [setup] are handed to the underlying
+(** [max_rounds], [trace], [telemetry] and [setup] are handed to the underlying
     {!Net.Sim.run}; [setup] (default [`Plain]) must be [`Authenticated] for
     protocols built on a cryptographic setup ({!pi_z_auth}). *)
 

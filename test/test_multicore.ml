@@ -2,7 +2,7 @@
    multicore execution layer. Every entry point that takes [?domains] must
    produce byte-identical results for every domain count: engine outputs,
    per-session metrics (labels included), the aggregate ledger, trace CSV
-   and telemetry JSONL; Sim.run reports; Workload.run_cells sweeps. Plus the
+   and telemetry JSONL; Workload.run_cells sweeps. Plus the
    shard-merge unit tests for Metrics and Telemetry that the engine's merge
    pass relies on. *)
 
@@ -85,32 +85,7 @@ let prop_engine_parallel_equals_sequential =
       in
       run 1 = run 3)
 
-(* ---- Sim.run and run_cells ---------------------------------------------- *)
-
-let sim_report ~domains =
-  let n = 10 and t = 3 in
-  let rng = Prng.create 77 in
-  let inputs = Workload.clustered_bits rng ~n ~bits:96 ~shared_prefix_bits:40 in
-  let telemetry = Telemetry.create () in
-  let report =
-    Workload.run_int ~telemetry ~domains ~n ~t
-      ~corrupt:(Workload.spread_corrupt ~n ~t)
-      ~adversary:(Adversary.equivocate ~seed:42) ~inputs Convex.agree_int
-  in
-  (report, Telemetry.to_jsonl telemetry)
-
-let test_sim_bit_identical () =
-  let base, base_jsonl = sim_report ~domains:1 in
-  List.iter
-    (fun domains ->
-      let r, jsonl = sim_report ~domains in
-      Alcotest.(check bool)
-        (Printf.sprintf "Sim.run report identical (domains=%d)" domains)
-        true (r = base);
-      Alcotest.(check string)
-        (Printf.sprintf "Sim.run telemetry JSONL (domains=%d)" domains)
-        base_jsonl jsonl)
-    [ 2; 4 ]
+(* ---- run_cells ----------------------------------------------------------- *)
 
 let sweep_cells () =
   List.concat_map
@@ -136,22 +111,6 @@ let test_run_cells_bit_identical () =
   Alcotest.(check bool) "run_cells parallel = sequential" true (seq = par);
   Alcotest.(check (list string)) "labels in input order"
     (List.map fst seq) (List.map fst par)
-
-(* ---- unix backend -------------------------------------------------------- *)
-
-let test_run_unix_bit_identical () =
-  let n = 4 in
-  let run domains =
-    let specs =
-      List.init 6 (fun k ->
-          Engine.session ~sid:k ~start_round:k (mk_protocol ~n k))
-    in
-    let telemetry = Telemetry.create () in
-    let outcome = Engine.run_unix ~domains ~telemetry ~n specs in
-    (fingerprint outcome, Telemetry.to_jsonl telemetry)
-  in
-  let base = run 1 in
-  Alcotest.(check bool) "run_unix domains=2 = domains=1" true (run 2 = base)
 
 (* ---- Metrics shard merge ------------------------------------------------- *)
 
@@ -212,7 +171,7 @@ let record_session tel ~session =
   for party = 0 to 1 do
     Telemetry.push tel ~session ~party ~round:0 ~label:"phase";
     Telemetry.message tel ~session ~party ~round:1
-      ~timeline_round:(session + 1) ~bytes:(4 + session) ~byzantine:false ();
+      ~timeline_round:(session + 1) ~bytes:(4 + session) ~byzantine:false;
     Telemetry.pop tel ~session ~party ~round:1;
     Telemetry.finish tel ~session ~party ~round:2
   done
@@ -249,12 +208,8 @@ let suite =
     Alcotest.test_case "engine K=8 equivocate: domains 1/2/4 byte-identical"
       `Quick test_engine_bit_identical;
     QCheck_alcotest.to_alcotest prop_engine_parallel_equals_sequential;
-    Alcotest.test_case "Sim.run: domains 1/2/4 byte-identical" `Quick
-      test_sim_bit_identical;
     Alcotest.test_case "run_cells: parallel sweep = sequential sweep" `Quick
       test_run_cells_bit_identical;
-    Alcotest.test_case "run_unix: domains 2 = domains 1" `Quick
-      test_run_unix_bit_identical;
     Alcotest.test_case "Metrics.is_empty" `Quick test_metrics_is_empty;
     Alcotest.test_case "Metrics shard merge reproduces single collector"
       `Quick test_metrics_shard_merge;

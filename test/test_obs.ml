@@ -278,31 +278,31 @@ let test_det_tier_identical_across_backends () =
 (* ---- sampler ring --------------------------------------------------------- *)
 
 let test_sampler_ring_bounds () =
-  let s = Obs.Sampler.create ~capacity:4 () in
+  let s = Engine.Sampler.create ~capacity:4 () in
   for r = 1 to 10 do
-    Obs.Sampler.record s ~round:r ~live:(r mod 3) ()
+    Engine.Sampler.record s ~round:r ~live:(r mod 3) ()
   done;
-  Alcotest.(check int) "capacity" 4 (Obs.Sampler.capacity s);
-  Alcotest.(check int) "recorded counts every record" 10 (Obs.Sampler.recorded s);
-  Alcotest.(check int) "length bounded by capacity" 4 (Obs.Sampler.length s);
-  Alcotest.(check int) "dropped = recorded - retained" 6 (Obs.Sampler.dropped s);
-  let samples = Obs.Sampler.samples s in
+  Alcotest.(check int) "capacity" 4 (Engine.Sampler.capacity s);
+  Alcotest.(check int) "recorded counts every record" 10 (Engine.Sampler.recorded s);
+  Alcotest.(check int) "length bounded by capacity" 4 (Engine.Sampler.length s);
+  Alcotest.(check int) "dropped = recorded - retained" 6 (Engine.Sampler.dropped s);
+  let samples = Engine.Sampler.samples s in
   Alcotest.(check (list int))
     "retained samples chronological, newest kept"
     [ 7; 8; 9; 10 ]
-    (List.map (fun smp -> smp.Obs.Sampler.s_round) samples);
+    (List.map (fun smp -> smp.Engine.Sampler.s_round) samples);
   Alcotest.(check (list int))
     "global indices keep counting across drops"
     [ 6; 7; 8; 9 ]
-    (List.map (fun smp -> smp.Obs.Sampler.s_idx) samples);
+    (List.map (fun smp -> smp.Engine.Sampler.s_idx) samples);
   List.iter
     (fun smp ->
       Alcotest.(check bool) "gc words sampled" true
-        (smp.Obs.Sampler.s_minor_words >= 0.0);
+        (smp.Engine.Sampler.s_minor_words >= 0.0);
       Alcotest.(check bool) "rss sampled or marked absent" true
-        (smp.Obs.Sampler.s_rss_bytes >= -1))
+        (smp.Engine.Sampler.s_rss_bytes >= -1))
     samples;
-  match Obs.Check.sampler_jsonl (Obs.Sampler.to_jsonl s) with
+  match Obs.Check.sampler_jsonl (Engine.Sampler.to_jsonl s) with
   | Ok lines -> Alcotest.(check int) "header + 4 samples" 5 lines
   | Error msg -> Alcotest.fail msg
 

@@ -8,7 +8,8 @@
    them exactly.
 
    Also here: the CLI contract for the seam's surface — unknown --ba
-   backends exit 2 with a usage message. *)
+   backends (and unknown engine --backend names) exit 2 with a usage
+   message. *)
 
 open Net
 
@@ -127,6 +128,24 @@ let test_cli_unknown_ba_exits_2 () =
   Alcotest.check Alcotest.int "unknown --ba backend" 2 code;
   let code = Sys.command (cli ^ " engine --ba bogus >/dev/null 2>/dev/null") in
   Alcotest.check Alcotest.int "unknown --ba backend (engine)" 2 code;
+  (* The engine's execution backends: the retired socket-thread backend is
+     an unknown name like any other, and the error lists what remains. *)
+  let err = Filename.temp_file "ca-seam" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s engine --backend unix >/dev/null 2>%s" cli
+         (Filename.quote err))
+  in
+  let msg = In_channel.with_open_bin err In_channel.input_all in
+  Sys.remove err;
+  Alcotest.check Alcotest.int "unknown --backend (engine)" 2 code;
+  Alcotest.check Alcotest.bool "lists the available backends" true
+    (let needle = "available: sim, poll" in
+     let rec scan i =
+       i + String.length needle <= String.length msg
+       && (String.sub msg i (String.length needle) = needle || scan (i + 1))
+     in
+     scan 0);
   (* And the flag's happy path parses: list shows the catalogue. *)
   let code = Sys.command (cli ^ " list >/dev/null 2>/dev/null") in
   Alcotest.check Alcotest.int "list" 0 code

@@ -1,6 +1,6 @@
-(* Telemetry: the ledger-equality invariant on every backend (sim, unix,
-   engine sim/unix), canonical JSONL determinism, cross-backend export
-   equality, and the convex-hull convergence probes. *)
+(* Telemetry: the ledger-equality invariant on every backend (sim, engine
+   sim/poll), canonical JSONL determinism, cross-backend export equality,
+   and the convex-hull convergence probes. *)
 
 open Net
 
@@ -37,17 +37,26 @@ let test_ledger_sim () =
     "label_bits = Metrics.labels" report.Workload.labels
     (Telemetry.label_bits tm)
 
-let test_ledger_unix_and_cross_backend () =
+let test_ledger_poll_and_cross_backend () =
   let n = 4 and t = 1 in
   let inputs = Array.init n (fun i -> Bigint.of_int (70 + i)) in
   let protocol ctx = Convex.agree_int ctx inputs.(ctx.Ctx.me) in
-  let tm_unix = Telemetry.create () in
-  let outs, stats = Net_unix.run ~t ~telemetry:tm_unix ~n protocol in
-  Alcotest.check Alcotest.int "span bits = 8 x payload bytes"
-    (8 * stats.Net_unix.bytes_sent)
-    (Telemetry.honest_bits_total tm_unix);
-  (* The same protocol in an honest simulator run: the two recorders use the
-     same round conventions, so the exports agree byte for byte. *)
+  let corrupt = Array.make n false in
+  let tm_poll = Telemetry.create () in
+  let polled =
+    match
+      (Engine.run_poll ~telemetry:tm_poll ~n ~t ~corrupt
+         [ Engine.session ~sid:0 protocol ])
+        .Engine.sessions
+    with
+    | [ r ] -> r
+    | _ -> Alcotest.fail "one session expected"
+  in
+  Alcotest.check Alcotest.int "span bits = Metrics.honest_bits"
+    polled.Engine.r_metrics.Metrics.honest_bits
+    (Telemetry.honest_bits_total tm_poll);
+  (* The same protocol as a one-session simulator run: both go through the
+     same round loop, so the exports agree byte for byte. *)
   let tm_sim = Telemetry.create () in
   let outcome =
     Sim.run ~telemetry:tm_sim ~n ~t
@@ -57,16 +66,16 @@ let test_ledger_unix_and_cross_backend () =
   Alcotest.check Alcotest.int "sim ledger"
     outcome.Sim.metrics.Metrics.honest_bits
     (Telemetry.honest_bits_total tm_sim);
-  Alcotest.check Alcotest.string "sim and unix export identical JSONL"
+  Alcotest.check Alcotest.string "sim and poll export identical JSONL"
     (Telemetry.to_jsonl tm_sim)
-    (Telemetry.to_jsonl tm_unix);
+    (Telemetry.to_jsonl tm_poll);
   Array.iteri
     (fun i o ->
       Alcotest.check Alcotest.bool
         (Printf.sprintf "party %d outputs agree" i)
         true
-        (Bigint.equal o (Option.get outcome.Sim.outputs.(i))))
-    outs
+        (Bigint.equal (Option.get o) (Option.get outcome.Sim.outputs.(i))))
+    polled.Engine.r_outputs
 
 let test_ledger_engine_sim () =
   let corrupt = Workload.spread_corrupt ~n ~t in
@@ -101,7 +110,7 @@ let test_ledger_engine_sim () =
   Alcotest.check (Alcotest.list Alcotest.int) "session ids recorded"
     [ 0; 3; 6; 9 ] (Telemetry.sessions tm)
 
-let test_ledger_engine_unix () =
+let test_ledger_engine_poll () =
   let n = 4 and t = 1 in
   let sessions = 4 in
   let specs =
@@ -110,7 +119,9 @@ let test_ledger_engine_unix () =
             Convex.agree_int ctx (Bigint.of_int (100 + (10 * k) + ctx.Ctx.me))))
   in
   let tm = Telemetry.create () in
-  let outcome = Engine.run_unix ~t ~telemetry:tm ~n specs in
+  let outcome =
+    Engine.run_poll ~telemetry:tm ~n ~t ~corrupt:(Array.make n false) specs
+  in
   List.iter
     (fun r ->
       Alcotest.check Alcotest.int
@@ -264,11 +275,11 @@ let test_convergence_high_cost_ca () =
 let suite =
   [
     Alcotest.test_case "ledger: sim" `Quick test_ledger_sim;
-    Alcotest.test_case "ledger: unix + cross-backend JSONL" `Quick
-      test_ledger_unix_and_cross_backend;
+    Alcotest.test_case "ledger: poll + cross-backend JSONL" `Quick
+      test_ledger_poll_and_cross_backend;
     Alcotest.test_case "ledger: engine sim (K=4)" `Quick test_ledger_engine_sim;
-    Alcotest.test_case "ledger: engine unix (K=4)" `Quick
-      test_ledger_engine_unix;
+    Alcotest.test_case "ledger: engine poll (K=4)" `Quick
+      test_ledger_engine_poll;
     Alcotest.test_case "jsonl deterministic" `Quick test_jsonl_deterministic;
     Alcotest.test_case "probes-off recorder" `Quick test_probes_off;
     Alcotest.test_case "convergence: find_prefix" `Quick
