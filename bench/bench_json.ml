@@ -1,6 +1,6 @@
 (* Minimal JSON emitter for machine-readable benchmark results, so the perf
    trajectory is trackable across PRs (BENCH_*.json files at the repo root).
-   No external dependency; strings are escaped conservatively. *)
+   Strings are escaped with the observability plane's JSON escape. *)
 
 type value =
   | Int of int
@@ -9,21 +9,6 @@ type value =
   | Bool of bool
   | Null
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let emit_value buf = function
   | Int i -> Buffer.add_string buf (string_of_int i)
   | Float f ->
@@ -31,7 +16,7 @@ let emit_value buf = function
       else Buffer.add_string buf "null"
   | Str s ->
       Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
+      Buffer.add_string buf (Obs.Json.escape s);
       Buffer.add_char buf '"'
   | Bool b -> Buffer.add_string buf (string_of_bool b)
   | Null -> Buffer.add_string buf "null"
@@ -78,7 +63,7 @@ let emit_obj buf fields =
     (fun i (key, v) ->
       if i > 0 then Buffer.add_string buf ", ";
       Buffer.add_char buf '"';
-      Buffer.add_string buf (escape key);
+      Buffer.add_string buf (Obs.Json.escape key);
       Buffer.add_string buf "\": ";
       emit_value buf v)
     fields;

@@ -5,155 +5,10 @@
      dune exec bench/validate_bench.exe -- BENCH_*.json
 
    Wired into `make check` so a hand-edited or truncated ledger fails fast.
-   Zero dependencies: a minimal recursive-descent JSON parser is enough for
-   the subset Bench_json emits (and rejects anything outside JSON proper). *)
+   Ledgers are read with the observability plane's strict JSON reader
+   ([Obs.Json.parse]), the same one its export checks use. *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Bad of string
-
-let parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %c" c)
-  in
-  let literal word v =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
-      v
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some (('"' | '\\' | '/') as c) ->
-              Buffer.add_char buf c;
-              advance ();
-              go ()
-          | Some 'n' -> Buffer.add_char buf '\n'; advance (); go ()
-          | Some 't' -> Buffer.add_char buf '\t'; advance (); go ()
-          | Some 'r' -> Buffer.add_char buf '\r'; advance (); go ()
-          | Some 'b' -> Buffer.add_char buf '\b'; advance (); go ()
-          | Some 'f' -> Buffer.add_char buf '\012'; advance (); go ()
-          | Some 'u' ->
-              (* Bench_json never emits \u, but accept and keep it verbatim. *)
-              if !pos + 4 >= n then fail "truncated \\u escape";
-              Buffer.add_string buf (String.sub s (!pos - 1) 6);
-              pos := !pos + 5;
-              go ()
-          | _ -> fail "bad escape")
-      | Some c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> is_num_char c | None -> false) do
-      advance ()
-    done;
-    let text = String.sub s start (!pos - start) in
-    match float_of_string_opt text with
-    | Some f -> Num f
-    | None -> fail (Printf.sprintf "bad number %S" text)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((key, v) :: acc)
-            | Some '}' ->
-                advance ();
-                Obj (List.rev ((key, v) :: acc))
-            | _ -> fail "expected , or } in object"
-          in
-          members []
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                Arr (List.rev (v :: acc))
-            | _ -> fail "expected , or ] in array"
-          in
-          elements []
-        end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> parse_number ()
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
+open Obs.Json
 
 let read_file path =
   let ic = open_in_bin path in
@@ -295,39 +150,50 @@ let check_auth_ledger rows =
     unauth
 
 (* The obs experiment's single row carries the observability-plane
-   acceptance data: the overhead measurement backing the <= 10% gate and the
-   two identity flags (Det-tier export byte-identical across backends,
-   frame histogram sum equal to the aggregate ledger). *)
+   acceptance data and declares its own bounds: the full-recorder overhead
+   must sit within overhead_bound_pct and the JSONL export within
+   jsonl_bytes_bound, span bits must equal honest bits, and every identity
+   flag must hold (ledger equality, deterministic export, Det export and
+   trace identical across backends, frame histogram = aggregate ledger). *)
 let check_obs_row i row =
-  let field key =
+  let num key =
     match List.assoc_opt key row with
-    | Some v -> v
+    | Some (Num v) -> v
+    | Some _ -> failwith (Printf.sprintf "rows[%d].%s is not a number" i key)
     | None -> failwith (Printf.sprintf "rows[%d] has no %S key" i key)
   in
   List.iter
     (fun key ->
-      match field key with
-      | Num v when v > 0. -> ()
-      | _ -> failwith (Printf.sprintf "rows[%d].%s is not positive" i key))
-    [ "bare_s"; "obs_s" ];
-  (match field "overhead_pct" with
-  | Num _ -> ()
-  | _ -> failwith (Printf.sprintf "rows[%d].overhead_pct is not a number" i));
+      if not (num key > 0.) then
+        failwith (Printf.sprintf "rows[%d].%s is not positive" i key))
+    [ "bare_s"; "full_s"; "overhead_bound_pct" ];
   List.iter
     (fun key ->
-      match field key with
-      | Num v when v >= 1. && Float.is_integer v -> ()
-      | _ -> failwith (Printf.sprintf "rows[%d].%s is not an integer >= 1" i key))
-    [ "engine_rounds"; "det_jsonl_bytes"; "trace_bytes"; "trace_events" ];
+      let v = num key in
+      if not (v >= 1. && Float.is_integer v) then
+        failwith (Printf.sprintf "rows[%d].%s is not an integer >= 1" i key))
+    [
+      "honest_bits"; "span_bits"; "jsonl_bytes"; "jsonl_bytes_bound";
+      "engine_rounds"; "det_jsonl_bytes"; "trace_bytes"; "trace_events";
+    ];
+  let within key bound =
+    if num key > num bound then
+      failwith
+        (Printf.sprintf "rows[%d].%s = %g exceeds its declared %s = %g" i key
+           (num key) bound (num bound))
+  in
+  within "overhead_pct" "overhead_bound_pct";
+  within "jsonl_bytes" "jsonl_bytes_bound";
+  if num "span_bits" <> num "honest_bits" then
+    failwith (Printf.sprintf "rows[%d].span_bits <> honest_bits: ledger broken" i);
   List.iter
     (fun key ->
-      match field key with
-      | Bool true -> ()
-      | Bool false ->
-          failwith
-            (Printf.sprintf "rows[%d].%s is false: obs determinism broken" i key)
+      match List.assoc_opt key row with
+      | Some (Bool true) -> ()
+      | Some (Bool false) ->
+          failwith (Printf.sprintf "rows[%d].%s is false: obs invariant broken" i key)
       | _ -> failwith (Printf.sprintf "rows[%d].%s is not a boolean" i key))
-    [ "det_identical"; "hist_ledger_equal" ]
+    [ "ledger_equality"; "deterministic_jsonl"; "det_identical"; "hist_ledger_equal" ]
 
 (* The adaptive experiment's rows carry the fault-adaptive acceptance data:
    an f-sweep per backend whose zero-fault row took the fast path and cost
@@ -503,9 +369,10 @@ let check_engine_ledger rows =
 
 let validate path =
   let json =
-    try parse (read_file path) with
-    | Bad msg -> failwith (Printf.sprintf "parse error: %s" msg)
-    | Sys_error msg -> failwith msg
+    match parse (read_file path) with
+    | Ok json -> json
+    | Error msg -> failwith (Printf.sprintf "parse error: %s" msg)
+    | exception Sys_error msg -> failwith msg
   in
   match json with
   | Obj fields -> (

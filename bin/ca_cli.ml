@@ -82,7 +82,7 @@ let workload_catalogue rng ~n ~bits =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry helpers                                                   *)
+(* Recorder helpers                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let write_file path contents =
@@ -91,16 +91,12 @@ let write_file path contents =
   close_out oc
 
 (* A recorder pre-loaded with the scenario parameters as meta lines, shared
-   by every command that can attach telemetry. *)
+   by every command that can attach one. *)
 let make_recorder ~command kvs =
-  let tm = Telemetry.create () in
-  Telemetry.set_meta tm "command" command;
-  List.iter (fun (k, v) -> Telemetry.set_meta tm k v) kvs;
-  tm
-
-let export_telemetry tm path =
-  write_file path (Telemetry.to_jsonl tm);
-  Printf.printf "telemetry:       wrote JSONL to %s\n" path
+  let o = Obs.create () in
+  Obs.set_meta o "command" command;
+  List.iter (fun (k, v) -> Obs.set_meta o k v) kvs;
+  o
 
 (* ------------------------------------------------------------------ *)
 (* --domains validation for the engine command: reject nonsense,
@@ -174,7 +170,7 @@ let run_scenario n t protocol_name workload_name adversary_name attack_name
           (if corrupt.(i) then "   <- byzantine" else ""))
       inputs
   end;
-  let telemetry =
+  let obs =
     Option.map
       (fun _ ->
         make_recorder ~command:"run"
@@ -192,11 +188,13 @@ let run_scenario n t protocol_name workload_name adversary_name attack_name
       telemetry_path
   in
   let report =
-    Workload.run_int ?telemetry ~setup ~n ~t ~corrupt ~adversary
+    Workload.run_int ?obs ~setup ~n ~t ~corrupt ~adversary
       ~inputs protocol.Workload.run
   in
-  (match (telemetry, telemetry_path) with
-  | Some tm, Some path -> export_telemetry tm path
+  (match (obs, telemetry_path) with
+  | Some o, Some path ->
+      write_file path (Obs.to_jsonl ~tier:Obs.Det o);
+      Printf.printf "telemetry:       wrote JSONL to %s\n" path
   | _ -> ());
   Printf.printf "protocol:        %s\n" protocol.Workload.proto_name;
   Printf.printf "parties:         n=%d, t=%d, adversary=%s, attack=%s, seed=%d\n" n t
@@ -266,7 +264,7 @@ let trace_scenario n t protocol_name workload_name adversary_name attack_name bi
 (* ------------------------------------------------------------------ *)
 
 let engine_scenario n t sessions spacing backend adversary_name attack_name
-    ba_name bits seed verbose domains_req telemetry_path obs_dir obs_socket =
+    ba_name bits seed verbose domains_req obs_dir obs_socket =
   if 3 * t >= n then begin
     Printf.eprintf "error: resilience requires t < n/3 (got n=%d, t=%d)\n" n t;
     exit 2
@@ -346,15 +344,14 @@ let engine_scenario n t sessions spacing backend adversary_name attack_name
           ~sid:k (fun ctx ->
             protos.(k).Workload.run ctx inputs.(k).(ctx.Ctx.me)))
   in
-  (* The chrome trace renders from telemetry span trees, so --obs-dir forces
-     a recorder even when no telemetry JSONL was requested. *)
-  let telemetry =
-    if telemetry_path = None && obs_dir = None then None
+  (* Meta lines are part of the Det export, which must be byte-identical
+     across backends: they name the scenario, not the backend. *)
+  let obs =
+    if obs_dir = None && obs_socket = None then None
     else
       Some
         (make_recorder ~command:"engine"
            [
-             ("backend", backend);
              ("adversary", adversary_name);
              ("attack", attack_name);
              ("ba", ba_name);
@@ -365,9 +362,6 @@ let engine_scenario n t sessions spacing backend adversary_name attack_name
              ("bits", string_of_int bits);
              ("seed", string_of_int seed);
            ])
-  in
-  let obs =
-    if obs_dir = None && obs_socket = None then None else Some (Obs.create ())
   in
   let sampler = Option.map (fun _ -> Engine.Sampler.create ()) obs_dir in
   let endpoint =
@@ -388,13 +382,9 @@ let engine_scenario n t sessions spacing backend adversary_name attack_name
       (fun () ->
         match backend with
         | "poll" ->
-            Engine.run_poll ?telemetry ?obs ?sampler ?control ~domains ~n ~t
-              ~corrupt specs
-        | _ -> Engine.run_sim ?telemetry ?obs ?sampler ~domains ~n ~t ~corrupt specs)
+            Engine.run_poll ?obs ?sampler ?control ~domains ~n ~t ~corrupt specs
+        | _ -> Engine.run_sim ?obs ?sampler ~domains ~n ~t ~corrupt specs)
   in
-  (match (telemetry, telemetry_path) with
-  | Some tm, Some path -> export_telemetry tm path
-  | _ -> ());
   (* The adaptive counters are Det-tier: summed over honest parties in fixed
      index order, they are byte-identical across sim/poll and any --domains. *)
   (match (obs, ba) with
@@ -427,10 +417,7 @@ let engine_scenario n t sessions spacing backend adversary_name attack_name
         (Filename.concat dir "obs_det.jsonl")
         (Obs.to_jsonl ~tier:Obs.Det o);
       write_file (Filename.concat dir "sampler.jsonl") (Engine.Sampler.to_jsonl smp);
-      (match telemetry with
-      | Some tm ->
-          write_file (Filename.concat dir "trace.json") (Obs.Trace.chrome_trace tm)
-      | None -> ());
+      write_file (Filename.concat dir "trace.json") (Obs.Trace.chrome_trace o);
       Printf.printf
         "obs:             wrote obs.jsonl, obs_det.jsonl, sampler.jsonl, \
          trace.json under %s\n"
@@ -514,7 +501,7 @@ let telemetry_scenario n t protocol_name workload_name adversary_name
   let attack = lookup "attack" attack_catalogue attack_name in
   let corrupt = Workload.spread_corrupt ~n ~t in
   let inputs = Workload.apply_input_attack attack ~corrupt (gen ()) in
-  let tm =
+  let o =
     make_recorder ~command:"telemetry"
       [
         ("protocol", protocol_name);
@@ -528,19 +515,19 @@ let telemetry_scenario n t protocol_name workload_name adversary_name
       ]
   in
   let report =
-    Workload.run_int ~telemetry:tm ~n ~t ~corrupt ~adversary ~inputs
+    Workload.run_int ~obs:o ~n ~t ~corrupt ~adversary ~inputs
       protocol.Workload.run
   in
-  Format.printf "%a" (Telemetry.pp_report ~top) tm;
+  Format.printf "%a" (Obs.pp_report ~top) o;
   (* The ledger-equality invariant, checked live on every CLI run. *)
-  if Telemetry.honest_bits_total tm <> report.Workload.honest_bits then begin
+  if Obs.honest_bits_total o <> report.Workload.honest_bits then begin
     Printf.eprintf "error: telemetry ledger mismatch (%d span bits, %d metric bits)\n"
-      (Telemetry.honest_bits_total tm) report.Workload.honest_bits;
+      (Obs.honest_bits_total o) report.Workload.honest_bits;
     exit 1
   end;
   match jsonl_path with
   | Some path ->
-      write_file path (Telemetry.to_jsonl tm);
+      write_file path (Obs.to_jsonl ~tier:Obs.Det o);
       Printf.printf "\nwrote JSONL to %s\n" path
   | None -> ()
 
@@ -582,8 +569,8 @@ let obs_client socket check =
             Printf.eprintf "error: %s: %s\n" path msg;
             exit 1
       in
-      check_file "obs.jsonl" Obs.Check.registry_jsonl "instrument lines";
-      check_file "obs_det.jsonl" Obs.Check.registry_jsonl "instrument lines";
+      check_file "obs.jsonl" Obs.Check.registry_jsonl "lines";
+      check_file "obs_det.jsonl" Obs.Check.registry_jsonl "lines";
       check_file "sampler.jsonl" Obs.Check.sampler_jsonl "lines";
       check_file "trace.json" Obs.Check.chrome_trace "trace events"
   | _ ->
@@ -697,7 +684,9 @@ let telemetry_file_arg =
     value
     & opt (some string) None
     & info [ "telemetry" ] ~docv:"FILE"
-        ~doc:"Record telemetry (spans, timelines, probes) and write it as JSONL.")
+        ~doc:
+          "Record spans, the round timeline, probes and the loop's \
+           instruments, and write the deterministic JSONL export.")
 
 let run_dispatch file n t protocol workload adversary attack ba bits aa_rounds
     seed verbose telemetry =
@@ -771,9 +760,10 @@ let obs_dir_arg =
     & info [ "obs-dir" ] ~docv:"DIR"
         ~doc:
           "Attach the observability plane and export its artifacts under \
-           $(docv): $(b,obs.jsonl) (all instruments), $(b,obs_det.jsonl) \
-           (deterministic tier only — byte-identical across sim/poll and \
-           domain counts), $(b,sampler.jsonl) (GC/RSS/poll time series) and \
+           $(docv): $(b,obs.jsonl) (spans, round timeline, probes and all \
+           instruments), $(b,obs_det.jsonl) (deterministic tier only — \
+           byte-identical across sim/poll and domain counts), \
+           $(b,sampler.jsonl) (GC/RSS/poll time series) and \
            $(b,trace.json) (Chrome trace_event timeline for \
            chrome://tracing or Perfetto).")
 
@@ -793,8 +783,7 @@ let engine_cmd =
     Term.(
       const engine_scenario $ n_arg $ t_arg $ sessions_arg $ spacing_arg
       $ backend_arg $ adversary_arg $ attack_arg $ ba_arg $ bits_arg
-      $ seed_arg $ verbose_arg $ domains_arg $ telemetry_file_arg
-      $ obs_dir_arg $ obs_socket_arg)
+      $ seed_arg $ verbose_arg $ domains_arg $ obs_dir_arg $ obs_socket_arg)
 
 let obs_fetch_socket_arg =
   Arg.(
@@ -826,7 +815,8 @@ let jsonl_arg =
   Arg.(
     value
     & opt (some string) None
-    & info [ "jsonl" ] ~docv:"FILE" ~doc:"Also write the raw telemetry as JSONL.")
+    & info [ "jsonl" ] ~docv:"FILE"
+        ~doc:"Also write the deterministic JSONL export.")
 
 let telemetry_cmd =
   let doc =

@@ -62,10 +62,7 @@ module Make (B : Ba.Substrate.S) = struct
        search iteration (and once more on exit). Honest candidates only
        tighten toward the agreed prefix, so the honest hull width is monotone
        non-increasing over iterations. *)
-    let* () =
-      Proto.probe "find_prefix.v" (fun () ->
-          Bigint.to_hex (Bigint.of_bitstring v))
-    in
+    let* () = Proto.probe "find_prefix.v" v in
     if left = right then
       Proto.return { prefix_star; v; v_bot; iterations }
     else begin

@@ -34,10 +34,7 @@ module Make (B : Ba.Substrate.S) = struct
     (* Convergence probe, mirroring {!Find_prefix}: honest candidates only
        snap toward the agreed prefix, so the honest hull width is monotone
        non-increasing over block-search iterations. *)
-    let* () =
-      Proto.probe "find_prefix_blocks.v" (fun () ->
-          Bigint.to_hex (Bigint.of_bitstring v))
-    in
+    let* () = Proto.probe "find_prefix_blocks.v" v in
     if left = right then Proto.return { prefix_star; v; v_bot; iterations }
     else begin
       let mid = (left + right) / 2 in

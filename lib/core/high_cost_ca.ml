@@ -140,10 +140,7 @@ let run_custom (ctx : Ctx.t) ~bits ~select_interval v_in =
           (and once more on exit). Every update keeps honest estimates inside
           the trusted intervals, so the honest hull width is monotone
           non-increasing over phases. *)
-       let* () =
-         Proto.probe "high_cost_ca.current" (fun () ->
-             Bigint.to_hex (Bigint.of_bitstring current))
-       in
+       let* () = Proto.probe "high_cost_ca.current" current in
        if i > t + 1 then Proto.return current
        else begin
          (* Round 1: exchange current values. *)

@@ -104,7 +104,7 @@ type 'a live = {
   l_labels : string list array;
   l_metrics : Metrics.t;
   l_admitted : int;
-  l_telemetry : Telemetry.t option;
+  l_obs : Obs.t option;
       (* Where this session's span/probe/message events go: the caller's
          recorder when running sequentially, a session-private shard when
          running on the pool (merged back in session-index order at the
@@ -114,28 +114,26 @@ type 'a live = {
 (* Normalize label/probe nodes so that every state is [Done] or [Step].
    [round] is the session-local number of rounds completed — the stamp
    spans and probes carry. *)
-let rec settle ~telemetry ~corrupt ~sid ~round labels i = function
+let rec settle ~obs ~corrupt ~sid ~round labels i = function
   | Proto.Push (lb, rest) ->
       labels.(i) <- lb :: labels.(i);
-      (match telemetry with
-      | Some tm -> Telemetry.push tm ~session:sid ~party:i ~round ~label:lb
+      (match obs with
+      | Some o -> Obs.push o ~session:sid ~party:i ~round ~label:lb
       | None -> ());
-      settle ~telemetry ~corrupt ~sid ~round labels i rest
+      settle ~obs ~corrupt ~sid ~round labels i rest
   | Proto.Pop rest ->
       (labels.(i) <- (match labels.(i) with [] -> [] | _ :: tl -> tl));
-      (match telemetry with
-      | Some tm -> Telemetry.pop tm ~session:sid ~party:i ~round
+      (match obs with
+      | Some o -> Obs.pop o ~session:sid ~party:i ~round
       | None -> ());
-      settle ~telemetry ~corrupt ~sid ~round labels i rest
+      settle ~obs ~corrupt ~sid ~round labels i rest
   | Proto.Probe (key, value, rest) ->
-      (match telemetry with
-      | Some tm when Telemetry.capture_probes tm ->
-          (* The thunk renders the party's full candidate value (O(ℓ));
-             only force it when this recorder keeps probes. *)
-          Telemetry.probe_event tm ~session:sid ~party:i ~round
-            ~byzantine:corrupt.(i) ~key ~value:(value ())
-      | Some _ | None -> ());
-      settle ~telemetry ~corrupt ~sid ~round labels i rest
+      (match obs with
+      | Some o ->
+          Obs.probe o ~session:sid ~party:i ~round ~byzantine:corrupt.(i) ~key
+            ~value
+      | None -> ());
+      settle ~obs ~corrupt ~sid ~round labels i rest
   | (Proto.Done _ | Proto.Step _) as s -> s
 
 let honest_running ~corrupt states =
@@ -157,7 +155,7 @@ let honest_running ~corrupt states =
    a pure function of the sessions' traffic, and delivery consumes only
    entry contents plus the local self slot, every transport that moves the
    frames faithfully yields bit-identical outputs, metrics, ledger and
-   telemetry.
+   observability export.
 
    Steady-state rounds allocate O(live sessions), not O(engine state): the
    live set, the per-slot step captures, the bundle matrix and (for wire
@@ -167,8 +165,8 @@ let honest_running ~corrupt states =
    pool barrier per engine round — which is bit-identical to the split
    schedule because sessions only ever read their own round matrix (see the
    delivery derivation below). *)
-let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?trace ?telemetry
-    ?obs ?on_round ~transport ~n ~t ~corrupt specs =
+let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?trace ?obs
+    ?on_round ~transport ~n ~t ~corrupt specs =
   if Array.length corrupt <> n then invalid_arg "Engine: corrupt array size";
   if domains < 1 then invalid_arg "Engine: domains < 1";
   let n_corrupt = Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 corrupt in
@@ -189,8 +187,8 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?trace ?telemetry
     match obs_frame_h with Some h -> Obs.Hist.record h sz | None -> ()
   in
   let pool = if domains > 1 then Some (Pool.shared ()) else None in
-  (* Session-index-ordered telemetry shards, merged into the caller's
-     recorder after the run (see [Telemetry.merge]). *)
+  (* Session-index-ordered recorder shards, merged into the caller's
+     recorder after the run (see [Obs.merge]). *)
   let shards = ref [] in
   let pending = ref (admission_order specs) in
   let finished = ref [] in
@@ -265,11 +263,10 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?trace ?telemetry
     | Some h -> Obs.Hist.record h l.l_metrics.Metrics.rounds
     | None -> ());
     (match obs_sessions_c with Some c -> Obs.incr c 1 | None -> ());
-    (match l.l_telemetry with
-    | Some tm ->
+    (match l.l_obs with
+    | Some o ->
         for i = 0 to n - 1 do
-          Telemetry.finish tm ~session:l.l_sid ~party:i
-            ~round:l.l_metrics.Metrics.rounds
+          Obs.finish o ~session:l.l_sid ~party:i ~round:l.l_metrics.Metrics.rounds
         done
     | None -> ());
     finished :=
@@ -295,18 +292,13 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?trace ?telemetry
     pending := later;
     List.iter
       (fun (idx, spec) ->
-        let session_telemetry =
-          match (telemetry, pool) with
-          | Some tm, Some _ ->
-              (* Shards must capture exactly what the target recorder would
-                 have, or the merged export diverges from the sequential
-                 run's — inherit the probe flag. *)
-              let shard =
-                Telemetry.create ~probes:(Telemetry.capture_probes tm) ()
-              in
+        let session_obs =
+          match (obs, pool) with
+          | Some _, Some _ ->
+              let shard = Obs.create () in
               shards := (idx, shard) :: !shards;
               Some shard
-          | _ -> telemetry
+          | _ -> obs
         in
         let labels = Array.make n [] in
         let states =
@@ -315,8 +307,8 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?trace ?telemetry
         Array.iteri
           (fun i s ->
             states.(i) <-
-              settle ~telemetry:session_telemetry ~corrupt ~sid:spec.sid
-                ~round:0 labels i s)
+              settle ~obs:session_obs ~corrupt ~sid:spec.sid ~round:0 labels i
+                s)
           states;
         let l =
           {
@@ -327,7 +319,7 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?trace ?telemetry
             l_labels = labels;
             l_metrics = Metrics.create ();
             l_admitted = !er;
-            l_telemetry = session_telemetry;
+            l_obs = session_obs;
           }
         in
         if honest_running ~corrupt states then begin
@@ -338,8 +330,8 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?trace ?telemetry
         else retire l)
       now;
     peak_live := max !peak_live !k_live;
-    (match telemetry with
-    | Some tm -> Telemetry.live_sessions tm ~round:!er ~live:!k_live
+    (match obs with
+    | Some o -> Obs.live_sessions o ~round:!er ~live:!k_live
     | None -> ());
     (match obs_live_g with Some g -> Obs.set_gauge g !k_live | None -> ());
     (match obs_peak_g with Some g -> Obs.max_gauge g !k_live | None -> ());
@@ -351,7 +343,7 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?trace ?telemetry
        (sender, recipient) order, byzantine truncation and metrics
        accounting. Sessions are
        independent within an engine round — each touches only its own
-       states, labels, metrics, adversary PRNG and telemetry recorder — so
+       states, labels, metrics, adversary PRNG and recorder shard — so
        this phase shards across the pool in chunks of consecutive slots;
        everything that writes shared state (trace, bundles, naive-frame
        counter) is deferred to the sequential pass below, replayed in
@@ -422,9 +414,9 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?trace ?telemetry
             match actual.(s).(r) with
             | None -> ()
             | Some m ->
-                (match l.l_telemetry with
-                | Some tm ->
-                    Telemetry.message tm ~session:l.l_sid ~party:s
+                (match l.l_obs with
+                | Some o ->
+                    Obs.message o ~session:l.l_sid ~party:s
                       ~round:metrics.Metrics.rounds ~timeline_round:round_now
                       ~bytes:(String.length m) ~byzantine:corrupt.(s)
                 | None -> ());
@@ -446,7 +438,7 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?trace ?telemetry
     in
     (* 6. Deliver and advance a live session — the other half of the round
        body, parallel for the same reason the send phase is: a session
-       touches only its own states, labels and telemetry recorder, and reads
+       touches only its own states, labels and recorder shard, and reads
        shared structures no one writes concurrently. With a direct transport
        the inbox comes straight from the session's own round matrix:
        [actual.(s).(i)] for [s <> i] is [Some m] exactly when the round's
@@ -475,7 +467,7 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?trace ?telemetry
               inbox.(s) <- actual.(s).(i)
             done;
             states.(i) <-
-              settle ~telemetry:l.l_telemetry ~corrupt ~sid:l.l_sid
+              settle ~obs:l.l_obs ~corrupt ~sid:l.l_sid
                 ~round:l.l_metrics.Metrics.rounds l.l_labels i (k inbox)
         | Proto.Done _ -> ()
         | Proto.Push _ | Proto.Pop _ | Proto.Probe _ -> assert false
@@ -494,7 +486,7 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?trace ?telemetry
                 (if s = i then actual.(i).(i) else edge_slots.(s).(i).(li))
             done;
             states.(i) <-
-              settle ~telemetry:l.l_telemetry ~corrupt ~sid:l.l_sid
+              settle ~obs:l.l_obs ~corrupt ~sid:l.l_sid
                 ~round:l.l_metrics.Metrics.rounds l.l_labels i (k inbox)
         | Proto.Done _ -> ()
         | Proto.Push _ | Proto.Pop _ | Proto.Probe _ -> assert false
@@ -709,13 +701,13 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?trace ?telemetry
     | None -> ());
     incr er
   done;
-  (* Fold the per-session telemetry shards back into the caller's recorder,
-     in session-index order — the export is then byte-identical to the
+  (* Fold the per-session shards back into the caller's recorder, in
+     session-index order — the export is then byte-identical to the
      sequential run's. *)
-  (match telemetry with
-  | Some tm ->
+  (match obs with
+  | Some o ->
       List.iter
-        (fun (_, shard) -> Telemetry.merge ~into:tm shard)
+        (fun (_, shard) -> Obs.merge ~into:o shard)
         (List.sort (fun (a, _) (b, _) -> compare a b) !shards)
   | None -> ());
   let results =

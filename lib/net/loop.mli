@@ -101,7 +101,6 @@ val run_core :
   ?max_rounds:int ->
   ?domains:int ->
   ?trace:Trace.t ->
-  ?telemetry:Telemetry.t ->
   ?obs:Obs.t ->
   ?on_round:(round:int -> live:int -> unit) ->
   transport:Transport.t ->
@@ -124,31 +123,34 @@ val run_core :
     and delivery run as one parallel phase — a single pool barrier per
     engine round. Any transport that moves the frames faithfully yields
     bit-identical outputs, per-session metrics, aggregate ledger and
-    telemetry. Every per-round structure (live set, step captures, bundle
-    matrix, delivery index) is preallocated at session capacity and reused,
-    so steady-state rounds allocate only per-session transients.
+    deterministic observability export. Every per-round structure (live
+    set, step captures, bundle matrix, delivery index) is preallocated at
+    session capacity and reused, so steady-state rounds allocate only
+    per-session transients.
 
     [trace] records every sent message with its session id and session-local
-    round. [telemetry] attaches a recorder: each session records spans and
-    probes under its [sid] at session-local rounds completed, messages are
-    filed on the timeline under the 0-based engine round, and the
-    live-session count is recorded once per engine round — summing a
-    session's span bits reproduces that session's [Metrics.honest_bits]
-    exactly.
+    round.
+
+    [obs] attaches the run's {!Obs} recorder. Span plane: each session
+    records spans and probes under its [sid] at session-local rounds
+    completed, messages are filed on the timeline under the 0-based engine
+    round, and the live-session count is recorded once per engine round —
+    summing a session's span bits reproduces that session's
+    [Metrics.honest_bits] exactly.
 
     [domains] (default 1) shards the live sessions across the shared
     {!Pool} at every engine-round barrier. Sequential-equals-parallel
     bit-identity is a hard invariant: each session steps on one domain with
-    its own states, adversary PRNG, [Metrics.t] and telemetry shard, while
+    its own states, adversary PRNG, [Metrics.t] and recorder shard, while
     everything shared — admission, traces, frame assembly, the aggregate
-    ledger — stays on the calling domain in admission order, and the
-    telemetry shards are merged back in session-index order
-    ({!Telemetry.merge}).
+    ledger, the instruments — stays on the calling domain in admission
+    order, and the shards are merged back in session-index order
+    ({!Obs.merge}).
 
-    [obs] attaches a {!Obs} registry. Deterministic tier (recorded from the
-    sequential sections only, so identical across transports and domain
-    counts): histograms [engine/frame_bytes] (every coalesced frame's
-    encoded size — the histogram sum equals the ledger's [frame_bytes]) and
+    Instruments, deterministic tier (recorded from the sequential sections
+    only, so identical across transports and domain counts): histograms
+    [engine/frame_bytes] (every coalesced frame's encoded size — the
+    histogram sum equals the ledger's [frame_bytes]) and
     [engine/session_rounds] (session lifetimes at retirement), counters
     [engine/rounds], [engine/frames], [engine/sessions], gauges
     [engine/live] and [engine/peak_live]. Sampled tier:

@@ -25,10 +25,9 @@ type 'a t =
           continue with the received inbox. *)
   | Push of string * 'a t  (** Begin a metrics label scope (see {!Metrics}). *)
   | Pop of 'a t  (** End the innermost label scope. *)
-  | Probe of string * (unit -> string) * 'a t
-      (** Emit a telemetry data point (key, lazily rendered value); consumes
-          no round and sends nothing. The thunk is only forced when a
-          recorder is attached, so bare runs never pay for serialization. *)
+  | Probe of string * Bitstring.t * 'a t
+      (** Emit an observability data point (key, the party's value);
+          consumes no round and sends nothing. *)
 
 let return x = Done x
 
@@ -62,10 +61,8 @@ let receive_only () = exchange (fun _ -> None)
     the metrics (used by the component-ablation experiment). Scopes nest. *)
 let with_label label m = Push (label, bind m (fun x -> Pop (Done x)))
 
-(** [probe key value] emits a telemetry data point; the thunk is forced only
-    when the runtime has a recorder attached. Convergence analysis expects
-    hexadecimal integer values ([Bigint.to_hex] — linear, unlike the
-    quadratic decimal rendering). *)
+(** [probe key value] emits an observability data point; a recorder keeps
+    the (immutable) bitstring and renders it only at export. *)
 let probe key value = Probe (key, value, Done ())
 
 (** [round_count m] — number of communication rounds a protocol value will

@@ -38,10 +38,10 @@ type 'a t =
           continue with the received inbox. *)
   | Push of string * 'a t  (** Begin a metrics label scope (see {!Metrics}). *)
   | Pop of 'a t  (** End the innermost label scope. *)
-  | Probe of string * (unit -> string) * 'a t
-      (** Emit a telemetry data point (key, lazily rendered value); consumes
-          no round and sends nothing. Runtimes force the thunk only when a
-          [Telemetry.t] recorder is attached. *)
+  | Probe of string * Bitstring.t * 'a t
+      (** Emit an observability data point (key, the party's value);
+          consumes no round and sends nothing. An [Obs.t] recorder keeps the
+          bitstring and renders it as hex only at export. *)
 
 val return : 'a -> 'a t
 val bind : 'a t -> ('a -> 'b t) -> 'b t
@@ -64,12 +64,12 @@ val with_label : string -> 'a t -> 'a t
     (the component-ablation experiment, T5). Scopes nest; the innermost
     label wins. *)
 
-val probe : string -> (unit -> string) -> unit t
-(** [probe key value] emits a telemetry data point under [key]; free (no
-    round, no traffic) and invisible without a recorder. The convergence
-    analysis in [Telemetry] expects values rendered as hexadecimal integers
-    ([Bigint.to_hex]) — hex rendering is linear in the value size, so even
-    huge probes cannot distort the instrumented run's cost. *)
+val probe : string -> Bitstring.t -> unit t
+(** [probe key value] emits an observability data point under [key]; free
+    (no round, no traffic) and invisible without a recorder. A recorder
+    keeps the bitstring (they are immutable) and renders it as hex only at
+    export; the convergence analysis in [Obs] reads it as an unsigned
+    integer. *)
 
 val round_count : 'a t -> int
 (** Rounds consumed when every inbox is empty — only meaningful for

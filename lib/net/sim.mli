@@ -35,7 +35,7 @@ val run :
   ?max_rounds:int ->
   ?allow_excess_corruptions:bool ->
   ?trace:Trace.t ->
-  ?telemetry:Telemetry.t ->
+  ?obs:Obs.t ->
   ?setup:[ `Plain | `Authenticated ] ->
   n:int ->
   t:int ->
@@ -47,14 +47,14 @@ val run :
     [n] parties. [corrupt.(i)] puts party [i] under the adversary's control;
     at most [t] parties may be corrupted unless [allow_excess_corruptions]
     is set (used only by the beyond-the-bound resilience experiment).
-    [trace] records every sent message (session 0). [telemetry] attaches a
+    [trace] records every sent message (session 0). [obs] attaches a
     recorder (session 0): label scopes become spans, sent messages feed
-    spans and the round timeline, and [Proto.probe] thunks are forced and
-    recorded — summing the recorder's span bits reproduces
-    [metrics.honest_bits] exactly. The timeline follows the loop's
-    convention: traffic is filed under the 0-based engine round, with the
-    live-session count. Raises [Invalid_argument] on inconsistent
-    parameters. *)
+    spans and the round timeline, [Proto.probe] values are recorded, and
+    the loop's instruments are filled in ({!Loop.run_core}) — summing the
+    recorder's span bits reproduces [metrics.honest_bits] exactly. The
+    timeline follows the loop's convention: traffic is filed under the
+    0-based engine round, with the live-session count. Raises
+    [Invalid_argument] on inconsistent parameters. *)
 
 val corrupt_first : n:int -> int -> bool array
 (** [corrupt_first ~n k]: the corruption pattern with parties [0..k-1]

@@ -7,8 +7,9 @@
     transports exist — the in-memory {!loopback} ({!Sim.run} and
     [Engine.run_sim]) and [Net_poll]'s single-process socket event loop
     ([Engine.run_poll]) — and one loop drives both, which makes the
-    bit-identity invariant structural: messages, metrics and telemetry are
-    computed identically no matter which transport carries the bytes.
+    bit-identity invariant structural: messages, metrics and the
+    deterministic obs export are computed identically no matter which
+    transport carries the bytes.
 
     A transport is an {e exchange}: a per-round barrier that accepts the
     round's entry matrix and returns the delivered entries. The engine hands

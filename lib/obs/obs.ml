@@ -1,38 +1,224 @@
-(* Runtime observability plane, layered over (not replacing) lib/telemetry.
+(* The observability plane: one recorder per run.
 
-   Telemetry answers "where did the bits go" with byte-audited span trees;
-   this module answers "how is the run behaving" — latency and size
-   distributions, a loadable trace timeline, and a live stats endpoint — at
-   a cost low enough to leave on during soaks and benches. (The GC/RSS
-   time-series sampler lives next to its caller, in Engine.)
+   A recorder answers both "where did the bits go" (byte-audited span trees,
+   the per-round timeline, convergence probes) and "how is the run behaving"
+   (latency and size histograms, counters, gauges), exports both as one
+   canonical JSONL and as a Chrome trace, and serves a live stats dump — at
+   a cost low enough to leave on during soaks and benches.
 
-   The design splits every instrument into one of two tiers:
+   Every instrument carries a tier:
 
    - [Det]: values derived from the deterministic execution (bytes, frames,
-     rounds, live-session counts). These are byte-identical across the sim,
-     poll, and multi-domain backends of the same scenario and are asserted
-     so in tests.
+     rounds, live-session counts). The span plane (meta, rounds, spans,
+     probes) is deterministic by construction and belongs here too. These
+     are byte-identical across the sim, poll, and multi-domain backends of
+     the same scenario and are asserted so in tests.
    - [Sampled]: wall-clock and process-level measurements (durations, GC,
      RSS). Excluded from identity asserts by construction: the deterministic
      export path simply filters them out.
 
-   Recording is allocation-free (fixed arrays, mutable ints); export is the
-   cold path and allocates freely. *)
+   A recorder is single-threaded: domain-parallel sessions record into
+   private shards, merged afterwards with [merge], and the export walks the
+   buckets in sorted key order and the spans in pre-order, so it is
+   byte-identical no matter which domain recorded what. Recording an
+   instrument allocates nothing; the span plane allocates one record per
+   span, probe, bucket and round. Export is the cold path and allocates
+   freely. *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* ---- JSON: the one escape and the one strict reader ----------------------- *)
+
+module Json = struct
+  type t =
+    | Null
+    | Bool of bool
+    | Num of float
+    | Str of string
+    | Arr of t list
+    | Obj of (string * t) list
+
+  let escape s =
+    let buf = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+
+  exception Bad of string
+
+  let hex_digit = function
+    | '0' .. '9' as c -> Some (Char.code c - Char.code '0')
+    | 'a' .. 'f' as c -> Some (Char.code c - Char.code 'a' + 10)
+    | 'A' .. 'F' as c -> Some (Char.code c - Char.code 'A' + 10)
+    | _ -> None
+
+  let parse s =
+    let n = String.length s in
+    let pos = ref 0 in
+    let fail msg = raise (Bad (Printf.sprintf "%s at byte %d" msg !pos)) in
+    let peek () = if !pos < n then Some s.[!pos] else None in
+    let advance () = incr pos in
+    let rec skip_ws () =
+      match peek () with
+      | Some (' ' | '\t' | '\n' | '\r') ->
+          advance ();
+          skip_ws ()
+      | _ -> ()
+    in
+    let expect c =
+      match peek () with
+      | Some c' when c' = c -> advance ()
+      | _ -> fail (Printf.sprintf "expected %c" c)
+    in
+    let literal word v =
+      String.iter expect word;
+      v
+    in
+    let string_lit () =
+      expect '"';
+      let buf = Buffer.create 16 in
+      let rec go () =
+        match peek () with
+        | None -> fail "unterminated string"
+        | Some '"' -> advance ()
+        | Some c when Char.code c < 0x20 -> fail "raw control character in string"
+        | Some '\\' ->
+            advance ();
+            (match peek () with
+            | Some (('"' | '\\' | '/') as c) -> Buffer.add_char buf c
+            | Some 'n' -> Buffer.add_char buf '\n'
+            | Some 't' -> Buffer.add_char buf '\t'
+            | Some 'r' -> Buffer.add_char buf '\r'
+            | Some 'b' -> Buffer.add_char buf '\b'
+            | Some 'f' -> Buffer.add_char buf '\012'
+            | Some 'u' ->
+                let cp = ref 0 in
+                for _ = 1 to 4 do
+                  advance ();
+                  match Option.bind (peek ()) hex_digit with
+                  | Some d -> cp := (!cp * 16) + d
+                  | None -> fail "\\u escape needs four hex digits"
+                done;
+                Buffer.add_utf_8_uchar buf
+                  (if Uchar.is_valid !cp then Uchar.of_int !cp else Uchar.rep)
+            | _ -> fail "bad escape");
+            advance ();
+            go ()
+        | Some c ->
+            Buffer.add_char buf c;
+            advance ();
+            go ()
+      in
+      go ();
+      Buffer.contents buf
+    in
+    (* The RFC 8259 number grammar: optional minus, then 0 or a digit run
+       without a leading zero, then an optional fraction and exponent. *)
+    let number () =
+      let start = !pos in
+      let digits () =
+        let d0 = !pos in
+        while (match peek () with Some '0' .. '9' -> true | _ -> false) do
+          advance ()
+        done;
+        if !pos = d0 then fail "expected a digit"
+      in
+      if peek () = Some '-' then advance ();
+      (match peek () with
+      | Some '0' -> advance ()
+      | _ -> digits ());
+      if peek () = Some '.' then begin
+        advance ();
+        digits ()
+      end;
+      (match peek () with
+      | Some ('e' | 'E') ->
+          advance ();
+          (match peek () with Some ('+' | '-') -> advance () | _ -> ());
+          digits ()
+      | _ -> ());
+      Num (float_of_string (String.sub s start (!pos - start)))
+    in
+    let rec value () =
+      skip_ws ();
+      match peek () with
+      | Some '{' ->
+          advance ();
+          skip_ws ();
+          if peek () = Some '}' then begin
+            advance ();
+            Obj []
+          end
+          else begin
+            let rec members acc =
+              skip_ws ();
+              let key = string_lit () in
+              skip_ws ();
+              expect ':';
+              let v = value () in
+              skip_ws ();
+              match peek () with
+              | Some ',' ->
+                  advance ();
+                  members ((key, v) :: acc)
+              | Some '}' ->
+                  advance ();
+                  Obj (List.rev ((key, v) :: acc))
+              | _ -> fail "expected , or }"
+            in
+            members []
+          end
+      | Some '[' ->
+          advance ();
+          skip_ws ();
+          if peek () = Some ']' then begin
+            advance ();
+            Arr []
+          end
+          else begin
+            let rec elements acc =
+              let v = value () in
+              skip_ws ();
+              match peek () with
+              | Some ',' ->
+                  advance ();
+                  elements (v :: acc)
+              | Some ']' ->
+                  advance ();
+                  Arr (List.rev (v :: acc))
+              | _ -> fail "expected , or ]"
+            in
+            elements []
+          end
+      | Some '"' -> Str (string_lit ())
+      | Some 't' -> literal "true" (Bool true)
+      | Some 'f' -> literal "false" (Bool false)
+      | Some 'n' -> literal "null" Null
+      | Some ('-' | '0' .. '9') -> number ()
+      | Some _ -> fail "unexpected character"
+      | None -> fail "unexpected end of input"
+    in
+    match
+      let v = value () in
+      skip_ws ();
+      if !pos <> n then fail "trailing garbage";
+      v
+    with
+    | v -> Ok v
+    | exception Bad msg -> Error msg
+
+  let field obj key =
+    match obj with Obj fields -> List.assoc_opt key fields | _ -> None
+end
+
+let escape = Json.escape
 
 (* ---- log-bucketed histograms ---------------------------------------------- *)
 
@@ -57,11 +243,16 @@ module Hist = struct
   let bucket_of_value v =
     if v <= 0 then 0
     else begin
-      let bits = ref 0 and x = ref v in
-      while !x <> 0 do
-        incr bits;
-        x := !x lsr 1
-      done;
+      (* The bit length of v, by binary search over shift widths: six
+         branches instead of one loop turn per bit (this runs once per
+         frame). *)
+      let bits = ref 1 and x = ref v in
+      if !x lsr 32 <> 0 then begin bits := !bits + 32; x := !x lsr 32 end;
+      if !x lsr 16 <> 0 then begin bits := !bits + 16; x := !x lsr 16 end;
+      if !x lsr 8 <> 0 then begin bits := !bits + 8; x := !x lsr 8 end;
+      if !x lsr 4 <> 0 then begin bits := !bits + 4; x := !x lsr 4 end;
+      if !x lsr 2 <> 0 then begin bits := !bits + 2; x := !x lsr 2 end;
+      if !x lsr 1 <> 0 then bits := !bits + 1;
       if !bits > slots - 1 then slots - 1 else !bits
     end
 
@@ -143,7 +334,7 @@ module Hist = struct
     end
 end
 
-(* ---- the instrument registry ---------------------------------------------- *)
+(* ---- the recorder --------------------------------------------------------- *)
 
 type tier = Det | Sampled
 
@@ -152,9 +343,83 @@ let tier_name = function Det -> "det" | Sampled -> "sampled"
 type counter = { mutable cn_value : int }
 type gauge = { mutable g_value : int }
 type instr = C of counter | G of gauge | H of Hist.t
-type t = { instrs : (string, tier * instr) Hashtbl.t }
 
-let create () = { instrs = Hashtbl.create 32 }
+let root_label = "(run)"
+let unlabeled = "(unlabeled)"
+
+type span = {
+  sp_label : string;
+  sp_enter : int;
+  mutable sp_exit : int;  (* -1 while open *)
+  mutable sp_bits : int;
+  mutable sp_msgs : int;
+  mutable sp_children_rev : span list;
+}
+
+let mk_span ~label ~enter =
+  {
+    sp_label = label;
+    sp_enter = enter;
+    sp_exit = -1;
+    sp_bits = 0;
+    sp_msgs = 0;
+    sp_children_rev = [];
+  }
+
+(* A probe keeps the party's value itself: bitstrings are immutable, so
+   holding the pointer is free and the hex render waits for export. *)
+type probe = {
+  pr_key : string;
+  pr_iter : int;  (* occurrence index of pr_key within this bucket *)
+  pr_round : int;
+  pr_byzantine : bool;
+  pr_value : Bitstring.t;
+}
+
+type bucket = {
+  b_session : int;
+  b_party : int;
+  b_root : span;
+  mutable b_stack : span list;  (* open spans, innermost first; root last *)
+  mutable b_probes_rev : probe list;
+  b_probe_counts : (string, int) Hashtbl.t;
+  mutable b_last_round : int;
+}
+
+type cell = {
+  mutable c_bits : int;
+  mutable c_msgs : int;
+  mutable c_byz_bits : int;
+  mutable c_byz_msgs : int;
+  mutable c_live : int;  (* -1 when never recorded *)
+}
+
+type t = {
+  instrs : (string, tier * instr) Hashtbl.t;
+  buckets : (int * int, bucket) Hashtbl.t;
+  timeline : (int, cell) Hashtbl.t;
+  mutable meta_rev : (string * string) list;
+  (* One-entry caches for the per-message hot path: consecutive recordings
+     overwhelmingly hit the same (session, party) bucket and the same round
+     cell, and the cache check avoids both the tuple-key allocation and the
+     hash lookup. *)
+  mutable cached_bucket : bucket option;
+  mutable cached_round : int;
+  mutable cached_cell : cell option;
+}
+
+let create () =
+  {
+    instrs = Hashtbl.create 32;
+    buckets = Hashtbl.create 64;
+    timeline = Hashtbl.create 256;
+    meta_rev = [];
+    cached_bucket = None;
+    cached_round = -1;
+    cached_cell = None;
+  }
+
+(* ---- instruments ---------------------------------------------------------- *)
 
 let kind_name = function C _ -> "counter" | G _ -> "gauge" | H _ -> "hist"
 
@@ -197,6 +462,288 @@ let set_gauge g v = g.g_value <- v
 let max_gauge g v = if v > g.g_value then g.g_value <- v
 let gauge_value g = g.g_value
 
+(* ---- spans, timeline, probes ---------------------------------------------- *)
+
+let set_meta t key value =
+  if List.mem_assoc key t.meta_rev then
+    t.meta_rev <-
+      List.map (fun (k, v) -> if k = key then (k, value) else (k, v)) t.meta_rev
+  else t.meta_rev <- (key, value) :: t.meta_rev
+
+let bucket t ~session ~party =
+  match t.cached_bucket with
+  | Some b when b.b_session = session && b.b_party = party -> b
+  | _ ->
+      let b =
+        match Hashtbl.find_opt t.buckets (session, party) with
+        | Some b -> b
+        | None ->
+            let root = mk_span ~label:root_label ~enter:0 in
+            let b =
+              {
+                b_session = session;
+                b_party = party;
+                b_root = root;
+                b_stack = [ root ];
+                b_probes_rev = [];
+                b_probe_counts = Hashtbl.create 8;
+                b_last_round = 0;
+              }
+            in
+            Hashtbl.add t.buckets (session, party) b;
+            b
+      in
+      t.cached_bucket <- Some b;
+      b
+
+let touch b round = if round > b.b_last_round then b.b_last_round <- round
+
+let push t ~session ~party ~round ~label =
+  let b = bucket t ~session ~party in
+  touch b round;
+  let sp = mk_span ~label ~enter:round in
+  (match b.b_stack with
+  | parent :: _ -> parent.sp_children_rev <- sp :: parent.sp_children_rev
+  | [] -> assert false);
+  b.b_stack <- sp :: b.b_stack
+
+let pop t ~session ~party ~round =
+  let b = bucket t ~session ~party in
+  touch b round;
+  match b.b_stack with
+  | sp :: (_ :: _ as rest) ->
+      sp.sp_exit <- round;
+      b.b_stack <- rest
+  | _ -> () (* only the root is open: mirror the runtimes' lenient Pop *)
+
+let probe t ~session ~party ~round ~byzantine ~key ~value =
+  let b = bucket t ~session ~party in
+  touch b round;
+  let iter = Option.value ~default:0 (Hashtbl.find_opt b.b_probe_counts key) in
+  Hashtbl.replace b.b_probe_counts key (iter + 1);
+  b.b_probes_rev <-
+    { pr_key = key; pr_iter = iter; pr_round = round; pr_byzantine = byzantine;
+      pr_value = value }
+    :: b.b_probes_rev
+
+let cell t round =
+  match t.cached_cell with
+  | Some c when t.cached_round = round -> c
+  | _ ->
+      let c =
+        match Hashtbl.find_opt t.timeline round with
+        | Some c -> c
+        | None ->
+            let c =
+              { c_bits = 0; c_msgs = 0; c_byz_bits = 0; c_byz_msgs = 0; c_live = -1 }
+            in
+            Hashtbl.add t.timeline round c;
+            c
+      in
+      t.cached_round <- round;
+      t.cached_cell <- Some c;
+      c
+
+let message t ~session ~party ~round ~timeline_round ~bytes ~byzantine =
+  let bits = 8 * bytes in
+  let c = cell t timeline_round in
+  if byzantine then begin
+    c.c_byz_bits <- c.c_byz_bits + bits;
+    c.c_byz_msgs <- c.c_byz_msgs + 1
+  end
+  else begin
+    c.c_bits <- c.c_bits + bits;
+    c.c_msgs <- c.c_msgs + 1;
+    let b = bucket t ~session ~party in
+    touch b round;
+    match b.b_stack with
+    | sp :: _ ->
+        sp.sp_bits <- sp.sp_bits + bits;
+        sp.sp_msgs <- sp.sp_msgs + 1
+    | [] -> ()
+  end
+
+let live_sessions t ~round ~live = (cell t round).c_live <- live
+
+let finish t ~session ~party ~round =
+  let b = bucket t ~session ~party in
+  touch b round;
+  (* Close anything a truncated run left open; the root stays open and is
+     given its exit round at export time (b_last_round). *)
+  List.iter (fun sp -> if sp != b.b_root then sp.sp_exit <- round) b.b_stack;
+  b.b_stack <- [ b.b_root ]
+
+(* Shard merge for parallel runs. The round loop gives each session its own
+   shard recorder, so across the shards of one run every (session × party)
+   bucket exists exactly once — adopting them wholesale preserves each
+   bucket's event order, and the export's sorted-bucket walk does the rest.
+   Timeline cells add (sums commute, so the result is independent of merge
+   order); [live] counts are recorded once, by the coordinator, and
+   max-merge so a shard that never saw them (-1) cannot erase them.
+   Instruments are recorded by the coordinator only, so shards carry none. *)
+let merge ~into src =
+  if into == src then invalid_arg "Obs.merge: merging a recorder into itself";
+  Hashtbl.iter
+    (fun key b ->
+      if Hashtbl.mem into.buckets key then
+        invalid_arg
+          (Printf.sprintf "Obs.merge: bucket (session %d, party %d) present in both"
+             b.b_session b.b_party);
+      Hashtbl.add into.buckets key b)
+    src.buckets;
+  Hashtbl.iter
+    (fun r sc ->
+      let c = cell into r in
+      c.c_bits <- c.c_bits + sc.c_bits;
+      c.c_msgs <- c.c_msgs + sc.c_msgs;
+      c.c_byz_bits <- c.c_byz_bits + sc.c_byz_bits;
+      c.c_byz_msgs <- c.c_byz_msgs + sc.c_byz_msgs;
+      if sc.c_live > c.c_live then c.c_live <- sc.c_live)
+    src.timeline;
+  List.iter
+    (fun (k, v) -> if not (List.mem_assoc k into.meta_rev) then into.meta_rev <- (k, v) :: into.meta_rev)
+    (List.rev src.meta_rev)
+
+(* ---- queries -------------------------------------------------------------- *)
+
+let sorted_buckets t =
+  Hashtbl.fold (fun _ b acc -> b :: acc) t.buckets []
+  |> List.sort (fun a b -> compare (a.b_session, a.b_party) (b.b_session, b.b_party))
+
+let sorted_rounds t =
+  Hashtbl.fold (fun r c acc -> (r, c) :: acc) t.timeline []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+let rec iter_spans f sp =
+  f sp;
+  List.iter (iter_spans f) (List.rev sp.sp_children_rev)
+
+(* Every span in export order — buckets by (session, party), spans pre-order
+   — with its depth, slash-joined label path and exit round (open spans
+   report the bucket's last recorded round). *)
+let iter_span_paths t f =
+  List.iter
+    (fun b ->
+      let rec walk path depth sp =
+        let path = if path = "" then sp.sp_label else path ^ "/" ^ sp.sp_label in
+        let exit = if sp.sp_exit < 0 then b.b_last_round else sp.sp_exit in
+        f b ~depth ~path ~exit sp;
+        List.iter (walk path (depth + 1)) (List.rev sp.sp_children_rev)
+      in
+      walk "" 0 b.b_root)
+    (sorted_buckets t)
+
+let sessions t =
+  List.sort_uniq compare (Hashtbl.fold (fun (s, _) _ acc -> s :: acc) t.buckets [])
+
+let bucket_sum field b =
+  let total = ref 0 in
+  iter_spans (fun sp -> total := !total + field sp) b.b_root;
+  !total
+
+let bucket_bits = bucket_sum (fun sp -> sp.sp_bits)
+let bucket_msgs = bucket_sum (fun sp -> sp.sp_msgs)
+
+let honest_bits t ~session =
+  Hashtbl.fold
+    (fun _ b acc -> if b.b_session = session then acc + bucket_bits b else acc)
+    t.buckets 0
+
+let honest_bits_total t = Hashtbl.fold (fun _ b acc -> acc + bucket_bits b) t.buckets 0
+
+let label_bits t =
+  let table = Hashtbl.create 16 in
+  List.iter
+    (fun b ->
+      iter_spans
+        (fun sp ->
+          if sp.sp_bits > 0 then begin
+            let label = if sp.sp_label = root_label then unlabeled else sp.sp_label in
+            Hashtbl.replace table label
+              (sp.sp_bits + Option.value ~default:0 (Hashtbl.find_opt table label))
+          end)
+        b.b_root)
+    (sorted_buckets t);
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) table []
+  |> List.sort (fun (la, a) (lb, b) -> if a <> b then compare b a else compare la lb)
+
+let probe_keys t ~session =
+  let keys = Hashtbl.create 8 in
+  Hashtbl.iter
+    (fun _ b ->
+      if b.b_session = session then
+        List.iter (fun p -> Hashtbl.replace keys p.pr_key ()) b.b_probes_rev)
+    t.buckets;
+  List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) keys [])
+
+let convergence t ~session ~key =
+  let hulls = Hashtbl.create 32 in
+  (* iter index -> (lo, hi) over honest parties' values *)
+  let max_iter = ref (-1) in
+  Hashtbl.iter
+    (fun _ b ->
+      if b.b_session = session then
+        List.iter
+          (fun p ->
+            if p.pr_key = key && not p.pr_byzantine then begin
+              let v = Bigint.of_bitstring p.pr_value in
+              if p.pr_iter > !max_iter then max_iter := p.pr_iter;
+              Hashtbl.replace hulls p.pr_iter
+                (match Hashtbl.find_opt hulls p.pr_iter with
+                | None -> (v, v)
+                | Some (lo, hi) -> (Bigint.min lo v, Bigint.max hi v))
+            end)
+          b.b_probes_rev)
+    t.buckets;
+  List.filter_map (fun i -> Hashtbl.find_opt hulls i) (List.init (!max_iter + 1) Fun.id)
+
+(* ---- JSONL export --------------------------------------------------------- *)
+
+(* The span plane: meta (insertion order), rounds (ascending), spans (export
+   order), probes (same bucket order, emission order), one total line. *)
+let span_plane_jsonl buf t =
+  let line fmt =
+    Printf.ksprintf
+      (fun s ->
+        Buffer.add_string buf s;
+        Buffer.add_char buf '\n')
+      fmt
+  in
+  List.iter
+    (fun (k, v) -> line {|{"kind":"meta","key":"%s","value":"%s"}|} (escape k) (escape v))
+    (List.rev t.meta_rev);
+  List.iter
+    (fun (r, c) ->
+      let live = if c.c_live >= 0 then Printf.sprintf {|,"live":%d|} c.c_live else "" in
+      line {|{"kind":"round","round":%d,"bits":%d,"msgs":%d,"byz_bits":%d,"byz_msgs":%d%s}|}
+        r c.c_bits c.c_msgs c.c_byz_bits c.c_byz_msgs live)
+    (sorted_rounds t);
+  let n_spans = ref 0 in
+  iter_span_paths t (fun b ~depth ~path ~exit sp ->
+      Stdlib.incr n_spans;
+      line
+        {|{"kind":"span","session":%d,"party":%d,"depth":%d,"path":"%s","label":"%s","enter":%d,"exit":%d,"bits":%d,"msgs":%d}|}
+        b.b_session b.b_party depth (escape path) (escape sp.sp_label) sp.sp_enter exit
+        sp.sp_bits sp.sp_msgs);
+  let buckets = sorted_buckets t in
+  let n_probes = ref 0 in
+  List.iter
+    (fun b ->
+      List.iter
+        (fun p ->
+          Stdlib.incr n_probes;
+          line
+            {|{"kind":"probe","session":%d,"party":%d,"round":%d,"byzantine":%b,"key":"%s","iter":%d,"value":"%s"}|}
+            b.b_session b.b_party p.pr_round p.pr_byzantine (escape p.pr_key) p.pr_iter
+            (Bigint.to_hex (Bigint.of_bitstring p.pr_value)))
+        (List.rev b.b_probes_rev))
+    buckets;
+  line
+    {|{"kind":"total","sessions":%d,"spans":%d,"probes":%d,"honest_bits":%d,"honest_msgs":%d}|}
+    (List.length (sessions t)) !n_spans !n_probes
+    (List.fold_left (fun acc b -> acc + bucket_bits b) 0 buckets)
+    (List.fold_left (fun acc b -> acc + bucket_msgs b) 0 buckets)
+
 let sorted_instrs ?tier t =
   Hashtbl.fold
     (fun name (tr, instr) acc ->
@@ -208,8 +755,7 @@ let sorted_instrs ?tier t =
 
 let quantile_points = [ (50, 0.50); (90, 0.90); (99, 0.99) ]
 
-let to_jsonl ?tier t =
-  let buf = Buffer.create 1024 in
+let instruments_jsonl buf ?tier t =
   let order = function C _ -> 0 | G _ -> 1 | H _ -> 2 in
   let instrs =
     sorted_instrs ?tier t
@@ -244,14 +790,22 @@ let to_jsonl ?tier t =
             h.Hist.counts;
           Buffer.add_string buf "]}");
       Buffer.add_char buf '\n')
-    instrs;
+    instrs
+
+let to_jsonl ?tier t =
+  let buf = Buffer.create 4096 in
+  let span_plane_empty =
+    Hashtbl.length t.buckets = 0 && Hashtbl.length t.timeline = 0 && t.meta_rev = []
+  in
+  if tier <> Some Sampled && not span_plane_empty then span_plane_jsonl buf t;
+  instruments_jsonl buf ?tier t;
   Buffer.contents buf
+
+(* ---- text renders --------------------------------------------------------- *)
 
 let pp_text fmt t =
   let instrs = sorted_instrs t in
-  let pick want =
-    List.filter (fun (_, _, i) -> kind_name i = want) instrs
-  in
+  let pick want = List.filter (fun (_, _, i) -> kind_name i = want) instrs in
   Format.fprintf fmt "obs stats@.";
   let counters = pick "counter" and gauges = pick "gauge" and hists = pick "hist" in
   if counters <> [] then begin
@@ -289,25 +843,148 @@ let pp_text fmt t =
 
 let render_text t = Format.asprintf "%a" pp_text t
 
+(* Aggregation of the per-bucket span trees by path: children keep first-seen
+   order (buckets are visited in sorted order, so this is deterministic). *)
+type agg = {
+  mutable g_bits : int;
+  mutable g_msgs : int;
+  mutable g_min_enter : int;
+  mutable g_max_exit : int;
+  mutable g_children_rev : (string * agg) list;
+}
+
+let mk_agg () =
+  { g_bits = 0; g_msgs = 0; g_min_enter = max_int; g_max_exit = 0; g_children_rev = [] }
+
+let pp_report ?(top = 10) fmt t =
+  let buckets = sorted_buckets t in
+  let root_agg = mk_agg () in
+  List.iter
+    (fun b ->
+      let rec merge agg sp =
+        agg.g_bits <- agg.g_bits + sp.sp_bits;
+        agg.g_msgs <- agg.g_msgs + sp.sp_msgs;
+        if sp.sp_enter < agg.g_min_enter then agg.g_min_enter <- sp.sp_enter;
+        let exit = if sp.sp_exit < 0 then b.b_last_round else sp.sp_exit in
+        if exit > agg.g_max_exit then agg.g_max_exit <- exit;
+        List.iter
+          (fun child ->
+            let child_agg =
+              match List.assoc_opt child.sp_label agg.g_children_rev with
+              | Some g -> g
+              | None ->
+                  let g = mk_agg () in
+                  agg.g_children_rev <- (child.sp_label, g) :: agg.g_children_rev;
+                  g
+            in
+            merge child_agg child)
+          (List.rev sp.sp_children_rev)
+      in
+      merge root_agg b.b_root)
+    buckets;
+  (* Inclusive of children, for the tree display. *)
+  let rec deep_bits g =
+    g.g_bits + List.fold_left (fun acc (_, c) -> acc + deep_bits c) 0 g.g_children_rev
+  in
+  let total_bits = deep_bits root_agg in
+  let share b =
+    if total_bits = 0 then 0. else 100. *. float_of_int b /. float_of_int total_bits
+  in
+  Format.fprintf fmt "telemetry report@.";
+  List.iter (fun (k, v) -> Format.fprintf fmt "  %-12s %s@." (k ^ ":") v) (List.rev t.meta_rev);
+  Format.fprintf fmt "  sessions: %d   buckets: %d   honest bits: %d   msgs: %d@."
+    (List.length (sessions t)) (List.length buckets) total_bits
+    (List.fold_left (fun acc b -> acc + bucket_msgs b) 0 buckets);
+  (* Span tree, inclusive bits per node. *)
+  Format.fprintf fmt "@.span tree (aggregated; bits include children):@.";
+  let rec pp_agg indent label g =
+    let incl = deep_bits g in
+    Format.fprintf fmt "  %s%-*s %12d bits %6.1f%% %8d msgs  r%d..%d@." indent
+      (max 1 (30 - String.length indent))
+      label incl (share incl) g.g_msgs
+      (if g.g_min_enter = max_int then 0 else g.g_min_enter)
+      g.g_max_exit;
+    List.iter (fun (l, c) -> pp_agg (indent ^ "  ") l c) (List.rev g.g_children_rev)
+  in
+  pp_agg "" root_label root_agg;
+  (* Round heatmap, bucketed to at most 48 bins. *)
+  let rounds = sorted_rounds t in
+  (match (rounds, List.rev rounds) with
+  | (lo, _) :: _, (hi, _) :: _ ->
+      let bins = 48 in
+      let width = max 1 ((hi - lo + bins) / bins) in
+      let sums = Array.make bins 0 in
+      let lives = Array.make bins (-1) in
+      List.iter
+        (fun (r, c) ->
+          let i = min (bins - 1) ((r - lo) / width) in
+          sums.(i) <- sums.(i) + c.c_bits;
+          if c.c_live > lives.(i) then lives.(i) <- c.c_live)
+        rounds;
+      let peak = Array.fold_left max 1 sums in
+      Format.fprintf fmt "@.round heatmap (honest bits per %d-round bin):@." width;
+      Array.iteri
+        (fun i s ->
+          let r0 = lo + (i * width) in
+          if r0 <= hi then begin
+            let bar = String.make (s * 40 / peak) '#' in
+            let live =
+              if lives.(i) >= 0 then Printf.sprintf "  live %d" lives.(i) else ""
+            in
+            Format.fprintf fmt "  r%-6d %10d |%-40s|%s@." r0 s bar live
+          end)
+        sums
+  | _ -> ());
+  (* Top-k labels. *)
+  let labels = label_bits t in
+  if labels <> [] then begin
+    Format.fprintf fmt "@.top labels (exclusive bits):@.";
+    List.iteri
+      (fun i (l, b) ->
+        if i < top then
+          Format.fprintf fmt "  %2d. %-28s %12d bits %6.1f%%@." (i + 1) l b (share b))
+      labels
+  end;
+  (* Convergence curves. *)
+  List.iter
+    (fun session ->
+      List.iter
+        (fun key ->
+          let curve = convergence t ~session ~key in
+          if curve <> [] then begin
+            let widths = List.map (fun (lo, hi) -> Bigint.sub hi lo) curve in
+            let rec monotone = function
+              | a :: (b :: _ as rest) -> Bigint.compare b a <= 0 && monotone rest
+              | _ -> true
+            in
+            Format.fprintf fmt
+              "@.probe %s (session %d): %d iterations, hull width %s -> %s%s@." key
+              session (List.length widths)
+              (Bigint.to_string (List.hd widths))
+              (Bigint.to_string (List.nth widths (List.length widths - 1)))
+              (if monotone widths then " (monotone non-increasing)" else "");
+            List.iteri
+              (fun i w ->
+                if i < 16 then
+                  Format.fprintf fmt "    iter %2d: width %s@." i (Bigint.to_string w)
+                else if i = 16 then Format.fprintf fmt "    ...@.")
+              widths
+          end)
+        (probe_keys t ~session))
+    (sessions t)
+
 (* ---- Chrome trace_event (catapult) export --------------------------------- *)
 
 module Trace = struct
   (* One engine round maps to [round_us] virtual microseconds, so the
      timeline is a pure function of the deterministic execution: rendering
-     the same telemetry from any backend yields byte-identical JSON. Spans
+     the same recorder from any backend yields byte-identical JSON. Spans
      become "X" (complete) events on a pid=session / tid=party track; the
      engine's round timeline becomes counter ("C") events plus one global
      instant per round on a synthetic engine track. *)
-  let chrome_trace ?(round_us = 1000) tel =
-    let spans = ref [] in
-    Telemetry.iter_span_views tel (fun v -> spans := v :: !spans);
-    let spans = List.rev !spans in
-    let rounds = ref [] in
-    Telemetry.iter_round_views tel (fun r -> rounds := r :: !rounds);
-    let rounds = List.rev !rounds in
-    let engine_pid =
-      1 + List.fold_left (fun acc v -> max acc v.Telemetry.v_session) (-1) spans
-    in
+  let chrome_trace ?(round_us = 1000) t =
+    let rounds = sorted_rounds t in
+    let engine_pid = 1 + List.fold_left (fun acc s -> max acc s) (-1) (sessions t) in
     let buf = Buffer.create 4096 in
     Buffer.add_string buf {|{"traceEvents":[|};
     let first = ref true in
@@ -321,23 +998,20 @@ module Trace = struct
     in
     (* Track naming metadata: one process per session, one thread per
        party, plus the synthetic engine track. *)
-    let last_session = ref (-1) and last_pair = ref (-1, -1) in
+    let last_session = ref (-1) in
     List.iter
-      (fun v ->
-        let s = v.Telemetry.v_session and p = v.Telemetry.v_party in
+      (fun b ->
+        let s = b.b_session and p = b.b_party in
         if s <> !last_session then begin
           last_session := s;
           event
             {|{"ph":"M","name":"process_name","pid":%d,"tid":0,"args":{"name":"session %d"}}|}
             s s
         end;
-        if (s, p) <> !last_pair then begin
-          last_pair := (s, p);
-          event
-            {|{"ph":"M","name":"thread_name","pid":%d,"tid":%d,"args":{"name":"party %d"}}|}
-            s p p
-        end)
-      spans;
+        event
+          {|{"ph":"M","name":"thread_name","pid":%d,"tid":%d,"args":{"name":"party %d"}}|}
+          s p p)
+      (sorted_buckets t);
     if rounds <> [] then
       event
         {|{"ph":"M","name":"process_name","pid":%d,"tid":0,"args":{"name":"engine"}}|}
@@ -345,30 +1019,24 @@ module Trace = struct
     (* Span tree as complete events. Duration is inclusive of the exit
        round ([enter, exit] in rounds), which keeps children inside their
        parent and zero-round spans visible. *)
-    List.iter
-      (fun v ->
+    iter_span_paths t (fun b ~depth:_ ~path ~exit sp ->
         event
           {|{"ph":"X","name":"%s","cat":"span","pid":%d,"tid":%d,"ts":%d,"dur":%d,"args":{"path":"%s","bits":%d,"msgs":%d}}|}
-          (escape v.Telemetry.v_label) v.Telemetry.v_session
-          v.Telemetry.v_party
-          (v.Telemetry.v_enter * round_us)
-          ((v.Telemetry.v_exit - v.Telemetry.v_enter + 1) * round_us)
-          (escape v.Telemetry.v_path) v.Telemetry.v_bits v.Telemetry.v_msgs)
-      spans;
+          (escape sp.sp_label) b.b_session b.b_party (sp.sp_enter * round_us)
+          ((exit - sp.sp_enter + 1) * round_us)
+          (escape path) sp.sp_bits sp.sp_msgs);
     (* Engine round barriers and per-round counters. *)
     List.iter
-      (fun r ->
-        let ts = r.Telemetry.r_round * round_us in
-        event
-          {|{"ph":"i","s":"g","name":"round %d","pid":%d,"tid":0,"ts":%d}|}
-          r.Telemetry.r_round engine_pid ts;
+      (fun (r, c) ->
+        let ts = r * round_us in
+        event {|{"ph":"i","s":"g","name":"round %d","pid":%d,"tid":0,"ts":%d}|} r engine_pid
+          ts;
         event
           {|{"ph":"C","name":"honest traffic","pid":%d,"ts":%d,"args":{"bits":%d,"msgs":%d}}|}
-          engine_pid ts r.Telemetry.r_bits r.Telemetry.r_msgs;
-        if r.Telemetry.r_live >= 0 then
-          event
-            {|{"ph":"C","name":"live sessions","pid":%d,"ts":%d,"args":{"live":%d}}|}
-            engine_pid ts r.Telemetry.r_live)
+          engine_pid ts c.c_bits c.c_msgs;
+        if c.c_live >= 0 then
+          event {|{"ph":"C","name":"live sessions","pid":%d,"ts":%d,"args":{"live":%d}}|}
+            engine_pid ts c.c_live)
       rounds;
     Buffer.add_string buf {|],"displayTimeUnit":"ms"}|};
     Buffer.add_char buf '\n';
@@ -463,144 +1131,7 @@ end
 (* ---- export schema checks ------------------------------------------------- *)
 
 module Check = struct
-  (* Minimal recursive-descent JSON reader, enough to schema-check our own
-     exports (mirrors bench/validate_bench.ml, which cannot be a library
-     dependency from here). *)
-  type json =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of json list
-    | Obj of (string * json) list
-
-  exception Bad of string
-
-  let parse (s : string) : (json, string) result =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = pos := !pos + 1 in
-    let fail msg = raise (Bad (Printf.sprintf "%s at byte %d" msg !pos)) in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-          advance ();
-          skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> fail (Printf.sprintf "expected %c" c)
-    in
-    let literal word v =
-      String.iter expect word;
-      v
-    in
-    let string_lit () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | None -> fail "unterminated string"
-        | Some '"' -> advance ()
-        | Some '\\' -> (
-            advance ();
-            match peek () with
-            | Some 'n' -> advance (); Buffer.add_char buf '\n'; go ()
-            | Some 't' -> advance (); Buffer.add_char buf '\t'; go ()
-            | Some 'u' ->
-                advance ();
-                for _ = 1 to 4 do advance () done;
-                Buffer.add_char buf '?';
-                go ()
-            | Some c -> advance (); Buffer.add_char buf c; go ()
-            | None -> fail "bad escape")
-        | Some c ->
-            advance ();
-            Buffer.add_char buf c;
-            go ()
-      in
-      go ();
-      Buffer.contents buf
-    in
-    let number () =
-      let start = !pos in
-      let num_char c =
-        (c >= '0' && c <= '9')
-        || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-      in
-      while (match peek () with Some c when num_char c -> true | _ -> false) do
-        advance ()
-      done;
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> Num f
-      | None -> fail "bad number"
-    in
-    let rec value () =
-      skip_ws ();
-      match peek () with
-      | Some '{' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some '}' then begin advance (); Obj [] end
-          else begin
-            let fields = ref [] in
-            let rec members () =
-              skip_ws ();
-              let key = string_lit () in
-              skip_ws ();
-              expect ':';
-              let v = value () in
-              fields := (key, v) :: !fields;
-              skip_ws ();
-              match peek () with
-              | Some ',' -> advance (); members ()
-              | Some '}' -> advance ()
-              | _ -> fail "expected , or }"
-            in
-            members ();
-            Obj (List.rev !fields)
-          end
-      | Some '[' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some ']' then begin advance (); Arr [] end
-          else begin
-            let items = ref [] in
-            let rec elements () =
-              let v = value () in
-              items := v :: !items;
-              skip_ws ();
-              match peek () with
-              | Some ',' -> advance (); elements ()
-              | Some ']' -> advance ()
-              | _ -> fail "expected , or ]"
-            in
-            elements ();
-            Arr (List.rev !items)
-          end
-      | Some '"' -> Str (string_lit ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> number ()
-      | None -> fail "unexpected end of input"
-    in
-    match
-      let v = value () in
-      skip_ws ();
-      if !pos <> n then fail "trailing garbage";
-      v
-    with
-    | v -> Ok v
-    | exception Bad msg -> Error msg
-
-  let field obj key =
-    match obj with
-    | Obj fields -> List.assoc_opt key fields
-    | _ -> None
+  open Json
 
   let require_int line obj key =
     match field obj key with
@@ -609,8 +1140,20 @@ module Check = struct
 
   let require_str line obj key =
     match field obj key with
-    | Some (Str _) -> ()
+    | Some (Str s) -> s
     | _ -> raise (Bad (Printf.sprintf "%s: field %S missing or not a string" line key))
+
+  let require_bool line obj key =
+    match field obj key with
+    | Some (Bool _) -> ()
+    | _ -> raise (Bad (Printf.sprintf "%s: field %S missing or not a boolean" line key))
+
+  let require_tier line obj =
+    match require_str line obj "tier" with
+    | "det" | "sampled" -> ()
+    | tr -> raise (Bad (Printf.sprintf "%s: unknown tier %S" line tr))
+
+  let is_hex s = s <> "" && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) s
 
   let kind_of obj =
     match field obj "kind" with Some (Str k) -> k | _ -> raise (Bad "line without kind")
@@ -633,17 +1176,33 @@ module Check = struct
 
   let registry_jsonl content =
     check_lines content (fun where obj ->
+        let ints = List.iter (require_int where obj) in
         match kind_of obj with
+        | "meta" ->
+            ignore (require_str where obj "key");
+            ignore (require_str where obj "value")
+        | "round" ->
+            ints [ "round"; "bits"; "msgs"; "byz_bits"; "byz_msgs" ];
+            if field obj "live" <> None then require_int where obj "live"
+        | "span" ->
+            ints [ "session"; "party"; "depth"; "enter"; "exit"; "bits"; "msgs" ];
+            ignore (require_str where obj "path");
+            ignore (require_str where obj "label")
+        | "probe" ->
+            ints [ "session"; "party"; "round"; "iter" ];
+            require_bool where obj "byzantine";
+            ignore (require_str where obj "key");
+            if not (is_hex (require_str where obj "value")) then
+              raise (Bad (where ^ ": probe value is not lowercase hex"))
+        | "total" -> ints [ "sessions"; "spans"; "probes"; "honest_bits"; "honest_msgs" ]
         | "counter" | "gauge" ->
-            require_str where obj "tier";
-            require_str where obj "name";
+            require_tier where obj;
+            ignore (require_str where obj "name");
             require_int where obj "value"
         | "hist" ->
-            require_str where obj "tier";
-            require_str where obj "name";
-            List.iter
-              (require_int where obj)
-              [ "count"; "sum"; "min"; "max"; "p50"; "p90"; "p99" ];
+            require_tier where obj;
+            ignore (require_str where obj "name");
+            ints [ "count"; "sum"; "min"; "max"; "p50"; "p90"; "p99" ];
             (match field obj "buckets" with
             | Some (Arr items) ->
                 List.iter
@@ -692,13 +1251,11 @@ module Check = struct
                   (match field ev "ph" with
                   | Some (Str ("X" | "M" | "C" | "i")) -> ()
                   | _ -> raise (Bad "event with missing or unexpected ph"));
-                  require_str "event" ev "name";
+                  ignore (require_str "event" ev "name");
                   require_int "event" ev "pid";
                   match field ev "ph" with
                   | Some (Str "X") ->
-                      require_int "event" ev "tid";
-                      require_int "event" ev "ts";
-                      require_int "event" ev "dur";
+                      List.iter (require_int "event" ev) [ "tid"; "ts"; "dur" ];
                       (match (field ev "ts", field ev "dur") with
                       | Some (Num ts), Some (Num d) when ts >= 0.0 && d >= 1.0 -> ()
                       | _ -> raise (Bad "X event with negative ts or empty dur"))

@@ -1,26 +1,59 @@
-(** Runtime observability plane: histograms, Chrome trace export, live
-    stats endpoint. (The GC/RSS time-series sampler, which also snapshots
-    the poll mesh's counters, is [Engine.Sampler].)
+(** The observability plane: one recorder per run.
 
-    Layered over (not replacing) [lib/telemetry]: telemetry byte-audits
-    {e where the bits went}; this module reports {e how the run behaves} —
-    latency/size distributions, GC and RSS time series, a loadable
-    flamegraph timeline, and an on-demand plain-text stats dump — cheaply
-    enough to stay on during soaks and benches (recording allocates
-    nothing; export is the cold path).
+    A recorder of type {!t} is threaded (optionally) through the round loop
+    ([Net.Loop.run_core], and so [Net.Sim.run] and the engine backends) and
+    holds two kinds of data:
 
-    Every instrument carries a {!tier}:
+    - {b the span plane}, a byte audit of {e where the bits went}:
+      - {i spans}: every [Proto.Push]/[Proto.Pop] label scope becomes a node
+        in a per-(session × party) span tree, carrying its enter/exit round
+        (session-local, in rounds completed), the honest bits and messages
+        sent while it was the {e innermost} open scope, and its child spans.
+        A synthetic root span (labelled {!root_label}) catches traffic sent
+        outside any scope, so summing span bits over a session reproduces
+        [Metrics.honest_bits] {e exactly} — the ledger-equality invariant the
+        tests assert on every backend.
+      - {i round timeline}: per engine round, honest/byzantine bits and
+        message counts plus the number of live sessions.
+      - {i probes}: protocol-emitted data points ([Proto.probe]), e.g. the
+        convex-hull convergence probes of FINDPREFIX and HIGHCOSTCA. A probe
+        keeps the party's (immutable) bitstring; the hex render happens at
+        export. Occurrences of the same key at one party are numbered so
+        curves can be aligned across parties.
+      - {i meta}: free-form key/value pairs describing the run.
+    - {b instruments}, a report of {e how the run behaves}: counters, gauges
+      and log-bucketed histograms, each carrying a {!tier}.
 
-    - {!Det}: derived from the deterministic execution (bytes, frames,
-      rounds, live-session counts). Byte-identical across the sim, poll and
-      multi-domain backends of one scenario — asserted in tests via
-      [to_jsonl ~tier:Det] and {!Trace.chrome_trace} (virtual clock).
-    - {!Sampled}: wall-clock or process-level measurements (durations, GC,
-      RSS). Structurally excluded from identity asserts.
+    Everything exports as one canonical JSONL ({!to_jsonl}), as a Chrome
+    trace ({!Trace.chrome_trace}), as a span report ({!pp_report}) and as a
+    plain-text stats dump ({!render_text}, what the live {!Endpoint}
+    serves).
 
-    The registry is single-threaded by design: the round loop
-    ([Net.Loop]) records from its sequential sections only, the poll loop
-    from its own (only) thread. *)
+    A recorder is single-threaded. The round loop records from one domain
+    at a time: domain-parallel sessions record into private shards that are
+    folded back with {!merge}. (The GC/RSS time-series sampler, which also
+    snapshots the poll mesh's counters, is [Engine.Sampler].) *)
+
+(** {1 JSON} *)
+
+module Json : sig
+  type t =
+    | Null
+    | Bool of bool
+    | Num of float
+    | Str of string
+    | Arr of t list
+    | Obj of (string * t) list
+
+  val escape : string -> string
+  (** Escape a string for inclusion between JSON double quotes. *)
+
+  val parse : string -> (t, string) result
+  (** Strict RFC 8259 reader: string escapes are the JSON set only, [\u]
+      takes exactly four hex digits, raw control characters and trailing
+      input are rejected, and numbers follow the JSON grammar. [Error]
+      carries the reason and byte offset. *)
+end
 
 (** {1 Log-bucketed histograms} *)
 
@@ -79,19 +112,22 @@ module Hist : sig
   (** Pointwise add; min/max/sum/count combine accordingly. *)
 end
 
-(** {1 The instrument registry} *)
+(** {1 The recorder} *)
 
 type tier =
-  | Det  (** Deterministic: identical across backends, identity-asserted. *)
+  | Det
+      (** Deterministic: identical across backends, identity-asserted. The
+          span plane is Det. *)
   | Sampled  (** Wall-clock / process-level: excluded from identity asserts. *)
 
 type t
-(** A named registry of counters, gauges and histograms. *)
+
+val create : unit -> t
+
+(** {2 Instruments} *)
 
 type counter
 type gauge
-
-val create : unit -> t
 
 val counter : t -> tier:tier -> string -> counter
 (** Get or create. Raises [Invalid_argument] if [name] already exists with
@@ -109,22 +145,125 @@ val max_gauge : gauge -> int -> unit
 
 val gauge_value : gauge -> int
 
+(** {2 The span plane (recorded by the round loop, not by protocols)} *)
+
+val root_label : string
+(** Label of the synthetic per-(session × party) root span, ["(run)"]. *)
+
+val set_meta : t -> string -> string -> unit
+(** Attach a key/value describing the run; insertion order is preserved in
+    the export. Re-setting a key overwrites its value in place. Meta lines
+    are part of the Det export, so they should describe the scenario, not
+    the backend that ran it. *)
+
+val push : t -> session:int -> party:int -> round:int -> label:string -> unit
+(** Open a child span of the innermost open span. [round] is the
+    session-local number of rounds completed. *)
+
+val pop : t -> session:int -> party:int -> round:int -> unit
+(** Close the innermost open span; ignored if only the root is open. *)
+
+val probe :
+  t ->
+  session:int ->
+  party:int ->
+  round:int ->
+  byzantine:bool ->
+  key:string ->
+  value:Bitstring.t ->
+  unit
+(** Record a probe data point. The value is kept as is and rendered as
+    lowercase hex ([Bigint.to_hex] of [Bigint.of_bitstring]) at export. *)
+
+val message :
+  t ->
+  session:int ->
+  party:int ->
+  round:int ->
+  timeline_round:int ->
+  bytes:int ->
+  byzantine:bool ->
+  unit
+(** Account one sent message ([8 × bytes] bits) in session-local round
+    [round]. Honest messages are attributed to the sender's innermost open
+    span; byzantine ones only to the timeline. [timeline_round] is the
+    engine round the traffic occupies — the timeline's key. *)
+
+val live_sessions : t -> round:int -> live:int -> unit
+(** Record the number of live sessions during an engine round. *)
+
+val finish : t -> session:int -> party:int -> round:int -> unit
+(** Mark a party's instance as finished after [round] session rounds: fixes
+    the root span's exit round (and any span left open by a truncated run). *)
+
+val merge : into:t -> t -> unit
+(** Fold a shard recorder into [into], for parallel runs where each shard
+    recorded a disjoint set of (session × party) buckets (the round loop
+    uses one shard per session): buckets are adopted wholesale — a bucket
+    present in both recorders raises [Invalid_argument] — timeline cells are
+    summed per round ([live] max-merges, and is normally recorded only by
+    the coordinator), and [src] meta keys unknown to [into] are appended.
+    [src]'s instruments are not merged: in the loop only the coordinator
+    records instruments, so shards carry none. Merging
+    the shards of a deterministic run into the coordinator's recorder
+    reproduces the sequential recorder byte for byte under {!to_jsonl}
+    (buckets are re-sorted at export; sums commute). [src] must not be used
+    afterwards (its buckets are shared). *)
+
+(** {2 Queries} *)
+
+val sessions : t -> int list
+(** Distinct session ids seen, ascending. *)
+
+val honest_bits : t -> session:int -> int
+(** Sum of span bits over the session's buckets — equals the session's
+    [Metrics.honest_bits] (the ledger-equality invariant). *)
+
+val honest_bits_total : t -> int
+
+val label_bits : t -> (string * int) list
+(** Honest bits aggregated by span label across all sessions and parties
+    (the root span reported as ["(unlabeled)"], the same name
+    [Metrics.no_label] uses); zero-bit labels dropped; sorted bits
+    descending, then label ascending — directly comparable to
+    [Metrics.labels]. *)
+
+val probe_keys : t -> session:int -> string list
+(** Distinct probe keys recorded in a session, ascending. *)
+
+val convergence : t -> session:int -> key:string -> (Bigint.t * Bigint.t) list
+(** Per occurrence index of [key] (ascending), the (min, max) hull of the
+    values probed by {e honest} parties at that occurrence. The hull width
+    is [max - min]; for the FINDPREFIX / HIGHCOSTCA probes the width curve
+    is the measured Bounded Pre-Agreement convergence. *)
+
+(** {2 Export} *)
+
 val to_jsonl : ?tier:tier -> t -> string
-(** Canonical JSONL: counters, then gauges, then histograms, each sorted by
+(** Canonical JSONL. First the span plane — [meta] lines (insertion order),
+    [round] lines (ascending), [span] lines (buckets by (session, party),
+    spans pre-order), [probe] lines (same bucket order, emission order), one
+    [total] line — omitted when nothing was recorded there. Then the
+    instruments: counters, then gauges, then histograms, each sorted by
     name; histogram lines carry count/sum/min/max, p50/p90/p99 and the
-    non-empty buckets. [?tier] restricts to one tier — [~tier:Det] is the
-    deterministic export used in byte-identity asserts. *)
+    non-empty buckets. [~tier:Det] keeps the span plane and the Det
+    instruments — the deterministic export used in byte-identity asserts;
+    [~tier:Sampled] keeps only the Sampled instruments. *)
 
 val pp_text : Format.formatter -> t -> unit
-(** Human-readable dump: every instrument with histogram quantiles — what
+(** Human-readable dump of every instrument with histogram quantiles — what
     the live endpoint serves. *)
 
 val render_text : t -> string
 
+val pp_report : ?top:int -> Format.formatter -> t -> unit
+(** Compact span report: totals, aggregated span tree, per-round heatmap,
+    top-[top] (default 10) labels, convergence curves. *)
+
 (** {1 Chrome trace_event export} *)
 
 module Trace : sig
-  val chrome_trace : ?round_us:int -> Telemetry.t -> string
+  val chrome_trace : ?round_us:int -> t -> string
   (** Render the recorder's span trees and round timeline as Chrome
       [trace_event] (catapult) JSON, loadable in [chrome://tracing] or
       Perfetto. The clock is virtual: one engine round is [round_us]
@@ -166,11 +305,14 @@ end
 (** {1 Export schema checks}
 
     Self-validation for the three export formats, used by the [obs-smoke]
-    make target and tests. Checks structure, not values. *)
+    make target and tests. Lines are read with the strict {!Json.parse}. *)
 
 module Check : sig
   val registry_jsonl : string -> (int, string) result
-  (** Validate a {!to_jsonl} export; [Ok] carries the line count. *)
+  (** Validate a {!to_jsonl} export, every line kind: the required int,
+      string and boolean fields are present, instrument tiers are [det] or
+      [sampled], and probe values are lowercase hex. [Ok] carries the line
+      count. *)
 
   val sampler_jsonl : string -> (int, string) result
   (** Validate an [Engine.Sampler.to_jsonl] export (header line

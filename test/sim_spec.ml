@@ -10,9 +10,9 @@
    Kept byte-for-byte in behaviour: per-round prescribed matrices, the
    rushing adversary's view (1-based round number), truncation of byzantine
    messages at [Sim.max_byzantine_bytes], accounting in (sender, recipient)
-   order with self-addressed messages free, delivery, and the telemetry span
+   order with self-addressed messages free, delivery, and the obs span
    and probe stamps (session-local rounds completed). The one convention it
-   does not share with the production loop is the telemetry timeline stamp:
+   does not share with the production loop is the obs timeline stamp:
    the spec files traffic under the session round, the engine under the
    0-based engine round; the differential tests compare everything else. *)
 
@@ -21,7 +21,7 @@ open Net
 exception Round_limit_exceeded of int
 
 let run ?(max_rounds = 20_000) ?(allow_excess_corruptions = false) ?trace
-    ?telemetry ?(setup = `Plain) ~n ~t ~corrupt ~adversary protocol =
+    ?obs ?(setup = `Plain) ~n ~t ~corrupt ~adversary protocol =
   if Array.length corrupt <> n then invalid_arg "Sim_spec.run: corrupt array size";
   let make_ctx =
     match setup with
@@ -38,23 +38,23 @@ let run ?(max_rounds = 20_000) ?(allow_excess_corruptions = false) ?trace
   let rec settle ~round i = function
     | Proto.Push (l, rest) ->
         label_stacks.(i) <- l :: label_stacks.(i);
-        (match telemetry with
-        | Some tm -> Telemetry.push tm ~session:0 ~party:i ~round ~label:l
+        (match obs with
+        | Some o -> Obs.push o ~session:0 ~party:i ~round ~label:l
         | None -> ());
         settle ~round i rest
     | Proto.Pop rest ->
         (label_stacks.(i) <-
            (match label_stacks.(i) with [] -> [] | _ :: tl -> tl));
-        (match telemetry with
-        | Some tm -> Telemetry.pop tm ~session:0 ~party:i ~round
+        (match obs with
+        | Some o -> Obs.pop o ~session:0 ~party:i ~round
         | None -> ());
         settle ~round i rest
     | Proto.Probe (key, value, rest) ->
-        (match telemetry with
-        | Some tm when Telemetry.capture_probes tm ->
-            Telemetry.probe_event tm ~session:0 ~party:i ~round
-              ~byzantine:corrupt.(i) ~key ~value:(value ())
-        | Some _ | None -> ());
+        (match obs with
+        | Some o ->
+            Obs.probe o ~session:0 ~party:i ~round ~byzantine:corrupt.(i) ~key
+              ~value
+        | None -> ());
         settle ~round i rest
     | (Proto.Done _ | Proto.Step _) as s -> s
   in
@@ -120,9 +120,9 @@ let run ?(max_rounds = 20_000) ?(allow_excess_corruptions = false) ?trace
                       session = 0;
                     }
               | None -> ());
-              (match telemetry with
-              | Some tm ->
-                  Telemetry.message tm ~session:0 ~party:s
+              (match obs with
+              | Some o ->
+                  Obs.message o ~session:0 ~party:s
                     ~round:metrics.Metrics.rounds
                     ~timeline_round:metrics.Metrics.rounds
                     ~bytes:(String.length m) ~byzantine:corrupt.(s)
@@ -142,10 +142,10 @@ let run ?(max_rounds = 20_000) ?(allow_excess_corruptions = false) ?trace
       | Proto.Push _ | Proto.Pop _ | Proto.Probe _ -> assert false
     done
   done;
-  (match telemetry with
-  | Some tm ->
+  (match obs with
+  | Some o ->
       for i = 0 to n - 1 do
-        Telemetry.finish tm ~session:0 ~party:i ~round:metrics.Metrics.rounds
+        Obs.finish o ~session:0 ~party:i ~round:metrics.Metrics.rounds
       done
   | None -> ());
   Array.iteri

@@ -2,8 +2,8 @@
    multicore execution layer. Every entry point that takes [?domains] must
    produce byte-identical results for every domain count: engine outputs,
    per-session metrics (labels included), the aggregate ledger, trace CSV
-   and telemetry JSONL; Workload.run_cells sweeps. Plus the
-   shard-merge unit tests for Metrics and Telemetry that the engine's merge
+   and the Det obs JSONL; Workload.run_cells sweeps. Plus the
+   shard-merge unit tests for Metrics and Obs that the engine's merge
    pass relies on. *)
 
 open Net
@@ -48,9 +48,9 @@ let engine_run ~domains ~sessions ~spacing ~n ~t ~seed =
           (fun ctx -> Convex.agree_int ctx inputs.(ctx.Ctx.me)))
   in
   let trace = Trace.create () in
-  let telemetry = Telemetry.create () in
-  let outcome = Engine.run_sim ~domains ~trace ~telemetry ~n ~t ~corrupt specs in
-  (fingerprint outcome, Trace.to_csv trace, Telemetry.to_jsonl telemetry)
+  let obs = Obs.create () in
+  let outcome = Engine.run_sim ~domains ~trace ~obs ~n ~t ~corrupt specs in
+  (fingerprint outcome, Trace.to_csv trace, Obs.to_jsonl ~tier:Obs.Det obs)
 
 (* ---- engine: K=8 under equivocate, domains 1/2/4 ------------------------ *)
 
@@ -69,7 +69,7 @@ let test_engine_bit_identical () =
         (Printf.sprintf "trace CSV byte-identical (domains=%d)" domains)
         base_csv csv;
       Alcotest.(check string)
-        (Printf.sprintf "telemetry JSONL byte-identical (domains=%d)" domains)
+        (Printf.sprintf "Det obs JSONL byte-identical (domains=%d)" domains)
         base_jsonl jsonl)
     [ 2; 4 ]
 
@@ -165,43 +165,45 @@ let test_metrics_shard_merge () =
   Alcotest.(check int) "byz_msgs" single.Metrics.byz_msgs agg.Metrics.byz_msgs;
   Alcotest.(check int) "rounds is the max over shards" 7 agg.Metrics.rounds
 
-(* ---- Telemetry shard merge ----------------------------------------------- *)
+(* ---- Obs shard merge ----------------------------------------------------- *)
 
-let record_session tel ~session =
+let record_session o ~session =
   for party = 0 to 1 do
-    Telemetry.push tel ~session ~party ~round:0 ~label:"phase";
-    Telemetry.message tel ~session ~party ~round:1
-      ~timeline_round:(session + 1) ~bytes:(4 + session) ~byzantine:false;
-    Telemetry.pop tel ~session ~party ~round:1;
-    Telemetry.finish tel ~session ~party ~round:2
+    Obs.push o ~session ~party ~round:0 ~label:"phase";
+    Obs.message o ~session ~party ~round:1 ~timeline_round:(session + 1)
+      ~bytes:(4 + session) ~byzantine:false;
+    Obs.probe o ~session ~party ~round:1 ~byzantine:false ~key:"v"
+      ~value:(Bitstring.of_int (session + party));
+    Obs.pop o ~session ~party ~round:1;
+    Obs.finish o ~session ~party ~round:2
   done
 
 let test_telemetry_merge () =
   (* Direct recording in session order... *)
-  let direct = Telemetry.create () in
-  Telemetry.set_meta direct "kind" "merge-test";
+  let direct = Obs.create () in
+  Obs.set_meta direct "kind" "merge-test";
   List.iter (fun s -> record_session direct ~session:s) [ 0; 1; 2 ];
   (* ...equals per-session shards merged in session-index order. *)
-  let merged = Telemetry.create () in
-  Telemetry.set_meta merged "kind" "merge-test";
+  let merged = Obs.create () in
+  Obs.set_meta merged "kind" "merge-test";
   List.iter
     (fun s ->
-      let shard = Telemetry.create () in
+      let shard = Obs.create () in
       record_session shard ~session:s;
-      Telemetry.merge ~into:merged shard)
+      Obs.merge ~into:merged shard)
     [ 0; 1; 2 ];
-  Alcotest.(check string) "merged JSONL byte-identical"
-    (Telemetry.to_jsonl direct) (Telemetry.to_jsonl merged);
-  let a = Telemetry.create () and b = Telemetry.create () in
+  Alcotest.(check string) "merged JSONL byte-identical" (Obs.to_jsonl direct)
+    (Obs.to_jsonl merged);
+  let a = Obs.create () and b = Obs.create () in
   record_session a ~session:0;
   record_session b ~session:0;
-  match Telemetry.merge ~into:a b with
+  match Obs.merge ~into:a b with
   | () -> Alcotest.fail "bucket collision not rejected"
   | exception Invalid_argument msg ->
       (* Which colliding party is reported depends on hash order; the bucket
          diagnostic prefix is the contract. *)
-      Alcotest.(check string) "collision diagnostic" "Telemetry.merge: bucket"
-        (String.sub msg 0 23)
+      Alcotest.(check string) "collision diagnostic" "Obs.merge: bucket"
+        (String.sub msg 0 17)
 
 let suite =
   [

@@ -1,15 +1,17 @@
-(* Observability plane (lib/obs). Three layers of assertions:
+(* Observability plane (lib/obs). Four layers of assertions:
 
    1. Histogram algebra — qcheck properties: bucket bounds are monotone and
       contiguous, every int lands in exactly one bucket whose bounds contain
       it, and recorded quantiles bracket the true (sorted-rank) quantile.
-   2. Registry semantics — tier filtering, canonical export order, name
-      conflicts, and the export's own schema validators.
+   2. Instrument semantics — tier filtering, canonical export order, name
+      conflicts, and the export's own schema validators (strict JSON).
    3. The deterministic tier on a real K=8 engine workload: the Det JSONL
       and the virtual-clock chrome trace must be byte-identical across
       run_sim, run_poll and run_sim ~domains:2, and the Det instruments must
       reproduce the engine's aggregate ledger exactly (the frame-bytes
       histogram sums to the ledger's frame_bytes by construction).
+   4. A differential pin: two runs' Det JSONL and chrome trace hash to what
+      the separate span and instrument planes exported before the merge.
    Plus the sampler ring bounds and the live endpoint served through the
    poll loop's control hook, single-threaded. *)
 
@@ -215,29 +217,27 @@ let run_with_obs backend =
   let corrupt = Workload.spread_corrupt ~n ~t in
   let specs = mk_specs ~n ~sessions:8 ~spacing:2 ~seed:4242 in
   let obs = Obs.create () in
-  let telemetry = Telemetry.create () in
   let outcome =
     match backend with
-    | `Sim -> Engine.run_sim ~obs ~telemetry ~n ~t ~corrupt specs
-    | `Sim_domains d ->
-        Engine.run_sim ~domains:d ~obs ~telemetry ~n ~t ~corrupt specs
-    | `Poll -> Engine.run_poll ~obs ~telemetry ~n ~t ~corrupt specs
+    | `Sim -> Engine.run_sim ~obs ~n ~t ~corrupt specs
+    | `Sim_domains d -> Engine.run_sim ~domains:d ~obs ~n ~t ~corrupt specs
+    | `Poll -> Engine.run_poll ~obs ~n ~t ~corrupt specs
   in
-  (obs, telemetry, outcome)
+  (obs, outcome)
 
 let test_det_tier_identical_across_backends () =
-  let obs_sim, tm_sim, o_sim = run_with_obs `Sim in
-  let obs_poll, tm_poll, _ = run_with_obs `Poll in
-  let obs_par, tm_par, _ = run_with_obs (`Sim_domains 2) in
+  let obs_sim, o_sim = run_with_obs `Sim in
+  let obs_poll, _ = run_with_obs `Poll in
+  let obs_par, _ = run_with_obs (`Sim_domains 2) in
   let det o = Obs.to_jsonl ~tier:Obs.Det o in
   Alcotest.(check string) "Det JSONL: poll = sim" (det obs_sim) (det obs_poll);
   Alcotest.(check string)
     "Det JSONL: domains=2 = sim" (det obs_sim) (det obs_par);
-  let tr_sim = Obs.Trace.chrome_trace tm_sim in
+  let tr_sim = Obs.Trace.chrome_trace obs_sim in
   Alcotest.(check string) "chrome trace: poll = sim" tr_sim
-    (Obs.Trace.chrome_trace tm_poll);
+    (Obs.Trace.chrome_trace obs_poll);
   Alcotest.(check string) "chrome trace: domains=2 = sim" tr_sim
-    (Obs.Trace.chrome_trace tm_par);
+    (Obs.Trace.chrome_trace obs_par);
   (* The full export legitimately differs (wall-clock histograms, the poll
      sink's select-wait instruments); only the Det slice is identical. *)
   Alcotest.(check bool) "poll adds sampled instruments" true
@@ -274,6 +274,52 @@ let test_det_tier_identical_across_backends () =
   match Obs.Check.chrome_trace tr_sim with
   | Ok events -> Alcotest.(check bool) "trace has events" true (events > 0)
   | Error msg -> Alcotest.fail ("chrome trace schema: " ^ msg)
+
+(* ---- differential pin against the two-plane exports ----------------------- *)
+
+(* SHA-256 digests and byte lengths of what the two observability planes
+   exported before they were merged, for two fixed runs: the span
+   recorder's JSONL followed by the instrument registry's Det JSONL, and the
+   Chrome trace rendered from the span recorder. The one recorder must
+   reproduce both byte for byte: the span plane and the Det instruments
+   keep their values, and probes rendered at export match probes rendered
+   when emitted. *)
+let sim_pi_z_pins =
+  ( ("8cd3b2666168bce056ac6844151e9ef086354226968f2bc423bb5319342faaf9", 84256),
+    ("a49fd6062baaffe5eaf34b9f9e22c3b273a2839e8f767176c382a6c8c68dc52e", 103132) )
+
+let engine_k8_pins =
+  ( ("0d9568572611543472f1801c6a9ae0cb81536ace080ef18dc9a0b85193b07586", 416972),
+    ("1ecfb07732f50b6f242b68e4ce9d5af78aac6274ca4cce67575539cfe36d8c49", 419403) )
+
+let check_pinned name (det_pin, trace_pin) obs =
+  let digest s = (Sha256.hex s, String.length s) in
+  let pin = Alcotest.(pair string int) in
+  Alcotest.check pin (name ^ ": Det JSONL") det_pin
+    (digest (Obs.to_jsonl ~tier:Obs.Det obs));
+  Alcotest.check pin (name ^ ": chrome trace") trace_pin
+    (digest (Obs.Trace.chrome_trace obs))
+
+let test_pinned_exports () =
+  let n = 7 and t = 2 and bits = 1 lsl 9 in
+  let corrupt = Workload.spread_corrupt ~n ~t in
+  let inputs =
+    Workload.apply_input_attack Workload.Outlier_high ~corrupt
+      (Workload.clustered_bits (Prng.create 14) ~n ~bits ~shared_prefix_bits:(bits / 2))
+  in
+  let obs = Obs.create () in
+  ignore
+    (Workload.run_int ~obs ~n ~t ~corrupt
+       ~adversary:(Adversary.equivocate ~seed:5)
+       ~inputs Workload.pi_z.Workload.run);
+  check_pinned "sim Pi_Z n=7 l=2^9" sim_pi_z_pins obs;
+  List.iter
+    (fun (name, backend) -> check_pinned name engine_k8_pins (fst (run_with_obs backend)))
+    [
+      ("engine K=8 sim", `Sim);
+      ("engine K=8 poll", `Poll);
+      ("engine K=8 domains=2", `Sim_domains 2);
+    ]
 
 (* ---- sampler ring --------------------------------------------------------- *)
 
@@ -394,7 +440,20 @@ let test_check_rejects_garbage () =
   Alcotest.(check bool) "trace: no traceEvents" true
     (fails (Obs.Check.chrome_trace "{\"foo\":[]}"));
   Alcotest.(check bool) "trace: bad phase" true
-    (fails (Obs.Check.chrome_trace "{\"traceEvents\":[{\"ph\":\"Q\"}]}"))
+    (fails (Obs.Check.chrome_trace "{\"traceEvents\":[{\"ph\":\"Q\"}]}"));
+  (* Lines a permissive reader used to accept: a \u escape without four hex
+     digits, an escape JSON does not define, and an unknown tier. *)
+  List.iter
+    (fun (what, line) ->
+      Alcotest.(check bool) ("registry: " ^ what) true
+        (fails (Obs.Check.registry_jsonl line)))
+    [
+      ("\\uZZZZ in a name", {|{"kind":"counter","tier":"det","name":"a\uZZZZ","value":1}|});
+      ("\\q in a name", {|{"kind":"counter","tier":"det","name":"a\qb","value":1}|});
+      ("unknown tier", {|{"kind":"counter","tier":"bogus","name":"a","value":1}|});
+      ("probe value not hex", {|{"kind":"probe","session":0,"party":0,"round":0,"byzantine":false,"key":"k","iter":0,"value":"xyz"}|});
+      ("span without bits", {|{"kind":"span","session":0,"party":0,"depth":0,"path":"p","label":"l","enter":0,"exit":1,"msgs":0}|});
+    ]
 
 let suite =
   [
@@ -410,6 +469,8 @@ let suite =
       test_registry_tiers_and_order;
     Alcotest.test_case "Det tier byte-identical across sim/poll/domains=2"
       `Quick test_det_tier_identical_across_backends;
+    Alcotest.test_case "differential pin: one recorder = two-plane exports"
+      `Quick test_pinned_exports;
     Alcotest.test_case "sampler ring bounds and drops" `Quick
       test_sampler_ring_bounds;
     Alcotest.test_case "endpoint serves a waiting client" `Quick

@@ -1,5 +1,5 @@
 (* Poll backend: the event-driven transport must be invisible. Outputs,
-   per-session metrics, the aggregate ledger, trace CSV and telemetry JSONL
+   per-session metrics, the aggregate ledger, trace CSV and Det obs JSONL
    must be byte-identical to the simulator on the same seeds — while every
    frame actually moves through nonblocking sockets, including under
    backpressure (outbound rings far smaller than the frames, so bytes park
@@ -39,16 +39,14 @@ let run_backend backend ~sessions ~spacing ~n ~t ~seed =
   let corrupt = Workload.spread_corrupt ~n ~t in
   let specs = mk_specs ~n ~sessions ~spacing ~seed in
   let trace = Trace.create () in
-  let telemetry = Telemetry.create () in
+  let obs = Obs.create () in
   let outcome =
     match backend with
-    | `Sim -> Engine.run_sim ~trace ~telemetry ~n ~t ~corrupt specs
-    | `Poll outbuf ->
-        Engine.run_poll ?outbuf ~trace ~telemetry ~n ~t ~corrupt specs
-    | `Poll_domains d ->
-        Engine.run_poll ~domains:d ~trace ~telemetry ~n ~t ~corrupt specs
+    | `Sim -> Engine.run_sim ~trace ~obs ~n ~t ~corrupt specs
+    | `Poll outbuf -> Engine.run_poll ?outbuf ~trace ~obs ~n ~t ~corrupt specs
+    | `Poll_domains d -> Engine.run_poll ~domains:d ~trace ~obs ~n ~t ~corrupt specs
   in
-  (fingerprint outcome, Trace.to_csv trace, Telemetry.to_jsonl telemetry)
+  (fingerprint outcome, Trace.to_csv trace, Obs.to_jsonl ~tier:Obs.Det obs)
 
 let check_poll_equals_sim ~sessions ~spacing ~n ~t ~seed backends =
   let base_fp, base_csv, base_jsonl =
@@ -64,7 +62,7 @@ let check_poll_equals_sim ~sessions ~spacing ~n ~t ~seed backends =
         (Printf.sprintf "trace CSV byte-identical (%s)" label)
         base_csv csv;
       Alcotest.(check string)
-        (Printf.sprintf "telemetry JSONL byte-identical (%s)" label)
+        (Printf.sprintf "Det obs JSONL byte-identical (%s)" label)
         base_jsonl jsonl)
     backends
 

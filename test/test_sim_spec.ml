@@ -3,9 +3,10 @@
    passive, equivocating and crashing adversaries with random corruption sets
    and seeds, both executors must produce the same outputs, the same
    [Metrics] (rounds, honest/byzantine bits and messages, per-label bits), the
-   same trace CSV and the same telemetry span, probe and total records. The
-   telemetry timeline ("round" records) is excluded: it is the one stamp the
+   same trace CSV and the same obs span, probe and total records. The obs
+   timeline ("round" records) is excluded: it is the one stamp the
    reference files under a different round convention (see sim_spec.ml).
+   So are the loop's instruments, which the reference does not keep.
    Plus the edges: the [max_rounds] boundary, [allow_excess_corruptions] and
    byzantine truncation at [Sim.max_byzantine_bytes]. *)
 
@@ -16,20 +17,22 @@ type observed = {
   counters : int * int * int * int * int;
   labels : (string * int) list;
   csv : string;
-  telemetry : string list;
+  spans : string list;
 }
 
-let strip_timeline jsonl =
+(* The span, probe and total records of an export. *)
+let span_records jsonl =
   List.filter
     (fun line ->
-      line <> ""
-      && not (String.length line >= 16 && String.sub line 0 16 = {|{"kind":"round",|}))
+      List.exists
+        (fun kind -> String.starts_with ~prefix:(Printf.sprintf {|{"kind":"%s",|} kind) line)
+        [ "span"; "probe"; "total" ])
     (String.split_on_char '\n' jsonl)
 
 let observe render run =
   let trace = Trace.create () in
-  let telemetry = Telemetry.create () in
-  let (o : _ Sim.outcome) = run ~trace ~telemetry in
+  let obs = Obs.create () in
+  let (o : _ Sim.outcome) = run ~trace ~obs in
   let m = o.Sim.metrics in
   {
     outputs = Array.to_list (Array.map (Option.map render) o.Sim.outputs);
@@ -41,7 +44,7 @@ let observe render run =
         m.Metrics.byz_msgs );
     labels = Metrics.labels m;
     csv = Trace.to_csv trace;
-    telemetry = strip_timeline (Telemetry.to_jsonl telemetry);
+    spans = span_records (Obs.to_jsonl obs);
   }
 
 let check_same name a b =
@@ -52,21 +55,20 @@ let check_same name a b =
     (c a.counters) (c b.counters);
   Alcotest.(check (list (pair string int))) (name ^ ": labels") a.labels b.labels;
   Alcotest.(check string) (name ^ ": trace CSV") a.csv b.csv;
-  Alcotest.(check (list string)) (name ^ ": telemetry spans/probes") a.telemetry
-    b.telemetry
+  Alcotest.(check (list string)) (name ^ ": obs spans/probes") a.spans b.spans
 
 (* Run one scenario through both executors; adversaries are built fresh per
    run (strategies carry PRNG state). *)
 let differential ?max_rounds ?allow_excess_corruptions name ~n ~t ~corrupt
     ~mk_adversary render protocol =
   let spec =
-    observe render (fun ~trace ~telemetry ->
-        Sim_spec.run ?max_rounds ?allow_excess_corruptions ~trace ~telemetry ~n ~t
+    observe render (fun ~trace ~obs ->
+        Sim_spec.run ?max_rounds ?allow_excess_corruptions ~trace ~obs ~n ~t
           ~corrupt ~adversary:(mk_adversary ()) protocol)
   in
   let sim =
-    observe render (fun ~trace ~telemetry ->
-        Sim.run ?max_rounds ?allow_excess_corruptions ~trace ~telemetry ~n ~t
+    observe render (fun ~trace ~obs ->
+        Sim.run ?max_rounds ?allow_excess_corruptions ~trace ~obs ~n ~t
           ~corrupt ~adversary:(mk_adversary ()) protocol)
   in
   check_same name spec sim;

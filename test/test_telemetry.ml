@@ -1,6 +1,6 @@
-(* Telemetry: the ledger-equality invariant on every backend (sim, engine
-   sim/poll), canonical JSONL determinism, cross-backend export equality,
-   and the convex-hull convergence probes. *)
+(* The obs span plane: the ledger-equality invariant on every backend (sim,
+   engine sim/poll), canonical JSONL determinism, cross-backend export
+   equality, and the convex-hull convergence probes. *)
 
 open Net
 
@@ -20,32 +20,32 @@ let scenario ?(attack = Workload.Outlier_high) ?(bits = bits) ~seed () =
 
 let test_ledger_sim () =
   let corrupt, inputs = scenario ~seed:3 () in
-  let tm = Telemetry.create () in
+  let tm = Obs.create () in
   let report =
-    Workload.run_int ~telemetry:tm ~n ~t ~corrupt
+    Workload.run_int ~obs:tm ~n ~t ~corrupt
       ~adversary:(Adversary.equivocate ~seed:5)
       ~inputs Workload.pi_z.Workload.run
   in
   Alcotest.check Alcotest.int "span bits = Metrics.honest_bits"
     report.Workload.honest_bits
-    (Telemetry.honest_bits_total tm);
+    (Obs.honest_bits_total tm);
   Alcotest.check Alcotest.int "per-session query agrees"
     report.Workload.honest_bits
-    (Telemetry.honest_bits tm ~session:0);
+    (Obs.honest_bits tm ~session:0);
   Alcotest.check
     (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
     "label_bits = Metrics.labels" report.Workload.labels
-    (Telemetry.label_bits tm)
+    (Obs.label_bits tm)
 
 let test_ledger_poll_and_cross_backend () =
   let n = 4 and t = 1 in
   let inputs = Array.init n (fun i -> Bigint.of_int (70 + i)) in
   let protocol ctx = Convex.agree_int ctx inputs.(ctx.Ctx.me) in
   let corrupt = Array.make n false in
-  let tm_poll = Telemetry.create () in
+  let tm_poll = Obs.create () in
   let polled =
     match
-      (Engine.run_poll ~telemetry:tm_poll ~n ~t ~corrupt
+      (Engine.run_poll ~obs:tm_poll ~n ~t ~corrupt
          [ Engine.session ~sid:0 protocol ])
         .Engine.sessions
     with
@@ -54,21 +54,21 @@ let test_ledger_poll_and_cross_backend () =
   in
   Alcotest.check Alcotest.int "span bits = Metrics.honest_bits"
     polled.Engine.r_metrics.Metrics.honest_bits
-    (Telemetry.honest_bits_total tm_poll);
+    (Obs.honest_bits_total tm_poll);
   (* The same protocol as a one-session simulator run: both go through the
      same round loop, so the exports agree byte for byte. *)
-  let tm_sim = Telemetry.create () in
+  let tm_sim = Obs.create () in
   let outcome =
-    Sim.run ~telemetry:tm_sim ~n ~t
+    Sim.run ~obs:tm_sim ~n ~t
       ~corrupt:(Array.make n false)
       ~adversary:Adversary.passive protocol
   in
   Alcotest.check Alcotest.int "sim ledger"
     outcome.Sim.metrics.Metrics.honest_bits
-    (Telemetry.honest_bits_total tm_sim);
+    (Obs.honest_bits_total tm_sim);
   Alcotest.check Alcotest.string "sim and poll export identical JSONL"
-    (Telemetry.to_jsonl tm_sim)
-    (Telemetry.to_jsonl tm_poll);
+    (Obs.to_jsonl ~tier:Obs.Det tm_sim)
+    (Obs.to_jsonl ~tier:Obs.Det tm_poll);
   Array.iteri
     (fun i o ->
       Alcotest.check Alcotest.bool
@@ -95,20 +95,20 @@ let test_ledger_engine_sim () =
           ~sid:(k * 3)
           (fun ctx -> Convex.agree_int ctx inputs.(k).(ctx.Ctx.me)))
   in
-  let tm = Telemetry.create () in
-  let outcome = Engine.run_sim ~telemetry:tm ~n ~t ~corrupt specs in
+  let tm = Obs.create () in
+  let outcome = Engine.run_sim ~obs:tm ~n ~t ~corrupt specs in
   List.iter
     (fun r ->
       Alcotest.check Alcotest.int
         (Printf.sprintf "session %d ledger" r.Engine.r_sid)
         r.Engine.r_metrics.Metrics.honest_bits
-        (Telemetry.honest_bits tm ~session:r.Engine.r_sid))
+        (Obs.honest_bits tm ~session:r.Engine.r_sid))
     outcome.Engine.sessions;
   Alcotest.check Alcotest.int "aggregate ledger"
     outcome.Engine.aggregate.Engine.honest_bits_total
-    (Telemetry.honest_bits_total tm);
+    (Obs.honest_bits_total tm);
   Alcotest.check (Alcotest.list Alcotest.int) "session ids recorded"
-    [ 0; 3; 6; 9 ] (Telemetry.sessions tm)
+    [ 0; 3; 6; 9 ] (Obs.sessions tm)
 
 let test_ledger_engine_poll () =
   let n = 4 and t = 1 in
@@ -118,33 +118,33 @@ let test_ledger_engine_poll () =
         Engine.session ~start_round:k ~sid:k (fun ctx ->
             Convex.agree_int ctx (Bigint.of_int (100 + (10 * k) + ctx.Ctx.me))))
   in
-  let tm = Telemetry.create () in
+  let tm = Obs.create () in
   let outcome =
-    Engine.run_poll ~telemetry:tm ~n ~t ~corrupt:(Array.make n false) specs
+    Engine.run_poll ~obs:tm ~n ~t ~corrupt:(Array.make n false) specs
   in
   List.iter
     (fun r ->
       Alcotest.check Alcotest.int
         (Printf.sprintf "session %d ledger" r.Engine.r_sid)
         r.Engine.r_metrics.Metrics.honest_bits
-        (Telemetry.honest_bits tm ~session:r.Engine.r_sid))
+        (Obs.honest_bits tm ~session:r.Engine.r_sid))
     outcome.Engine.sessions;
   Alcotest.check Alcotest.int "aggregate ledger"
     outcome.Engine.aggregate.Engine.honest_bits_total
-    (Telemetry.honest_bits_total tm)
+    (Obs.honest_bits_total tm)
 
 (* ---- canonical export ----------------------------------------------------- *)
 
 let test_jsonl_deterministic () =
   let go () =
     let corrupt, inputs = scenario ~seed:9 () in
-    let tm = Telemetry.create () in
-    Telemetry.set_meta tm "seed" "9";
+    let tm = Obs.create () in
+    Obs.set_meta tm "seed" "9";
     ignore
-      (Workload.run_int ~telemetry:tm ~n ~t ~corrupt
+      (Workload.run_int ~obs:tm ~n ~t ~corrupt
          ~adversary:(Adversary.equivocate ~seed:9)
          ~inputs Workload.pi_z.Workload.run);
-    Telemetry.to_jsonl tm
+    Obs.to_jsonl ~tier:Obs.Det tm
   in
   let a = go () and b = go () in
   Alcotest.check Alcotest.bool "two runs, byte-identical JSONL" true
@@ -187,10 +187,10 @@ let check_monotone name curve =
 
 let convergence_of ?bits ~protocol ~adversary ~attack ~key ~seed () =
   let corrupt, inputs = scenario ~attack ?bits ~seed () in
-  let tm = Telemetry.create () in
+  let tm = Obs.create () in
   ignore
-    (Workload.run_int ~telemetry:tm ~n ~t ~corrupt ~adversary ~inputs protocol);
-  (tm, Telemetry.convergence tm ~session:0 ~key)
+    (Workload.run_int ~obs:tm ~n ~t ~corrupt ~adversary ~inputs protocol);
+  (tm, Obs.convergence tm ~session:0 ~key)
 
 let test_convergence_find_prefix () =
   (* bits = 32 < n^2 = 49: Pi_Z takes the short regime, which binary-searches
@@ -202,7 +202,7 @@ let test_convergence_find_prefix () =
   in
   check_monotone "find_prefix/honest" honest_curve;
   Alcotest.check Alcotest.bool "key listed" true
-    (List.mem "find_prefix.v" (Telemetry.probe_keys tm ~session:0));
+    (List.mem "find_prefix.v" (Obs.probe_keys tm ~session:0));
   let _, adv_curve =
     convergence_of ~bits:32 ~protocol:Workload.pi_z.Workload.run
       ~adversary:(Adversary.equivocate ~seed:5)
@@ -225,33 +225,6 @@ let test_convergence_find_prefix_blocks () =
       ~attack:Workload.Outlier_high ~key:"find_prefix_blocks.v" ~seed:24 ()
   in
   check_monotone "find_prefix_blocks/equivocate" adv_curve
-
-(* ---- probes-off recorder -------------------------------------------------- *)
-
-let test_probes_off () =
-  (* A ~probes:false recorder must keep the exact same span ledger while
-     recording zero probes (the runtimes skip the value render entirely). *)
-  let run ~telemetry =
-    let corrupt, inputs = scenario ~seed:3 () in
-    Workload.run_int ~telemetry ~n ~t ~corrupt
-      ~adversary:(Adversary.equivocate ~seed:5)
-      ~inputs Workload.pi_z.Workload.run
-  in
-  let tm_full = Telemetry.create () in
-  let report = run ~telemetry:tm_full in
-  let tm_spans = Telemetry.create ~probes:false () in
-  let _ = run ~telemetry:tm_spans in
-  Alcotest.check Alcotest.bool "flag readable" false
-    (Telemetry.capture_probes tm_spans);
-  Alcotest.check Alcotest.int "same span ledger"
-    report.Workload.honest_bits
-    (Telemetry.honest_bits_total tm_spans);
-  Alcotest.check
-    (Alcotest.list Alcotest.string)
-    "no probe keys" []
-    (Telemetry.probe_keys tm_spans ~session:0);
-  Alcotest.check Alcotest.bool "full recorder did capture probes" true
-    (Telemetry.probe_keys tm_full ~session:0 <> [])
 
 let test_convergence_high_cost_ca () =
   let protocol = (Workload.high_cost_ca ~bits).Workload.run in
@@ -281,7 +254,6 @@ let suite =
     Alcotest.test_case "ledger: engine poll (K=4)" `Quick
       test_ledger_engine_poll;
     Alcotest.test_case "jsonl deterministic" `Quick test_jsonl_deterministic;
-    Alcotest.test_case "probes-off recorder" `Quick test_probes_off;
     Alcotest.test_case "convergence: find_prefix" `Quick
       test_convergence_find_prefix;
     Alcotest.test_case "convergence: find_prefix_blocks" `Quick
