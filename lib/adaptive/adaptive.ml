@@ -3,7 +3,7 @@
    and its arguments; the load-bearing facts are repeated inline where the
    code depends on them.
 
-   Both layers share one shape: an O(1)-round optimistic preamble, a bit-BA
+   The wrapper has one shape: an O(1)-round optimistic preamble, a bit-BA
    arbitration of "my certificate formed", and a branch on the arbitration's
    agreed output — never on local state, so honest parties consume identical
    round counts in the lock-step monad.  The arbitration is plain phase king
@@ -298,94 +298,3 @@ let wrapper_cost (ctx : Ctx.t) ~value_bits ~fallback ~f =
       c_bits = preamble + fb.Ba.Substrate.c_bits;
       c_rounds = fast_path_rounds ctx + fb.Ba.Substrate.c_rounds;
     }
-
-(* ------------------------------------------------------------------ *)
-(* The substrate backend: unanimity certificate in front of any fallback. *)
-
-let substrate ?stats ~fallback () : (module Ba.Substrate.S) =
-  let module F = (val fallback : Ba.Substrate.S) in
-  (module struct
-    let name = "adaptive(" ^ F.name ^ ")"
-    let assumption = F.assumption
-
-    (* The arbitration is plain phase king, so the packaged backend keeps
-       t < n/3 even over a t < n/2 fallback. *)
-    let max_t ~n = min ((n - 1) / 3) (F.max_t ~n)
-
-    (* Worst case (fallback taken); the f = 0 run stops after
-       1 + 3(t+1) rounds — see [cost]. *)
-    let rounds ctx = 1 + Ba.Phase_king.rounds ctx + F.rounds ctx
-
-    (* R1 echoes are the value itself when it fits a digest, else κ bits. *)
-    let fast_bits (ctx : Ctx.t) ~value_bits =
-      let n = ctx.Ctx.n in
-      let echo = 8 + min (value_bits + 16) (8 * (Sha256.digest_size + 1)) in
-      (n * n * echo) + arbitration_bits ctx
-
-    let bits_estimate ctx ~value_bits =
-      fast_bits ctx ~value_bits + F.bits_estimate ctx ~value_bits
-
-    (* The f-sensitive model: the preamble + arbitration floor at f = 0,
-       plus the fallback's own (possibly f-sensitive) cost otherwise.
-       Rounds therefore step from O(t) (the simultaneity lower bound keeps
-       the arbitration at t+1 phases even when f = 0) up to the fallback's
-       worst case — the coarse form of the literature's min(f+2, t+1). *)
-    let cost ctx ~value_bits ~f =
-      let fast = fast_bits ctx ~value_bits in
-      if f = 0 then
-        {
-          Ba.Substrate.c_f = 0;
-          c_bits = fast;
-          c_rounds = 1 + Ba.Phase_king.rounds ctx;
-        }
-      else
-        let fb = F.cost ctx ~value_bits ~f in
-        {
-          Ba.Substrate.c_f = f;
-          c_bits = fast + fb.Ba.Substrate.c_bits;
-          c_rounds = 1 + Ba.Phase_king.rounds ctx + fb.Ba.Substrate.c_rounds;
-        }
-
-    let run spec ctx v =
-      let enc = spec.Ba.Substrate.encode v in
-      (* Short inputs ride along verbatim; long ones are hashed down to κ
-         bits.  The tag byte keeps the two injective images disjoint. *)
-      let m =
-        if String.length enc <= Sha256.digest_size then "\x00" ^ enc
-        else "\x01" ^ Sha256.digest enc
-      in
-      let* unanimous =
-        Proto.with_label "adaptive_fast"
-          (let* inbox = Proto.broadcast m in
-           let missing = ref 0 and unanimous = ref true in
-           Array.iter
-             (function
-               | Some raw -> if not (String.equal raw m) then unanimous := false
-               | None ->
-                   incr missing;
-                   unanimous := false)
-             inbox;
-           record_observed stats !missing;
-           Proto.return !unanimous)
-      in
-      (* Agreed [true] proves some honest party received exactly its own
-         message from everyone; all honest parties broadcast truthfully, so
-         (collision resistance + injective encode) every honest input equals
-         v — returning the own input is Termination, Agreement, Validity and
-         the two-element-domain strengthening at once. *)
-      let* fast = Ba.Phase_king.run_bit ctx unanimous in
-      if fast then begin
-        bump_fast stats;
-        Proto.return v
-      end
-      else begin
-        bump_fallback stats;
-        F.run spec ctx v
-      end
-
-    (* A 1-bit instance cannot be won by arbitrating with another bit-BA of
-       the same cost: delegate bits straight to the fallback. *)
-    let run_bit ctx b = F.run_bit ctx b
-    let run_bytes ctx v = run Ba.Phase_king.bytes_spec ctx v
-    let run_option ctx v = run Ba.Phase_king.option_spec ctx v
-  end)

@@ -4,18 +4,18 @@
     Every protocol in this repository pays its worst-case Θ(t)-driven cost
     even in the production-typical zero-fault run.  Following the adaptive
     agreement line (Constantinescu–Dufay–Paramonov–Wattenhofer, PAPERS.md),
-    this module adds an optimistic O(1)-round preamble in front of an
-    arbitrary substrate: when a certificate forms — unanimity for the BA
-    backend, a quorum of order-statistic witnesses for the CA wrapper — the
-    parties terminate with O(nℓ + n²κ) bits; otherwise they fall back to the
-    full worst-case protocol, paying only the preamble as overhead.
+    this module adds an optimistic O(1)-round preamble in front of Π_ℤ over
+    an arbitrary BA substrate: when a certificate forms — a quorum of
+    order-statistic witnesses — the parties terminate with O(nℓ + n²κ) bits;
+    otherwise they fall back to the full worst-case protocol, paying only the
+    preamble as overhead.
 
     {b The arbitration pattern.}  Honest parties may disagree on whether the
     certificate formed (byzantine parties can show it to some and not
     others), and the lock-step protocol monad requires all honest parties to
     consume identical round counts, so the fast/slow decision cannot be a
-    local branch.  Both layers therefore run one {e bit}-BA (plain
-    phase king, t < n/3) on "my certificate formed" and branch on its agreed
+    local branch.  The wrapper therefore runs one {e bit}-BA (plain
+    phase king, t < n/3) on "my certificate formed" and branches on its agreed
     output.  Over the two-element domain the bit-BA's output is always some
     honest party's input (Lemma 2), which is exactly the soundness needed:
     a [true] outcome proves an honest witness of the certificate.
@@ -26,11 +26,11 @@
     on the nose.  What this layer delivers is the coarse version: a fixed
     O(t)-round skeleton (preamble + bit-BA arbitration) that the f = 0 run
     terminates at, versus skeleton + full fallback otherwise.  The
-    {!Ba.Substrate.cost} model reports this honestly — see [cost]. *)
+    cost model reports this honestly — see [wrapper_cost]. *)
 
 type stats = {
   mutable fast_taken : int;  (** arbitrations that decided for the fast path *)
-  mutable fallbacks : int;  (** arbitrations that fell back to the substrate *)
+  mutable fallbacks : int;  (** arbitrations that fell back to full Π_ℤ *)
   mutable f_observed : int;
       (** high-water mark of parties observed deviating from the fast-path
           protocol (missing/undecodable/inconsistent echoes) — a lower bound
@@ -43,32 +43,6 @@ type stats = {
 
 val stats : unit -> stats
 (** A zeroed record. *)
-
-val substrate :
-  ?stats:stats ->
-  fallback:(module Ba.Substrate.S) ->
-  unit ->
-  (module Ba.Substrate.S)
-(** [substrate ~fallback ()] packages the early-stopping layer as a
-    first-class BA backend named ["adaptive(<fallback>)"]:
-
-    + one broadcast round of the input (hashed down to κ bits when longer),
-    + a bit-BA arbitration of the unanimity certificate "every party echoed
-      exactly my message",
-    + on [true]: terminate with the own input — unanimity plus collision
-      resistance guarantee all honest inputs are equal, so this satisfies
-      Termination, Agreement, Validity {e and} the two-element-domain
-      strengthening;
-    + on [false]: run the fallback substrate verbatim.
-
-    [run_bit] delegates straight to the fallback — arbitrating a 1-bit
-    instance with another bit-BA can never win.  The arbitration is plain
-    phase king, so the packaged backend keeps t < n/3 ([max_t]) even over a
-    t < n/2 fallback.  Its [cost] model scales with [f]: at [f = 0] the
-    preamble + arbitration, otherwise preamble + arbitration + fallback,
-    with rounds growing from O(t) (arbitration floor) toward the fallback's
-    worst case — the min(f+2, t+1)-style profile the adaptive-BA literature
-    targets, coarsened by the simultaneity bound (see module doc). *)
 
 val agree_int :
   ?stats:stats ->
