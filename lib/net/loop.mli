@@ -100,7 +100,6 @@ val max_byzantine_bytes : int
 val run_core :
   ?max_rounds:int ->
   ?domains:int ->
-  ?trace:Trace.t ->
   ?obs:Obs.t ->
   ?on_round:(round:int -> live:int -> unit) ->
   transport:Transport.t ->
@@ -128,24 +127,28 @@ val run_core :
     session capacity and reused, so steady-state rounds allocate only
     per-session transients.
 
-    [trace] records every sent message with its session id and session-local
-    round.
+    Every session keeps one stack of open spans per party ({!Obs.shard}):
+    label scopes push and pop it, and each message is charged once, to the
+    sender's innermost open span; the session's {!Metrics} is filled from
+    those totals when it retires.
 
-    [obs] attaches the run's {!Obs} recorder. Span plane: each session
-    records spans and probes under its [sid] at session-local rounds
-    completed, messages are filed on the timeline under the 0-based engine
-    round, and the live-session count is recorded once per engine round —
-    summing a session's span bits reproduces that session's
+    [obs] attaches the run's {!Obs} recorder, and the sessions then keep
+    their span trees too. Span plane: each session records spans and probes
+    under its [sid] at session-local rounds completed, messages are filed on
+    the timeline under the 0-based engine round (and, for a recorder made
+    with [~messages:true], as one event each, with its session id and
+    session-local round), and the live-session count is recorded once per
+    engine round — summing a session's span bits reproduces that session's
     [Metrics.honest_bits] exactly.
 
     [domains] (default 1) shards the live sessions across the shared
     {!Pool} at every engine-round barrier. Sequential-equals-parallel
     bit-identity is a hard invariant: each session steps on one domain with
-    its own states, adversary PRNG, [Metrics.t] and recorder shard, while
-    everything shared — admission, traces, frame assembly, the aggregate
-    ledger, the instruments — stays on the calling domain in admission
-    order, and the shards are merged back in session-index order
-    ({!Obs.merge}).
+    its own states, adversary PRNG and recorder, while everything shared —
+    admission, frame assembly, the aggregate ledger, the instruments — stays
+    on the calling domain in admission order, and the sessions' recorders
+    are merged back in session-index order ({!Obs.merge}) at every domain
+    count.
 
     Instruments, deterministic tier (recorded from the sequential sections
     only, so identical across transports and domain counts): histograms

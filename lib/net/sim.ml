@@ -10,7 +10,7 @@ exception Round_limit_exceeded = Loop.Round_limit_exceeded
 
 let max_byzantine_bytes = Loop.max_byzantine_bytes
 
-let run ?max_rounds ?(allow_excess_corruptions = false) ?trace ?obs
+let run ?max_rounds ?(allow_excess_corruptions = false) ?obs
     ?(setup = `Plain) ~n ~t ~corrupt ~adversary protocol =
   if Array.length corrupt <> n then invalid_arg "Sim.run: corrupt array size";
   let n_corrupt = Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 corrupt in
@@ -19,7 +19,7 @@ let run ?max_rounds ?(allow_excess_corruptions = false) ?trace ?obs
   if n_corrupt > t && not allow_excess_corruptions then
     invalid_arg "Sim.run: more corruptions than t";
   match
-    Loop.run_core ?max_rounds ?trace ?obs
+    Loop.run_core ?max_rounds ?obs
       ~transport:(Transport.loopback ()) ~n ~t ~corrupt
       [ Loop.session ~adversary ~setup ~sid:0 protocol ]
   with

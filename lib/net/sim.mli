@@ -34,7 +34,6 @@ val max_byzantine_bytes : int
 val run :
   ?max_rounds:int ->
   ?allow_excess_corruptions:bool ->
-  ?trace:Trace.t ->
   ?obs:Obs.t ->
   ?setup:[ `Plain | `Authenticated ] ->
   n:int ->
@@ -47,9 +46,10 @@ val run :
     [n] parties. [corrupt.(i)] puts party [i] under the adversary's control;
     at most [t] parties may be corrupted unless [allow_excess_corruptions]
     is set (used only by the beyond-the-bound resilience experiment).
-    [trace] records every sent message (session 0). [obs] attaches a
-    recorder (session 0): label scopes become spans, sent messages feed
-    spans and the round timeline, [Proto.probe] values are recorded, and
+    [obs] attaches a recorder (session 0): label scopes become spans, sent
+    messages feed spans, the round timeline and (with
+    [Obs.create ~messages:true]) one event per message, [Proto.probe]
+    values are recorded, and
     the loop's instruments are filled in ({!Loop.run_core}) — summing the
     recorder's span bits reproduces [metrics.honest_bits] exactly. The
     timeline follows the loop's convention: traffic is filed under the

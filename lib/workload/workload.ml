@@ -139,10 +139,10 @@ let spread_corrupt ~n ~t =
 
 (** [run_int] executes a protocol of type Π_ℤ (Bigint in, Bigint out) and
     checks Definition 1 against the honest inputs. *)
-let run_int ?max_rounds ?trace ?obs ?setup ~n ~t ~corrupt ~adversary
+let run_int ?max_rounds ?obs ?setup ~n ~t ~corrupt ~adversary
     ~inputs protocol =
   let outcome =
-    Sim.run ?max_rounds ?trace ?obs ?setup ~n ~t ~corrupt
+    Sim.run ?max_rounds ?obs ?setup ~n ~t ~corrupt
       ~adversary (fun ctx -> protocol ctx inputs.(ctx.Ctx.me))
   in
   let outputs = Sim.honest_outputs ~corrupt outcome in

@@ -60,7 +60,6 @@ val spread_corrupt : n:int -> t:int -> bool array
 
 val run_int :
   ?max_rounds:int ->
-  ?trace:Net.Trace.t ->
   ?obs:Obs.t ->
   ?setup:[ `Plain | `Authenticated ] ->
   n:int ->
@@ -70,7 +69,7 @@ val run_int :
   inputs:Bigint.t array ->
   (Net.Ctx.t -> Bigint.t -> Bigint.t Net.Proto.t) ->
   report
-(** [max_rounds], [trace], [obs] and [setup] are handed to the underlying
+(** [max_rounds], [obs] and [setup] are handed to the underlying
     {!Net.Sim.run}; [setup] (default [`Plain]) must be [`Authenticated] for
     protocols built on a cryptographic setup ({!pi_z_auth}). *)
 

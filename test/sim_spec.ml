@@ -5,7 +5,9 @@
    lib/, so the
    differential tests (test_sim_spec.ml, test_engine.ml) compare the
    production loop against an independent statement of the semantics rather
-   than against itself.
+   than against itself. Its own label table, message list and CSV writer
+   are the accounting lib/ had before it charged messages to the obs span
+   stacks.
 
    Kept byte-for-byte in behaviour: per-round prescribed matrices, the
    rushing adversary's view (1-based round number), truncation of byzantine
@@ -20,6 +22,49 @@ open Net
 
 exception Round_limit_exceeded of int
 
+(* ---- message list and CSV --------------------------------------------------- *)
+
+type event = {
+  round : int;
+  src : int;
+  dst : int;
+  bytes : int;
+  byzantine : bool;
+  label : string option;
+  session : int;
+}
+
+type trace = { mutable rev_events : event list }
+
+let trace () = { rev_events = [] }
+
+let to_csv trace =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "round,src,dst,bytes,byzantine,label,session\n";
+  List.iter
+    (fun e ->
+      Buffer.add_string buf
+        (Printf.sprintf "%d,%d,%d,%d,%b,%s,%d\n" e.round e.src e.dst e.bytes
+           e.byzantine
+           (Option.value ~default:"" e.label)
+           e.session))
+    (List.rev trace.rev_events);
+  Buffer.contents buf
+
+(* ---- label table -------------------------------------------------------------- *)
+
+let record_label table ~label ~bytes =
+  let label = match label with Some l -> l | None -> "(unlabeled)" in
+  Hashtbl.replace table label
+    ((8 * bytes) + Option.value ~default:0 (Hashtbl.find_opt table label))
+
+let sorted_labels table =
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) table []
+  |> List.sort (fun (la, a) (lb, b) ->
+         if a <> b then compare b a else compare la lb)
+
+(* ---- the executor --------------------------------------------------------------- *)
+
 let run ?(max_rounds = 20_000) ?(allow_excess_corruptions = false) ?trace
     ?obs ?(setup = `Plain) ~n ~t ~corrupt ~adversary protocol =
   if Array.length corrupt <> n then invalid_arg "Sim_spec.run: corrupt array size";
@@ -31,7 +76,10 @@ let run ?(max_rounds = 20_000) ?(allow_excess_corruptions = false) ?trace
   let n_corrupt = Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 corrupt in
   if n_corrupt > t && not allow_excess_corruptions then
     invalid_arg "Sim_spec.run: more corruptions than t";
-  let metrics = Metrics.create () in
+  let rounds = ref 0 in
+  let honest_bits = ref 0 and honest_msgs = ref 0 in
+  let byz_bits = ref 0 and byz_msgs = ref 0 in
+  let by_label = Hashtbl.create 16 in
   let states = Array.init n (fun me -> protocol (make_ctx ~n ~t ~me)) in
   let outputs = Array.make n None in
   let label_stacks = Array.make n [] in
@@ -70,9 +118,8 @@ let run ?(max_rounds = 20_000) ?(allow_excess_corruptions = false) ?trace
     !running
   in
   while honest_running () do
-    metrics.Metrics.rounds <- metrics.Metrics.rounds + 1;
-    if metrics.Metrics.rounds > max_rounds then
-      raise (Round_limit_exceeded max_rounds);
+    incr rounds;
+    if !rounds > max_rounds then raise (Round_limit_exceeded max_rounds);
     (* 1. Prescribed outboxes for every party. *)
     let prescribed =
       Array.map
@@ -84,9 +131,7 @@ let run ?(max_rounds = 20_000) ?(allow_excess_corruptions = false) ?trace
         states
     in
     (* 2. Rushing adversary picks the corrupted parties' actual messages. *)
-    let view =
-      { Adversary.round = metrics.Metrics.rounds; n; t; corrupt; prescribed }
-    in
+    let view = { Adversary.round = !rounds; n; t; corrupt; prescribed } in
     let actual =
       Array.init n (fun s ->
           if not corrupt.(s) then prescribed.(s)
@@ -107,29 +152,35 @@ let run ?(max_rounds = 20_000) ?(allow_excess_corruptions = false) ?trace
               let label =
                 match label_stacks.(s) with [] -> None | l :: _ -> Some l
               in
+              let bytes = String.length m in
               (match trace with
               | Some tr ->
-                  Trace.record tr
+                  tr.rev_events <-
                     {
-                      Trace.round = metrics.Metrics.rounds;
+                      round = !rounds;
                       src = s;
                       dst = r;
-                      bytes = String.length m;
+                      bytes;
                       byzantine = corrupt.(s);
                       label;
                       session = 0;
                     }
+                    :: tr.rev_events
               | None -> ());
               (match obs with
               | Some o ->
-                  Obs.message o ~session:0 ~party:s
-                    ~round:metrics.Metrics.rounds
-                    ~timeline_round:metrics.Metrics.rounds
-                    ~bytes:(String.length m) ~byzantine:corrupt.(s)
+                  Obs.message o ~session:0 ~party:s ~dst:r ~round:!rounds
+                    ~timeline_round:!rounds ~bytes ~byzantine:corrupt.(s)
               | None -> ());
-              if corrupt.(s) then
-                Metrics.record_byzantine metrics ~bytes:(String.length m)
-              else Metrics.record_honest metrics ~label ~bytes:(String.length m)
+              if corrupt.(s) then begin
+                byz_bits := !byz_bits + (8 * bytes);
+                incr byz_msgs
+              end
+              else begin
+                honest_bits := !honest_bits + (8 * bytes);
+                incr honest_msgs;
+                record_label by_label ~label ~bytes
+              end
       done
     done;
     (* 4. Deliver and advance. *)
@@ -137,7 +188,7 @@ let run ?(max_rounds = 20_000) ?(allow_excess_corruptions = false) ?trace
       match states.(i) with
       | Proto.Step (_, k) ->
           let inbox = Array.init n (fun s -> actual.(s).(i)) in
-          states.(i) <- settle ~round:metrics.Metrics.rounds i (k inbox)
+          states.(i) <- settle ~round:!rounds i (k inbox)
       | Proto.Done _ -> ()
       | Proto.Push _ | Proto.Pop _ | Proto.Probe _ -> assert false
     done
@@ -145,10 +196,20 @@ let run ?(max_rounds = 20_000) ?(allow_excess_corruptions = false) ?trace
   (match obs with
   | Some o ->
       for i = 0 to n - 1 do
-        Obs.finish o ~session:0 ~party:i ~round:metrics.Metrics.rounds
+        Obs.finish o ~session:0 ~party:i ~round:!rounds
       done
   | None -> ());
   Array.iteri
     (fun i s -> match s with Proto.Done v -> outputs.(i) <- Some v | _ -> ())
     states;
+  let metrics =
+    {
+      Metrics.rounds = !rounds;
+      honest_bits = !honest_bits;
+      honest_msgs = !honest_msgs;
+      byz_bits = !byz_bits;
+      byz_msgs = !byz_msgs;
+      label_bits = sorted_labels by_label;
+    }
+  in
   { Sim.outputs; metrics }

@@ -64,22 +64,22 @@ let test_n_equals_one () =
 let test_trace_records_byzantine_labels () =
   let n = 4 and t = 1 in
   let corrupt = Sim.corrupt_first ~n t in
-  let trace = Trace.create () in
+  let obs = Obs.create ~messages:true () in
   let inputs = Array.init n (fun i -> Bigint.of_int (10 + i)) in
   ignore
-    (Sim.run ~trace ~n ~t ~corrupt ~adversary:(Adversary.spammer ~seed:4 ~max_len:16)
+    (Sim.run ~obs ~n ~t ~corrupt ~adversary:(Adversary.spammer ~seed:4 ~max_len:16)
        (fun ctx -> Convex.agree_int ctx inputs.(ctx.Ctx.me)));
-  let byz = List.filter (fun e -> e.Trace.byzantine) (Trace.events trace) in
+  let byz = List.filter (fun e -> e.Obs.byzantine) (Obs.messages obs) in
   Alcotest.check Alcotest.bool "byzantine traffic traced" true (List.length byz > 0);
   List.iter
-    (fun e -> Alcotest.check Alcotest.bool "byz sender is party 0" true (e.Trace.src = 0))
+    (fun e -> Alcotest.check Alcotest.bool "byz sender is party 0" true (e.Obs.src = 0))
     byz;
   (* Honest traffic is fully label-attributed (the whole protocol runs inside
      labelled components). *)
   let unlabeled_honest =
     List.filter
-      (fun e -> (not e.Trace.byzantine) && e.Trace.label = None)
-      (Trace.events trace)
+      (fun e -> (not e.Obs.byzantine) && e.Obs.label = "")
+      (Obs.messages obs)
   in
   Alcotest.check Alcotest.int "no unlabeled honest traffic" 0
     (List.length unlabeled_honest)

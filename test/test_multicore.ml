@@ -1,10 +1,9 @@
 (* Sequential-equals-parallel bit-identity — the hard invariant of the
    multicore execution layer. Every entry point that takes [?domains] must
    produce byte-identical results for every domain count: engine outputs,
-   per-session metrics (labels included), the aggregate ledger, trace CSV
-   and the Det obs JSONL; Workload.run_cells sweeps. Plus the
-   shard-merge unit tests for Metrics and Obs that the engine's merge
-   pass relies on. *)
+   per-session metrics (labels included), the aggregate ledger, the message
+   CSV and the Det obs JSONL; Workload.run_cells sweeps. Plus the
+   shard-merge unit test for Obs that the engine's merge pass relies on. *)
 
 open Net
 
@@ -47,10 +46,9 @@ let engine_run ~domains ~sessions ~spacing ~n ~t ~seed =
           ~adversary:(Adversary.equivocate ~seed:(seed + (31 * k)))
           (fun ctx -> Convex.agree_int ctx inputs.(ctx.Ctx.me)))
   in
-  let trace = Trace.create () in
-  let obs = Obs.create () in
-  let outcome = Engine.run_sim ~domains ~trace ~obs ~n ~t ~corrupt specs in
-  (fingerprint outcome, Trace.to_csv trace, Obs.to_jsonl ~tier:Obs.Det obs)
+  let obs = Obs.create ~messages:true () in
+  let outcome = Engine.run_sim ~domains ~obs ~n ~t ~corrupt specs in
+  (fingerprint outcome, Obs.messages_csv obs, Obs.to_jsonl ~tier:Obs.Det obs)
 
 (* ---- engine: K=8 under equivocate, domains 1/2/4 ------------------------ *)
 
@@ -112,65 +110,13 @@ let test_run_cells_bit_identical () =
   Alcotest.(check (list string)) "labels in input order"
     (List.map fst seq) (List.map fst par)
 
-(* ---- Metrics shard merge ------------------------------------------------- *)
-
-let test_metrics_is_empty () =
-  let m = Metrics.create () in
-  Alcotest.(check bool) "fresh collector is empty" true (Metrics.is_empty m);
-  Alcotest.(check bool) "snapshot of empty is empty" true
-    (Metrics.is_empty (Metrics.snapshot m));
-  Metrics.record_honest m ~label:None ~bytes:1;
-  Alcotest.(check bool) "after one message: not empty" false (Metrics.is_empty m);
-  let r = Metrics.create () in
-  r.Metrics.rounds <- 1;
-  Alcotest.(check bool) "rounds alone: not empty" false (Metrics.is_empty r)
-
-(* Merging per-session shards in session order must reproduce the
-   single-collector table, including the bits-then-label tie-break: labels
-   "alpha"/"beta" are given equal totals split across shards. *)
-let test_metrics_shard_merge () =
-  let events k =
-    [
-      (Some "alpha", 10 + k);
-      (Some "beta", 13 - k);
-      (None, 2);
-      (Some (Printf.sprintf "only%d" k), 1 + k);
-    ]
-  in
-  let record m (label, bytes) = Metrics.record_honest m ~label ~bytes in
-  let single = Metrics.create () in
-  let shards =
-    List.init 4 (fun k ->
-        let sh = Metrics.create () in
-        List.iter (record sh) (events k);
-        List.iter (record single) (events k);
-        sh.Metrics.rounds <- [| 3; 7; 5; 2 |].(k);
-        Metrics.record_byzantine sh ~bytes:k;
-        Metrics.record_byzantine single ~bytes:k;
-        sh)
-  in
-  single.Metrics.rounds <- 7;
-  let agg = Metrics.create () in
-  List.iter (fun sh -> Metrics.merge ~into:agg sh) shards;
-  Alcotest.(check (list (pair string int))) "label table (tie-break included)"
-    (Metrics.labels single) (Metrics.labels agg);
-  Alcotest.(check bool) "alpha/beta tie present" true
-    (List.assoc "alpha" (Metrics.labels agg)
-    = List.assoc "beta" (Metrics.labels agg));
-  Alcotest.(check int) "honest_bits" single.Metrics.honest_bits
-    agg.Metrics.honest_bits;
-  Alcotest.(check int) "honest_msgs" single.Metrics.honest_msgs
-    agg.Metrics.honest_msgs;
-  Alcotest.(check int) "byz_bits" single.Metrics.byz_bits agg.Metrics.byz_bits;
-  Alcotest.(check int) "byz_msgs" single.Metrics.byz_msgs agg.Metrics.byz_msgs;
-  Alcotest.(check int) "rounds is the max over shards" 7 agg.Metrics.rounds
-
 (* ---- Obs shard merge ----------------------------------------------------- *)
 
 let record_session o ~session =
   for party = 0 to 1 do
     Obs.push o ~session ~party ~round:0 ~label:"phase";
-    Obs.message o ~session ~party ~round:1 ~timeline_round:(session + 1)
+    Obs.message o ~session ~party ~dst:(1 - party) ~round:1
+      ~timeline_round:(session + 1)
       ~bytes:(4 + session) ~byzantine:false;
     Obs.probe o ~session ~party ~round:1 ~byzantine:false ~key:"v"
       ~value:(Bitstring.of_int (session + party));
@@ -178,22 +124,26 @@ let record_session o ~session =
     Obs.finish o ~session ~party ~round:2
   done
 
-let test_telemetry_merge () =
+let test_obs_merge () =
   (* Direct recording in session order... *)
-  let direct = Obs.create () in
+  let direct = Obs.create ~messages:true () in
   Obs.set_meta direct "kind" "merge-test";
   List.iter (fun s -> record_session direct ~session:s) [ 0; 1; 2 ];
   (* ...equals per-session shards merged in session-index order. *)
-  let merged = Obs.create () in
+  let merged = Obs.create ~messages:true () in
   Obs.set_meta merged "kind" "merge-test";
   List.iter
     (fun s ->
-      let shard = Obs.create () in
+      let shard = Obs.shard (Some merged) in
       record_session shard ~session:s;
       Obs.merge ~into:merged shard)
     [ 0; 1; 2 ];
   Alcotest.(check string) "merged JSONL byte-identical" (Obs.to_jsonl direct)
     (Obs.to_jsonl merged);
+  Alcotest.(check (list (pair string int))) "merged label table"
+    (Obs.label_bits direct) (Obs.label_bits merged);
+  Alcotest.(check string) "merged message CSV" (Obs.messages_csv direct)
+    (Obs.messages_csv merged);
   let a = Obs.create () and b = Obs.create () in
   record_session a ~session:0;
   record_session b ~session:0;
@@ -212,9 +162,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_engine_parallel_equals_sequential;
     Alcotest.test_case "run_cells: parallel sweep = sequential sweep" `Quick
       test_run_cells_bit_identical;
-    Alcotest.test_case "Metrics.is_empty" `Quick test_metrics_is_empty;
-    Alcotest.test_case "Metrics shard merge reproduces single collector"
-      `Quick test_metrics_shard_merge;
-    Alcotest.test_case "Telemetry shard merge reproduces sequential JSONL"
-      `Quick test_telemetry_merge;
+    Alcotest.test_case "Obs shard merge reproduces sequential JSONL" `Quick
+      test_obs_merge;
   ]

@@ -93,7 +93,7 @@ let test_labels () =
   Alcotest.check (Alcotest.option Alcotest.int) "phase-a" (Some (3 * 2 * 8 * 4)) (find "phase-a");
   Alcotest.check (Alcotest.option Alcotest.int) "phase-b" (Some (3 * 2 * 8 * 2)) (find "phase-b");
   Alcotest.check (Alcotest.option Alcotest.int) "unlabeled" (Some (3 * 2 * 8 * 1))
-    (find Metrics.no_label)
+    (find "(unlabeled)")
 
 let test_nested_labels () =
   let nested (_ctx : Ctx.t) =
@@ -153,67 +153,24 @@ let test_corruption_bound_enforced () =
 
 let test_metrics_labels_deterministic () =
   (* Ties in the per-label bit counts break by label, ascending — the order
-     never depends on hash-table iteration. *)
-  let m = Metrics.create () in
-  Metrics.record_honest m ~label:(Some "zeta") ~bytes:4;
-  Metrics.record_honest m ~label:(Some "alpha") ~bytes:4;
-  Metrics.record_honest m ~label:(Some "mid") ~bytes:4;
-  Metrics.record_honest m ~label:(Some "big") ~bytes:9;
+     never depends on hash-table iteration or on the order labels were
+     first used. *)
+  let labelled (_ctx : Ctx.t) =
+    let* _ = Proto.with_label "zeta" (Proto.broadcast "zzzz") in
+    let* _ = Proto.with_label "alpha" (Proto.broadcast "aaaa") in
+    let* _ = Proto.with_label "mid" (Proto.broadcast "mmmm") in
+    let* _ = Proto.with_label "big" (Proto.broadcast "bbbbbbbbb") in
+    Proto.return ()
+  in
+  let outcome =
+    Sim.run ~n:2 ~t:0 ~corrupt:[| false; false |] ~adversary:Adversary.passive
+      labelled
+  in
   Alcotest.check
     (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
     "bits desc, then label asc"
-    [ ("big", 72); ("alpha", 32); ("mid", 32); ("zeta", 32) ]
-    (Metrics.labels m)
-
-let test_metrics_merge () =
-  let mk rounds kvs =
-    let m = Metrics.create () in
-    m.Metrics.rounds <- rounds;
-    List.iter (fun (l, bytes) -> Metrics.record_honest m ~label:(Some l) ~bytes) kvs;
-    m
-  in
-  let agg = Metrics.create () in
-  Metrics.merge ~into:agg (mk 7 [ ("a", 2); ("b", 3) ]);
-  Metrics.merge ~into:agg (mk 12 [ ("a", 5) ]);
-  Metrics.merge ~into:agg (mk 4 [ ("c", 1) ]);
-  (* Label bits accumulate across merges; rounds take the max, and stay the
-     max no matter how many smaller sessions merge in afterwards. *)
-  Alcotest.check
-    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
-    "labels accumulated"
-    [ ("a", 56); ("b", 24); ("c", 8) ]
-    (Metrics.labels agg);
-  Alcotest.check Alcotest.int "rounds = max" 12 agg.Metrics.rounds;
-  Metrics.merge ~into:agg (mk 2 []);
-  Metrics.merge ~into:agg (mk 12 []);
-  Alcotest.check Alcotest.int "rounds still max after repeats" 12 agg.Metrics.rounds;
-  Alcotest.check Alcotest.int "honest bits summed" (8 * (2 + 3 + 5 + 1))
-    agg.Metrics.honest_bits
-
-let test_metrics_snapshot_diff () =
-  let m = Metrics.create () in
-  m.Metrics.rounds <- 3;
-  Metrics.record_honest m ~label:(Some "setup") ~bytes:10;
-  Metrics.record_byzantine m ~bytes:2;
-  let before = Metrics.snapshot m in
-  (* The snapshot is independent: the original keeps accumulating. *)
-  m.Metrics.rounds <- 8;
-  Metrics.record_honest m ~label:(Some "setup") ~bytes:1;
-  Metrics.record_honest m ~label:(Some "search") ~bytes:5;
-  Metrics.record_byzantine m ~bytes:4;
-  Alcotest.check Alcotest.int "snapshot unchanged" (8 * 10)
-    before.Metrics.honest_bits;
-  Alcotest.check Alcotest.int "snapshot rounds unchanged" 3 before.Metrics.rounds;
-  let d = Metrics.diff ~after:m ~before in
-  Alcotest.check Alcotest.int "bits delta" (8 * 6) d.Metrics.honest_bits;
-  Alcotest.check Alcotest.int "msgs delta" 2 d.Metrics.honest_msgs;
-  Alcotest.check Alcotest.int "byz delta" (8 * 4) d.Metrics.byz_bits;
-  Alcotest.check Alcotest.int "rounds delta" 5 d.Metrics.rounds;
-  Alcotest.check
-    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
-    "per-label deltas, zero-delta labels dropped"
-    [ ("search", 40); ("setup", 8) ]
-    (Metrics.labels d)
+    [ ("big", 144); ("alpha", 64); ("mid", 64); ("zeta", 64) ]
+    (Metrics.labels outcome.Sim.metrics)
 
 let test_prng_determinism () =
   let a = Prng.create 42 and b = Prng.create 42 in
@@ -236,7 +193,5 @@ let suite =
     Alcotest.test_case "corruption bound" `Quick test_corruption_bound_enforced;
     Alcotest.test_case "metrics labels deterministic" `Quick
       test_metrics_labels_deterministic;
-    Alcotest.test_case "metrics merge" `Quick test_metrics_merge;
-    Alcotest.test_case "metrics snapshot/diff" `Quick test_metrics_snapshot_diff;
     Alcotest.test_case "prng determinism" `Quick test_prng_determinism;
   ]

@@ -38,15 +38,14 @@ let mk_specs ~n ~sessions ~spacing ~seed =
 let run_backend backend ~sessions ~spacing ~n ~t ~seed =
   let corrupt = Workload.spread_corrupt ~n ~t in
   let specs = mk_specs ~n ~sessions ~spacing ~seed in
-  let trace = Trace.create () in
-  let obs = Obs.create () in
+  let obs = Obs.create ~messages:true () in
   let outcome =
     match backend with
-    | `Sim -> Engine.run_sim ~trace ~obs ~n ~t ~corrupt specs
-    | `Poll outbuf -> Engine.run_poll ?outbuf ~trace ~obs ~n ~t ~corrupt specs
-    | `Poll_domains d -> Engine.run_poll ~domains:d ~trace ~obs ~n ~t ~corrupt specs
+    | `Sim -> Engine.run_sim ~obs ~n ~t ~corrupt specs
+    | `Poll outbuf -> Engine.run_poll ?outbuf ~obs ~n ~t ~corrupt specs
+    | `Poll_domains d -> Engine.run_poll ~domains:d ~obs ~n ~t ~corrupt specs
   in
-  (fingerprint outcome, Trace.to_csv trace, Obs.to_jsonl ~tier:Obs.Det obs)
+  (fingerprint outcome, Obs.messages_csv obs, Obs.to_jsonl ~tier:Obs.Det obs)
 
 let check_poll_equals_sim ~sessions ~spacing ~n ~t ~seed backends =
   let base_fp, base_csv, base_jsonl =

@@ -29,10 +29,7 @@ let span_records jsonl =
         [ "span"; "probe"; "total" ])
     (String.split_on_char '\n' jsonl)
 
-let observe render run =
-  let trace = Trace.create () in
-  let obs = Obs.create () in
-  let (o : _ Sim.outcome) = run ~trace ~obs in
+let observe render (o : _ Sim.outcome) ~csv ~obs =
   let m = o.Sim.metrics in
   {
     outputs = Array.to_list (Array.map (Option.map render) o.Sim.outputs);
@@ -43,7 +40,7 @@ let observe render run =
         m.Metrics.byz_bits,
         m.Metrics.byz_msgs );
     labels = Metrics.labels m;
-    csv = Trace.to_csv trace;
+    csv;
     spans = span_records (Obs.to_jsonl obs);
   }
 
@@ -62,14 +59,20 @@ let check_same name a b =
 let differential ?max_rounds ?allow_excess_corruptions name ~n ~t ~corrupt
     ~mk_adversary render protocol =
   let spec =
-    observe render (fun ~trace ~obs ->
-        Sim_spec.run ?max_rounds ?allow_excess_corruptions ~trace ~obs ~n ~t
-          ~corrupt ~adversary:(mk_adversary ()) protocol)
+    let trace = Sim_spec.trace () and obs = Obs.create () in
+    let o =
+      Sim_spec.run ?max_rounds ?allow_excess_corruptions ~trace ~obs ~n ~t
+        ~corrupt ~adversary:(mk_adversary ()) protocol
+    in
+    observe render o ~csv:(Sim_spec.to_csv trace) ~obs
   in
   let sim =
-    observe render (fun ~trace ~obs ->
-        Sim.run ?max_rounds ?allow_excess_corruptions ~trace ~obs ~n ~t
-          ~corrupt ~adversary:(mk_adversary ()) protocol)
+    let obs = Obs.create ~messages:true () in
+    let o =
+      Sim.run ?max_rounds ?allow_excess_corruptions ~obs ~n ~t ~corrupt
+        ~adversary:(mk_adversary ()) protocol
+    in
+    observe render o ~csv:(Obs.messages_csv obs) ~obs
   in
   check_same name spec sim;
   spec
