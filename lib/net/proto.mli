@@ -36,7 +36,9 @@ type 'a t =
   | Step of (int -> string option) * (inbox -> 'a t)
       (** [Step (out, k)]: send [out recipient] to every recipient, then
           continue with the received inbox. *)
-  | Push of string * 'a t  (** Begin a metrics label scope (see {!Metrics}). *)
+  | Push of string * 'a t
+      (** Begin a label scope: the round loop opens a span on the party's
+          span stack, which messages are charged to (see {!Metrics.labels}). *)
   | Pop of 'a t  (** End the innermost label scope. *)
   | Probe of string * Bitstring.t * 'a t
       (** Emit an observability data point (key, the party's value);
