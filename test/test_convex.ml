@@ -198,19 +198,48 @@ let test_find_prefix_identical_full_prefix () =
       Alcotest.check bits_t "v unchanged" v r.Convex.Find_prefix.v)
     (Sim.honest_outputs ~corrupt outcome)
 
+(* The binary search over [1, m] (m = l+1 bit positions, or n^2+1 blocks)
+   halves its window each iteration and stops at one position, so it takes
+   floor(log2 m) or ceil(log2 m) iterations. *)
+let log2_bounds m =
+  let rec floor k p = if 2 * p > m then k else floor (k + 1) (2 * p) in
+  let lo = floor 0 1 in
+  (lo, if 1 lsl lo = m then lo else lo + 1)
+
+let check_search_iterations what ~m iterations =
+  let lo, hi = log2_bounds m in
+  Alcotest.check Alcotest.bool
+    (Printf.sprintf "%s: %d iterations in [%d, %d]" what iterations lo hi)
+    true
+    (lo <= iterations && iterations <= hi)
+
+module Ext = Baplus.Ext_ba_plus.Make (Ba.Substrate.Unauthenticated)
+
+(* Over l in {64, 256, 1024, 4096}; the upper bound is also the iteration
+   count Find_prefix.cost_estimate charges. *)
 let test_find_prefix_iteration_bound () =
-  let n = 4 and t = 1 and bits = 64 in
+  let n = 4 and t = 1 in
   let corrupt = Sim.corrupt_first ~n t in
-  let inputs = Array.init n (fun i -> Bitstring.of_int_fixed ~bits (i * 999)) in
-  let outcome =
-    run_find_prefix ~n ~t ~corrupt ~adversary:Adversary.passive ~bits inputs
-  in
   List.iter
-    (fun r ->
-      Alcotest.check Alcotest.bool "O(log l) iterations" true
-        (r.Convex.Find_prefix.iterations <= 8))
-    (* ceil(log2 64) + 2 = 8 *)
-    (Sim.honest_outputs ~corrupt outcome)
+    (fun bits ->
+      let inputs = Array.init n (fun i -> Bitstring.of_int_fixed ~bits (i * 999)) in
+      let outcome =
+        run_find_prefix ~n ~t ~corrupt ~adversary:Adversary.passive ~bits inputs
+      in
+      List.iter
+        (fun r ->
+          check_search_iterations
+            (Printf.sprintf "bit search, l=%d" bits)
+            ~m:(bits + 1) r.Convex.Find_prefix.iterations)
+        (Sim.honest_outputs ~corrupt outcome);
+      let ctx = Ctx.make ~me:0 ~n ~t in
+      let rounds (c : Ba.Substrate.cost) = c.Ba.Substrate.c_rounds in
+      Alcotest.check Alcotest.int
+        (Printf.sprintf "cost_estimate charges ceil(log2(l+1)) at l=%d" bits)
+        (snd (log2_bounds (bits + 1)))
+        (rounds (Convex.Find_prefix.cost_estimate ctx ~value_bits:bits ~f:0)
+        / rounds (Ext.cost_estimate ctx ~value_bits:bits ~f:0)))
+    [ 64; 256; 1024; 4096 ]
 
 (* ------------------------------------------------------------------ *)
 (* FIXEDLENGTHCA (Theorem 2) end to end                                *)
@@ -308,24 +337,32 @@ let test_fixed_length_ca_blocks () =
         [ Adversary.passive; Adversary.garbage ~seed:11; Adversary.crash ~after:10 ])
     configs
 
+(* The block search's two-sided bound, with n^2+1 in place of l+1, at
+   every l; its upper bound stays below the bit search's lower one. *)
 let test_blocks_fewer_iterations_than_bits () =
   let n = 4 and t = 1 in
-  let bits = n * n * 64 (* 1024-bit values *) in
   let corrupt = Sim.corrupt_first ~n t in
-  let inputs =
-    Array.init n (fun i ->
-        Bigint.to_bitstring_fixed ~bits (Bigint.add (Bigint.pow2 700) (Bigint.of_int i)))
-  in
-  let outcome =
-    Sim.run ~n ~t ~corrupt ~adversary:Adversary.passive (fun ctx ->
-        Convex.Find_prefix_blocks.run ctx ~bits inputs.(ctx.Ctx.me))
-  in
   List.iter
-    (fun r ->
-      Alcotest.check Alcotest.bool "O(log n2) iterations" true
-        (r.Convex.Find_prefix_blocks.iterations <= 6))
-    (* ceil(log2 16) + 2 = 6, versus ceil(log2 1024) + 2 = 12 for bit search *)
-    (Sim.honest_outputs ~corrupt outcome)
+    (fun bits ->
+      let inputs =
+        Array.init n (fun i ->
+            Bigint.to_bitstring_fixed ~bits
+              (Bigint.add (Bigint.pow2 (bits * 11 / 16)) (Bigint.of_int i)))
+      in
+      let outcome =
+        Sim.run ~n ~t ~corrupt ~adversary:Adversary.passive (fun ctx ->
+            Convex.Find_prefix_blocks.run ctx ~bits inputs.(ctx.Ctx.me))
+      in
+      List.iter
+        (fun r ->
+          let it = r.Convex.Find_prefix_blocks.iterations in
+          check_search_iterations
+            (Printf.sprintf "block search, l=%d" bits)
+            ~m:((n * n) + 1) it;
+          Alcotest.check Alcotest.bool "fewer than the bit search" true
+            (it < fst (log2_bounds (bits + 1))))
+        (Sim.honest_outputs ~corrupt outcome))
+    [ 64; 256; 1024; 4096 ]
 
 (* ------------------------------------------------------------------ *)
 (* Π_ℕ and Π_ℤ (Theorems 5, Corollary 1)                               *)

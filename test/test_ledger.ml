@@ -8,7 +8,9 @@
    3. each gate bites: one in-memory edit of the committed ledger makes that
       gate, and only that gate, fail;
    4. BENCH_parallel.json's speedup gate is unenforced, not passed, because
-      the host it was recorded on recommended one domain.
+      the host it was recorded on recommended one domain;
+   5. T1's crossover gate fails, not passes, on a ledger whose rows stop
+      short of the crossover.
    Plus the shape and provenance checks every ledger goes through. *)
 
 open Obs.Json
@@ -101,10 +103,27 @@ let sweep backend f = [ ("backend", Str backend); ("f", Num f) ]
 let engine backend k = [ ("backend", Str backend); ("sessions", Num k) ]
 let codec op bits = [ ("op", Str op); ("bits", Num bits) ]
 let domains d = [ ("domains", Num d) ]
+let t1_row lg = [ ("log2_bits", Num lg) ]
+let l_fit protocol n = [ ("row", Str "l_fit"); ("protocol", Str protocol); ("n", Num n) ]
+let rounds n = [ ("row", Str "rounds"); ("n", Num n) ]
 
 (* One edit per declared gate, on the committed ledger of its experiment. *)
 let edits : (string * (Ledger.t -> Ledger.t)) list =
   [
+    (* Above Turpin-Coan BA at 2^16, still below HighCostCA everywhere. *)
+    ("t1.crossover", edit (t1_row 16.) (set "pi_z_bits" (Num 8_000_000.)));
+    ("claims.row_shape", edit (rounds 7.) (set "pi_z_rounds" (Num 0.)));
+    ("claims.c1_linear_in_l", edit (l_fit "pi_z" 7.) (set "quad_r2" (Num 0.99)));
+    (* n=13 holds the lowest slope/n; no other gate reads its slope. *)
+    ("claims.c2_slope_per_n", edit (l_fit "pi_z" 13.) (scale "slope" 10.));
+    ( "claims.c3_baseline_diverges",
+      edit (l_fit "broadcast_ca" 10.) (scale "slope" 0.1) );
+    ( "claims.c4_rounds_nlogn",
+      edit [ ("row", Str "rounds_fit") ] (set "nlogn_r2" (Num 0.5)) );
+    ("claims.c5_additive_term", edit (l_fit "pi_z" 13.) (set "intercept" (Num (-1.))));
+    ( "claims.baseline_rounds",
+      edit (rounds 7.) (fun row ->
+          set "tc_ba_rounds" (Num (num "tc_ba_rounds" row +. 1.)) row) );
     ("auth.row_shape", edit (auth 4.) (set "rounds" (Num 0.)));
     ("auth.ca_holds", edit (auth 5.) (set "ca_holds" (Bool false)));
     ("auth.pairing", edit (auth 7.) (set "n" (Num 8.)));
@@ -191,6 +210,17 @@ let test_parallel_speedup_unenforced () =
   | Some v -> Alcotest.failf "parallel.speedup: %s" (Ledger.show v)
   | None -> Alcotest.fail "parallel.speedup not declared"
 
+(* With the l >= 2^16 rows dropped, no row shows Pi_Z below Turpin-Coan BA:
+   the crossover gate fails rather than pass on nothing. *)
+let test_t1_crossover_needs_rows () =
+  let l = ledger_of "t1" in
+  let short =
+    { l with Ledger.rows = List.filter (fun row -> num "log2_bits" row < 16.) l.Ledger.rows }
+  in
+  Alcotest.(check (list string))
+    "t1.crossover fails" [ "t1.crossover" ]
+    (Ledger.failed (Ledger.check ~timed:true short))
+
 (* Timed gates are skipped under --smoke; Exact ones always run. *)
 let test_smoke_runs_exact_only () =
   let l = ledger_of "obs" in
@@ -242,6 +272,8 @@ let suite =
     Alcotest.test_case "each gate fails on its own edit" `Quick test_each_gate_bites;
     Alcotest.test_case "parallel speedup unenforced on 1 core" `Quick
       test_parallel_speedup_unenforced;
+    Alcotest.test_case "t1 crossover fails short of 2^16" `Quick
+      test_t1_crossover_needs_rows;
     Alcotest.test_case "smoke runs the Exact gates only" `Quick
       test_smoke_runs_exact_only;
     Alcotest.test_case "shape and provenance checks" `Quick test_shape_and_provenance;

@@ -188,6 +188,36 @@ let test_cli_trace_pinned () =
   Alcotest.check pin "ca_cli trace --csv" csv_pin (digest csv);
   Alcotest.check pin "ca_cli trace summary" summary_pin (digest (run ""))
 
+(* [ca_cli telemetry] on the same scenario: the Det JSONL it writes and the
+   span report it prints. *)
+let cli_telemetry_pins =
+  ( ("d8ef702d9df96246cf7f2d4c49fb20e046fb93a31a4e17a2c3413e4374d43add", 51059),
+    ("70377f87d55c4e6b048574d59718a2f005ecbfd72e3af2e21c505bae98751bd2", 5051) )
+
+let test_cli_telemetry_pinned () =
+  if not (Sys.file_exists cli) then
+    Alcotest.fail "ca_cli.exe missing — check the (deps ...) in test/dune";
+  let run args =
+    let out = Filename.temp_file "ca-telemetry" ".out" in
+    let code =
+      Sys.command
+        (Printf.sprintf
+           "%s telemetry -n 7 -t 2 --adversary equivocate --seed 11 %s >%s" cli
+           args (Filename.quote out))
+    in
+    Alcotest.(check int) "exit code" 0 code;
+    let s = read_file out in
+    Sys.remove out;
+    s
+  in
+  let jsonl_path = Filename.temp_file "ca-telemetry" ".jsonl" in
+  ignore (run ("--jsonl " ^ Filename.quote jsonl_path));
+  let jsonl = read_file jsonl_path in
+  Sys.remove jsonl_path;
+  let jsonl_pin, report_pin = cli_telemetry_pins in
+  Alcotest.check pin "ca_cli telemetry --jsonl" jsonl_pin (digest jsonl);
+  Alcotest.check pin "ca_cli telemetry report" report_pin (digest (run ""))
+
 (* The K=8 engine run of the obs and multicore suites (n=7, t=2, sessions
    two rounds apart, each under its own equivocating adversary), its rows
    sorted by (session, round, src, dst). *)
@@ -221,6 +251,8 @@ let suite =
     Alcotest.test_case "empty trace" `Quick test_empty_trace;
     Alcotest.test_case "pin: ca_cli trace CSV and summary" `Quick
       test_cli_trace_pinned;
+    Alcotest.test_case "pin: ca_cli telemetry JSONL and report" `Quick
+      test_cli_telemetry_pinned;
     Alcotest.test_case "pin: engine K=8 CSV, sorted rows" `Quick
       test_engine_k8_csv_pinned;
   ]
