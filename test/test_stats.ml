@@ -1,4 +1,4 @@
-(* The numerical toolbox behind verify_claims. *)
+(* The numerical toolbox behind the bench claims fits (bench/main.ml). *)
 
 let feq = Alcotest.float 1e-9
 let feq_loose = Alcotest.float 1e-6
