@@ -512,8 +512,8 @@ let t6 () =
       in
       let it_blk =
         iters
-          (fun ctx v -> Convex.Find_prefix_blocks.run ctx ~bits v)
-          (fun r -> r.Convex.Find_prefix_blocks.iterations)
+          (fun ctx v -> Convex.Find_prefix.run_blocks ctx ~bits v)
+          (fun r -> r.Convex.Find_prefix.iterations)
       in
       let full run =
         let outcome =

@@ -42,6 +42,7 @@ let run_feed ~name ~inputs ~bits_for_baseline =
   Printf.printf "  baseline / Pi_Z:       %9.1fx %s\n" ratio
     (if ratio >= 1. then "(Pi_Z wins: above the l = Omega(k n log^2 n) crossover)"
      else "(baseline wins: value too short to amortize the extension machinery)");
+  if not (ours.Workload.agreement && ours.Workload.convex_validity) then exit 1;
   ours
 
 let () =

@@ -75,11 +75,14 @@ let () =
   in
   let ca_outputs = Sim.honest_outputs ~corrupt ca in
   let stamp = List.hd ca_outputs in
+  let exact = List.for_all (Bigint.equal stamp) ca_outputs in
+  let in_range =
+    List.for_all (fun o -> Convex.in_convex_hull ~inputs:honest_inputs o) ca_outputs
+  in
   Printf.printf "\nConvex Agreement (Pi_Z):\n";
   Printf.printf "  agreed block time:     %s ns\n" (Bigint.to_string stamp);
-  Printf.printf "  exact agreement:       %b\n"
-    (List.for_all (Bigint.equal stamp) ca_outputs);
-  Printf.printf "  in honest range:       %b  -> byzantine +1h clocks ignored\n"
-    (List.for_all (fun o -> Convex.in_convex_hull ~inputs:honest_inputs o) ca_outputs);
+  Printf.printf "  exact agreement:       %b\n" exact;
+  Printf.printf "  in honest range:       %b  -> byzantine +1h clocks ignored\n" in_range;
   Printf.printf "  communication:         %d honest bits over %d rounds\n"
-    ca.Sim.metrics.Metrics.honest_bits ca.Sim.metrics.Metrics.rounds
+    ca.Sim.metrics.Metrics.honest_bits ca.Sim.metrics.Metrics.rounds;
+  if not (exact && in_range) then exit 1

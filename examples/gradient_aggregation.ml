@@ -97,4 +97,5 @@ let () =
          Bigint.compare (Bigint.abs (Fp.units c)) (Bigint.of_int 2_000_000) < 0)
        agreed);
   Printf.printf "communication:                %d honest bits over %d rounds (%d dims)\n"
-    outcome.Sim.metrics.Metrics.honest_bits outcome.Sim.metrics.Metrics.rounds dims
+    outcome.Sim.metrics.Metrics.honest_bits outcome.Sim.metrics.Metrics.rounds dims;
+  if not (all_same && in_box) then exit 1

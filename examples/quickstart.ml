@@ -43,9 +43,14 @@ let () =
     (String.concat ", " (List.map Bigint.to_string outputs));
 
   let honest_inputs = List.filteri (fun i _ -> not corrupt.(i)) (Array.to_list inputs) in
-  Printf.printf "agreement:        %b\n"
-    (match outputs with o :: r -> List.for_all (Bigint.equal o) r | [] -> false);
-  Printf.printf "convex validity:  %b (output within [-10.05, -10.03] C)\n"
-    (List.for_all (fun o -> Convex.in_convex_hull ~inputs:honest_inputs o) outputs);
+  let agreement =
+    match outputs with o :: r -> List.for_all (Bigint.equal o) r | [] -> false
+  in
+  let validity =
+    List.for_all (fun o -> Convex.in_convex_hull ~inputs:honest_inputs o) outputs
+  in
+  Printf.printf "agreement:        %b\n" agreement;
+  Printf.printf "convex validity:  %b (output within [-10.05, -10.03] C)\n" validity;
   Printf.printf "communication:    %d honest bits over %d rounds\n"
-    outcome.Sim.metrics.Metrics.honest_bits outcome.Sim.metrics.Metrics.rounds
+    outcome.Sim.metrics.Metrics.honest_bits outcome.Sim.metrics.Metrics.rounds;
+  if not (agreement && validity) then exit 1

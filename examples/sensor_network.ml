@@ -99,7 +99,9 @@ let () =
           then incr ba_violations;
           Printf.printf "%-40s %-12s %-6b %-6b %s\n" protocol.Workload.proto_name
             adversary.Adversary.name agree valid
-            (match outputs with o :: _ -> Bigint.to_string o | [] -> "-"))
+            (match outputs with o :: _ -> Bigint.to_string o | [] -> "-");
+          (* Plain BA is expected to leave the honest range; Pi_Z never. *)
+          if protocol.Workload.solves_ca && not (agree && valid) then exit 1)
         adversaries)
     protocols;
   print_endline (String.make 100 '-');
@@ -120,7 +122,8 @@ let () =
             run_case ~attack:(`Workload wl) ~adversary ~protocol:Workload.pi_z 99
           in
           Printf.printf "  %-16s vs %-12s agree=%b valid=%b\n"
-            (Workload.input_attack_name wl) adversary.Adversary.name agree valid)
+            (Workload.input_attack_name wl) adversary.Adversary.name agree valid;
+          if not (agree && valid) then exit 1)
         adversaries)
     [ Workload.Honest_inputs; Workload.Outlier_high; Workload.Outlier_low;
       Workload.Split_extremes ]

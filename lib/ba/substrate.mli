@@ -3,7 +3,7 @@
     The source paper treats Π_BA as a black box inside Π_ℤ; this module type
     makes that black box a parameter of the CA stack.  Every CA protocol that
     consumes agreement ([Ba_plus], [Ext_ba_plus], [Find_prefix],
-    [Add_last_bit], [Get_output], [Fixed_length_ca], [Ca_nat], [Ca_int])
+    [Get_output], [Fixed_length_ca], [Ca_nat], [Ca_int])
     exposes a [Make (B : Substrate.S)] functor over this signature, with the
     historical behavior recovered by [include Make (Substrate.Unauthenticated)].
 

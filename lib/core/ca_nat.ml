@@ -21,7 +21,6 @@ let ceil_log2 x =
 
 module Make (B : Ba.Substrate.S) = struct
   module FL = Fixed_length_ca.Make (B)
-  module FLB = Fixed_length_ca_blocks.Make (B)
 
   let run (ctx : Ctx.t) v_in =
   if Bigint.sign v_in < 0 then invalid_arg "Ca_nat.run: negative input";
@@ -68,7 +67,7 @@ module Make (B : Ba.Substrate.S) = struct
       if Bigint.bit_length v_in > l_est then Bigint.pred (Bigint.pow2 l_est) else v_in
     in
     let* out =
-      FLB.run ctx ~bits:l_est (Bigint.to_bitstring_fixed ~bits:l_est v)
+      FL.run_blocks ctx ~bits:l_est (Bigint.to_bitstring_fixed ~bits:l_est v)
     in
     Proto.return (Bigint.of_bitstring out)
   end

@@ -37,7 +37,7 @@ let agree_fixed_length ctx ~bits v = Fixed_length_ca.run ctx ~bits v
 
 (** FIXEDLENGTHCABLOCKS — the variant for very long values; [bits] must be a
     positive multiple of n². *)
-let agree_fixed_length_blocks ctx ~bits v = Fixed_length_ca_blocks.run ctx ~bits v
+let agree_fixed_length_blocks ctx ~bits v = Fixed_length_ca.run_blocks ctx ~bits v
 
 (** HIGHCOSTCA — the O(ℓn³) king-based CA of [47] (Appendix A.4), used
     internally on short values and as a baseline. *)
@@ -46,12 +46,8 @@ let agree_high_cost ctx ~bits v = High_cost_ca.run ctx ~bits v
 (** {1 Building blocks} *)
 
 module Find_prefix = Find_prefix
-module Add_last_bit = Add_last_bit
 module Get_output = Get_output
 module Fixed_length_ca = Fixed_length_ca
-module Find_prefix_blocks = Find_prefix_blocks
-module Add_last_block = Add_last_block
-module Fixed_length_ca_blocks = Fixed_length_ca_blocks
 module High_cost_ca = High_cost_ca
 module Median_ba = Median_ba
 module Rank_ba = Rank_ba

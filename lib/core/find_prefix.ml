@@ -1,8 +1,9 @@
-(** FINDPREFIX (Section 3): binary search, over bit positions, for a prefix
-    of a valid value that is at least as long as the honest inputs' longest
-    common prefix.
+(** FINDPREFIX (Section 3) and FINDPREFIXBLOCKS (Section 4): binary search
+    over equal blocks of the parties' values — ℓ one-bit blocks, or n²
+    blocks of ℓ/n² bits — for a prefix of a valid value that is at least as
+    long as the honest inputs' longest common prefix.
 
-    Each iteration runs Π_ℓBA+ on the current window of the parties' values:
+    Each iteration runs Π_ℓBA+ on the current window of blocks:
     - ⊥ (Bounded Pre-Agreement) ⇒ fewer than n−2t honest parties share this
       window, so for {e any} candidate window at least t+1 honest parties
       hold differing values — record the current value as [v_bot] and recurse
@@ -12,10 +13,9 @@
       snap to MIN_ℓ / MAX_ℓ of the prefix, which Remark 2 keeps inside the
       honest range — and recurse right.
 
-    Lemma 1: on return, all honest parties share [prefix_star]; every honest
-    [v] is valid with prefix [prefix_star]; and for every bitstring of
-    [|prefix_star| + 1] bits, at least t+1 honest parties hold a valid
-    [v_bot] not extending it. *)
+    The paper's FINDPREFIXBLOCKS pseudocode initializes the search bound as
+    [n + 1] while the surrounding text and Lemma 9 search n² blocks; we follow
+    the text ([n² + 1], see DESIGN.md). *)
 
 open Net
 
@@ -55,40 +55,61 @@ module Make (B : Ba.Substrate.S) = struct
       c_rounds = iterations * ext.Ba.Substrate.c_rounds;
     }
 
+  (* The search over [blocks] blocks of [block_bits] bits each, under span
+     [label]; [probe] names the convergence probe. *)
+  let search ~label ~probe ~blocks ~block_bits (ctx : Ctx.t) v_in =
+    let len = blocks * block_bits in
+    let rec loop ~left ~right ~prefix_star ~v ~v_bot ~iterations =
+      (* Convergence probe: the party's current candidate value, once per
+         search iteration (and once more on exit). Honest candidates only
+         tighten toward the agreed prefix, so the honest hull width is
+         monotone non-increasing over iterations. *)
+      let* () = Proto.probe probe v in
+      if left = right then Proto.return { prefix_star; v; v_bot; iterations }
+      else begin
+        let mid = (left + right) / 2 in
+        (* Blocks [left..mid] (1-indexed, inclusive) as a bit range. *)
+        let window =
+          Bitstring.range v
+            ~left:(((left - 1) * block_bits) + 1)
+            ~right:(mid * block_bits)
+        in
+        let* outcome = Ext.run ctx (encode_window window) in
+        let expect_bits = (mid - left + 1) * block_bits in
+        match Option.map (decode_window ~expect_bits) outcome with
+        | None | Some None ->
+            (* ⊥ (or a non-window value, impossible for honest inputs but
+               handled identically at every honest party): search left. *)
+            loop ~left ~right:mid ~prefix_star ~v ~v_bot:v ~iterations:(iterations + 1)
+        | Some (Some agreed_window) ->
+            let prefix_star = Bitstring.append prefix_star agreed_window in
+            let own_prefix = Bitstring.prefix v (mid * block_bits) in
+            let cmp = Bitstring.compare own_prefix prefix_star in
+            let v =
+              if cmp < 0 then Bitstring.min_fill len prefix_star
+              else if cmp > 0 then Bitstring.max_fill len prefix_star
+              else v
+            in
+            loop ~left:(mid + 1) ~right ~prefix_star ~v ~v_bot
+              ~iterations:(iterations + 1)
+      end
+    in
+    Proto.with_label label
+      (loop ~left:1 ~right:(blocks + 1) ~prefix_star:Bitstring.empty ~v:v_in ~v_bot:v_in
+         ~iterations:0)
+
   let run (ctx : Ctx.t) ~bits:len v_in =
-  if Bitstring.length v_in <> len then invalid_arg "Find_prefix.run: input length";
-  let rec loop ~left ~right ~prefix_star ~v ~v_bot ~iterations =
-    (* Convergence probe: the party's current candidate value, once per
-       search iteration (and once more on exit). Honest candidates only
-       tighten toward the agreed prefix, so the honest hull width is monotone
-       non-increasing over iterations. *)
-    let* () = Proto.probe "find_prefix.v" v in
-    if left = right then
-      Proto.return { prefix_star; v; v_bot; iterations }
-    else begin
-      let mid = (left + right) / 2 in
-      let window = Bitstring.range v ~left ~right:mid in
-      let* outcome = Ext.run ctx (encode_window window) in
-      match Option.map (decode_window ~expect_bits:(mid - left + 1)) outcome with
-      | None | Some None ->
-          (* ⊥ (or a non-window value, impossible for honest inputs but
-             handled identically at every honest party): search left. *)
-          loop ~left ~right:mid ~prefix_star ~v ~v_bot:v ~iterations:(iterations + 1)
-      | Some (Some agreed_window) ->
-          let prefix_star = Bitstring.append prefix_star agreed_window in
-          let own_prefix = Bitstring.prefix v mid in
-          let cmp = Bitstring.compare own_prefix prefix_star in
-          let v =
-            if cmp < 0 then Bitstring.min_fill len prefix_star
-            else if cmp > 0 then Bitstring.max_fill len prefix_star
-            else v
-          in
-          loop ~left:(mid + 1) ~right ~prefix_star ~v ~v_bot ~iterations:(iterations + 1)
-    end
-  in
-  Proto.with_label "find_prefix"
-    (loop ~left:1 ~right:(len + 1) ~prefix_star:Bitstring.empty ~v:v_in ~v_bot:v_in
-       ~iterations:0)
+    if Bitstring.length v_in <> len then invalid_arg "Find_prefix.run: input length";
+    search ~label:"find_prefix" ~probe:"find_prefix.v" ~blocks:len ~block_bits:1 ctx v_in
+
+  let run_blocks (ctx : Ctx.t) ~bits:len v_in =
+    let n2 = ctx.Ctx.n * ctx.Ctx.n in
+    if len mod n2 <> 0 || len = 0 then
+      invalid_arg "Find_prefix_blocks.run: bits must be a positive multiple of n^2";
+    if Bitstring.length v_in <> len then
+      invalid_arg "Find_prefix_blocks.run: input length";
+    search ~label:"find_prefix_blocks" ~probe:"find_prefix_blocks.v" ~blocks:n2
+      ~block_bits:(len / n2) ctx v_in
 end
 
 include Make (Ba.Substrate.Unauthenticated)

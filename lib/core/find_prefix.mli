@@ -1,18 +1,22 @@
-(** FINDPREFIX (Section 3): binary search, over bit positions, for the prefix
-    of a valid value — at least as long as the honest inputs' longest common
-    prefix — using Π_ℓBA+ on windows of the parties' values.
+(** FINDPREFIX (Section 3) and FINDPREFIXBLOCKS (Section 4): binary search,
+    over bit positions ({!Make.run}) or over n² blocks of ℓ/n² bits
+    ({!Make.run_blocks}), for the prefix of a valid value — at least as long
+    as the honest inputs' longest common prefix — using Π_ℓBA+ on windows of
+    the parties' values.
 
     Lemma 1: on return all honest parties share [prefix_star]; every honest
     party's [v] is valid (in the honest inputs' range) with prefix
     [prefix_star]; and for {e every} bitstring of [|prefix_star| + 1] bits at
     least t+1 honest parties hold a valid [v_bot] not extending it — the
-    precondition GETOUTPUT needs.
+    precondition GETOUTPUT needs. Lemma 4 is the same with "bit" read as
+    "block".
 
     Complexity: O(log ℓ) iterations of Π_ℓBA+ on halving windows, i.e.
-    BITS = O(ℓn + κ·n²·log n·log ℓ) + O(log ℓ)·BITS_κ(Π_BA). *)
+    BITS = O(ℓn + κ·n²·log n·log ℓ) + O(log ℓ)·BITS_κ(Π_BA); the block
+    search takes O(log n) iterations instead. *)
 
 type result = {
-  prefix_star : Bitstring.t;
+  prefix_star : Bitstring.t;  (** a whole number of blocks *)
   v : Bitstring.t;  (** valid, ℓ bits, has [prefix_star] as a prefix *)
   v_bot : Bitstring.t;  (** valid, ℓ bits; Lemma 1 (ii) *)
   iterations : int;  (** diagnostic: Π_ℓBA+ invocations used *)
@@ -20,13 +24,20 @@ type result = {
 
 module Make (B : Ba.Substrate.S) : sig
   val run : Net.Ctx.t -> bits:int -> Bitstring.t -> result Net.Proto.t
-  (** All honest parties must join with the same [bits] and a valid
-      [bits]-bit value. Raises [Invalid_argument] on a length mismatch.
-      The inner Π_ℓBA+ instances run on the substrate [B]. *)
+  (** FINDPREFIX, labelled [find_prefix]. All honest parties must join with
+      the same [bits] and a valid [bits]-bit value. Raises [Invalid_argument]
+      on a length mismatch. The inner Π_ℓBA+ instances run on the substrate
+      [B]. *)
+
+  val run_blocks : Net.Ctx.t -> bits:int -> Bitstring.t -> result Net.Proto.t
+  (** FINDPREFIXBLOCKS, labelled [find_prefix_blocks]: the same search over
+      n² blocks. [bits] must be a positive multiple of n²; all honest parties
+      join with the same [bits] and valid [bits]-bit values. Raises
+      [Invalid_argument] otherwise. *)
 
   val cost_estimate :
     Net.Ctx.t -> value_bits:int -> f:int -> Ba.Substrate.cost
-  (** f-sensitive cost model: ⌈log₂(ℓ+1)⌉ iterations of
+  (** f-sensitive cost model of the bit search: ⌈log₂(ℓ+1)⌉ iterations of
       {!Baplus.Ext_ba_plus.Make.cost_estimate} — the substrate's
       f-adaptivity propagates through the whole search. *)
 end
@@ -35,10 +46,3 @@ include module type of Make (Ba.Substrate.Unauthenticated)
 (** The default instantiation over {!Ba.Substrate.Unauthenticated} — the
     historical hard-wired phase-king stack, bit-identical to the pre-seam
     protocol. *)
-
-(** {1 Window codecs (shared with the blocks variant)} *)
-
-val encode_window : Bitstring.t -> string
-
-val decode_window : expect_bits:int -> string -> Bitstring.t option
-(** Total on untrusted bytes; [None] unless exactly [expect_bits] bits. *)

@@ -21,7 +21,7 @@ let test_add_last_bit () =
   let values = [| bs "101001"; bs "101110"; bs "101011"; bs "101111" |] in
   let results =
     run_all_honest ~n ~t (fun ctx ->
-        Convex.Add_last_bit.run ctx ~bits ~prefix_star values.(ctx.Ctx.me))
+        Convex.Fixed_length_ca.add_last_bit ctx ~bits ~prefix_star values.(ctx.Ctx.me))
   in
   let first = List.hd results in
   Alcotest.check Alcotest.int "one bit longer" 4 (Bitstring.length first);
@@ -38,7 +38,7 @@ let test_add_last_bit_unanimous_next_bit () =
   let values = Array.make n (bs "0110") in
   let results =
     run_all_honest ~n ~t (fun ctx ->
-        Convex.Add_last_bit.run ctx ~bits ~prefix_star values.(ctx.Ctx.me))
+        Convex.Fixed_length_ca.add_last_bit ctx ~bits ~prefix_star values.(ctx.Ctx.me))
   in
   List.iter (fun r -> Alcotest.check bits_t "validity picks the 1" (bs "011") r) results
 
@@ -46,10 +46,14 @@ let test_add_last_bit_preconditions () =
   let ctx = Ctx.make ~n:4 ~t:1 ~me:0 in
   Alcotest.check_raises "full prefix rejected"
     (Invalid_argument "Add_last_bit.run: prefix already full") (fun () ->
-      ignore (Convex.Add_last_bit.run ctx ~bits:3 ~prefix_star:(bs "101") (bs "101")));
+      ignore
+        (Convex.Fixed_length_ca.add_last_bit ctx ~bits:3 ~prefix_star:(bs "101")
+           (bs "101")));
   Alcotest.check_raises "wrong value length"
     (Invalid_argument "Add_last_bit.run: value length") (fun () ->
-      ignore (Convex.Add_last_bit.run ctx ~bits:4 ~prefix_star:(bs "10") (bs "10")))
+      ignore
+        (Convex.Fixed_length_ca.add_last_bit ctx ~bits:4 ~prefix_star:(bs "10")
+           (bs "10")))
 
 (* ---------------- GETOUTPUT ---------------- *)
 
