@@ -107,6 +107,53 @@ let prop_rank_random =
       | [] -> false)
       && List.for_all (fun o -> Convex.Rank_ba.validity_bounds honest ~rank ~t o) outputs)
 
+(* Byte-identity pins for Median_ba: per n, the SHA-256 and byte length of
+   five runs on random 16-bit inputs, each run its Det JSONL
+   ([Obs.to_jsonl ~tier:Det]: spans, labels, rounds, probes) followed by the
+   honest outputs. The values were captured while Median_ba still had its own
+   median window, before it ran on [rank_window] at the middle rank. *)
+let median_adversaries =
+  [
+    Adversary.passive; Adversary.silent; Adversary.garbage ~seed:4;
+    Adversary.equivocate ~seed:5; Attacks.rotating ~seed:6 ~payload:"median";
+  ]
+
+let median_record ~n ~t =
+  let bits = 16 in
+  let corrupt = Workload.spread_corrupt ~n ~t in
+  let rng = Prng.create n in
+  let inputs = Array.init n (fun _ -> Bitstring.of_int_fixed ~bits (Prng.int rng 65536)) in
+  String.concat "\n"
+    (List.map
+       (fun adversary ->
+         let obs = Obs.create () in
+         let outcome =
+           Sim.run ~obs ~n ~t ~corrupt ~adversary (fun ctx ->
+               Convex.Median_ba.run ctx ~bits inputs.(ctx.Ctx.me))
+         in
+         String.concat "\n"
+           (Obs.to_jsonl ~tier:Obs.Det obs
+           :: List.map Bitstring.to_string (Sim.honest_outputs ~corrupt outcome)))
+       median_adversaries)
+
+let median_pins =
+  [
+    ((7, 2), ("ace1c7c7d051e0fc8c90fbcea4a85a144804dd4d50c6aef7a03757ab00bb511a", 40727));
+    ((10, 3), ("25582f5853c13cf8fc106b5b642f324ec3485b6d265b2c17407c73956ac32590", 61936));
+  ]
+
+let median_pin_cases =
+  List.map
+    (fun ((n, t), pin) ->
+      Alcotest.test_case (Printf.sprintf "median_ba n=%d Det JSONL pin" n) `Quick
+        (fun () ->
+          let s = median_record ~n ~t in
+          Alcotest.(check (pair string int))
+            (Printf.sprintf "median_ba n=%d" n)
+            pin
+            (Sha256.hex s, String.length s)))
+    median_pins
+
 let suite =
   [
     Alcotest.test_case "rank sweep" `Quick test_ranks_sweep;
@@ -115,3 +162,4 @@ let suite =
     Alcotest.test_case "rank validation" `Quick test_rank_validation;
     QCheck_alcotest.to_alcotest prop_rank_random;
   ]
+  @ median_pin_cases
