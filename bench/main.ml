@@ -396,11 +396,6 @@ let t4 () =
                     let inputs =
                       Workload.apply_input_attack attack ~corrupt inputs
                     in
-                    let honest_inputs =
-                      List.filteri
-                        (fun i _ -> not corrupt.(i))
-                        (Array.to_list inputs)
-                    in
                     let term, agree, valid =
                       match
                         Sim.run ~max_rounds:4000 ~allow_excess_corruptions:true
@@ -410,16 +405,8 @@ let t4 () =
                       | outcome -> (
                           match Sim.honest_outputs ~corrupt outcome with
                           | outputs ->
-                              let agree =
-                                match outputs with
-                                | o :: r -> List.for_all (Bigint.equal o) r
-                                | [] -> false
-                              in
-                              let valid =
-                                List.for_all
-                                  (fun o ->
-                                    Convex.in_convex_hull ~inputs:honest_inputs o)
-                                  outputs
+                              let agree, valid =
+                                Workload.check_ca ~corrupt ~inputs outputs
                               in
                               (true, agree, valid)
                           | exception Failure _ -> (false, false, false))
@@ -697,11 +684,10 @@ let auth_exp () =
         Auth.Setup.generate ~seed:(1200 + n) ~n
           ~capacity:(Auth.Auth_ba.required_capacity ~t:t_auth ~instances:n)
       in
-      let xs = Auth.Auth_ba.of_setup setup in
       let outcome =
         Sim.run ~setup:`Authenticated ~n ~t:t_auth ~corrupt
           ~adversary:(Adversary.equivocate ~seed:6) (fun ctx ->
-            Auth.Auth_ba.Xmss.agree xs ctx ~bits inputs.(ctx.Ctx.me))
+            Auth.Auth_ba.agree setup ctx ~bits inputs.(ctx.Ctx.me))
       in
       row ~backend:"auth" ~n ~t:t_auth
         ~honest_bits:outcome.Sim.metrics.Metrics.honest_bits

@@ -434,20 +434,8 @@ let engine_scenario n t sessions spacing backend adversary_name attack_name
   List.iter
     (fun r ->
       let honest = Engine.honest_outputs ~corrupt r in
-      let agree =
-        match honest with
-        | [] -> false
-        | o :: rest -> List.for_all (Bigint.equal o) rest
-      in
-      let honest_inputs =
-        List.filteri
-          (fun i _ -> not corrupt.(i))
-          (Array.to_list inputs.(r.Engine.r_sid))
-      in
-      let valid =
-        List.for_all
-          (fun o -> Convex.in_convex_hull ~inputs:honest_inputs o)
-          honest
+      let agree, valid =
+        Workload.check_ca ~corrupt ~inputs:inputs.(r.Engine.r_sid) honest
       in
       if not (agree && valid) then ok := false;
       Printf.printf "  %3d  %5d  %6d  %6d  %11d  %5s  %5s\n" r.Engine.r_sid

@@ -277,19 +277,9 @@ let wave ~cfg ~obs ~sampler ~control ~idx =
         (fun r ->
           let k = r.Engine.r_sid in
           let d = draws.(k) in
-          let honest = Engine.honest_outputs ~corrupt r in
-          let agreement =
-            match honest with
-            | [] -> false
-            | o :: rest -> List.for_all (Bigint.equal o) rest
-          in
-          let honest_inputs =
-            List.filteri (fun i _ -> not corrupt.(i)) (Array.to_list d.d_inputs)
-          in
-          let validity =
-            List.for_all
-              (fun o -> Convex.in_convex_hull ~inputs:honest_inputs o)
-              honest
+          let agreement, validity =
+            Workload.check_ca ~corrupt ~inputs:d.d_inputs
+              (Engine.honest_outputs ~corrupt r)
           in
           if not (agreement && validity) then
             fail "%s: sid=%d %s: agreement=%b validity=%b" describe_wave k

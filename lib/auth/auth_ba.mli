@@ -12,70 +12,37 @@
     Costs: 4t + 7 rounds, O(n²) messages per view, each carrying at most a
     quorum of signatures. *)
 
-module Make (S : Sigs.Scheme.S) : sig
-  type setup = { pki : string array; signers : S.signer array }
-  (** Verification keys and signing keys by party index; a real deployment
-      hands party [i] only [signers.(i)]. *)
+val signatures_per_instance : t:int -> int
+(** [t + 2]: one signed input plus at most one signed vote per view — the
+    per-party signing budget of one [run]. *)
 
-  val signatures_per_instance : t:int -> int
-  (** [t + 2]: one signed input plus at most one signed vote per view —
-      the per-party signing budget of one [run]. *)
+val run :
+  Setup.t -> 'v Ba.Substrate.spec -> Net.Ctx.t -> instance:int -> 'v -> 'v Net.Proto.t
+(** Byzantine Agreement on ['v] at t < n/2, signing with the XMSS keys of
+    [setup] (party [i] signs with [setup.signers.(i)] only).  [instance]
+    domain-separates signatures across concurrent or sequential invocations
+    sharing one [setup]; honest parties must agree on it (it is a protocol
+    parameter).  If no value is certified in any view the output is
+    [spec.default].  Over a two-value domain the output is always some
+    honest party's input (the external-validity shape Π_ℤ's bit decisions
+    need).  Raises [Invalid_argument] if the setup size mismatches [ctx] or
+    2t ≥ n.  Telemetry label: ["auth_ba"]. *)
 
-  val run :
-    setup ->
-    'v Ba.Substrate.spec ->
-    Net.Ctx.t ->
-    instance:int ->
-    'v ->
-    'v Net.Proto.t
-  (** Byzantine Agreement on ['v] at t < n/2.  [instance] domain-separates
-      signatures across concurrent or sequential invocations sharing one
-      [setup]; honest parties must agree on it (it is a protocol parameter).
-      If no value is certified in any view the output is [spec.default].
-      Over a two-value domain the output is always some honest party's input
-      (the external-validity shape Π_ℤ's bit decisions need).  Raises
-      [Invalid_argument] if the setup size mismatches [ctx] or 2t ≥ n.
-      Telemetry label: ["auth_ba"]. *)
+val rounds : t:int -> int
+(** [4t + 7]: 2 input rounds, 4 per view over t+1 views, 1 resolution. *)
 
-  val rounds : t:int -> int
-  (** [4t + 7]: 2 input rounds, 4 per view over t+1 views, 1 resolution. *)
-
-  val agree : setup -> Net.Ctx.t -> bits:int -> Bitstring.t -> Bitstring.t Net.Proto.t
-  (** Convex Agreement at {b t < n/2}: broadcast inputs, agree on all n
-      per-sender values with n parallel BA instances (instances [0..n-1] —
-      do not reuse them elsewhere under the same [setup]), output the
-      (t+1)-th smallest of the common view.  Same order-statistic validity
-      argument as {!Auth_ca}: with n > 2t at most t entries sit below the
-      smallest honest input.  Spends n·(t+2) signatures per party.  Raises
-      [Invalid_argument] if [v] is not [bits] bits.  Telemetry label:
-      ["auth_ba_ca"]. *)
-end
-
-module Xmss : sig
-  type setup = { pki : string array; signers : Sigs.Xmss.signer array }
-
-  val signatures_per_instance : t:int -> int
-
-  val run :
-    setup ->
-    'v Ba.Substrate.spec ->
-    Net.Ctx.t ->
-    instance:int ->
-    'v ->
-    'v Net.Proto.t
-
-  val rounds : t:int -> int
-  val agree : setup -> Net.Ctx.t -> bits:int -> Bitstring.t -> Bitstring.t Net.Proto.t
-end
-(** The XMSS instantiation — the scheme {!Setup} provisions. *)
-
-val of_setup : Setup.t -> Xmss.setup
-(** View an existing {!Setup.t} (as used by {!Dolev_strong} / {!Auth_ca}) as
-    an {!Xmss} setup. *)
+val agree : Setup.t -> Net.Ctx.t -> bits:int -> Bitstring.t -> Bitstring.t Net.Proto.t
+(** Convex Agreement at {b t < n/2}: broadcast inputs, agree on all n
+    per-sender values with n parallel BA instances (instances [0..n-1] — do
+    not reuse them elsewhere under the same [setup]), output the (t+1)-th
+    smallest of the common view.  Same order-statistic validity argument as
+    {!Auth_ca}: with n > 2t at most t entries sit below the smallest honest
+    input.  Spends n·(t+2) signatures per party.  Raises [Invalid_argument]
+    if [v] is not [bits] bits.  Telemetry label: ["auth_ba_ca"]. *)
 
 val required_capacity : t:int -> instances:int -> int
 (** [instances × (t + 2)]: the per-party XMSS capacity a protocol opening
-    [instances] BA instances needs.  [Xmss.agree] alone opens [n]. *)
+    [instances] BA instances needs.  [agree] alone opens [n]. *)
 
 val substrate : Setup.t -> (module Ba.Substrate.S)
 (** The authenticated backend of the Π_BA seam: name ["auth-quorum"],
@@ -92,4 +59,4 @@ val substrate : Setup.t -> (module Ba.Substrate.S)
     Π_ℤ stack ([Convex.Ca_int.Make]) upgrades the BA sub-calls to quorum
     certificates, but the surrounding CA machinery keeps its own t < n/3
     counting arguments — the composite still requires t < n/3.  Native
-    t < n/2 CA is [Xmss.agree]. *)
+    t < n/2 CA is {!agree}. *)

@@ -20,13 +20,6 @@ open Net
 
 let ( let* ) = Proto.( let* )
 
-let encode_value v = Wire.encode (Wire.w_bits v)
-
-let decode_value ~bits raw =
-  match Wire.decode_full (Wire.r_bits ()) raw with
-  | Some v when Bitstring.length v = bits -> Some v
-  | Some _ | None -> None
-
 (** [run setup ctx ~bits v]: requires a [ctx] built for the authenticated
     bound ({!Net.Ctx.make_authenticated}, t < n/2; contexts with t < n/3
     work a fortiori) and the {!Setup} whose PKI all parties share. All
@@ -34,7 +27,7 @@ let decode_value ~bits raw =
 let choose ~bits ~t ~fallback view =
   let values =
     List.sort Bitstring.compare
-      (List.filter_map (fun d -> Option.bind d (decode_value ~bits)) view)
+      (List.filter_map (fun d -> Option.bind d (Wire.decode_value ~bits)) view)
   in
   match List.nth_opt values t with
   | Some v -> v
@@ -51,7 +44,7 @@ let run (setup : Setup.t) (ctx : Ctx.t) ~bits v_in =
        if sender = n then Proto.return (List.rev acc)
        else
          let* delivered =
-           Dolev_strong.run setup ctx ~instance:sender ~sender (encode_value v_in)
+           Dolev_strong.run setup ctx ~instance:sender ~sender (Wire.encode_value v_in)
          in
          gather (sender + 1) (delivered :: acc)
      in
@@ -69,6 +62,7 @@ let run_parallel (setup : Setup.t) (ctx : Ctx.t) ~bits v_in =
     (let* view =
        Proto.parallel
          (List.init n (fun sender ->
-              Dolev_strong.run setup ctx ~instance:sender ~sender (encode_value v_in)))
+              Dolev_strong.run setup ctx ~instance:sender ~sender
+                (Wire.encode_value v_in)))
      in
      Proto.return (choose ~bits ~t ~fallback:v_in view))

@@ -33,13 +33,6 @@ val r_opt_bytes : string option Wire.reader
 val w_opt_bytes : string option -> Wire.writer
 (** Writer-side counterpart of {!r_opt_bytes}, hoisted for the same reason. *)
 
-val tally : 'v spec -> Net.Proto.inbox -> ('v * int) list
-(** Count distinct decoded values in an inbox: [(value, occurrences)] in
-    first-seen order, grouped by [spec.equal] (which agrees with equality of
-    canonical encodings — [encode] is injective). Allocation-lean (one small
-    array, no Hashtbl, no re-encoding) — shared by the gradecast echo
-    counting. *)
-
 val bit_spec : bool spec
 val bytes_spec : string spec
 

@@ -6,9 +6,11 @@
 
     This is the classical CA baseline the paper improves on. Optimal in
     resilience and conceptually simple, but communication-heavy: n broadcasts
-    of ℓ-bit values. With BC realized as send + Turpin–Coan BA the total cost
-    is O(ℓn³) bits (O(ℓn²) would require an extension-protocol BC — which is
-    the very machinery the paper builds); either way it is ω(ℓn).
+    of ℓ-bit values. BC here is send + phase-king BA ({!Ba.Broadcast}): 3(t+1)
+    all-to-all rounds of ℓ-bit values, O(ℓn²t) bits per broadcast and
+    O(ℓn³t) in total — O(ℓn⁴) at t ≈ n/3. (O(ℓn²) would require an
+    extension-protocol BC — the very machinery the paper builds); either way
+    it is ω(ℓn).
 
     Correctness of the choice function: the common view contains all n−t
     honest inputs, so at most t entries lie below the smallest honest input
@@ -20,18 +22,13 @@ open Net
 
 let ( let* ) = Proto.( let* )
 
-let encode_value v = Wire.encode (Wire.w_bits v)
-
-let decode_value ~bits raw =
-  match Wire.decode_full (Wire.r_bits ()) raw with
-  | Some v when Bitstring.length v = bits -> Some v
-  | Some _ | None -> None
-
 (* The deterministic choice on the identical view: drop non-values, trim t
    from each side, take the median of the rest. At least n−t honest
    broadcasts decode, so the trimmed slice is non-empty; guard anyway. *)
 let choose ~bits ~t ~fallback view =
-  let values = List.sort Bitstring.compare (List.filter_map (decode_value ~bits) view) in
+  let values =
+    List.sort Bitstring.compare (List.filter_map (Wire.decode_value ~bits) view)
+  in
   let arr = Array.of_list values in
   let count = Array.length arr in
   if count <= 2 * t then fallback else arr.(t + ((count - (2 * t)) / 2))
@@ -44,7 +41,7 @@ let run (ctx : Ctx.t) ~bits v_in =
        if sender = n then Proto.return (List.rev acc)
        else
          let* claimed =
-           Ba.Broadcast.run Ba.Phase_king.bytes_spec ctx ~sender (encode_value v_in)
+           Ba.Broadcast.run Ba.Phase_king.bytes_spec ctx ~sender (Wire.encode_value v_in)
          in
          gather (sender + 1) (claimed :: acc)
      in
@@ -63,6 +60,6 @@ let run_parallel (ctx : Ctx.t) ~bits v_in =
        Proto.parallel
          (List.init n (fun sender ->
               Ba.Broadcast.run Ba.Phase_king.bytes_spec ctx ~sender
-                (encode_value v_in)))
+                (Wire.encode_value v_in)))
      in
      Proto.return (choose ~bits ~t ~fallback:v_in view))

@@ -5,9 +5,10 @@
     common output.
 
     Optimal resilience and conceptually simple, but communication-heavy:
-    with BC realized as send + BA the total cost is O(ℓn³) (O(ℓn²) would
-    itself require extension-protocol machinery). The main baseline of
-    experiments T1/T2/F1. *)
+    with BC realized as send + phase-king BA each broadcast costs O(ℓn²t)
+    bits and the total is O(ℓn³t), O(ℓn⁴) at t ≈ n/3 (O(ℓn²) would itself
+    require extension-protocol machinery). The main baseline of experiments
+    T1/T2/F1. *)
 
 val run : Net.Ctx.t -> bits:int -> Bitstring.t -> Bitstring.t Net.Proto.t
 (** All honest parties must join with values of width [bits]; the common

@@ -23,14 +23,6 @@ open Net
 
 let ( let* ) = Proto.( let* )
 
-let encode_value v = Wire.encode (Wire.w_bits v)
-
-(* Values outside ℕ (wrong width, malformed) are ignored. *)
-let decode_value ~bits raw =
-  match Wire.decode_full (Wire.r_bits ()) raw with
-  | Some v when Bitstring.length v = bits -> Some v
-  | Some _ | None -> None
-
 let encode_opt v = Wire.encode (Wire.w_option Wire.w_bits v)
 
 let decode_opt ~bits raw =
@@ -44,7 +36,9 @@ let valid_values ~bits inbox =
     (function
       | None -> ()
       | Some raw -> (
-          match decode_value ~bits raw with Some v -> out := v :: !out | None -> ()))
+          match Wire.decode_value ~bits raw with
+          | Some v -> out := v :: !out
+          | None -> ()))
     inbox;
   !out
 
@@ -76,9 +70,9 @@ let best_supported entries =
 (* The trusted-interval rule is pluggable: the Appendix A.4 adjustment trims
    the k possibly-byzantine extremes (any interval inside the honest range
    suffices for CA), while the original Stolz–Wattenhofer rule (Median_ba)
-   takes a ±t rank window around the received median. [sorted] is the
-   ascending array of valid values received, non-empty; [k] bounds how many
-   of them byzantine parties contributed. *)
+   takes a ±t rank window around the honest median (Rank_ba's window at the
+   median rank). [sorted] is the ascending array of valid values received,
+   non-empty; [k] bounds how many of them byzantine parties contributed. *)
 let trim_extremes ~sorted ~k ~t:_ =
   let count = Array.length sorted in
   (sorted.(min k (count - 1)), sorted.(max 0 (count - 1 - k)))
@@ -89,7 +83,7 @@ let run_custom (ctx : Ctx.t) ~bits ~select_interval v_in =
   let quorum = Ctx.quorum ctx in
   Proto.with_label "high_cost_ca"
     ((* Setup: inputs. *)
-     let* inbox = Proto.broadcast (encode_value v_in) in
+     let* inbox = Proto.broadcast (Wire.encode_value v_in) in
      let received = List.sort Bitstring.compare (valid_values ~bits inbox) in
      let count = List.length received in
      (* k of the received values may be byzantine; with fewer than n−t values
@@ -144,10 +138,12 @@ let run_custom (ctx : Ctx.t) ~bits ~select_interval v_in =
        if i > t + 1 then Proto.return current
        else begin
          (* Round 1: exchange current values. *)
-         let* inbox1 = Proto.broadcast (encode_value current) in
+         let* inbox1 = Proto.broadcast (Wire.encode_value current) in
          let proposal =
            match
-             List.find_opt (fun (_, c) -> c >= quorum) (tally ~decode:(decode_value ~bits) inbox1)
+             List.find_opt
+               (fun (_, c) -> c >= quorum)
+               (tally ~decode:(Wire.decode_value ~bits) inbox1)
            with
            | Some (v, _) -> Some v
            | None -> None
@@ -169,12 +165,13 @@ let run_custom (ctx : Ctx.t) ~bits ~select_interval v_in =
            | None -> suggestion
          in
          let* inbox3 =
-           if ctx.Ctx.me = king then Proto.broadcast (encode_value king_value_of_mine)
+           if ctx.Ctx.me = king then
+             Proto.broadcast (Wire.encode_value king_value_of_mine)
            else Proto.receive_only ()
          in
          let king_value =
            if ctx.Ctx.me = king then Some king_value_of_mine
-           else Option.bind inbox3.(king) (decode_value ~bits)
+           else Option.bind inbox3.(king) (Wire.decode_value ~bits)
          in
          (* Round 4: vote for an acceptable king value. *)
          let vote =

@@ -4,8 +4,9 @@
 
     Used by the main construction only on short inputs (one block, a block
     count), where the cubic cost is affordable, and as the "existing CA
-    protocol" baseline. {!Median_ba} reuses the search stage with the
-    original median-window interval rule via {!run_custom}. *)
+    protocol" baseline. {!Rank_ba} reuses the search stage with a rank-window
+    interval rule via {!run_custom}, and {!Median_ba} with that window at
+    the median rank. *)
 
 val run : Net.Ctx.t -> bits:int -> Bitstring.t -> Bitstring.t Net.Proto.t
 (** All honest parties must join with values of the same width [bits]; the

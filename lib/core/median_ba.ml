@@ -19,23 +19,17 @@
 
 open Net
 
-(* Rank window around the honest median. Among [count] received values at
-   most [k] are byzantine, so (1-indexed) a_i >= h_(i-k) and a_i <= h_i for
-   the sorted honest values h. With m = ceil((count-k)/2) the honest median
-   rank, the window [a_(m-t+k), a_(m+t)] therefore lies inside
-   [h_(m-t), h_(m+t)] — the t-median-validity bounds — and still contains
-   h_m itself (k <= t on both sides), so every honest party's interval shares
-   a common point and a SUGGESTION exists. *)
-let median_window ~sorted ~k ~t =
-  let count = Array.length sorted in
-  let m = (count - k + 1) / 2 in
-  let clamp i = max 0 (min (count - 1) i) in
-  let lo = clamp (m - t + k - 1) and hi = clamp (m + t - 1) in
-  (sorted.(min lo hi), sorted.(max lo hi))
-
+(* The trusted interval is [Rank_ba]'s window at the honest median rank
+   m = ⌈(n−t)/2⌉. With at most t corruptions a party receives count ≥ n−t
+   valid values of which k = count − (n−t) may be byzantine, so the honest
+   count is exactly n−t, and m lies in [Rank_ba]'s sound range [t+1, n−2t]
+   for n > 3t: the window is [a_(m−t+k), a_(m+t)] around the honest median. *)
 let run (ctx : Ctx.t) ~bits v_in =
+  let rank = ((ctx.Ctx.n - ctx.Ctx.t) + 1) / 2 in
   Proto.with_label "median_ba"
-    (High_cost_ca.run_custom ctx ~bits ~select_interval:median_window v_in)
+    (High_cost_ca.run_custom ctx ~bits
+       ~select_interval:(Rank_ba.rank_window ~rank)
+       v_in)
 
 (** The t-median-validity bounds for a given list of honest inputs — what a
     test or monitor should check the common output against. *)

@@ -15,10 +15,3 @@ val validity_bounds : Bitstring.t list -> t:int -> Bitstring.t -> bool
 (** [validity_bounds honest_inputs ~t output]: does [output] satisfy
     t-median validity with respect to [honest_inputs]? For tests and
     monitors. Raises [Invalid_argument] on an empty input list. *)
-
-val median_window :
-  sorted:Bitstring.t array -> k:int -> t:int -> Bitstring.t * Bitstring.t
-(** The interval rule (exposed for {!High_cost_ca.run_custom} users): with
-    [count] received values of which at most [k] are byzantine, the window
-    [a_(m−t+k), a_(m+t)] around the honest median rank m = ⌈(count−k)/2⌉
-    lies within the validity bounds and contains the honest median. *)

@@ -14,7 +14,7 @@
     [h_(rank−t), h_(rank+t)], and for more extreme requests the guarantee
     degrades gracefully toward the median's (the exact bounds are
     {!validity_bounds}, computed with the same clamping).
-    k = ⌈(n−t)/2⌉ recovers {!Median_ba} exactly.
+    k = ⌈(n−t)/2⌉ is {!Median_ba}, which runs on this window.
 
     Rank-window soundness for a clamped rank r: with [count] received values
     of which ≤ k_byz are byzantine, (1-indexed) a_i ≥ h_(i−k_byz) and

@@ -7,8 +7,8 @@
     cannot pin {e extreme} ranks, so the target rank is clamped to the sound
     regime [t+1, (n−t)−t]; for ranks inside it the output lies in
     [h_(rank−t), h_(rank+t)], and more extreme requests degrade gracefully
-    toward the median's guarantee.  k = ⌈(n−t)/2⌉ recovers {!Median_ba}
-    exactly.
+    toward the median's guarantee.  k = ⌈(n−t)/2⌉ is {!Median_ba}, which
+    runs on this window.
 
     Built on {!High_cost_ca.run_custom}: O(ℓ·n³) bits, 2 + 4(t+1) rounds. *)
 

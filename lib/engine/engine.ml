@@ -99,14 +99,15 @@ module Sampler = struct
 end
 
 
-let sampler_hook ?sampler ~sample_every ?poll_stats () =
+let sample_every = 16
+
+let sampler_hook ?sampler ?poll_stats () =
   match sampler with
   | None -> None
   | Some smp ->
-      let every = max 1 sample_every in
       Some
         (fun ~round ~live ->
-          if round mod every = 0 then
+          if round mod sample_every = 0 then
             let poll =
               match poll_stats with Some f -> Some (f ()) | None -> None
             in
@@ -114,9 +115,8 @@ let sampler_hook ?sampler ~sample_every ?poll_stats () =
 
 (* ---- simulator backend ---------------------------------------------------- *)
 
-let run_sim ?max_rounds ?domains ?obs ?sampler ?(sample_every = 16) ~n
-    ~t ~corrupt specs =
-  let on_round = sampler_hook ?sampler ~sample_every () in
+let run_sim ?max_rounds ?domains ?obs ?sampler ~n ~t ~corrupt specs =
+  let on_round = sampler_hook ?sampler () in
   run_core ?max_rounds ?domains ?obs ?on_round
     ~transport:(Transport.loopback ()) ~n ~t ~corrupt specs
 
@@ -133,15 +133,13 @@ let poll_sink o =
     sink_write_stall = (fun s -> Obs.Hist.record stall_h (ns s));
   }
 
-let run_poll ?max_rounds ?domains ?obs ?sampler
-    ?(sample_every = 16) ?control ?outbuf ~n ~t ~corrupt specs =
+let run_poll ?max_rounds ?domains ?obs ?sampler ?control ?outbuf ~n ~t ~corrupt
+    specs =
   let net = Net_poll.create ?outbuf ~n () in
   Net_poll.set_sink net (Option.map poll_sink obs);
   Net_poll.set_control net control;
   let on_round =
-    sampler_hook ?sampler ~sample_every
-      ~poll_stats:(fun () -> Net_poll.stats net)
-      ()
+    sampler_hook ?sampler ~poll_stats:(fun () -> Net_poll.stats net) ()
   in
   Fun.protect
     ~finally:(fun () -> Net_poll.close net)

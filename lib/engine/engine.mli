@@ -124,7 +124,6 @@ val run_sim :
   ?domains:int ->
   ?obs:Obs.t ->
   ?sampler:Sampler.t ->
-  ?sample_every:int ->
   n:int ->
   t:int ->
   corrupt:bool array ->
@@ -133,7 +132,7 @@ val run_sim :
 (** {!run_core} over the in-memory loopback ({!Net.Transport.loopback}):
     the deterministic lock-step simulator, with the per-session rushing
     adversaries controlling the corrupted parties. [sampler] records a
-    {!Sampler} snapshot every [sample_every] (default 16) engine rounds.
+    {!Sampler} snapshot every 16 engine rounds.
     Everything else — [domains], [obs], the raised exceptions — is
     as {!run_core}. *)
 
@@ -142,7 +141,6 @@ val run_poll :
   ?domains:int ->
   ?obs:Obs.t ->
   ?sampler:Sampler.t ->
-  ?sample_every:int ->
   ?control:(Unix.file_descr * (unit -> unit)) ->
   ?outbuf:int ->
   n:int ->
@@ -162,8 +160,8 @@ val run_poll :
 
     [obs] additionally records the mesh's select waits and write stalls in
     the sampled-tier histograms [poll/select_wait_ns] and
-    [poll/write_stall_ns]. [sampler] snapshots every [sample_every]
-    (default 16) engine rounds, with the mesh's {!Net_poll.stats} attached.
+    [poll/write_stall_ns]. [sampler] snapshots every 16 engine rounds, with
+    the mesh's {!Net_poll.stats} attached.
     [control] is forwarded to {!Net_poll.set_control} — pass
     [(Obs.Endpoint.fd ep, fun () -> Obs.Endpoint.service ep)] to serve the
     live stats endpoint from inside the select loop. *)

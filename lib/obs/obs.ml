@@ -1132,7 +1132,9 @@ module Trace = struct
      become "X" (complete) events on a pid=session / tid=party track; the
      engine's round timeline becomes counter ("C") events plus one global
      instant per round on a synthetic engine track. *)
-  let chrome_trace ?(round_us = 1000) t =
+  let round_us = 1000
+
+  let chrome_trace t =
     let rounds = sorted_rounds t in
     let engine_pid = 1 + List.fold_left (fun acc s -> max acc s) (-1) (sessions t) in
     let buf = Buffer.create 4096 in

@@ -310,11 +310,11 @@ val pp_messages : Format.formatter -> t -> n:int -> unit
 (** {1 Chrome trace_event export} *)
 
 module Trace : sig
-  val chrome_trace : ?round_us:int -> t -> string
+  val chrome_trace : t -> string
   (** Render the recorder's span trees and round timeline as Chrome
       [trace_event] (catapult) JSON, loadable in [chrome://tracing] or
-      Perfetto. The clock is virtual: one engine round is [round_us]
-      (default 1000) microseconds, so the trace is a pure function of the
+      Perfetto. The clock is virtual: one engine round is 1000
+      microseconds, so the trace is a pure function of the
       deterministic execution and byte-identical across backends. Tracks:
       pid = session, tid = party (spans as complete events, duration
       inclusive of the exit round), plus a synthetic [engine] process

@@ -91,32 +91,3 @@ let decode_signature raw =
         revealed = Array.init hash_bits (part 0);
         others = Array.init hash_bits (part hash_bits);
       }
-
-(** {1 Scheme conformance} *)
-
-(* One-time keys under the many-time {!Scheme.S} contract: capacity is
-   pinned to 1 and the signer counts its single use down, turning the
-   "strictly one-time" discipline from a comment into a runtime check. *)
-module Scheme = struct
-  type nonrec signature = signature
-  type signer = { secret : secret; mutable unused : bool }
-
-  let name = "lamport-ots"
-
-  let generate rng ~capacity =
-    if capacity <> 1 then invalid_arg "Lamport.Scheme.generate: one-time scheme, capacity must be 1";
-    let secret, public = generate rng in
-    ({ secret; unused = true }, public)
-
-  let remaining s = if s.unused then 1 else 0
-
-  let sign s msg =
-    if not s.unused then failwith "Lamport.Scheme.sign: one-time key already used";
-    s.unused <- false;
-    sign s.secret msg
-
-  let verify = verify
-  let signature_bytes = signature_bytes
-  let encode_signature = encode_signature
-  let decode_signature = decode_signature
-end

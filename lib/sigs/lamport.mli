@@ -27,8 +27,3 @@ val signature_bytes : int
 
 val encode_signature : signature -> string
 val decode_signature : string -> signature option
-
-module Scheme : Scheme.S with type signature = signature
-(** {!Scheme.S} view of the one-time scheme: [generate] requires
-    [capacity = 1] (raises [Invalid_argument] otherwise) and the signer
-    enforces single use at runtime ([sign] raises [Failure] on reuse). *)

@@ -88,19 +88,3 @@ let decode_signature raw =
    witness depth is ⌈log₂ capacity⌉); this constant is what the cost model
    quotes. *)
 let signature_bytes = Lamport.signature_bytes + 3 + 32 + 2 + 3 + (20 * 34) + 8
-
-(** {1 Scheme conformance} *)
-
-module Scheme = struct
-  type nonrec signer = signer
-  type nonrec signature = signature
-
-  let name = "xmss"
-  let generate = generate
-  let remaining = remaining
-  let sign = sign
-  let verify = verify
-  let signature_bytes = signature_bytes
-  let encode_signature = encode_signature
-  let decode_signature = decode_signature
-end

@@ -4,7 +4,7 @@
     authentication path, and the Lamport signature.
 
     This is the "cryptographic setup" the authenticated-setting protocols
-    assume ({!Auth.Dolev_strong}, {!Auth.Auth_ca}). *)
+    assume ({!Auth.Dolev_strong}, {!Auth.Auth_ca}, {!Auth.Auth_ba}). *)
 
 type signer
 (** Stateful: every one-time key is used at most once. *)
@@ -32,7 +32,3 @@ val signature_bytes : int
     one-time keys (the true size varies with capacity and index; see the
     implementation for the breakdown).  This is the figure the authenticated
     backends' cost model quotes. *)
-
-module Scheme : Scheme.S with type signer = signer and type signature = signature
-(** {!Scheme.S} view of the scheme — the backing for scheme-generic
-    authenticated protocols ({!Auth.Auth_ba.Make}). *)

@@ -252,6 +252,13 @@ let r_bits ?(max_bits = 8 * default_max_bytes) () cur =
         | None -> None
         | Some packed -> Bitstring.of_bytes ~len packed)
 
+let encode_value v = encode (w_bits v)
+
+let decode_value ~bits raw =
+  match decode_full (r_bits ()) raw with
+  | Some v when Bitstring.length v = bits -> Some v
+  | Some _ | None -> None
+
 (* Bytes-side varint loop for the in-place frame parser, top-level for the
    same no-closure-per-varint reason as [varint_loop]. [-1] on malformed. *)
 let rec varint_bytes_loop buf limit p acc shift count pos =

@@ -77,6 +77,14 @@ val r_pair : 'a reader -> 'b reader -> ('a * 'b) reader
 val r_bits : ?max_bits:int -> unit -> Bitstring.t reader
 (** Enforces canonical padding via {!Bitstring.of_bytes}. *)
 
+val encode_value : Bitstring.t -> string
+(** [encode (w_bits v)]: one fixed-width protocol value as a whole message. *)
+
+val decode_value : bits:int -> string -> Bitstring.t option
+(** Inverse of {!encode_value} for values exactly [bits] wide: [None] on
+    malformed bytes and on any other width, so a byzantine non-value reads
+    as absent. *)
+
 val ( let* ) : 'a option -> ('a -> 'b option) -> 'b option
 (** Option bind, exposed because hand-written message decoders read better
     with it. *)

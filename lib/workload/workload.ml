@@ -137,6 +137,17 @@ let spread_corrupt ~n ~t =
   done;
   corrupt
 
+(** Definition 1 on one run's honest outputs: agreement (at least one output,
+    all equal) and convex validity (each inside the range of the inputs of
+    the parties not in [corrupt]). *)
+let check_ca ~corrupt ~inputs outputs =
+  let honest_inputs = List.filteri (fun i _ -> not corrupt.(i)) (Array.to_list inputs) in
+  let agreement =
+    match outputs with [] -> false | o :: rest -> List.for_all (Bigint.equal o) rest
+  in
+  ( agreement,
+    List.for_all (fun o -> Convex.in_convex_hull ~inputs:honest_inputs o) outputs )
+
 (** [run_int] executes a protocol of type Π_ℤ (Bigint in, Bigint out) and
     checks Definition 1 against the honest inputs. *)
 let run_int ?max_rounds ?obs ?setup ~n ~t ~corrupt ~adversary
@@ -146,15 +157,7 @@ let run_int ?max_rounds ?obs ?setup ~n ~t ~corrupt ~adversary
       ~adversary (fun ctx -> protocol ctx inputs.(ctx.Ctx.me))
   in
   let outputs = Sim.honest_outputs ~corrupt outcome in
-  let honest_inputs =
-    List.filteri (fun i _ -> not corrupt.(i)) (Array.to_list inputs)
-  in
-  let agreement =
-    match outputs with [] -> false | o :: rest -> List.for_all (Bigint.equal o) rest
-  in
-  let convex_validity =
-    List.for_all (fun o -> Convex.in_convex_hull ~inputs:honest_inputs o) outputs
-  in
+  let agreement, convex_validity = check_ca ~corrupt ~inputs outputs in
   {
     outputs;
     agreement;

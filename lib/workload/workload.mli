@@ -58,6 +58,12 @@ type report = {
 val spread_corrupt : n:int -> t:int -> bool array
 (** Deterministic corrupt-set placement spread across the index space. *)
 
+val check_ca : corrupt:bool array -> inputs:Bigint.t array -> Bigint.t list -> bool * bool
+(** [check_ca ~corrupt ~inputs outputs] is Definition 1's [(agreement,
+    convex_validity)] for one run's honest [outputs]: agreement needs at
+    least one output and all of them equal; convex validity needs each inside
+    the range of the entries of [inputs] whose party is not in [corrupt]. *)
+
 val run_int :
   ?max_rounds:int ->
   ?obs:Obs.t ->
@@ -106,7 +112,7 @@ val pi_z_auth : Auth.Setup.t -> protocol
     phase king. The surrounding CA machinery keeps its own t < n/3 counting
     arguments, so the composite's resilience is still t < n/3 — this is the
     seam demonstrator, not a resilience upgrade (native t < n/2 CA is
-    [Auth.Auth_ba.Xmss.agree]). Supply a {!Auth.Setup.t} fresh for this run
+    {!Auth.Auth_ba.agree}). Supply a {!Auth.Setup.t} fresh for this run
     (signers are stateful) with capacity ≥
     [Auth.Auth_ba.required_capacity ~t ~instances:64], and pass
     [~setup:`Authenticated] to {!run_int}. *)
