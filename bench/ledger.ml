@@ -466,12 +466,16 @@ let engine =
 (* Each codec op at 2^13 and 2^15 bits; the 2^15 row allocates at most
    [codec_alloc_growth]x the 2^13 one (linear code gives 4x, quadratic ~16x).
    Matrix RS encode at (13, 5) beats the reference path by
-   [rs_encode_speedup]x. *)
+   [rs_encode_speedup]x. One SHA-256 digest of the sha256 row's message
+   allocates at most [sha256_alloc_words] minor words: its context and the
+   digest string. A word per 64-byte block would read >= 1024 at the 64 KiB
+   smoke size and >= 16384 at 1 MiB. *)
 let codec_ops = [ "of_bitstring"; "to_bitstring_fixed"; "append_unaligned" ]
 let codec_small_bits = 8192.
 let codec_large_bits = 32768.
 let codec_alloc_growth = 5.
 let rs_encode_speedup = 5.
+let sha256_alloc_words = 128.
 
 let substrate =
   [
@@ -507,6 +511,10 @@ let substrate =
         let s = num row "speedup_vs_ref" in
         if s < rs_encode_speedup then
           bad "rs_encode(13,5) speedup %.1fx < %gx" s rs_encode_speedup);
+    holds "substrate.sha256_alloc" Exact (fun l ->
+        let words = num (find_row l "sha256" [ ("op", Str "sha256") ]) "minor_words_per_op" in
+        if words > sha256_alloc_words then
+          bad "sha256 allocates %g minor words/op > %g" words sha256_alloc_words);
   ]
 
 (* ------------------------------------------------------------------ *)

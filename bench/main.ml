@@ -78,8 +78,9 @@ let t1 () =
   let n = 13 and t = 4 in
   header "T1  --  communication vs input length  (n = 13, t = 4)"
     "Claim (Thm 5 / Cor 2): BITS(Pi_Z) = O(l*n + k*n^2*log^2 n); prior approaches are\n\
-     Omega(l*n^2) (Turpin-Coan BA — which is not even CA) or O(l*n^3) (HighCostCA,\n\
-     Broadcast-CA). Expect Pi_Z's kbits column to grow ~linearly in l and win for large l.";
+     Omega(l*n^2) (Turpin-Coan BA — which is not even CA), O(l*n^3) (HighCostCA) or\n\
+     O(l*n^4) at t ~ n/3 (Broadcast-CA). Expect Pi_Z's kbits column to grow ~linearly\n\
+     in l and win for large l.";
   Printf.printf "%-8s | %18s | %18s | %18s | %18s\n" "l (bits)"
     "Pi_Z kbits" "TC-BA kbits" "HighCostCA kbits" "Broadcast-CA kbits";
   print_endline line;
@@ -233,11 +234,11 @@ let claims_run ~n ~bits (p : Workload.protocol) =
 
 let claims () =
   header "CLAIMS  --  the paper's bit and round shapes, fitted  (C1-C5)"
-    "Claim (Thm 5 / Cor 2): BITS(Pi_Z) = O(l*n + k*n^2*log^2 n), against O(l*n^3) for\n\
-     Broadcast-CA, and ROUNDS(Pi_Z) = O(n log n). Least-squares fits of honest bits\n\
-     against l = 2^11..2^15 per n, and of Pi_Z's rounds against n*log2 n at l = 2^12;\n\
-     each criterion (C1-C5, the baselines' exact round counts) is a gate in\n\
-     bench/ledger.ml.";
+    "Claim (Thm 5 / Cor 2): BITS(Pi_Z) = O(l*n + k*n^2*log^2 n), against O(l*n^4) at\n\
+     t ~ n/3 for Broadcast-CA, and ROUNDS(Pi_Z) = O(n log n). Least-squares fits of\n\
+     honest bits against l = 2^11..2^15 per n, and of Pi_Z's rounds against n*log2 n\n\
+     at l = 2^12; each criterion (C1-C5, the baselines' exact round counts) is a gate\n\
+     in bench/ledger.ml.";
   let fit xs ys = Stats.least_squares ~rows:(List.map (fun x -> [| 1.; x |]) xs) ~y:ys in
   let ladder = List.map (fun lg -> 1 lsl lg) [ 11; 12; 13; 14; 15 ] in
   let ls = List.map float_of_int ladder in

@@ -10,7 +10,11 @@
    separation), which the differential tests assert. *)
 
 type root = string
-type witness = { path : string list (* sibling hashes, leaf level first *) }
+
+(* A witness is its wire encoding: a depth byte, then the packed 32-byte
+   sibling digests, leaf level first. Encoding is the identity and decoding
+   only checks the length. *)
+type witness = string
 
 let dsize = Sha256.digest_size
 
@@ -71,13 +75,13 @@ let leaf_count t = t.leaves
 
 let witness t i =
   if i < 0 || i >= t.leaves then invalid_arg "Merkle.witness";
-  let rec go level idx acc =
-    if level >= Array.length t.levels - 1 then List.rev acc
-    else
-      let sibling = Bytes.sub_string t.levels.(level) ((idx lxor 1) * dsize) dsize in
-      go (level + 1) (idx / 2) (sibling :: acc)
-  in
-  { path = go 0 i [] }
+  let depth = Array.length t.levels - 1 in
+  let w = Bytes.create (1 + (depth * dsize)) in
+  Bytes.set_uint8 w 0 depth;
+  for level = 0 to depth - 1 do
+    Bytes.blit t.levels.(level) (((i lsr level) lxor 1) * dsize) w (1 + (level * dsize)) dsize
+  done;
+  Bytes.unsafe_to_string w
 
 (* Per-domain verification scratch: a verify runs once per harvested share
    on the Π_ℓBA+ hot path, and the fresh context + digest buffer were most
@@ -94,44 +98,29 @@ let verify ~root ~index ~value w =
     Sha256.feed_byte ctx 0x00;
     Sha256.feed ctx value;
     Sha256.finalize_into ctx h ~pos:0;
-    let rec go idx = function
-      | [] -> idx = 0 && String.equal (Bytes.unsafe_to_string h) root
-      | sib :: rest ->
-          if String.length sib <> dsize then false
-          else begin
-            Sha256.reset ctx;
-            Sha256.feed_byte ctx 0x01;
-            if idx land 1 = 0 then begin
-              Sha256.feed_bytes ctx h ~pos:0 ~len:dsize;
-              Sha256.feed ctx sib
-            end
-            else begin
-              Sha256.feed ctx sib;
-              Sha256.feed_bytes ctx h ~pos:0 ~len:dsize
-            end;
-            Sha256.finalize_into ctx h ~pos:0;
-            go (idx / 2) rest
-          end
-    in
-    go index w.path
+    let path = Bytes.unsafe_of_string w in
+    let idx = ref index in
+    for level = 0 to Char.code w.[0] - 1 do
+      let sib = 1 + (level * dsize) in
+      Sha256.reset ctx;
+      Sha256.feed_byte ctx 0x01;
+      if !idx land 1 = 0 then begin
+        Sha256.feed_bytes ctx h ~pos:0 ~len:dsize;
+        Sha256.feed_bytes ctx path ~pos:sib ~len:dsize
+      end
+      else begin
+        Sha256.feed_bytes ctx path ~pos:sib ~len:dsize;
+        Sha256.feed_bytes ctx h ~pos:0 ~len:dsize
+      end;
+      Sha256.finalize_into ctx h ~pos:0;
+      idx := !idx lsr 1
+    done;
+    !idx = 0 && String.equal (Bytes.unsafe_to_string h) root
   end
 
-let witness_size_bits w = 8 * (1 + (Sha256.digest_size * List.length w.path))
-
-let encode_witness w =
-  (* depth byte followed by the concatenated 32-byte siblings. *)
-  let depth = List.length w.path in
-  if depth > 255 then invalid_arg "Merkle.encode_witness: too deep";
-  String.concat "" (String.make 1 (Char.chr depth) :: w.path)
+let witness_size_bits w = 8 * String.length w
+let encode_witness w = w
 
 let decode_witness s =
-  if String.length s < 1 then None
-  else
-    let depth = Char.code s.[0] in
-    if String.length s <> 1 + (depth * Sha256.digest_size) then None
-    else
-      let path =
-        List.init depth (fun i ->
-            String.sub s (1 + (i * Sha256.digest_size)) Sha256.digest_size)
-      in
-      Some { path }
+  if String.length s >= 1 && String.length s = 1 + (Char.code s.[0] * dsize) then Some s
+  else None

@@ -12,7 +12,9 @@ type root = string
 (** 32-byte binary digest. *)
 
 type witness
-(** Authentication path from a leaf to the root. *)
+(** Authentication path from a leaf to the root, held as its wire bytes:
+    a depth byte, then the packed 32-byte sibling digests, leaf level
+    first. *)
 
 type tree
 
@@ -38,6 +40,9 @@ val witness_size_bits : witness -> int
 (** Wire size of the witness (for communication accounting): O(κ·log n). *)
 
 val encode_witness : witness -> string
+(** The wire bytes; no copy is made. *)
 
 val decode_witness : string -> witness option
-(** Defensive decoding of untrusted bytes; [None] on malformed input. *)
+(** Defensive decoding of untrusted bytes: [None] unless the length is
+    exactly one depth byte plus that many 32-byte siblings. The digests
+    themselves are only checked by {!verify}. *)

@@ -28,7 +28,7 @@ type ctx = {
   mutable h5 : int;
   mutable h6 : int;
   mutable h7 : int;
-  block : Bytes.t; (* 64-byte working block *)
+  block : Bytes.t; (* 64-byte buffer for a partial block and the padding *)
   mutable fill : int; (* bytes currently buffered in [block] *)
   mutable total : int; (* total message bytes fed so far *)
   mutable finished : bool;
@@ -65,49 +65,91 @@ let init () =
     w = Array.make 64 0;
   }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+(* Σ0, Σ1, σ0 and σ1 rotate a doubled word: for a 32-bit [v] and
+   [x = v lor (v lsl 32)], bits n..n+31 of [x] are rotr n of [v]. That is
+   exact on 63-bit ints for every rotation up to 31 (SHA-256's largest is
+   25). The results are left unmasked: the bits above 31 are garbage that
+   only ever flows upward through the [+] and [lxor] that consume them, and
+   every word is masked once where it is stored. *)
+let[@inline] big_sigma0 a =
+  let x = a lor (a lsl 32) in
+  (x lsr 2) lxor (x lsr 13) lxor (x lsr 22)
 
-let compress ctx =
+let[@inline] big_sigma1 e =
+  let x = e lor (e lsl 32) in
+  (x lsr 6) lxor (x lsr 11) lxor (x lsr 25)
+
+let[@inline] small_sigma0 w =
+  let x = w lor (w lsl 32) in
+  (x lsr 7) lxor (x lsr 18) lxor (w lsr 3)
+
+let[@inline] small_sigma1 w =
+  let x = w lor (w lsl 32) in
+  (x lsr 17) lxor (x lsr 19) lxor (w lsr 10)
+
+(* The two halves of a round, T1 without [k + w] and T2, with Ch and Maj in
+   their three-operation forms. *)
+let[@inline] t1 e f g h = h + big_sigma1 e + (g lxor (e land (f lxor g)))
+let[@inline] t2 a b c = big_sigma0 a + ((a land b) lor (c land (a lor b)))
+
+let[@inline] kw w i = Array.unsafe_get k i + Array.unsafe_get w i
+
+(* Compress the 64-byte block at [src.(off)] into the chaining state. Whole
+   blocks of the caller's buffer are compressed in place, so [src] is either
+   that buffer or [ctx.block]. *)
+let compress_at ctx src off =
   let w = ctx.w in
-  let b = ctx.block in
   for t = 0 to 15 do
-    w.(t) <-
-      (Char.code (Bytes.unsafe_get b (4 * t)) lsl 24)
-      lor (Char.code (Bytes.unsafe_get b ((4 * t) + 1)) lsl 16)
-      lor (Char.code (Bytes.unsafe_get b ((4 * t) + 2)) lsl 8)
-      lor Char.code (Bytes.unsafe_get b ((4 * t) + 3))
+    Array.unsafe_set w t (Int32.to_int (Bytes.get_int32_be src (off + (4 * t))) land mask)
   done;
   for t = 16 to 63 do
-    let s0 = rotr w.(t - 15) 7 lxor rotr w.(t - 15) 18 lxor (w.(t - 15) lsr 3) in
-    let s1 = rotr w.(t - 2) 17 lxor rotr w.(t - 2) 19 lxor (w.(t - 2) lsr 10) in
-    w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask
+    Array.unsafe_set w t
+      ((Array.unsafe_get w (t - 16)
+       + small_sigma0 (Array.unsafe_get w (t - 15))
+       + Array.unsafe_get w (t - 7)
+       + small_sigma1 (Array.unsafe_get w (t - 2)))
+      land mask)
   done;
   let a = ref ctx.h0
-  and bb = ref ctx.h1
+  and b = ref ctx.h1
   and c = ref ctx.h2
   and d = ref ctx.h3
   and e = ref ctx.h4
   and f = ref ctx.h5
   and g = ref ctx.h6
   and h = ref ctx.h7 in
-  for t = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = !e land !f lxor (lnot !e land !g) in
-    let t1 = (!h + s1 + ch + k.(t) + w.(t)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = !a land !bb lxor (!a land !c) lxor (!bb land !c) in
-    let t2 = (s0 + maj) land mask in
-    h := !g;
-    g := !f;
-    f := !e;
-    e := (!d + t1) land mask;
-    d := !c;
-    c := !bb;
-    bb := !a;
-    a := (t1 + t2) land mask
+  (* Eight rounds per iteration. A round writes only the d and h of its
+     roles, and the next round sees the eight words one role further on, so
+     no round shuffles a..h. *)
+  for j = 0 to 7 do
+    let i = 8 * j in
+    let x = t1 !e !f !g !h + kw w i in
+    d := (!d + x) land mask;
+    h := (x + t2 !a !b !c) land mask;
+    let x = t1 !d !e !f !g + kw w (i + 1) in
+    c := (!c + x) land mask;
+    g := (x + t2 !h !a !b) land mask;
+    let x = t1 !c !d !e !f + kw w (i + 2) in
+    b := (!b + x) land mask;
+    f := (x + t2 !g !h !a) land mask;
+    let x = t1 !b !c !d !e + kw w (i + 3) in
+    a := (!a + x) land mask;
+    e := (x + t2 !f !g !h) land mask;
+    let x = t1 !a !b !c !d + kw w (i + 4) in
+    h := (!h + x) land mask;
+    d := (x + t2 !e !f !g) land mask;
+    let x = t1 !h !a !b !c + kw w (i + 5) in
+    g := (!g + x) land mask;
+    c := (x + t2 !d !e !f) land mask;
+    let x = t1 !g !h !a !b + kw w (i + 6) in
+    f := (!f + x) land mask;
+    b := (x + t2 !c !d !e) land mask;
+    let x = t1 !f !g !h !a + kw w (i + 7) in
+    e := (!e + x) land mask;
+    a := (x + t2 !b !c !d) land mask
   done;
   ctx.h0 <- (ctx.h0 + !a) land mask;
-  ctx.h1 <- (ctx.h1 + !bb) land mask;
+  ctx.h1 <- (ctx.h1 + !b) land mask;
   ctx.h2 <- (ctx.h2 + !c) land mask;
   ctx.h3 <- (ctx.h3 + !d) land mask;
   ctx.h4 <- (ctx.h4 + !e) land mask;
@@ -115,23 +157,34 @@ let compress ctx =
   ctx.h6 <- (ctx.h6 + !g) land mask;
   ctx.h7 <- (ctx.h7 + !h) land mask
 
+(* Top up a partial [ctx.block] first; then compress whole blocks straight
+   from [b]; buffer only the tail. *)
 let feed_bytes ctx b ~pos ~len =
   if ctx.finished then invalid_arg "Sha256.feed: finalized context";
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg "Sha256.feed_bytes: out of range";
   ctx.total <- ctx.total + len;
   let pos = ref pos and left = ref len in
-  while !left > 0 do
-    let take = min (64 - ctx.fill) !left in
+  if ctx.fill > 0 then begin
+    let take = min (64 - ctx.fill) len in
     Bytes.blit b !pos ctx.block ctx.fill take;
     ctx.fill <- ctx.fill + take;
     pos := !pos + take;
     left := !left - take;
     if ctx.fill = 64 then begin
-      compress ctx;
+      compress_at ctx ctx.block 0;
       ctx.fill <- 0
     end
-  done
+  end;
+  while !left >= 64 do
+    compress_at ctx b !pos;
+    pos := !pos + 64;
+    left := !left - 64
+  done;
+  if !left > 0 then begin
+    Bytes.blit b !pos ctx.block 0 !left;
+    ctx.fill <- !left
+  end
 
 let feed ctx s =
   feed_bytes ctx (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
@@ -142,7 +195,7 @@ let feed_byte ctx b =
   Bytes.unsafe_set ctx.block ctx.fill (Char.unsafe_chr (b land 0xff));
   ctx.fill <- ctx.fill + 1;
   if ctx.fill = 64 then begin
-    compress ctx;
+    compress_at ctx ctx.block 0;
     ctx.fill <- 0
   end
 
@@ -151,34 +204,26 @@ let finalize_into ctx out ~pos =
   if pos < 0 || pos + 32 > Bytes.length out then
     invalid_arg "Sha256.finalize_into: out of range";
   ctx.finished <- true;
-  let total_bits = ctx.total * 8 in
-  (* Padding: 0x80, zeros, 64-bit big-endian length. *)
-  Bytes.set ctx.block ctx.fill '\x80';
+  (* Padding: 0x80, zeros, 64-bit big-endian length in bits. *)
+  let block = ctx.block in
+  Bytes.unsafe_set block ctx.fill '\x80';
   ctx.fill <- ctx.fill + 1;
   if ctx.fill > 56 then begin
-    Bytes.fill ctx.block ctx.fill (64 - ctx.fill) '\000';
-    compress ctx;
+    Bytes.unsafe_fill block ctx.fill (64 - ctx.fill) '\000';
+    compress_at ctx block 0;
     ctx.fill <- 0
   end;
-  Bytes.fill ctx.block ctx.fill (56 - ctx.fill) '\000';
-  for i = 0 to 7 do
-    Bytes.set ctx.block (56 + i) (Char.chr ((total_bits lsr (8 * (7 - i))) land 0xff))
-  done;
-  compress ctx;
-  let put i v =
-    Bytes.set out (pos + (4 * i)) (Char.chr ((v lsr 24) land 0xff));
-    Bytes.set out (pos + (4 * i) + 1) (Char.chr ((v lsr 16) land 0xff));
-    Bytes.set out (pos + (4 * i) + 2) (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set out (pos + (4 * i) + 3) (Char.chr (v land 0xff))
-  in
-  put 0 ctx.h0;
-  put 1 ctx.h1;
-  put 2 ctx.h2;
-  put 3 ctx.h3;
-  put 4 ctx.h4;
-  put 5 ctx.h5;
-  put 6 ctx.h6;
-  put 7 ctx.h7
+  Bytes.unsafe_fill block ctx.fill (56 - ctx.fill) '\000';
+  Bytes.set_int64_be block 56 (Int64.of_int (ctx.total * 8));
+  compress_at ctx block 0;
+  Bytes.set_int32_be out pos (Int32.of_int ctx.h0);
+  Bytes.set_int32_be out (pos + 4) (Int32.of_int ctx.h1);
+  Bytes.set_int32_be out (pos + 8) (Int32.of_int ctx.h2);
+  Bytes.set_int32_be out (pos + 12) (Int32.of_int ctx.h3);
+  Bytes.set_int32_be out (pos + 16) (Int32.of_int ctx.h4);
+  Bytes.set_int32_be out (pos + 20) (Int32.of_int ctx.h5);
+  Bytes.set_int32_be out (pos + 24) (Int32.of_int ctx.h6);
+  Bytes.set_int32_be out (pos + 28) (Int32.of_int ctx.h7)
 
 let finalize ctx =
   let out = Bytes.create 32 in

@@ -157,6 +157,9 @@ let edits : (string * (Ledger.t -> Ledger.t)) list =
       edit
         [ ("op", Str "rs_encode"); ("n", Num 13.); ("k", Num 5.) ]
         (set "speedup_vs_ref" (Num 4.)) );
+    (* One word per block at the 64 KiB smoke size. *)
+    ( "substrate.sha256_alloc",
+      edit [ ("op", Str "sha256") ] (set "minor_words_per_op" (Num 1024.)) );
     ("obs.row_shape", edit every (set "trace_events" (Num 0.)));
     ("obs.overhead", edit every (set "overhead_pct" (Num 11.)));
     ("obs.jsonl_bytes", edit every (set "jsonl_bytes" (Num 900_000.)));

@@ -163,6 +163,57 @@ let test_fast_path_matches_ref_exhaustive () =
     done
   done
 
+(* The seed verify over a decoded wire witness: split the siblings into a
+   list and walk it, halving the index. *)
+let ref_verify ~root ~index ~value encoded =
+  let path = List.init (Char.code encoded.[0]) (fun i -> String.sub encoded (1 + (32 * i)) 32) in
+  let rec go h idx = function
+    | [] -> idx = 0 && String.equal h root
+    | sib :: rest ->
+        let pair = if idx land 1 = 0 then h ^ sib else sib ^ h in
+        go (Sha256.digest ("\x01" ^ pair)) (idx / 2) rest
+  in
+  index >= 0 && go (Sha256.digest ("\x00" ^ value)) index path
+
+(* Honest, tampered, shortened and lengthened witnesses, each checked at an
+   honest, a wrong and an out-of-tree index: decoding accepts exactly the
+   well-formed lengths, and [verify] agrees with the seed's list walk. *)
+let prop_verify_matches_ref =
+  QCheck.Test.make ~name:"decode + verify = seed list walk on tampered witnesses"
+    ~count:200
+    QCheck.(quad (1 -- 20) small_nat (0 -- 3) (pair small_nat (int_range (-2) 80)))
+    (fun (n, i, how, (p, j)) ->
+      let i = i mod n in
+      let vs = values n in
+      let t = Merkle.build vs in
+      let root = Merkle.root t in
+      let w = Merkle.encode_witness (Merkle.witness t i) in
+      let depth = Char.code w.[0] in
+      let raw =
+        match how with
+        | 0 -> w
+        | 1 ->
+            let b = Bytes.of_string w in
+            let p = 1 + (p mod max 1 (String.length w - 1)) in
+            if p < String.length w then
+              Bytes.set b p (Char.chr (Char.code w.[p] lxor 0x40));
+            Bytes.to_string b
+        | 2 when depth > 0 ->
+            String.make 1 (Char.chr (depth - 1)) ^ String.sub w 1 (32 * (depth - 1))
+        | _ -> String.make 1 (Char.chr (depth + 1)) ^ String.sub w 1 (32 * depth) ^ root
+      in
+      let well_formed = String.length raw = 1 + (32 * Char.code raw.[0]) in
+      match Merkle.decode_witness raw with
+      | None -> not well_formed
+      | Some dw ->
+          well_formed
+          && String.equal (Merkle.encode_witness dw) raw
+          && Merkle.witness_size_bits dw = 8 * String.length raw
+          && List.for_all
+               (fun (index, value) ->
+                 Merkle.verify ~root ~index ~value dw = ref_verify ~root ~index ~value raw)
+               [ (i, vs.(i)); (j, vs.(i)); (j, vs.(abs j mod n)); (max_int, vs.(i)) ])
+
 let prop_witness_sound =
   (* A witness never validates a different (index, value) pair. *)
   QCheck.Test.make ~name:"witness soundness" ~count:200
@@ -187,4 +238,5 @@ let suite =
       test_fast_path_matches_ref_exhaustive;
     QCheck_alcotest.to_alcotest prop_fast_path_matches_ref;
     QCheck_alcotest.to_alcotest prop_witness_sound;
+    QCheck_alcotest.to_alcotest prop_verify_matches_ref;
   ]
