@@ -22,27 +22,33 @@ type 'v spec = {
 let ( let* ) = Proto.( let* )
 
 (* Tally distinct decoded values in an inbox (at most one per sender), in
-   first-seen order. Counting runs over one small per-call array rather than
-   a fresh Hashtbl: an inbox holds at most n values, and this is called once
-   or twice per party per phase round — the table's bucket array and
-   per-update boxes dominated the tally's own output. Grouping uses
-   [spec.equal] directly — [spec.encode] is injective, so equality of
-   canonical encodings and [spec.equal] induce the same partition, and
-   skipping the encode drops n string allocations per tally (the encodings
-   were only ever compared, never kept; [argmax] re-derives them lazily on
-   the rare count tie). Every downstream consumer is insensitive to entry
-   order: at most one value can reach any >= t+1 threshold with counts from
-   distinct senders. *)
-let tally spec inbox =
+   first-seen order, each represented by its first sender's value. A Π_BA
+   inbox is mostly n copies of a few byte strings, so each distinct payload
+   is decoded once: sender i reuses the decoding (or the decode failure) of
+   the first earlier sender with [String.equal] bytes, which is exact
+   because [decode] is pure. The scan is a plain loop: an inner [let rec]
+   per message would allocate its closure. Counting runs over one small
+   per-call array rather than a Hashtbl, since an inbox holds at most n
+   values. Grouping uses [equal] directly: encodings are injective, so
+   [equal] and equality of encodings induce the same partition, and no
+   value is re-encoded ([argmax] encodes only on a count tie). Every
+   consumer is insensitive to entry order: at most one value can reach any
+   >= t+1 threshold with counts from distinct senders. *)
+let tally ~equal ~decode inbox =
   let n = Array.length inbox in
   let vals = Array.make n None in
   for i = 0 to n - 1 do
     match inbox.(i) with
     | None -> ()
-    | Some raw -> (
-        match spec.decode raw with
-        | None -> () (* undecodable byzantine bytes: ignore the sender *)
-        | Some _ as v -> vals.(i) <- v)
+    | Some raw ->
+        let j = ref 0 in
+        while
+          !j < i
+          && match inbox.(!j) with Some r -> not (String.equal r raw) | None -> true
+        do
+          incr j
+        done;
+        vals.(i) <- (if !j < i then vals.(!j) else decode raw)
   done;
   let acc = ref [] in
   for i = n - 1 downto 0 do
@@ -52,14 +58,14 @@ let tally spec inbox =
         let first = ref true in
         for j = 0 to i - 1 do
           match vals.(j) with
-          | Some w when spec.equal w v -> first := false
+          | Some w when equal w v -> first := false
           | Some _ | None -> ()
         done;
         if !first then begin
           let c = ref 0 in
           for j = i to n - 1 do
             match vals.(j) with
-            | Some w when spec.equal w v -> incr c
+            | Some w when equal w v -> incr c
             | Some _ | None -> ()
           done;
           acc := (v, !c) :: !acc
@@ -91,8 +97,8 @@ let w_opt_bytes = Wire.w_option Wire.w_bytes
 
 let run spec (ctx : Ctx.t) input =
   let quorum = Ctx.quorum ctx in
-  (* Proposal codec and voting spec, built once per run — not once per phase
-     (the closures and the record copy are loop-invariant). *)
+  (* Proposal codec, built once per run — not once per phase (the closures
+     are loop-invariant). *)
   let encode_proposal p = Wire.encode (w_opt_bytes (Option.map spec.encode p)) in
   let decode_proposal raw =
     match Wire.decode_full r_opt_bytes raw with
@@ -100,20 +106,23 @@ let run spec (ctx : Ctx.t) input =
     | Some None -> None (* an explicit "no proposal" carries no vote *)
     | Some (Some payload) -> spec.decode payload
   in
-  let vote_spec = { spec with decode = decode_proposal } in
   let rec phase k v =
     if k > ctx.Ctx.t + 1 then Proto.return v
     else
       (* Round 1: universal exchange of current values. *)
       let* inbox1 = Proto.broadcast (spec.encode v) in
       let proposal =
-        match List.find_opt (fun (_, c) -> c >= quorum) (tally spec inbox1) with
+        match
+          List.find_opt
+            (fun (_, c) -> c >= quorum)
+            (tally ~equal:spec.equal ~decode:spec.decode inbox1)
+        with
         | Some (w, _) -> Some w
         | None -> None
       in
       (* Round 2: universal exchange of proposals. *)
       let* inbox2 = Proto.broadcast (encode_proposal proposal) in
-      let votes = tally vote_spec inbox2 in
+      let votes = tally ~equal:spec.equal ~decode:decode_proposal inbox2 in
       let v, locked =
         match argmax spec votes with
         | Some (w, c) when c >= ctx.Ctx.t + 1 -> (w, c >= quorum)

@@ -18,12 +18,30 @@ type 'v spec = {
   equal : 'v -> 'v -> bool;
   default : 'v;  (** Fallback when a (byzantine) king's message is invalid. *)
   encode : 'v -> string;  (** Must be injective on the domain. *)
-  decode : string -> 'v option;  (** Total on arbitrary bytes. *)
+  decode : string -> 'v option;
+      (** Total on arbitrary bytes, and a pure function of them: {!tally}
+          decodes each distinct payload of an inbox once and reuses the
+          result for every sender that sent the same bytes. *)
 }
 
 val run : 'v spec -> Net.Ctx.t -> 'v -> 'v Net.Proto.t
 (** [run spec ctx v] joins Π_BA with input [v]. All honest parties obtain the
     same output, equal to [v] if they all joined with [v]. *)
+
+val tally :
+  equal:('v -> 'v -> bool) ->
+  decode:(string -> 'v option) ->
+  string option array ->
+  ('v * int) list
+(** [tally ~equal ~decode inbox] groups the decodable messages of [inbox] by
+    [equal] and counts each group's senders. Groups come in first-seen
+    (sender) order, each represented by its first sender's value; absent and
+    undecodable messages are ignored. [decode] must be a pure function of its
+    bytes: it runs once per distinct payload, not once per sender. *)
+
+val argmax : 'v spec -> ('v * int) list -> ('v * int) option
+(** The entry with the highest count, ties broken by the smallest
+    [spec.encode]; [None] on an empty tally. *)
 
 val r_opt_bytes : string option Wire.reader
 (** The [r_option (r_bytes ())] reader, hoisted: the combinator closures are

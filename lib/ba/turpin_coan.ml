@@ -29,48 +29,27 @@ let run (spec : 'v Phase_king.spec) (ctx : Ctx.t) input =
   Proto.with_label "turpin_coan"
     (* Step 1: universal exchange of inputs. *)
     (let* inbox1 = Proto.broadcast (spec.encode input) in
-     let tally inbox decode =
-       let counts = Hashtbl.create 16 in
-       Array.iter
-         (function
-           | None -> ()
-           | Some raw -> (
-               match decode raw with
-               | None -> ()
-               | Some v ->
-                   let key = spec.encode v in
-                   let _, c =
-                     Option.value ~default:(v, 0) (Hashtbl.find_opt counts key)
-                   in
-                   Hashtbl.replace counts key (v, c + 1)))
-         inbox;
-       Hashtbl.fold (fun key (v, c) acc -> (key, v, c) :: acc) counts []
-     in
      let y =
-       match List.find_opt (fun (_, _, c) -> c >= quorum) (tally inbox1 spec.decode) with
-       | Some (_, w, _) -> Some w
+       match
+         List.find_opt
+           (fun (_, c) -> c >= quorum)
+           (tally ~equal:spec.equal ~decode:spec.decode inbox1)
+       with
+       | Some (w, _) -> Some w
        | None -> None
      in
      (* Step 2: universal exchange of candidates. *)
-     let encode_y y = Wire.encode (Wire.w_option Wire.w_bytes (Option.map spec.encode y)) in
+     let encode_y y = Wire.encode (w_opt_bytes (Option.map spec.encode y)) in
      let decode_y raw =
-       match Wire.decode_full (Wire.r_option (Wire.r_bytes ())) raw with
+       match Wire.decode_full r_opt_bytes raw with
        | None | Some None -> None
        | Some (Some payload) -> spec.decode payload
      in
      let* inbox2 = Proto.broadcast (encode_y y) in
      let z, c =
-       match tally inbox2 decode_y with
-       | [] -> (spec.default, 0)
-       | entries ->
-           let _, v, c =
-             List.fold_left
-               (fun (bk, bv, bc) (k, v, c) ->
-                 if c > bc || (c = bc && String.compare k bk < 0) then (k, v, c)
-                 else (bk, bv, bc))
-               (List.hd entries) (List.tl entries)
-           in
-           (v, c)
+       match argmax spec (tally ~equal:spec.equal ~decode:decode_y inbox2) with
+       | Some zc -> zc
+       | None -> (spec.default, 0)
      in
      (* Step 3: binary agreement on whether a quorum candidate exists. *)
      let* confirmed = Phase_king.run_bit ctx (c >= quorum) in

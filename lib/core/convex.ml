@@ -67,14 +67,16 @@ let agree_vector = Vector.agree
 (** {1 Properties (for tests and harnesses)}
 
     [in_convex_hull ~inputs output] — is [output] within the range of
-    [inputs]? With honest inputs only, this is exactly Convex Validity. *)
-let in_convex_hull ~inputs output =
+    [inputs]? With honest inputs only, this is exactly Convex Validity. The
+    range is computed once per [~inputs], so [in_convex_hull ~inputs] checks
+    many outputs against one fold over the inputs. *)
+let in_convex_hull ~inputs =
   match inputs with
-  | [] -> false
+  | [] -> fun _ -> false
   | first :: rest ->
       let lo, hi =
         List.fold_left
           (fun (lo, hi) v -> (Bigint.min lo v, Bigint.max hi v))
           (first, first) rest
       in
-      Bigint.compare lo output <= 0 && Bigint.compare output hi <= 0
+      fun output -> Bigint.compare lo output <= 0 && Bigint.compare output hi <= 0

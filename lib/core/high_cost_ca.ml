@@ -43,20 +43,7 @@ let valid_values ~bits inbox =
   !out
 
 (* Count, for each distinct value, how many distinct senders sent it. *)
-let tally ~decode inbox =
-  let counts = Hashtbl.create 16 in
-  Array.iter
-    (function
-      | None -> ()
-      | Some raw -> (
-          match decode raw with
-          | None -> ()
-          | Some v ->
-              let key = Bitstring.to_bytes v in
-              let _, c = Option.value ~default:(v, 0) (Hashtbl.find_opt counts key) in
-              Hashtbl.replace counts key (v, c + 1)))
-    inbox;
-  Hashtbl.fold (fun _ vc acc -> vc :: acc) counts []
+let tally ~decode inbox = Ba.Phase_king.tally ~equal:Bitstring.equal ~decode inbox
 
 let best_supported entries =
   List.fold_left

@@ -220,12 +220,19 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?obs ?on_round
   let inbox_scratch : string option array array array = Array.make cap [||] in
   let naive = Array.make cap 0 in
   let bundles : Transport.bundles = Array.make_matrix n n [] in
-  (* Direct transports never materialize the per-edge entry lists — the
-     frame ledger is computed arithmetically from these per-edge counters
-     instead (entry count; entry bytes = header + payload), flat-indexed by
-     [s * n + r], which drops the per-message cons+tuple of the bundle build
-     from the loopback hot path. Wire transports still build [bundles]: the
-     bytes have to move. *)
+  (* Direct transports never materialize the per-edge entry lists; wire
+     transports build [bundles], because the bytes have to move. On a direct
+     transport the frame ledger is arithmetic. While fewer than 128 sessions
+     are live, every edge carries fewer than 128 entries, so each frame's
+     entry count is a one-byte varint, and when nothing records the
+     per-frame sizes the round's frame bytes are
+     [n(n-1) * (varint round + 1)] plus the entry bytes (varint sid + varint
+     len + payload) each session summed in its send phase ([slot_entry],
+     [slot_payload]). Otherwise a sequential replay fills the per-edge
+     counters below (entry count; entry bytes), flat-indexed by [s * n + r],
+     and the frame pass sizes each edge's frame from them. *)
+  let slot_entry = Array.make cap 0 in
+  let slot_payload = Array.make cap 0 in
   let edge_cnt = Array.make (n * n) 0 in
   let edge_bytes = Array.make (n * n) 0 in
   let edge_slots : string option array array array =
@@ -320,6 +327,9 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?obs ?on_round
        captured, so every byte matches the [domains:1] run. *)
     let k_now = !k_live in
     let round_now = !er in
+    let summed =
+      transport.Transport.direct && Option.is_none obs_frame_h && k_now < 128
+    in
     let step li =
       let l = live li in
       l.l_rounds <- l.l_rounds + 1;
@@ -366,18 +376,31 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?obs ?on_round
           end
         done
       end;
-      (* Accounting: one charge per message, raw payload bytes, self free. *)
+      (* Accounting: one charge per sender row (raw payload bytes, self
+         free) and, for the summed frame ledger, the session's entry and
+         payload bytes. *)
       for s = 0 to n - 1 do
-        for r = 0 to n - 1 do
-          if s <> r then
-            match actual.(s).(r) with
-            | None -> ()
-            | Some m ->
-                Obs.message l.l_obs ~session:l.l_sid ~party:s ~dst:r
-                  ~round:l.l_rounds ~timeline_round:round_now
-                  ~bytes:(String.length m) ~byzantine:corrupt.(s)
-        done
+        Obs.message_row l.l_obs ~session:l.l_sid ~party:s ~round:l.l_rounds
+          ~timeline_round:round_now ~byzantine:corrupt.(s) actual.(s)
       done;
+      if summed then begin
+        let sid_size = Wire.varint_size l.l_sid in
+        let entry = ref 0 and payload = ref 0 in
+        for s = 0 to n - 1 do
+          let row = actual.(s) in
+          for r = 0 to n - 1 do
+            if s <> r then
+              match row.(r) with
+              | None -> ()
+              | Some m ->
+                  let len = String.length m in
+                  entry := !entry + sid_size + Wire.varint_size len + len;
+                  payload := !payload + len
+          done
+        done;
+        slot_entry.(li) <- !entry;
+        slot_payload.(li) <- !payload
+      end;
       (* A frame-per-session transport would send one frame per peer from
          every party whose instance is still stepping (counted before
          delivery advances the states). *)
@@ -465,29 +488,34 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?obs ?on_round
        Bundle lists are built admission-ordered directly by prepending in
        reverse slot order (the old build-reversed-then-[List.rev] allocated
        a second list per edge per round). Direct transports only tally the
-       per-edge counters (zeroed again by the accounting pass below) —
-       nothing consumes entry lists on that path. *)
-    (if transport.Transport.direct then
-       for li = k_now - 1 downto 0 do
-         let actual = stepped.(li) in
-         let sid_size = Wire.varint_size (live li).l_sid in
-         for s = 0 to n - 1 do
-           let row = actual.(s) and base = s * n in
-           for r = 0 to n - 1 do
-             if s <> r then
-               match row.(r) with
-               | None -> ()
-               | Some m ->
-                   let len = String.length m in
-                   let e = base + r in
-                   edge_cnt.(e) <- edge_cnt.(e) + 1;
-                   edge_bytes.(e) <-
-                     edge_bytes.(e) + sid_size + Wire.varint_size len + len;
-                   payload_bytes := !payload_bytes + len
+       per-edge counters (zeroed again by the frame pass below), and only
+       when the ledger is not summed — nothing consumes entry lists on that
+       path. *)
+    for li = 0 to k_now - 1 do
+      naive_frames := !naive_frames + naive.(li)
+    done;
+    (if transport.Transport.direct then begin
+       if not summed then
+         for li = k_now - 1 downto 0 do
+           let actual = stepped.(li) in
+           let sid_size = Wire.varint_size (live li).l_sid in
+           for s = 0 to n - 1 do
+             let row = actual.(s) and base = s * n in
+             for r = 0 to n - 1 do
+               if s <> r then
+                 match row.(r) with
+                 | None -> ()
+                 | Some m ->
+                     let len = String.length m in
+                     let e = base + r in
+                     edge_cnt.(e) <- edge_cnt.(e) + 1;
+                     edge_bytes.(e) <-
+                       edge_bytes.(e) + sid_size + Wire.varint_size len + len;
+                     payload_bytes := !payload_bytes + len
+             done
            done
-         done;
-         naive_frames := !naive_frames + naive.(li)
-       done
+         done
+     end
      else begin
        for s = 0 to n - 1 do
          for r = 0 to n - 1 do
@@ -504,8 +532,7 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?obs ?on_round
                | None -> ()
                | Some m -> bundles.(s).(r) <- (l.l_sid, m) :: bundles.(s).(r)
            done
-         done;
-         naive_frames := !naive_frames + naive.(li)
+         done
        done
      end);
     (* 5. Account one coalesced frame per ordered pair (keep-alive empties
@@ -515,9 +542,18 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?obs ?on_round
        byte for byte without the engine ever materializing a frame. On the
        direct path the same sum comes from the per-edge counters: a frame is
        varint round + varint count + per entry (varint sid + varint len +
-       payload), exactly the entry bytes accumulated above. *)
+       payload), exactly the entry bytes accumulated above. The summed
+       ledger adds the same terms without visiting an edge: every count is a
+       one-byte varint there. *)
     frames_sent := !frames_sent + (n * (n - 1));
-    if transport.Transport.direct then begin
+    if summed then begin
+      frame_bytes := !frame_bytes + (n * (n - 1) * (Wire.varint_size round_now + 1));
+      for li = 0 to k_now - 1 do
+        frame_bytes := !frame_bytes + slot_entry.(li);
+        payload_bytes := !payload_bytes + slot_payload.(li)
+      done
+    end
+    else if transport.Transport.direct then begin
       let round_size = Wire.varint_size round_now in
       for s = 0 to n - 1 do
         for r = 0 to n - 1 do

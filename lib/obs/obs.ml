@@ -614,37 +614,44 @@ let cell t round =
       t.cached_cell <- Some c;
       c
 
-(* The one charge per message: the sender's innermost open span and counts,
-   the timeline cell when the recorder keeps one, the message event when it
-   keeps those. *)
-let message t ~session ~party ~dst ~round ~timeline_round ~bytes ~byzantine =
-  let bits = 8 * bytes in
+(* Charge [msgs] messages of [bits] in total, all sent by [party] in one
+   round: the sender's innermost open span and counts, and the timeline cell
+   when the recorder keeps one. Returns the sender's bucket. *)
+let charge t ~session ~party ~round ~timeline_round ~byzantine ~msgs ~bits =
   let b = bucket t ~session ~party in
   if byzantine then begin
     b.b_byz_bits <- b.b_byz_bits + bits;
-    b.b_byz_msgs <- b.b_byz_msgs + 1
+    b.b_byz_msgs <- b.b_byz_msgs + msgs
   end
   else begin
     touch b round;
     b.b_bits <- b.b_bits + bits;
-    b.b_msgs <- b.b_msgs + 1;
+    b.b_msgs <- b.b_msgs + msgs;
     match b.b_stack with
     | sp :: _ ->
         sp.sp_bits <- sp.sp_bits + bits;
-        sp.sp_msgs <- sp.sp_msgs + 1
+        sp.sp_msgs <- sp.sp_msgs + msgs
     | [] -> ()
   end;
   if t.keep then begin
     let c = cell t timeline_round in
     if byzantine then begin
       c.c_byz_bits <- c.c_byz_bits + bits;
-      c.c_byz_msgs <- c.c_byz_msgs + 1
+      c.c_byz_msgs <- c.c_byz_msgs + msgs
     end
     else begin
       c.c_bits <- c.c_bits + bits;
-      c.c_msgs <- c.c_msgs + 1
+      c.c_msgs <- c.c_msgs + msgs
     end
   end;
+  b
+
+(* The one charge per message, plus its event when the recorder keeps
+   those. *)
+let message t ~session ~party ~dst ~round ~timeline_round ~bytes ~byzantine =
+  let b =
+    charge t ~session ~party ~round ~timeline_round ~byzantine ~msgs:1 ~bits:(8 * bytes)
+  in
   if t.messages then
     t.messages_rev <-
       {
@@ -657,6 +664,33 @@ let message t ~session ~party ~dst ~round ~timeline_round ~bytes ~byzantine =
         label = (match b.b_stack with sp :: _ :: _ -> sp.sp_label | _ -> "");
       }
       :: t.messages_rev
+
+(* A sender's whole row in one charge. The charge is additive, so the totals
+   equal one [message] per entry; only a recorder that keeps message events
+   takes them one by one. *)
+let message_row t ~session ~party ~round ~timeline_round ~byzantine row =
+  if t.messages then
+    for dst = 0 to Array.length row - 1 do
+      match row.(dst) with
+      | Some m when dst <> party ->
+          message t ~session ~party ~dst ~round ~timeline_round
+            ~bytes:(String.length m) ~byzantine
+      | Some _ | None -> ()
+    done
+  else begin
+    let msgs = ref 0 and bytes = ref 0 in
+    for dst = 0 to Array.length row - 1 do
+      match row.(dst) with
+      | Some m when dst <> party ->
+          msgs := !msgs + 1;
+          bytes := !bytes + String.length m
+      | Some _ | None -> ()
+    done;
+    if !msgs > 0 then
+      ignore
+        (charge t ~session ~party ~round ~timeline_round ~byzantine ~msgs:!msgs
+           ~bits:(8 * !bytes))
+  end
 
 let live_sessions t ~round ~live = (cell t round).c_live <- live
 

@@ -203,6 +203,21 @@ val message :
     counts and the timeline. [timeline_round] is the engine round the
     traffic occupies — the timeline's key. *)
 
+val message_row :
+  t ->
+  session:int ->
+  party:int ->
+  round:int ->
+  timeline_round:int ->
+  byzantine:bool ->
+  string option array ->
+  unit
+(** [message_row t ... row] accounts every message [party] sends in one
+    round: [row.(dst)] is its message to [dst], and [row.(party)] (the self
+    slot) is free. The totals, spans and timeline equal one {!message} call
+    per [Some] entry, in [dst] order, but the row is charged once; a recorder
+    made with [~messages:true] still records one event per message. *)
+
 val live_sessions : t -> round:int -> live:int -> unit
 (** Record the number of live sessions during an engine round. *)
 

@@ -146,7 +146,7 @@ let check_ca ~corrupt ~inputs outputs =
     match outputs with [] -> false | o :: rest -> List.for_all (Bigint.equal o) rest
   in
   ( agreement,
-    List.for_all (fun o -> Convex.in_convex_hull ~inputs:honest_inputs o) outputs )
+    List.for_all (Convex.in_convex_hull ~inputs:honest_inputs) outputs )
 
 (** [run_int] executes a protocol of type Π_ℤ (Bigint in, Bigint out) and
     checks Definition 1 against the honest inputs. *)

@@ -202,6 +202,105 @@ let prop_agreement =
       in
       all_equal (Sim.honest_outputs ~corrupt outcome))
 
+(* The tally as it was before it decoded each distinct payload once: every
+   message decoded, then grouped by [spec.equal] in first-seen order. The
+   differential reference for [Phase_king.tally]. *)
+let reference_tally (spec : 'v Ba.Phase_king.spec) inbox =
+  let n = Array.length inbox in
+  let vals = Array.make n None in
+  for i = 0 to n - 1 do
+    match inbox.(i) with
+    | None -> ()
+    | Some raw -> (
+        match spec.decode raw with None -> () | Some _ as v -> vals.(i) <- v)
+  done;
+  let acc = ref [] in
+  for i = n - 1 downto 0 do
+    match vals.(i) with
+    | None -> ()
+    | Some v ->
+        let first = ref true in
+        for j = 0 to i - 1 do
+          match vals.(j) with
+          | Some w when spec.equal w v -> first := false
+          | Some _ | None -> ()
+        done;
+        if !first then begin
+          let c = ref 0 in
+          for j = i to n - 1 do
+            match vals.(j) with
+            | Some w when spec.equal w v -> incr c
+            | Some _ | None -> ()
+          done;
+          acc := (v, !c) :: !acc
+        end
+  done;
+  !acc
+
+(* Inboxes of up to 13 senders drawn from a small pool of payloads — valid
+   encodings, undecodable bytes and silence — so most inboxes repeat bytes.
+   Each entry is a fresh copy, so reuse cannot rest on physical equality. *)
+let prop_tally_matches_reference name (spec : 'v Ba.Phase_king.spec) pool =
+  let pool = Array.of_list pool in
+  QCheck.Test.make ~name ~count:300
+    QCheck.(list_of_size Gen.(int_bound 13) (int_bound (Array.length pool - 1)))
+    (fun picks ->
+      let inbox =
+        Array.of_list
+          (List.map
+             (fun k -> Option.map (fun s -> Bytes.to_string (Bytes.of_string s)) pool.(k))
+             picks)
+      in
+      let calls = ref 0 in
+      let decode raw =
+        incr calls;
+        spec.decode raw
+      in
+      let got = Ba.Phase_king.tally ~equal:spec.equal ~decode inbox in
+      let distinct =
+        List.sort_uniq String.compare (List.filter_map Fun.id (Array.to_list inbox))
+      in
+      got = reference_tally spec inbox && !calls = List.length distinct)
+
+let prop_tally_bit =
+  prop_tally_matches_reference "tally = reference (bit spec)" Ba.Phase_king.bit_spec
+    [ None; Some "\000"; Some "\001"; Some "\002"; Some ""; Some "\000\001" ]
+
+let prop_tally_bytes =
+  prop_tally_matches_reference "tally = reference (bytes spec)"
+    Ba.Phase_king.bytes_spec
+    [ None; Some ""; Some "a"; Some "b"; Some "ab" ]
+
+let prop_tally_option =
+  let enc v = Some (Ba.Phase_king.option_spec.encode v) in
+  prop_tally_matches_reference "tally = reference (option spec)"
+    Ba.Phase_king.option_spec
+    [ None; enc None; enc (Some "x"); enc (Some "y"); enc (Some ""); Some "\255"; Some "" ]
+
+(* Minor words of one honest [run_option] call carrying a digest under
+   [Sim.run], n = 13, t = 4: a deterministic count. Decoding every message
+   of every tally cost 48562 words; decoding each distinct payload once
+   costs 20466. The bound is their midpoint, so per-message decoding cannot
+   come back unnoticed. *)
+let test_run_option_allocation () =
+  let n = 13 and t = 4 in
+  let corrupt = Array.make n false in
+  let digest = Sha256.digest "phase-king allocation guard" in
+  let run () =
+    ignore
+      (Sim.run ~n ~t ~corrupt ~adversary:Adversary.passive (fun ctx ->
+           Ba.Phase_king.run_option ctx (Some digest)))
+  in
+  run ();
+  let m0 = Gc.minor_words () in
+  let m1 = Gc.minor_words () in
+  run ();
+  let m2 = Gc.minor_words () in
+  let words = m2 -. m1 -. (m1 -. m0) in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words %.0f <= 34514" words)
+    true (words <= 34514.)
+
 let suite =
   [
     Alcotest.test_case "validity all honest" `Quick test_validity_all_honest;
@@ -214,4 +313,8 @@ let suite =
     Alcotest.test_case "turpin-coan" `Quick test_turpin_coan;
     Alcotest.test_case "TC communication advantage" `Quick test_tc_cheaper_than_ba_for_long_values;
     QCheck_alcotest.to_alcotest prop_agreement;
+    QCheck_alcotest.to_alcotest prop_tally_bit;
+    QCheck_alcotest.to_alcotest prop_tally_bytes;
+    QCheck_alcotest.to_alcotest prop_tally_option;
+    Alcotest.test_case "run_option allocation guard" `Quick test_run_option_allocation;
   ]

@@ -208,6 +208,57 @@ let test_spec_validation () =
   Alcotest.check_raises "empty" (Invalid_argument "Engine: no sessions")
     (fun () -> ignore (Engine.run_sim ~n ~t ~corrupt ([] : Bigint.t Engine.spec list)))
 
+(* The round loop derives the frame ledger two ways on a direct transport:
+   from per-session sums while fewer than 128 sessions are live and no
+   frame-size histogram is recorded, and edge by edge otherwise (a recorder
+   records the histogram; the poll transport always walks its frames). Runs
+   of K = 1, 64 and 130 sessions of mixed lengths and payload sizes, with one
+   corrupted party, give the same aggregate without a recorder, with one, and
+   over poll. At K = 130 the live count starts above 128 (two-byte entry
+   counts) and falls below it as sessions retire; sid 0 starts after engine
+   round 128 (two-byte round numbers), and payloads reach two-byte lengths. *)
+let test_frame_ledger_paths () =
+  let n = 4 and t = 1 in
+  let corrupt = [| false; false; true; false |] in
+  let ( let* ) = Proto.( let* ) in
+  let mk_protocol k (ctx : Ctx.t) =
+    let rec go r heard =
+      if r > 1 + (k mod 5) then Proto.return (Bigint.of_int heard)
+      else
+        let* inbox =
+          Proto.exchange (fun dst ->
+              if k mod 8 = 3 && dst = (r mod 4) then None
+              else Some (String.make (((k * 7) + (r * 31) + ctx.Ctx.me) mod 200) 'p'))
+        in
+        go (r + 1)
+          (Array.fold_left (fun a m -> if m = None then a else a + 1) heard inbox)
+    in
+    go 1 0
+  in
+  List.iter
+    (fun sessions ->
+      let specs =
+        List.init sessions (fun k ->
+            Engine.session ~sid:k
+              ~start_round:(if k = 0 then 140 else 0)
+              ~adversary:(mk_adversary k) (mk_protocol k))
+      in
+      let bare = Engine.run_sim ~n ~t ~corrupt specs in
+      let recorded = Engine.run_sim ~obs:(Obs.create ()) ~n ~t ~corrupt specs in
+      let poll = Engine.run_poll ~n ~t ~corrupt specs in
+      Alcotest.check Alcotest.int
+        (Printf.sprintf "K=%d all completed" sessions)
+        sessions bare.Engine.aggregate.Engine.sessions_completed;
+      Alcotest.check Alcotest.bool
+        (Printf.sprintf "K=%d aggregate: bare = recorded" sessions)
+        true
+        (bare.Engine.aggregate = recorded.Engine.aggregate);
+      Alcotest.check Alcotest.bool
+        (Printf.sprintf "K=%d aggregate: bare = poll" sessions)
+        true
+        (bare.Engine.aggregate = poll.Engine.aggregate))
+    [ 1; 64; 130 ]
+
 let suite =
   [
     Alcotest.test_case "multiplexed = sequential (K=8, equivocate)" `Quick
@@ -219,4 +270,6 @@ let suite =
     Alcotest.test_case "64 sessions on both backends" `Slow
       test_64_sessions_cross_backend;
     Alcotest.test_case "spec validation" `Quick test_spec_validation;
+    Alcotest.test_case "frame ledger: summed = per-edge = poll (K=1/64/130)"
+      `Quick test_frame_ledger_paths;
   ]

@@ -437,6 +437,64 @@ let test_bits_only_shard () =
   Alcotest.(check int) "no message events without ~messages" 0
     (List.length (Obs.messages full))
 
+(* [Obs.message_row] against one [Obs.message] per entry, on a seeded script
+   of spans and rows (self slots, silence, empty payloads, a byzantine
+   sender): the export, message events, counts and label table agree for a
+   bits-only shard, a span-plane recorder and one that keeps messages. *)
+let feed_rows ~per_row o seed =
+  let rng = Prng.create seed in
+  let n = 4 in
+  for session = 0 to 1 do
+    for round = 1 to 6 do
+      for party = 0 to n - 1 do
+        (match Prng.int rng 4 with
+        | 0 ->
+            Obs.push o ~session ~party ~round:(round - 1)
+              ~label:(Printf.sprintf "l%d" (Prng.int rng 3))
+        | 1 -> Obs.pop o ~session ~party ~round:(round - 1)
+        | _ -> ());
+        let row =
+          Array.init n (fun _ ->
+              if Prng.int rng 3 = 0 then None
+              else Some (String.make (Prng.int rng 5) 'x'))
+        in
+        let byzantine = party = n - 1 and timeline_round = round + (2 * session) in
+        if per_row then
+          Obs.message_row o ~session ~party ~round ~timeline_round ~byzantine row
+        else
+          Array.iteri
+            (fun dst m ->
+              match m with
+              | Some m when dst <> party ->
+                  Obs.message o ~session ~party ~dst ~round ~timeline_round
+                    ~bytes:(String.length m) ~byzantine
+              | Some _ | None -> ())
+            row
+      done
+    done;
+    for party = 0 to n - 1 do
+      Obs.finish o ~session ~party ~round:6
+    done
+  done
+
+let prop_message_row_equals_messages =
+  QCheck.Test.make ~name:"message_row = one message per entry" ~count:100
+    QCheck.small_nat (fun seed ->
+      List.for_all
+        (fun make ->
+          let per_msg = make () and per_row = make () in
+          feed_rows ~per_row:false per_msg seed;
+          feed_rows ~per_row:true per_row seed;
+          Obs.to_jsonl per_msg = Obs.to_jsonl per_row
+          && Obs.messages_csv per_msg = Obs.messages_csv per_row
+          && Obs.counts per_msg = Obs.counts per_row
+          && Obs.label_bits per_msg = Obs.label_bits per_row)
+        [
+          (fun () -> Obs.shard None);
+          (fun () -> Obs.create ());
+          (fun () -> Obs.create ~messages:true ());
+        ])
+
 (* ---- sampler ring --------------------------------------------------------- *)
 
 let test_sampler_ring_bounds () =
@@ -851,4 +909,5 @@ let suite =
       test_convergence_find_prefix_blocks;
     Alcotest.test_case "convergence: high_cost_ca" `Quick
       test_convergence_high_cost_ca;
+    QCheck_alcotest.to_alcotest prop_message_row_equals_messages;
   ]
