@@ -1,9 +1,14 @@
-type bundles = (int * string) list array array
+type slots = Wire.Frame.slots = {
+  mutable live : int;
+  sids : int array;
+  sent : string option array array array;
+  delivered : string option array array array;
+}
 
 type t = {
   name : string;
   direct : bool;
-  exchange : round:int -> entries:bundles -> bundles;
+  exchange : round:int -> entries:slots -> unit;
   close : unit -> unit;
 }
 
@@ -11,6 +16,6 @@ let loopback () =
   {
     name = "loopback";
     direct = true;
-    exchange = (fun ~round:_ ~entries -> entries);
+    exchange = (fun ~round:_ ~entries:_ -> ());
     close = ignore;
   }

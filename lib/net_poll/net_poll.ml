@@ -9,14 +9,15 @@
    loop.
 
    Allocation discipline: the steady-state byte path reuses per-connection
-   buffers end to end. Outbound, each connection owns a grow-only scratch
-   [c_out] holding the round's prefixed frame — the entries path encodes
-   into it in place (Wire.Frame.encode_into), no frame string or prefix
-   concatenation exists. Inbound, reads land in one shared scratch and are
-   fed to the decoder by offset (feed_sub), never via an intermediate
-   sub-string. The delivered matrix handed to the engine is reused across
-   exchanges (the Transport contract marks it borrowed). What remains per
-   round is the decoded entry payloads themselves — the data. *)
+   buffers end to end. Outbound, each
+   connection owns a grow-only scratch [c_out] holding the round's prefixed
+   frame, written straight from the round loop's slots
+   (Wire.Frame.write_edge) — no frame string or prefix concatenation exists.
+   Inbound, reads land in one shared scratch and are fed to the decoder by
+   offset (feed_sub); each connection's slot sink (Wire.Frame.edge_sink)
+   parses a frame straight into the loop's delivery index. What remains per
+   round is the delivered payloads themselves — the data — and their
+   [Some] boxes. *)
 
 type stats = {
   p_rounds : int;
@@ -97,7 +98,11 @@ type conn = {
          [c_out.[0 .. c_out_len-1]]. Grow-only. *)
   mutable c_out_len : int;
   mutable c_off : int;  (* bytes of [c_out] already admitted to the ring *)
-  mutable c_rcvd : (int * string) list option;  (* decoded inbound entries *)
+  mutable c_got : bool;  (* this round's inbound frame has arrived *)
+  mutable c_entries : (int * string) list;
+      (* the inbound frame's entries, on the string-matrix path only *)
+  mutable c_sink : Wire.Frame.sink;
+      (* parses inbound frames into the bound slots' delivery index *)
   mutable c_peak_backlog : int;  (* peak queued bytes over this conn's life *)
   mutable c_park_t : float;  (* wall clock when the current stall began; -1.0 *)
 }
@@ -107,9 +112,9 @@ type t = {
   conns : conn array;  (* every ordered pair, src-major *)
   pair_fds : Unix.file_descr list;  (* each endpoint once, for close *)
   scratch : Bytes.t;
-  recv : (int * string) list array array;
-      (* Delivered-entries matrix handed to the engine, reused across
-         exchanges (borrowed per the Transport contract). *)
+  mutable expect : int;  (* the round the current exchange moves *)
+  mutable into_slots : bool;  (* inbound frames go to [c_sink], not lists *)
+  mutable bound : Wire.Frame.slots;  (* the slots every [c_sink] fills *)
   mutable closed : bool;
   mutable s_rounds : int;
   mutable s_frames : int;
@@ -129,6 +134,10 @@ type t = {
 }
 
 let stall_timeout = 30.0
+
+(* Placeholder before a transport exchange binds the loop's slots: no entry
+   can land in it. *)
+let no_slots = { Wire.Frame.live = 0; sids = [||]; sent = [||]; delivered = [||] }
 
 let create ?(outbuf = 64 * 1024) ?(max_frame = Wire.Frame.max_frame_bytes) ~n ()
     =
@@ -169,7 +178,9 @@ let create ?(outbuf = 64 * 1024) ?(max_frame = Wire.Frame.max_frame_bytes) ~n ()
             c_out = Bytes.create 256;
             c_out_len = 0;
             c_off = 0;
-            c_rcvd = None;
+            c_got = false;
+            c_entries = [];
+            c_sink = Wire.Frame.edge_sink no_slots ~src ~dst ~on_round:ignore;
             c_peak_backlog = 0;
             c_park_t = -1.0;
           }
@@ -181,7 +192,9 @@ let create ?(outbuf = 64 * 1024) ?(max_frame = Wire.Frame.max_frame_bytes) ~n ()
     conns = Array.of_list !conns;
     pair_fds = !pair_fds;
     scratch = Bytes.create 65536;
-    recv = Array.make_matrix n n [];
+    expect = 0;
+    into_slots = false;
+    bound = no_slots;
     closed = false;
     s_rounds = 0;
     s_frames = 0;
@@ -239,21 +252,27 @@ let stats t =
 (* Bytes not yet flushed to the kernel for one connection. *)
 let backlog c = Ring.length c.c_ring + (c.c_out_len - c.c_off)
 
-(* Stage one connection's round frame into [c_out]: u32 body-length prefix at
-   offset 0, then [fill] writes the [body_len] body bytes at offset 4. The
-   scratch grows to fit and is reused every round after. *)
-let load_frame t c ~body_len fill =
+(* Stage one connection's round frame in [c_out]: grow the scratch to fit and
+   write the u32 body-length prefix at offset 0. The caller writes the
+   [body_len] body bytes at offset 4, then calls [send_frame]. The scratch is
+   reused every round after. *)
+let stage_frame c ~body_len =
   let total = 4 + body_len in
   if Bytes.length c.c_out < total then
     c.c_out <- Bytes.create (max total (2 * Bytes.length c.c_out));
   Bytes.set c.c_out 0 (Char.chr ((body_len lsr 24) land 0xff));
   Bytes.set c.c_out 1 (Char.chr ((body_len lsr 16) land 0xff));
   Bytes.set c.c_out 2 (Char.chr ((body_len lsr 8) land 0xff));
-  Bytes.set c.c_out 3 (Char.chr (body_len land 0xff));
-  fill c.c_out;
+  Bytes.set c.c_out 3 (Char.chr (body_len land 0xff))
+
+(* Queue the staged frame: whatever fits goes straight into the ring, the
+   rest parks. *)
+let send_frame t c ~body_len =
+  let total = 4 + body_len in
   c.c_out_len <- total;
   c.c_off <- Ring.push c.c_ring c.c_out 0 total;
-  c.c_rcvd <- None;
+  c.c_got <- false;
+  c.c_entries <- [];
   t.s_frames <- t.s_frames + 1;
   t.s_frame_bytes <- t.s_frame_bytes + body_len;
   t.s_wire_bytes <- t.s_wire_bytes + total;
@@ -290,47 +309,56 @@ let service_write t c =
   end;
   !progressed
 
-let service_read t ~round c =
+(* Accept one inbound frame's round, before any of its entries lands. *)
+let got_frame t c round =
+  if round <> t.expect then
+    failwith
+      (Printf.sprintf "Net_poll: expected round %d, got %d" t.expect round);
+  if c.c_got then failwith "Net_poll: duplicate frame in one round";
+  c.c_got <- true
+
+let rec pump_slots c =
+  match Wire.Frame.Decoder.next_with c.c_dec c.c_sink with
+  | Error msg -> failwith ("Net_poll: " ^ msg)
+  | Ok false -> ()
+  | Ok true -> pump_slots c
+
+let rec pump_lists t c =
+  match Wire.Frame.Decoder.next c.c_dec with
+  | Error msg -> failwith ("Net_poll: " ^ msg)
+  | Ok None -> ()
+  | Ok (Some frame) ->
+      got_frame t c frame.Wire.Frame.round;
+      c.c_entries <- frame.Wire.Frame.entries;
+      pump_lists t c
+
+let service_read t c =
   match Unix.read c.c_rfd t.scratch 0 (Bytes.length t.scratch) with
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   | 0 -> failwith "Net_poll: connection closed mid-round"
   | k ->
       t.s_reads <- t.s_reads + 1;
       Wire.Frame.Decoder.feed_sub c.c_dec t.scratch 0 k;
-      let rec pump () =
-        match Wire.Frame.Decoder.next c.c_dec with
-        | Error msg -> failwith ("Net_poll: " ^ msg)
-        | Ok None -> ()
-        | Ok (Some frame) ->
-            if frame.Wire.Frame.round <> round then
-              failwith
-                (Printf.sprintf "Net_poll: expected round %d, got %d" round
-                   frame.Wire.Frame.round);
-            (match c.c_rcvd with
-            | Some _ -> failwith "Net_poll: duplicate frame in one round"
-            | None -> c.c_rcvd <- Some frame.Wire.Frame.entries);
-            pump ()
-      in
-      pump ()
+      if t.into_slots then pump_slots c else pump_lists t c
 
 (* Drive the event loop until every connection has both flushed its round
-   frame and received its peer's. Every connection must have been staged by
-   [load_frame] first. *)
-let drive t ~round =
+   frame and received its peer's. Every connection must have been loaded by
+   [send_frame] first. *)
+let drive t =
   let undone = ref (Array.length t.conns) in
   (* Drain any bytes the decoders already hold (cannot happen between
      lock-step rounds, but keeps the loop's invariant local). *)
   Array.iter
     (fun c ->
-      if Wire.Frame.Decoder.buffered c.c_dec > 0 then service_read t ~round c;
-      if c.c_rcvd <> None then decr undone)
+      if Wire.Frame.Decoder.buffered c.c_dec > 0 then service_read t c;
+      if c.c_got then decr undone)
     t.conns;
   while !undone > 0 do
     let wconns = ref [] and rconns = ref [] in
     Array.iter
       (fun c ->
         if backlog c > 0 then wconns := c :: !wconns;
-        if c.c_rcvd = None then rconns := c :: !rconns)
+        if not c.c_got then rconns := c :: !rconns)
       t.conns;
     let rfds = List.map (fun c -> c.c_rfd) !rconns in
     let rfds =
@@ -362,74 +390,76 @@ let drive t ~round =
       !wconns;
     List.iter
       (fun c ->
-        if List.memq c.c_rfd readable && c.c_rcvd = None then begin
-          service_read t ~round c;
-          if c.c_rcvd <> None then decr undone
+        if List.memq c.c_rfd readable && not c.c_got then begin
+          service_read t c;
+          if c.c_got then decr undone
         end)
       !rconns
   done;
   t.s_rounds <- t.s_rounds + 1
 
-let check_open_and_shape t rows =
-  if t.closed then invalid_arg "Net_poll.exchange: closed";
-  if
-    Array.length rows <> t.n
-    || Array.exists (fun row -> Array.length row <> t.n) rows
-  then invalid_arg "Net_poll.exchange: frame matrix shape"
+let check_open t =
+  if t.closed then invalid_arg "Net_poll.exchange: closed"
 
 let exchange t ~round frames =
-  check_open_and_shape t frames;
-  (* Load the round: every connection gets its prefixed frame; whatever fits
-     goes straight into the ring, the rest parks. *)
+  check_open t;
+  if
+    Array.length frames <> t.n
+    || Array.exists (fun row -> Array.length row <> t.n) frames
+  then invalid_arg "Net_poll.exchange: frame matrix shape";
+  t.expect <- round;
+  t.into_slots <- false;
   Array.iter
     (fun c ->
       let body = frames.(c.c_src).(c.c_dst) in
       let body_len = String.length body in
-      load_frame t c ~body_len (fun buf -> Bytes.blit_string body 0 buf 4 body_len))
+      stage_frame c ~body_len;
+      Bytes.blit_string body 0 c.c_out 4 body_len;
+      send_frame t c ~body_len)
     t.conns;
-  drive t ~round;
+  drive t;
   (* Fresh result matrix: the direct-call (string-matrix) interface is the
      test surface and keeps value semantics. *)
   let received = Array.make_matrix t.n t.n [] in
-  Array.iter
-    (fun c ->
-      match c.c_rcvd with
-      | Some entries -> received.(c.c_src).(c.c_dst) <- entries
-      | None -> assert false)
-    t.conns;
+  Array.iter (fun c -> received.(c.c_src).(c.c_dst) <- c.c_entries) t.conns;
   received
 
-(* The engine-facing path: encode each pair's frame straight into the
-   connection's outbound scratch — no frame string, no prefix concatenation —
-   and hand back the reused delivered matrix. *)
-let exchange_entries t ~round entries =
-  check_open_and_shape t entries;
+(* The engine-facing path: write each pair's frame straight from the loop's
+   slots into the connection's outbound scratch, and parse each inbound
+   frame straight into the slots' delivery index. The sinks are bound to a
+   slots record once, on its first exchange; the loop reuses one record for
+   a whole run. *)
+let exchange_slots t ~round (s : Wire.Frame.slots) =
+  check_open t;
   let mw0 = Gc.minor_words () in
+  if t.bound != s then begin
+    t.bound <- s;
+    Array.iter
+      (fun c ->
+        c.c_sink <-
+          Wire.Frame.edge_sink s ~src:c.c_src ~dst:c.c_dst
+            ~on_round:(got_frame t c))
+      t.conns
+  end;
+  t.expect <- round;
+  t.into_slots <- true;
   Array.iter
     (fun c ->
-      let frame =
-        { Wire.Frame.round; entries = entries.(c.c_src).(c.c_dst) }
-      in
-      let body_len = Wire.Frame.encoded_size frame in
-      load_frame t c ~body_len (fun buf ->
-          ignore (Wire.Frame.encode_into frame buf 4 : int));
+      let src = c.c_src and dst = c.c_dst in
+      let body_len = Wire.Frame.edge_size s ~round ~src ~dst in
+      stage_frame c ~body_len;
+      ignore (Wire.Frame.write_edge s ~round ~src ~dst c.c_out 4 : int);
+      send_frame t c ~body_len;
       t.s_in_place <- t.s_in_place + 1)
     t.conns;
-  drive t ~round;
-  Array.iter
-    (fun c ->
-      match c.c_rcvd with
-      | Some es -> t.recv.(c.c_src).(c.c_dst) <- es
-      | None -> assert false)
-    t.conns;
-  t.s_minor_words <- t.s_minor_words +. (Gc.minor_words () -. mw0);
-  t.recv
+  drive t;
+  t.s_minor_words <- t.s_minor_words +. (Gc.minor_words () -. mw0)
 
 let transport t =
   {
     Net.Transport.name = "poll";
     direct = false;
-    exchange = (fun ~round ~entries -> exchange_entries t ~round entries);
+    exchange = (fun ~round ~entries -> exchange_slots t ~round entries);
     close = (fun () -> close t);
   }
 

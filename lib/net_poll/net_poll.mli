@@ -15,18 +15,20 @@
     paper's communication-optimality is observable at scale: cost is words
     on the wire, not threads or syscalls per session.
 
-    The unit of work is an {e exchange} — one engine round's traffic in, the
-    delivered entries out (see {!Net.Transport}). Within an exchange,
-    everything is event-driven; across exchanges the engine keeps its
-    lock-step round structure, which is what makes the poll backend
+    The unit of work is an {e exchange} — one engine round's traffic moved
+    between the round loop's slots (see {!Net.Transport}). Within an
+    exchange, everything is event-driven; across exchanges the engine keeps
+    its lock-step round structure, which is what makes the poll backend
     bit-identical to the simulator.
 
-    The steady-state byte path is allocation-free on this side of the
-    payloads: frames encode in place into per-connection reusable buffers
-    ({!Wire.Frame.encode_into}), reads feed the decoder by offset from one
-    shared scratch ({!Wire.Frame.Decoder.feed_sub}), and the delivered
-    matrix the engine sees is reused across exchanges. {!stats} reports the
-    discipline: [p_frames_encoded_in_place] and [p_minor_words_per_round]. *)
+    The steady-state byte path allocates nothing per message but the
+    delivered payload and its [Some]: each frame is
+    written straight from the slots into a per-connection reusable buffer
+    ({!Wire.Frame.write_edge}), reads feed the decoder by offset from one
+    shared scratch ({!Wire.Frame.Decoder.feed_sub}), and each arriving
+    frame is parsed straight into the loop's delivery index
+    ({!Wire.Frame.edge_sink}). {!stats} reports the discipline:
+    [p_frames_encoded_in_place] and [p_minor_words_per_round]. *)
 
 type stats = {
   p_rounds : int;  (** Exchanges completed. *)
@@ -44,14 +46,15 @@ type stats = {
   p_max_backlog : int;
       (** Peak bytes queued behind a single connection (ring + parked). *)
   p_frames_encoded_in_place : int;
-      (** Frames encoded directly into a connection's reusable outbound
-          buffer (the engine-facing entries path). The direct-call string
-          interface below bypasses in-place encoding, so this counts only
-          transport-driven frames. *)
+      (** Frames written from the slots straight into a connection's
+          reusable outbound buffer (the engine-facing path). The direct-call
+          string interface below bypasses in-place encoding, so this counts
+          only transport-driven frames. *)
   p_minor_words_per_round : float;
-      (** Mean minor-heap words allocated per exchange on the entries path —
-          the transport's own allocation footprint, measured around each
-          exchange with [Gc.minor_words]. *)
+      (** Mean minor-heap words allocated per exchange on the engine-facing
+          path — the transport's own allocation footprint, delivered
+          payloads included, measured around each exchange with
+          [Gc.minor_words]. *)
   p_select_wait_max_s : float;
       (** Longest single [select(2)] wait, in seconds (wall clock). *)
   p_select_wait_mean_s : float;
@@ -111,11 +114,13 @@ val set_control : t -> (Unix.file_descr * (unit -> unit)) option -> unit
 
 val transport : t -> Net.Transport.t
 (** The {!Net.Transport} view driven by [Engine.run_poll] ([direct = false]):
-    each pair's frame is sized with {!Wire.Frame.encoded_size} and encoded in
-    place into the connection's outbound buffer; what the engine receives is
-    only what decoded off the wire. The returned matrix is reused across
-    exchanges (borrowed, per the {!Net.Transport} contract). [close] closes
-    the mesh. *)
+    each pair's frame is sized with {!Wire.Frame.edge_size} and written from
+    the round's slots into the connection's outbound buffer
+    ({!Wire.Frame.write_edge}); each frame that arrives is validated, then
+    parsed into [delivered] ({!Wire.Frame.edge_sink}), so what the engine
+    delivers is only what came off the wire. On top of {!exchange}'s
+    violations it raises [Failure] on an entry out of admission order or for
+    a session that is not live. [close] closes the mesh. *)
 
 val close : t -> unit
 (** Close every socket; idempotent. *)

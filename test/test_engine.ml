@@ -208,15 +208,16 @@ let test_spec_validation () =
   Alcotest.check_raises "empty" (Invalid_argument "Engine: no sessions")
     (fun () -> ignore (Engine.run_sim ~n ~t ~corrupt ([] : Bigint.t Engine.spec list)))
 
-(* The round loop derives the frame ledger two ways on a direct transport:
+(* The round loop derives the frame ledger two ways, on every transport:
    from per-session sums while fewer than 128 sessions are live and no
    frame-size histogram is recorded, and edge by edge otherwise (a recorder
-   records the histogram; the poll transport always walks its frames). Runs
-   of K = 1, 64 and 130 sessions of mixed lengths and payload sizes, with one
-   corrupted party, give the same aggregate without a recorder, with one, and
-   over poll. At K = 130 the live count starts above 128 (two-byte entry
-   counts) and falls below it as sessions retire; sid 0 starts after engine
-   round 128 (two-byte round numbers), and payloads reach two-byte lengths. *)
+   records the histogram). Runs of K = 1, 64 and 130 sessions of mixed
+   lengths and payload sizes, with one corrupted party, give the same
+   aggregate without a recorder, with one, and over poll with and without
+   one — and the poll runs put exactly the ledger's frame bytes on the wire.
+   At K = 130 the live count starts above 128 (two-byte entry counts) and
+   falls below it as sessions retire; sid 0 starts after engine round 128
+   (two-byte round numbers), and payloads reach two-byte lengths. *)
 let test_frame_ledger_paths () =
   let n = 4 and t = 1 in
   let corrupt = [| false; false; true; false |] in
@@ -245,7 +246,23 @@ let test_frame_ledger_paths () =
       in
       let bare = Engine.run_sim ~n ~t ~corrupt specs in
       let recorded = Engine.run_sim ~obs:(Obs.create ()) ~n ~t ~corrupt specs in
-      let poll = Engine.run_poll ~n ~t ~corrupt specs in
+      let over_poll ?obs () =
+        let net = Net_poll.create ~n () in
+        Fun.protect
+          ~finally:(fun () -> Net_poll.close net)
+          (fun () ->
+            let o =
+              Engine.run_core ?obs ~transport:(Net_poll.transport net) ~n ~t
+                ~corrupt specs
+            in
+            Alcotest.check Alcotest.int
+              (Printf.sprintf "K=%d wire bytes = ledger" sessions)
+              o.Engine.aggregate.Engine.frame_bytes
+              (Net_poll.stats net).Net_poll.p_frame_bytes;
+            o)
+      in
+      let poll = over_poll () in
+      let poll_recorded = over_poll ~obs:(Obs.create ()) () in
       Alcotest.check Alcotest.int
         (Printf.sprintf "K=%d all completed" sessions)
         sessions bare.Engine.aggregate.Engine.sessions_completed;
@@ -256,8 +273,40 @@ let test_frame_ledger_paths () =
       Alcotest.check Alcotest.bool
         (Printf.sprintf "K=%d aggregate: bare = poll" sessions)
         true
-        (bare.Engine.aggregate = poll.Engine.aggregate))
+        (bare.Engine.aggregate = poll.Engine.aggregate);
+      Alcotest.check Alcotest.bool
+        (Printf.sprintf "K=%d aggregate: bare = recorded poll" sessions)
+        true
+        (bare.Engine.aggregate = poll_recorded.Engine.aggregate))
     [ 1; 64; 130 ]
+
+(* The poll transport writes frames from the round loop's slots and parses
+   them back into the slot index, so its allocation over the loopback run is
+   the delivered payload copies and their [Some] boxes: 40 941 minor words
+   per session for honest K = 64, n = 7 Pi_Z (deterministic up to a few
+   words of select-loop lists, which vary with wakeups). Per-edge entry
+   lists, their tuples and a sid -> slot hash map cost 125 734. The bound is
+   the midpoint, so any per-message structure coming back fails here. *)
+let poll_extra_words_per_session = 83_338.
+
+let test_poll_allocation_guard () =
+  let n = 7 and t = 2 and sessions = 64 in
+  let corrupt = Array.make n false in
+  let specs () =
+    List.init sessions (fun k -> Engine.session ~sid:k (mk_protocol ~n k))
+  in
+  let words run =
+    let specs = specs () in
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (run specs));
+    Gc.minor_words () -. w0
+  in
+  let sim = words (Engine.run_sim ~n ~t ~corrupt) in
+  let poll = words (Engine.run_poll ~n ~t ~corrupt) in
+  let extra = (poll -. sim) /. float_of_int sessions in
+  if extra > poll_extra_words_per_session then
+    Alcotest.failf "poll allocates %.0f minor words/session over loopback > %.0f"
+      extra poll_extra_words_per_session
 
 let suite =
   [
@@ -272,4 +321,6 @@ let suite =
     Alcotest.test_case "spec validation" `Quick test_spec_validation;
     Alcotest.test_case "frame ledger: summed = per-edge = poll (K=1/64/130)"
       `Quick test_frame_ledger_paths;
+    Alcotest.test_case "poll allocation over loopback (K=64, n=7)" `Slow
+      test_poll_allocation_guard;
   ]
