@@ -409,16 +409,17 @@ let adaptive =
    throughput at least [engine_rate_gain]x the pre-overhaul row
    ([engine_baseline_rate] sessions/s, BENCH_engine.json @ bb0aed7), and at
    most [engine_gc_ceiling] minor words per session. The ceiling sits ~5%
-   above the post-overhaul 414 760 (pre-overhaul: 1 552 000); allocation
-   counts are deterministic, so the headroom covers stdlib and runtime
-   drift, not noise. The remaining floor is protocol-intrinsic (decoded
-   payloads, Pi_lBA+'s Reed-Solomon and Merkle work, the protocol monad's
-   closures). *)
+   above the 279 505 measured once frames moved straight between the round
+   loop's slots and the sockets (per-edge entry lists: 356 254; before the
+   hot-path overhaul: 1 552 000); allocation counts are deterministic, so
+   the headroom covers stdlib and runtime drift, not noise. The remaining
+   floor is protocol-intrinsic (delivered payloads, Pi_lBA+'s Reed-Solomon
+   and Merkle work, the protocol monad's closures). *)
 let engine_min_poll_sessions = 1024.
 let engine_gate_k = 4096.
 let engine_baseline_rate = 91.9284
 let engine_rate_gain = 1.3
-let engine_gc_ceiling = 435_000.
+let engine_gc_ceiling = 293_500.
 
 let engine =
   let gate_row l =
