@@ -23,8 +23,8 @@ let emit_value buf = function
 
 (* Shared provenance meta, stamped into every ledger: BENCH_*.json numbers
    are only comparable across PRs when each file records what produced them
-   (commit, compiler, and — since the multicore layer — the domain count the
-   harness ran with). *)
+   (commit, compiler, the domain count the harness ran with, and the host's
+   core count, which bounds what a parallel or timed row could measure). *)
 
 let domains = ref 1
 let set_domains d = domains := d
@@ -55,6 +55,7 @@ let shared_meta () =
     ("git_rev", Str (Lazy.force git_rev));
     ("ocaml_version", Str Sys.ocaml_version);
     ("domains", Int !domains);
+    ("nproc", Int (Domain.recommended_domain_count ()));
   ]
 
 let emit_obj buf fields =

@@ -70,7 +70,7 @@ let () =
   (* Convex Agreement per coordinate. *)
   let outcome =
     Sim.run ~n ~t ~corrupt ~adversary:(Adversary.equivocate ~seed:3) (fun ctx ->
-        agree_vector ctx gradients.(ctx.Ctx.me))
+        Proto.run (agree_vector ctx gradients.(ctx.Ctx.me)))
   in
   let outputs = Sim.honest_outputs ~corrupt outcome in
   let agreed = List.hd outputs in

@@ -163,7 +163,7 @@ let fast_path_rounds (ctx : Ctx.t) = 4 + Ba.Phase_king.rounds ctx
 (* ------------------------------------------------------------------ *)
 (* The CA wrapper: 4-round preamble + arbitration + full Π_ℤ fallback.    *)
 
-let agree_int ?stats ~fallback (ctx : Ctx.t) v =
+let agree ?stats ~fallback (ctx : Ctx.t) v =
   let n = ctx.Ctx.n and t = ctx.Ctx.t in
   let module B = (val fallback : Ba.Substrate.S) in
   let module CA = Convex.Ca_int.Make (B) in
@@ -273,8 +273,11 @@ let agree_int ?stats ~fallback (ctx : Ctx.t) v =
   end
   else begin
     bump_fallback stats;
-    CA.run ctx v
+    Proto.lift (CA.run ctx v)
   end
+
+(* Reified: callers hand it to the round loop or wrap it per round. *)
+let agree_int ?stats ~fallback ctx v = Proto.run (agree ?stats ~fallback ctx v)
 
 let wrapper_cost (ctx : Ctx.t) ~value_bits ~fallback ~f =
   let n = ctx.Ctx.n in

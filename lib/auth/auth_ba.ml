@@ -141,7 +141,7 @@ let quorum_cert ~quorum ~view ~decodes collected =
     collected
 
 let run (setup : Setup.t) (spec : 'v Ba.Substrate.spec) (ctx : Ctx.t) ~instance (input : 'v) :
-    'v Proto.t =
+    'v Proto.m =
   let n = ctx.Ctx.n and t = ctx.Ctx.t and me = ctx.Ctx.me in
   if Array.length setup.pki <> n || Array.length setup.signers <> n then
     invalid_arg "Auth_ba.run: setup size mismatch";
@@ -388,7 +388,7 @@ let substrate (s : Setup.t) : (module Ba.Substrate.S) =
     let run spec ctx v =
       let instance = !next_instance in
       incr next_instance;
-      run s spec ctx ~instance v
+      Proto.run (run s spec ctx ~instance v)
 
     let run_bit ctx b = run Ba.Phase_king.bit_spec ctx b
     let run_bytes ctx v = run Ba.Phase_king.bytes_spec ctx v

@@ -17,7 +17,7 @@ val signatures_per_instance : t:int -> int
     per-party signing budget of one [run]. *)
 
 val run :
-  Setup.t -> 'v Ba.Substrate.spec -> Net.Ctx.t -> instance:int -> 'v -> 'v Net.Proto.t
+  Setup.t -> 'v Ba.Substrate.spec -> Net.Ctx.t -> instance:int -> 'v -> 'v Net.Proto.m
 (** Byzantine Agreement on ['v] at t < n/2, signing with the XMSS keys of
     [setup] (party [i] signs with [setup.signers.(i)] only).  [instance]
     domain-separates signatures across concurrent or sequential invocations
@@ -31,7 +31,7 @@ val run :
 val rounds : t:int -> int
 (** [4t + 7]: 2 input rounds, 4 per view over t+1 views, 1 resolution. *)
 
-val agree : Setup.t -> Net.Ctx.t -> bits:int -> Bitstring.t -> Bitstring.t Net.Proto.t
+val agree : Setup.t -> Net.Ctx.t -> bits:int -> Bitstring.t -> Bitstring.t Net.Proto.m
 (** Convex Agreement at {b t < n/2}: broadcast inputs, agree on all n
     per-sender values with n parallel BA instances (instances [0..n-1] — do
     not reuse them elsewhere under the same [setup]), output the (t+1)-th

@@ -12,12 +12,12 @@
     Closing this gap to O(ℓn) at t < n/2 is the open problem. *)
 
 val run :
-  Setup.t -> Net.Ctx.t -> bits:int -> Bitstring.t -> Bitstring.t Net.Proto.t
+  Setup.t -> Net.Ctx.t -> bits:int -> Bitstring.t -> Bitstring.t Net.Proto.m
 (** Requires a [ctx] satisfying the authenticated bound
     ({!Net.Ctx.make_authenticated}) and [bits]-wide honest inputs. The n
     broadcasts run sequentially: O(n·t) rounds. *)
 
 val run_parallel :
-  Setup.t -> Net.Ctx.t -> bits:int -> Bitstring.t -> Bitstring.t Net.Proto.t
+  Setup.t -> Net.Ctx.t -> bits:int -> Bitstring.t -> Bitstring.t Net.Proto.m
 (** [run] with the n Dolev–Strong instances composed by
     {!Net.Proto.parallel}: identical outputs, t+1 rounds. *)

@@ -17,7 +17,7 @@ val run :
   instance:int ->
   sender:int ->
   string ->
-  string option Net.Proto.t
+  string option Net.Proto.m
 (** [run setup ctx ~instance ~sender v]: [instance] domain-separates
     signatures when several broadcasts run in one execution (as in
     {!Auth_ca}). Only [sender]'s [v] matters. The [ctx] may be built with

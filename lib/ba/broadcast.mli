@@ -12,9 +12,9 @@
     for the send plus BITS_ℓ(Π_BA) — O(ℓn³) with the phase-king Π_BA. *)
 
 val run :
-  'v Phase_king.spec -> Net.Ctx.t -> sender:int -> 'v -> 'v Net.Proto.t
+  'v Phase_king.spec -> Net.Ctx.t -> sender:int -> 'v -> 'v Net.Proto.m
 (** [run spec ctx ~sender v]: every party joins; only [sender]'s input is
     meaningful (other parties may pass anything, e.g. [spec.default]).
     Raises [Invalid_argument] on an out-of-range sender. *)
 
-val run_bytes : Net.Ctx.t -> sender:int -> string -> string Net.Proto.t
+val run_bytes : Net.Ctx.t -> sender:int -> string -> string Net.Proto.m

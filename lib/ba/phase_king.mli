@@ -24,7 +24,7 @@ type 'v spec = {
           result for every sender that sent the same bytes. *)
 }
 
-val run : 'v spec -> Net.Ctx.t -> 'v -> 'v Net.Proto.t
+val run : 'v spec -> Net.Ctx.t -> 'v -> 'v Net.Proto.m
 (** [run spec ctx v] joins Π_BA with input [v]. All honest parties obtain the
     same output, equal to [v] if they all joined with [v]. *)
 
@@ -58,9 +58,9 @@ val option_spec : string option spec
 (** Domain [string option] — [⊥] is a first-class input value (needed by
     Π_BA+, where parties may join the inner agreement with [a = ⊥]). *)
 
-val run_bit : Net.Ctx.t -> bool -> bool Net.Proto.t
-val run_bytes : Net.Ctx.t -> string -> string Net.Proto.t
-val run_option : Net.Ctx.t -> string option -> string option Net.Proto.t
+val run_bit : Net.Ctx.t -> bool -> bool Net.Proto.m
+val run_bytes : Net.Ctx.t -> string -> string Net.Proto.m
+val run_option : Net.Ctx.t -> string option -> string option Net.Proto.m
 
 val rounds : Net.Ctx.t -> int
 (** Exact round count: [3 (t+1)]. *)

@@ -95,15 +95,15 @@ module Make (B : Ba.Substrate.S) = struct
        | v :: rest -> (Some v, Some (List.nth rest (List.length rest - 1)))
      in
      (* Step 4: try to agree on a. *)
-     let* a' = B.run_option ctx a in
+     let* a' = Proto.lift (B.run_option ctx a) in
      let happy_a = match (a, a') with Some x, Some y -> String.equal x y | _ -> false in
-     let* agreed_a = B.run_bit ctx happy_a in
+     let* agreed_a = Proto.lift (B.run_bit ctx happy_a) in
      if agreed_a then Proto.return a'
      else
        (* Step 5: try to agree on b. *)
-       let* b' = B.run_option ctx b in
+       let* b' = Proto.lift (B.run_option ctx b) in
        let happy_b = match (b, b') with Some x, Some y -> String.equal x y | _ -> false in
-       let* agreed_b = B.run_bit ctx happy_b in
+       let* agreed_b = Proto.lift (B.run_bit ctx happy_b) in
        if agreed_b then Proto.return b' else Proto.return None)
 end
 

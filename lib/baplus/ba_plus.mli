@@ -13,7 +13,7 @@
     The intended inputs are κ-bit hash digests, but any byte values work. *)
 
 module Make (B : Ba.Substrate.S) : sig
-  val run : Net.Ctx.t -> string -> string option Net.Proto.t
+  val run : Net.Ctx.t -> string -> string option Net.Proto.m
   (** [run ctx v] joins Π_BA+ with input [v]; [None] is the paper's ⊥.  The
       four inner agreement instances run on the substrate [B]. *)
 

@@ -14,7 +14,7 @@
     committed value is an honest input, so reconstruction is consistent. *)
 
 module Make (B : Ba.Substrate.S) : sig
-  val run : Net.Ctx.t -> string -> string option Net.Proto.t
+  val run : Net.Ctx.t -> string -> string option Net.Proto.m
   (** [run ctx v] joins Π_ℓBA+ with input [v] (arbitrary bytes). Output
       [None] is ⊥. All honest outputs are equal; a non-⊥ output is an honest
       input (Intrusion Tolerance); ⊥ implies fewer than [n−2t] honest parties

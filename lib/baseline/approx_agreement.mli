@@ -12,6 +12,6 @@
     Communication: O(rounds · ℓ · n²). *)
 
 val run :
-  Net.Ctx.t -> bits:int -> rounds:int -> Bitstring.t -> Bitstring.t Net.Proto.t
+  Net.Ctx.t -> bits:int -> rounds:int -> Bitstring.t -> Bitstring.t Net.Proto.m
 (** [run ctx ~bits ~rounds v] performs [rounds] averaging iterations on
     [bits]-wide values. [rounds = 0] returns the input unchanged. *)

@@ -30,13 +30,14 @@ module Make (B : Ba.Substrate.S) = struct
     }
 
   let run (ctx : Ctx.t) v_in =
-    let sign_in = Bigint.sign v_in < 0 in
-    let* sign_out = B.run_bit ctx sign_in in
-    let magnitude =
-      if Bool.equal sign_out sign_in then Bigint.abs v_in else Bigint.zero
-    in
-    let* magnitude_out = CN.run ctx magnitude in
-    Proto.return (Bigint.of_sign_magnitude ~negative:sign_out magnitude_out)
+    Proto.run
+      (let sign_in = Bigint.sign v_in < 0 in
+       let* sign_out = Proto.lift (B.run_bit ctx sign_in) in
+       let magnitude =
+         if Bool.equal sign_out sign_in then Bigint.abs v_in else Bigint.zero
+       in
+       let* magnitude_out = CN.run ctx magnitude in
+       Proto.return (Bigint.of_sign_magnitude ~negative:sign_out magnitude_out))
 end
 
 include Make (Ba.Substrate.Unauthenticated)

@@ -27,7 +27,7 @@ module Make (B : Ba.Substrate.S) = struct
   let n2 = ctx.Ctx.n * ctx.Ctx.n in
   let len = Bigint.bit_length v_in in
   (* Line 1: long or short regime? *)
-  let* long = B.run_bit ctx (len > n2) in
+  let* long = Proto.lift (B.run_bit ctx (len > n2)) in
   if not long then begin
     (* Short regime: cap overlong values (2^{n²}−1 is then in the honest
        range), probe ℓ_EST = 2^i, and run FIXEDLENGTHCA. *)
@@ -40,7 +40,7 @@ module Make (B : Ba.Substrate.S) = struct
         FL.run ctx ~bits:l_est (Bigint.to_bitstring_fixed ~bits:l_est v)
       else
         let l_est = 1 lsl i in
-        let* fits = B.run_bit ctx (Bigint.bit_length v <= l_est) in
+        let* fits = Proto.lift (B.run_bit ctx (Bigint.bit_length v <= l_est)) in
         if fits then begin
           let v =
             if Bigint.bit_length v > l_est then Bigint.pred (Bigint.pow2 l_est) else v

@@ -12,7 +12,7 @@ val blocksize_bits : int
     allots O(log(ℓ/n²)) bits). *)
 
 module Make (B : Ba.Substrate.S) : sig
-  val run : Net.Ctx.t -> Bigint.t -> Bigint.t Net.Proto.t
+  val run : Net.Ctx.t -> Bigint.t -> Bigint.t Net.Proto.m
   (** [run ctx v] joins Π_ℕ with input [v >= 0]; the honest parties obtain a
       common natural within their inputs' range. Raises [Invalid_argument]
       on a negative input. *)

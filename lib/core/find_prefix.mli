@@ -23,13 +23,13 @@ type result = {
 }
 
 module Make (B : Ba.Substrate.S) : sig
-  val run : Net.Ctx.t -> bits:int -> Bitstring.t -> result Net.Proto.t
+  val run : Net.Ctx.t -> bits:int -> Bitstring.t -> result Net.Proto.m
   (** FINDPREFIX, labelled [find_prefix]. All honest parties must join with
       the same [bits] and a valid [bits]-bit value. Raises [Invalid_argument]
       on a length mismatch. The inner Π_ℓBA+ instances run on the substrate
       [B]. *)
 
-  val run_blocks : Net.Ctx.t -> bits:int -> Bitstring.t -> result Net.Proto.t
+  val run_blocks : Net.Ctx.t -> bits:int -> Bitstring.t -> result Net.Proto.m
   (** FINDPREFIXBLOCKS, labelled [find_prefix_blocks]: the same search over
       n² blocks. [bits] must be a positive multiple of n²; all honest parties
       join with the same [bits] and valid [bits]-bit values. Raises

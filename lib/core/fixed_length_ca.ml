@@ -16,7 +16,7 @@ module Make (B : Ba.Substrate.S) = struct
     if i_star >= len then invalid_arg "Add_last_bit.run: prefix already full";
     if Bitstring.length v <> len then invalid_arg "Add_last_bit.run: value length";
     Proto.with_label "add_last_bit"
-      (let* bit = B.run_bit ctx (Bitstring.get v (i_star + 1)) in
+      (let* bit = Proto.lift (B.run_bit ctx (Bitstring.get v (i_star + 1))) in
        Proto.return (Bitstring.append_bit prefix_star bit))
 
   (* ADDLASTBLOCK (Lemma 5): HIGHCOSTCA on the next block of [v]. *)

@@ -13,14 +13,14 @@
     rounds O(n) + O(log n)·ROUNDS_κ(Π_BA). *)
 
 module Make (B : Ba.Substrate.S) : sig
-  val run : Net.Ctx.t -> bits:int -> Bitstring.t -> Bitstring.t Net.Proto.t
+  val run : Net.Ctx.t -> bits:int -> Bitstring.t -> Bitstring.t Net.Proto.m
   (** FIXEDLENGTHCA. All honest parties must join with the same [bits] and
       valid [bits]-bit values; they obtain a common output within the honest
       inputs' range. Every Π_BA position runs on the substrate [B]; note the
       composite protocol's counting arguments still require [t < n/3]
       regardless of [B.max_t]. *)
 
-  val run_blocks : Net.Ctx.t -> bits:int -> Bitstring.t -> Bitstring.t Net.Proto.t
+  val run_blocks : Net.Ctx.t -> bits:int -> Bitstring.t -> Bitstring.t Net.Proto.m
   (** FIXEDLENGTHCABLOCKS: as {!run}, with [bits] a positive multiple of n². *)
 
   val add_last_bit :
@@ -28,7 +28,7 @@ module Make (B : Ba.Substrate.S) : sig
     bits:int ->
     prefix_star:Bitstring.t ->
     Bitstring.t ->
-    Bitstring.t Net.Proto.t
+    Bitstring.t Net.Proto.m
   (** ADDLASTBIT (Lemma 2): [prefix_star] extended by the bit one binary
       Π_BA on [B] agrees on — always an honest party's bit. Preconditions:
       all honest parties share [prefix_star], [|prefix_star| < bits], and
@@ -40,7 +40,7 @@ module Make (B : Ba.Substrate.S) : sig
     bits:int ->
     prefix_star:Bitstring.t ->
     Bitstring.t ->
-    Bitstring.t Net.Proto.t
+    Bitstring.t Net.Proto.m
   (** ADDLASTBLOCK (Lemma 5): [prefix_star] extended by one block of
       [bits]/n² bits agreed with HIGHCOSTCA — O(ℓn) bits, O(n) rounds.
       Preconditions: [bits] a multiple of n²; all honest parties share

@@ -95,7 +95,7 @@ let neg a = { a with units = Bigint.neg a.units }
     [decimals]; it is a public parameter like n and t (the simulator's [Ctx]
     plays the same role), not something the protocol agrees on. *)
 let agree (ctx : Ctx.t) v =
-  Proto.map (Ca_int.run ctx v.units) (fun units -> { v with units })
+  Proto.map (Proto.lift (Ca_int.run ctx v.units)) (fun units -> { v with units })
 
 (** Convex hull membership at the rational level (for tests/harnesses). *)
 let in_convex_hull ~inputs output =

@@ -42,7 +42,7 @@ val neg : t -> t
 (** Arithmetic on matching precisions; mixing precisions raises
     [Invalid_argument] (precision is a protocol parameter, not data). *)
 
-val agree : Net.Ctx.t -> t -> t Net.Proto.t
+val agree : Net.Ctx.t -> t -> t Net.Proto.m
 (** Π_ℤ on the unit counts. All honest parties must join with the same
     [decimals]. *)
 

@@ -44,7 +44,7 @@ module Make (B : Ba.Substrate.S) = struct
              | None -> ()))
        inbox;
      let choice = !ones > !zeros in
-     let* take_max = B.run_bit ctx choice in
+     let* take_max = Proto.lift (B.run_bit ctx choice) in
      Proto.return (if take_max then high else low))
 end
 

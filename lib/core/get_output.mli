@@ -15,7 +15,7 @@ module Make (B : Ba.Substrate.S) : sig
     bits:int ->
     prefix_star:Bitstring.t ->
     Bitstring.t ->
-    Bitstring.t Net.Proto.t
+    Bitstring.t Net.Proto.m
   (** [run ctx ~bits ~prefix_star v_bot] returns the common valid output.
       Preconditions (Lemma 3): all honest parties share [prefix_star], a
       prefix of some valid value; t+1 honest parties' [v_bot] do not extend

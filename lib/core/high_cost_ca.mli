@@ -8,7 +8,7 @@
     interval rule via {!run_custom}, and {!Median_ba} with that window at
     the median rank. *)
 
-val run : Net.Ctx.t -> bits:int -> Bitstring.t -> Bitstring.t Net.Proto.t
+val run : Net.Ctx.t -> bits:int -> Bitstring.t -> Bitstring.t Net.Proto.m
 (** All honest parties must join with values of the same width [bits]; the
     common output is a [bits]-wide value in the honest inputs' range. *)
 
@@ -20,7 +20,7 @@ val run_custom :
   select_interval:
     (sorted:Bitstring.t array -> k:int -> t:int -> Bitstring.t * Bitstring.t) ->
   Bitstring.t ->
-  Bitstring.t Net.Proto.t
+  Bitstring.t Net.Proto.m
 (** [select_interval ~sorted ~k ~t] receives the ascending non-empty array of
     valid values a party received in the setup stage and [k], an upper bound
     on how many of them byzantine parties contributed, and returns the

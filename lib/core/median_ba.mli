@@ -9,7 +9,7 @@
 
     Same complexity as HIGHCOSTCA: O(ℓ·n³) bits, 2 + 4(t+1) rounds. *)
 
-val run : Net.Ctx.t -> bits:int -> Bitstring.t -> Bitstring.t Net.Proto.t
+val run : Net.Ctx.t -> bits:int -> Bitstring.t -> Bitstring.t Net.Proto.m
 
 val validity_bounds : Bitstring.t list -> t:int -> Bitstring.t -> bool
 (** [validity_bounds honest_inputs ~t output]: does [output] satisfy

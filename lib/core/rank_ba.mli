@@ -25,7 +25,7 @@ val rank_window :
     so all honest trusted intervals share a common point, the precondition
     the king search needs.  Exposed for the property tests. *)
 
-val run : Net.Ctx.t -> bits:int -> rank:int -> Bitstring.t -> Bitstring.t Net.Proto.t
+val run : Net.Ctx.t -> bits:int -> rank:int -> Bitstring.t -> Bitstring.t Net.Proto.m
 (** [run ctx ~bits ~rank v] — [rank] is 1-indexed among the honest inputs
     and must be the same public value at every honest party; all honest
     parties join with [bits]-bit values.  Raises [Invalid_argument] if

@@ -30,7 +30,8 @@ let agree (ctx : Ctx.t) vector =
   if dims = 0 then invalid_arg "Vector.agree: empty vector";
   Proto.with_label "vector_ca"
     (Proto.map
-       (Proto.parallel (List.init dims (fun d -> Ca_int.run ctx vector.(d))))
+       (Proto.parallel
+          (List.init dims (fun d -> Proto.lift (Ca_int.run ctx vector.(d)))))
        Array.of_list)
 
 (** Box-hull membership: every coordinate within the honest per-coordinate

@@ -12,7 +12,7 @@
 
     Communication: d × BITS(Π_ℤ); rounds: ROUNDS(Π_ℤ). *)
 
-val agree : Net.Ctx.t -> Bigint.t array -> Bigint.t array Net.Proto.t
+val agree : Net.Ctx.t -> Bigint.t array -> Bigint.t array Net.Proto.m
 (** [agree ctx v]: all honest parties must join with vectors of the same
     publicly-known dimension; they obtain a common vector inside the honest
     bounding box.  Raises [Invalid_argument] on an empty vector (dimension

@@ -9,7 +9,7 @@
         in a per-(session × party) span tree, carrying its enter/exit round
         (session-local, in rounds completed), the honest bits and messages
         sent while it was the {e innermost} open scope, and its child spans.
-        A synthetic root span (labelled {!root_label}) catches traffic sent
+        A synthetic root span (labelled ["(run)"]) catches traffic sent
         outside any scope. Each message is charged once, to the sender's
         innermost open span; a closing span's bits join its label's total.
         [Metrics] is filled from these totals, so summing span bits over a
@@ -159,9 +159,6 @@ val gauge_value : gauge -> int
 
 (** {2 The span plane (recorded by the round loop, not by protocols)} *)
 
-val root_label : string
-(** Label of the synthetic per-(session × party) root span, ["(run)"]. *)
-
 val set_meta : t -> string -> string -> unit
 (** Attach a key/value describing the run; insertion order is preserved in
     the export. Re-setting a key overwrites its value in place. Meta lines
@@ -285,11 +282,9 @@ val to_jsonl : ?tier:tier -> t -> string
     instruments — the deterministic export used in byte-identity asserts;
     [~tier:Sampled] keeps only the Sampled instruments. *)
 
-val pp_text : Format.formatter -> t -> unit
+val render_text : t -> string
 (** Human-readable dump of every instrument with histogram quantiles — what
     the live endpoint serves. *)
-
-val render_text : t -> string
 
 val pp_report : ?top:int -> Format.formatter -> t -> unit
 (** Compact span report: totals, aggregated span tree, per-round heatmap,

@@ -239,7 +239,7 @@ let high_cost_ca ~bits =
     proto_name = "HighCostCA [47]";
     run =
       (fun ctx v ->
-        Proto.map (Convex.agree_high_cost ctx ~bits (to_fixed ~bits v)) Bigint.of_bitstring);
+        Proto.run @@ Proto.map (Convex.agree_high_cost ctx ~bits (to_fixed ~bits v)) Bigint.of_bitstring);
     solves_ca = true;
   }
 
@@ -248,7 +248,7 @@ let broadcast_ca ~bits =
     proto_name = "Broadcast-CA (BC each input)";
     run =
       (fun ctx v ->
-        Proto.map (Baseline.Broadcast_ca.run ctx ~bits (to_fixed ~bits v)) Bigint.of_bitstring);
+        Proto.run @@ Proto.map (Baseline.Broadcast_ca.run ctx ~bits (to_fixed ~bits v)) Bigint.of_bitstring);
     solves_ca = true;
   }
 
@@ -257,7 +257,7 @@ let turpin_coan_ba ~bits =
     proto_name = "Turpin-Coan BA [49] (no convex validity)";
     run =
       (fun ctx v ->
-        Proto.map
+        Proto.run @@ Proto.map
           (Ba.Turpin_coan.run_bytes ctx (Bitstring.to_bytes (to_fixed ~bits v)))
           (fun bytes ->
             match Bitstring.of_bytes ~len:bits bytes with
@@ -271,7 +271,7 @@ let broadcast_ca_parallel ~bits =
     proto_name = "Broadcast-CA (parallel rounds)";
     run =
       (fun ctx v ->
-        Proto.map
+        Proto.run @@ Proto.map
           (Baseline.Broadcast_ca.run_parallel ctx ~bits (to_fixed ~bits v))
           Bigint.of_bitstring);
     solves_ca = true;
@@ -282,7 +282,7 @@ let median_ba ~bits =
     proto_name = "Median-validity BA [47]";
     run =
       (fun ctx v ->
-        Proto.map (Convex.Median_ba.run ctx ~bits (to_fixed ~bits v)) Bigint.of_bitstring);
+        Proto.run @@ Proto.map (Convex.Median_ba.run ctx ~bits (to_fixed ~bits v)) Bigint.of_bitstring);
     solves_ca = true (* median validity implies range validity *);
   }
 
@@ -291,7 +291,7 @@ let phase_king_ba ~bits =
     proto_name = "Phase-king BA [7] (no convex validity)";
     run =
       (fun ctx v ->
-        Proto.map
+        Proto.run @@ Proto.map
           (Ba.Phase_king.run_bytes ctx (Bitstring.to_bytes (to_fixed ~bits v)))
           (fun bytes ->
             match Bitstring.of_bytes ~len:bits bytes with
@@ -316,7 +316,7 @@ let approx_agreement ~bits ~rounds =
     proto_name = Printf.sprintf "ApproxAgreement [16] (%d iter)" rounds;
     run =
       (fun ctx v ->
-        Proto.map
+        Proto.run @@ Proto.map
           (Baseline.Approx_agreement.run ctx ~bits ~rounds (to_fixed ~bits v))
           Bigint.of_bitstring);
     solves_ca = false (* validity yes, exact agreement no *);

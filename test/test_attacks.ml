@@ -13,7 +13,7 @@ let test_ba_plus_vs_vote_stuffer () =
   let inputs = Array.init n (fun i -> Sha256.digest (Printf.sprintf "input-%d" i)) in
   let outcome =
     Sim.run ~n ~t ~corrupt ~adversary:(Attacks.vote_stuffer ~payload) (fun ctx ->
-        Baplus.Ba_plus.run ctx inputs.(ctx.Ctx.me))
+        Proto.run (Baplus.Ba_plus.run ctx inputs.(ctx.Ctx.me)))
   in
   List.iter
     (fun out ->
@@ -37,7 +37,7 @@ let test_ext_vs_forgery () =
     (fun adversary ->
       let outcome =
         Sim.run ~n ~t ~corrupt ~adversary (fun ctx ->
-            Baplus.Ext_ba_plus.run ctx inputs.(ctx.Ctx.me))
+            Proto.run (Baplus.Ext_ba_plus.run ctx inputs.(ctx.Ctx.me)))
       in
       List.iter
         (fun out ->
@@ -58,7 +58,7 @@ let test_find_prefix_vs_fabricated_windows () =
     (fun adversary ->
       let outcome =
         Sim.run ~n ~t ~corrupt ~adversary (fun ctx ->
-            Convex.Find_prefix.run ctx ~bits inputs.(ctx.Ctx.me))
+            Proto.run (Convex.Find_prefix.run ctx ~bits inputs.(ctx.Ctx.me)))
       in
       let results = Sim.honest_outputs ~corrupt outcome in
       let honest_inputs =
@@ -116,7 +116,7 @@ let test_high_cost_vs_attacks () =
     (fun adversary ->
       let outcome =
         Sim.run ~n ~t ~corrupt ~adversary (fun ctx ->
-            Convex.agree_high_cost ctx ~bits inputs.(ctx.Ctx.me))
+            Proto.run (Convex.agree_high_cost ctx ~bits inputs.(ctx.Ctx.me)))
       in
       let outputs = Sim.honest_outputs ~corrupt outcome in
       let honest_inputs =

@@ -11,11 +11,12 @@ let all_equal_opt = function
   | x :: rest -> List.for_all (Option.equal String.equal x) rest
 
 let run_plus ~n ~t ~corrupt ~adversary inputs =
-  Sim.run ~n ~t ~corrupt ~adversary (fun ctx -> Baplus.Ba_plus.run ctx inputs.(ctx.Ctx.me))
+  Sim.run ~n ~t ~corrupt ~adversary (fun ctx ->
+      Proto.run (Baplus.Ba_plus.run ctx inputs.(ctx.Ctx.me)))
 
 let run_ext ~n ~t ~corrupt ~adversary inputs =
   Sim.run ~n ~t ~corrupt ~adversary (fun ctx ->
-      Baplus.Ext_ba_plus.run ctx inputs.(ctx.Ctx.me))
+      Proto.run (Baplus.Ext_ba_plus.run ctx inputs.(ctx.Ctx.me)))
 
 (* An adversary that tries to smuggle a fabricated value into the agreement:
    corrupted parties all push the same alien value in every prescribed slot
@@ -208,7 +209,7 @@ let test_ext_distribution_bits_match_theorem1 () =
       let inputs = Array.make n v in
       let outcome =
         Sim.run ~n ~t ~corrupt ~adversary:Adversary.passive (fun ctx ->
-            Baplus.Ext_ba_plus.run ctx inputs.(ctx.Ctx.me))
+            Proto.run (Baplus.Ext_ba_plus.run ctx inputs.(ctx.Ctx.me)))
       in
       let dist =
         Option.value ~default:0

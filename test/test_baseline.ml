@@ -41,7 +41,7 @@ let test_broadcast_ca () =
         (fun adversary ->
           let outcome =
             Sim.run ~n ~t ~corrupt ~adversary (fun ctx ->
-                Baseline.Broadcast_ca.run ctx ~bits inputs.(ctx.Ctx.me))
+                Proto.run (Baseline.Broadcast_ca.run ctx ~bits inputs.(ctx.Ctx.me)))
           in
           check_ca
             (Printf.sprintf "BroadcastCA[%s] vs %s" cname adversary.Adversary.name)
@@ -57,7 +57,7 @@ let test_broadcast_ca_identical_value_kept () =
   let inputs = Array.make n v in
   let outcome =
     Sim.run ~n ~t ~corrupt ~adversary:Adversary.silent (fun ctx ->
-        Baseline.Broadcast_ca.run ctx ~bits inputs.(ctx.Ctx.me))
+        Proto.run (Baseline.Broadcast_ca.run ctx ~bits inputs.(ctx.Ctx.me)))
   in
   List.iter
     (fun o -> Alcotest.check bits_t "median of common view" v o)
@@ -75,7 +75,7 @@ let test_approx_agreement_validity_and_convergence () =
     (fun adversary ->
       let outcome =
         Sim.run ~n ~t ~corrupt ~adversary (fun ctx ->
-            Baseline.Approx_agreement.run ctx ~bits ~rounds:12 inputs.(ctx.Ctx.me))
+            Proto.run (Baseline.Approx_agreement.run ctx ~bits ~rounds:12 inputs.(ctx.Ctx.me)))
       in
       let outs = Sim.honest_outputs ~corrupt outcome in
       let vals = List.map Bitstring.to_int outs in
@@ -101,7 +101,7 @@ let test_approx_agreement_zero_rounds () =
   let inputs = Array.init n (fun i -> Bitstring.of_int_fixed ~bits (i * 10)) in
   let outcome =
     Sim.run ~n ~t ~corrupt ~adversary:Adversary.passive (fun ctx ->
-        Baseline.Approx_agreement.run ctx ~bits ~rounds:0 inputs.(ctx.Ctx.me))
+        Proto.run (Baseline.Approx_agreement.run ctx ~bits ~rounds:0 inputs.(ctx.Ctx.me)))
   in
   Array.iteri
     (fun i o ->
@@ -124,14 +124,14 @@ let test_communication_ordering () =
   in
   let ours =
     bits_of (fun ctx ->
-        Convex.agree_nat ctx (Bigint.of_bitstring inputs.(ctx.Ctx.me)))
+        Proto.run (Convex.agree_nat ctx (Bigint.of_bitstring inputs.(ctx.Ctx.me))))
   in
   let tc =
     bits_of (fun ctx ->
-        Ba.Turpin_coan.run_bytes ctx (Bitstring.to_bytes inputs.(ctx.Ctx.me)))
+        Proto.run (Ba.Turpin_coan.run_bytes ctx (Bitstring.to_bytes inputs.(ctx.Ctx.me))))
   in
   let bc =
-    bits_of (fun ctx -> Baseline.Broadcast_ca.run ctx ~bits inputs.(ctx.Ctx.me))
+    bits_of (fun ctx -> Proto.run (Baseline.Broadcast_ca.run ctx ~bits inputs.(ctx.Ctx.me)))
   in
   Alcotest.check Alcotest.bool "ours < broadcast-CA" true (ours < bc);
   Alcotest.check Alcotest.bool "turpin-coan < broadcast-CA" true (tc < bc)
@@ -153,7 +153,7 @@ let prop_broadcast_ca_random =
       in
       let outcome =
         Sim.run ~n ~t ~corrupt ~adversary (fun ctx ->
-            Baseline.Broadcast_ca.run ctx ~bits inputs.(ctx.Ctx.me))
+            Proto.run (Baseline.Broadcast_ca.run ctx ~bits inputs.(ctx.Ctx.me)))
       in
       let outs = Sim.honest_outputs ~corrupt outcome in
       let sorted = List.sort Bitstring.compare (honest_of ~corrupt inputs) in

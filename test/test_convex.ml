@@ -47,7 +47,7 @@ let test_high_cost_ca_basic () =
       in
       let outcome =
         Sim.run ~n ~t ~corrupt ~adversary (fun ctx ->
-            Convex.agree_high_cost ctx ~bits inputs.(ctx.Ctx.me))
+            Proto.run (Convex.agree_high_cost ctx ~bits inputs.(ctx.Ctx.me)))
       in
       check_ca_bits
         (Printf.sprintf "HighCostCA vs %s" adversary.Adversary.name)
@@ -62,7 +62,7 @@ let test_high_cost_ca_identical_inputs () =
   let inputs = Array.make n v in
   let outcome =
     Sim.run ~n ~t ~corrupt ~adversary:(Adversary.garbage ~seed:5) (fun ctx ->
-        Convex.agree_high_cost ctx ~bits inputs.(ctx.Ctx.me))
+        Proto.run (Convex.agree_high_cost ctx ~bits inputs.(ctx.Ctx.me)))
   in
   List.iter
     (fun o -> Alcotest.check bits_t "identical in, identical out" v o)
@@ -75,7 +75,7 @@ let test_high_cost_ca_rounds () =
   let inputs = Array.init n (fun i -> Bitstring.of_int_fixed ~bits i) in
   let outcome =
     Sim.run ~n ~t ~corrupt ~adversary:Adversary.passive (fun ctx ->
-        Convex.agree_high_cost ctx ~bits inputs.(ctx.Ctx.me))
+        Proto.run (Convex.agree_high_cost ctx ~bits inputs.(ctx.Ctx.me)))
   in
   Alcotest.check Alcotest.int "rounds = 2 + 4(t+1)" (2 + (4 * (t + 1)))
     outcome.Sim.metrics.Metrics.rounds
@@ -94,7 +94,7 @@ let test_high_cost_ca_median_bound () =
   in
   let outcome =
     Sim.run ~n ~t ~corrupt ~adversary:Adversary.passive (fun ctx ->
-        Convex.agree_high_cost ctx ~bits inputs.(ctx.Ctx.me))
+        Proto.run (Convex.agree_high_cost ctx ~bits inputs.(ctx.Ctx.me)))
   in
   check_ca_bits "HighCostCA extremes" ~corrupt ~inputs
     (Sim.honest_outputs ~corrupt outcome)
@@ -105,7 +105,7 @@ let test_high_cost_ca_median_bound () =
 
 let run_find_prefix ~n ~t ~corrupt ~adversary ~bits inputs =
   Sim.run ~n ~t ~corrupt ~adversary (fun ctx ->
-      Convex.Find_prefix.run ctx ~bits inputs.(ctx.Ctx.me))
+      Proto.run (Convex.Find_prefix.run ctx ~bits inputs.(ctx.Ctx.me)))
 
 (* Lemma 1 for the bit search ([block_bits] = 1), and Lemma 4 for the block
    search: the same invariants with "bit" read as "block". *)
@@ -253,7 +253,7 @@ let test_find_prefix_iteration_bound () =
 
 let run_fixed ~n ~t ~corrupt ~adversary ~bits inputs =
   Sim.run ~n ~t ~corrupt ~adversary (fun ctx ->
-      Convex.agree_fixed_length ctx ~bits inputs.(ctx.Ctx.me))
+      Proto.run (Convex.agree_fixed_length ctx ~bits inputs.(ctx.Ctx.me)))
 
 let test_fixed_length_ca () =
   let n = 7 and t = 2 and bits = 24 in
@@ -334,7 +334,7 @@ let test_fixed_length_ca_blocks () =
         (fun adversary ->
           let outcome =
             Sim.run ~n ~t ~corrupt ~adversary (fun ctx ->
-                Convex.agree_fixed_length_blocks ctx ~bits inputs.(ctx.Ctx.me))
+                Proto.run (Convex.agree_fixed_length_blocks ctx ~bits inputs.(ctx.Ctx.me)))
           in
           check_ca_bits
             (Printf.sprintf "Blocks[%s] vs %s" cname adversary.Adversary.name)
@@ -357,7 +357,7 @@ let test_blocks_fewer_iterations_than_bits () =
       in
       let outcome =
         Sim.run ~n ~t ~corrupt ~adversary:Adversary.passive (fun ctx ->
-            Convex.Find_prefix.run_blocks ctx ~bits inputs.(ctx.Ctx.me))
+            Proto.run (Convex.Find_prefix.run_blocks ctx ~bits inputs.(ctx.Ctx.me)))
       in
       List.iter
         (fun r ->
@@ -395,7 +395,7 @@ let test_find_prefix_blocks_lemma4 () =
         (fun adversary ->
           let outcome =
             Sim.run ~n ~t ~corrupt ~adversary (fun ctx ->
-                Convex.Find_prefix.run_blocks ctx ~bits inputs.(ctx.Ctx.me))
+                Proto.run (Convex.Find_prefix.run_blocks ctx ~bits inputs.(ctx.Ctx.me)))
           in
           check_lemma1
             (Printf.sprintf "Lemma4[%s] vs %s" cname adversary.Adversary.name)
@@ -422,7 +422,8 @@ let check_ca_int name ~corrupt ~inputs outputs =
     outputs
 
 let run_nat ~n ~t ~corrupt ~adversary inputs =
-  Sim.run ~n ~t ~corrupt ~adversary (fun ctx -> Convex.agree_nat ctx inputs.(ctx.Ctx.me))
+  Sim.run ~n ~t ~corrupt ~adversary (fun ctx ->
+      Proto.run (Convex.agree_nat ctx inputs.(ctx.Ctx.me)))
 
 let run_int ~n ~t ~corrupt ~adversary inputs =
   Sim.run ~n ~t ~corrupt ~adversary (fun ctx -> Convex.agree_int ctx inputs.(ctx.Ctx.me))

@@ -138,9 +138,10 @@ let test_mixed_lengths_and_retirement () =
     else fun ctx ->
       (* A one-round echo protocol, much shorter than Pi_Z. *)
       let ( let* ) = Proto.( let* ) in
-      let* inbox = Proto.broadcast (Printf.sprintf "s%d-%d" k ctx.Ctx.me) in
-      let heard = Array.fold_left (fun a m -> if m = None then a else a + 1) 0 inbox in
-      Proto.return (Bigint.of_int heard)
+      Proto.run
+        (let* inbox = Proto.broadcast (Printf.sprintf "s%d-%d" k ctx.Ctx.me) in
+         let heard = Array.fold_left (fun a m -> if m = None then a else a + 1) 0 inbox in
+         Proto.return (Bigint.of_int heard))
   in
   let specs =
     List.init 4 (fun k ->
@@ -199,7 +200,7 @@ let test_64_sessions_cross_backend () =
 let test_spec_validation () =
   let n = 4 and t = 1 in
   let corrupt = Array.make n false in
-  let p _ctx = Proto.return (Bigint.of_int 0) in
+  let p _ctx = Proto.run (Proto.return (Bigint.of_int 0)) in
   Alcotest.check_raises "duplicate sid"
     (Invalid_argument "Engine: duplicate sid") (fun () ->
       ignore
@@ -234,7 +235,7 @@ let test_frame_ledger_paths () =
         go (r + 1)
           (Array.fold_left (fun a m -> if m = None then a else a + 1) heard inbox)
     in
-    go 1 0
+    Proto.run (go 1 0)
   in
   List.iter
     (fun sessions ->

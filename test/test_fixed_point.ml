@@ -64,7 +64,7 @@ let test_agree_end_to_end () =
     (fun adversary ->
       let outcome =
         Sim.run ~n ~t ~corrupt ~adversary (fun ctx ->
-            Convex.agree_fixed_point ctx inputs.(ctx.Ctx.me))
+            Proto.run (Convex.agree_fixed_point ctx inputs.(ctx.Ctx.me)))
       in
       let outputs = Sim.honest_outputs ~corrupt outcome in
       let honest_inputs =

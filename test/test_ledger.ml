@@ -244,6 +244,8 @@ let test_shape_and_provenance () =
   let one_row = {|[{"a": 1}]|} in
   let accepts s = Result.is_ok (Ledger.of_string s) in
   Alcotest.(check bool) "well-formed" true (accepts (doc meta one_row));
+  Alcotest.(check bool) "nproc stamped" true
+    (accepts (doc (meta ^ {|, "nproc": 2|}) one_row));
   List.iter
     (fun (what, s) -> Alcotest.(check bool) what false (accepts s))
     [
@@ -257,6 +259,8 @@ let test_shape_and_provenance () =
         doc
           {|"experiment": "t1", "git_rev": "a", "ocaml_version": "5", "domains": 1.5|}
           one_row );
+      ("nproc below 1", doc (meta ^ {|, "nproc": 0|}) one_row);
+      ("nproc not an integer", doc (meta ^ {|, "nproc": "4"|}) one_row);
       ("no experiment", doc (meta_with "a") one_row);
       ("trailing garbage", doc meta one_row ^ " x");
     ];

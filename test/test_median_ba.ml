@@ -7,7 +7,7 @@ let honest_of ~corrupt arr = List.filteri (fun i _ -> not corrupt.(i)) (Array.to
 
 let run_median ~n ~t ~bits ~corrupt ~adversary inputs =
   Sim.run ~n ~t ~corrupt ~adversary (fun ctx ->
-      Convex.Median_ba.run ctx ~bits inputs.(ctx.Ctx.me))
+      Proto.run (Convex.Median_ba.run ctx ~bits inputs.(ctx.Ctx.me)))
 
 let check name ~t ~corrupt ~inputs outputs =
   (match outputs with

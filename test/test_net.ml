@@ -7,10 +7,11 @@ let ( let* ) = Proto.( let* )
 
 (* Each party broadcasts its id, then returns the set of senders heard. *)
 let roll_call (_ctx : Ctx.t) =
-  let* inbox = Proto.broadcast "here" in
-  let heard = ref [] in
-  Array.iteri (fun s m -> if m <> None then heard := s :: !heard) inbox;
-  Proto.return (List.rev !heard)
+  Proto.run
+    (let* inbox = Proto.broadcast "here" in
+     let heard = ref [] in
+     Array.iteri (fun s m -> if m <> None then heard := s :: !heard) inbox;
+     Proto.return (List.rev !heard))
 
 let test_all_honest_delivery () =
   let n = 5 in
@@ -53,13 +54,14 @@ let test_byzantine_bits_not_counted () =
 
 (* Two sequenced rounds; party 0 sends a different value per recipient. *)
 let two_rounds (ctx : Ctx.t) =
-  let* first =
-    Proto.exchange (fun r ->
-        if ctx.Ctx.me = 0 then Some (Printf.sprintf "to-%d" r) else None)
-  in
-  let mine = first.(0) in
-  let* _ = Proto.receive_only () in
-  Proto.return mine
+  Proto.run
+    (let* first =
+       Proto.exchange (fun r ->
+           if ctx.Ctx.me = 0 then Some (Printf.sprintf "to-%d" r) else None)
+     in
+     let mine = first.(0) in
+     let* _ = Proto.receive_only () in
+     Proto.return mine)
 
 let test_per_recipient_messages () =
   let n = 3 in
@@ -87,7 +89,7 @@ let test_labels () =
   let n = 3 in
   let outcome =
     Sim.run ~n ~t:0 ~corrupt:(Array.make n false) ~adversary:Adversary.passive
-      labelled
+      (fun ctx -> Proto.run (labelled ctx))
   in
   let find l = List.assoc_opt l (Metrics.labels outcome.Sim.metrics) in
   Alcotest.check (Alcotest.option Alcotest.int) "phase-a" (Some (3 * 2 * 8 * 4)) (find "phase-a");
@@ -105,7 +107,7 @@ let test_nested_labels () =
   in
   let outcome =
     Sim.run ~n:2 ~t:0 ~corrupt:[| false; false |] ~adversary:Adversary.passive
-      nested
+      (fun ctx -> Proto.run (nested ctx))
   in
   let find l = List.assoc_opt l (Metrics.labels outcome.Sim.metrics) in
   (* outer gets rounds 1 and 3 (2 parties x 1 recipient x 1 byte each). *)
@@ -120,7 +122,7 @@ let test_round_limit () =
   Alcotest.check_raises "limit" (Sim.Round_limit_exceeded 10) (fun () ->
       ignore
         (Sim.run ~max_rounds:10 ~n:2 ~t:0 ~corrupt:[| false; false |]
-           ~adversary:Adversary.passive forever))
+           ~adversary:Adversary.passive (fun ctx -> Proto.run (forever ctx))))
 
 let test_early_termination_mix () =
   (* Party 0 finishes after one round; party 1 after two. The simulator must
@@ -135,7 +137,7 @@ let test_early_termination_mix () =
   in
   let outcome =
     Sim.run ~n:2 ~t:0 ~corrupt:[| false; false |] ~adversary:Adversary.passive
-      staggered
+      (fun ctx -> Proto.run (staggered ctx))
   in
   Alcotest.check Alcotest.int "rounds" 2 outcome.Sim.metrics.Metrics.rounds;
   Alcotest.check (Alcotest.option Alcotest.int) "late party saw silence" (Some 0)
@@ -164,13 +166,57 @@ let test_metrics_labels_deterministic () =
   in
   let outcome =
     Sim.run ~n:2 ~t:0 ~corrupt:[| false; false |] ~adversary:Adversary.passive
-      labelled
+      (fun ctx -> Proto.run (labelled ctx))
   in
   Alcotest.check
     (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
     "bits desc, then label asc"
     [ ("big", 144); ("alpha", 64); ("mid", 64); ("zeta", 64) ]
     (Metrics.labels outcome.Sim.metrics)
+
+(* A running sub-protocol's rounds must not pass through the [let*] and
+   [with_label] layers around it. A three-round phase runs [reps] times
+   inside [depth] such layers under [Sim.run]; the per-party-round slope,
+   (words at 2·reps − words at reps) / (n · 3·reps), cancels each layer's
+   one-off cost. Both depths read 47.7 words per party-round; with
+   [with_label] re-wrapping each round as a free-monad bind does, depth 16
+   read 335.7 against depth 1's 65.7 (18 words per layer per round). The
+   bound is 4. *)
+let test_nesting_depth_allocation () =
+  let n = 4 and reps = 20 in
+  let protocol ~depth ~reps (_ctx : Ctx.t) =
+    let rec phases i =
+      if i = 0 then Proto.return 0
+      else
+        let* _ = Proto.broadcast "a" in
+        let* _ = Proto.receive_only () in
+        let* _ = Proto.broadcast "b" in
+        phases (i - 1)
+    in
+    let rec wrap d =
+      if d = 0 then phases reps
+      else
+        let* x = Proto.with_label "layer" (wrap (d - 1)) in
+        Proto.return (x + 1)
+    in
+    Proto.run (wrap depth)
+  in
+  let words ~depth ~reps =
+    let w0 = Gc.minor_words () in
+    ignore
+      (Sim.run ~n ~t:0 ~corrupt:(Array.make n false) ~adversary:Adversary.passive
+         (protocol ~depth ~reps));
+    Gc.minor_words () -. w0
+  in
+  let per_party_round depth =
+    (words ~depth ~reps:(2 * reps) -. words ~depth ~reps)
+    /. float_of_int (n * 3 * reps)
+  in
+  let shallow = per_party_round 1 and deep = per_party_round 16 in
+  Alcotest.(check bool)
+    (Printf.sprintf "depth 16 %.1f vs depth 1 %.1f words per party-round" deep shallow)
+    true
+    (Float.abs (deep -. shallow) <= 4.)
 
 let test_prng_determinism () =
   let a = Prng.create 42 and b = Prng.create 42 in
@@ -194,4 +240,6 @@ let suite =
     Alcotest.test_case "metrics labels deterministic" `Quick
       test_metrics_labels_deterministic;
     Alcotest.test_case "prng determinism" `Quick test_prng_determinism;
+    Alcotest.test_case "nesting depth adds no per-round allocation" `Quick
+      test_nesting_depth_allocation;
   ]

@@ -27,7 +27,8 @@ let test_branches_isolated () =
   let outcome =
     Sim.run ~n ~t:1 ~corrupt:(Array.make n false) ~adversary:Adversary.passive
       (fun ctx ->
-        Proto.both (chatter ~tag:"A" ~rounds:3 ctx) (chatter ~tag:"B" ~rounds:3 ctx))
+        Proto.run
+          (Proto.both (chatter ~tag:"A" ~rounds:3 ctx) (chatter ~tag:"B" ~rounds:3 ctx)))
   in
   Array.iter
     (function
@@ -42,7 +43,7 @@ let test_rounds_are_max_not_sum () =
   let branch rounds ctx = chatter ~tag:(string_of_int rounds) ~rounds ctx in
   let outcome =
     Sim.run ~n ~t:0 ~corrupt:(Array.make n false) ~adversary:Adversary.passive
-      (fun ctx -> Proto.parallel [ branch 2 ctx; branch 7 ctx; branch 4 ctx ])
+      (fun ctx -> Proto.run (Proto.parallel [ branch 2 ctx; branch 7 ctx; branch 4 ctx ]))
   in
   Alcotest.check Alcotest.int "max rounds" 7 outcome.Sim.metrics.Metrics.rounds
 
@@ -52,7 +53,9 @@ let test_finished_branch_goes_quiet () =
   let n = 2 in
   let outcome =
     Sim.run ~n ~t:0 ~corrupt:(Array.make n false) ~adversary:Adversary.passive
-      (fun ctx -> Proto.both (chatter ~tag:"x" ~rounds:1 ctx) (chatter ~tag:"y" ~rounds:5 ctx))
+      (fun ctx ->
+        Proto.run
+          (Proto.both (chatter ~tag:"x" ~rounds:1 ctx) (chatter ~tag:"y" ~rounds:5 ctx)))
   in
   (* 5 rounds, 2 parties x 1 recipient. Round 1 carries both slots, rounds
      2-5 only the y slot. Framing: list header + option tags + length. *)
@@ -70,12 +73,13 @@ let test_parallel_under_adversaries () =
     (fun adversary ->
       let outcome =
         Sim.run ~n ~t ~corrupt ~adversary (fun ctx ->
-            Proto.parallel
-              [
-                Ba.Phase_king.run_bytes ctx inputs.(ctx.Ctx.me);
-                Ba.Phase_king.run_bit ctx (ctx.Ctx.me mod 2 = 0)
-                |> Fun.flip Proto.map (fun b -> if b then "1" else "0");
-              ])
+            Proto.run
+              (Proto.parallel
+                 [
+                   Ba.Phase_king.run_bytes ctx inputs.(ctx.Ctx.me);
+                   Ba.Phase_king.run_bit ctx (ctx.Ctx.me mod 2 = 0)
+                   |> Fun.flip Proto.map (fun b -> if b then "1" else "0");
+                 ]))
       in
       let outputs = Sim.honest_outputs ~corrupt outcome in
       match outputs with
@@ -98,7 +102,7 @@ let test_parallel_broadcast_ca () =
   let run proto =
     let outcome =
       Sim.run ~n ~t ~corrupt ~adversary:(Adversary.equivocate ~seed:3) (fun ctx ->
-          proto ctx ~bits inputs.(ctx.Ctx.me))
+          Proto.run (proto ctx ~bits inputs.(ctx.Ctx.me)))
     in
     (Sim.honest_outputs ~corrupt outcome, outcome.Sim.metrics.Metrics.rounds)
   in
@@ -135,10 +139,11 @@ let prop_parallel_semantics =
       let outcome =
         Sim.run ~n ~t:0 ~corrupt:(Array.make n false) ~adversary:Adversary.passive
           (fun ctx ->
-            Proto.parallel
-              (List.mapi
-                 (fun b depth -> chatter ~tag:(string_of_int b) ~rounds:depth ctx)
-                 depths))
+            Proto.run
+              (Proto.parallel
+                 (List.mapi
+                    (fun b depth -> chatter ~tag:(string_of_int b) ~rounds:depth ctx)
+                    depths)))
       in
       let max_depth = List.fold_left max 0 depths in
       outcome.Sim.metrics.Metrics.rounds = max_depth

@@ -7,7 +7,7 @@ let honest_of ~corrupt arr = List.filteri (fun i _ -> not corrupt.(i)) (Array.to
 
 let run_rank ~n ~t ~bits ~rank ~corrupt ~adversary inputs =
   Sim.run ~n ~t ~corrupt ~adversary (fun ctx ->
-      Convex.Rank_ba.run ctx ~bits ~rank inputs.(ctx.Ctx.me))
+      Proto.run (Convex.Rank_ba.run ctx ~bits ~rank inputs.(ctx.Ctx.me)))
 
 let test_ranks_sweep () =
   let n = 10 and t = 3 and bits = 16 in
@@ -74,7 +74,7 @@ let test_median_is_middle_rank () =
   let via_median =
     Sim.honest_outputs ~corrupt
       (Sim.run ~n ~t ~corrupt ~adversary:Adversary.passive (fun ctx ->
-           Convex.Median_ba.run ctx ~bits inputs.(ctx.Ctx.me)))
+           Proto.run (Convex.Median_ba.run ctx ~bits inputs.(ctx.Ctx.me))))
   in
   Alcotest.check
     (Alcotest.list (Alcotest.testable Bitstring.pp Bitstring.equal))
@@ -129,7 +129,7 @@ let median_record ~n ~t =
          let obs = Obs.create () in
          let outcome =
            Sim.run ~obs ~n ~t ~corrupt ~adversary (fun ctx ->
-               Convex.Median_ba.run ctx ~bits inputs.(ctx.Ctx.me))
+               Proto.run (Convex.Median_ba.run ctx ~bits inputs.(ctx.Ctx.me)))
          in
          String.concat "\n"
            (Obs.to_jsonl ~tier:Obs.Det obs

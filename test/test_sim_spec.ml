@@ -88,22 +88,27 @@ let protocols =
             (fun v -> if Prng.bool rng then Bigint.neg v else v)
             (Workload.clustered_bits rng ~n ~bits:24 ~shared_prefix_bits:8)
         in
-        fun ctx -> Proto.map (Convex.agree_int ctx inputs.(ctx.Ctx.me)) Bigint.to_hex );
+        fun ctx ->
+          Proto.run
+            (Proto.map (Proto.lift (Convex.agree_int ctx inputs.(ctx.Ctx.me))) Bigint.to_hex) );
     ( "pi_n",
       fun rng ~n ->
         let inputs = Workload.uniform_bits rng ~n ~bits:20 in
-        fun ctx -> Proto.map (Convex.agree_nat ctx inputs.(ctx.Ctx.me)) Bigint.to_hex );
+        fun ctx ->
+          Proto.run (Proto.map (Convex.agree_nat ctx inputs.(ctx.Ctx.me)) Bigint.to_hex) );
     ( "phase_king",
       fun rng ~n ->
         let inputs =
           Array.init n (fun _ -> if Prng.bool rng then "alpha" else "beta")
         in
-        fun ctx -> Ba.Phase_king.run_bytes ctx inputs.(ctx.Ctx.me) );
+        fun ctx -> Proto.run (Ba.Phase_king.run_bytes ctx inputs.(ctx.Ctx.me)) );
     ( "adaptive",
       fun rng ~n ->
         let inputs = Workload.clustered_bits rng ~n ~bits:24 ~shared_prefix_bits:12 in
         let p = Workload.pi_z_adaptive () in
-        fun ctx -> Proto.map (p.Workload.run ctx inputs.(ctx.Ctx.me)) Bigint.to_hex );
+        fun ctx ->
+          Proto.run
+            (Proto.map (Proto.lift (p.Workload.run ctx inputs.(ctx.Ctx.me))) Bigint.to_hex) );
   |]
 
 let adversaries =
@@ -149,7 +154,7 @@ let rounds_protocol rounds (ctx : Ctx.t) =
       let* inbox = Proto.broadcast (Printf.sprintf "%d:%d" ctx.Ctx.me k) in
       go (k - 1) (Array.fold_left (fun a m -> if m = None then a else a + 1) acc inbox)
   in
-  go rounds 0
+  Proto.run (go rounds 0)
 
 let test_max_rounds_boundary () =
   let n = 4 and t = 1 in

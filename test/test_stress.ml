@@ -44,7 +44,7 @@ let test_high_cost_ca_n31 () =
   in
   let outcome =
     Sim.run ~n ~t ~corrupt ~adversary:(Adversary.bitflip ~seed:4) (fun ctx ->
-        Convex.agree_high_cost ctx ~bits inputs.(ctx.Ctx.me))
+        Proto.run (Convex.agree_high_cost ctx ~bits inputs.(ctx.Ctx.me)))
   in
   let outputs = Sim.honest_outputs ~corrupt outcome in
   (match outputs with

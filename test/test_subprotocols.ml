@@ -21,7 +21,7 @@ let test_add_last_bit () =
   let values = [| bs "101001"; bs "101110"; bs "101011"; bs "101111" |] in
   let results =
     run_all_honest ~n ~t (fun ctx ->
-        Convex.Fixed_length_ca.add_last_bit ctx ~bits ~prefix_star values.(ctx.Ctx.me))
+        Proto.run (Convex.Fixed_length_ca.add_last_bit ctx ~bits ~prefix_star values.(ctx.Ctx.me)))
   in
   let first = List.hd results in
   Alcotest.check Alcotest.int "one bit longer" 4 (Bitstring.length first);
@@ -38,7 +38,7 @@ let test_add_last_bit_unanimous_next_bit () =
   let values = Array.make n (bs "0110") in
   let results =
     run_all_honest ~n ~t (fun ctx ->
-        Convex.Fixed_length_ca.add_last_bit ctx ~bits ~prefix_star values.(ctx.Ctx.me))
+        Proto.run (Convex.Fixed_length_ca.add_last_bit ctx ~bits ~prefix_star values.(ctx.Ctx.me)))
   in
   List.iter (fun r -> Alcotest.check bits_t "validity picks the 1" (bs "011") r) results
 
@@ -60,7 +60,7 @@ let test_add_last_bit_preconditions () =
 let get_output_case ~v_bots ~prefix_star ~bits =
   let n = Array.length v_bots in
   run_all_honest ~n ~t:1 (fun ctx ->
-      Convex.Get_output.run ctx ~bits ~prefix_star v_bots.(ctx.Ctx.me))
+      Proto.run (Convex.Get_output.run ctx ~bits ~prefix_star v_bots.(ctx.Ctx.me)))
 
 let test_get_output_low_side () =
   (* All differing v_bot are below MIN(prefix): choice must be MIN. *)
@@ -101,7 +101,7 @@ let test_get_output_empty_prefix () =
 (* ---------------- Π_ℕ regime boundaries ---------------- *)
 
 let run_nat_all_honest ~n ~t inputs =
-  run_all_honest ~n ~t (fun ctx -> Convex.agree_nat ctx inputs.(ctx.Ctx.me))
+  run_all_honest ~n ~t (fun ctx -> Proto.run (Convex.agree_nat ctx inputs.(ctx.Ctx.me)))
 
 let check_nat name inputs outputs =
   let lo = Array.fold_left Bigint.min inputs.(0) inputs in

@@ -9,7 +9,8 @@ let bigint_t = Alcotest.testable Bigint.pp Bigint.equal
 let honest_of ~corrupt arr = List.filteri (fun i _ -> not corrupt.(i)) (Array.to_list arr)
 
 let run_vec ~n ~t ~corrupt ~adversary inputs =
-  Sim.run ~n ~t ~corrupt ~adversary (fun ctx -> Convex.agree_vector ctx inputs.(ctx.Ctx.me))
+  Sim.run ~n ~t ~corrupt ~adversary (fun ctx ->
+      Proto.run (Convex.agree_vector ctx inputs.(ctx.Ctx.me)))
 
 let test_agreement_and_box () =
   let n = 4 and t = 1 and dims = 3 in
