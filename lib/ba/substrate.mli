@@ -66,7 +66,10 @@ module type S = sig
   val run : 'v spec -> Net.Ctx.t -> 'v -> 'v Net.Proto.t
   (** [run spec ctx v] joins one multivalued agreement instance with input
       [v].  All honest parties obtain the same output, equal to [v] if they
-      all joined with [v]; the output always decodes under [spec]. *)
+      all joined with [v]; the output always decodes under [spec].  The
+      four [run*] return the reified protocol so a backend (or a layer
+      wrapping one) can see each of its rounds; callers use them inside a
+      builder through {!Net.Proto.lift}. *)
 
   val run_bit : Net.Ctx.t -> bool -> bool Net.Proto.t
   val run_bytes : Net.Ctx.t -> string -> string Net.Proto.t
@@ -74,6 +77,6 @@ module type S = sig
 end
 
 module Unauthenticated : S
-(** The existing unauthenticated [t < n/3] phase-king stack, delegating
-    verbatim to {!Phase_king} — same code path, same ["pi_ba"] telemetry
+(** The existing unauthenticated [t < n/3] phase-king stack, reifying
+    {!Phase_king}'s builders — same code path, same ["pi_ba"] telemetry
     label, same wire bytes as the pre-seam protocols. *)

@@ -12,7 +12,9 @@ module Make (B : Ba.Substrate.S) : sig
   (** [run ctx v] joins Π_ℤ with input [v]; honest parties obtain a common
       integer within their inputs' range (Definition 1).  [B] fills the
       paper's Π_BA position throughout the stack (sign BA, length probes,
-      Π_BA+ roots, ADDLASTBIT, GETOUTPUT). *)
+      Π_BA+ roots, ADDLASTBIT, GETOUTPUT).  Returns the reified protocol,
+      which the round loop runs and timing layers wrap; a protocol that
+      runs Π_ℤ inside its own [let*] chain uses {!Net.Proto.lift}. *)
 
   val cost_estimate :
     Net.Ctx.t -> value_bits:int -> f:int -> Ba.Substrate.cost
