@@ -52,7 +52,11 @@ obs-smoke:
 		--spacing 2 -n 7 -t 2 --adversary equivocate --obs-dir /tmp/ca-obs-smoke
 	$(DUNE) exec bin/ca_cli.exe -- obs --check /tmp/ca-obs-smoke
 
+# The release build last: perfbench and `make bench` build with
+# --profile release (-O3), so a stub or flag that breaks only there fails
+# here rather than first in a benchmark run.
 check: build fmt test bench-smoke soak-smoke obs-smoke
+	$(DUNE) build --profile release
 	@echo "[check] tier-1 gate passed"
 
 # Long soak: >= 30 min of the duration-based poll soak with per-wave obs

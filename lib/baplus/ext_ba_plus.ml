@@ -29,13 +29,15 @@ let decode_tuple raw =
                   | Some witness -> Some (index, codeword, witness)))))
     raw
 
-(* Collect verified codewords for root [z_star] from an inbox: at most one
-   per index (collision resistance makes duplicates consistent anyway).
-   Stores [index -> (codeword, raw_tuple)] so a tuple can be republished
-   verbatim. A full table short-circuits the walk — indices are bounded by
-   [n], so [n] entries means nothing new can be learned and the per-message
-   decode would be pure waste (this is every matching party in round 3b). *)
-let harvest ~n ~z_star ~into inbox =
+(* Collect verified codewords for the root [checker] holds from an inbox:
+   at most one per index (collision resistance makes duplicates consistent
+   anyway). Stores [index -> (codeword, raw_tuple)] so a tuple can be
+   republished verbatim. A full table short-circuits the walk — indices are
+   bounded by [n], so [n] entries means nothing new can be learned and the
+   per-message decode would be pure waste (this is every matching party in
+   round 3b). The witnesses of one inbox, and of both rounds, share their
+   upper nodes; the one [checker] per call hashes each such node once. *)
+let harvest ~n ~checker ~into inbox =
   if Hashtbl.length into < n then
     Array.iter
       (function
@@ -47,7 +49,7 @@ let harvest ~n ~z_star ~into inbox =
                 if
                   index >= 0 && index < n
                   && (not (Hashtbl.mem into index))
-                  && Merkle.verify ~root:z_star ~index ~value:codeword witness
+                  && Merkle.check checker ~index ~value:codeword witness
                 then Hashtbl.add into index (codeword, raw)))
       inbox
 
@@ -106,9 +108,16 @@ module Make (B : Ba.Substrate.S) = struct
            Proto.exchange (fun j -> if mine then Some tuples.(j) else None)
          in
          let shares = Hashtbl.create n in
-         if mine then
-           Array.iteri (fun j c -> Hashtbl.add shares j (c, tuples.(j))) codewords
-         else harvest ~n ~z_star ~into:shares inbox_a;
+         (* A matching party's table is full from the start, so it checks no
+            witness and needs no checker. *)
+         let harvest =
+           if mine then begin
+             Array.iteri (fun j c -> Hashtbl.add shares j (c, tuples.(j))) codewords;
+             ignore
+           end
+           else harvest ~n ~checker:(Merkle.checker ~root:z_star ~leaves:n) ~into:shares
+         in
+         harvest inbox_a;
          (* Step 3b: republish your own verified codeword to everyone. *)
          let republish =
            Option.map snd (Hashtbl.find_opt shares ctx.Ctx.me)
@@ -118,7 +127,7 @@ module Make (B : Ba.Substrate.S) = struct
            | Some raw -> Proto.broadcast raw
            | None -> Proto.receive_only ()
          in
-         harvest ~n ~z_star ~into:shares inbox_b;
+         harvest inbox_b;
          (* Step 4: reconstruct from any n−t verified codewords. Lemma 6 makes
             failure unreachable when Π_BA+ returned non-⊥; stay total anyway.
             A matching party skips the reconstruction: its shares are its own

@@ -13,6 +13,17 @@
     never sees a wrong share; Intrusion Tolerance of Π_BA+ guarantees the
     committed value is an honest input, so reconstruction is consistent. *)
 
+val harvest :
+  n:int ->
+  checker:Merkle.checker ->
+  into:(int, string * string) Hashtbl.t ->
+  string option array ->
+  unit
+(** One distribution round's collection (step 3a or 3b): adds to [into],
+    as [index -> (codeword, raw tuple)], each tuple of the inbox whose index
+    is in [0, n), not yet in [into], and whose witness [checker] accepts.
+    Exposed so the tests can bound its allocation. *)
+
 module Make (B : Ba.Substrate.S) : sig
   val run : Net.Ctx.t -> string -> string option Net.Proto.m
   (** [run ctx v] joins Π_ℓBA+ with input [v] (arbitrary bytes). Output

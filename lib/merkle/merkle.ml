@@ -28,25 +28,28 @@ type tree = {
 let empty_leaf = Sha256.digest "\x02"
 
 (* Per-domain hashing context for [build]: a tree is built once per party
-   per Π_ℓBA+ invocation, and the context (message schedule + block buffer)
-   was the build's largest single allocation. One context per domain is
-   enough: a build runs to completion on its domain (nothing in this repo
-   runs protocol code on systhreads), and it cannot re-enter itself — it
-   calls only Sha256. *)
+   per Π_ℓBA+ invocation, so the context is reused rather than allocated per
+   build. One context per domain is enough: a build runs to completion on
+   its domain (nothing in this repo runs protocol code on systhreads), and
+   it cannot re-enter itself — it calls only Sha256. *)
 let build_ctx : Sha256.ctx Domain.DLS.key = Domain.DLS.new_key Sha256.init
 
 let next_pow2 n =
-  let rec go p = if p >= n then p else go (2 * p) in
-  go 1
+  let p = ref 1 in
+  while !p < n do
+    p := 2 * !p
+  done;
+  !p
+
+let depth_of padded =
+  let rec go d p = if p = 1 then d else go (d + 1) (p / 2) in
+  go 0 padded
 
 let build values =
   let leaves = Array.length values in
   if leaves = 0 then invalid_arg "Merkle.build: empty";
   let padded = next_pow2 leaves in
-  let depth =
-    let rec go d p = if p = 1 then d else go (d + 1) (p / 2) in
-    go 0 padded
-  in
+  let depth = depth_of padded in
   let levels = Array.init (depth + 1) (fun l -> Bytes.create ((padded lsr l) * dsize)) in
   let ctx = Domain.DLS.get build_ctx in
   let level0 = levels.(0) in
@@ -83,40 +86,86 @@ let witness t i =
   done;
   Bytes.unsafe_to_string w
 
-(* Per-domain verification scratch: a verify runs once per harvested share
-   on the Π_ℓBA+ hot path, and the fresh context + digest buffer were most
-   of its allocation. Safe per domain for the same reasons as [build_ctx]. *)
-let verify_scratch : (Sha256.ctx * Bytes.t) Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> (Sha256.init (), Bytes.create dsize))
+(* A node's hash input is the inner-node tag and its two children. *)
+let pair = 2 * dsize
+
+(* Memo for [check]: one entry per inner node, the child pair last hashed
+   there and then its digest. The nodes of level l (1 <= l <= depth) start
+   at entry [padded - (padded lsr (l - 1))]. Every entry starts as the
+   all-zero pair and that pair's digest, so an entry always holds a pair and
+   its true digest: a hit returns exactly what hashing the pair would. *)
+let entry = pair + dsize
+
+let zero_pair_digest = Sha256.digest ("\x01" ^ String.make pair '\000')
+
+(* Per-domain walk scratch: the hashing context, and 97 bytes laid out as
+   the inner-node tag (byte 0), the node's two children (bytes 1-64) and the
+   digest reached so far (bytes 65-96). A walk runs once per harvested share
+   on the Π_ℓBA+ hot path; safe per domain for the same reasons as
+   [build_ctx]. *)
+let walk_scratch : (Sha256.ctx * Bytes.t) Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      let s = Bytes.make (1 + pair + dsize) '\000' in
+      Bytes.set_uint8 s 0 0x01;
+      (Sha256.init (), s))
+
+(* [len] bytes of [a] at [apos] against [b] at [bpos], eight at a time;
+   [len] is a multiple of 8. *)
+let equal_sub a apos b bpos len =
+  let i = ref 0 in
+  while
+    !i < len && (Bytes.get_int64_ne a (apos + !i) : int64) = Bytes.get_int64_ne b (bpos + !i)
+  do
+    i := !i + 8
+  done;
+  !i >= len
+
+(* The one path walk, for [verify] and [check]. With [padded > 0], [memo] is
+   a checker's memo for a tree of [padded] leaves whose depth the witness
+   has; with [padded = 0] every node is hashed. *)
+let walk ~memo ~padded ~root ~index ~value w =
+  let ctx, s = Domain.DLS.get walk_scratch in
+  let cur = 1 + pair in
+  Sha256.reset ctx;
+  Sha256.feed_byte ctx 0x00;
+  Sha256.feed ctx value;
+  Sha256.finalize_into ctx s ~pos:cur;
+  let path = Bytes.unsafe_of_string w in
+  let idx = ref index in
+  for level = 0 to Char.code w.[0] - 1 do
+    let odd = !idx land 1 in
+    Bytes.blit s cur s (1 + (odd * dsize)) dsize;
+    Bytes.blit path (1 + (level * dsize)) s (1 + ((1 - odd) * dsize)) dsize;
+    idx := !idx lsr 1;
+    let e = (padded - (padded lsr level) + !idx) * entry in
+    if padded > 0 && equal_sub memo e s 1 pair then Bytes.blit memo (e + pair) s cur dsize
+    else begin
+      Sha256.reset ctx;
+      Sha256.feed_bytes ctx s ~pos:0 ~len:(1 + pair);
+      Sha256.finalize_into ctx s ~pos:cur;
+      if padded > 0 then Bytes.blit s 1 memo e entry
+    end
+  done;
+  !idx = 0 && String.length root = dsize && equal_sub s cur (Bytes.unsafe_of_string root) 0 dsize
 
 let verify ~root ~index ~value w =
-  if index < 0 then false
-  else begin
-    (* One context and one scratch digest, reused up the path. *)
-    let ctx, h = Domain.DLS.get verify_scratch in
-    Sha256.reset ctx;
-    Sha256.feed_byte ctx 0x00;
-    Sha256.feed ctx value;
-    Sha256.finalize_into ctx h ~pos:0;
-    let path = Bytes.unsafe_of_string w in
-    let idx = ref index in
-    for level = 0 to Char.code w.[0] - 1 do
-      let sib = 1 + (level * dsize) in
-      Sha256.reset ctx;
-      Sha256.feed_byte ctx 0x01;
-      if !idx land 1 = 0 then begin
-        Sha256.feed_bytes ctx h ~pos:0 ~len:dsize;
-        Sha256.feed_bytes ctx path ~pos:sib ~len:dsize
-      end
-      else begin
-        Sha256.feed_bytes ctx path ~pos:sib ~len:dsize;
-        Sha256.feed_bytes ctx h ~pos:0 ~len:dsize
-      end;
-      Sha256.finalize_into ctx h ~pos:0;
-      idx := !idx lsr 1
-    done;
-    !idx = 0 && String.equal (Bytes.unsafe_to_string h) root
-  end
+  index >= 0 && walk ~memo:Bytes.empty ~padded:0 ~root ~index ~value w
+
+type checker = { c_root : root; c_padded : int; c_depth : int; memo : Bytes.t }
+
+let checker ~root ~leaves =
+  if leaves < 1 then invalid_arg "Merkle.checker";
+  let padded = next_pow2 leaves in
+  let memo = Bytes.make ((padded - 1) * entry) '\000' in
+  for i = 0 to padded - 2 do
+    Bytes.blit_string zero_pair_digest 0 memo ((i * entry) + pair) dsize
+  done;
+  { c_root = root; c_padded = padded; c_depth = depth_of padded; memo }
+
+let check c ~index ~value w =
+  if index >= 0 && index < c.c_padded && Char.code w.[0] = c.c_depth then
+    walk ~memo:c.memo ~padded:c.c_padded ~root:c.c_root ~index ~value w
+  else verify ~root:c.c_root ~index ~value w
 
 let witness_size_bits w = 8 * String.length w
 let encode_witness w = w

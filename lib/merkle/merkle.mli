@@ -34,6 +34,23 @@ val verify : root:root -> index:int -> value:string -> witness -> bool
     [index]-th leaf of the tree with root hash [root]? Total on arbitrary
     (adversarial) witnesses. *)
 
+type checker
+(** A verifier for many witnesses against one root, e.g. every share one
+    party harvests in one Π_ℓBA+ call. It remembers, for each inner node of
+    the tree, the child pair it last hashed there and that pair's digest, so
+    the upper nodes that the paths to one root share are hashed once. *)
+
+val checker : root:root -> leaves:int -> checker
+(** [checker ~root ~leaves] checks witnesses against [root] for a tree of
+    [leaves] leaves, with a memo of [next_pow2 leaves - 1] entries allocated
+    here, once. Raises [Invalid_argument] if [leaves < 1]. *)
+
+val check : checker -> index:int -> value:string -> witness -> bool
+(** [check c ~index ~value w] is [verify ~root ~index ~value w] for [c]'s
+    root, for every input: the memo is keyed by a node's full hash input,
+    never by position alone. A witness whose depth is not the tree's is
+    walked without the memo. *)
+
 val leaf_count : tree -> int
 
 val witness_size_bits : witness -> int

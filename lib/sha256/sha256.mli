@@ -1,14 +1,19 @@
 (** SHA-256 (FIPS 180-4), implemented from scratch — the paper's
     collision-resistant hash function [H_κ] with security parameter κ = 256.
 
-    The toolchain ships no cryptography package; this pure-OCaml
-    implementation is validated against the NIST test vectors and, by a
-    differential test, against a frozen copy of its earlier compression loop.
-    It backs the Merkle-tree accumulators (Section 7) that Π_ℓBA+ commits
-    every party's codewords with, the adaptive preamble's digests and the
-    Lamport/XMSS signatures. Compression is a measured hot spot: a stack
-    sample put it at 31 % of wall time on a simulator run with 2^15-bit
-    inputs, before the current kernel made it about 1.6x faster. *)
+    The toolchain ships no cryptography package. Buffering, padding and the
+    streaming interface below are OCaml; the compression function is one
+    portable C99 kernel ([sha256_stubs.c]) that reads blocks byte by byte as
+    big-endian words, with no intrinsics and no host-specific flags, so it
+    gives the same digests on every host. It is C because compression was
+    the largest self time left on the Π_ℓBA+ distribution path: a sampled
+    profile put the OCaml loop at 31 % of session time on perfbench's
+    fault_mix and 33 % on wide_value, and the C kernel compresses a block
+    about 1.5x faster. Digests are validated against the NIST test vectors
+    and, by a differential test, against [test/sha256_spec.ml], an
+    independent OCaml statement of FIPS 180-4. SHA-256 backs the Merkle-tree
+    accumulators (Section 7) that Π_ℓBA+ commits every party's codewords
+    with, the adaptive preamble's digests and the Lamport/XMSS signatures. *)
 
 val digest_size : int
 (** 32 bytes (κ / 8). *)

@@ -246,6 +246,48 @@ let prop_ext_agreement_random =
       let outcome = run_ext ~n ~t ~corrupt ~adversary inputs in
       all_equal_opt (Sim.honest_outputs ~corrupt outcome))
 
+(* One honest n = 13 round-3b harvest: 13 tuples for 13 distinct indices,
+   each checked against one fresh checker. Before the checker, the same
+   harvest made 13 [Merkle.verify] calls (which allocate nothing) and read
+   1302 minor words, the decoded tuples and the table; the checker adds one
+   flat memo for 16 leaves, 187 words (15 entries of 96 bytes in one
+   182-word block, and the 5-word record). Any allocation per check breaks
+   the bound. *)
+let test_harvest_allocation () =
+  let n = 13 in
+  let codewords =
+    Array.init n (fun i -> String.init 456 (fun j -> Char.chr (((i * 7) + (j * 13)) land 0xff)))
+  in
+  let tree = Merkle.build codewords in
+  let root = Merkle.root tree in
+  let inbox =
+    Array.init n (fun j ->
+        Some
+          Wire.(
+            encode
+              (seq
+                 [
+                   w_varint j;
+                   w_bytes codewords.(j);
+                   w_bytes (Merkle.encode_witness (Merkle.witness tree j));
+                 ])))
+  in
+  let run () =
+    let into = Hashtbl.create n in
+    Baplus.Ext_ba_plus.harvest ~n ~checker:(Merkle.checker ~root ~leaves:n) ~into inbox;
+    Hashtbl.length into
+  in
+  Alcotest.(check int) "every share harvested" n (run ());
+  let m0 = Gc.minor_words () in
+  let m1 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (run ()));
+  let m2 = Gc.minor_words () in
+  let words = m2 -. m1 -. (m1 -. m0) in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words %.0f <= 1302 + 187" words)
+    true
+    (words <= 1302. +. 187.)
+
 let suite =
   [
     Alcotest.test_case "BA+ validity" `Quick test_ba_plus_validity;
@@ -259,4 +301,5 @@ let suite =
     Alcotest.test_case "lBA+ Theorem 1 accounting" `Quick test_ext_distribution_bits_match_theorem1;
     Alcotest.test_case "lBA+ tiny values" `Quick test_ext_empty_and_tiny_values;
     QCheck_alcotest.to_alcotest prop_ext_agreement_random;
+    Alcotest.test_case "lBA+ harvest allocation guard" `Quick test_harvest_allocation;
   ]

@@ -36,6 +36,18 @@ let test_rejections () =
      are not provable values). *)
   Alcotest.check Alcotest.bool "padding leaf not provable" false
     (Merkle.verify ~root ~index:7 ~value:"" w2);
+  (* A checker that has accepted leaf 2's path must still reject the same
+     leaf once only the top sibling is changed: its memo is keyed by each
+     node's full input, not by the node's position. *)
+  let checker = Merkle.checker ~root ~leaves:7 in
+  let raw = Merkle.encode_witness w2 in
+  let top = Bytes.of_string raw in
+  Bytes.set top (String.length raw - 1) (Char.chr (Char.code raw.[String.length raw - 1] lxor 1));
+  let top = Option.get (Merkle.decode_witness (Bytes.to_string top)) in
+  Alcotest.check Alcotest.bool "checker accepts the honest path" true
+    (Merkle.check checker ~index:2 ~value:vs.(2) w2);
+  Alcotest.check Alcotest.bool "checker rejects a tampered top sibling" false
+    (Merkle.check checker ~index:2 ~value:vs.(2) top);
   Alcotest.check_raises "witness out of range" (Invalid_argument "Merkle.witness")
     (fun () -> ignore (Merkle.witness t 7));
   Alcotest.check_raises "empty build" (Invalid_argument "Merkle.build: empty") (fun () ->
@@ -175,44 +187,74 @@ let ref_verify ~root ~index ~value encoded =
   in
   index >= 0 && go (Sha256.digest ("\x00" ^ value)) index path
 
-(* Honest, tampered, shortened and lengthened witnesses, each checked at an
-   honest, a wrong and an out-of-tree index: decoding accepts exactly the
-   well-formed lengths, and [verify] agrees with the seed's list walk. *)
+(* A batch of honest, tampered, shortened and lengthened witnesses for one
+   tree, each checked at an honest, a wrong and an out-of-tree index:
+   decoding accepts exactly the well-formed lengths, and [verify] agrees
+   with the seed's list walk. The whole batch then goes through one shared
+   [Merkle.checker] in shuffled order, which must give the list walk's
+   answer for every case whatever its memo holds. *)
 let prop_verify_matches_ref =
   QCheck.Test.make ~name:"decode + verify = seed list walk on tampered witnesses"
     ~count:200
-    QCheck.(quad (1 -- 20) small_nat (0 -- 3) (pair small_nat (int_range (-2) 80)))
-    (fun (n, i, how, (p, j)) ->
-      let i = i mod n in
+    QCheck.(
+      triple (1 -- 20) int
+        (list_of_size Gen.(1 -- 8)
+           (quad small_nat (0 -- 3) small_nat (int_range (-2) 80))))
+    (fun (n, seed, batch) ->
       let vs = values n in
       let t = Merkle.build vs in
       let root = Merkle.root t in
-      let w = Merkle.encode_witness (Merkle.witness t i) in
-      let depth = Char.code w.[0] in
-      let raw =
-        match how with
-        | 0 -> w
-        | 1 ->
-            let b = Bytes.of_string w in
-            let p = 1 + (p mod max 1 (String.length w - 1)) in
-            if p < String.length w then
-              Bytes.set b p (Char.chr (Char.code w.[p] lxor 0x40));
-            Bytes.to_string b
-        | 2 when depth > 0 ->
-            String.make 1 (Char.chr (depth - 1)) ^ String.sub w 1 (32 * (depth - 1))
-        | _ -> String.make 1 (Char.chr (depth + 1)) ^ String.sub w 1 (32 * depth) ^ root
+      let case (i, how, p, j) =
+        let i = i mod n in
+        let w = Merkle.encode_witness (Merkle.witness t i) in
+        let depth = Char.code w.[0] in
+        let raw =
+          match how with
+          | 0 -> w
+          | 1 ->
+              let b = Bytes.of_string w in
+              let p = 1 + (p mod max 1 (String.length w - 1)) in
+              if p < String.length w then
+                Bytes.set b p (Char.chr (Char.code w.[p] lxor 0x40));
+              Bytes.to_string b
+          | 2 when depth > 0 ->
+              String.make 1 (Char.chr (depth - 1)) ^ String.sub w 1 (32 * (depth - 1))
+          | _ -> String.make 1 (Char.chr (depth + 1)) ^ String.sub w 1 (32 * depth) ^ root
+        in
+        let well_formed = String.length raw = 1 + (32 * Char.code raw.[0]) in
+        match Merkle.decode_witness raw with
+        | None -> if well_formed then None else Some []
+        | Some dw ->
+            if
+              well_formed
+              && String.equal (Merkle.encode_witness dw) raw
+              && Merkle.witness_size_bits dw = 8 * String.length raw
+            then
+              Some
+                (List.map
+                   (fun (index, value) ->
+                     (index, value, dw, ref_verify ~root ~index ~value raw))
+                   [ (i, vs.(i)); (j, vs.(i)); (j, vs.(abs j mod n)); (max_int, vs.(i)) ])
+            else None
       in
-      let well_formed = String.length raw = 1 + (32 * Char.code raw.[0]) in
-      match Merkle.decode_witness raw with
-      | None -> not well_formed
-      | Some dw ->
-          well_formed
-          && String.equal (Merkle.encode_witness dw) raw
-          && Merkle.witness_size_bits dw = 8 * String.length raw
-          && List.for_all
-               (fun (index, value) ->
-                 Merkle.verify ~root ~index ~value dw = ref_verify ~root ~index ~value raw)
-               [ (i, vs.(i)); (j, vs.(i)); (j, vs.(abs j mod n)); (max_int, vs.(i)) ])
+      let cases = List.map case batch in
+      List.for_all Option.is_some cases
+      &&
+      let cases = List.concat_map Option.get cases in
+      List.for_all
+        (fun (index, value, dw, expected) -> Merkle.verify ~root ~index ~value dw = expected)
+        cases
+      &&
+      let rng = Random.State.make [| seed |] in
+      let shuffled =
+        List.map snd
+          (List.sort compare (List.map (fun c -> (Random.State.bits rng, c)) cases))
+      in
+      let checker = Merkle.checker ~root ~leaves:n in
+      List.for_all
+        (fun (index, value, dw, expected) ->
+          Merkle.check checker ~index ~value dw = expected)
+        shuffled)
 
 let prop_witness_sound =
   (* A witness never validates a different (index, value) pair. *)
