@@ -114,7 +114,8 @@ let walk_scratch : (Sha256.ctx * Bytes.t) Domain.DLS.key =
 let equal_sub a apos b bpos len =
   let i = ref 0 in
   while
-    !i < len && (Bytes.get_int64_ne a (apos + !i) : int64) = Bytes.get_int64_ne b (bpos + !i)
+    !i < len
+    && (Bytes.get_int64_ne a (apos + !i) : int64) = Bytes.get_int64_ne b (bpos + !i)
   do
     i := !i + 8
   done;
@@ -146,7 +147,9 @@ let walk ~memo ~padded ~root ~index ~value w =
       if padded > 0 then Bytes.blit s 1 memo e entry
     end
   done;
-  !idx = 0 && String.length root = dsize && equal_sub s cur (Bytes.unsafe_of_string root) 0 dsize
+  !idx = 0
+  && String.length root = dsize
+  && equal_sub s cur (Bytes.unsafe_of_string root) 0 dsize
 
 let verify ~root ~index ~value w =
   index >= 0 && walk ~memo:Bytes.empty ~padded:0 ~root ~index ~value w

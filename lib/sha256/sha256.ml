@@ -6,7 +6,8 @@ let digest_size = 32
 (* The initial H0..H7 as eight big-endian 32-bit words, the layout of
    [ctx.state]. *)
 let iv =
-  "\x6a\x09\xe6\x67\xbb\x67\xae\x85\x3c\x6e\xf3\x72\xa5\x4f\xf5\x3a\x51\x0e\x52\x7f\x9b\x05\x68\x8c\x1f\x83\xd9\xab\x5b\xe0\xcd\x19"
+  "\x6a\x09\xe6\x67\xbb\x67\xae\x85\x3c\x6e\xf3\x72\xa5\x4f\xf5\x3a\
+   \x51\x0e\x52\x7f\x9b\x05\x68\x8c\x1f\x83\xd9\xab\x5b\xe0\xcd\x19"
 
 type ctx = {
   state : Bytes.t; (* 32-byte chaining state; [compress] updates it in place *)

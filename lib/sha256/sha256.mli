@@ -8,8 +8,9 @@
     gives the same digests on every host. It is C because compression was
     the largest self time left on the Π_ℓBA+ distribution path: a sampled
     profile put the OCaml loop at 31 % of session time on perfbench's
-    fault_mix and 33 % on wide_value, and the C kernel compresses a block
-    about 1.5x faster. Digests are validated against the NIST test vectors
+    fault_mix and 33 % on wide_value, and the C kernel compresses about
+    twice as many bytes per second (the [sha256] row of
+    BENCH_substrate.json). Digests are validated against the NIST test vectors
     and, by a differential test, against [test/sha256_spec.ml], an
     independent OCaml statement of FIPS 180-4. SHA-256 backs the Merkle-tree
     accumulators (Section 7) that Π_ℓBA+ commits every party's codewords

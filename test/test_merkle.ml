@@ -42,7 +42,8 @@ let test_rejections () =
   let checker = Merkle.checker ~root ~leaves:7 in
   let raw = Merkle.encode_witness w2 in
   let top = Bytes.of_string raw in
-  Bytes.set top (String.length raw - 1) (Char.chr (Char.code raw.[String.length raw - 1] lxor 1));
+  let last = String.length raw - 1 in
+  Bytes.set top last (Char.chr (Char.code raw.[last] lxor 1));
   let top = Option.get (Merkle.decode_witness (Bytes.to_string top)) in
   Alcotest.check Alcotest.bool "checker accepts the honest path" true
     (Merkle.check checker ~index:2 ~value:vs.(2) w2);
