@@ -8,7 +8,7 @@
 
 DUNE ?= dune
 
-.PHONY: all build fmt test check bench bench-smoke soak-smoke obs-smoke soak-long clean
+.PHONY: all build fmt test check bench bench-smoke soak-smoke obs-smoke soak-long perf-pairs clean
 
 all: build
 
@@ -73,6 +73,19 @@ soak-long:
 # if it passes all of its gates.
 bench:
 	$(DUNE) exec --profile release bench/main.exe
+
+# Paired repository-benchmark runs (BENCHMARK.json, perfbench/) of PARENT
+# against the working tree: PAIRS pairs of SECONDS-second `--trace 0` runs,
+# alternating which side runs first, a fresh seed per pair. Prints each
+# end-to-end metric's medians, quartiles and the change's win count. Not
+# part of `check`.
+PARENT ?= HEAD
+WORKLOAD ?= oracle_stream
+PAIRS ?= 10
+SECONDS ?= 25
+perf-pairs:
+	python3 bench/perf_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
+		--pairs $(PAIRS) --seconds $(SECONDS)
 
 clean:
 	$(DUNE) clean

@@ -412,18 +412,20 @@ let adaptive =
    throughput at least [engine_rate_gain]x the pre-overhaul row
    ([engine_baseline_rate] sessions/s, BENCH_engine.json @ bb0aed7), and at
    most [engine_gc_ceiling] minor words per session. The ceiling sits ~5%
-   above the 195 369 measured once protocols were written as
-   continuation-passing builders (free-monad binds re-wrapping every round
-   at every layer: 279 505; per-edge entry lists: 356 254; before the
-   hot-path overhaul: 1 552 000); allocation counts are deterministic, so
-   the headroom covers stdlib and runtime drift, not noise. The remaining
-   floor is protocol-intrinsic (delivered payloads, Pi_lBA+'s Reed-Solomon
-   and Merkle work, one continuation per party per round). *)
+   above the 161 421 measured once the poll transport delivered each
+   faithful payload as the value that was sent (one fresh copy per entry:
+   195 369; free-monad binds re-wrapping every round at every layer:
+   279 505; per-edge entry lists: 356 254; before the hot-path overhaul:
+   1 552 000); allocation counts are deterministic, so the headroom covers
+   stdlib and runtime drift, not noise. Delivered payloads are no longer
+   part of the floor, which is protocol-intrinsic: the messages each
+   session encodes and decodes, Pi_lBA+'s Reed-Solomon and Merkle work, and
+   one continuation per party per round. *)
 let engine_min_poll_sessions = 1024.
 let engine_gate_k = 4096.
 let engine_baseline_rate = 91.9284
 let engine_rate_gain = 1.3
-let engine_gc_ceiling = 205_000.
+let engine_gc_ceiling = 170_000.
 
 let engine =
   let gate_row l =

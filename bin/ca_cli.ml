@@ -215,7 +215,7 @@ let run_scenario n t protocol_name workload_name adversary_name attack_name
     Printf.printf "inputs:\n";
     Array.iteri
       (fun i v ->
-        Printf.printf "  party %2d: %s%s\n" i (Bigint.to_string v)
+        Printf.printf "  party %2d: %s%s\n" i (Obs.show_value v)
           (if corrupt.(i) then "   <- byzantine" else ""))
       inputs
   end;
@@ -234,7 +234,7 @@ let run_scenario n t protocol_name workload_name adversary_name attack_name
     adversary.Adversary.name attack_name seed;
   Printf.printf "output:          %s\n"
     (match report.Workload.outputs with
-    | o :: _ -> Bigint.to_string o
+    | o :: _ -> Obs.show_value o
     | [] -> "(none)");
   Printf.printf "agreement:       %b\n" report.Workload.agreement;
   Printf.printf "convex validity: %b%s\n" report.Workload.convex_validity
@@ -445,7 +445,7 @@ let engine_scenario n t sessions spacing backend adversary_name attack_name
         (if valid then "yes" else "NO");
       if verbose then
         match honest with
-        | o :: _ -> Printf.printf "       output: %s\n" (Bigint.to_string o)
+        | o :: _ -> Printf.printf "       output: %s\n" (Obs.show_value o)
         | [] -> ())
     outcome.Engine.sessions;
   let a = outcome.Engine.aggregate in

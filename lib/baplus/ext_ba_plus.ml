@@ -43,14 +43,18 @@ let harvest ~n ~checker ~into inbox =
       (function
         | None -> ()
         | Some raw -> (
-            match decode_tuple raw with
-            | None -> ()
-            | Some (index, codeword, witness) ->
-                if
-                  index >= 0 && index < n
-                  && (not (Hashtbl.mem into index))
-                  && Merkle.check checker ~index ~value:codeword witness
-                then Hashtbl.add into index (codeword, raw)))
+            (* The leading index alone says whether the tuple can add
+               anything: a copy of an index already held (every matching
+               party sends a non-matching one its own tuple in 3a) is
+               dropped undecoded. A copy whose index an earlier copy failed
+               to verify is still tried. *)
+            let index = Wire.leading_varint raw in
+            if index >= 0 && index < n && not (Hashtbl.mem into index) then
+              match decode_tuple raw with
+              | Some (index, codeword, witness)
+                when Merkle.check checker ~index ~value:codeword witness ->
+                  Hashtbl.add into index (codeword, raw)
+              | Some _ | None -> ()))
       inbox
 
 module Make (B : Ba.Substrate.S) = struct

@@ -15,9 +15,11 @@
    (Wire.Frame.write_edge) — no frame string or prefix concatenation exists.
    Inbound, reads land in one shared scratch and are fed to the decoder by
    offset (feed_sub); each connection's slot sink (Wire.Frame.edge_sink)
-   parses a frame straight into the loop's delivery index. What remains per
-   round is the delivered payloads themselves — the data — and their
-   [Some] boxes. *)
+   parses a frame straight into the loop's delivery index. An entry whose
+   bytes match what was sent on its edge is delivered as the sent value
+   itself, so a faithful round copies no payload; what remains per round is
+   the select loop's own bookkeeping (fd lists, wall-clock stamps) and a
+   fresh copy of any entry that differs from what was sent. *)
 
 type stats = {
   p_rounds : int;
@@ -29,7 +31,6 @@ type stats = {
   p_polls : int;
   p_parked : int;
   p_max_backlog : int;
-  p_frames_encoded_in_place : int;
   p_minor_words_per_round : float;
   p_select_wait_max_s : float;
   p_select_wait_mean_s : float;
@@ -99,8 +100,6 @@ type conn = {
   mutable c_out_len : int;
   mutable c_off : int;  (* bytes of [c_out] already admitted to the ring *)
   mutable c_got : bool;  (* this round's inbound frame has arrived *)
-  mutable c_entries : (int * string) list;
-      (* the inbound frame's entries, on the string-matrix path only *)
   mutable c_sink : Wire.Frame.sink;
       (* parses inbound frames into the bound slots' delivery index *)
   mutable c_peak_backlog : int;  (* peak queued bytes over this conn's life *)
@@ -113,7 +112,6 @@ type t = {
   pair_fds : Unix.file_descr list;  (* each endpoint once, for close *)
   scratch : Bytes.t;
   mutable expect : int;  (* the round the current exchange moves *)
-  mutable into_slots : bool;  (* inbound frames go to [c_sink], not lists *)
   mutable bound : Wire.Frame.slots;  (* the slots every [c_sink] fills *)
   mutable closed : bool;
   mutable s_rounds : int;
@@ -125,7 +123,6 @@ type t = {
   mutable s_polls : int;
   mutable s_parked : int;
   mutable s_max_backlog : int;
-  mutable s_in_place : int;
   mutable s_minor_words : float;
   mutable s_select_wait_total : float;
   mutable s_select_wait_max : float;
@@ -179,7 +176,6 @@ let create ?(outbuf = 64 * 1024) ?(max_frame = Wire.Frame.max_frame_bytes) ~n ()
             c_out_len = 0;
             c_off = 0;
             c_got = false;
-            c_entries = [];
             c_sink = Wire.Frame.edge_sink no_slots ~src ~dst ~on_round:ignore;
             c_peak_backlog = 0;
             c_park_t = -1.0;
@@ -193,7 +189,6 @@ let create ?(outbuf = 64 * 1024) ?(max_frame = Wire.Frame.max_frame_bytes) ~n ()
     pair_fds = !pair_fds;
     scratch = Bytes.create 65536;
     expect = 0;
-    into_slots = false;
     bound = no_slots;
     closed = false;
     s_rounds = 0;
@@ -205,7 +200,6 @@ let create ?(outbuf = 64 * 1024) ?(max_frame = Wire.Frame.max_frame_bytes) ~n ()
     s_polls = 0;
     s_parked = 0;
     s_max_backlog = 0;
-    s_in_place = 0;
     s_minor_words = 0.0;
     s_select_wait_total = 0.0;
     s_select_wait_max = 0.0;
@@ -235,7 +229,6 @@ let stats t =
     p_polls = t.s_polls;
     p_parked = t.s_parked;
     p_max_backlog = t.s_max_backlog;
-    p_frames_encoded_in_place = t.s_in_place;
     p_minor_words_per_round =
       (if t.s_rounds = 0 then 0.0
        else t.s_minor_words /. float_of_int t.s_rounds);
@@ -272,7 +265,6 @@ let send_frame t c ~body_len =
   c.c_out_len <- total;
   c.c_off <- Ring.push c.c_ring c.c_out 0 total;
   c.c_got <- false;
-  c.c_entries <- [];
   t.s_frames <- t.s_frames + 1;
   t.s_frame_bytes <- t.s_frame_bytes + body_len;
   t.s_wire_bytes <- t.s_wire_bytes + total;
@@ -317,20 +309,11 @@ let got_frame t c round =
   if c.c_got then failwith "Net_poll: duplicate frame in one round";
   c.c_got <- true
 
-let rec pump_slots c =
+let rec pump c =
   match Wire.Frame.Decoder.next_with c.c_dec c.c_sink with
   | Error msg -> failwith ("Net_poll: " ^ msg)
   | Ok false -> ()
-  | Ok true -> pump_slots c
-
-let rec pump_lists t c =
-  match Wire.Frame.Decoder.next c.c_dec with
-  | Error msg -> failwith ("Net_poll: " ^ msg)
-  | Ok None -> ()
-  | Ok (Some frame) ->
-      got_frame t c frame.Wire.Frame.round;
-      c.c_entries <- frame.Wire.Frame.entries;
-      pump_lists t c
+  | Ok true -> pump c
 
 let service_read t c =
   match Unix.read c.c_rfd t.scratch 0 (Bytes.length t.scratch) with
@@ -339,7 +322,7 @@ let service_read t c =
   | k ->
       t.s_reads <- t.s_reads + 1;
       Wire.Frame.Decoder.feed_sub c.c_dec t.scratch 0 k;
-      if t.into_slots then pump_slots c else pump_lists t c
+      pump c
 
 (* Drive the event loop until every connection has both flushed its round
    frame and received its peer's. Every connection must have been loaded by
@@ -398,39 +381,13 @@ let drive t =
   done;
   t.s_rounds <- t.s_rounds + 1
 
-let check_open t =
-  if t.closed then invalid_arg "Net_poll.exchange: closed"
-
-let exchange t ~round frames =
-  check_open t;
-  if
-    Array.length frames <> t.n
-    || Array.exists (fun row -> Array.length row <> t.n) frames
-  then invalid_arg "Net_poll.exchange: frame matrix shape";
-  t.expect <- round;
-  t.into_slots <- false;
-  Array.iter
-    (fun c ->
-      let body = frames.(c.c_src).(c.c_dst) in
-      let body_len = String.length body in
-      stage_frame c ~body_len;
-      Bytes.blit_string body 0 c.c_out 4 body_len;
-      send_frame t c ~body_len)
-    t.conns;
-  drive t;
-  (* Fresh result matrix: the direct-call (string-matrix) interface is the
-     test surface and keeps value semantics. *)
-  let received = Array.make_matrix t.n t.n [] in
-  Array.iter (fun c -> received.(c.c_src).(c.c_dst) <- c.c_entries) t.conns;
-  received
-
-(* The engine-facing path: write each pair's frame straight from the loop's
-   slots into the connection's outbound scratch, and parse each inbound
-   frame straight into the slots' delivery index. The sinks are bound to a
-   slots record once, on its first exchange; the loop reuses one record for
-   a whole run. *)
-let exchange_slots t ~round (s : Wire.Frame.slots) =
-  check_open t;
+(* One round: write each pair's frame straight from the loop's slots into
+   the connection's outbound scratch, and parse each inbound frame straight
+   into the slots' delivery index. The sinks are bound to a slots record
+   once, on its first exchange; the loop reuses one record for a whole
+   run. *)
+let exchange t ~round (s : Wire.Frame.slots) =
+  if t.closed then invalid_arg "Net_poll.exchange: closed";
   let mw0 = Gc.minor_words () in
   if t.bound != s then begin
     t.bound <- s;
@@ -442,15 +399,13 @@ let exchange_slots t ~round (s : Wire.Frame.slots) =
       t.conns
   end;
   t.expect <- round;
-  t.into_slots <- true;
   Array.iter
     (fun c ->
       let src = c.c_src and dst = c.c_dst in
       let body_len = Wire.Frame.edge_size s ~round ~src ~dst in
       stage_frame c ~body_len;
       ignore (Wire.Frame.write_edge s ~round ~src ~dst c.c_out 4 : int);
-      send_frame t c ~body_len;
-      t.s_in_place <- t.s_in_place + 1)
+      send_frame t c ~body_len)
     t.conns;
   drive t;
   t.s_minor_words <- t.s_minor_words +. (Gc.minor_words () -. mw0)
@@ -459,7 +414,7 @@ let transport t =
   {
     Net.Transport.name = "poll";
     direct = false;
-    exchange = (fun ~round ~entries -> exchange_slots t ~round entries);
+    exchange = (fun ~round ~entries -> exchange t ~round entries);
     close = (fun () -> close t);
   }
 

@@ -21,14 +21,15 @@
     its lock-step round structure, which is what makes the poll backend
     bit-identical to the simulator.
 
-    The steady-state byte path allocates nothing per message but the
-    delivered payload and its [Some]: each frame is
+    The steady-state byte path allocates nothing per message: each frame is
     written straight from the slots into a per-connection reusable buffer
     ({!Wire.Frame.write_edge}), reads feed the decoder by offset from one
     shared scratch ({!Wire.Frame.Decoder.feed_sub}), and each arriving
     frame is parsed straight into the loop's delivery index
-    ({!Wire.Frame.edge_sink}). {!stats} reports the discipline:
-    [p_frames_encoded_in_place] and [p_minor_words_per_round]. *)
+    ({!Wire.Frame.edge_sink}), which delivers an entry whose bytes match
+    what was sent on its edge as the sent value itself. Only an entry that
+    differs from what was sent is copied. {!stats} reports the discipline
+    as [p_minor_words_per_round]. *)
 
 type stats = {
   p_rounds : int;  (** Exchanges completed. *)
@@ -45,15 +46,10 @@ type stats = {
           outbound ring in one piece and parked for a later top-up. *)
   p_max_backlog : int;
       (** Peak bytes queued behind a single connection (ring + parked). *)
-  p_frames_encoded_in_place : int;
-      (** Frames written from the slots straight into a connection's
-          reusable outbound buffer (the engine-facing path). The direct-call
-          string interface below bypasses in-place encoding, so this counts
-          only transport-driven frames. *)
   p_minor_words_per_round : float;
-      (** Mean minor-heap words allocated per exchange on the engine-facing
-          path — the transport's own allocation footprint, delivered
-          payloads included, measured around each exchange with
+      (** Mean minor-heap words allocated per exchange — the transport's
+          own allocation footprint, copies of entries that differ from
+          what was sent included, measured around each exchange with
           [Gc.minor_words]. *)
   p_select_wait_max_s : float;
       (** Longest single [select(2)] wait, in seconds (wall clock). *)
@@ -86,17 +82,6 @@ val create : ?outbuf:int -> ?max_frame:int -> n:int -> unit -> t
     {!Wire.Frame.max_frame_bytes}) bounds accepted frame bodies. Raises
     [Invalid_argument] if [n < 1]. *)
 
-val exchange :
-  t -> round:int -> string array array -> (int * string) list array array
-(** [exchange t ~round frames] moves [frames.(src).(dst)] (an encoded
-    {!Wire.Frame}, the diagonal ignored) to its recipient and returns the
-    decoded entry lists, indexed the same way. Every off-diagonal frame is
-    sent, empties included. Raises [Failure] on transport violations: a
-    frame that decodes to the wrong round, an undecodable or oversized
-    stream, or a stalled loop (nothing readable or writable for 30 s —
-    cannot happen unless the mesh is externally damaged). Raises
-    [Invalid_argument] after {!close} or on a mis-shaped matrix. *)
-
 val stats : t -> stats
 
 val set_sink : t -> sink option -> unit
@@ -106,21 +91,31 @@ val set_sink : t -> sink option -> unit
 
 val set_control : t -> (Unix.file_descr * (unit -> unit)) option -> unit
 (** Install a control endpoint: [fd] joins every [select] read set inside
-    {!exchange}, and [service] runs whenever it is readable — the hook the
+    the {!transport}'s exchange, and [service] runs whenever it is readable — the hook the
     live stats endpoint ([Obs.Endpoint]) uses to answer clients mid-round.
     [service] must leave [fd] unreadable before returning (accept and answer
     every pending client) or the loop will spin on it; it must not block or
     raise. The fd is not closed by {!close}. *)
 
 val transport : t -> Net.Transport.t
-(** The {!Net.Transport} view driven by [Engine.run_poll] ([direct = false]):
-    each pair's frame is sized with {!Wire.Frame.edge_size} and written from
-    the round's slots into the connection's outbound buffer
-    ({!Wire.Frame.write_edge}); each frame that arrives is validated, then
-    parsed into [delivered] ({!Wire.Frame.edge_sink}), so what the engine
-    delivers is only what came off the wire. On top of {!exchange}'s
-    violations it raises [Failure] on an entry out of admission order or for
-    a session that is not live. [close] closes the mesh. *)
+(** The {!Net.Transport} view driven by [Engine.run_poll] ([direct = false]),
+    and the mesh's one way to move a round. Its exchange sends every
+    off-diagonal pair's frame, keep-alive empties included: each is sized
+    with {!Wire.Frame.edge_size} and written from the round's slots into the
+    connection's outbound buffer ({!Wire.Frame.write_edge}). Each frame that
+    arrives is validated, then parsed into [delivered]
+    ({!Wire.Frame.edge_sink}), so what the engine delivers is only what came
+    off the wire: an entry whose bytes equal the value sent on that slot and
+    edge is delivered as that same immutable value, any other entry as a
+    fresh copy of the bytes that arrived.
+
+    The exchange raises [Failure] on transport violations: a frame for
+    another round (a stale frame left queued by an exchange that raised
+    part-way is one), a duplicate frame, an undecodable or oversized
+    stream, an entry out of admission order or for a session that is not
+    live, or a stalled loop (nothing readable or writable for 30 s — cannot
+    happen unless the mesh is externally damaged). It raises
+    [Invalid_argument] after {!close}. [close] closes the mesh. *)
 
 val close : t -> unit
 (** Close every socket; idempotent. *)

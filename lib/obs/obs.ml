@@ -994,6 +994,19 @@ type agg = {
 let mk_agg () =
   { g_bits = 0; g_msgs = 0; g_min_enter = max_int; g_max_exit = 0; g_children_rev = [] }
 
+(* Decimal rendering is quadratic in the bit length (2^19 bits took 29 s),
+   so values past 256 bits print as a summary built in O(ℓ). *)
+let show_value v =
+  let bits = Bigint.bit_length v in
+  if bits <= 256 then Bigint.to_string v
+  else
+    let hex = Bigint.to_hex v in
+    let len = String.length hex and sign = if Bigint.sign v < 0 then 1 else 0 in
+    let bytes = Bigint.to_bitstring_fixed ~bits:(8 * ((bits + 7) / 8)) v in
+    Printf.sprintf "%s0x%s...%s (%d bits, sha256 %s)"
+      (String.sub hex 0 sign) (String.sub hex sign 16) (String.sub hex (len - 16) 16)
+      bits (Sha256.hex (Bitstring.to_bytes bytes))
+
 let pp_report ?(top = 10) fmt t =
   let buckets = sorted_buckets t in
   let root_agg = mk_agg () in
@@ -1098,13 +1111,13 @@ let pp_report ?(top = 10) fmt t =
             Format.fprintf fmt
               "@.probe %s (session %d): %d iterations, hull width %s -> %s%s@." key
               session (List.length widths)
-              (Bigint.to_string (List.hd widths))
-              (Bigint.to_string (List.nth widths (List.length widths - 1)))
+              (show_value (List.hd widths))
+              (show_value (List.nth widths (List.length widths - 1)))
               (if monotone widths then " (monotone non-increasing)" else "");
             List.iteri
               (fun i w ->
                 if i < 16 then
-                  Format.fprintf fmt "    iter %2d: width %s@." i (Bigint.to_string w)
+                  Format.fprintf fmt "    iter %2d: width %s@." i (show_value w)
                 else if i = 16 then Format.fprintf fmt "    ...@.")
               widths
           end)

@@ -288,7 +288,15 @@ val render_text : t -> string
 
 val pp_report : ?top:int -> Format.formatter -> t -> unit
 (** Compact span report: totals, aggregated span tree, per-round heatmap,
-    top-[top] (default 10) labels, convergence curves. *)
+    top-[top] (default 10) labels, convergence curves (widths printed with
+    {!show_value}). *)
+
+val show_value : Bigint.t -> string
+(** How reports print a protocol value. Up to 256 bits: decimal. Longer:
+    the sign, the leading and the trailing 16 hex digits, the bit length and
+    the SHA-256 of the magnitude's big-endian bytes, e.g.
+    ["0x8000000000000000...0000000000000001 (1048577 bits, sha256 …)"].
+    O(ℓ) time and allocation, where decimal is quadratic in ℓ. *)
 
 (** {2 Message events (recorders made with [~messages:true])} *)
 

@@ -188,6 +188,19 @@ let varint_raw cur = varint_loop cur (String.length cur.src) 0 0 0 cur.pos
 let r_varint cur =
   match varint_raw cur with -1 -> None | v -> Some v
 
+(* [varint_loop] over a bare string, for a caller that only peeks: with no
+   cursor to move, nothing is allocated. *)
+let rec leading_loop s acc shift count pos =
+  if count > 9 || pos >= String.length s then -1
+  else
+    let b = Char.code (String.unsafe_get s pos) in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if acc < 0 then -1
+    else if b land 0x80 = 0 then acc
+    else leading_loop s acc (shift + 7) (count + 1) (pos + 1)
+
+let leading_varint s = leading_loop s 0 0 0 0
+
 let r_bool cur =
   if cur.pos >= String.length cur.src then None
   else
@@ -412,6 +425,24 @@ module Frame = struct
     else if sids.(i) = sid then i
     else slot_from sids live sid (i + 1)
 
+  (* [buf[off .. off+i]] equals [m.[0 .. i]]; top-level so the comparison
+     allocates no closure. The caller has checked both lengths. *)
+  let rec same_prefix buf off m i =
+    i < 0
+    || Bytes.unsafe_get buf (off + i) = String.unsafe_get m i
+       && same_prefix buf off m (i - 1)
+
+  (* What to deliver for slot [i]'s entry at [buf[off .. off+len-1]]: the
+     value sent on this edge when the bytes match it, so a faithful edge
+     delivers without allocating; any other entry (or a slot with no sent
+     cell) gets a fresh copy of exactly the bytes that arrived. *)
+  let arrived s ~src ~dst i buf off len =
+    match if i < Array.length s.sent then s.sent.(i).(src).(dst) else None with
+    | Some m as sent
+      when String.length m = len && same_prefix buf off m (len - 1) ->
+        sent
+    | Some _ | None -> Some (Bytes.sub_string buf off len)
+
   (* Entries arrive in admission order, so each one's slot is found by
      walking on from the previous entry's: O(live) per frame in total, and a
      sid that is out of order or not live runs off the end. *)
@@ -432,7 +463,7 @@ module Frame = struct
                     live session"
                    sid src dst)
           | i ->
-              s.delivered.(src).(dst).(i) <- Some (Bytes.sub_string buf off len);
+              s.delivered.(src).(dst).(i) <- arrived s ~src ~dst i buf off len;
               next := i + 1);
     }
 

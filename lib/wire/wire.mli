@@ -60,6 +60,11 @@ val r_u16 : int reader
 val r_varint : int reader
 (** Rejects encodings longer than 9 bytes (keeps values within [int]). *)
 
+val leading_varint : string -> int
+(** The varint at the start of [s], as [r_varint] would read it first; [-1]
+    when malformed. Allocates nothing, so a decoder can look at a message's
+    leading field before deciding to decode the rest. *)
+
 val r_bool : bool reader
 
 val r_bytes : ?max:int -> unit -> string reader
@@ -183,7 +188,13 @@ module Frame : sig
       Each frame's [on_round] runs first. The entries must come in admission
       order: each entry's slot is found by walking on from the previous
       entry's slot. An entry whose sid is not the next live sid on that walk
-      (out of order, repeated, or not live) raises [Failure]. *)
+      (out of order, repeated, or not live) raises [Failure].
+
+      An entry whose bytes equal [sent.(i).(src).(dst)], slot [i]'s payload
+      on this edge, is delivered as that same immutable [Some] value, with
+      no allocation. An entry whose bytes differ, or one for a slot with no
+      [sent] cell ([sent] may be [[||]]), is delivered as a fresh copy of
+      the bytes that arrived. [sent] is only read. *)
 
   type frame := t
 

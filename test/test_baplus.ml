@@ -253,40 +253,77 @@ let prop_ext_agreement_random =
    flat memo for 16 leaves, 187 words (15 entries of 96 bytes in one
    182-word block, and the 5-word record). Any allocation per check breaks
    the bound. *)
-let test_harvest_allocation () =
-  let n = 13 in
+let harvest_n = 13
+
+(* The n = 13 Merkle root over 456-byte codewords, and the authenticated
+   tuple [(j, codeword, witness)] for every index [j]. *)
+let harvest_tuples () =
+  let n = harvest_n in
   let codewords =
     Array.init n (fun i -> String.init 456 (fun j -> Char.chr (((i * 7) + (j * 13)) land 0xff)))
   in
   let tree = Merkle.build codewords in
-  let root = Merkle.root tree in
-  let inbox =
-    Array.init n (fun j ->
-        Some
-          Wire.(
-            encode
-              (seq
-                 [
-                   w_varint j;
-                   w_bytes codewords.(j);
-                   w_bytes (Merkle.encode_witness (Merkle.witness tree j));
-                 ])))
+  let tuple j codeword =
+    Wire.(
+      encode
+        (seq
+           [
+             w_varint j;
+             w_bytes codeword;
+             w_bytes (Merkle.encode_witness (Merkle.witness tree j));
+           ]))
   in
+  (Merkle.root tree, Array.mapi tuple codewords, tuple)
+
+(* One harvest of [inbox] into a fresh table with a fresh checker: the
+   table's size, and the minor words the run took. *)
+let harvest_words ~root inbox =
+  let n = harvest_n in
   let run () =
     let into = Hashtbl.create n in
     Baplus.Ext_ba_plus.harvest ~n ~checker:(Merkle.checker ~root ~leaves:n) ~into inbox;
     Hashtbl.length into
   in
-  Alcotest.(check int) "every share harvested" n (run ());
+  let size = run () in
   let m0 = Gc.minor_words () in
   let m1 = Gc.minor_words () in
   ignore (Sys.opaque_identity (run ()));
   let m2 = Gc.minor_words () in
-  let words = m2 -. m1 -. (m1 -. m0) in
+  (size, m2 -. m1 -. (m1 -. m0))
+
+let test_harvest_allocation () =
+  let root, tuples, _ = harvest_tuples () in
+  let size, words = harvest_words ~root (Array.map Option.some tuples) in
+  Alcotest.(check int) "every share harvested" harvest_n size;
   Alcotest.(check bool)
     (Printf.sprintf "minor words %.0f <= 1302 + 187" words)
     true
     (words <= 1302. +. 187.)
+
+(* In round 3a a non-matching party receives its own tuple from every
+   matching party. Only the first copy can add anything, so each further
+   copy must be dropped on its leading index, before the codeword and the
+   witness are decoded: 9 copies may cost the 1-copy harvest plus a few
+   words each (a full decode of each copy took 91 words). A copy whose
+   index an earlier copy failed to verify is still decoded and checked. *)
+let test_harvest_redundant_copies () =
+  let root, tuples, tuple = harvest_tuples () in
+  let me = 5 in
+  let inbox copies =
+    Array.init harvest_n (fun j -> if j < copies then Some tuples.(me) else None)
+  in
+  let size1, words1 = harvest_words ~root (inbox 1) in
+  let size9, words9 = harvest_words ~root (inbox 9) in
+  Alcotest.(check (pair int int)) "one share either way" (1, 1) (size1, size9);
+  Alcotest.(check bool)
+    (Printf.sprintf "9 copies: %.0f words <= %.0f + 8 * 4" words9 words1)
+    true
+    (words9 <= words1 +. (8. *. 4.));
+  let forged = tuple me (String.make 456 'x') in
+  let size, _ = harvest_words ~root [| Some forged; Some forged; Some tuples.(me) |] in
+  Alcotest.(check int) "a good copy after failed ones is kept" 1 size;
+  let size, _ = harvest_words ~root [| Some forged |] in
+  Alcotest.(check int) "a forged copy alone is not" 0 size
 
 let suite =
   [
@@ -302,4 +339,6 @@ let suite =
     Alcotest.test_case "lBA+ tiny values" `Quick test_ext_empty_and_tiny_values;
     QCheck_alcotest.to_alcotest prop_ext_agreement_random;
     Alcotest.test_case "lBA+ harvest allocation guard" `Quick test_harvest_allocation;
+    Alcotest.test_case "lBA+ harvest skips held indices undecoded" `Quick
+      test_harvest_redundant_copies;
   ]

@@ -282,13 +282,15 @@ let test_frame_ledger_paths () =
     [ 1; 64; 130 ]
 
 (* The poll transport writes frames from the round loop's slots and parses
-   them back into the slot index, so its allocation over the loopback run is
-   the delivered payload copies and their [Some] boxes: 40 941 minor words
-   per session for honest K = 64, n = 7 Pi_Z (deterministic up to a few
-   words of select-loop lists, which vary with wakeups). Per-edge entry
-   lists, their tuples and a sid -> slot hash map cost 125 734. The bound is
-   the midpoint, so any per-message structure coming back fails here. *)
-let poll_extra_words_per_session = 83_338.
+   them back into the slot index, delivering each entry as the value that
+   was sent, so its allocation over the loopback run is the select loop's
+   own bookkeeping: 7 140 minor words per session for honest K = 64, n = 7
+   Pi_Z (deterministic up to a few words of select-loop lists, which vary
+   with wakeups). A fresh copy and [Some] per delivered entry cost 40 941;
+   per-edge entry lists, their tuples and a sid -> slot hash map 125 734.
+   The bound is the midpoint of the first two, so any per-message
+   allocation coming back fails here. *)
+let poll_extra_words_per_session = 24_040.
 
 let test_poll_allocation_guard () =
   let n = 7 and t = 2 and sessions = 64 in

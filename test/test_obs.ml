@@ -866,8 +866,38 @@ let test_convergence_high_cost_ca () =
   in
   check_monotone "high_cost_ca/equivocate" adv_curve
 
+(* Values up to 256 bits print in decimal (the CLI-summary and trace pins
+   stay put); longer ones as a summary built in O(ℓ). A 2^20-bit value must
+   print within one allocated byte per bit: decimal is quadratic. *)
+let test_show_value () =
+  let check name want v = Alcotest.(check string) name want (Obs.show_value v) in
+  let b256 = Bigint.pred (Bigint.pow2 256) in
+  check "256 bits: decimal" (Bigint.to_string b256) b256;
+  check "negative 256 bits: decimal" (Bigint.to_string (Bigint.neg b256)) (Bigint.neg b256);
+  check "small: decimal" "-42" (Bigint.of_int (-42));
+  let l = 1 lsl 20 in
+  let v = Bigint.succ (Bigint.pow2 (l - 1)) in
+  let be = String.init (l / 8) (fun i -> if i = 0 then '\x80' else if i = (l / 8) - 1 then '\x01' else '\x00') in
+  let want sign =
+    Printf.sprintf "%s0x8000000000000000...0000000000000001 (%d bits, sha256 %s)" sign l
+      (Sha256.hex be)
+  in
+  check "2^20 bits: summary" (want "") v;
+  check "negative 2^20 bits: summary" (want "-") (Bigint.neg v);
+  let b0 = Gc.allocated_bytes () in
+  let b1 = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (Obs.show_value v));
+  let b2 = Gc.allocated_bytes () in
+  let bytes = b2 -. b1 -. (b1 -. b0) in
+  Alcotest.(check bool)
+    (Printf.sprintf "allocated %.0f bytes <= %d (one per bit)" bytes l)
+    true
+    (bytes <= float_of_int l)
+
 let suite =
   [
+    Alcotest.test_case "show_value: decimal to 256 bits, O(l) past it" `Quick
+      test_show_value;
     Alcotest.test_case "bucket bounds monotone and contiguous" `Quick
       test_bucket_bounds_monotone;
     Alcotest.test_case "bucket boundaries map to themselves" `Quick

@@ -17,7 +17,10 @@ let test_scalars () =
   Alcotest.check_raises "u8 range" (Invalid_argument "Wire.w_u8") (fun () ->
       ignore (encode (w_u8 256)));
   Alcotest.check_raises "varint negative" (Invalid_argument "Wire.w_varint") (fun () ->
-      ignore (encode (w_varint (-1))))
+      ignore (encode (w_varint (-1))));
+  List.iter
+    (fun (name, s) -> Alcotest.(check int) ("leading varint " ^ name) (-1) (leading_varint s))
+    [ ("empty", ""); ("truncated", "\x80"); ("ten bytes", String.make 10 '\xff' ^ "\x00") ]
 
 let test_composites () =
   roundtrip "bytes" w_bytes (r_bytes ()) "hello \x00 world" String.equal;
@@ -51,8 +54,11 @@ let test_adversarial () =
   none_is "varint overlong" r_varint "\x80\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01"
 
 let prop_varint_roundtrip =
-  QCheck.Test.make ~name:"varint roundtrip" ~count:500 QCheck.(int_bound max_int)
-    (fun v -> decode_full r_varint (encode (w_varint v)) = Some v)
+  QCheck.Test.make ~name:"varint roundtrip" ~count:500
+    QCheck.(pair (int_bound max_int) string)
+    (fun (v, rest) ->
+      decode_full r_varint (encode (w_varint v)) = Some v
+      && leading_varint (encode (w_varint v) ^ rest) = v)
 
 let prop_bytes_roundtrip =
   QCheck.Test.make ~name:"bytes roundtrip" ~count:300 QCheck.string (fun s ->
@@ -507,6 +513,62 @@ let test_edge_sink_order () =
     "nothing delivered" [| None; None; None; None |]
     s.Wire.Frame.delivered.(0).(1)
 
+(* A faithful edge delivers each entry as the very value that was sent; an
+   entry whose bytes differ from the sent payload (same length or not, or
+   for a slot that sent nothing on this edge) is delivered as a fresh copy
+   of the bytes that arrived, and [sent] is left as it was. *)
+let test_edge_sink_delivers_sent () =
+  let sent = [| "alpha"; "beta"; "gamma" |] in
+  let s =
+    {
+      Wire.Frame.live = 4;
+      sids = [| 10; 11; 12; 13 |];
+      sent =
+        Array.init 4 (fun i ->
+            Array.init 2 (fun src ->
+                Array.init 2 (fun dst ->
+                    if src = 0 && dst = 1 && i < 3 then Some sent.(i) else None)));
+      delivered = Array.init 2 (fun _ -> Array.init 2 (fun _ -> Array.make 4 None));
+    }
+  in
+  let sent_cells = Array.init 4 (fun i -> s.Wire.Frame.sent.(i).(0).(1)) in
+  let parse entries =
+    let body = Wire.Frame.encode { Wire.Frame.round = 2; entries } in
+    Alcotest.(check bool) "frame parses" true
+      (Wire.Frame.parse
+         (Wire.Frame.edge_sink s ~src:0 ~dst:1 ~on_round:ignore)
+         (Bytes.of_string body) 0 (String.length body))
+  in
+  let got i = s.Wire.Frame.delivered.(0).(1).(i) in
+  parse [ (10, "alpha"); (11, "beta"); (12, "gamma") ];
+  for i = 0 to 2 do
+    Alcotest.(check bool)
+      (Printf.sprintf "slot %d delivered as the sent value" i)
+      true
+      (got i == sent_cells.(i))
+  done;
+  parse [ (10, "alphA"); (11, "bet"); (12, "gamma"); (13, "extra") ];
+  let fresh i want =
+    Alcotest.(check (option string)) (Printf.sprintf "slot %d bytes" i) (Some want) (got i);
+    Alcotest.(check bool)
+      (Printf.sprintf "slot %d is a fresh copy" i)
+      false
+      (got i == sent_cells.(i))
+  in
+  fresh 0 "alphA";
+  fresh 1 "bet";
+  fresh 3 "extra";
+  Alcotest.(check bool) "a matching entry is still the sent value" true
+    (got 2 == sent_cells.(2));
+  Array.iteri
+    (fun i cell ->
+      Alcotest.(check bool)
+        (Printf.sprintf "sent slot %d untouched" i)
+        true
+        (s.Wire.Frame.sent.(i).(0).(1) == cell
+        && cell = if i < 3 then Some sent.(i) else None))
+    sent_cells
+
 (* Like [feed_chunked], but through [feed_sub]: each chunk is planted at a
    non-zero offset of an oversized scratch (stale bytes around it) to prove
    the range — not the buffer — is what gets fed. *)
@@ -640,4 +702,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_sink_stream_total;
     Alcotest.test_case "edge_sink: admission order or Failure" `Quick
       test_edge_sink_order;
+    Alcotest.test_case "edge_sink: a faithful entry is the sent value" `Quick
+      test_edge_sink_delivers_sent;
   ]
