@@ -91,8 +91,9 @@ val set_sink : t -> sink option -> unit
 
 val set_control : t -> (Unix.file_descr * (unit -> unit)) option -> unit
 (** Install a control endpoint: [fd] joins every [select] read set inside
-    the {!transport}'s exchange, and [service] runs whenever it is readable — the hook the
-    live stats endpoint ([Obs.Endpoint]) uses to answer clients mid-round.
+    the {!transport}'s exchange, and [service] runs whenever it is
+    readable — the hook the live stats endpoint ([Obs.Endpoint]) uses to
+    answer clients mid-round.
     [service] must leave [fd] unreadable before returning (accept and answer
     every pending client) or the loop will spin on it; it must not block or
     raise. The fd is not closed by {!close}. *)
