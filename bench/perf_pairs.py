@@ -10,8 +10,8 @@ working tree: one pair per seed, a fresh seed for each pair, and the side
 that runs first switches from pair to pair, since the host's speed drifts.
 For each end-to-end metric BENCHMARK.json declares, it prints both sides'
 median and quartiles, the change's relative move of the median, and in how
-many pairs the change was better (ties count for neither side). Every run's
-result line is kept in the output directory (a temporary one by default).
+many pairs the change was better (ties count for neither side). Every
+run's result line is kept in a temporary directory, named in the report.
 """
 
 import argparse
@@ -98,15 +98,13 @@ def main():
     ap.add_argument("--seconds", type=int, default=25)
     ap.add_argument("--seed-base", type=int, default=None,
                     help="first pair's seed (default: drawn from the clock)")
-    ap.add_argument("--out", default=None, help="directory for the raw results")
     args = ap.parse_args()
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "BENCHMARK.json")) as f:
         metrics = json.load(f)["end_to_end"]
     seed_base = args.seed_base if args.seed_base is not None else int(time.time()) % 100000
-    out = args.out or tempfile.mkdtemp(prefix="perf-pairs-out-")
-    os.makedirs(out, exist_ok=True)
+    out = tempfile.mkdtemp(prefix="perf-pairs-out-")
 
     parent = tempfile.mkdtemp(prefix="perf-pairs-parent-")
     try:
