@@ -29,7 +29,7 @@ test:
 
 # The smoke pass runs every bench experiment and holds each fresh ledger to
 # its Exact gates without writing it. The paper tables and the claims fits
-# (t1, t2, f1, claims, t4-t9, a1) run at full size, so T1's crossover and
+# (t1, t2, f1, claims, t4-t9) run at full size, so T1's crossover and
 # the C1-C5 fits are enforced on the real rows; auth, adaptive, engine,
 # substrate, obs and parallel run at reduced parameters. --domains 2
 # exercises the multicore fan-out and its bit-identity gates on every host.
@@ -46,11 +46,15 @@ soak-smoke:
 # Observability round-trip on a real K=8 poll-backend run: export the
 # registry JSONL (full + deterministic tier), the sampler time series and
 # the Chrome trace, then schema-validate all four with `ca_cli obs --check`.
+# Then one scenario through `ca_cli run`'s two exports: the message CSV with
+# its summary, and the Det JSONL with the span report.
 obs-smoke:
 	rm -rf /tmp/ca-obs-smoke
 	$(DUNE) exec bin/ca_cli.exe -- engine --backend poll --sessions 8 \
 		--spacing 2 -n 7 -t 2 --adversary equivocate --obs-dir /tmp/ca-obs-smoke
 	$(DUNE) exec bin/ca_cli.exe -- obs --check /tmp/ca-obs-smoke
+	$(DUNE) exec bin/ca_cli.exe -- run -n 7 -t 2 --adversary equivocate \
+		--csv /tmp/ca-obs-smoke/run.csv --telemetry /tmp/ca-obs-smoke/run.jsonl
 
 # The release build last: perfbench and `make bench` build with
 # --profile release (-O3), so a stub or flag that breaks only there fails
@@ -60,13 +64,11 @@ check: build fmt test bench-smoke soak-smoke obs-smoke
 	@echo "[check] tier-1 gate passed"
 
 # Long soak: >= 30 min of the duration-based poll soak with per-wave obs
-# health snapshots, a live stats socket (read it any time with
-# `ca_cli obs --socket /tmp/ca-soak.sock`), and a hard peak-RSS ceiling
-# asserted after every wave. Not part of `check` — run it before releases
-# or when hunting leaks.
+# health snapshots and a hard peak-RSS ceiling asserted after every wave.
+# Not part of `check` — run it before releases or when hunting leaks.
 soak-long:
 	$(DUNE) exec --profile release bin/soak.exe -- --duration 1800 \
-		--backend poll --max-rss-mb 2048 --obs-socket /tmp/ca-soak.sock
+		--backend poll --max-rss-mb 2048
 
 # Full benchmark run, built with the optimizing release profile (see the
 # root dune file); regenerates the BENCH_*.json ledgers, each written only

@@ -26,9 +26,6 @@ type cfg = {
   max_sessions : int;
   max_rss_mb : int;
   telemetry_every : int;
-  obs_socket : string option;
-      (* live stats endpoint path; served from inside the poll loop while a
-         wave runs and between waves otherwise *)
 }
 
 let default_cfg =
@@ -39,14 +36,12 @@ let default_cfg =
     max_sessions = 48;
     max_rss_mb = 2048;
     telemetry_every = 5;
-    obs_socket = None;
   }
 
 let usage oc =
   output_string oc
     "usage: soak [--duration SECS] [--smoke] [--backend sim|poll] [--seed N]\n\
-    \            [--sessions K] [--max-rss-mb MB] [--telemetry-every N]\n\
-    \            [--obs-socket PATH]\n\n\
+    \            [--sessions K] [--max-rss-mb MB] [--telemetry-every N]\n\n\
      Duration-bounded engine soak: mixed workloads, staggered admission and\n\
      retirement, Definition 1 checked per session, one obs recorder per\n\
      wave, an obs health snapshot printed per wave, peak RSS asserted\n\
@@ -58,9 +53,7 @@ let usage oc =
     \  --sessions K         max sessions per wave (default 48)\n\
     \  --max-rss-mb MB      peak-RSS ceiling (default 2048)\n\
     \  --telemetry-every N  size the wave's JSONL export every Nth wave\n\
-    \                       (default 5)\n\
-    \  --obs-socket PATH    serve the live stats dump on a Unix socket at\n\
-    \                       PATH (read it with ca_cli obs --socket PATH)\n"
+    \                       (default 5)\n"
 
 let bad fmt =
   Printf.ksprintf
@@ -91,7 +84,6 @@ let rec parse cfg = function
       parse { cfg with max_rss_mb = parse_int "--max-rss-mb" v } rest
   | "--telemetry-every" :: v :: rest ->
       parse { cfg with telemetry_every = parse_int "--telemetry-every" v } rest
-  | "--obs-socket" :: v :: rest -> parse { cfg with obs_socket = Some v } rest
   | ("--help" | "-h") :: _ ->
       usage stdout;
       exit 0
@@ -99,7 +91,7 @@ let rec parse cfg = function
     when List.mem flag
            [
              "--duration"; "--backend"; "--seed"; "--sessions"; "--max-rss-mb";
-             "--telemetry-every"; "--obs-socket";
+             "--telemetry-every";
            ] -> bad "%s expects a value" flag
   | arg :: _ -> bad "unknown argument %S" arg
 
@@ -218,7 +210,7 @@ let draw_session ~corrupt ~n ~seed =
     d_resolving = workload_name <> "clustered";
   }
 
-let wave ~cfg ~obs ~sampler ~control ~idx =
+let wave ~cfg ~obs ~sampler ~idx =
   let seed = (cfg.seed * 1_000_003) + idx in
   let rng = Prng.create seed in
   let n = 4 + Prng.int rng 4 in
@@ -253,8 +245,7 @@ let wave ~cfg ~obs ~sampler ~control ~idx =
   let mw0 = Gc.minor_words () in
   match
     match cfg.backend with
-    | "poll" ->
-        Engine.run_poll ~obs ~sampler ?control ~n ~t ~corrupt specs
+    | "poll" -> Engine.run_poll ~obs ~sampler ~n ~t ~corrupt specs
     | _ -> Engine.run_sim ~obs ~sampler ~n ~t ~corrupt specs
   with
   | exception e ->
@@ -327,32 +318,11 @@ let () =
   (* One recorder per wave, so the span plane never outlives its wave. The
      interesting distributions are long-run ones: the soak totals fold each
      wave's frame-bytes and round-wall histograms in after the wave. The
-     sampler ring keeps the most recent snapshots, and the optional endpoint
-     serves the in-flight wave's instruments plus the soak totals, mid-wave
-     (from inside the poll loop) or between waves. *)
-  let current = ref (Obs.create ()) in
+     sampler ring keeps the most recent snapshots. *)
   let totals = Obs.create () in
   let sampler = Engine.Sampler.create () in
   let frame_h = Obs.hist totals ~tier:Obs.Det "engine/frame_bytes" in
   let wall_h = Obs.hist totals ~tier:Obs.Sampled "engine/round_wall_ns" in
-  let render () =
-    "in-flight wave: " ^ Obs.render_text !current ^ "soak totals: "
-    ^ Obs.render_text totals
-  in
-  let endpoint =
-    Option.map
-      (fun path ->
-        let ep = Obs.Endpoint.create ~path ~render in
-        Printf.printf "soak: live stats on %s (ca_cli obs --socket %s)\n%!" path
-          path;
-        ep)
-      cfg.obs_socket
-  in
-  let control =
-    Option.map
-      (fun ep -> (Obs.Endpoint.fd ep, fun () -> Obs.Endpoint.service ep))
-      endpoint
-  in
   let t0 = Unix.gettimeofday () in
   let waves = ref 0 in
   let total_sessions = ref 0 in
@@ -377,8 +347,7 @@ let () =
     && (!waves = 0 || Unix.gettimeofday () -. t0 < cfg.duration)
   do
     let obs = Obs.create () in
-    current := obs;
-    let r = wave ~cfg ~obs ~sampler ~control ~idx:!waves in
+    let r = wave ~cfg ~obs ~sampler ~idx:!waves in
     Obs.Hist.merge ~into:frame_h (Obs.hist obs ~tier:Obs.Det "engine/frame_bytes");
     Obs.Hist.merge ~into:wall_h (Obs.hist obs ~tier:Obs.Sampled "engine/round_wall_ns");
     incr waves;
@@ -409,9 +378,8 @@ let () =
           cfg.max_rss_mb
     | Some _ | None -> ());
     (* Per-wave health snapshot: one sampler tick plus a line of cumulative
-       obs distributions — the same numbers the live endpoint serves. *)
+       obs distributions. *)
     Engine.Sampler.record sampler ~round:!total_rounds ();
-    Option.iter Obs.Endpoint.service endpoint;
     Printf.printf
       "  wave %d health: rounds=%d frames=%d frame-p99=%dB round-p99=%.2fms \
        rss=%s\n\
@@ -436,7 +404,6 @@ let () =
      failures in %.1fs\n"
     !waves !total_sessions !total_rounds !total_saved !failures
     (Unix.gettimeofday () -. t0);
-  Option.iter Obs.Endpoint.close endpoint;
   Printf.printf "      JSONL export sized on %d waves (%d bytes, dropped)%s\n"
     !sampled_waves !sampled_bytes
     (match Net_poll.rss_peak_bytes () with

@@ -12,7 +12,7 @@
     - {!window_fabricator} attacks FINDPREFIX's Property (C) (Lemma 8),
     - {!prefix_saboteur} attacks liveness/cost: forces the ⊥ path of every
       Π_ℓBA+ iteration,
-    - {!king_usurper} attacks the phase-king fallback adoption.
+    - [king_usurper] attacks the phase-king fallback adoption.
 
     The test-suite and the resilience experiment run every CA protocol
     against all of them; with ≤ t < n/3 corruptions none may violate

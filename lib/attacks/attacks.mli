@@ -33,10 +33,6 @@ val prefix_saboteur : Net.Adversary.t
     iteration. CA must still hold; the ⊥ path skips the distribution step,
     so the saboteur cannot inflate honest traffic. *)
 
-val king_usurper : payload:string -> Net.Adversary.t
-(** Broadcast [payload] in every round shaped like a phase-king king round.
-    Targets the king-adoption fallback. *)
-
 val rotating : seed:int -> payload:string -> Net.Adversary.t
 (** Round-robin through all targeted attacks — a protocol-shaped chaos
     monkey for soak tests. *)

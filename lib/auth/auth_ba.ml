@@ -42,7 +42,7 @@
     the Lemma 2 property ADDLASTBIT / GETOUTPUT / Π_ℤ need.
 
     Signatures are domain-separated per instance; a party spends at most
-    t + 2 one-time keys per instance ({!signatures_per_instance}). *)
+    t + 2 one-time keys per instance ([signatures_per_instance]). *)
 
 open Net
 
@@ -352,7 +352,7 @@ let agree setup (ctx : Ctx.t) ~bits v_in =
 
 (* Signing budget for a protocol expected to open [instances] agreement
    instances at corruption bound [t] (each instance spends ≤ t+2 keys). *)
-let required_capacity ~t ~instances = instances * (t + 2)
+let required_capacity ~t ~instances = instances * signatures_per_instance ~t
 
 (* The substrate view: a fresh first-class module per protocol run.  The
    embedded instance counter advances identically at every party — honest

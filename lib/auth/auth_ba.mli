@@ -12,10 +12,6 @@
     Costs: 4t + 7 rounds, O(n²) messages per view, each carrying at most a
     quorum of signatures. *)
 
-val signatures_per_instance : t:int -> int
-(** [t + 2]: one signed input plus at most one signed vote per view — the
-    per-party signing budget of one [run]. *)
-
 val run :
   Setup.t -> 'v Ba.Substrate.spec -> Net.Ctx.t -> instance:int -> 'v -> 'v Net.Proto.m
 (** Byzantine Agreement on ['v] at t < n/2, signing with the XMSS keys of

@@ -58,8 +58,6 @@ let of_string s =
 let length b = b.len
 let is_empty b = b.len = 0
 
-let to_bool_list b = List.init b.len (fun i -> unsafe_get b.data (i + 1))
-
 let to_string b =
   String.init b.len (fun i -> if unsafe_get b.data (i + 1) then '1' else '0')
 

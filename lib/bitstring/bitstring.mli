@@ -43,8 +43,6 @@ val get : t -> int -> bool
 
 val is_empty : t -> bool
 
-val to_bool_list : t -> bool list
-
 val to_string : t -> string
 (** Textual rendering, e.g. ["0101"]. *)
 

@@ -7,10 +7,6 @@
     Communication O(ℓn + κ·n²·log²n) + O(log n)·BITS_κ(Π_BA); rounds
     O(n) + O(log n)·ROUNDS_κ(Π_BA). *)
 
-val blocksize_bits : int
-(** Wire width of the block-size values fed to HIGHCOSTCA (64; the paper
-    allots O(log(ℓ/n²)) bits). *)
-
 module Make (B : Ba.Substrate.S) : sig
   val run : Net.Ctx.t -> Bigint.t -> Bigint.t Net.Proto.m
   (** [run ctx v] joins Π_ℕ with input [v >= 0]; the honest parties obtain a

@@ -55,8 +55,9 @@ let best_supported entries =
     None entries
 
 (* The trusted-interval rule is pluggable: the Appendix A.4 adjustment trims
-   the k possibly-byzantine extremes (any interval inside the honest range
-   suffices for CA), while the original Stolz–Wattenhofer rule (Median_ba)
+   the k possibly-byzantine extremes (by Lemma 10 the rest, which holds the
+   (t+1)-th lowest honest input, lies within the honest range, and any
+   interval inside it suffices for CA), while the original Stolz–Wattenhofer rule (Median_ba)
    takes a ±t rank window around the honest median (Rank_ba's window at the
    median rank). [sorted] is the ascending array of valid values received,
    non-empty; [k] bounds how many of them byzantine parties contributed. *)

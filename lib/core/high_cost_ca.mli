@@ -28,9 +28,3 @@ val run_custom :
     the interval must lie within the guarantee the caller wants on outputs
     (for plain CA, within the honest inputs' range) and all honest parties'
     intervals must share a common point. *)
-
-val trim_extremes :
-  sorted:Bitstring.t array -> k:int -> t:int -> Bitstring.t * Bitstring.t
-(** The Appendix A.4 rule: discard the k lowest and k highest received
-    values; by Lemma 10 the rest — which contains the (t+1)-th lowest honest
-    input — lies within the honest range. *)

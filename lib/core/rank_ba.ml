@@ -27,7 +27,8 @@
 
 open Net
 
-(* The sound target rank among [honest_count] honest inputs. *)
+(* The sound target rank among [honest_count] honest inputs: [rank]
+   projected into [[min (t+1) honest_count, max … (honest_count − t)]]. *)
 let effective_rank ~rank ~t ~honest_count =
   let lo = min (t + 1) honest_count in
   let hi = max lo (honest_count - t) in

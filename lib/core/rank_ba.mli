@@ -12,11 +12,6 @@
 
     Built on {!High_cost_ca.run_custom}: O(ℓ·n³) bits, 2 + 4(t+1) rounds. *)
 
-val effective_rank : rank:int -> t:int -> honest_count:int -> int
-(** The clamped (sound) target rank among [honest_count] honest inputs:
-    [rank] projected into [[min (t+1) honest_count, max … (honest_count − t)]].
-    Exposed for tests and for computing the promised bounds. *)
-
 val rank_window :
   rank:int -> sorted:Bitstring.t array -> k:int -> t:int -> Bitstring.t * Bitstring.t
 (** The trusted interval a party derives from its [sorted] received values

@@ -141,7 +141,6 @@ val run_poll :
   ?domains:int ->
   ?obs:Obs.t ->
   ?sampler:Sampler.t ->
-  ?control:(Unix.file_descr * (unit -> unit)) ->
   ?outbuf:int ->
   n:int ->
   t:int ->
@@ -161,10 +160,7 @@ val run_poll :
     [obs] additionally records the mesh's select waits and write stalls in
     the sampled-tier histograms [poll/select_wait_ns] and
     [poll/write_stall_ns]. [sampler] snapshots every 16 engine rounds, with
-    the mesh's {!Net_poll.stats} attached.
-    [control] is forwarded to {!Net_poll.set_control} — pass
-    [(Obs.Endpoint.fd ep, fun () -> Obs.Endpoint.service ep)] to serve the
-    live stats endpoint from inside the select loop. *)
+    the mesh's {!Net_poll.stats} attached. *)
 
 val honest_outputs : corrupt:bool array -> 'a session_result -> 'a list
 (** {!Net.Loop.honest_outputs}. *)

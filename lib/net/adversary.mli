@@ -65,8 +65,5 @@ val bitflip : seed:int -> t
 val delayer : unit -> t
 (** Replay the previous round's prescribed message (desynchronisation). *)
 
-val alternate : t -> t -> t
-(** First strategy in odd rounds, second in even rounds. *)
-
 val all_generic : seed:int -> t list
 (** The standard battery the test-suite runs every protocol against. *)

@@ -91,8 +91,6 @@ exception Round_limit_exceeded of int
     non-termination tripwire, not an expected outcome: every protocol in
     this repository terminates. *)
 
-val default_max_rounds : int
-
 val max_byzantine_bytes : int
 (** Byzantine messages are truncated to this size before delivery, so honest
     allocations stay bounded regardless of the adversary. *)

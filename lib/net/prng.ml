@@ -6,6 +6,7 @@ type t = { mutable state : int64 }
 
 let create seed = { state = Int64.of_int seed }
 
+(* The raw splitmix64 stream. *)
 let next_int64 g =
   let open Int64 in
   g.state <- add g.state 0x9E3779B97F4A7C15L;

@@ -6,9 +6,6 @@ type t
 
 val create : int -> t
 
-val next_int64 : t -> int64
-(** The raw splitmix64 stream. *)
-
 val int : t -> int -> int
 (** [int g bound] is uniform in [\[0, bound)]. Raises [Invalid_argument] if
     [bound <= 0]. *)

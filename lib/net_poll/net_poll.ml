@@ -127,7 +127,6 @@ type t = {
   mutable s_select_wait_total : float;
   mutable s_select_wait_max : float;
   mutable sink : sink option;
-  mutable control : (Unix.file_descr * (unit -> unit)) option;
 }
 
 let stall_timeout = 30.0
@@ -204,11 +203,9 @@ let create ?(outbuf = 64 * 1024) ?(max_frame = Wire.Frame.max_frame_bytes) ~n ()
     s_select_wait_total = 0.0;
     s_select_wait_max = 0.0;
     sink = None;
-    control = None;
   }
 
 let set_sink t sink = t.sink <- sink
-let set_control t control = t.control <- control
 
 let close t =
   if not t.closed then begin
@@ -344,9 +341,6 @@ let drive t =
         if not c.c_got then rconns := c :: !rconns)
       t.conns;
     let rfds = List.map (fun c -> c.c_rfd) !rconns in
-    let rfds =
-      match t.control with Some (fd, _) -> fd :: rfds | None -> rfds
-    in
     let wfds = List.map (fun c -> c.c_wfd) !wconns in
     t.s_polls <- t.s_polls + 1;
     let sel_t0 = Unix.gettimeofday () in
@@ -357,11 +351,6 @@ let drive t =
     (match t.sink with Some s -> s.sink_select_wait wait | None -> ());
     if readable = [] && writable = [] then
       failwith "Net_poll: stalled (nothing readable or writable)";
-    (* The control endpoint rides the same select: a live-stats client that
-       connects mid-round is served without leaving the loop. *)
-    (match t.control with
-    | Some (fd, service) when List.memq fd readable -> service ()
-    | _ -> ());
     List.iter
       (fun c ->
         if List.memq c.c_wfd writable then begin

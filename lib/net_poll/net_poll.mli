@@ -89,15 +89,6 @@ val set_sink : t -> sink option -> unit
     unset: the only cost without a sink is the select-wait bookkeeping that
     {!stats} reports anyway. *)
 
-val set_control : t -> (Unix.file_descr * (unit -> unit)) option -> unit
-(** Install a control endpoint: [fd] joins every [select] read set inside
-    the {!transport}'s exchange, and [service] runs whenever it is
-    readable — the hook the live stats endpoint ([Obs.Endpoint]) uses to
-    answer clients mid-round.
-    [service] must leave [fd] unreadable before returning (accept and answer
-    every pending client) or the loop will spin on it; it must not block or
-    raise. The fd is not closed by {!close}. *)
-
 val transport : t -> Net.Transport.t
 (** The {!Net.Transport} view driven by [Engine.run_poll] ([direct = false]),
     and the mesh's one way to move a round. Its exchange sends every

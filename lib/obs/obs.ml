@@ -2,9 +2,9 @@
 
    A recorder answers both "where did the bits go" (byte-audited span trees,
    the per-round timeline, convergence probes) and "how is the run behaving"
-   (latency and size histograms, counters, gauges), exports both as one
-   canonical JSONL and as a Chrome trace, and serves a live stats dump — at
-   a cost low enough to leave on during soaks and benches.
+   (latency and size histograms, counters, gauges), and exports both as one
+   canonical JSONL and as a Chrome trace — at a cost low enough to leave on
+   during soaks and benches.
 
    Every instrument carries a tier:
 
@@ -939,47 +939,7 @@ let to_jsonl ?tier t =
   instruments_jsonl buf ?tier t;
   Buffer.contents buf
 
-(* ---- text renders --------------------------------------------------------- *)
-
-let pp_text fmt t =
-  let instrs = sorted_instrs t in
-  let pick want = List.filter (fun (_, _, i) -> kind_name i = want) instrs in
-  Format.fprintf fmt "obs stats@.";
-  let counters = pick "counter" and gauges = pick "gauge" and hists = pick "hist" in
-  if counters <> [] then begin
-    Format.fprintf fmt "counters:@.";
-    List.iter
-      (fun (name, tr, i) ->
-        match i with
-        | C c -> Format.fprintf fmt "  %-32s %12d  [%s]@." name c.cn_value (tier_name tr)
-        | _ -> ())
-      counters
-  end;
-  if gauges <> [] then begin
-    Format.fprintf fmt "gauges:@.";
-    List.iter
-      (fun (name, tr, i) ->
-        match i with
-        | G g -> Format.fprintf fmt "  %-32s %12d  [%s]@." name g.g_value (tier_name tr)
-        | _ -> ())
-      gauges
-  end;
-  if hists <> [] then begin
-    Format.fprintf fmt "histograms:@.";
-    List.iter
-      (fun (name, tr, i) ->
-        match i with
-        | H h ->
-            Format.fprintf fmt
-              "  %-32s n=%d min=%d p50=%d p90=%d p99=%d max=%d mean=%.1f  [%s]@."
-              name (Hist.count h) (Hist.min_value h) (Hist.quantile h 0.50)
-              (Hist.quantile h 0.90) (Hist.quantile h 0.99) (Hist.max_value h)
-              (Hist.mean h) (tier_name tr)
-        | _ -> ())
-      hists
-  end
-
-let render_text t = Format.asprintf "%a" pp_text t
+(* ---- the span report ------------------------------------------------------ *)
 
 (* Aggregation of the per-bucket span trees by path: children keep first-seen
    order (buckets are visited in sorted order, so this is deterministic). *)
@@ -1007,7 +967,7 @@ let show_value v =
       (String.sub hex 0 sign) (String.sub hex sign 16) (String.sub hex (len - 16) 16)
       bits (Sha256.hex (Bitstring.to_bytes bytes))
 
-let pp_report ?(top = 10) fmt t =
+let pp_report fmt t =
   let buckets = sorted_buckets t in
   let root_agg = mk_agg () in
   List.iter
@@ -1086,13 +1046,13 @@ let pp_report ?(top = 10) fmt t =
           end)
         sums
   | _ -> ());
-  (* Top-k labels. *)
+  (* The ten costliest labels. *)
   let labels = label_bits t in
   if labels <> [] then begin
     Format.fprintf fmt "@.top labels (exclusive bits):@.";
     List.iteri
       (fun i (l, b) ->
-        if i < top then
+        if i < 10 then
           Format.fprintf fmt "  %2d. %-28s %12d bits %6.1f%%@." (i + 1) l b (share b))
       labels
   end;
@@ -1240,91 +1200,6 @@ module Trace = struct
     Buffer.add_string buf {|],"displayTimeUnit":"ms"}|};
     Buffer.add_char buf '\n';
     Buffer.contents buf
-end
-
-(* ---- live plain-text stats endpoint --------------------------------------- *)
-
-module Endpoint = struct
-  type t = {
-    e_fd : Unix.file_descr;
-    e_path : string;
-    e_render : unit -> string;
-    mutable e_closed : bool;
-  }
-
-  let create ~path ~render =
-    (try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ());
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (try
-       Unix.bind fd (Unix.ADDR_UNIX path);
-       Unix.listen fd 8;
-       Unix.set_nonblock fd
-     with e ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       raise e);
-    { e_fd = fd; e_path = path; e_render = render; e_closed = false }
-
-  let fd t = t.e_fd
-  let path t = t.e_path
-
-  let service t =
-    if not t.e_closed then begin
-      let continue = ref true in
-      while !continue do
-        match Unix.accept t.e_fd with
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-            continue := false
-        | exception Unix.Unix_error _ -> continue := false
-        | client, _ ->
-            (* The dump is one-shot: render, write, close. A stuck client
-               cannot hold the poll loop hostage — writes time out. *)
-            (try
-               Unix.setsockopt_float client Unix.SO_SNDTIMEO 0.5;
-               let body = t.e_render () in
-               let len = String.length body in
-               let off = ref 0 and sending = ref true in
-               while !sending && !off < len do
-                 match Unix.write_substring client body !off (len - !off) with
-                 | 0 -> sending := false
-                 | k -> off := !off + k
-                 | exception Unix.Unix_error _ -> sending := false
-               done
-             with _ -> ());
-            (try Unix.close client with Unix.Unix_error _ -> ())
-      done
-    end
-
-  let close t =
-    if not t.e_closed then begin
-      t.e_closed <- true;
-      (try Unix.close t.e_fd with Unix.Unix_error _ -> ());
-      try Unix.unlink t.e_path with Unix.Unix_error _ | Sys_error _ -> ()
-    end
-
-  let fetch ~path =
-    match Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 with
-    | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-    | fd -> (
-        let finally () = try Unix.close fd with Unix.Unix_error _ -> () in
-        Fun.protect ~finally (fun () ->
-            match Unix.connect fd (Unix.ADDR_UNIX path) with
-            | exception Unix.Unix_error (e, _, _) ->
-                Error (Unix.error_message e)
-            | () ->
-                let buf = Buffer.create 1024 in
-                let chunk = Bytes.create 4096 in
-                let rec read_all () =
-                  match Unix.read fd chunk 0 (Bytes.length chunk) with
-                  | 0 -> Ok (Buffer.contents buf)
-                  | k ->
-                      Buffer.add_subbytes buf chunk 0 k;
-                      read_all ()
-                  | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
-                      Ok (Buffer.contents buf)
-                  | exception Unix.Unix_error (e, _, _) ->
-                      Error (Unix.error_message e)
-                in
-                read_all ()))
 end
 
 (* ---- export schema checks ------------------------------------------------- *)

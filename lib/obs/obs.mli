@@ -28,9 +28,7 @@
       and log-bucketed histograms, each carrying a {!tier}.
 
     Everything exports as one canonical JSONL ({!to_jsonl}), as a Chrome
-    trace ({!Trace.chrome_trace}), as a span report ({!pp_report}) and as a
-    plain-text stats dump ({!render_text}, what the live {!Endpoint}
-    serves).
+    trace ({!Trace.chrome_trace}) and as a span report ({!pp_report}).
 
     A recorder is single-threaded. The round loop gives every session a
     private {!shard} and folds the shards back with {!merge}, in
@@ -282,13 +280,9 @@ val to_jsonl : ?tier:tier -> t -> string
     instruments — the deterministic export used in byte-identity asserts;
     [~tier:Sampled] keeps only the Sampled instruments. *)
 
-val render_text : t -> string
-(** Human-readable dump of every instrument with histogram quantiles — what
-    the live endpoint serves. *)
-
-val pp_report : ?top:int -> Format.formatter -> t -> unit
+val pp_report : Format.formatter -> t -> unit
 (** Compact span report: totals, aggregated span tree, per-round heatmap,
-    top-[top] (default 10) labels, convergence curves (widths printed with
+    the ten costliest labels, convergence curves (widths printed with
     {!show_value}). *)
 
 val show_value : Bigint.t -> string
@@ -338,33 +332,6 @@ module Trace : sig
       inclusive of the exit round), plus a synthetic [engine] process
       carrying one instant per round and per-round counters (honest
       traffic, live sessions). *)
-end
-
-(** {1 Live stats endpoint} *)
-
-module Endpoint : sig
-  type t
-  (** A Unix-domain listening socket that serves [render ()] to every
-      client that connects, one-shot (connect, read to EOF). *)
-
-  val create : path:string -> render:(unit -> string) -> t
-  (** Bind and listen on [path] (an existing socket file is replaced),
-      nonblocking. Raises [Unix.Unix_error] on bind failure. *)
-
-  val fd : t -> Unix.file_descr
-  val path : t -> string
-
-  val service : t -> unit
-  (** Accept and answer every pending client, then return. Never raises;
-      writes to a stuck client time out (0.5 s) rather than blocking the
-      caller — safe to invoke from inside the poll loop. *)
-
-  val close : t -> unit
-  (** Close and unlink; idempotent. *)
-
-  val fetch : path:string -> (string, string) result
-  (** Client side: connect to [path] and read the dump to EOF ([ca_cli obs]
-      uses this). [Error] carries the [Unix] error message. *)
 end
 
 (** {1 Export schema checks}

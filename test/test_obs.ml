@@ -17,8 +17,9 @@
    5. The span plane: span bits = Metrics.honest_bits on every backend
       (sim, engine sim/poll), canonical JSONL determinism, cross-backend
       export equality, and the convex-hull convergence probes.
-   Plus the sampler ring bounds and the live endpoint served through the
-   poll loop's control hook, single-threaded. *)
+   Plus the sampler ring bounds, the span report's label table, and the
+   CLI's exports: one recorder behind run --csv --telemetry, and
+   obs --check on an engine --obs-dir export. *)
 
 open Net
 
@@ -192,18 +193,10 @@ let test_registry_tiers_and_order () =
   Alcotest.check_raises "kind conflict"
     (Invalid_argument "Obs: instrument \"aa/rounds\" is a counter, not a hist")
     (fun () -> ignore (Obs.hist o ~tier:Obs.Det "aa/rounds"));
-  (* The export passes its own schema validator; the text render mentions
-     every instrument. *)
-  (match Obs.Check.registry_jsonl (Obs.to_jsonl o) with
+  (* The export passes its own schema validator. *)
+  match Obs.Check.registry_jsonl (Obs.to_jsonl o) with
   | Ok n -> Alcotest.(check int) "validator sees 3 lines" 3 n
-  | Error msg -> Alcotest.fail msg);
-  let text = Obs.render_text o in
-  List.iter
-    (fun name ->
-      Alcotest.(check bool)
-        (Printf.sprintf "render_text mentions %s" name)
-        true (contains text name))
-    [ "aa/rounds"; "mm/live"; "zz/frames" ]
+  | Error msg -> Alcotest.fail msg
 
 (* ---- the deterministic tier on a real engine workload --------------------- *)
 
@@ -526,78 +519,98 @@ let test_sampler_ring_bounds () =
   | Ok lines -> Alcotest.(check int) "header + 4 samples" 5 lines
   | Error msg -> Alcotest.fail msg
 
-(* ---- live endpoint -------------------------------------------------------- *)
+(* ---- the span report ------------------------------------------------------ *)
 
-let endpoint_path name = Filename.concat (Filename.get_temp_dir_name ()) name
+(* Twelve labels, label [k] carrying k+1 bytes: the report's label table
+   lists the ten costliest, costliest first. *)
+let test_report_top_labels () =
+  let o = Obs.create () in
+  for k = 0 to 11 do
+    let label = Printf.sprintf "label-%02d" k in
+    Obs.push o ~session:0 ~party:0 ~round:k ~label;
+    Obs.message o ~session:0 ~party:0 ~dst:1 ~round:(k + 1) ~timeline_round:(k + 1)
+      ~bytes:(k + 1) ~byzantine:false;
+    Obs.pop o ~session:0 ~party:0 ~round:(k + 1)
+  done;
+  let lines = String.split_on_char '\n' (Format.asprintf "%a" Obs.pp_report o) in
+  (* The table: the indented lines after its heading, as (rank, label). *)
+  let rec table = function
+    | [] -> Alcotest.fail "no label table in the report"
+    | l :: rest when String.starts_with ~prefix:"top labels" l -> rows rest
+    | _ :: rest -> table rest
+  and rows = function
+    | l :: rest when String.starts_with ~prefix:"  " l ->
+        Scanf.sscanf l " %d. %s" (fun rank label -> (rank, label)) :: rows rest
+    | _ -> []
+  in
+  Alcotest.(check (list (pair int string)))
+    "ten rows, costliest first"
+    (List.init 10 (fun i -> (i + 1, Printf.sprintf "label-%02d" (11 - i))))
+    (table lines)
 
-(* Single-threaded service: a client that connected before service runs is
-   answered in full (connect to a listening Unix socket completes without an
-   accept; the dump is written and the server side closed, so the client
-   reads to EOF afterwards). *)
-let test_endpoint_service_direct () =
-  let path = endpoint_path "ca-obs-test-direct.sock" in
-  let ep = Obs.Endpoint.create ~path ~render:(fun () -> "hello stats\n") in
+(* ---- the CLI's exports ------------------------------------------------------ *)
+
+let cli = Filename.concat (Filename.dirname Sys.executable_name) "../bin/ca_cli.exe"
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let cli_code args =
+  if not (Sys.file_exists cli) then
+    Alcotest.fail "ca_cli.exe missing — check the (deps ...) in test/dune";
+  Sys.command (Printf.sprintf "%s %s >/dev/null 2>&1" cli args)
+
+(* [run --csv --telemetry] keeps one recorder, made with message events on:
+   it writes the same CSV as [run --csv] alone and the same Det JSONL as
+   [run --telemetry] alone. *)
+let test_run_one_recorder () =
+  let tmp ext = Filename.temp_file "ca-obs-run" ext in
+  let both_csv = tmp ".csv" and both_jsonl = tmp ".jsonl" in
+  let csv = tmp ".csv" and jsonl = tmp ".jsonl" in
+  let scenario = "run -n 7 -t 2 --adversary equivocate --seed 5" in
+  let q = Filename.quote in
+  List.iter
+    (fun args -> Alcotest.(check int) args 0 (cli_code (scenario ^ " " ^ args)))
+    [
+      Printf.sprintf "--csv %s --telemetry %s" (q both_csv) (q both_jsonl);
+      Printf.sprintf "--csv %s" (q csv);
+      Printf.sprintf "--telemetry %s" (q jsonl);
+    ];
+  let take p =
+    let s = read_file p in
+    Sys.remove p;
+    s
+  in
+  let both_csv = take both_csv and both_jsonl = take both_jsonl in
+  Alcotest.(check string) "CSV as with --csv alone" (take csv) both_csv;
+  Alcotest.(check string) "JSONL as with --telemetry alone" (take jsonl) both_jsonl;
+  Alcotest.(check bool) "CSV has rows" true
+    (List.length (String.split_on_char '\n' both_csv) > 2)
+
+(* [obs --check DIR] accepts what [engine --obs-dir DIR] exported and exits 1
+   on a corrupted export. *)
+let test_obs_check_cli () =
+  let dir = Filename.temp_file "ca-obs-dir" "" in
+  Sys.remove dir;
+  let files = [ "obs.jsonl"; "obs_det.jsonl"; "sampler.jsonl"; "trace.json" ] in
   Fun.protect
-    ~finally:(fun () -> Obs.Endpoint.close ep)
+    ~finally:(fun () ->
+      List.iter
+        (fun f ->
+          let p = Filename.concat dir f in
+          if Sys.file_exists p then Sys.remove p)
+        files;
+      if Sys.file_exists dir then Sys.rmdir dir)
     (fun () ->
-      Alcotest.(check string) "path recorded" path (Obs.Endpoint.path ep);
-      let client = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect client (Unix.ADDR_UNIX path);
-      Obs.Endpoint.service ep;
-      let buf = Bytes.create 256 in
-      let rec read_all acc =
-        match Unix.read client buf 0 256 with
-        | 0 -> acc
-        | k -> read_all (acc ^ Bytes.sub_string buf 0 k)
-      in
-      let body = read_all "" in
-      Unix.close client;
-      Alcotest.(check string) "served the render output" "hello stats\n" body;
-      (* Service with no pending client is a no-op. *)
-      Obs.Endpoint.service ep);
-  (* Close unlinked the socket file and is idempotent. *)
-  Alcotest.(check bool) "socket file unlinked" false (Sys.file_exists path);
-  Obs.Endpoint.close ep
-
-(* The endpoint served from *inside* run_poll's select loop: connect before
-   the run, let the control hook answer mid-run, read after. *)
-let test_endpoint_through_poll_loop () =
-  let path = endpoint_path "ca-obs-test-poll.sock" in
-  let obs = Obs.create () in
-  let ep = Obs.Endpoint.create ~path ~render:(fun () -> Obs.render_text obs) in
-  Fun.protect
-    ~finally:(fun () -> Obs.Endpoint.close ep)
-    (fun () ->
-      let client = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect client (Unix.ADDR_UNIX path);
-      let n = 7 and t = 2 in
-      let outcome =
-        Engine.run_poll ~obs
-          ~control:(Obs.Endpoint.fd ep, fun () -> Obs.Endpoint.service ep)
-          ~n ~t
-          ~corrupt:(Workload.spread_corrupt ~n ~t)
-          (mk_specs ~n ~sessions:4 ~spacing:1 ~seed:99)
-      in
-      Alcotest.(check int) "all sessions completed" 4
-        outcome.Engine.aggregate.Engine.sessions_completed;
-      let buf = Bytes.create 4096 in
-      let rec read_all acc =
-        match Unix.read client buf 0 4096 with
-        | 0 -> acc
-        | k -> read_all (acc ^ Bytes.sub_string buf 0 k)
-      in
-      let body = read_all "" in
-      Unix.close client;
-      Alcotest.(check bool) "dump served mid-run, non-empty" true
-        (String.length body > 0);
-      Alcotest.(check bool) "dump names the frame histogram" true
-        (contains body "engine/frame_bytes"))
-
-let test_endpoint_fetch_error () =
-  match Obs.Endpoint.fetch ~path:(endpoint_path "ca-obs-no-such.sock") with
-  | Ok _ -> Alcotest.fail "fetch of a missing socket must fail"
-  | Error msg ->
-      Alcotest.(check bool) "error message" true (String.length msg > 0)
+      Alcotest.(check int) "engine --obs-dir" 0
+        (cli_code
+           (Printf.sprintf
+              "engine --backend poll --sessions 2 -n 4 -t 1 --obs-dir %s"
+              (Filename.quote dir)));
+      Alcotest.(check int) "obs --check accepts the export" 0
+        (cli_code ("obs --check " ^ Filename.quote dir));
+      Out_channel.with_open_bin (Filename.concat dir "trace.json") (fun oc ->
+          output_string oc "{not json");
+      Alcotest.(check int) "obs --check rejects a corrupted trace" 1
+        (cli_code ("obs --check " ^ Filename.quote dir)))
 
 (* ---- schema validators reject malformed input ----------------------------- *)
 
@@ -918,12 +931,12 @@ let suite =
       `Quick test_bits_only_shard;
     Alcotest.test_case "sampler ring bounds and drops" `Quick
       test_sampler_ring_bounds;
-    Alcotest.test_case "endpoint serves a waiting client" `Quick
-      test_endpoint_service_direct;
-    Alcotest.test_case "endpoint served from inside the poll loop" `Quick
-      test_endpoint_through_poll_loop;
-    Alcotest.test_case "endpoint fetch reports missing socket" `Quick
-      test_endpoint_fetch_error;
+    Alcotest.test_case "report lists the ten costliest labels" `Quick
+      test_report_top_labels;
+    Alcotest.test_case "run: one recorder for --csv and --telemetry" `Quick
+      test_run_one_recorder;
+    Alcotest.test_case "obs --check: engine export, corrupted" `Quick
+      test_obs_check_cli;
     Alcotest.test_case "schema validators reject malformed input" `Quick
       test_check_rejects_garbage;
     Alcotest.test_case "ledger: sim" `Quick test_ledger_sim;
