@@ -88,8 +88,8 @@ let of_json json =
               ignore (non_empty_str meta "git_rev");
               ignore (non_empty_str meta "ocaml_version");
               int_at_least 1. meta "domains";
-              (* The host's core count; ledgers written before it was
-                 stamped lack it. *)
+              (* The host's core count. Every committed ledger but
+                 BENCH_obs.json carries it; that one predates the stamp. *)
               if List.mem_assoc "nproc" meta then int_at_least 1. meta "nproc";
               non_empty_str meta "experiment")
         in
