@@ -79,8 +79,9 @@ bench:
 # Paired repository-benchmark runs (BENCHMARK.json, perfbench/) of PARENT
 # against the working tree: PAIRS pairs of SECONDS-second `--trace 0` runs,
 # alternating which side runs first, a fresh seed per pair. Prints each
-# end-to-end metric's medians, quartiles and the change's win count. Not
-# part of `check`.
+# end-to-end metric's medians, quartiles and the change's win count.
+# WORKLOAD=all runs the three workloads in turn, one table each. Not part
+# of `check`.
 PARENT ?= HEAD
 WORKLOAD ?= oracle_stream
 PAIRS ?= 10

@@ -4,6 +4,10 @@
     python3 bench/perf_pairs.py --parent HEAD~1 --workload oracle_stream \
         --pairs 10 --seconds 25
 
+`--workload all` runs every workload BENCHMARK.json declares, in turn, and
+prints one table for each: a change that claims a gain on one workload
+shows there that the others did not move.
+
 Exports the parent revision with `git archive` into a temporary directory,
 then runs `python3 perfbench/run.py --trace 0` alternately there and in the
 working tree: one pair per seed, a fresh seed for each pair, and the side
@@ -93,7 +97,8 @@ def report(metrics, results):
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--parent", required=True, help="git revision to compare against")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True,
+                    help="a workload BENCHMARK.json declares, or 'all'")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=int, default=25)
     ap.add_argument("--seed-base", type=int, default=None,
@@ -102,7 +107,15 @@ def main():
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "BENCHMARK.json")) as f:
-        metrics = json.load(f)["end_to_end"]
+        bench = json.load(f)
+    metrics = bench["end_to_end"]
+    declared = [w["name"] for w in bench["workloads"]]
+    if args.workload == "all":
+        workloads = declared
+    elif args.workload in declared:
+        workloads = [args.workload]
+    else:
+        fail("unknown workload %s (one of %s, or all)" % (args.workload, ", ".join(declared)))
     seed_base = args.seed_base if args.seed_base is not None else int(time.time()) % 100000
     out = tempfile.mkdtemp(prefix="perf-pairs-out-")
 
@@ -110,22 +123,25 @@ def main():
     try:
         export(args.parent, root, parent)
         trees = {"parent": parent, "change": root}
-        results = {"parent": [], "change": []}
-        for k in range(args.pairs):
-            seed = seed_base + k
-            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            for side in order:
-                r = run(trees[side], args.workload, seed, args.seconds)
-                results[side].append(r)
-                with open(os.path.join(out, "%s-%d.json" % (side, seed)), "w") as f:
-                    json.dump(r, f)
-                print("pair %d seed %d %s: sessions_per_s %.4g" % (
-                    k + 1, seed, side, r["metrics"]["sessions_per_s"]["value"]),
-                    flush=True)
-        print("\n%s: %s vs the working tree, %d pairs of %d s, seeds %d..%d; raw results in %s\n" % (
-            args.workload, args.parent, args.pairs, args.seconds, seed_base,
-            seed_base + args.pairs - 1, out))
-        report(metrics, results)
+        for workload in workloads:
+            results = {"parent": [], "change": []}
+            for k in range(args.pairs):
+                seed = seed_base + k
+                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+                for side in order:
+                    r = run(trees[side], workload, seed, args.seconds)
+                    results[side].append(r)
+                    name = "%s-%s-%d.json" % (workload, side, seed)
+                    with open(os.path.join(out, name), "w") as f:
+                        json.dump(r, f)
+                    print("%s pair %d seed %d %s: sessions_per_s %.4g" % (
+                        workload, k + 1, seed, side,
+                        r["metrics"]["sessions_per_s"]["value"]), flush=True)
+            print("\n%s: %s vs the working tree, %d pairs of %d s, seeds %d..%d; raw results in %s\n" % (
+                workload, args.parent, args.pairs, args.seconds, seed_base,
+                seed_base + args.pairs - 1, out))
+            report(metrics, results)
+            print(flush=True)
     finally:
         shutil.rmtree(parent, ignore_errors=True)
 

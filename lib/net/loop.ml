@@ -137,12 +137,14 @@ let honest_running ~corrupt states =
    reaches the recipients ({!Transport.exchange}). The loopback transport
    moves nothing (the simulator reads each inbox from the sent matrices); the
    poll transport writes each pair's frame from the slots into its own
-   buffers, pushes the bytes through a nonblocking socket mesh and parses
-   what arrives back into the slot-indexed delivery index. Because the
-   frames are a pure function of the sessions' traffic, and delivery
-   consumes only entry contents plus the local self slot, every transport
-   that moves the frames faithfully yields bit-identical outputs, metrics,
-   ledger and observability export.
+   buffers and pushes the bytes through a nonblocking socket mesh. A frame
+   that arrives byte for byte as written only flags its edge faithful, and
+   the delivery reads that edge from the sent matrices as the loopback
+   does; any other frame is parsed back into the slot-indexed delivery
+   index. Because the frames are a pure function of the sessions' traffic,
+   and delivery consumes only entry contents plus the local self slot,
+   every transport that moves the frames faithfully yields bit-identical
+   outputs, metrics, ledger and observability export.
 
    Steady-state rounds allocate O(live sessions), not O(engine state): the
    live set, the per-slot step captures, the round view handed to the
@@ -194,8 +196,9 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?obs ?on_round
   let live li = match live_arr.(li) with Some l -> l | None -> assert false in
   (* Per-round structures, preallocated at session capacity and reused every
      round: the per-slot step captures, the slot -> sid map and — for wire
-     transports — the per-edge delivery index [edge_slots.(s).(r)], which
-     together are the round view the transport reads and fills. Steady-state
+     transports — the per-edge delivery index [edge_slots.(s).(r)] and
+     faithful flags, which together are the round view the transport reads
+     and fills. Steady-state
      rounds allocate only protocol-level transients (payload strings,
      continuation spines), never per-engine-state structures and never the
      per-session matrices: the prescribed matrix, the byzantine override
@@ -247,6 +250,9 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?obs ?on_round
       sids = Array.make cap 0;
       sent = stepped;
       delivered = edge_slots;
+      faithful =
+        (if transport.Transport.direct then [||]
+         else Array.make_matrix n n false);
     }
   in
   let retire l =
@@ -269,42 +275,49 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?obs ?on_round
         } )
       :: !finished
   in
+  let admit (idx, spec) =
+    let shard = Obs.shard obs in
+    if Option.is_some obs then shards := (idx, shard) :: !shards;
+    let states =
+      Array.init n (fun me -> spec.protocol (ctx_maker spec.setup ~n ~t ~me))
+    in
+    Array.iteri
+      (fun i s ->
+        states.(i) <- settle ~obs:shard ~corrupt ~sid:spec.sid ~round:0 i s)
+      states;
+    let l =
+      {
+        l_index = idx;
+        l_sid = spec.sid;
+        l_adversary = spec.adversary;
+        l_states = states;
+        l_obs = shard;
+        l_rounds = 0;
+        l_admitted = !er;
+      }
+    in
+    if honest_running ~corrupt states then begin
+      live_arr.(!k_live) <- Some l;
+      view.sids.(!k_live) <- spec.sid;
+      incr k_live
+    end
+    else retire l
+  in
+  (* [pending] is in admission order, sorted by start round, so the sessions
+     due by round [r] are its head: admission costs O(admitted), not a pass
+     over every pending spec each round. *)
+  let rec admit_due r =
+    match !pending with
+    | ((_, spec) as p) :: rest when spec.start_round <= r ->
+        pending := rest;
+        admit p;
+        admit_due r
+    | _ -> ()
+  in
   while !pending <> [] || !k_live > 0 do
     if !er >= max_rounds then raise (Round_limit_exceeded max_rounds);
     (* 0. Admit sessions whose start round has arrived. *)
-    let now, later =
-      List.partition (fun (_, s) -> s.start_round <= !er) !pending
-    in
-    pending := later;
-    List.iter
-      (fun (idx, spec) ->
-        let shard = Obs.shard obs in
-        if Option.is_some obs then shards := (idx, shard) :: !shards;
-        let states =
-          Array.init n (fun me -> spec.protocol (ctx_maker spec.setup ~n ~t ~me))
-        in
-        Array.iteri
-          (fun i s ->
-            states.(i) <- settle ~obs:shard ~corrupt ~sid:spec.sid ~round:0 i s)
-          states;
-        let l =
-          {
-            l_index = idx;
-            l_sid = spec.sid;
-            l_adversary = spec.adversary;
-            l_states = states;
-            l_obs = shard;
-            l_rounds = 0;
-            l_admitted = !er;
-          }
-        in
-        if honest_running ~corrupt states then begin
-          live_arr.(!k_live) <- Some l;
-          view.sids.(!k_live) <- spec.sid;
-          incr k_live
-        end
-        else retire l)
-      now;
+    admit_due !er;
     peak_live := max !peak_live !k_live;
     (match obs with
     | Some o -> Obs.live_sessions o ~round:!er ~live:!k_live
@@ -416,10 +429,12 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?obs ?on_round
        frame carries [(sid, m)], which is what the delivery index would
        hold for this slot — so fusing step and deliver into one phase
        (below) is observationally identical to the split schedule. With a
-       wire transport the inbox reads the slot-indexed delivery index the
-       transport parsed the frames into, and clears each cell it reads —
-       this slot's column of every edge, whatever state each party is in —
-       so the index is all [None] again for the next round. *)
+       wire transport each inbox cell is {!Wire.Frame.take}: on an edge the
+       transport flagged faithful (its frame arrived as written) it is that
+       same [actual.(s).(i)], and on any other edge it is the delivery
+       index cell the transport parsed the frame into, which [take] clears
+       — this slot's column of every edge, whatever state each party is in
+       — so the index is all [None] again for the next round. *)
     (* The inbox handed to a continuation is per-(slot, party) scratch,
        refilled here every round — borrowed by the protocol for the duration
        of the continuation (the contract documented above and in proto.mli). *)
@@ -455,19 +470,16 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?obs ?on_round
         | Proto.Step (_, k) ->
             let inbox = inbox_for li i in
             for s = 0 to n - 1 do
-              if s = i then inbox.(s) <- actual.(i).(i)
-              else begin
-                let col = edge_slots.(s).(i) in
-                inbox.(s) <- col.(li);
-                col.(li) <- None
-              end
+              inbox.(s) <-
+                (if s = i then actual.(i).(i)
+                 else Wire.Frame.take view ~src:s ~dst:i li)
             done;
             states.(i) <-
               settle ~obs:l.l_obs ~corrupt ~sid:l.l_sid ~round:l.l_rounds i
                 (k inbox)
         | Proto.Done _ ->
             for s = 0 to n - 1 do
-              if s <> i then edge_slots.(s).(i).(li) <- None
+              if s <> i then ignore (Wire.Frame.take view ~src:s ~dst:i li)
             done
         | Proto.Push _ | Proto.Pop _ | Proto.Probe _ -> assert false
       done
@@ -550,8 +562,9 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?obs ?on_round
     | Some c -> Obs.incr c (n * (n - 1))
     | None -> ());
     (* Move the round's bytes. A wire transport writes every edge's frame
-       from [view] and parses what arrives into [edge_slots]; the delivery
-       phase then reads and clears it. On a direct transport delivery
+       from [view], flags each edge whose frame arrives as written and
+       parses any other into [edge_slots]; the delivery phase then reads
+       (and clears) what each edge left. On a direct transport delivery
        already happened in the fused phase, and the exchange only observes
        the round. *)
     view.live <- k_now;

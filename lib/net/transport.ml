@@ -3,6 +3,7 @@ type slots = Wire.Frame.slots = {
   sids : int array;
   sent : string option array array array;
   delivered : string option array array array;
+  faithful : bool array array;
 }
 
 type t = {

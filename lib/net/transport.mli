@@ -13,8 +13,9 @@
     A transport is an {e exchange}: a per-round barrier over the round
     loop's own slot-indexed view of the round ({!slots}). A byte-moving
     transport writes each pair's frame straight from the slots
-    ({!Wire.Frame.write_edge}) and parses what arrives straight back into
-    the delivery index ({!Wire.Frame.edge_sink}), while an in-memory
+    ({!Wire.Frame.write_edge}); a frame that arrives as written only flags
+    its edge ({!Wire.Frame.edge_receive}), and any other is parsed straight
+    back into the delivery index ({!Wire.Frame.edge_sink}). An in-memory
     transport never touches bytes at all. Frame-byte
     accounting lives in the loop and is arithmetic over the same slots, so
     the ledger is identical either way. Within the exchange a real transport
@@ -31,14 +32,21 @@ type slots = Wire.Frame.slots = {
           this round, [None] when silent; the diagonal is unused. *)
   delivered : string option array array array;
       (** [delivered.(src).(dst).(i)]: the delivery index a wire transport
-          fills, [None] wherever nothing arrived. It is borrowed: the loop
-          hands it over with every off-diagonal slot [None], reads and
-          clears it before the next exchange. Empty ([[||]]) for a direct
-          transport, which never fills it. *)
+          fills for each edge whose frame it had to parse, [None] wherever
+          nothing arrived. It is borrowed: the loop hands it over with every
+          off-diagonal slot [None], reads and clears it before the next
+          exchange. Empty ([[||]]) for a direct transport, which never fills
+          it. *)
+  faithful : bool array array;
+      (** [faithful.(src).(dst)]: the [src -> dst] frame arrived byte for
+          byte as it was written, so the loop delivers that edge straight
+          from [sent] and the transport left its delivery index untouched.
+          A wire transport clears every flag before it moves a round and
+          sets them inside [exchange]. Empty for a direct transport. *)
 }
 (** One engine round, as the loop keeps it. The loop owns every array and
     reuses them round after round; a transport reads [sids] and [sent] and
-    writes [delivered] only inside [exchange]. *)
+    writes [delivered] and [faithful] only inside [exchange]. *)
 
 type t = {
   name : string;  (** Backend name, e.g. ["loopback"] or ["poll"]. *)
@@ -53,9 +61,12 @@ type t = {
           licenses the cheaper schedule. *)
   exchange : round:int -> entries:slots -> unit;
       (** Move one engine round's traffic: every off-diagonal pair's frame,
-          keep-alive empties included, and every entry that arrives into
-          [entries.delivered]. A lossless transport leaves [delivered] equal
-          to [sent] transposed, slot for slot. Raises [Failure] on
+          keep-alive empties included. A frame that arrives as written sets
+          its edge's [entries.faithful] flag; every entry of any other frame
+          goes into [entries.delivered]. A lossless transport flags every
+          edge and leaves [delivered] all [None]; either way, what each
+          slot receives ({!Wire.Frame.take}) equals [sent] transposed, slot
+          for slot. Raises [Failure] on
           transport-level violations: an undecodable frame, a wrong round, a
           duplicate frame, or an entry out of admission order or for a
           session that is not live. *)

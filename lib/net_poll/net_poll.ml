@@ -9,17 +9,18 @@
    loop.
 
    Allocation discipline: the steady-state byte path reuses per-connection
-   buffers end to end. Outbound, each
-   connection owns a grow-only scratch [c_out] holding the round's prefixed
-   frame, written straight from the round loop's slots
-   (Wire.Frame.write_edge) — no frame string or prefix concatenation exists.
-   Inbound, reads land in one shared scratch and are fed to the decoder by
-   offset (feed_sub); each connection's slot sink (Wire.Frame.edge_sink)
-   parses a frame straight into the loop's delivery index. An entry whose
-   bytes match what was sent on its edge is delivered as the sent value
-   itself, so a faithful round copies no payload; what remains per round is
-   the select loop's own bookkeeping (fd lists, wall-clock stamps) and a
-   fresh copy of any entry that differs from what was sent. *)
+   buffers end to end. Outbound, each connection owns a grow-only staged
+   record [c_out] holding the round's prefixed frame, written straight from
+   the round loop's slots in one walk (Wire.Frame.write_edge) — no frame
+   string or prefix concatenation exists. Inbound, reads land in one shared
+   scratch and are fed to the decoder by offset (feed_sub). The connection
+   that writes a direction also decodes it, so each body that completes is
+   compared with [c_out]'s (Wire.Frame.edge_receive): a body that arrived as
+   written is not parsed, only its edge is flagged and the loop delivers
+   the sent values; any other is validated and parsed into the loop's
+   delivery index (Wire.Frame.edge_sink), each entry a fresh copy. A
+   faithful round therefore copies no payload; what remains per round is
+   the select loop's own bookkeeping (fd lists, wall-clock stamps). *)
 
 type stats = {
   p_rounds : int;
@@ -94,14 +95,13 @@ type conn = {
   c_rfd : Unix.file_descr;  (* dst's endpoint: this direction reads here *)
   c_ring : Ring.t;
   c_dec : Wire.Frame.Decoder.t;
-  mutable c_out : Bytes.t;
-      (* Reusable outbound scratch: the round's u32-prefixed frame lives in
-         [c_out.[0 .. c_out_len-1]]. Grow-only. *)
-  mutable c_out_len : int;
-  mutable c_off : int;  (* bytes of [c_out] already admitted to the ring *)
+  c_out : Wire.Frame.staged;
+      (* The round's u32-prefixed frame, [c_out.bytes.[first .. stop-1]];
+         reused every round, grow-only. *)
+  mutable c_off : int;  (* next byte of [c_out] to admit to the ring *)
   mutable c_got : bool;  (* this round's inbound frame has arrived *)
-  mutable c_sink : Wire.Frame.sink;
-      (* parses inbound frames into the bound slots' delivery index *)
+  mutable c_recv : Bytes.t -> int -> int -> bool;
+      (* takes an inbound body against [c_out] into the bound slots *)
   mutable c_peak_backlog : int;  (* peak queued bytes over this conn's life *)
   mutable c_park_t : float;  (* wall clock when the current stall began; -1.0 *)
 }
@@ -110,9 +110,13 @@ type t = {
   n : int;
   conns : conn array;  (* every ordered pair, src-major *)
   pair_fds : Unix.file_descr list;  (* each endpoint once, for close *)
+  writer_of : (Unix.file_descr, conn) Hashtbl.t;
+      (* the connection that writes on an endpoint ([c_wfd]) *)
+  reader_of : (Unix.file_descr, conn) Hashtbl.t;
+      (* the connection that reads from an endpoint ([c_rfd]) *)
   scratch : Bytes.t;
   mutable expect : int;  (* the round the current exchange moves *)
-  mutable bound : Wire.Frame.slots;  (* the slots every [c_sink] fills *)
+  mutable bound : Wire.Frame.slots;  (* the slots every [c_recv] fills *)
   mutable closed : bool;
   mutable s_rounds : int;
   mutable s_frames : int;
@@ -133,7 +137,10 @@ let stall_timeout = 30.0
 
 (* Placeholder before a transport exchange binds the loop's slots: no entry
    can land in it. *)
-let no_slots = { Wire.Frame.live = 0; sids = [||]; sent = [||]; delivered = [||] }
+let no_slots =
+  { Wire.Frame.live = 0; sids = [||]; sent = [||]; delivered = [||]; faithful = [||] }
+
+let no_recv _ _ _ = false
 
 let create ?(outbuf = 64 * 1024) ?(max_frame = Wire.Frame.max_frame_bytes) ~n ()
     =
@@ -171,21 +178,30 @@ let create ?(outbuf = 64 * 1024) ?(max_frame = Wire.Frame.max_frame_bytes) ~n ()
             c_rfd = endpoints.(dst).(src);
             c_ring = Ring.create outbuf;
             c_dec = Wire.Frame.Decoder.create ~max_frame ();
-            c_out = Bytes.create 256;
-            c_out_len = 0;
+            c_out = Wire.Frame.staged ();
             c_off = 0;
             c_got = false;
-            c_sink = Wire.Frame.edge_sink no_slots ~src ~dst ~on_round:ignore;
+            c_recv = no_recv;
             c_peak_backlog = 0;
             c_park_t = -1.0;
           }
           :: !conns
     done
   done;
+  let conns = Array.of_list !conns in
+  let writer_of = Hashtbl.create (Array.length conns) in
+  let reader_of = Hashtbl.create (Array.length conns) in
+  Array.iter
+    (fun c ->
+      Hashtbl.replace writer_of c.c_wfd c;
+      Hashtbl.replace reader_of c.c_rfd c)
+    conns;
   {
     n;
-    conns = Array.of_list !conns;
+    conns;
     pair_fds = !pair_fds;
+    writer_of;
+    reader_of;
     scratch = Bytes.create 65536;
     expect = 0;
     bound = no_slots;
@@ -240,32 +256,19 @@ let stats t =
   }
 
 (* Bytes not yet flushed to the kernel for one connection. *)
-let backlog c = Ring.length c.c_ring + (c.c_out_len - c.c_off)
+let backlog c = Ring.length c.c_ring + (c.c_out.Wire.Frame.stop - c.c_off)
 
-(* Stage one connection's round frame in [c_out]: grow the scratch to fit and
-   write the u32 body-length prefix at offset 0. The caller writes the
-   [body_len] body bytes at offset 4, then calls [send_frame]. The scratch is
-   reused every round after. *)
-let stage_frame c ~body_len =
-  let total = 4 + body_len in
-  if Bytes.length c.c_out < total then
-    c.c_out <- Bytes.create (max total (2 * Bytes.length c.c_out));
-  Bytes.set c.c_out 0 (Char.chr ((body_len lsr 24) land 0xff));
-  Bytes.set c.c_out 1 (Char.chr ((body_len lsr 16) land 0xff));
-  Bytes.set c.c_out 2 (Char.chr ((body_len lsr 8) land 0xff));
-  Bytes.set c.c_out 3 (Char.chr (body_len land 0xff))
-
-(* Queue the staged frame: whatever fits goes straight into the ring, the
-   rest parks. *)
-let send_frame t c ~body_len =
-  let total = 4 + body_len in
-  c.c_out_len <- total;
-  c.c_off <- Ring.push c.c_ring c.c_out 0 total;
+(* Queue the frame staged in [c_out]: whatever fits goes straight into the
+   ring, the rest parks. *)
+let send_frame t c =
+  let { Wire.Frame.bytes; first; stop } = c.c_out in
+  let total = stop - first in
+  c.c_off <- first + Ring.push c.c_ring bytes first total;
   c.c_got <- false;
   t.s_frames <- t.s_frames + 1;
-  t.s_frame_bytes <- t.s_frame_bytes + body_len;
+  t.s_frame_bytes <- t.s_frame_bytes + (total - 4);
   t.s_wire_bytes <- t.s_wire_bytes + total;
-  if c.c_off < total then begin
+  if c.c_off < stop then begin
     t.s_parked <- t.s_parked + 1;
     (* A stall is the span from the first park until the whole backlog
        drains; the stamp is taken only on the (rare) parked path. *)
@@ -280,16 +283,17 @@ let send_frame t c ~body_len =
 let service_write t c =
   let progressed = ref false in
   let continue = ref true in
+  let out = c.c_out in
   while !continue do
-    if c.c_off < c.c_out_len then
-      c.c_off <- c.c_off + Ring.push c.c_ring c.c_out c.c_off (c.c_out_len - c.c_off);
+    if c.c_off < out.stop then
+      c.c_off <- c.c_off + Ring.push c.c_ring out.bytes c.c_off (out.stop - c.c_off);
     let written = Ring.write_fd c.c_ring c.c_wfd in
     if written > 0 then begin
       t.s_writes <- t.s_writes + 1;
       progressed := true
     end
     else continue := false;
-    if Ring.length c.c_ring = 0 && c.c_off = c.c_out_len then continue := false
+    if Ring.length c.c_ring = 0 && c.c_off = out.stop then continue := false
   done;
   if c.c_park_t >= 0.0 && backlog c = 0 then begin
     let stall = Unix.gettimeofday () -. c.c_park_t in
@@ -307,7 +311,7 @@ let got_frame t c round =
   c.c_got <- true
 
 let rec pump c =
-  match Wire.Frame.Decoder.next_with c.c_dec c.c_sink with
+  match Wire.Frame.Decoder.next_body c.c_dec c.c_recv with
   | Error msg -> failwith ("Net_poll: " ^ msg)
   | Ok false -> ()
   | Ok true -> pump c
@@ -334,17 +338,15 @@ let drive t =
       if c.c_got then decr undone)
     t.conns;
   while !undone > 0 do
-    let wconns = ref [] and rconns = ref [] in
+    let wfds = ref [] and rfds = ref [] in
     Array.iter
       (fun c ->
-        if backlog c > 0 then wconns := c :: !wconns;
-        if not c.c_got then rconns := c :: !rconns)
+        if backlog c > 0 then wfds := c.c_wfd :: !wfds;
+        if not c.c_got then rfds := c.c_rfd :: !rfds)
       t.conns;
-    let rfds = List.map (fun c -> c.c_rfd) !rconns in
-    let wfds = List.map (fun c -> c.c_wfd) !wconns in
     t.s_polls <- t.s_polls + 1;
     let sel_t0 = Unix.gettimeofday () in
-    let readable, writable, _ = Unix.select rfds wfds [] stall_timeout in
+    let readable, writable, _ = Unix.select !rfds !wfds [] stall_timeout in
     let wait = Unix.gettimeofday () -. sel_t0 in
     t.s_select_wait_total <- t.s_select_wait_total +. wait;
     if wait > t.s_select_wait_max then t.s_select_wait_max <- wait;
@@ -352,29 +354,30 @@ let drive t =
     if readable = [] && writable = [] then
       failwith "Net_poll: stalled (nothing readable or writable)";
     List.iter
-      (fun c ->
-        if List.memq c.c_wfd writable then begin
-          ignore (service_write t c);
-          let b = backlog c in
-          t.s_max_backlog <- max t.s_max_backlog b;
-          c.c_peak_backlog <- max c.c_peak_backlog b
-        end)
-      !wconns;
+      (fun fd ->
+        let c = Hashtbl.find t.writer_of fd in
+        ignore (service_write t c);
+        let b = backlog c in
+        t.s_max_backlog <- max t.s_max_backlog b;
+        c.c_peak_backlog <- max c.c_peak_backlog b)
+      writable;
     List.iter
-      (fun c ->
-        if List.memq c.c_rfd readable && not c.c_got then begin
+      (fun fd ->
+        let c = Hashtbl.find t.reader_of fd in
+        if not c.c_got then begin
           service_read t c;
           if c.c_got then decr undone
         end)
-      !rconns
+      readable
   done;
   t.s_rounds <- t.s_rounds + 1
 
-(* One round: write each pair's frame straight from the loop's slots into
-   the connection's outbound scratch, and parse each inbound frame straight
-   into the slots' delivery index. The sinks are bound to a slots record
-   once, on its first exchange; the loop reuses one record for a whole
-   run. *)
+(* One round: stage each pair's frame straight from the loop's slots in the
+   connection's outbound record, clearing the edge's faithful flag, then
+   take each inbound body against it: a body that arrived as written flags
+   the edge, any other is parsed into the slots' delivery index. The
+   receivers are bound to a slots record once, on its first exchange; the
+   loop reuses one record for a whole run. *)
 let exchange t ~round (s : Wire.Frame.slots) =
   if t.closed then invalid_arg "Net_poll.exchange: closed";
   let mw0 = Gc.minor_words () in
@@ -382,19 +385,18 @@ let exchange t ~round (s : Wire.Frame.slots) =
     t.bound <- s;
     Array.iter
       (fun c ->
-        c.c_sink <-
-          Wire.Frame.edge_sink s ~src:c.c_src ~dst:c.c_dst
-            ~on_round:(got_frame t c))
+        let src = c.c_src and dst = c.c_dst in
+        let sink = Wire.Frame.edge_sink s ~src ~dst ~on_round:(got_frame t c) in
+        c.c_recv <- Wire.Frame.edge_receive s ~src ~dst sink c.c_out)
       t.conns
   end;
   t.expect <- round;
   Array.iter
     (fun c ->
       let src = c.c_src and dst = c.c_dst in
-      let body_len = Wire.Frame.edge_size s ~round ~src ~dst in
-      stage_frame c ~body_len;
-      ignore (Wire.Frame.write_edge s ~round ~src ~dst c.c_out 4 : int);
-      send_frame t c ~body_len)
+      s.faithful.(src).(dst) <- false;
+      Wire.Frame.write_edge s ~round ~src ~dst c.c_out;
+      send_frame t c)
     t.conns;
   drive t;
   t.s_minor_words <- t.s_minor_words +. (Gc.minor_words () -. mw0)

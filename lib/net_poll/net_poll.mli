@@ -22,14 +22,16 @@
     bit-identical to the simulator.
 
     The steady-state byte path allocates nothing per message: each frame is
-    written straight from the slots into a per-connection reusable buffer
-    ({!Wire.Frame.write_edge}), reads feed the decoder by offset from one
-    shared scratch ({!Wire.Frame.Decoder.feed_sub}), and each arriving
-    frame is parsed straight into the loop's delivery index
-    ({!Wire.Frame.edge_sink}), which delivers an entry whose bytes match
-    what was sent on its edge as the sent value itself. Only an entry that
-    differs from what was sent is copied. {!stats} reports the discipline
-    as [p_minor_words_per_round]. *)
+    written straight from the slots into a per-connection reusable record
+    with one walk over the slots ({!Wire.Frame.write_edge}), and reads feed
+    the decoder by offset from one shared scratch
+    ({!Wire.Frame.Decoder.feed_sub}). The connection that writes a
+    direction also decodes it, so each arriving body is compared with what
+    was written ({!Wire.Frame.edge_receive}): a frame that arrived as
+    written is not parsed, its edge is only flagged faithful and the loop
+    delivers the sent values; any other frame is validated and parsed into
+    the loop's delivery index ({!Wire.Frame.edge_sink}), each entry a fresh
+    copy. {!stats} reports the discipline as [p_minor_words_per_round]. *)
 
 type stats = {
   p_rounds : int;  (** Exchanges completed. *)
@@ -48,8 +50,8 @@ type stats = {
       (** Peak bytes queued behind a single connection (ring + parked). *)
   p_minor_words_per_round : float;
       (** Mean minor-heap words allocated per exchange — the transport's
-          own allocation footprint, copies of entries that differ from
-          what was sent included, measured around each exchange with
+          own allocation footprint, the entries of frames that differ from
+          what was written included, measured around each exchange with
           [Gc.minor_words]. *)
   p_select_wait_max_s : float;
       (** Longest single [select(2)] wait, in seconds (wall clock). *)
@@ -91,15 +93,15 @@ val set_sink : t -> sink option -> unit
 
 val transport : t -> Net.Transport.t
 (** The {!Net.Transport} view driven by [Engine.run_poll] ([direct = false]),
-    and the mesh's one way to move a round. Its exchange sends every
-    off-diagonal pair's frame, keep-alive empties included: each is sized
-    with {!Wire.Frame.edge_size} and written from the round's slots into the
-    connection's outbound buffer ({!Wire.Frame.write_edge}). Each frame that
-    arrives is validated, then parsed into [delivered]
-    ({!Wire.Frame.edge_sink}), so what the engine delivers is only what came
-    off the wire: an entry whose bytes equal the value sent on that slot and
-    edge is delivered as that same immutable value, any other entry as a
-    fresh copy of the bytes that arrived.
+    and the mesh's one way to move a round. Its exchange clears every
+    [faithful] flag and sends every off-diagonal pair's frame, keep-alive
+    empties included, each written from the round's slots into the
+    connection's outbound record in one pass ({!Wire.Frame.write_edge}).
+    Each frame that arrives byte for byte as written sets its edge's
+    [faithful] flag, so the engine delivers that edge's sent values; any
+    other frame is validated, then parsed into [delivered]
+    ({!Wire.Frame.edge_sink}) as fresh copies of the bytes that arrived.
+    Either way what the engine delivers is only what came off the wire.
 
     The exchange raises [Failure] on transport violations: a frame for
     another round (a stale frame left queued by an exchange that raised

@@ -375,10 +375,11 @@ module Frame = struct
     sids : int array;
     sent : string option array array array;
     delivered : string option array array array;
+    faithful : bool array array;
   }
 
   (* Top-level recursion: an inner [rec go] capturing [buf] would allocate a
-     closure per varint written — three per frame entry. *)
+     closure per varint written — two per frame entry. *)
   let rec put_varint buf pos v =
     if v < 0 then invalid_arg "Wire.w_varint";
     if v < 0x80 then begin
@@ -390,34 +391,51 @@ module Frame = struct
       put_varint buf (pos + 1) (v lsr 7)
     end
 
-  let edge_size s ~round ~src ~dst =
-    let count = ref 0 and body = ref 0 in
-    for i = 0 to s.live - 1 do
-      match s.sent.(i).(src).(dst) with
-      | None -> ()
-      | Some m ->
-          let len = String.length m in
-          incr count;
-          body := !body + varint_size s.sids.(i) + varint_size len + len
-    done;
-    varint_size round + varint_size !count + !body
+  type staged = { mutable bytes : Bytes.t; mutable first : int; mutable stop : int }
 
-  let write_edge s ~round ~src ~dst buf off =
-    let count = ref 0 in
-    for i = 0 to s.live - 1 do
-      match s.sent.(i).(src).(dst) with None -> () | Some _ -> incr count
-    done;
-    let pos = ref (put_varint buf (put_varint buf off round) !count) in
+  let staged () = { bytes = Bytes.create 256; first = 0; stop = 0 }
+
+  (* Room for [need] more bytes at [pos], keeping [bytes.[0 .. pos-1]]:
+     grow-only, at least doubling, so a steady round size stops growing. *)
+  let reserve st pos need =
+    let cap = Bytes.length st.bytes in
+    if pos + need > cap then begin
+      let b = Bytes.create (max (pos + need) (2 * cap)) in
+      Bytes.blit st.bytes 0 b 0 pos;
+      st.bytes <- b
+    end
+
+  (* One walk over the slots. The entries go after a header reserved at its
+     widest: the count is at most [live], so its varint is at most
+     [varint_size live] bytes. Once the count is known, the prefix, round
+     and count are backfilled right before the first entry, so the record
+     starts at [first] and its bytes are exactly the reference encoding. *)
+  let write_edge s ~round ~src ~dst st =
+    if round < 0 then invalid_arg "Wire.w_varint";
+    let round_size = varint_size round in
+    let header = 4 + round_size + varint_size s.live in
+    reserve st 0 header;
+    let pos = ref header and count = ref 0 in
     for i = 0 to s.live - 1 do
       match s.sent.(i).(src).(dst) with
       | None -> ()
       | Some m ->
           let len = String.length m in
-          let p = put_varint buf (put_varint buf !pos s.sids.(i)) len in
-          Bytes.blit_string m 0 buf p len;
-          pos := p + len
+          (* Two varints of a non-negative int take at most 18 bytes. *)
+          reserve st !pos (18 + len);
+          let b = st.bytes in
+          let p = put_varint b (put_varint b !pos s.sids.(i)) len in
+          Bytes.blit_string m 0 b p len;
+          pos := p + len;
+          incr count
     done;
-    !pos
+    let first = header - varint_size !count - round_size - 4 in
+    let body = !pos - first - 4 in
+    let b = st.bytes in
+    Bytes.set_int32_be b first (Int32.of_int body);
+    ignore (put_varint b (put_varint b (first + 4) round) !count : int);
+    st.first <- first;
+    st.stop <- !pos
 
   (* First slot at or after [i] that holds [sid]; [-1] when none does. *)
   let rec slot_from sids live sid i =
@@ -425,27 +443,11 @@ module Frame = struct
     else if sids.(i) = sid then i
     else slot_from sids live sid (i + 1)
 
-  (* [buf[off .. off+i]] equals [m.[0 .. i]]; top-level so the comparison
-     allocates no closure. The caller has checked both lengths. *)
-  let rec same_prefix buf off m i =
-    i < 0
-    || Bytes.unsafe_get buf (off + i) = String.unsafe_get m i
-       && same_prefix buf off m (i - 1)
-
-  (* What to deliver for slot [i]'s entry at [buf[off .. off+len-1]]: the
-     value sent on this edge when the bytes match it, so a faithful edge
-     delivers without allocating; any other entry (or a slot with no sent
-     cell) gets a fresh copy of exactly the bytes that arrived. *)
-  let arrived s ~src ~dst i buf off len =
-    match if i < Array.length s.sent then s.sent.(i).(src).(dst) else None with
-    | Some m as sent
-      when String.length m = len && same_prefix buf off m (len - 1) ->
-        sent
-    | Some _ | None -> Some (Bytes.sub_string buf off len)
-
   (* Entries arrive in admission order, so each one's slot is found by
      walking on from the previous entry's: O(live) per frame in total, and a
-     sid that is out of order or not live runs off the end. *)
+     sid that is out of order or not live runs off the end. Every entry is
+     delivered as a fresh copy of the bytes that arrived: a frame that
+     arrives as written never gets here ([edge_receive]). *)
   let edge_sink s ~src ~dst ~on_round =
     let next = ref 0 in
     {
@@ -463,9 +465,53 @@ module Frame = struct
                     live session"
                    sid src dst)
           | i ->
-              s.delivered.(src).(dst).(i) <- arrived s ~src ~dst i buf off len;
+              s.delivered.(src).(dst).(i) <- Some (Bytes.sub_string buf off len);
               next := i + 1);
     }
+
+  (* [a[apos .. apos+len-1]] = [b[bpos .. bpos+len-1]], eight bytes at a
+     time, then the tail byte by byte. *)
+  let equal_sub a apos b bpos len =
+    let i = ref 0 in
+    while
+      !i + 8 <= len
+      && (Bytes.get_int64_ne a (apos + !i) : int64) = Bytes.get_int64_ne b (bpos + !i)
+    do
+      i := !i + 8
+    done;
+    while !i < len && Bytes.get a (apos + !i) = Bytes.get b (bpos + !i) do
+      incr i
+    done;
+    !i = len
+
+  (* The leading varint of [buf[pos .. limit-1]], which [equal_sub] has
+     matched against a written frame, so it is well formed. *)
+  let rec round_at buf limit acc shift pos =
+    let b = Char.code (Bytes.get buf pos) in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 || pos + 1 >= limit then acc
+    else round_at buf limit acc (shift + 7) (pos + 1)
+
+  let edge_receive s ~src ~dst sink st buf pos limit =
+    if pos < 0 || limit < pos || limit > Bytes.length buf then
+      invalid_arg "Wire.Frame.edge_receive";
+    let len = limit - pos in
+    if len = st.stop - st.first - 4 && equal_sub buf pos st.bytes (st.first + 4) len
+    then begin
+      sink.on_round (round_at buf limit 0 0 pos);
+      s.faithful.(src).(dst) <- true;
+      true
+    end
+    else parse sink buf pos limit
+
+  let take s ~src ~dst i =
+    if s.faithful.(src).(dst) then s.sent.(i).(src).(dst)
+    else begin
+      let col = s.delivered.(src).(dst) in
+      let m = col.(i) in
+      col.(i) <- None;
+      m
+    end
 
   (* Incremental decoding of the length-prefixed frame stream the socket
      transports speak: u32 big-endian body length, then the encoded frame.
@@ -532,37 +578,39 @@ module Frame = struct
       d.state <- Failed msg;
       Error msg
 
-    (* [Ok true] — one frame parsed into [sink] and consumed; [Ok false] —
-       the buffered bytes are a (possibly empty) prefix of a valid frame,
-       feed more; [Error] — the stream is malformed (sticky). *)
-    let next_with d sink =
+    (* [Ok true] — one frame body handed to [accept], which took it, and
+       consumed; [Ok false] — the buffered bytes are a (possibly empty)
+       prefix of a frame, feed more; [Error] — the declared length is over
+       the bound or [accept] refused the body (sticky). *)
+    let next_body d accept =
       match d.state with
       | Failed msg -> Error msg
       | Running ->
           if buffered d < 4 then Ok false
           else begin
-            let b i = Char.code (Bytes.get d.buf (d.lo + i)) in
-            let len = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
+            let len = Int32.to_int (Bytes.get_int32_be d.buf d.lo) land 0xffff_ffff in
             if len > d.max_frame then
               fail d
                 (Printf.sprintf "frame length %d exceeds max %d" len d.max_frame)
             else if buffered d < 4 + len then Ok false
             else begin
-              (* Consume first, then parse the body where it lies: the bytes
-                 stay put until the next [feed], so the sink reads them in
-                 place. A custom [max_frame] above the protocol bound still
-                 rejects oversized bodies, as [decode] does. *)
+              (* Consume first, then hand over the body where it lies: the
+                 bytes stay put until the next [feed], so [accept] reads them
+                 in place. A custom [max_frame] above the protocol bound
+                 still rejects oversized bodies, as [decode] does. *)
               let body_pos = d.lo + 4 in
               d.lo <- d.lo + 4 + len;
               if d.lo = d.hi then begin
                 d.lo <- 0;
                 d.hi <- 0
               end;
-              if len <= max_frame_bytes && parse sink d.buf body_pos (body_pos + len)
+              if len <= max_frame_bytes && accept d.buf body_pos (body_pos + len)
               then Ok true
               else fail d "undecodable frame body"
             end
           end
+
+    let next_with d sink = next_body d (parse sink)
 
     let next d =
       let sink, frame = list_sink () in

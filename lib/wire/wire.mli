@@ -103,10 +103,12 @@ val ( let* ) : 'a option -> ('a -> 'b option) -> 'b option
     towards the recipient this round is simply absent from the frame —
     absence decodes as [None] in that session's inbox slot.
 
-    Every frame is read by one parser, {!Frame.parse}: it validates the whole
-    body, then hands each entry to a {!Frame.sink} by offset. The list forms
-    ({!Frame.decode}, {!Frame.Decoder.next}) and the slot form
-    ({!Frame.edge_sink}) are sinks over it. *)
+    Every frame that is read is read by one parser, {!Frame.parse}: it
+    validates the whole body, then hands each entry to a {!Frame.sink} by
+    offset. The list forms ({!Frame.decode}, {!Frame.Decoder.next}) and the
+    slot form ({!Frame.edge_sink}) are sinks over it. The one frame not
+    read is one that arrives byte for byte as its edge wrote it
+    ({!Frame.edge_receive}): its entries are the sent values. *)
 
 module Frame : sig
   type t = {
@@ -156,7 +158,9 @@ module Frame : sig
       The round loop keeps a round slot-indexed, not as per-edge entry
       lists: slot [i] holds the [i]-th live session in admission order.
       These functions write an edge's frame straight from the slots and
-      parse one straight back into them. *)
+      take one that arrives straight back: a frame that arrives as it was
+      written is not parsed at all ({!edge_receive}), any other is parsed
+      into the slots' delivery index ({!edge_sink}). *)
 
   type slots = {
     mutable live : int;
@@ -168,19 +172,34 @@ module Frame : sig
             [src -> dst], [None] when silent. *)
     delivered : string option array array array;
         (** [delivered.(src).(dst).(i)]: what arrived for slot [i] on edge
-            [src -> dst]. {!edge_sink} fills it; the reader clears it. *)
+            [src -> dst] when that edge's frame was parsed. {!edge_sink}
+            fills it; {!take} reads and clears it. *)
+    faithful : bool array array;
+        (** [faithful.(src).(dst)]: the [src -> dst] frame arrived byte for
+            byte as written, so slot [i] received [sent.(i).(src).(dst)]
+            and [delivered.(src).(dst)] was left untouched. {!edge_receive}
+            sets it; whoever moves the round clears it first. *)
   }
 
-  val edge_size : slots -> round:int -> src:int -> dst:int -> int
-  (** Byte length of the [src -> dst] frame {!write_edge} writes. *)
+  type staged = {
+    mutable bytes : Bytes.t;  (** Grow-only scratch. *)
+    mutable first : int;
+    mutable stop : int;
+        (** The staged record is [bytes.[first .. stop-1]]: a u32
+            big-endian body length, then the frame body — one record of the
+            stream {!Decoder} reads. *)
+  }
+  (** One edge's outbound frame, reused round after round. *)
 
-  val write_edge :
-    slots -> round:int -> src:int -> dst:int -> Bytes.t -> int -> int
-  (** [write_edge s ~round ~src ~dst buf off] writes the [src -> dst] frame
-      at [buf.[off]] and returns the offset one past it. The bytes equal
-      [encode] of the edge's [(sid, payload)] entries in slot order. The
-      caller sizes [buf] with {!edge_size}. Raises [Invalid_argument] on a
-      negative round or sid, like the writers. *)
+  val staged : unit -> staged
+  (** An empty record ([first = stop = 0]) over a small scratch. *)
+
+  val write_edge : slots -> round:int -> src:int -> dst:int -> staged -> unit
+  (** [write_edge s ~round ~src ~dst st] stages the [src -> dst] frame in
+      [st] with one walk over the slots, growing [st.bytes] only when it is
+      full. The body equals [encode] of the edge's [(sid, payload)] entries
+      in slot order; keep-alive empties included. Raises [Invalid_argument]
+      on a negative round or sid, like the writers. *)
 
   val edge_sink :
     slots -> src:int -> dst:int -> on_round:(int -> unit) -> sink
@@ -188,13 +207,26 @@ module Frame : sig
       Each frame's [on_round] runs first. The entries must come in admission
       order: each entry's slot is found by walking on from the previous
       entry's slot. An entry whose sid is not the next live sid on that walk
-      (out of order, repeated, or not live) raises [Failure].
+      (out of order, repeated, or not live) raises [Failure]. Each entry is
+      delivered as a fresh copy of the bytes that arrived; [sent] is not
+      read. *)
 
-      An entry whose bytes equal [sent.(i).(src).(dst)], slot [i]'s payload
-      on this edge, is delivered as that same immutable [Some] value, with
-      no allocation. An entry whose bytes differ, or one for a slot with no
-      [sent] cell ([sent] may be [[||]]), is delivered as a fresh copy of
-      the bytes that arrived. [sent] is only read. *)
+  val edge_receive :
+    slots -> src:int -> dst:int -> sink -> staged -> Bytes.t -> int -> int -> bool
+  (** [edge_receive s ~src ~dst sink st buf pos limit] takes one frame body
+      [buf[pos .. limit-1]] that arrived on edge [src -> dst], where [st]
+      holds what this edge wrote. A body equal to [st]'s, compared eight
+      bytes at a time, is accepted unparsed: [sink.on_round] gets its round
+      (and may raise, as for a parsed frame), [faithful.(src).(dst)] is
+      set, and it returns [true]. Any other body is [parse sink buf pos
+      limit]; with {!edge_sink} as [sink] it is validated, then delivered
+      entry by entry. Raises [Invalid_argument] if the range is out of
+      [buf]'s bounds. *)
+
+  val take : slots -> src:int -> dst:int -> int -> string option
+  (** [take s ~src ~dst i]: what slot [i] received on edge [src -> dst] —
+      [sent.(i).(src).(dst)] when the edge is [faithful], else
+      [delivered.(src).(dst).(i)], which it clears to [None]. *)
 
   type frame := t
 
@@ -220,9 +252,18 @@ module Frame : sig
         copied out before returning; [src] may be reused immediately.
         Raises [Invalid_argument] if the range is out of bounds. *)
 
+    val next_body : t -> (Bytes.t -> int -> int -> bool) -> (bool, string) result
+    (** [next_body d accept]: [Ok true] — one complete frame consumed and
+        its body [buf[pos .. limit-1]] handed to [accept buf pos limit],
+        which returned [true]; [Ok false] — feed more; [Error msg] — an
+        oversized declared length, or [accept] returned [false] (the body
+        is undecodable); the error is sticky. An exception from [accept]
+        propagates, with the frame consumed. The body bytes are only valid
+        during the call. *)
+
     val next_with : t -> sink -> (bool, string) result
-    (** [Ok true] — one complete frame consumed and {!parse}d into the
-        sink; [Ok false] — the buffered bytes are a (possibly empty) prefix
+    (** [next_body d (parse sink)]: [Ok true] — one complete frame consumed
+        and {!parse}d into the sink; [Ok false] — the buffered bytes are a (possibly empty) prefix
         of a valid frame, feed more; [Error msg] — the stream is malformed
         (oversized declared length or undecodable body); the error is
         sticky. An exception from the sink propagates, with the frame

@@ -281,15 +281,16 @@ let test_frame_ledger_paths () =
         (bare.Engine.aggregate = poll_recorded.Engine.aggregate))
     [ 1; 64; 130 ]
 
-(* The poll transport writes frames from the round loop's slots and parses
-   them back into the slot index, delivering each entry as the value that
-   was sent, so its allocation over the loopback run is the select loop's
-   own bookkeeping: 7 140 minor words per session for honest K = 64, n = 7
-   Pi_Z (deterministic up to a few words of select-loop lists, which vary
-   with wakeups). A fresh copy and [Some] per delivered entry cost 40 941;
-   per-edge entry lists, their tuples and a sid -> slot hash map 125 734.
-   The bound is the midpoint of the first two, so any per-message
-   allocation coming back fails here. *)
+(* The poll transport writes frames from the round loop's slots, and a
+   frame that arrives as written is delivered from the sent values without
+   being parsed, so its allocation over the loopback run is the select
+   loop's own bookkeeping: 2 807 minor words per session for honest K = 64,
+   n = 7 Pi_Z (deterministic up to a few words of select-loop lists, which
+   vary with wakeups; 7 140 when every frame was parsed and delivered each
+   entry as the sent value). A fresh copy and [Some] per delivered entry
+   cost 40 941; per-edge entry lists, their tuples and a sid -> slot hash
+   map 125 734. The bound is the midpoint of 7 140 and 40 941, so any
+   per-message allocation coming back fails here. *)
 let poll_extra_words_per_session = 24_040.
 
 let test_poll_allocation_guard () =
