@@ -79,7 +79,9 @@ bench:
 # Paired repository-benchmark runs (BENCHMARK.json, perfbench/) of PARENT
 # against the working tree: PAIRS pairs of SECONDS-second `--trace 0` runs,
 # alternating which side runs first, a fresh seed per pair. Prints each
-# end-to-end metric's medians, quartiles and the change's win count.
+# end-to-end metric's medians, quartiles, the change's win count and a
+# verdict against the metric's BENCHMARK.json bound (worse, unresolved or
+# ok), and ends each table with the metrics that are worse or unresolved.
 # WORKLOAD=all runs the three workloads in turn, one table each. Not part
 # of `check`.
 PARENT ?= HEAD

@@ -412,8 +412,8 @@ let adaptive =
    throughput at least [engine_rate_gain]x the pre-overhaul row
    ([engine_baseline_rate] sessions/s, BENCH_engine.json @ bb0aed7), and at
    most [engine_gc_ceiling] minor words per session. The ceiling sits ~5%
-   above the 161 421 measured once the poll transport delivered each
-   faithful payload as the value that was sent (one fresh copy per entry:
+   above the 161 421 measured once a poll frame that arrives as written
+   left each recipient the value that was sent (one fresh copy per entry:
    195 369; free-monad binds re-wrapping every round at every layer:
    279 505; per-edge entry lists: 356 254; before the hot-path overhaul:
    1 552 000); allocation counts are deterministic, so the headroom covers

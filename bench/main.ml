@@ -936,7 +936,7 @@ let engine_bench () =
     (r, Unix.gettimeofday () -. t0, words)
   in
   let json_rows = ref [] in
-  let report backend k (outcome : Bigint.t Engine.outcome) wall words =
+  let report ?draws backend k (outcome : Bigint.t Engine.outcome) wall words =
     let agg = outcome.Engine.aggregate in
     let per_session =
       float_of_int agg.Engine.honest_bits_total /. float_of_int k /. 1000.
@@ -954,8 +954,11 @@ let engine_bench () =
       (float_of_int agg.Engine.frame_bytes /. 1000.)
       (gc /. 1000.)
       (float_of_int rss /. (1024. *. 1024.));
+    let drawn =
+      match draws with Some d -> [ ("draws", Bench_json.Int d) ] | None -> []
+    in
     json_rows :=
-      [
+      ([
         ("backend", Bench_json.Str backend);
         ("sessions", Bench_json.Int k);
         ("engine_rounds", Bench_json.Int agg.Engine.engine_rounds);
@@ -972,6 +975,7 @@ let engine_bench () =
         ("gc", Bench_json.Float gc);
         ("rss_bytes", Bench_json.Int rss);
       ]
+      @ drawn)
       :: !json_rows
   in
   List.iter
@@ -981,19 +985,21 @@ let engine_bench () =
       let outcome, wall, words =
         timed (fun () -> Engine.run_sim ~n ~t ~corrupt specs)
       in
-      (* A sim row is milliseconds of work: its wall time is the median of
-         [draws] runs, the first of which also gives the outcome and the
-         gc column. *)
-      let wall =
-        median
-          (wall
-          :: List.init (draws - 1) (fun _ ->
-                 let _, w, _ = timed (fun () -> Engine.run_sim ~n ~t ~corrupt specs) in
-                 w))
+      (* A sim row is milliseconds of work, so one run is noise: the row
+         repeats until its draws total [min_total] seconds, and at least
+         [draws] of them, and reports the median draw. The first draw also
+         gives the outcome and the gc column. *)
+      let min_total = if !smoke then 0.1 else 1.0 in
+      let rec more walls total count =
+        if count >= draws && total >= min_total then (walls, count)
+        else
+          let _, w, _ = timed (fun () -> Engine.run_sim ~n ~t ~corrupt specs) in
+          more (w :: walls) (total +. w) (count + 1)
       in
+      let walls, count = more [ wall ] wall 1 in
       assert (outcome.Engine.aggregate.Engine.sessions_completed = k);
       if k > 1 then assert (outcome.Engine.aggregate.Engine.frames_saved > 0);
-      report "sim" k outcome wall words)
+      report ~draws:count "sim" k outcome (median walls) words)
     (if !smoke then [ 1; 4 ] else [ 1; 4; 16; 64 ]);
   (* Scale-out rows: the poll backend drives K into the thousands in one
      process — nonblocking sockets, a single select loop, zero threads.

@@ -13,9 +13,19 @@ then runs `python3 perfbench/run.py --trace 0` alternately there and in the
 working tree: one pair per seed, a fresh seed for each pair, and the side
 that runs first switches from pair to pair, since the host's speed drifts.
 For each end-to-end metric BENCHMARK.json declares, it prints both sides'
-median and quartiles, the change's relative move of the median, and in how
-many pairs the change was better (ties count for neither side). Every
-run's result line is kept in a temporary directory, named in the report.
+median and quartiles, the change's relative move of the median, in how
+many pairs the change was better (ties count for neither side), and a
+verdict against the metric's `bound`:
+
+    worse       the change's median is worse than the parent's by more
+                than the bound;
+    unresolved  the parent's interquartile width exceeds the bound, and
+                not every change run beats every parent run;
+    ok          otherwise.
+
+Each table ends with one line naming every metric that is worse or
+unresolved. Every run's result line is kept in a temporary directory,
+named in the report.
 """
 
 import argparse
@@ -64,13 +74,35 @@ def quartiles(xs):
     return (q[0], q[2])
 
 
+def relative(x, base):
+    """[x] as a share of [base]; a nonzero [x] over a zero base is infinite."""
+    if base:
+        return x / abs(base)
+    return 0.0 if x == 0 else float("inf")
+
+
+def verdict(better, bound, parent, change):
+    """`worse`, `unresolved` or `ok` for one metric's runs (see the module doc)."""
+    sign = 1 if better == "higher" else -1
+    med_p, med_c = statistics.median(parent), statistics.median(change)
+    if relative(sign * (med_p - med_c), med_p) > bound:
+        return "worse"
+    q1, q3 = quartiles(parent)
+    beats_all = (min(change) > max(parent) if better == "higher"
+                 else max(change) < min(parent))
+    if relative(q3 - q1, med_p) > bound and not beats_all:
+        return "unresolved"
+    return "ok"
+
+
 def report(metrics, results):
-    header = "%-26s %12s %23s %12s %23s %8s %6s" % (
+    header = "%-26s %12s %23s %12s %23s %8s %6s  %s" % (
         "metric", "parent p50", "parent q1..q3", "change p50", "change q1..q3",
-        "move", "wins")
+        "move", "wins", "verdict")
     print(header)
     print("-" * len(header))
     pairs = len(results["parent"])
+    flagged = []
     for m in metrics:
         name, better = m["name"], m["better"]
         side = {
@@ -85,13 +117,17 @@ def report(metrics, results):
         med = {s: statistics.median(side[s]) for s in side}
         q = {s: quartiles(side[s]) for s in side}
         move = (med["change"] - med["parent"]) / med["parent"] if med["parent"] else 0.0
-        print("%-26s %12.4g %11.4g..%-10.4g %12.4g %11.4g..%-10.4g %+7.1f%% %3d/%d" % (
+        v = verdict(better, m["bound"], side["parent"], side["change"])
+        if v != "ok":
+            flagged.append("%s %s" % (name, v))
+        print("%-26s %12.4g %11.4g..%-10.4g %12.4g %11.4g..%-10.4g %+7.1f%% %3d/%d  %s" % (
             name, med["parent"], q["parent"][0], q["parent"][1],
-            med["change"], q["change"][0], q["change"][1], 100 * move, wins, pairs))
+            med["change"], q["change"][0], q["change"][1], 100 * move, wins, pairs, v))
     for s in ("parent", "change"):
         attempted = sum(r["attempted"] for r in results[s])
         failed = sum(r["failed"] for r in results[s])
         print("%s: %d operations attempted, %d failed" % (s, attempted, failed))
+    print("worse or unresolved: %s" % (", ".join(flagged) if flagged else "none"))
 
 
 def main():

@@ -133,27 +133,23 @@ let honest_running ~corrupt states =
   !running
 
 (* The round-driven scheduler, parameterized over the byte transport. Every
-   backend shares this loop; what varies is only how each round's traffic
-   reaches the recipients ({!Transport.exchange}). The loopback transport
-   moves nothing (the simulator reads each inbox from the sent matrices); the
-   poll transport writes each pair's frame from the slots into its own
-   buffers and pushes the bytes through a nonblocking socket mesh. A frame
-   that arrives byte for byte as written only flags its edge faithful, and
-   the delivery reads that edge from the sent matrices as the loopback
-   does; any other frame is parsed back into the slot-indexed delivery
-   index. Because the frames are a pure function of the sessions' traffic,
-   and delivery consumes only entry contents plus the local self slot,
-   every transport that moves the frames faithfully yields bit-identical
-   outputs, metrics, ledger and observability export.
+   backend shares this loop and its one schedule — send phase, sequential
+   ledger replay, exchange, delivery phase; what varies is only how each
+   round's traffic reaches the recipients ({!Transport.exchange}), which
+   delivers in place into the round's message matrices. The loopback
+   transport moves nothing, so each recipient reads what was sent; the poll
+   transport writes each pair's frame from the slots into its own buffers,
+   pushes the bytes through a nonblocking socket mesh, leaves an edge whose
+   frame arrives byte for byte as written as it is and parses any other
+   frame back into its cells. Because the frames are a pure function of the
+   sessions' traffic, and delivery consumes only entry contents plus the
+   local self slot, every transport that moves the frames faithfully yields
+   bit-identical outputs, metrics, ledger and observability export.
 
    Steady-state rounds allocate O(live sessions), not O(engine state): the
-   live set, the per-slot step captures, the round view handed to the
-   transport and (for wire transports) the delivery index are all
-   preallocated at session capacity and reused every round. With a [direct]
-   transport the engine additionally fuses each session's send and delivery
-   into a single parallel phase — one pool barrier per engine round — which
-   is bit-identical to the split schedule because sessions only ever read
-   their own round matrix (see the delivery derivation below). *)
+   live set, the per-slot step captures and the round view handed to the
+   transport are all preallocated at session capacity and reused every
+   round. *)
 let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?obs ?on_round
     ~transport ~n ~t ~corrupt specs =
   if Array.length corrupt <> n then invalid_arg "Engine: corrupt array size";
@@ -195,18 +191,23 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?obs ?on_round
   let k_live = ref 0 in
   let live li = match live_arr.(li) with Some l -> l | None -> assert false in
   (* Per-round structures, preallocated at session capacity and reused every
-     round: the per-slot step captures, the slot -> sid map and — for wire
-     transports — the per-edge delivery index [edge_slots.(s).(r)] and
-     faithful flags, which together are the round view the transport reads
-     and fills. Steady-state
-     rounds allocate only protocol-level transients (payload strings,
-     continuation spines), never per-engine-state structures and never the
-     per-session matrices: the prescribed matrix, the byzantine override
-     rows and the delivered inbox arrays are all slot-indexed scratch,
+     round: the per-slot step captures and the slot -> sid map, which
+     together are the round view the transport reads and delivers into.
+     Steady-state rounds allocate only protocol-level transients (payload
+     strings, continuation spines), never per-engine-state structures and
+     never the per-session matrices: the prescribed matrix, the byzantine
+     override rows and the inbox arrays are all slot-indexed scratch,
      allocated lazily on a slot's first use and overwritten in full every
      round. The scratch carries no cross-round state, so slot compaction
      after retirement can hand a slot's scratch to a different session
      untouched.
+
+     The exchange writes what each recipient received into these very
+     matrices (a session's [stepped] rows are its prescribed rows and
+     byzantine scratch rows). That is safe because once the send phase and
+     the ledger replay are done, only delivery reads them, and the next send
+     phase overwrites every cell — prescribed rows and byzantine scratch
+     rows alike — before anything reads them again.
 
      Borrowed-buffer contract (see DESIGN.md, "Hot path & allocation
      discipline"): the inbox array passed to a protocol continuation and the
@@ -237,24 +238,10 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?obs ?on_round
   let slot_payload = Array.make cap 0 in
   let edge_cnt = Array.make (n * n) 0 in
   let edge_bytes = Array.make (n * n) 0 in
-  let edge_slots : string option array array array =
-    if transport.Transport.direct then [||]
-    else Array.init n (fun _ -> Array.init n (fun _ -> Array.make cap None))
-  in
   (* The round view handed to the transport: built once, so a round costs
      the transport no allocation on the loop's side. [sids] follows the live
      set through admission and compaction; only [live] changes per round. *)
-  let view =
-    {
-      Transport.live = 0;
-      sids = Array.make cap 0;
-      sent = stepped;
-      delivered = edge_slots;
-      faithful =
-        (if transport.Transport.direct then [||]
-         else Array.make_matrix n n false);
-    }
-  in
+  let view = { Transport.live = 0; sids = Array.make cap 0; msgs = stepped } in
   let retire l =
     (match obs_life_h with Some h -> Obs.Hist.record h l.l_rounds | None -> ());
     (match obs_sessions_c with Some c -> Obs.incr c 1 | None -> ());
@@ -422,19 +409,11 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?obs ?on_round
     in
     (* 6. Deliver and advance a live session — the other half of the round
        body, parallel for the same reason the send phase is: a session
-       touches only its own states and recorder, and reads
-       shared structures no one writes concurrently. With a direct transport
-       the inbox comes straight from the session's own round matrix:
-       [actual.(s).(i)] for [s <> i] is [Some m] exactly when the [s -> i]
-       frame carries [(sid, m)], which is what the delivery index would
-       hold for this slot — so fusing step and deliver into one phase
-       (below) is observationally identical to the split schedule. With a
-       wire transport each inbox cell is {!Wire.Frame.take}: on an edge the
-       transport flagged faithful (its frame arrived as written) it is that
-       same [actual.(s).(i)], and on any other edge it is the delivery
-       index cell the transport parsed the frame into, which [take] clears
-       — this slot's column of every edge, whatever state each party is in
-       — so the index is all [None] again for the next round. *)
+       touches only its own states and recorder, and reads shared structures
+       no one writes concurrently. After the exchange, [actual.(s).(i)] for
+       [s <> i] is what party [i] received on edge [s -> i] — [Some m]
+       exactly when that edge's frame carried [(sid, m)] — and the diagonal
+       is still the party's own self slot. *)
     (* The inbox handed to a continuation is per-(slot, party) scratch,
        refilled here every round — borrowed by the protocol for the duration
        of the continuation (the contract documented above and in proto.mli). *)
@@ -443,7 +422,7 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?obs ?on_round
         inbox_scratch.(li) <- Array.init n (fun _ -> Array.make n None);
       inbox_scratch.(li).(i)
     in
-    let deliver_direct li =
+    let deliver li =
       let l = live li in
       let actual = stepped.(li) in
       let states = l.l_states in
@@ -461,29 +440,6 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?obs ?on_round
         | Proto.Push _ | Proto.Pop _ | Proto.Probe _ -> assert false
       done
     in
-    let deliver_wire li =
-      let l = live li in
-      let actual = stepped.(li) in
-      let states = l.l_states in
-      for i = 0 to n - 1 do
-        match states.(i) with
-        | Proto.Step (_, k) ->
-            let inbox = inbox_for li i in
-            for s = 0 to n - 1 do
-              inbox.(s) <-
-                (if s = i then actual.(i).(i)
-                 else Wire.Frame.take view ~src:s ~dst:i li)
-            done;
-            states.(i) <-
-              settle ~obs:l.l_obs ~corrupt ~sid:l.l_sid ~round:l.l_rounds i
-                (k inbox)
-        | Proto.Done _ ->
-            for s = 0 to n - 1 do
-              if s <> i then ignore (Wire.Frame.take view ~src:s ~dst:i li)
-            done
-        | Proto.Push _ | Proto.Pop _ | Proto.Probe _ -> assert false
-      done
-    in
     let run_phase body =
       match pool with
       | Some pool ->
@@ -496,12 +452,7 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?obs ?on_round
             body li
           done
     in
-    if transport.Transport.direct then
-      (* Fused round: one parallel phase, one barrier. *)
-      run_phase (fun li ->
-          step li;
-          deliver_direct li)
-    else run_phase step;
+    run_phase step;
     (* Sequential replay of the shared-state effects, in admission order.
        When the ledger is not summed, this tallies the per-edge counters
        (zeroed again by the frame pass below). *)
@@ -561,15 +512,11 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?obs ?on_round
     (match obs_frames_c with
     | Some c -> Obs.incr c (n * (n - 1))
     | None -> ());
-    (* Move the round's bytes. A wire transport writes every edge's frame
-       from [view], flags each edge whose frame arrives as written and
-       parses any other into [edge_slots]; the delivery phase then reads
-       (and clears) what each edge left. On a direct transport delivery
-       already happened in the fused phase, and the exchange only observes
-       the round. *)
+    (* Move the round's bytes: the exchange leaves in each cell of [view]
+       what its recipient received, and the delivery phase reads it. *)
     view.live <- k_now;
     transport.Transport.exchange ~round:round_now ~entries:view;
-    if not transport.Transport.direct then run_phase deliver_wire;
+    run_phase deliver;
     (* 7. Retire sessions whose honest parties have all terminated; stable
        in-place compaction keeps slot order = admission order. *)
     let w = ref 0 in

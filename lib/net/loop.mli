@@ -112,22 +112,20 @@ val run_core :
     so that {!Sim.run} can run the beyond-the-bound resilience experiment;
     its callers ({!Sim.run}, [Engine]) enforce at most [t].
 
-    Each engine round the loop computes every live session's sends into
-    slot-indexed matrices, accounts each ordered pair's coalesced frame
-    bytes arithmetically from them, hands the round's slot view
-    ({!Transport.slots}: live count, slot -> sid, sent matrices, delivery
-    index) to {!Transport.exchange}, and delivers from the delivery index
-    the transport filled. Frames carry their entries in admission order,
-    which is slot order, so both ends place an entry by its slot. A
-    [direct] transport (the loopback) additionally licenses the fused
-    schedule: send and delivery run as one parallel phase — a single pool
-    barrier per engine round — reading each inbox straight from the sent
-    matrices. Any transport that moves the frames faithfully yields
-    bit-identical outputs, per-session metrics, aggregate ledger and
-    deterministic observability export. Every per-round structure (live
-    set, step captures, slot view, delivery index) is preallocated at
-    session capacity and reused, so steady-state rounds allocate only
-    per-session transients.
+    Each engine round has one schedule on every transport. The loop
+    computes every live session's sends into slot-indexed matrices (one
+    parallel phase), accounts each ordered pair's coalesced frame bytes
+    arithmetically from them (a sequential replay), hands the round's slot
+    view ({!Transport.slots}: live count, slot -> sid, message matrices) to
+    {!Transport.exchange}, which leaves in each cell what its recipient
+    received, and delivers each inbox from those same cells (a second
+    parallel phase). Frames carry their entries in admission order, which
+    is slot order, so both ends place an entry by its slot. Any transport
+    that moves the frames faithfully yields bit-identical outputs,
+    per-session metrics, aggregate ledger and deterministic observability
+    export. Every per-round structure (live set, step captures, slot view)
+    is preallocated at session capacity and reused, so steady-state rounds
+    allocate only per-session transients.
 
     Every session keeps one stack of open spans per party ({!Obs.shard}):
     label scopes push and pop it, and each message is charged once, to the

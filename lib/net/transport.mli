@@ -11,70 +11,47 @@
     transport carries the bytes.
 
     A transport is an {e exchange}: a per-round barrier over the round
-    loop's own slot-indexed view of the round ({!slots}). A byte-moving
-    transport writes each pair's frame straight from the slots
-    ({!Wire.Frame.write_edge}); a frame that arrives as written only flags
-    its edge ({!Wire.Frame.edge_receive}), and any other is parsed straight
-    back into the delivery index ({!Wire.Frame.edge_sink}). An in-memory
-    transport never touches bytes at all. Frame-byte
-    accounting lives in the loop and is arithmetic over the same slots, so
-    the ledger is identical either way. Within the exchange a real transport
-    is free to be event-driven (nonblocking I/O, partial writes,
-    backpressure) — the loop only observes the completed round. *)
+    loop's own slot-indexed view of the round ({!slots}), which it delivers
+    in place. A byte-moving transport writes each pair's frame straight from
+    the slots ({!Wire.Frame.write_edge}) and takes what arrives straight
+    back into them ({!Wire.Frame.edge_receive}): a frame that arrives as
+    written leaves its edge's cells as they are, and any other is parsed
+    into them. An in-memory transport never touches bytes at all.
+    Frame-byte accounting lives in the loop and is arithmetic over the same
+    slots, so the ledger is identical either way. Within the exchange a
+    real transport is free to be event-driven (nonblocking I/O, partial
+    writes, backpressure) — the loop only observes the completed round. *)
 
 type slots = Wire.Frame.slots = {
   mutable live : int;
       (** Slots [0 .. live-1] are the round's live sessions, in admission
           order — the order every frame carries its entries in. *)
   sids : int array;  (** [sids.(i)]: slot [i]'s session id. *)
-  sent : string option array array array;
-      (** [sent.(i).(src).(dst)]: slot [i]'s message on edge [src -> dst]
-          this round, [None] when silent; the diagonal is unused. *)
-  delivered : string option array array array;
-      (** [delivered.(src).(dst).(i)]: the delivery index a wire transport
-          fills for each edge whose frame it had to parse, [None] wherever
-          nothing arrived. It is borrowed: the loop hands it over with every
-          off-diagonal slot [None], reads and clears it before the next
-          exchange. Empty ([[||]]) for a direct transport, which never fills
-          it. *)
-  faithful : bool array array;
-      (** [faithful.(src).(dst)]: the [src -> dst] frame arrived byte for
-          byte as it was written, so the loop delivers that edge straight
-          from [sent] and the transport left its delivery index untouched.
-          A wire transport clears every flag before it moves a round and
-          sets them inside [exchange]. Empty for a direct transport. *)
+  msgs : string option array array array;
+      (** [msgs.(i).(src).(dst)]: slot [i]'s traffic on edge [src -> dst],
+          [None] when silent; the diagonal is unused. When the loop hands
+          the round over it is what [src] sent; when [exchange] returns it
+          is what [dst] received. *)
 }
 (** One engine round, as the loop keeps it. The loop owns every array and
-    reuses them round after round; a transport reads [sids] and [sent] and
-    writes [delivered] and [faithful] only inside [exchange]. *)
+    reuses them round after round; a transport reads [sids] and writes the
+    off-diagonal cells of [msgs] only inside [exchange]. *)
 
 type t = {
   name : string;  (** Backend name, e.g. ["loopback"] or ["poll"]. *)
-  direct : bool;
-      (** True when delivery needs no wire and cannot reorder, drop or
-          rewrite anything: the loop reads each session's inbox straight
-          from [sent], and [exchange] only observes the round. The engine
-          exploits this: with a direct transport it fuses each session's
-          send and delivery into one parallel phase (one barrier per engine
-          round) instead of holding every session at the exchange. The
-          observable outcome is bit-identical either way; [direct] only
-          licenses the cheaper schedule. *)
   exchange : round:int -> entries:slots -> unit;
-      (** Move one engine round's traffic: every off-diagonal pair's frame,
-          keep-alive empties included. A frame that arrives as written sets
-          its edge's [entries.faithful] flag; every entry of any other frame
-          goes into [entries.delivered]. A lossless transport flags every
-          edge and leaves [delivered] all [None]; either way, what each
-          slot receives ({!Wire.Frame.take}) equals [sent] transposed, slot
-          for slot. Raises [Failure] on
-          transport-level violations: an undecodable frame, a wrong round, a
-          duplicate frame, or an entry out of admission order or for a
-          session that is not live. *)
+      (** Move one engine round's traffic — every off-diagonal pair's frame,
+          keep-alive empties included — and leave in each off-diagonal cell
+          of [entries.msgs] what that recipient received. A lossless
+          transport leaves every cell as the loop handed it over. Raises
+          [Failure] on transport-level violations: an undecodable frame, a
+          wrong round, a duplicate frame, or an entry out of admission order
+          or for a session that is not live. *)
   close : unit -> unit;
       (** Release transport resources; idempotent. *)
 }
 
 val loopback : unit -> t
-(** The in-memory transport: [exchange] does nothing, no bytes move,
-    [direct = true]. {!Sim.run} and [Engine.run_sim] are the round loop over
-    this transport. *)
+(** The in-memory transport: [exchange] does nothing, no bytes move, and
+    each recipient receives what was sent. {!Sim.run} and [Engine.run_sim]
+    are the round loop over this transport. *)

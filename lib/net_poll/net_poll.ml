@@ -16,11 +16,11 @@
    scratch and are fed to the decoder by offset (feed_sub). The connection
    that writes a direction also decodes it, so each body that completes is
    compared with [c_out]'s (Wire.Frame.edge_receive): a body that arrived as
-   written is not parsed, only its edge is flagged and the loop delivers
-   the sent values; any other is validated and parsed into the loop's
-   delivery index (Wire.Frame.edge_sink), each entry a fresh copy. A
-   faithful round therefore copies no payload; what remains per round is
-   the select loop's own bookkeeping (fd lists, wall-clock stamps). *)
+   written is not parsed and leaves the edge's cells of the loop's slots as
+   they are; any other is validated and parsed into those cells, each entry
+   a fresh copy. A faithful round therefore copies no payload; what remains
+   per round is the select loop's own bookkeeping (fd lists, wall-clock
+   stamps). *)
 
 type stats = {
   p_rounds : int;
@@ -116,7 +116,7 @@ type t = {
       (* the connection that reads from an endpoint ([c_rfd]) *)
   scratch : Bytes.t;
   mutable expect : int;  (* the round the current exchange moves *)
-  mutable bound : Wire.Frame.slots;  (* the slots every [c_recv] fills *)
+  mutable bound : Wire.Frame.slots;  (* the slots every [c_recv] delivers into *)
   mutable closed : bool;
   mutable s_rounds : int;
   mutable s_frames : int;
@@ -137,8 +137,7 @@ let stall_timeout = 30.0
 
 (* Placeholder before a transport exchange binds the loop's slots: no entry
    can land in it. *)
-let no_slots =
-  { Wire.Frame.live = 0; sids = [||]; sent = [||]; delivered = [||]; faithful = [||] }
+let no_slots = { Wire.Frame.live = 0; sids = [||]; msgs = [||] }
 
 let no_recv _ _ _ = false
 
@@ -373,11 +372,11 @@ let drive t =
   t.s_rounds <- t.s_rounds + 1
 
 (* One round: stage each pair's frame straight from the loop's slots in the
-   connection's outbound record, clearing the edge's faithful flag, then
-   take each inbound body against it: a body that arrived as written flags
-   the edge, any other is parsed into the slots' delivery index. The
-   receivers are bound to a slots record once, on its first exchange; the
-   loop reuses one record for a whole run. *)
+   connection's outbound record, then take each inbound body against it
+   back into the slots: a body that arrived as written leaves the edge's
+   cells as they are, any other is parsed into them. The receivers are
+   bound to a slots record once, on its first exchange; the loop reuses one
+   record for a whole run. *)
 let exchange t ~round (s : Wire.Frame.slots) =
   if t.closed then invalid_arg "Net_poll.exchange: closed";
   let mw0 = Gc.minor_words () in
@@ -385,17 +384,15 @@ let exchange t ~round (s : Wire.Frame.slots) =
     t.bound <- s;
     Array.iter
       (fun c ->
-        let src = c.c_src and dst = c.c_dst in
-        let sink = Wire.Frame.edge_sink s ~src ~dst ~on_round:(got_frame t c) in
-        c.c_recv <- Wire.Frame.edge_receive s ~src ~dst sink c.c_out)
+        c.c_recv <-
+          Wire.Frame.edge_receive s ~src:c.c_src ~dst:c.c_dst ~on_round:(got_frame t c)
+            c.c_out)
       t.conns
   end;
   t.expect <- round;
   Array.iter
     (fun c ->
-      let src = c.c_src and dst = c.c_dst in
-      s.faithful.(src).(dst) <- false;
-      Wire.Frame.write_edge s ~round ~src ~dst c.c_out;
+      Wire.Frame.write_edge s ~round ~src:c.c_src ~dst:c.c_dst c.c_out;
       send_frame t c)
     t.conns;
   drive t;
@@ -404,7 +401,6 @@ let exchange t ~round (s : Wire.Frame.slots) =
 let transport t =
   {
     Net.Transport.name = "poll";
-    direct = false;
     exchange = (fun ~round ~entries -> exchange t ~round entries);
     close = (fun () -> close t);
   }

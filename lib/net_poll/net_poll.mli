@@ -28,10 +28,10 @@
     ({!Wire.Frame.Decoder.feed_sub}). The connection that writes a
     direction also decodes it, so each arriving body is compared with what
     was written ({!Wire.Frame.edge_receive}): a frame that arrived as
-    written is not parsed, its edge is only flagged faithful and the loop
-    delivers the sent values; any other frame is validated and parsed into
-    the loop's delivery index ({!Wire.Frame.edge_sink}), each entry a fresh
-    copy. {!stats} reports the discipline as [p_minor_words_per_round]. *)
+    written is not parsed and leaves the edge's cells of the loop's slots
+    as they are; any other frame is validated and parsed into those cells,
+    each entry a fresh copy. {!stats} reports the discipline as
+    [p_minor_words_per_round]. *)
 
 type stats = {
   p_rounds : int;  (** Exchanges completed. *)
@@ -92,16 +92,15 @@ val set_sink : t -> sink option -> unit
     {!stats} reports anyway. *)
 
 val transport : t -> Net.Transport.t
-(** The {!Net.Transport} view driven by [Engine.run_poll] ([direct = false]),
-    and the mesh's one way to move a round. Its exchange clears every
-    [faithful] flag and sends every off-diagonal pair's frame, keep-alive
-    empties included, each written from the round's slots into the
-    connection's outbound record in one pass ({!Wire.Frame.write_edge}).
-    Each frame that arrives byte for byte as written sets its edge's
-    [faithful] flag, so the engine delivers that edge's sent values; any
-    other frame is validated, then parsed into [delivered]
-    ({!Wire.Frame.edge_sink}) as fresh copies of the bytes that arrived.
-    Either way what the engine delivers is only what came off the wire.
+(** The {!Net.Transport} view driven by [Engine.run_poll], and the mesh's
+    one way to move a round. Its exchange sends every off-diagonal pair's
+    frame, keep-alive empties included, each written from the round's slots
+    into the connection's outbound record in one pass
+    ({!Wire.Frame.write_edge}), and takes each arriving frame back into the
+    slots ({!Wire.Frame.edge_receive}). A frame that arrives byte for byte
+    as written leaves its edge's cells as they are; any other is validated,
+    then parsed into them as fresh copies of the bytes that arrived. Either
+    way what the engine delivers is only what came off the wire.
 
     The exchange raises [Failure] on transport violations: a frame for
     another round (a stale frame left queued by an exchange that raised

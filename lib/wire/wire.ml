@@ -368,14 +368,12 @@ module Frame = struct
         Some (frame ())
       else None
 
-  (* The slot codec: frames written from and parsed into the round loop's
-     slot-indexed round. *)
+  (* The slot codec: frames written from and taken back into the round
+     loop's slot-indexed round. *)
   type slots = {
     mutable live : int;
     sids : int array;
-    sent : string option array array array;
-    delivered : string option array array array;
-    faithful : bool array array;
+    msgs : string option array array array;
   }
 
   (* Top-level recursion: an inner [rec go] capturing [buf] would allocate a
@@ -417,7 +415,7 @@ module Frame = struct
     reserve st 0 header;
     let pos = ref header and count = ref 0 in
     for i = 0 to s.live - 1 do
-      match s.sent.(i).(src).(dst) with
+      match s.msgs.(i).(src).(dst) with
       | None -> ()
       | Some m ->
           let len = String.length m in
@@ -443,32 +441,6 @@ module Frame = struct
     else if sids.(i) = sid then i
     else slot_from sids live sid (i + 1)
 
-  (* Entries arrive in admission order, so each one's slot is found by
-     walking on from the previous entry's: O(live) per frame in total, and a
-     sid that is out of order or not live runs off the end. Every entry is
-     delivered as a fresh copy of the bytes that arrived: a frame that
-     arrives as written never gets here ([edge_receive]). *)
-  let edge_sink s ~src ~dst ~on_round =
-    let next = ref 0 in
-    {
-      on_round =
-        (fun r ->
-          next := 0;
-          on_round r);
-      on_entry =
-        (fun sid buf off len ->
-          match slot_from s.sids s.live sid !next with
-          | -1 ->
-              failwith
-                (Printf.sprintf
-                   "Wire.Frame: session %d on edge %d->%d is not the next \
-                    live session"
-                   sid src dst)
-          | i ->
-              s.delivered.(src).(dst).(i) <- Some (Bytes.sub_string buf off len);
-              next := i + 1);
-    }
-
   (* [a[apos .. apos+len-1]] = [b[bpos .. bpos+len-1]], eight bytes at a
      time, then the tail byte by byte. *)
   let equal_sub a apos b bpos len =
@@ -492,26 +464,49 @@ module Frame = struct
     if b land 0x80 = 0 || pos + 1 >= limit then acc
     else round_at buf limit acc (shift + 7) (pos + 1)
 
-  let edge_receive s ~src ~dst sink st buf pos limit =
-    if pos < 0 || limit < pos || limit > Bytes.length buf then
-      invalid_arg "Wire.Frame.edge_receive";
-    let len = limit - pos in
-    if len = st.stop - st.first - 4 && equal_sub buf pos st.bytes (st.first + 4) len
-    then begin
-      sink.on_round (round_at buf limit 0 0 pos);
-      s.faithful.(src).(dst) <- true;
-      true
-    end
-    else parse sink buf pos limit
-
-  let take s ~src ~dst i =
-    if s.faithful.(src).(dst) then s.sent.(i).(src).(dst)
-    else begin
-      let col = s.delivered.(src).(dst) in
-      let m = col.(i) in
-      col.(i) <- None;
-      m
-    end
+  (* A body equal to the staged one leaves the edge's cells as they are.
+     Any other is parsed by the entry-wise sink: [parse] reaches it only
+     once the whole body has validated, and it then clears the edge's live
+     cells and writes each entry, a fresh copy of the bytes that arrived,
+     into its slot's cell. Entries arrive in admission order, so each one's
+     slot is found by walking on from the previous entry's: O(live) per
+     frame in total, and a sid that is out of order or not live runs off
+     the end. *)
+  let edge_receive s ~src ~dst ~on_round st =
+    let next = ref 0 in
+    let sink =
+      {
+        on_round =
+          (fun r ->
+            on_round r;
+            next := 0;
+            for i = 0 to s.live - 1 do
+              s.msgs.(i).(src).(dst) <- None
+            done);
+        on_entry =
+          (fun sid buf off len ->
+            match slot_from s.sids s.live sid !next with
+            | -1 ->
+                failwith
+                  (Printf.sprintf
+                     "Wire.Frame: session %d on edge %d->%d is not the next \
+                      live session"
+                     sid src dst)
+            | i ->
+                s.msgs.(i).(src).(dst) <- Some (Bytes.sub_string buf off len);
+                next := i + 1);
+      }
+    in
+    fun buf pos limit ->
+      if pos < 0 || limit < pos || limit > Bytes.length buf then
+        invalid_arg "Wire.Frame.edge_receive";
+      let len = limit - pos in
+      if len = st.stop - st.first - 4 && equal_sub buf pos st.bytes (st.first + 4) len
+      then begin
+        on_round (round_at buf limit 0 0 pos);
+        true
+      end
+      else parse sink buf pos limit
 
   (* Incremental decoding of the length-prefixed frame stream the socket
      transports speak: u32 big-endian body length, then the encoded frame.

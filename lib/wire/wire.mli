@@ -106,9 +106,9 @@ val ( let* ) : 'a option -> ('a -> 'b option) -> 'b option
     Every frame that is read is read by one parser, {!Frame.parse}: it
     validates the whole body, then hands each entry to a {!Frame.sink} by
     offset. The list forms ({!Frame.decode}, {!Frame.Decoder.next}) and the
-    slot form ({!Frame.edge_sink}) are sinks over it. The one frame not
-    read is one that arrives byte for byte as its edge wrote it
-    ({!Frame.edge_receive}): its entries are the sent values. *)
+    slot form ({!Frame.edge_receive}) are sinks over it. The one frame not
+    read is one that arrives byte for byte as its edge wrote it: its
+    entries are the values that were sent. *)
 
 module Frame : sig
   type t = {
@@ -158,27 +158,19 @@ module Frame : sig
       The round loop keeps a round slot-indexed, not as per-edge entry
       lists: slot [i] holds the [i]-th live session in admission order.
       These functions write an edge's frame straight from the slots and
-      take one that arrives straight back: a frame that arrives as it was
-      written is not parsed at all ({!edge_receive}), any other is parsed
-      into the slots' delivery index ({!edge_sink}). *)
+      take one that arrives straight back into them: a frame that arrives
+      as it was written is not parsed at all, any other is parsed into the
+      edge's cells ({!edge_receive}). *)
 
   type slots = {
     mutable live : int;
         (** Slots [0 .. live-1] hold this round's live sessions, in
             admission order. *)
     sids : int array;  (** [sids.(i)]: slot [i]'s session id. *)
-    sent : string option array array array;
-        (** [sent.(i).(src).(dst)]: slot [i]'s message on edge
-            [src -> dst], [None] when silent. *)
-    delivered : string option array array array;
-        (** [delivered.(src).(dst).(i)]: what arrived for slot [i] on edge
-            [src -> dst] when that edge's frame was parsed. {!edge_sink}
-            fills it; {!take} reads and clears it. *)
-    faithful : bool array array;
-        (** [faithful.(src).(dst)]: the [src -> dst] frame arrived byte for
-            byte as written, so slot [i] received [sent.(i).(src).(dst)]
-            and [delivered.(src).(dst)] was left untouched. {!edge_receive}
-            sets it; whoever moves the round clears it first. *)
+    msgs : string option array array array;
+        (** [msgs.(i).(src).(dst)]: slot [i]'s message on edge
+            [src -> dst], [None] when silent. {!write_edge} reads it as what
+            [src] sent; {!edge_receive} leaves in it what [dst] received. *)
   }
 
   type staged = {
@@ -201,32 +193,32 @@ module Frame : sig
       in slot order; keep-alive empties included. Raises [Invalid_argument]
       on a negative round or sid, like the writers. *)
 
-  val edge_sink :
-    slots -> src:int -> dst:int -> on_round:(int -> unit) -> sink
-  (** A sink that parses [src -> dst] frames into [delivered.(src).(dst)].
-      Each frame's [on_round] runs first. The entries must come in admission
-      order: each entry's slot is found by walking on from the previous
-      entry's slot. An entry whose sid is not the next live sid on that walk
-      (out of order, repeated, or not live) raises [Failure]. Each entry is
-      delivered as a fresh copy of the bytes that arrived; [sent] is not
-      read. *)
-
   val edge_receive :
-    slots -> src:int -> dst:int -> sink -> staged -> Bytes.t -> int -> int -> bool
-  (** [edge_receive s ~src ~dst sink st buf pos limit] takes one frame body
-      [buf[pos .. limit-1]] that arrived on edge [src -> dst], where [st]
-      holds what this edge wrote. A body equal to [st]'s, compared eight
-      bytes at a time, is accepted unparsed: [sink.on_round] gets its round
-      (and may raise, as for a parsed frame), [faithful.(src).(dst)] is
-      set, and it returns [true]. Any other body is [parse sink buf pos
-      limit]; with {!edge_sink} as [sink] it is validated, then delivered
-      entry by entry. Raises [Invalid_argument] if the range is out of
-      [buf]'s bounds. *)
-
-  val take : slots -> src:int -> dst:int -> int -> string option
-  (** [take s ~src ~dst i]: what slot [i] received on edge [src -> dst] —
-      [sent.(i).(src).(dst)] when the edge is [faithful], else
-      [delivered.(src).(dst).(i)], which it clears to [None]. *)
+    slots ->
+    src:int ->
+    dst:int ->
+    on_round:(int -> unit) ->
+    staged ->
+    Bytes.t ->
+    int ->
+    int ->
+    bool
+  (** [edge_receive s ~src ~dst ~on_round st] is the acceptor of frame
+      bodies [buf[pos .. limit-1]] that arrive on edge [src -> dst], where
+      [st] holds what this edge wrote; apply it to [s] once and reuse the
+      acceptor. A body equal to [st]'s, compared eight bytes at a time, is
+      accepted unparsed: [on_round] gets its round (and may raise), the
+      edge's cells stay as they are, and it returns [true]. Any other body
+      is {!parse}d. A malformed one returns [false] and changes nothing.
+      A valid one runs [on_round] first; then the edge's live cells
+      [msgs.(i).(src).(dst)] are cleared to [None] and each entry is
+      written into its slot's cell as a fresh copy of the bytes that
+      arrived. The entries must come in admission order: each entry's slot
+      is found by walking on from the previous entry's slot, and an entry
+      whose sid is not the next live sid on that walk (out of order,
+      repeated, or not live) raises [Failure], the edge's cells part
+      written. Raises [Invalid_argument] if the range is out of [buf]'s
+      bounds. *)
 
   type frame := t
 
