@@ -936,15 +936,16 @@ let engine_bench () =
     (r, Unix.gettimeofday () -. t0, words)
   in
   let json_rows = ref [] in
-  let report ?draws backend k (outcome : Bigint.t Engine.outcome) wall words =
+  (* Peak RSS so far (VmHWM): rows run in ascending K per backend, so the
+     column reads as "the footprint K sessions needed". *)
+  let peak_rss () = Option.value (Net_poll.rss_peak_bytes ()) ~default:0 in
+  let report ?draws ~rss backend k (outcome : Bigint.t Engine.outcome) wall
+      words =
     let agg = outcome.Engine.aggregate in
     let per_session =
       float_of_int agg.Engine.honest_bits_total /. float_of_int k /. 1000.
     in
     let gc = words /. float_of_int k in
-    (* Peak RSS so far (VmHWM): rows run in ascending K per backend, so the
-       column reads as "the footprint K sessions needed". *)
-    let rss = Option.value (Net_poll.rss_peak_bytes ()) ~default:0 in
     Printf.printf
       "%-12s | %8d | %8.3f | %10.1f | %12.1f | %10d | %10d | %8.1f | %9.1f | %7.1f\n"
       (Printf.sprintf "%s (%d)" backend k)
@@ -988,7 +989,9 @@ let engine_bench () =
       (* A sim row is milliseconds of work, so one run is noise: the row
          repeats until its draws total [min_total] seconds, and at least
          [draws] of them, and reports the median draw. The first draw also
-         gives the outcome and the gc column. *)
+         gives the outcome, the gc column and the RSS, read before the
+         repeats grow the heap. *)
+      let rss = peak_rss () in
       let min_total = if !smoke then 0.1 else 1.0 in
       let rec more walls total count =
         if count >= draws && total >= min_total then (walls, count)
@@ -999,7 +1002,7 @@ let engine_bench () =
       let walls, count = more [ wall ] wall 1 in
       assert (outcome.Engine.aggregate.Engine.sessions_completed = k);
       if k > 1 then assert (outcome.Engine.aggregate.Engine.frames_saved > 0);
-      report ~draws:count "sim" k outcome (median walls) words)
+      report ~draws:count ~rss "sim" k outcome (median walls) words)
     (if !smoke then [ 1; 4 ] else [ 1; 4; 16; 64 ]);
   (* Scale-out rows: the poll backend drives K into the thousands in one
      process — nonblocking sockets, a single select loop, zero threads.
@@ -1026,7 +1029,7 @@ let engine_bench () =
         assert (a.Engine.frame_bytes = b.Engine.frame_bytes);
         assert (a.Engine.payload_bytes = b.Engine.payload_bytes)
       end;
-      report "poll" k outcome wall words)
+      report ~rss:(peak_rss ()) "poll" k outcome wall words)
     poll_ks;
   write_json ~path:"BENCH_engine.json"
     ~meta:

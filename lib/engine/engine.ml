@@ -133,8 +133,8 @@ let poll_sink o =
     sink_write_stall = (fun s -> Obs.Hist.record stall_h (ns s));
   }
 
-let run_poll ?max_rounds ?domains ?obs ?sampler ?outbuf ~n ~t ~corrupt specs =
-  let net = Net_poll.create ?outbuf ~n () in
+let run_poll ?max_rounds ?domains ?obs ?sampler ~n ~t ~corrupt specs =
+  let net = Net_poll.create ~n () in
   Net_poll.set_sink net (Option.map poll_sink obs);
   let on_round =
     sampler_hook ?sampler ~poll_stats:(fun () -> Net_poll.stats net) ()

@@ -3,17 +3,17 @@
 
     It moves the engine's coalesced {!Wire.Frame} traffic with {e zero}
     threads, so one process scales to 10⁴+ concurrent sessions: one
-    [Unix.select] loop over a full mesh of nonblocking socket pairs, a
-    bounded outbound ring buffer per connection, and the incremental
-    {!Wire.Frame.Decoder} on the receive side, resumable across partial
-    reads.
+    [Unix.select] loop over a full mesh of nonblocking socket pairs, each
+    frame written to its socket straight from the connection's staged
+    record, and the incremental {!Wire.Frame.Decoder} on the receive side,
+    resumable across partial reads.
 
-    Backpressure is explicit: a connection whose outbound ring is full parks
-    its remaining frame bytes instead of blocking anything — the loop keeps
-    servicing every other connection and tops the ring up as the kernel
-    buffer drains (counted in {!stats}). This is the shape under which the
-    paper's communication-optimality is observable at scale: cost is words
-    on the wire, not threads or syscalls per session.
+    Backpressure is explicit: a frame the kernel's send buffer does not take
+    in one piece parks its remaining bytes instead of blocking anything —
+    the loop keeps servicing every other connection and writes the rest as
+    the kernel buffer drains (counted in {!stats}). This is the shape under
+    which the paper's communication-optimality is observable at scale: cost
+    is words on the wire, not threads or syscalls per session.
 
     The unit of work is an {e exchange} — one engine round's traffic moved
     between the round loop's slots (see {!Net.Transport}). Within an
@@ -44,10 +44,10 @@ type stats = {
   p_writes : int;  (** [write(2)] calls that moved data. *)
   p_polls : int;  (** [select(2)] iterations. *)
   p_parked : int;
-      (** Backpressure events: a connection's frame did not fit into its
-          outbound ring in one piece and parked for a later top-up. *)
+      (** Backpressure events: the kernel did not take a connection's frame
+          in one piece, and the rest parked until the fd is writable. *)
   p_max_backlog : int;
-      (** Peak bytes queued behind a single connection (ring + parked). *)
+      (** Peak bytes of one frame the kernel had not taken. *)
   p_minor_words_per_round : float;
       (** Mean minor-heap words allocated per exchange — the transport's
           own allocation footprint, the entries of frames that differ from
@@ -58,8 +58,8 @@ type stats = {
   p_select_wait_mean_s : float;
       (** Mean [select(2)] wait per poll, in seconds (wall clock). *)
   p_conn_peak_backlog : int array array;
-      (** [m.(src).(dst)]: peak bytes ever queued behind the [src -> dst]
-          connection (ring + parked frame remainder), the diagonal zero.
+      (** [m.(src).(dst)]: peak bytes of a [src -> dst] frame the kernel
+          had not taken (its parked remainder), the diagonal zero.
           [p_max_backlog] is the maximum over this matrix. Freshly allocated
           by each {!stats} call. *)
 }
@@ -77,12 +77,10 @@ type sink = {
 
 type t
 
-val create : ?outbuf:int -> ?max_frame:int -> n:int -> unit -> t
-(** Build the nonblocking socket mesh for [n] parties. [outbuf] (default
-    64 KiB, minimum 16 bytes) is the per-connection outbound ring capacity —
-    shrink it to force parking in tests; [max_frame] (default
-    {!Wire.Frame.max_frame_bytes}) bounds accepted frame bodies. Raises
-    [Invalid_argument] if [n < 1]. *)
+val create : n:int -> unit -> t
+(** Build the nonblocking socket mesh for [n] parties. Accepted frame bodies
+    are bounded by {!Wire.Frame.max_frame_bytes}. Raises [Invalid_argument]
+    if [n < 1]. *)
 
 val stats : t -> stats
 
@@ -96,11 +94,12 @@ val transport : t -> Net.Transport.t
     one way to move a round. Its exchange sends every off-diagonal pair's
     frame, keep-alive empties included, each written from the round's slots
     into the connection's outbound record in one pass
-    ({!Wire.Frame.write_edge}), and takes each arriving frame back into the
-    slots ({!Wire.Frame.edge_receive}). A frame that arrives byte for byte
-    as written leaves its edge's cells as they are; any other is validated,
-    then parsed into them as fresh copies of the bytes that arrived. Either
-    way what the engine delivers is only what came off the wire.
+    ({!Wire.Frame.write_edge}) and from there to the socket, and takes each
+    arriving frame back into the slots ({!Wire.Frame.edge_receive}). A frame
+    that arrives byte for byte as written leaves its edge's cells as they
+    are; any other is validated, then parsed into them as fresh copies of
+    the bytes that arrived. Either way what the engine delivers is only
+    what came off the wire.
 
     The exchange raises [Failure] on transport violations: a frame for
     another round (a stale frame left queued by an exchange that raised
