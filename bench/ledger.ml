@@ -476,13 +476,17 @@ let engine =
    [rs_encode_speedup]x. One SHA-256 digest of the sha256 row's message
    allocates at most [sha256_alloc_words] minor words: its context and the
    digest string. A word per 64-byte block would read >= 1024 at the 64 KiB
-   smoke size and >= 16384 at 1 MiB. *)
+   smoke size and >= 16384 at 1 MiB. The sha256 row times the active
+   compression kernel against the portable one; where the active one is
+   SHA-NI it is at least [sha256_kernel_speedup]x faster, and where the
+   host has only the portable kernel there is nothing to compare. *)
 let codec_ops = [ "of_bitstring"; "to_bitstring_fixed"; "append_unaligned" ]
 let codec_small_bits = 8192.
 let codec_large_bits = 32768.
 let codec_alloc_growth = 5.
 let rs_encode_speedup = 5.
 let sha256_alloc_words = 128.
+let sha256_kernel_speedup = 2.
 
 let substrate =
   [
@@ -522,6 +526,15 @@ let substrate =
         let words = num (find_row l "sha256" [ ("op", Str "sha256") ]) "minor_words_per_op" in
         if words > sha256_alloc_words then
           bad "sha256 allocates %g minor words/op > %g" words sha256_alloc_words);
+    gate "substrate.sha256_kernel_speedup" Timed (fun l ->
+        match in_meta (fun () -> non_empty_str l.meta "sha256_kernel") with
+        | "portable" -> Unenforced "host has only the portable SHA-256 kernel"
+        | "sha-ni" ->
+            let s = num (find_row l "sha256" [ ("op", Str "sha256") ]) "speedup_vs_ref" in
+            if s < sha256_kernel_speedup then
+              bad "sha256 sha-ni speedup %.2fx < %gx" s sha256_kernel_speedup;
+            Pass
+        | k -> bad "meta.sha256_kernel %S is unknown" k);
   ]
 
 (* ------------------------------------------------------------------ *)

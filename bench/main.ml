@@ -1087,7 +1087,9 @@ let substrate () =
      once inputs reach megabits (BENCH_t1) and sessions multiply (BENCH_engine). Each\n\
      row times the matrix-form / allocation-free kernel against the seed reference\n\
      path on identical inputs (outputs are bit-identical — see the differential\n\
-     tests); 'mwords/op' is Gc minor words allocated per operation.";
+     tests); the sha256 row times the active compression kernel against the\n\
+     portable one. 'mwords/op' is Gc minor words allocated per operation.";
+  Printf.printf "SHA-256 kernel: %s\n" Sha256.kernel;
   let measure f =
     (* Warm up (and populate codec memos), then time [draws] batches of
        whole runs: the rate is the median batch's, the words are per run
@@ -1185,8 +1187,10 @@ let substrate () =
     ~ref_ops:mv;
   let sha_bytes = if !smoke then 65536 else 1 lsl 20 in
   let blob = String.init sha_bytes (fun i -> Char.chr ((i * 31) land 0xff)) in
-  let sh = measure (fun () -> Sha256.digest blob) in
-  emit ~op:"sha256" ~n:0 ~k:0 ~bytes:sha_bytes ~unit:`MBs ~fast:sh ~ref_ops:sh;
+  (* The active compression kernel against the portable one. *)
+  let sh = measure (fun () -> Sha256.digest blob)
+  and sh_ref = measure (fun () -> Sha256.Portable.digest blob) in
+  emit ~op:"sha256" ~n:0 ~k:0 ~bytes:sha_bytes ~unit:`MBs ~fast:sh ~ref_ops:sh_ref;
   (* Bignum/bitstring codecs at the wide-value scale, at full size even under
      --smoke: allocation per op is deterministic, so the linear-in-l gate
      holds on any host: quadratic code allocates ~16x more at 4x the length. *)
@@ -1240,6 +1244,7 @@ let substrate () =
         ("experiment", Bench_json.Str "substrate");
         ("msg_bytes", Bench_json.Int msg_bytes);
         ("merkle_leaves", Bench_json.Int leaves_count);
+        ("sha256_kernel", Bench_json.Str Sha256.kernel);
       ]
     ~rows:(List.rev !json_rows)
 

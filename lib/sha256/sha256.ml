@@ -1,5 +1,5 @@
 (* SHA-256 per FIPS 180-4: buffering, padding and the streaming interface in
-   OCaml around one C compression kernel (sha256_stubs.c). *)
+   OCaml around a C compression kernel (sha256_stubs.c), chosen once below. *)
 
 let digest_size = 32
 
@@ -10,20 +10,36 @@ let iv =
    \x51\x0e\x52\x7f\x9b\x05\x68\x8c\x1f\x83\xd9\xab\x5b\xe0\xcd\x19"
 
 type ctx = {
-  state : Bytes.t; (* 32-byte chaining state; [compress] updates it in place *)
+  state : Bytes.t; (* 32-byte chaining state; [unsafe_compress] updates it in place *)
   block : Bytes.t; (* 64-byte buffer for a partial block and the padding *)
   mutable fill : int; (* bytes currently buffered in [block] *)
   mutable total : int; (* total message bytes fed so far *)
   mutable finished : bool;
 }
 
-(* Compress the 64-byte block at [src.(off)] into [state]. The kernel does
-   no bounds check: every call below passes a block inside [src]. Whole
-   blocks of the caller's buffer are compressed in place, so [src] is either
-   that buffer or [ctx.block]. *)
-external compress : Bytes.t -> Bytes.t -> (int[@untagged]) -> unit
+(* Reads CPUID and fixes the kernel [unsafe_compress] runs from then on. *)
+external select_kernel : unit -> string = "caml_sha256_select_kernel"
+
+let kernel = select_kernel ()
+
+(* Compress the 64-byte block at [src.(off)] into [state] with the selected
+   kernel. The kernel does no bounds check: every call below passes a block
+   inside [src]. Whole blocks of the caller's buffer are compressed in
+   place, so [src] is either that buffer or [ctx.block]. *)
+external unsafe_compress : Bytes.t -> Bytes.t -> (int[@untagged]) -> unit
   = "caml_sha256_compress_byte" "caml_sha256_compress"
 [@@noalloc]
+
+external unsafe_compress_portable : Bytes.t -> Bytes.t -> (int[@untagged]) -> unit
+  = "caml_sha256_compress_portable_byte" "caml_sha256_compress_portable"
+[@@noalloc]
+
+let checked name f state src ~pos =
+  if Bytes.length state <> 32 || pos < 0 || pos > Bytes.length src - 64 then
+    invalid_arg name;
+  f state src pos
+
+let compress = checked "Sha256.compress: out of range" unsafe_compress
 
 let reset ctx =
   Bytes.blit_string iv 0 ctx.state 0 32;
@@ -55,12 +71,12 @@ let feed_bytes ctx b ~pos ~len =
     pos := !pos + take;
     left := !left - take;
     if ctx.fill = 64 then begin
-      compress ctx.state ctx.block 0;
+      unsafe_compress ctx.state ctx.block 0;
       ctx.fill <- 0
     end
   end;
   while !left >= 64 do
-    compress ctx.state b !pos;
+    unsafe_compress ctx.state b !pos;
     pos := !pos + 64;
     left := !left - 64
   done;
@@ -78,7 +94,7 @@ let feed_byte ctx b =
   Bytes.unsafe_set ctx.block ctx.fill (Char.unsafe_chr (b land 0xff));
   ctx.fill <- ctx.fill + 1;
   if ctx.fill = 64 then begin
-    compress ctx.state ctx.block 0;
+    unsafe_compress ctx.state ctx.block 0;
     ctx.fill <- 0
   end
 
@@ -93,12 +109,12 @@ let finalize_into ctx out ~pos =
   ctx.fill <- ctx.fill + 1;
   if ctx.fill > 56 then begin
     Bytes.unsafe_fill block ctx.fill (64 - ctx.fill) '\000';
-    compress ctx.state block 0;
+    unsafe_compress ctx.state block 0;
     ctx.fill <- 0
   end;
   Bytes.unsafe_fill block ctx.fill (56 - ctx.fill) '\000';
   Bytes.set_int64_be block 56 (Int64.of_int (ctx.total * 8));
-  compress ctx.state block 0;
+  unsafe_compress ctx.state block 0;
   Bytes.blit ctx.state 0 out pos 32
 
 let finalize ctx =
@@ -117,3 +133,27 @@ let to_hex s =
   Buffer.contents buf
 
 let hex s = to_hex (digest s)
+
+module Portable = struct
+  let compress = checked "Sha256.Portable.compress: out of range" unsafe_compress_portable
+
+  (* Whole blocks straight from [s], then the tail and the padding in one
+     or two blocks, as [feed_bytes] and [finalize_into] split a message. *)
+  let digest s =
+    let len = String.length s and src = Bytes.unsafe_of_string s in
+    let state = Bytes.of_string iv in
+    let whole = len - (len mod 64) in
+    let pos = ref 0 in
+    while !pos < whole do
+      unsafe_compress_portable state src !pos;
+      pos := !pos + 64
+    done;
+    let tail = len - whole in
+    let last = Bytes.make (if tail < 56 then 64 else 128) '\000' in
+    Bytes.blit_string s whole last 0 tail;
+    Bytes.set last tail '\x80';
+    Bytes.set_int64_be last (Bytes.length last - 8) (Int64.of_int (len * 8));
+    unsafe_compress_portable state last 0;
+    if Bytes.length last = 128 then unsafe_compress_portable state last 64;
+    Bytes.unsafe_to_string state
+end

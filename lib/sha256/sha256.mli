@@ -2,19 +2,39 @@
     collision-resistant hash function [H_κ] with security parameter κ = 256.
 
     The toolchain ships no cryptography package. Buffering, padding and the
-    streaming interface below are OCaml; the compression function is one
-    portable C99 kernel ([sha256_stubs.c]) that reads blocks byte by byte as
-    big-endian words, with no intrinsics and no host-specific flags, so it
-    gives the same digests on every host. It is C because compression was
-    the largest self time left on the Π_ℓBA+ distribution path: a sampled
-    profile put the OCaml loop at 31 % of session time on perfbench's
-    fault_mix and 33 % on wide_value, and the C kernel compresses about
-    twice as many bytes per second (the [sha256] row of
-    BENCH_substrate.json). Digests are validated against the NIST test vectors
-    and, by a differential test, against [test/sha256_spec.ml], an
-    independent OCaml statement of FIPS 180-4. SHA-256 backs the Merkle-tree
-    accumulators (Section 7) that Π_ℓBA+ commits every party's codewords
-    with, the adaptive preamble's digests and the Lamport/XMSS signatures. *)
+    streaming interface below are OCaml; the compression function is C
+    ([sha256_stubs.c]), in two kernels with one contract:
+    - a portable C99 kernel that reads blocks byte by byte as big-endian
+      words, with no intrinsics and no host-specific flags, so it runs and
+      gives the same digests on every host;
+    - a kernel on the x86 SHA extensions ([sha256rnds2], [sha256msg1],
+      [sha256msg2]), compiled only for x86-64 under GCC or Clang.
+
+    Which one runs is decided once, when the library initialises: the SHA-NI
+    kernel if CPUID reports SHA (leaf 7, EBX bit 29) and SSE4.1 and SSSE3
+    (leaf 1), the portable kernel otherwise. There is no switch: no
+    environment variable, flag or argument chooses a kernel, and {!kernel}
+    only reports the choice. The aarch64 SHA-2 instructions have no kernel:
+    no host this is tested on can run them, and an untested path does not
+    ship.
+
+    Compression is C because it was the largest self time left on the
+    Π_ℓBA+ distribution path: a sampled profile put the OCaml loop at 31 %
+    of session time on perfbench's fault_mix and 33 % on wide_value, and
+    the portable kernel compresses about twice as many bytes per second.
+    The second kernel reverses the earlier choice of a single one because
+    compression was again the largest self time (16 % of fault_mix's
+    process CPU under the portable kernel) and SHA-NI compresses a block
+    about 3.5× faster, which moved fault_mix's sessions/s by about 13 %
+    (the [sha256] row of BENCH_substrate.json times one kernel against the
+    other, and EXPERIMENTS.md has the end-to-end pairs).
+
+    Digests are validated against the NIST test vectors and, by a
+    differential test, against [test/sha256_spec.ml], an independent OCaml
+    statement of FIPS 180-4; the active kernel is tested against the
+    portable one block by block. SHA-256 backs the Merkle-tree accumulators
+    (Section 7) that Π_ℓBA+ commits every party's codewords with, the
+    adaptive preamble's digests and the Lamport/XMSS signatures. *)
 
 val digest_size : int
 (** 32 bytes (κ / 8). *)
@@ -59,3 +79,25 @@ val feed_bytes : ctx -> Bytes.t -> pos:int -> len:int -> unit
 val finalize_into : ctx -> Bytes.t -> pos:int -> unit
 (** Write the 32-byte digest at [out.(pos)] without allocating. Same
     single-use contract as {!finalize}; {!reset} re-arms the context. *)
+
+(** {2 Compression kernels} *)
+
+val kernel : string
+(** The compression kernel every digest above runs: ["sha-ni"] or
+    ["portable"]. Fixed when the library initialises. *)
+
+val compress : Bytes.t -> Bytes.t -> pos:int -> unit
+(** [compress state src ~pos] compresses the 64-byte block at [src.(pos)]
+    into [state], the 32-byte big-endian chaining state H0..H7, with the
+    active kernel. Raises [Invalid_argument] if [state] is not 32 bytes or
+    the block is not inside [src]. *)
+
+(** The portable kernel, whichever kernel is active: the reference the
+    active kernel is tested and timed against. *)
+module Portable : sig
+  val compress : Bytes.t -> Bytes.t -> pos:int -> unit
+  (** As {!Sha256.compress}, with the portable kernel. *)
+
+  val digest : string -> string
+  (** As {!Sha256.digest}, with the portable kernel. *)
+end

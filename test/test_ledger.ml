@@ -10,7 +10,9 @@
    4. BENCH_parallel.json's speedup gate is unenforced, not passed, because
       the host it was recorded on recommended one domain;
    5. T1's crossover gate fails, not passes, on a ledger whose rows stop
-      short of the crossover.
+      short of the crossover;
+   6. the SHA-256 kernel speedup gate is unenforced, not passed, on a
+      ledger recorded where only the portable kernel runs.
    Plus the shape and provenance checks every ledger goes through, and
    EXPERIMENTS.md's ENGINE table against BENCH_engine.json. *)
 
@@ -161,6 +163,8 @@ let edits : (string * (Ledger.t -> Ledger.t)) list =
     (* One word per block at the 64 KiB smoke size. *)
     ( "substrate.sha256_alloc",
       edit [ ("op", Str "sha256") ] (set "minor_words_per_op" (Num 1024.)) );
+    ( "substrate.sha256_kernel_speedup",
+      edit [ ("op", Str "sha256") ] (set "speedup_vs_ref" (Num 1.5)) );
     ("obs.row_shape", edit every (set "trace_events" (Num 0.)));
     ("obs.overhead", edit every (set "overhead_pct" (Num 11.)));
     ("obs.jsonl_bytes", edit every (set "jsonl_bytes" (Num 900_000.)));
@@ -213,6 +217,29 @@ let test_parallel_speedup_unenforced () =
         "host recommends 1 domain(s); the bound needs 4" reason
   | Some v -> Alcotest.failf "parallel.speedup: %s" (Ledger.show v)
   | None -> Alcotest.fail "parallel.speedup not declared"
+
+(* The same ledger as if recorded on a host without SHA-NI: the sha256 row
+   times the portable kernel against itself, and the gate says it could not
+   be checked. *)
+let test_sha256_speedup_unenforced () =
+  let l = ledger_of "substrate" in
+  let portable =
+    edit
+      [ ("op", Str "sha256") ]
+      (set "speedup_vs_ref" (Num 1.))
+      { l with Ledger.meta = set "sha256_kernel" (Str "portable") l.Ledger.meta }
+  in
+  match
+    List.find_map
+      (fun ((g : Ledger.gate), v) ->
+        if g.Ledger.name = "substrate.sha256_kernel_speedup" then Some v else None)
+      (Ledger.check ~timed:true portable)
+  with
+  | Some (Ledger.Unenforced reason) ->
+      Alcotest.(check string) "reason" "host has only the portable SHA-256 kernel"
+        reason
+  | Some v -> Alcotest.failf "substrate.sha256_kernel_speedup: %s" (Ledger.show v)
+  | None -> Alcotest.fail "substrate.sha256_kernel_speedup not declared"
 
 (* With the l >= 2^16 rows dropped, no row shows Pi_Z below Turpin-Coan BA:
    the crossover gate fails rather than pass on nothing. *)
@@ -351,4 +378,6 @@ let suite =
     Alcotest.test_case "shape and provenance checks" `Quick test_shape_and_provenance;
     Alcotest.test_case "EXPERIMENTS ENGINE table = ledger" `Quick
       test_engine_table_equals_ledger;
+    Alcotest.test_case "sha256 kernel speedup unenforced without SHA-NI" `Quick
+      test_sha256_speedup_unenforced;
   ]

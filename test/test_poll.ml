@@ -69,8 +69,8 @@ let check_poll_equals_sim ~sessions ~spacing ~n ~t ~seed backends =
 
 (* K=8 under equivocate with staggered admission: the poll mesh and a
    parallel deliver phase must both reproduce the simulator byte for byte.
-   (Frames that park on every edge are "engine progresses under starved
-   rings"'s.) *)
+   (Frames that park on every edge are "engine progresses, big frames
+   park"'s.) *)
 let test_poll_equals_sim_k8 () =
   check_poll_equals_sim ~sessions:8 ~spacing:2 ~n:7 ~t:2 ~seed:4242
     [ ("poll", `Poll); ("poll domains=2", `Poll_domains 2) ]
@@ -472,7 +472,7 @@ let test_parse_vm_line () =
 
 let suite =
   [
-    Alcotest.test_case "poll = sim: K=8 equivocate, staggered, tiny rings"
+    Alcotest.test_case "poll = sim: K=8 equivocate, staggered admission"
       `Quick test_poll_equals_sim_k8;
     Alcotest.test_case "poll = sim: K=64 equivocate" `Quick
       test_poll_equals_sim_k64;
@@ -480,7 +480,7 @@ let suite =
       test_exchange_slow_edge;
     Alcotest.test_case "one K-session exchange allocates no payload" `Quick
       test_exchange_allocation;
-    Alcotest.test_case "engine progresses under starved rings" `Quick
+    Alcotest.test_case "engine progresses, big frames park" `Quick
       test_engine_progresses_under_backpressure;
     Alcotest.test_case "wrong-round frame rejected" `Quick
       test_wrong_round_rejected;

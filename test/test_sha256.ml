@@ -229,6 +229,72 @@ let prop_streaming_split =
       Sha256.feed ctx (String.sub s cut (String.length s - cut));
       String.equal (Sha256.finalize ctx) (Sha256.digest s))
 
+(* ---- the two compression kernels ---- *)
+
+(* Every digest above ran the active kernel. Here the active kernel meets
+   the portable one block by block, and the portable kernel meets the spec
+   and the NIST vectors on its own, whichever kernel is active. *)
+
+(* A random 32-byte state and a random block at every offset 0-63 of a
+   larger buffer: both kernels leave the same state, and neither touches
+   the buffer. *)
+let kernels_agree_name = "sha-ni kernel = portable kernel at offsets 0-63"
+
+let prop_kernels_agree =
+  QCheck.Test.make ~name:kernels_agree_name
+    ~count:200
+    QCheck.(pair (string_of_size (Gen.return 32)) (string_of_size (Gen.return 127)))
+    (fun (state, buf) ->
+      let src = Bytes.of_string buf in
+      List.for_all
+        (fun pos ->
+          let active = Bytes.of_string state and portable = Bytes.of_string state in
+          Sha256.compress active src ~pos;
+          Sha256.Portable.compress portable src ~pos;
+          Bytes.equal active portable && Bytes.to_string src = buf)
+        (List.init 64 Fun.id))
+
+(* On a host without SHA-NI there is nothing to compare: the case says so
+   and is skipped, never passed. *)
+let kernels_agree =
+  if Sha256.kernel = "sha-ni" then QCheck_alcotest.to_alcotest prop_kernels_agree
+  else
+    Alcotest.test_case kernels_agree_name `Quick (fun () ->
+        Printf.printf "kernel is %s: the SHA-NI comparison was not run\n"
+          Sha256.kernel;
+        Alcotest.skip ())
+
+let prop_portable_spec =
+  QCheck.Test.make ~name:"portable kernel = spec on 0-300 bytes" ~count:300
+    QCheck.(string_of_size (Gen.int_range 0 300))
+    (fun s -> String.equal (Sha256.Portable.digest s) (Sha256_spec.digest s))
+
+let test_portable_nist () =
+  List.iter
+    (fun (msg, expected, input) ->
+      Alcotest.check Alcotest.string msg expected
+        (Sha256.to_hex (Sha256.Portable.digest input)))
+    [
+      ("empty", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "");
+      ("abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad", "abc");
+      ( "two blocks",
+        "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+        "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq" );
+      ( "896-bit message",
+        "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
+        "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"
+      );
+      ( "one million 'a'",
+        "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+        String.make 1_000_000 'a' );
+    ];
+  Alcotest.check_raises "state not 32 bytes"
+    (Invalid_argument "Sha256.Portable.compress: out of range") (fun () ->
+      Sha256.Portable.compress (Bytes.create 31) (Bytes.create 64) ~pos:0);
+  Alcotest.check_raises "block past the end"
+    (Invalid_argument "Sha256.compress: out of range") (fun () ->
+      Sha256.compress (Bytes.create 32) (Bytes.create 64) ~pos:1)
+
 let suite =
   [
     Alcotest.test_case "NIST vectors" `Quick test_nist_vectors;
@@ -246,4 +312,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_spec_split;
     QCheck_alcotest.to_alcotest prop_spec_reset_reuse;
     Alcotest.test_case "reset/feed/finalize_into allocates nothing" `Quick test_zero_alloc;
+    kernels_agree;
+    QCheck_alcotest.to_alcotest prop_portable_spec;
+    Alcotest.test_case "NIST vectors, portable kernel" `Quick test_portable_nist;
   ]
