@@ -1187,7 +1187,6 @@ let substrate () =
     ~ref_ops:mv;
   let sha_bytes = if !smoke then 65536 else 1 lsl 20 in
   let blob = String.init sha_bytes (fun i -> Char.chr ((i * 31) land 0xff)) in
-  (* The active compression kernel against the portable one. *)
   let sh = measure (fun () -> Sha256.digest blob)
   and sh_ref = measure (fun () -> Sha256.Portable.digest blob) in
   emit ~op:"sha256" ~n:0 ~k:0 ~bytes:sha_bytes ~unit:`MBs ~fast:sh ~ref_ops:sh_ref;

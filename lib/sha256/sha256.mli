@@ -21,13 +21,16 @@
     Compression is C because it was the largest self time left on the
     Π_ℓBA+ distribution path: a sampled profile put the OCaml loop at 31 %
     of session time on perfbench's fault_mix and 33 % on wide_value, and
-    the portable kernel compresses about twice as many bytes per second.
+    the portable kernel compresses about twice as many bytes per second
+    as that loop did.
     The second kernel reverses the earlier choice of a single one because
     compression was again the largest self time (16 % of fault_mix's
-    process CPU under the portable kernel) and SHA-NI compresses a block
-    about 3.5× faster, which moved fault_mix's sessions/s by about 13 %
-    (the [sha256] row of BENCH_substrate.json times one kernel against the
-    other, and EXPERIMENTS.md has the end-to-end pairs).
+    process CPU under the portable kernel) while the number of compressions
+    is fixed by the protocol and the digest format. The SHA-NI kernel
+    compresses about five times as many bytes per second (the [sha256] row
+    of BENCH_substrate.json times one kernel against the other), and
+    perfbench's fault_mix runs about 16 % more sessions per second
+    (EXPERIMENTS.md has the paired runs).
 
     Digests are validated against the NIST test vectors and, by a
     differential test, against [test/sha256_spec.ml], an independent OCaml
