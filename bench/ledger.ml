@@ -285,7 +285,7 @@ let claims =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* auth: the Pi_BA substrate backends at equal n                       *)
+(* auth: Auth_ca at t < n/2 against Pi_Z at t < n/3, at equal n       *)
 (* ------------------------------------------------------------------ *)
 
 let auth =
@@ -310,6 +310,16 @@ let auth =
             if not (List.mem n auth) then
               bad "no backend=\"auth\" row at n=%g to pair the unauth one" n)
           unauth);
+    (* Dolev-Strong's t+1 rounds under Proto.parallel: the sequential
+       composition (n(t+1) rounds) or a BA per input fails here. *)
+    holds "auth.native_rounds" Exact (fun l ->
+        List.iter
+          (fun row ->
+            let t = num row "t" and rounds = num row "rounds" in
+            if rounds <> t +. 1. then
+              bad "backend=\"auth\" n=%g: %g rounds, not t+1 = %g" (num row "n")
+                rounds (t +. 1.))
+          (rows_where l [ ("backend", Str "auth") ]));
   ]
 
 (* ------------------------------------------------------------------ *)

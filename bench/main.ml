@@ -47,17 +47,6 @@ let median xs =
   Array.sort compare a;
   a.(Array.length a / 2)
 
-(* Definition 1 over fixed-width outputs: every honest party output the same
-   value, and it lies between the lowest and highest honest input. *)
-let fixed_width_ca ~corrupt ~inputs outputs =
-  let honest = List.filteri (fun i _ -> not corrupt.(i)) (Array.to_list inputs) in
-  let sorted = List.sort Bitstring.compare honest in
-  let lo = List.hd sorted and hi = List.nth sorted (List.length sorted - 1) in
-  (match outputs with o :: r -> List.for_all (Bitstring.equal o) r | [] -> false)
-  && List.for_all
-       (fun o -> Bitstring.compare lo o <= 0 && Bitstring.compare o hi <= 0)
-       outputs
-
 (* Standard workload: clustered ℓ-bit naturals (half the bits shared), t
    byzantine parties holding outlier inputs and equivocating on the wire. *)
 let standard_inputs ~seed ~n ~bits =
@@ -574,146 +563,69 @@ let t7 () =
   Printf.printf "\n(no row may say VIOLATION; rows with sharing >= 4 must be non-bot.)\n"
 
 (* ------------------------------------------------------------------ *)
-(* T8: the authenticated regime (t < n/2 with a PKI)                   *)
-(* ------------------------------------------------------------------ *)
-
-let t8 () =
-  header "T8  --  authenticated setting: CA at t < n/2  (open problem regime)"
-    "The paper's conclusion asks whether communication-optimal CA exists for t < n/2\n\
-     with cryptographic setup. The classical answer (Dolev-Strong BC per input + trim,\n\
-     lib/auth) tolerates up to n/2 corruptions but pays for it in signatures; Pi_Z\n\
-     needs no setup but requires t < n/3. This table quantifies that trade.";
-  Printf.printf "%-10s | %-22s | %14s | %8s | %8s\n" "n (t)" "protocol" "honest kbits"
-    "rounds" "CA holds";
-  print_endline line;
-  List.iter
-    (fun (n, t_auth) ->
-      let bits = 64 in
-      let rng = Prng.create (900 + n) in
-      let mk_inputs corrupt =
-        Array.map
-          (fun v -> Workload.to_fixed ~bits v)
-          (Workload.apply_input_attack Workload.Outlier_high ~corrupt
-             (Workload.sensor_readings rng ~n ~base:500000 ~jitter:50))
-      in
-      (* Authenticated CA at t < n/2 — beyond any plain-model bound. *)
-      let corrupt = Workload.spread_corrupt ~n ~t:t_auth in
-      let inputs = mk_inputs corrupt in
-      let setup = Auth.Setup.generate ~seed:(77 + n) ~n ~capacity:(4 * n) in
-      let outcome =
-        Sim.run ~setup:`Authenticated ~n ~t:t_auth ~corrupt
-          ~adversary:(Adversary.equivocate ~seed:3) (fun ctx ->
-            Proto.run (Auth.Auth_ca.run setup ctx ~bits inputs.(ctx.Ctx.me)))
-      in
-      let holds =
-        fixed_width_ca ~corrupt ~inputs (Sim.honest_outputs ~corrupt outcome)
-      in
-      Printf.printf "%-4d (%d)   | %-22s | %14s | %8d | %8b\n" n t_auth
-        "Auth-CA (Dolev-Strong)"
-        (kbits outcome.Sim.metrics.Metrics.honest_bits)
-        outcome.Sim.metrics.Metrics.rounds holds;
-      (* Pi_Z at its own bound t < n/3, same workload size. *)
-      let t_plain = (n - 1) / 3 in
-      let corrupt = Workload.spread_corrupt ~n ~t:t_plain in
-      let inputs = mk_inputs corrupt in
-      let outcome =
-        Sim.run ~n ~t:t_plain ~corrupt ~adversary:(Adversary.equivocate ~seed:3)
-          (fun ctx ->
-            Proto.run (Convex.agree_nat ctx (Bigint.of_bitstring inputs.(ctx.Ctx.me))))
-      in
-      let ok =
-        match Sim.honest_outputs ~corrupt outcome with
-        | o :: r -> List.for_all (Bigint.equal o) r
-        | [] -> false
-      in
-      Printf.printf "%-4d (%d)   | %-22s | %14s | %8d | %8b\n" n t_plain
-        "Pi_Z (plain model)"
-        (kbits outcome.Sim.metrics.Metrics.honest_bits)
-        outcome.Sim.metrics.Metrics.rounds ok)
-    [ (4, 1); (5, 2); (7, 3) ];
-  Printf.printf
-    "\n(hash-based signatures are ~17 KB each; the signature term dominates Auth-CA —\n\
-     the open problem is precisely whether the t < n/2 row can be made O(l*n)-cheap.)\n"
-
-(* ------------------------------------------------------------------ *)
-(* AUTH: the Pi_BA substrate seam — unauth t < n/3 vs auth t < n/2     *)
+(* AUTH (T8): the authenticated regime, t < n/2 with a PKI             *)
 (* ------------------------------------------------------------------ *)
 
 let auth_exp () =
-  header
-    "AUTH --  BA substrate backends: unauth (t < n/3) vs auth quorum BA (t < n/2)"
-    "The Pi_BA seam admits two backends: the phase-king stack (plain model, t < n/3,\n\
-     Pi_Z's default) and the authenticated quorum-certificate BA (XMSS PKI, t < n/2,\n\
-     4t+7 rounds). At equal n, the auth backend buys maximal resilience with\n\
-     signature bits; both rows must satisfy Definition 1 (agreement + convex\n\
-     validity) to land in the ledger.";
+  header "AUTH (T8) --  authenticated regime: CA at t < n/2 vs Pi_Z at t < n/3"
+    "The paper's conclusion asks whether communication-optimal CA exists at t < n/2\n\
+     with cryptographic setup. The answer here (Auth_ca) broadcasts every input with\n\
+     Dolev-Strong (XMSS PKI), the n instances in parallel (t+1 rounds), and outputs\n\
+     the (t+1)-th smallest; Pi_Z needs no setup but requires t < n/3. Both rows must\n\
+     satisfy Definition 1 (agreement + convex validity) to land in the ledger.";
   let bits = 32 in
   Printf.printf "%-10s | %-28s | %14s | %8s | %8s\n" "n (t)" "backend" "honest kbits"
     "rounds" "CA holds";
   print_endline line;
   let json_rows = ref [] in
-  let row ~backend ~n ~t ~honest_bits ~rounds ~holds =
-    Printf.printf "%-4d (%d)   | %-28s | %14s | %8d | %8b\n" n t backend
-      (kbits honest_bits) rounds holds;
-    json_rows :=
-      [
-        ("backend", Bench_json.Str backend);
-        ("n", Bench_json.Int n);
-        ("t", Bench_json.Int t);
-        ("bits", Bench_json.Int bits);
-        ("honest_bits", Bench_json.Int honest_bits);
-        ("rounds", Bench_json.Int rounds);
-        ("ca_holds", Bench_json.Bool holds);
-      ]
-      :: !json_rows
-  in
   List.iter
     (fun n ->
       let rng = Prng.create (1100 + n) in
-      let mk_inputs corrupt =
-        Array.map
-          (fun v -> Workload.to_fixed ~bits v)
-          (Workload.apply_input_attack Workload.Outlier_high ~corrupt
-             (Workload.sensor_readings rng ~n ~base:260000 ~jitter:40))
+      let row ~backend ~t ?setup protocol =
+        let corrupt = Workload.spread_corrupt ~n ~t in
+        let inputs =
+          Array.map
+            (fun v -> Bigint.of_bitstring (Workload.to_fixed ~bits v))
+            (Workload.apply_input_attack Workload.Outlier_high ~corrupt
+               (Workload.sensor_readings rng ~n ~base:260000 ~jitter:40))
+        in
+        let r =
+          Workload.run_int ?setup ~n ~t ~corrupt
+            ~adversary:(Adversary.equivocate ~seed:6) ~inputs protocol
+        in
+        let holds = r.Workload.agreement && r.Workload.convex_validity in
+        Printf.printf "%-4d (%d)   | %-28s | %14s | %8d | %8b\n" n t backend
+          (kbits r.Workload.honest_bits) r.Workload.rounds holds;
+        json_rows :=
+          [
+            ("backend", Bench_json.Str backend);
+            ("n", Bench_json.Int n);
+            ("t", Bench_json.Int t);
+            ("bits", Bench_json.Int bits);
+            ("honest_bits", Bench_json.Int r.Workload.honest_bits);
+            ("rounds", Bench_json.Int r.Workload.rounds);
+            ("ca_holds", Bench_json.Bool holds);
+          ]
+          :: !json_rows
       in
-      (* Unauth backend: the functorized default — Pi_Z at its t < n/3 bound. *)
-      let t_plain = (n - 1) / 3 in
-      let corrupt = Workload.spread_corrupt ~n ~t:t_plain in
-      let inputs = mk_inputs corrupt in
-      let report =
-        Workload.run_int ~n ~t:t_plain ~corrupt
-          ~adversary:(Adversary.equivocate ~seed:6)
-          ~inputs:(Array.map Bigint.of_bitstring inputs)
-          Workload.pi_z.Workload.run
-      in
-      row ~backend:"unauth" ~n ~t:t_plain ~honest_bits:report.Workload.honest_bits
-        ~rounds:report.Workload.rounds
-        ~holds:(report.Workload.agreement && report.Workload.convex_validity);
-      (* Auth backend: native t < n/2 CA on the quorum-certificate BA. *)
-      let t_auth = (n - 1) / 2 in
-      let corrupt = Workload.spread_corrupt ~n ~t:t_auth in
-      let inputs = mk_inputs corrupt in
-      let setup =
-        Auth.Setup.generate ~seed:(1200 + n) ~n
-          ~capacity:(Auth.Auth_ba.required_capacity ~t:t_auth ~instances:n)
-      in
-      let outcome =
-        Sim.run ~setup:`Authenticated ~n ~t:t_auth ~corrupt
-          ~adversary:(Adversary.equivocate ~seed:6) (fun ctx ->
-            Proto.run (Auth.Auth_ba.agree setup ctx ~bits inputs.(ctx.Ctx.me)))
-      in
-      row ~backend:"auth" ~n ~t:t_auth
-        ~honest_bits:outcome.Sim.metrics.Metrics.honest_bits
-        ~rounds:outcome.Sim.metrics.Metrics.rounds
-        ~holds:(fixed_width_ca ~corrupt ~inputs (Sim.honest_outputs ~corrupt outcome)))
+      (* Pi_Z at its plain-model bound t < n/3. *)
+      row ~backend:"unauth" ~t:((n - 1) / 3) Workload.pi_z.Workload.run;
+      (* Auth_ca at t < n/2, beyond any plain-model bound. Dolev-Strong signs
+         at most two values per instance, so 2n keys a party suffice. *)
+      let setup = Auth.Setup.generate ~seed:(1200 + n) ~n ~capacity:(2 * n) in
+      row ~backend:"auth" ~t:((n - 1) / 2) ~setup:`Authenticated (fun ctx v ->
+          Proto.run
+            (Proto.map
+               (Auth.Auth_ca.run_parallel setup ctx ~bits (Workload.to_fixed ~bits v))
+               Bigint.of_bitstring)))
     (if !smoke then [ 4 ] else [ 4; 5; 7 ]);
   write_json ~path:"BENCH_auth.json"
     ~meta:
       [ ("experiment", Bench_json.Str "auth"); ("bits", Bench_json.Int bits) ]
     ~rows:(List.rev !json_rows);
   Printf.printf
-    "\n(each XMSS signature is ~17 KB and a quorum certificate carries n-t of them;\n\
-     the auth rows trade exactly that bit volume for resilience past n/3.)\n"
+    "\n(each XMSS signature is ~17 KB and a Dolev-Strong chain carries up to t+1 of\n\
+     them; the open problem is whether the auth rows can be made O(l*n)-cheap.)\n"
 
 (* ------------------------------------------------------------------ *)
 (* ADAPTIVE: the fault-adaptive fast path — cost vs actual faults f    *)
@@ -1546,7 +1458,7 @@ let parallel_bench () =
 let experiments =
   [
     ("t1", t1); ("t2", t2); ("f1", f1); ("claims", claims); ("t4", t4);
-    ("t5", t5); ("t6", t6); ("t7", t7); ("t8", t8); ("auth", auth_exp);
+    ("t5", t5); ("t6", t6); ("t7", t7); ("auth", auth_exp);
     ("adaptive", adaptive_exp); ("t9", t9);
     ("engine", engine_bench); ("substrate", substrate); ("obs", obs_bench);
     ("parallel", parallel_bench);

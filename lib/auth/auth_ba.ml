@@ -314,42 +314,6 @@ let run (setup : Setup.t) (spec : 'v Ba.Substrate.spec) (ctx : Ctx.t) ~instance 
 
 let rounds ~t = (4 * t) + 7
 
-(* Convex Agreement at t < n/2 on the new BA: every party broadcasts its
-   input over the authenticated channels, the n per-sender values are
-   agreed with n parallel BA instances (instance j tagged by sender j),
-   and the (t+1)-th smallest entry of the common view is the output — the
-   same order-statistic argument as {!Auth_ca}: with n > 2t at most t
-   entries lie below the smallest honest input and at least t+1 lie at or
-   below the largest. *)
-let agree setup (ctx : Ctx.t) ~bits v_in =
-  if Bitstring.length v_in <> bits then invalid_arg "Auth_ba.agree: input length";
-  let n = ctx.Ctx.n and t = ctx.Ctx.t in
-  let spec : Bitstring.t Ba.Substrate.spec =
-    {
-      equal = Bitstring.equal;
-      default = Bitstring.zero bits;
-      encode = Wire.encode_value;
-      decode = Wire.decode_value ~bits;
-    }
-  in
-  Proto.with_label "auth_ba_ca"
-    (let* inbox = Proto.broadcast (spec.encode v_in) in
-     let received =
-       Array.init n (fun j ->
-           match inbox.(j) with
-           | Some raw -> (
-               match spec.decode raw with Some v -> v | None -> spec.default)
-           | None -> spec.default)
-     in
-     let* view =
-       Proto.parallel
-         (List.init n (fun j -> run setup spec ctx ~instance:j received.(j)))
-     in
-     let sorted = List.sort Bitstring.compare view in
-     match List.nth_opt sorted t with
-     | Some v -> Proto.return v
-     | None -> Proto.return v_in)
-
 (* Signing budget for a protocol expected to open [instances] agreement
    instances at corruption bound [t] (each instance spends ≤ t+2 keys). *)
 let required_capacity ~t ~instances = instances * signatures_per_instance ~t
@@ -366,7 +330,7 @@ let substrate (s : Setup.t) : (module Ba.Substrate.S) =
     let name = "auth-quorum"
     let assumption = `Authenticated
     let max_t ~n = (n - 1) / 2
-    let rounds (ctx : Net.Ctx.t) = (4 * ctx.Net.Ctx.t) + 7
+    let rounds (ctx : Net.Ctx.t) = rounds ~t:ctx.Net.Ctx.t
 
     (* Certificate rounds dominate: O(n²) messages per round, each carrying
        up to a quorum of signatures.  An order-of-magnitude model, not an

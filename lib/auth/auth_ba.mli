@@ -27,18 +27,10 @@ val run :
 val rounds : t:int -> int
 (** [4t + 7]: 2 input rounds, 4 per view over t+1 views, 1 resolution. *)
 
-val agree : Setup.t -> Net.Ctx.t -> bits:int -> Bitstring.t -> Bitstring.t Net.Proto.m
-(** Convex Agreement at {b t < n/2}: broadcast inputs, agree on all n
-    per-sender values with n parallel BA instances (instances [0..n-1] — do
-    not reuse them elsewhere under the same [setup]), output the (t+1)-th
-    smallest of the common view.  Same order-statistic validity argument as
-    {!Auth_ca}: with n > 2t at most t entries sit below the smallest honest
-    input.  Spends n·(t+2) signatures per party.  Raises [Invalid_argument]
-    if [v] is not [bits] bits.  Telemetry label: ["auth_ba_ca"]. *)
-
 val required_capacity : t:int -> instances:int -> int
 (** [instances × (t + 2)]: the per-party XMSS capacity a protocol opening
-    [instances] BA instances needs.  [agree] alone opens [n]. *)
+    [instances] BA instances needs; Π_ℤ over {!substrate} opens one per
+    Π_BA call. *)
 
 val substrate : Setup.t -> (module Ba.Substrate.S)
 (** The authenticated backend of the Π_BA seam: name ["auth-quorum"],
@@ -55,4 +47,4 @@ val substrate : Setup.t -> (module Ba.Substrate.S)
     Π_ℤ stack ([Convex.Ca_int.Make]) upgrades the BA sub-calls to quorum
     certificates, but the surrounding CA machinery keeps its own t < n/3
     counting arguments — the composite still requires t < n/3.  Native
-    t < n/2 CA is {!agree}. *)
+    t < n/2 CA is {!Auth_ca}. *)

@@ -15,8 +15,8 @@
     Note the resilience split: [max_t] bounds the substrate itself, but the
     surrounding CA counting arguments (Π_BA+, FINDPREFIX) independently
     require [t < n/3] — plugging a [t < n/2] backend into Π_ℤ does not lift
-    the composite bound.  The authenticated backend additionally provides a
-    native [t < n/2] CA construction ([Auth.Auth_ba.agree]). *)
+    the composite bound.  Native [t < n/2] CA in the authenticated setting
+    is [Auth.Auth_ca], Dolev–Strong broadcast per input. *)
 
 type 'v spec = 'v Phase_king.spec = {
   equal : 'v -> 'v -> bool;

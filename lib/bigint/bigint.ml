@@ -83,7 +83,9 @@ let mag_sub a b =
   assert (!borrow = 0);
   out
 
-let mag_mul_school a b =
+(* Schoolbook only: the callers multiply by a small int or a 10^d scale,
+   far below the sizes where a subquadratic method pays. *)
+let mag_mul a b =
   let la = Array.length a and lb = Array.length b in
   if la = 0 || lb = 0 then [||]
   else begin
@@ -100,40 +102,6 @@ let mag_mul_school a b =
       out.(i + lb) <- out.(i + lb) + !carry
     done;
     out
-  end
-
-(* Karatsuba above this limb count (~2^10 bits); schoolbook below. *)
-let karatsuba_threshold = 32
-
-(* [mag_shift_limbs m k] = m * B^k, for normalized m. *)
-let mag_shift_limbs m k =
-  if Array.length m = 0 then m
-  else Array.append (Array.make k 0) m
-
-let rec mag_mul a b =
-  let la = Array.length a and lb = Array.length b in
-  if min la lb < karatsuba_threshold then mag_mul_school a b
-  else begin
-    (* x = x1*B^m + x0, y = y1*B^m + y0;
-       xy = z2*B^2m + (z1 - z2 - z0)*B^m + z0 with
-       z0 = x0*y0, z2 = x1*y1, z1 = (x0+x1)(y0+y1). *)
-    let m = max la lb / 2 in
-    let split x =
-      let lx = Array.length x in
-      if lx <= m then (x, [||])
-      else (normalize_mag (Array.sub x 0 m), Array.sub x m (lx - m))
-    in
-    let x0, x1 = split a and y0, y1 = split b in
-    let z0 = mag_mul x0 y0 in
-    let z2 = mag_mul x1 y1 in
-    let z1 = mag_mul (normalize_mag (mag_add x0 x1)) (normalize_mag (mag_add y0 y1)) in
-    let middle =
-      normalize_mag (mag_sub (normalize_mag z1) (normalize_mag (mag_add z0 z2)))
-    in
-    normalize_mag
-      (mag_add
-         (mag_shift_limbs (normalize_mag z2) (2 * m))
-         (mag_add (mag_shift_limbs middle m) z0))
   end
 
 (* Signed operations -------------------------------------------------------- *)

@@ -171,7 +171,6 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?obs ?on_round
   let record_frame sz =
     match obs_frame_h with Some h -> Obs.Hist.record h sz | None -> ()
   in
-  let pool = if domains > 1 then Some (Pool.shared ()) else None in
   (* The sessions' recorders when the caller passed one, merged into it in
      session-index order after the run (see [Obs.merge]). *)
   let shards = ref [] in
@@ -441,16 +440,10 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?obs ?on_round
       done
     in
     let run_phase body =
-      match pool with
-      | Some pool ->
-          (* Chunked claims: a few shards per domain amortizes the atomic
-             counter while leaving enough shards to steal. *)
-          let chunk = max 1 (k_now / (domains * 4)) in
-          Pool.for_chunks ~domains pool ~chunk ~n:k_now body
-      | None ->
-          for li = 0 to k_now - 1 do
-            body li
-          done
+      (* Chunked claims: a few shards per domain amortizes the atomic
+         counter while leaving enough shards to steal. *)
+      let chunk = max 1 (k_now / (domains * 4)) in
+      Pool.for_chunks ~domains ~chunk ~n:k_now body
     in
     run_phase step;
     (* Sequential replay of the shared-state effects, in admission order.

@@ -1,4 +1,4 @@
-(* Fixed domain pool with work-stealing index claims.
+(* The process-wide domain pool, with work-stealing index claims.
 
    One job at a time (the [submit] mutex): every use in this codebase is a
    fork-join loop whose caller has nothing else to do, so the caller drains
@@ -28,13 +28,12 @@ type job = {
 
 type t = {
   m : Mutex.t;
-  work : Condition.t;  (* a job was posted, or shutdown *)
+  work : Condition.t;  (* a job was posted *)
   idle : Condition.t;  (* a worker left the job *)
   submit : Mutex.t;  (* serializes jobs (and growth) across caller threads *)
   mutable job : job option;
   mutable epoch : int;  (* bumped per job so sleeping workers spot new work *)
-  mutable workers : unit Domain.t list;
-  mutable stop : bool;
+  mutable workers : int;
 }
 
 (* True while this domain is draining a job: a nested [parallel_for] from a
@@ -65,41 +64,36 @@ let worker_loop pool =
   let rec next () =
     Mutex.lock pool.m;
     let rec find () =
-      if pool.stop then begin
-        Mutex.unlock pool.m;
-        None
-      end
-      else
-        match pool.job with
-        | Some j when pool.epoch <> !seen ->
-            seen := pool.epoch;
-            if j.slots > 0 then begin
-              j.slots <- j.slots - 1;
-              j.active <- j.active + 1;
-              Mutex.unlock pool.m;
-              Some j
-            end
-            else begin
-              Condition.wait pool.work pool.m;
-              find ()
-            end
-        | _ ->
+      match pool.job with
+      | Some j when pool.epoch <> !seen ->
+          seen := pool.epoch;
+          if j.slots > 0 then begin
+            j.slots <- j.slots - 1;
+            j.active <- j.active + 1;
+            Mutex.unlock pool.m;
+            j
+          end
+          else begin
             Condition.wait pool.work pool.m;
             find ()
+          end
+      | _ ->
+          Condition.wait pool.work pool.m;
+          find ()
     in
-    match find () with
-    | None -> ()
-    | Some j ->
-        drain pool j;
-        Mutex.lock pool.m;
-        j.active <- j.active - 1;
-        if j.active = 0 then Condition.broadcast pool.idle;
-        Mutex.unlock pool.m;
-        next ()
+    let j = find () in
+    drain pool j;
+    Mutex.lock pool.m;
+    j.active <- j.active - 1;
+    if j.active = 0 then Condition.broadcast pool.idle;
+    Mutex.unlock pool.m;
+    next ()
   in
   next ()
 
-let make () =
+(* Spawns no domain: workers start the first time a job wants them, and
+   idle ones block on [work] and cost nothing. *)
+let pool =
   {
     m = Mutex.create ();
     work = Condition.create ();
@@ -107,66 +101,35 @@ let make () =
     submit = Mutex.create ();
     job = None;
     epoch = 0;
-    workers = [];
-    stop = false;
+    workers = 0;
   }
 
 (* Grow-only: workers are spawned the first time a job wants them and then
-   reused. A freshly spawned worker blocks on [pool.m] until the critical
-   section ends, then sleeps on [work]. *)
-let ensure pool ~workers =
+   reused for the life of the process (exiting with idle workers is safe).
+   A freshly spawned worker blocks on [pool.m] until the critical section
+   ends, then sleeps on [work]. *)
+let ensure ~workers =
   Mutex.lock pool.m;
-  if pool.stop then begin
-    Mutex.unlock pool.m;
-    invalid_arg "Pool: used after shutdown"
-  end;
-  let missing = workers - List.length pool.workers in
-  for _ = 1 to missing do
-    pool.workers <- Domain.spawn (fun () -> worker_loop pool) :: pool.workers
+  for _ = pool.workers + 1 to workers do
+    ignore (Domain.spawn (fun () -> worker_loop pool) : unit Domain.t);
+    pool.workers <- pool.workers + 1
   done;
   Mutex.unlock pool.m
 
-let size pool =
-  Mutex.lock pool.m;
-  let s = 1 + List.length pool.workers in
-  Mutex.unlock pool.m;
-  s
-
-let create ~domains =
-  let pool = make () in
-  ensure pool ~workers:(clamp domains - 1);
-  pool
-
-let shared_mutex = Mutex.create ()
-let shared_pool = ref None
-
-let shared () =
-  Mutex.lock shared_mutex;
-  let p =
-    match !shared_pool with
-    | Some p -> p
-    | None ->
-        let p = make () in
-        shared_pool := Some p;
-        p
-  in
-  Mutex.unlock shared_mutex;
-  p
-
-let parallel_for ?domains pool ~n body =
+let parallel_for ~domains ~n body =
   let inline () =
     for i = 0 to n - 1 do
       body i
     done
   in
-  let d = match domains with None -> size pool | Some d -> clamp d in
+  let d = clamp domains in
   if n <= 0 then ()
   else if d <= 1 || n = 1 || Domain.DLS.get in_job then inline ()
   else begin
     (* No point waking more workers than there are indices beyond the
        caller's first claim. *)
     let want = min (d - 1) (n - 1) in
-    ensure pool ~workers:want;
+    ensure ~workers:want;
     Mutex.lock pool.submit;
     let j =
       {
@@ -196,42 +159,24 @@ let parallel_for ?domains pool ~n body =
     match j.failed with Some e -> raise e | None -> ()
   end
 
-let for_chunks ?domains pool ~chunk ~n body =
+let for_chunks ~domains ~chunk ~n body =
   if chunk < 1 then invalid_arg "Pool.for_chunks: chunk < 1";
   if n < 0 then invalid_arg "Pool.for_chunks: n < 0";
-  if n > 0 then begin
+  (* One domain or one shard: a plain loop, with no closure to allocate. *)
+  if clamp domains <= 1 || n <= chunk then
+    for i = 0 to n - 1 do
+      body i
+    done
+  else begin
     let groups = (n + chunk - 1) / chunk in
-    parallel_for ?domains pool ~n:groups (fun g ->
+    parallel_for ~domains ~n:groups (fun g ->
         let lo = g * chunk and hi = min n ((g + 1) * chunk) in
         for i = lo to hi - 1 do
           body i
         done)
   end
 
-let map_chunks ?domains pool ~chunk ~n f =
-  if chunk < 1 then invalid_arg "Pool.map_chunks: chunk < 1";
-  if n < 0 then invalid_arg "Pool.map_chunks: n < 0";
-  if n = 0 then [||]
-  else begin
-    let slots = Array.make n None in
-    let groups = (n + chunk - 1) / chunk in
-    parallel_for ?domains pool ~n:groups (fun g ->
-        let lo = g * chunk and hi = min n ((g + 1) * chunk) in
-        for i = lo to hi - 1 do
-          slots.(i) <- Some (f i)
-        done);
-    Array.map (function Some v -> v | None -> assert false) slots
-  end
-
-let map ?domains pool ~n f = map_chunks ?domains ~chunk:1 pool ~n f
-
-let shutdown pool =
-  Mutex.lock pool.submit;
-  Mutex.lock pool.m;
-  pool.stop <- true;
-  Condition.broadcast pool.work;
-  let ws = pool.workers in
-  pool.workers <- [];
-  Mutex.unlock pool.m;
-  List.iter Domain.join ws;
-  Mutex.unlock pool.submit
+let map ~domains ~n f =
+  let slots = Array.make n None in
+  parallel_for ~domains ~n (fun i -> slots.(i) <- Some (f i));
+  Array.map (function Some v -> v | None -> assert false) slots

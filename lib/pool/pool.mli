@@ -1,10 +1,10 @@
-(** Fixed domain pool for deterministic data-parallel loops.
+(** The process-wide domain pool for deterministic data-parallel loops.
 
-    Worker domains are spawned once and reused across jobs (OCaml domains are
-    heavyweight: each carries a minor heap, and {!Domain.spawn} is ~100 µs).
-    One process-wide pool — {!shared} — grows on demand and is what the
-    engine, the simulator and the bench harness all schedule onto; idle
-    workers block on a condition variable and cost nothing.
+    Worker domains are spawned on demand and reused across jobs (OCaml
+    domains are heavyweight: each carries a minor heap, and {!Domain.spawn}
+    is ~100 µs). The engine, the simulator and the bench harness all
+    schedule onto this one pool; idle workers block on a condition variable
+    and cost nothing.
 
     Determinism contract: a job is a function of the index alone, indices are
     claimed from an atomic counter (work stealing), and results are written
@@ -13,55 +13,34 @@
     the wall-clock does. Shared mutable state inside the job body is the
     caller's responsibility (see the [Metrics] threading contract).
 
-    The calling domain participates in the job (a pool of [domains:d] uses
+    The calling domain participates in the job (a job at [~domains:d] uses
     [d - 1] workers plus the caller), and a job submitted from inside another
     job runs inline on the submitting domain — nesting degrades to sequential
     instead of deadlocking on the single job slot. *)
 
-type t
-
-val create : domains:int -> t
-(** A private pool with [domains - 1] worker domains ([domains] is clamped to
-    [1 .. max_domains]). Prefer {!shared} unless isolation is needed. *)
-
-val shared : unit -> t
-(** The process-wide pool. Spawns no workers until a job asks for them. *)
-
-val size : t -> int
-(** Domains this pool can bring to bear: workers + the calling domain. *)
-
 val max_domains : int
-(** Hard cap on [?domains] (runaway-argument guard, far above any real
-    machine this targets). *)
+(** Hard cap on [~domains] (runaway-argument guard, far above any real
+    machine this targets); [~domains] below 1 counts as 1. *)
 
 val recommended : unit -> int
 (** [Domain.recommended_domain_count ()] — the hardware parallelism bound. *)
 
-val parallel_for : ?domains:int -> t -> n:int -> (int -> unit) -> unit
-(** [parallel_for pool ~n body] runs [body i] for [0 <= i < n], each index
-    exactly once, across at most [domains] domains (caller included; the pool
-    grows as needed, default: the pool's current {!size}). Returns when every
-    index has completed. The first exception a body raises is re-raised in
-    the caller after all domains have drained; remaining unclaimed indices
-    are skipped. [domains <= 1], [n <= 1] and nested calls run inline. *)
+val parallel_for : domains:int -> n:int -> (int -> unit) -> unit
+(** [parallel_for ~domains ~n body] runs [body i] for [0 <= i < n], each
+    index exactly once, across at most [domains] domains (caller included;
+    the pool grows as needed). Returns when every index has completed. The
+    first exception a body raises is re-raised in the caller after all
+    domains have drained; remaining unclaimed indices are skipped.
+    [domains <= 1], [n <= 1] and nested calls run inline. *)
 
-val map : ?domains:int -> t -> n:int -> (int -> 'a) -> 'a array
-(** [map pool ~n f] is [[| f 0; ...; f (n-1) |]] computed with
+val map : domains:int -> n:int -> (int -> 'a) -> 'a array
+(** [map ~domains ~n f] is [[| f 0; ...; f (n-1) |]] computed with
     {!parallel_for}: results land by index, so the array is identical to the
     sequential one whenever [f] is deterministic per index. *)
 
-val map_chunks : ?domains:int -> t -> chunk:int -> n:int -> (int -> 'a) -> 'a array
-(** {!map} with indices claimed [chunk] at a time — amortizes the atomic
-    counter when per-index work is tiny. [map] is [map_chunks ~chunk:1]. *)
-
-val for_chunks : ?domains:int -> t -> chunk:int -> n:int -> (int -> unit) -> unit
+val for_chunks : domains:int -> chunk:int -> n:int -> (int -> unit) -> unit
 (** {!parallel_for} with indices claimed [chunk] at a time: domains steal
     whole shards of [chunk] consecutive indices from the atomic counter, so a
     loop over thousands of tiny bodies (the engine's live-session sweep) pays
     one claim per shard instead of one per index. Same determinism contract
     as {!parallel_for}; [chunk >= n] degrades to a single shard (sequential). *)
-
-val shutdown : t -> unit
-(** Join this pool's workers. Only meaningful for {!create}d pools (the
-    {!shared} pool lives for the process; exiting with idle workers is
-    safe). Using the pool after [shutdown] raises [Invalid_argument]. *)

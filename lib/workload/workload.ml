@@ -111,12 +111,7 @@ let cell ~label run = { cell_label = label; cell_run = run }
 
 let run_cells ?(domains = 1) cells =
   let arr = Array.of_list cells in
-  let results =
-    if domains <= 1 then Array.map (fun c -> c.cell_run ()) arr
-    else
-      Pool.map ~domains (Pool.shared ()) ~n:(Array.length arr) (fun i ->
-          arr.(i).cell_run ())
-  in
+  let results = Pool.map ~domains ~n:(Array.length arr) (fun i -> arr.(i).cell_run ()) in
   List.mapi (fun i c -> (c.cell_label, results.(i))) cells
 
 (** Corrupt-set placement: spread corrupted parties across the index space

@@ -112,7 +112,7 @@ val pi_z_auth : Auth.Setup.t -> protocol
     phase king. The surrounding CA machinery keeps its own t < n/3 counting
     arguments, so the composite's resilience is still t < n/3 — this is the
     seam demonstrator, not a resilience upgrade (native t < n/2 CA is
-    {!Auth.Auth_ba.agree}). Supply a {!Auth.Setup.t} fresh for this run
+    {!Auth.Auth_ca}). Supply a {!Auth.Setup.t} fresh for this run
     (signers are stateful) with capacity ≥
     [Auth.Auth_ba.required_capacity ~t ~instances:64], and pass
     [~setup:`Authenticated] to {!run_int}. *)

@@ -1,10 +1,8 @@
 (* The authenticated t < n/2 BA substrate (Auth_ba): agreement and validity
    of the quorum-certificate protocol under adversaries up to the n/2 bound,
-   the native t < n/2 CA built on it, and the substrate view of the seam. *)
+   and the substrate view of the seam. *)
 
 open Net
-
-let bits_t = Alcotest.testable Bitstring.pp Bitstring.equal
 
 (* Fresh per run: XMSS signers are stateful. *)
 let fresh_setup ?(seed = 27182) ~n ~capacity () =
@@ -105,32 +103,6 @@ let test_rounds_model () =
   let outcome = run_ba ~n ~t ~corrupt ~adversary:Adversary.passive inputs in
   Alcotest.check Alcotest.int "4t+7 rounds" (Auth.Auth_ba.rounds ~t)
     outcome.Sim.metrics.Metrics.rounds
-
-let test_agree_convex_validity () =
-  (* Native t < n/2 CA: output within the honest input range, common to all
-     honest parties, for every adversary — at n = 5, t = 2, a corruption
-     budget no plain-model CA can meet. *)
-  let n = 5 and t = 2 and bits = 8 in
-  let corrupt = [| false; true; false; true; false |] in
-  let of_int k = Bitstring.pad_to bits (Bitstring.of_int k) in
-  let inputs = [| of_int 10; of_int 255; of_int 20; of_int 0; of_int 30 |] in
-  List.iter
-    (fun adversary ->
-      let setup = fresh_setup ~n ~capacity:(Auth.Auth_ba.required_capacity ~t ~instances:n) () in
-      let outcome =
-        Sim.run ~setup:`Authenticated ~n ~t ~corrupt ~adversary (fun ctx ->
-            Proto.run (Auth.Auth_ba.agree setup ctx ~bits inputs.(ctx.Ctx.me)))
-      in
-      match Sim.honest_outputs ~corrupt outcome with
-      | [] -> Alcotest.fail "no honest parties"
-      | v :: rest ->
-          List.iter (Alcotest.check bits_t "agreement" v) rest;
-          let lo = of_int 10 and hi = of_int 30 in
-          Alcotest.check Alcotest.bool
-            (Printf.sprintf "convex validity vs %s" adversary.Adversary.name)
-            true
-            (Bitstring.compare lo v <= 0 && Bitstring.compare v hi <= 0))
-    adversaries
 
 let test_substrate_pi_z () =
   (* The seam end-to-end: Π_ℤ functorized over the authenticated substrate
@@ -317,66 +289,40 @@ let test_engine_auth_ca_forged_sigs () =
   check `Sim;
   check `Poll
 
-(* Byte-identity pins for Auth_ba at n=4, t=1: the native CA ([agree]) and
-   Pi_Z over the quorum-certificate substrate, each the SHA-256 and byte
-   length of a passive and an equivocating run, each run its Det JSONL
-   ([Obs.to_jsonl ~tier:Det]) followed by the honest outputs. The values
-   were captured while Auth_ba was still a functor over a signature-scheme
-   module type, before it signed with Sigs.Xmss directly. Every run draws a
-   fresh setup: XMSS signers are stateful. *)
-let auth_record ~show protocol =
+(* Byte-identity pin for Pi_Z over the quorum-certificate substrate at
+   n=4, t=1: the SHA-256 and byte length of a passive and an equivocating
+   run, each run its Det JSONL ([Obs.to_jsonl ~tier:Det]) followed by the
+   honest outputs. The value was captured while Auth_ba was still a functor
+   over a signature-scheme module type, before it signed with Sigs.Xmss
+   directly. Every run draws a fresh setup: XMSS signers are stateful. *)
+let auth_pi_z_record () =
   let n = 4 and t = 1 in
   let corrupt = Workload.spread_corrupt ~n ~t in
+  let inputs = Workload.sensor_readings (Prng.create 42) ~n ~base:(-1004) ~jitter:50 in
   String.concat "\n"
     (List.map
        (fun adversary ->
          let obs = Obs.create () in
+         let setup =
+           fresh_setup ~n ~capacity:(Auth.Auth_ba.required_capacity ~t ~instances:64) ()
+         in
          let outcome =
-           Sim.run ~obs ~setup:`Authenticated ~n ~t ~corrupt ~adversary (protocol ~n ~t)
+           Sim.run ~obs ~setup:`Authenticated ~n ~t ~corrupt ~adversary (fun ctx ->
+               let module B = (val Auth.Auth_ba.substrate setup) in
+               let module CA = Convex.Ca_int.Make (B) in
+               CA.run ctx inputs.(ctx.Ctx.me))
          in
          String.concat "\n"
            (Obs.to_jsonl ~tier:Obs.Det obs
-           :: List.map show (Sim.honest_outputs ~corrupt outcome)))
+           :: List.map Bigint.to_string (Sim.honest_outputs ~corrupt outcome)))
        [ Adversary.passive; Adversary.equivocate ~seed:8 ])
 
-let auth_agree_record () =
-  let bits = 16 in
-  let rng = Prng.create 41 in
-  let inputs = Array.init 4 (fun _ -> Bitstring.of_int_fixed ~bits (Prng.int rng 65536)) in
-  auth_record ~show:Bitstring.to_string (fun ~n ~t ->
-      let setup =
-        fresh_setup ~n ~capacity:(Auth.Auth_ba.required_capacity ~t ~instances:n) ()
-      in
-      fun ctx -> Proto.run (Auth.Auth_ba.agree setup ctx ~bits inputs.(ctx.Ctx.me)))
-
-let auth_pi_z_record () =
-  let inputs = Workload.sensor_readings (Prng.create 42) ~n:4 ~base:(-1004) ~jitter:50 in
-  auth_record ~show:Bigint.to_string (fun ~n ~t ->
-      let setup =
-        fresh_setup ~n ~capacity:(Auth.Auth_ba.required_capacity ~t ~instances:64) ()
-      in
-      fun ctx ->
-        let module B = (val Auth.Auth_ba.substrate setup) in
-        let module CA = Convex.Ca_int.Make (B) in
-        CA.run ctx inputs.(ctx.Ctx.me))
-
-let auth_pins =
-  [
-    ( "auth_ba agree n=4",
-      auth_agree_record,
-      ("6e406c3e477f6e7fe5b976e79e180fbe983954c3e31b394a7e5f29d191cbd4ca", 5815) );
-    ( "pi_z over auth_ba n=4",
-      auth_pi_z_record,
-      ("92d0e2530223cae0303b6495dc2c25fd90ca976b9f76934ec2ff655d84726a21", 74742) );
-  ]
-
-let auth_pin_cases =
-  List.map
-    (fun (name, record, pin) ->
-      Alcotest.test_case (name ^ " Det JSONL pin") `Quick (fun () ->
-          let s = record () in
-          Alcotest.(check (pair string int)) name pin (Sha256.hex s, String.length s)))
-    auth_pins
+let test_pi_z_pin () =
+  let s = auth_pi_z_record () in
+  Alcotest.(check (pair string int))
+    "pi_z over auth_ba n=4"
+    ("92d0e2530223cae0303b6495dc2c25fd90ca976b9f76934ec2ff655d84726a21", 74742)
+    (Sha256.hex s, String.length s)
 
 let suite =
   [
@@ -385,7 +331,6 @@ let suite =
     Alcotest.test_case "forged signatures rejected" `Quick test_forged_signatures_rejected;
     Alcotest.test_case "binary domain keeps honest bit" `Quick test_binary_domain_honest_input;
     Alcotest.test_case "round count matches model" `Quick test_rounds_model;
-    Alcotest.test_case "agree: convex validity at t<n/2" `Quick test_agree_convex_validity;
     Alcotest.test_case "substrate: Pi_Z over auth backend" `Quick test_substrate_pi_z;
     Alcotest.test_case "signing budget t+2 per instance" `Quick test_capacity_model;
     Alcotest.test_case "engine: Auth-CA sessions sim = poll (K=8)" `Quick
@@ -394,5 +339,5 @@ let suite =
       test_engine_dolev_strong_sessions;
     Alcotest.test_case "engine: forged signatures leave honest outputs intact" `Quick
       test_engine_auth_ca_forged_sigs;
+    Alcotest.test_case "pi_z over auth_ba n=4 Det JSONL pin" `Quick test_pi_z_pin;
   ]
-  @ auth_pin_cases

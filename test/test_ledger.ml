@@ -14,7 +14,8 @@
    6. the SHA-256 kernel speedup gate is unenforced, not passed, on a
       ledger recorded where only the portable kernel runs.
    Plus the shape and provenance checks every ledger goes through, and
-   EXPERIMENTS.md's ENGINE table against BENCH_engine.json. *)
+   EXPERIMENTS.md's ENGINE and T8 tables against BENCH_engine.json and
+   BENCH_auth.json. *)
 
 open Obs.Json
 
@@ -127,9 +128,11 @@ let edits : (string * (Ledger.t -> Ledger.t)) list =
     ( "claims.baseline_rounds",
       edit (rounds 7.) (fun row ->
           set "tc_ba_rounds" (Num (num "tc_ba_rounds" row +. 1.)) row) );
-    ("auth.row_shape", edit (auth 4.) (set "rounds" (Num 0.)));
+    ("auth.row_shape", edit (auth 4.) (set "honest_bits" (Num 0.)));
     ("auth.ca_holds", edit (auth 5.) (set "ca_holds" (Bool false)));
     ("auth.pairing", edit (auth 7.) (set "n" (Num 8.)));
+    (* The sequential composition's n(t+1) rounds at n=5, t=2. *)
+    ("auth.native_rounds", edit (auth 5.) (set "rounds" (Num 15.)));
     ("adaptive.row_shape", edit (sweep "pi_z" 3.) (set "rounds" (Num 0.)));
     ("adaptive.ca_holds", edit (sweep "adaptive" 2.) (set "ca_holds" (Bool false)));
     ("adaptive.f_coverage", drop (sweep "adaptive-auth" 1.));
@@ -333,6 +336,32 @@ let table_under heading text =
   | _header :: _separator :: body -> List.map cells body
   | _ -> Alcotest.failf "no table under %S" heading
 
+(* Every row of EXPERIMENTS.md's T8 table is its ledger row as printed:
+   backend, n, t, honest kbit, rounds and whether Definition 1 held. *)
+let test_auth_table_equals_ledger () =
+  let l = ledger_of "auth" in
+  let printed row =
+    [
+      (match List.assoc_opt "backend" row with
+      | Some (Str b) -> b
+      | _ -> Alcotest.fail "row without a backend");
+      Printf.sprintf "%.0f" (num "n" row);
+      Printf.sprintf "%.0f" (num "t" row);
+      Printf.sprintf "%.1f" (num "honest_bits" row /. 1000.);
+      Printf.sprintf "%.0f" (num "rounds" row);
+      (match List.assoc_opt "ca_holds" row with
+      | Some (Bool b) -> string_of_bool b
+      | _ -> Alcotest.fail "row without ca_holds");
+    ]
+  in
+  let table =
+    table_under "## T8 —" (read_file (Filename.concat ledger_dir "EXPERIMENTS.md"))
+  in
+  Alcotest.(check (list (list string)))
+    "T8 table = BENCH_auth.json"
+    (List.map printed l.Ledger.rows)
+    table
+
 (* Every row of EXPERIMENTS.md's ENGINE table is its ledger row as printed:
    backend, K, wall (s), sessions/s, peak RSS (MiB), frames sent, frames
    saved, gc (words/session) and draws (1 for a poll row). *)
@@ -380,4 +409,6 @@ let suite =
       test_engine_table_equals_ledger;
     Alcotest.test_case "sha256 kernel speedup unenforced without SHA-NI" `Quick
       test_sha256_speedup_unenforced;
+    Alcotest.test_case "EXPERIMENTS T8 table = ledger" `Quick
+      test_auth_table_equals_ledger;
   ]
