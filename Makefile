@@ -29,7 +29,7 @@ test:
 
 # The smoke pass runs every bench experiment and holds each fresh ledger to
 # its Exact gates without writing it. The paper tables and the claims fits
-# (t1, t2, f1, claims, t4-t9) run at full size, so T1's crossover and
+# (t1, t2, f1, claims, t4-t7, t9) run at full size, so T1's crossover and
 # the C1-C5 fits are enforced on the real rows; auth, adaptive, engine,
 # substrate, obs and parallel run at reduced parameters. --domains 2
 # exercises the multicore fan-out and its bit-identity gates on every host.

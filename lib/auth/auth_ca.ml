@@ -20,10 +20,6 @@ open Net
 
 let ( let* ) = Proto.( let* )
 
-(** [run setup ctx ~bits v]: requires a [ctx] built for the authenticated
-    bound ({!Net.Ctx.make_authenticated}, t < n/2; contexts with t < n/3
-    work a fortiori) and the {!Setup} whose PKI all parties share. All
-    honest parties must join with [bits]-wide values. *)
 let choose ~bits ~t ~fallback view =
   let values =
     List.sort Bitstring.compare
@@ -36,6 +32,10 @@ let choose ~bits ~t ~fallback view =
          (all n−t ≥ t+1 honest broadcasts deliver); stay total. *)
       fallback
 
+(** [run setup ctx ~bits v]: requires a [ctx] built for the authenticated
+    bound ({!Net.Ctx.make_authenticated}, t < n/2; contexts with t < n/3
+    work a fortiori) and the {!Setup} whose PKI all parties share. All
+    honest parties must join with [bits]-wide values. *)
 let run (setup : Setup.t) (ctx : Ctx.t) ~bits v_in =
   if Bitstring.length v_in <> bits then invalid_arg "Auth_ca.run: input length";
   let n = ctx.Ctx.n and t = ctx.Ctx.t in
