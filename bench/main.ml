@@ -1102,9 +1102,10 @@ let substrate () =
   let sh = measure (fun () -> Sha256.digest blob)
   and sh_ref = measure (fun () -> Sha256.Portable.digest blob) in
   emit ~op:"sha256" ~n:0 ~k:0 ~bytes:sha_bytes ~unit:`MBs ~fast:sh ~ref_ops:sh_ref;
-  (* Bignum/bitstring codecs at the wide-value scale, at full size even under
-     --smoke: allocation per op is deterministic, so the linear-in-l gate
-     holds on any host: quadratic code allocates ~16x more at 4x the length. *)
+  (* Bignum/bitstring codecs and limb kernels at the wide-value scale, at
+     full size even under --smoke: allocation per op is deterministic, so
+     the linear-in-l gate holds on any host: quadratic code allocates ~16x
+     more at 4x the length, and [compare] allocates nothing. *)
   print_newline ();
   Printf.printf "%-30s | %14s | %16s\n" "codec" "ops/s" "alloc bytes/op";
   print_endline line;
@@ -1127,6 +1128,12 @@ let substrate () =
       let b = random bits and half = random ((bits / 2) + 3) in
       let rest = random ((bits / 2) - 3) in
       let v = Bigint.of_bitstring b in
+      (* [compare] against a value sharing [v]'s top half walks half the
+         limbs; [add] of two same-sign values, every limb. *)
+      let shared =
+        Bigint.of_bitstring
+          (Bitstring.append (Bitstring.prefix b (bits / 2)) (random (bits / 2)))
+      and w = Bigint.of_bitstring (random bits) in
       List.iter
         (fun (op, f) ->
           let ops, _ = measure f and alloc = alloc_bytes f in
@@ -1147,6 +1154,8 @@ let substrate () =
             fun () -> ignore (Sys.opaque_identity (Bigint.to_bitstring_fixed ~bits v)) );
           ( "append_unaligned",
             fun () -> ignore (Sys.opaque_identity (Bitstring.append half rest)) );
+          ("compare", fun () -> ignore (Sys.opaque_identity (Bigint.compare v shared)));
+          ("add", fun () -> ignore (Sys.opaque_identity (Bigint.add v w)));
         ])
     [ 1 lsl 13; 1 lsl 15 ];
   write_json ~path:"BENCH_substrate.json"

@@ -7,6 +7,15 @@ type t = { len : int; data : string }
 
 let empty = { len = 0; data = "" }
 
+(* Unboxed 64-bit loads and stores, unchecked: the callers bound the index.
+   [String.get_int64_be] would box an [Int64] per word. *)
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+external set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+external big_endian : unit -> bool = "%big_endian"
+
+let[@inline] be64 x = if big_endian () then x else bswap64 x
+
 let bytes_needed len = (len + 7) / 8
 
 let zero len =
@@ -73,14 +82,24 @@ let sub b ~pos ~len =
     let buf =
       if shift = 0 then Bytes.sub (Bytes.unsafe_of_string b.data) first nbytes
       else begin
-        (* Unaligned: each output byte straddles two source bytes. *)
+        (* Unaligned: each output byte straddles two source bytes. One
+           big-endian word of source, shifted left, yields seven output
+           bytes; its eighth, short of the next source byte, is rewritten
+           by the next step. *)
         let buf = Bytes.create nbytes in
-        let last = String.length b.data - 1 in
-        for k = 0 to nbytes - 1 do
+        let src = b.data in
+        let last = String.length src - 1 in
+        let k = ref 0 in
+        while !k + 8 <= nbytes && first + !k + 8 <= String.length src do
+          let w = be64 (get64u src (first + !k)) in
+          set64u buf !k (be64 (Int64.shift_left w shift));
+          k := !k + 7
+        done;
+        for k = !k to nbytes - 1 do
           let j = first + k in
-          let hi = Char.code (String.unsafe_get b.data j) lsl shift in
+          let hi = Char.code (String.unsafe_get src j) lsl shift in
           let lo =
-            if j < last then Char.code (String.unsafe_get b.data (j + 1)) lsr (8 - shift)
+            if j < last then Char.code (String.unsafe_get src (j + 1)) lsr (8 - shift)
             else 0
           in
           Bytes.unsafe_set buf k (Char.unsafe_chr ((hi lor lo) land 0xff))
@@ -105,12 +124,28 @@ let prefix b k = sub b ~pos:1 ~len:k
    [dst] past bit [off] must still be zero: pieces are written left to right. *)
 let blit_into dst off src =
   let first = off lsr 3 and shift = off land 7 in
-  let nb = String.length src.data in
-  if shift = 0 then Bytes.blit_string src.data 0 dst first nb
+  let data = src.data in
+  let nb = String.length data in
+  if shift = 0 then Bytes.blit_string data 0 dst first nb
   else begin
-    let last = Bytes.length dst - 1 in
-    for j = 0 to nb - 1 do
-      let c = Char.code (String.unsafe_get src.data j) and k = first + j in
+    (* Eight source bytes per step: one big-endian word shifted right, with
+       the bits that spill from the byte before it ([hi], at first the bits
+       already in [dst]) ORed on top, is eight finished destination bytes.
+       [dst] is only written here: reading back a word that overlaps the
+       previous store would stall the store forwarding. *)
+    let j = ref 0 and hi = ref (Char.code (Bytes.unsafe_get dst first)) in
+    let dlen = Bytes.length dst in
+    while !j + 8 <= nb && first + !j + 8 <= dlen do
+      let w = Int64.shift_right_logical (be64 (get64u data !j)) shift in
+      set64u dst (first + !j) (be64 (Int64.logor w (Int64.shift_left (Int64.of_int !hi) 56)));
+      hi := (Char.code (String.unsafe_get data (!j + 7)) lsl (8 - shift)) land 0xff;
+      j := !j + 8
+    done;
+    (* The byte loop below ORs into the byte it resumes at. *)
+    if !j > 0 && first + !j < dlen then Bytes.unsafe_set dst (first + !j) (Char.unsafe_chr !hi);
+    let last = dlen - 1 in
+    for j = !j to nb - 1 do
+      let c = Char.code (String.unsafe_get data j) and k = first + j in
       Bytes.unsafe_set dst k
         (Char.unsafe_chr (Char.code (Bytes.unsafe_get dst k) lor (c lsr shift)));
       (* Past the end only src's zero padding would land. *)
@@ -134,7 +169,16 @@ let concat bs =
            0 bs);
       { len; data = Bytes.unsafe_to_string buf }
 
-let append a b = concat [ a; b ]
+let append a b =
+  if a.len = 0 then b
+  else if b.len = 0 then a
+  else begin
+    let len = a.len + b.len in
+    let buf = Bytes.make (bytes_needed len) '\000' in
+    Bytes.blit_string a.data 0 buf 0 (String.length a.data);
+    blit_into buf a.len b;
+    { len; data = Bytes.unsafe_to_string buf }
+  end
 
 let append_bit b bit =
   append b (if bit then { len = 1; data = "\x80" } else { len = 1; data = "\000" })
@@ -211,13 +255,30 @@ let to_int b =
   let rec go acc i = if i > m.len then acc else go ((acc lsl 1) lor (if unsafe_get m.data i then 1 else 0)) (i + 1) in
   go 0 1
 
+(* [p] followed by [len - p.len] copies of [fill], built in place: [p] is
+   byte-aligned at the front, so its bytes are copied and only the byte it
+   ends in is merged. *)
+let fill_after len p fill =
+  let nbytes = bytes_needed len in
+  let buf = Bytes.make nbytes (if fill then '\xff' else '\000') in
+  let pb = String.length p.data in
+  Bytes.blit_string p.data 0 buf 0 pb;
+  let rem = p.len land 7 in
+  if fill && rem <> 0 then
+    Bytes.unsafe_set buf (pb - 1)
+      (Char.unsafe_chr (Char.code (String.unsafe_get p.data (pb - 1)) lor (0xff lsr rem)));
+  if fill && nbytes > 0 then
+    Bytes.unsafe_set buf (nbytes - 1)
+      (Char.unsafe_chr (Char.code (Bytes.unsafe_get buf (nbytes - 1)) land top_mask (len land 7)));
+  { len; data = Bytes.unsafe_to_string buf }
+
 let min_fill len p =
   if p.len > len then invalid_arg "Bitstring.min_fill";
-  append p (zero (len - p.len))
+  if p.len = len then p else fill_after len p false
 
 let max_fill len p =
   if p.len > len then invalid_arg "Bitstring.max_fill";
-  append p (ones (len - p.len))
+  if p.len = len then p else fill_after len p true
 
 let equal a b = a.len = b.len && String.equal a.data b.data
 

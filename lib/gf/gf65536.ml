@@ -62,17 +62,15 @@ let mul_unsafe a b =
     Array.unsafe_get exp_table
       (Array.unsafe_get log_table a + Array.unsafe_get log_table b)
 
-let dot ~coeff_logs ~pos ~ys ~k =
+(* log_table.(0) is -1, never overwritten: 0 is not a power of 2. *)
+let log_unsafe a = Array.unsafe_get log_table a
+
+let dot ~coeff_logs ~pos ~ylogs ~k =
   let acc = ref 0 in
   for j = 0 to k - 1 do
-    let cl = Array.unsafe_get coeff_logs (pos + j) in
-    if cl >= 0 then begin
-      let y = Array.unsafe_get ys j in
-      if y <> 0 then
-        acc :=
-          !acc
-          lxor Array.unsafe_get exp_table (cl + Array.unsafe_get log_table y)
-    end
+    let cl = Array.unsafe_get coeff_logs (pos + j) and yl = Array.unsafe_get ylogs j in
+    (* Both logs are -1 or in [0, 65534]: the OR is negative iff one is -1. *)
+    if cl lor yl >= 0 then acc := !acc lxor Array.unsafe_get exp_table (cl + yl)
   done;
   !acc
 

@@ -41,9 +41,14 @@ val mul_unsafe : t -> t -> t
 (** [mul a b] without range checks. Behaviour is undefined outside
     [0, 0xffff]. *)
 
-val dot : coeff_logs:int array -> pos:int -> ys:int array -> k:int -> t
+val log_unsafe : t -> int
+(** [log a] without range checks, and [-1] for [a = 0]: the zero code of
+    {!dot}'s log vectors. Behaviour is undefined outside [0, 0xffff]. *)
+
+val dot : coeff_logs:int array -> pos:int -> ylogs:int array -> k:int -> t
 (** Log-domain dot product: XOR over [j < k] of
-    [exp (coeff_logs.(pos + j) + log ys.(j))], where a coefficient log of
-    [-1] encodes the zero coefficient and zero [ys] entries are skipped.
-    Unchecked: [coeff_logs] entries must be [-1] or in [0, 65534], [ys]
-    entries valid field elements, and the ranges in bounds. *)
+    [exp (coeff_logs.(pos + j) + ylogs.(j))], where a log of [-1] encodes a
+    zero coefficient or a zero symbol and the term is skipped. Taking the
+    symbols' logs ({!log_unsafe}) once lets every row of a matrix share
+    them. Unchecked: log entries must be [-1] or in [0, 65534], and the
+    ranges in bounds. *)

@@ -2,15 +2,23 @@
     workload generation. Every experiment in the repository is reproducible
     from its seed; OCaml's global [Random] state is never used. *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in 8 bytes: a mutable [int64] field would
+   box every new state, and an out-of-line draw would box its result. *)
+type t = Bytes.t
 
-let create seed = { state = Int64.of_int seed }
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+external set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-(* The raw splitmix64 stream. *)
-let next_int64 g =
+let create seed =
+  let g = Bytes.create 8 in
+  set64u g 0 (Int64.of_int seed);
+  g
+
+(* The raw splitmix64 stream; inlined, so callers keep the word unboxed. *)
+let[@inline] next_int64 g =
   let open Int64 in
-  g.state <- add g.state 0x9E3779B97F4A7C15L;
-  let z = g.state in
+  let z = add (get64u g 0) 0x9E3779B97F4A7C15L in
+  set64u g 0 z;
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)

@@ -10,7 +10,8 @@
      matrix* — row i-k lists log L_j(i) for each parity point i — computed
      once and memoized process-wide, so each parity symbol is a k-term
      table-driven dot product ({!Gf65536.dot}) instead of a barycentric
-     evaluation. Systematic symbols are straight copies.
+     evaluation. Systematic symbols are straight copies. A stripe's symbol
+     logs are looked up once and shared by every parity row.
 
    - [decode]: the interpolation matrix for the selected share set (log
      L_j(col) over the share abscissae, for each message column) is computed
@@ -112,16 +113,17 @@ let encode_with c msg =
   Bytes.set framed 3 (Char.chr (msg_bytes land 0xff));
   Bytes.blit_string msg 0 framed header_bytes msg_bytes;
   let out = Array.init n (fun _ -> Bytes.create cw_bytes) in
-  let ys = Array.make k 0 in
+  let ylogs = Array.make k (-1) in
   for r = 0 to stripes - 1 do
     let base = 2 * r * k in
     for j = 0 to k - 1 do
-      ys.(j) <- get_symbol framed (base + (2 * j));
-      put_symbol out.(j) (2 * r) ys.(j)
+      let y = get_symbol framed (base + (2 * j)) in
+      put_symbol out.(j) (2 * r) y;
+      ylogs.(j) <- Gf.log_unsafe y
     done;
     for i = k to n - 1 do
       put_symbol out.(i) (2 * r)
-        (Gf.dot ~coeff_logs:c.enc_logs ~pos:((i - k) * k) ~ys ~k)
+        (Gf.dot ~coeff_logs:c.enc_logs ~pos:((i - k) * k) ~ylogs ~k)
     done
   done;
   Array.map Bytes.unsafe_to_string out
@@ -160,16 +162,16 @@ let decode_with c shares =
         coeff_logs_at ~xs ~ws ~k col dec_logs (col * k)
       done;
       let cws = Array.map snd selected in
-      let ys = Array.make k 0 in
+      let ylogs = Array.make k (-1) in
       let framed = Bytes.create (2 * stripes * k) in
       for r = 0 to stripes - 1 do
         for j = 0 to k - 1 do
-          ys.(j) <- get_symbol (Bytes.unsafe_of_string cws.(j)) (2 * r)
+          ylogs.(j) <- Gf.log_unsafe (get_symbol (Bytes.unsafe_of_string cws.(j)) (2 * r))
         done;
         for col = 0 to k - 1 do
           put_symbol framed
             (2 * ((r * k) + col))
-            (Gf.dot ~coeff_logs:dec_logs ~pos:(col * k) ~ys ~k)
+            (Gf.dot ~coeff_logs:dec_logs ~pos:(col * k) ~ylogs ~k)
         done
       done;
       if Bytes.length framed < header_bytes then Error "short frame"

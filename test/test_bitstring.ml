@@ -315,6 +315,75 @@ let test_spec_alignments () =
       (B.significant_bits (B.zero la))
   done
 
+(* Differential tests against the pre-rewrite byte-per-iteration splicing
+   (Kernel_spec.Bitstring_old), and against the [to_string] bit view, at
+   every bit offset mod 8 and at lengths around the 56-bit step and 64-bit
+   load of the word loops. *)
+
+module Old = Kernel_spec.Bitstring_old
+
+let word_lengths =
+  List.sort_uniq compare
+    (List.init 18 Fun.id
+    @ List.concat_map
+        (fun w -> List.init 19 (fun d -> w - 9 + d))
+        [ 56; 64; 112; 128; 168; 192 ]
+    @ [ 1000; 4099 ])
+
+let random_bits rng len = B.init len (fun _ -> Net.Prng.bool rng)
+
+let check_view what expected b =
+  Alcotest.(check string) what expected (B.to_string b)
+
+let test_splicing_vs_old () =
+  let rng = Net.Prng.create 31 in
+  List.iter
+    (fun la ->
+      let a = random_bits rng la in
+      let sa = B.to_string a in
+      List.iter
+        (fun lb ->
+          let b = random_bits rng lb in
+          let label what = Printf.sprintf "%s la=%d lb=%d" what la lb in
+          let ab = B.append a b in
+          check_bits (label "append = old") (Old.to_new (Old.append (Old.of_new a) (Old.of_new b))) ab;
+          check_view (label "append view") (sa ^ B.to_string b) ab;
+          check_bits (label "concat = old")
+            (Old.to_new (Old.concat [ Old.of_new a; Old.of_new b; Old.of_new a ]))
+            (B.concat [ a; b; a ]);
+          let len = la + lb in
+          check_bits (label "min_fill = old") (Old.to_new (Old.min_fill len (Old.of_new a)))
+            (B.min_fill len a);
+          check_view (label "min_fill view") (sa ^ String.make lb '0') (B.min_fill len a);
+          check_bits (label "max_fill = old") (Old.to_new (Old.max_fill len (Old.of_new a)))
+            (B.max_fill len a);
+          check_view (label "max_fill view") (sa ^ String.make lb '1') (B.max_fill len a))
+        word_lengths)
+    word_lengths
+
+let test_sub_vs_old () =
+  let rng = Net.Prng.create 32 in
+  List.iter
+    (fun n ->
+      let b = random_bits rng n in
+      let sb = B.to_string b and ob = Old.of_new b in
+      (* Every offset mod 8, twice over, and one far in. *)
+      List.iter
+        (fun off ->
+          if off < n then
+            List.iter
+              (fun len ->
+                if off + len <= n then begin
+                  let pos = off + 1 in
+                  let label = Printf.sprintf "sub n=%d pos=%d len=%d" n pos len in
+                  let s = B.sub b ~pos ~len in
+                  check_bits label (Old.to_new (Old.sub ob ~pos ~len)) s;
+                  check_view label (String.sub sb off len) s
+                end)
+              (n - off :: word_lengths))
+        (List.init 16 Fun.id @ [ Net.Prng.int rng (max 1 n) ]))
+    word_lengths
+
 let suite =
   [
     Alcotest.test_case "construction" `Quick test_construction;
@@ -338,4 +407,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_spec_append;
     QCheck_alcotest.to_alcotest prop_spec_compare;
     QCheck_alcotest.to_alcotest prop_spec_sub_fill;
+    Alcotest.test_case "append/concat/fill = pre-rewrite code" `Quick test_splicing_vs_old;
+    Alcotest.test_case "sub = pre-rewrite code" `Quick test_sub_vs_old;
   ]

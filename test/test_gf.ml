@@ -60,5 +60,8 @@ let suite =
           Array.iteri (fun j c -> acc := F.add !acc (F.mul c ys.(j))) coeffs;
           !acc
         in
-        F.dot ~coeff_logs ~pos:0 ~ys ~k = expected);
+        let ylogs = Array.map F.log_unsafe ys in
+        F.dot ~coeff_logs ~pos:0 ~ylogs ~k = expected);
+    prop "log_unsafe = log, -1 at zero" arb_elt (fun a ->
+        F.log_unsafe a = if a = 0 then -1 else F.log a);
   ]

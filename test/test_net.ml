@@ -226,6 +226,50 @@ let test_prng_determinism () =
   Alcotest.check Alcotest.bool "different seed differs" true (xs (Prng.create 42) <> xs c);
   Alcotest.check Alcotest.int "bytes length" 17 (String.length (Prng.bytes a 17))
 
+(* SHA-256 of 1 000 draws (ints with a wide and a narrow bound, bools),
+   captured before the state moved from a boxed [int64] field to bytes: the
+   stream must not change with its representation. *)
+let prng_stream_digest g =
+  let buf = Buffer.create 16384 in
+  for i = 0 to 999 do
+    let v =
+      match i mod 3 with
+      | 0 -> Prng.int g max_int
+      | 1 -> Prng.int g (i + 1)
+      | _ -> if Prng.bool g then 1 else 0
+    in
+    Buffer.add_string buf (string_of_int v);
+    Buffer.add_char buf ','
+  done;
+  Sha256.to_hex (Sha256.digest (Buffer.contents buf))
+
+let test_prng_stream_pin () =
+  List.iter
+    (fun (name, g, expected) ->
+      Alcotest.check Alcotest.string name expected (prng_stream_digest g))
+    [
+      ( "create 1",
+        Prng.create 1,
+        "d46ed18ef20331b8c446bce0466ae6abf1c53b1199dc8891f05e9aaa32d8051f" );
+      ( "create (-7)",
+        Prng.create (-7),
+        "ac9c41ee33daef574324c6ec259fe250784b7a5def7cb818d972cb397c74280b" );
+      ( "split (create 5) ~salt:3",
+        Prng.split (Prng.create 5) ~salt:3,
+        "4c253d73756278ac5b90e31829b6a07ef603a19d29f13e0c8dce4aaf2d3f2372" );
+    ]
+
+let test_prng_allocation () =
+  let g = Prng.create 11 in
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to 1000 do
+    acc := !acc + Prng.int g i + if Prng.bool g then 1 else 0
+  done;
+  let words = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity !acc);
+  Alcotest.(check (float 0.)) "minor words for 2 000 draws" 0. words
+
 let suite =
   [
     Alcotest.test_case "all-honest delivery" `Quick test_all_honest_delivery;
@@ -240,6 +284,8 @@ let suite =
     Alcotest.test_case "metrics labels deterministic" `Quick
       test_metrics_labels_deterministic;
     Alcotest.test_case "prng determinism" `Quick test_prng_determinism;
+    Alcotest.test_case "prng stream pin" `Quick test_prng_stream_pin;
+    Alcotest.test_case "prng draws allocate nothing" `Quick test_prng_allocation;
     Alcotest.test_case "nesting depth adds no per-round allocation" `Quick
       test_nesting_depth_allocation;
   ]
