@@ -244,6 +244,17 @@ let test_sha256_speedup_unenforced () =
   | Some v -> Alcotest.failf "substrate.sha256_kernel_speedup: %s" (Ledger.show v)
   | None -> Alcotest.fail "substrate.sha256_kernel_speedup not declared"
 
+(* Compare rows that allocate (a closure per call, 40 B) fail the row
+   shape, as codec rows that allocate nothing do. *)
+let test_substrate_compare_alloc () =
+  let l = ledger_of "substrate" in
+  List.iter
+    (fun (what, op, bytes) ->
+      let alloc bits = edit (codec op bits) (set "alloc_bytes_per_op" (Num bytes)) in
+      Alcotest.(check (list string)) what [ "substrate.row_shape" ]
+        (Ledger.failed (Ledger.check ~timed:true (alloc 8192. (alloc 32768. l)))))
+    [ ("compare allocates", "compare", 40.); ("add allocates nothing", "add", 0.) ]
+
 (* With the l >= 2^16 rows dropped, no row shows Pi_Z below Turpin-Coan BA:
    the crossover gate fails rather than pass on nothing. *)
 let test_t1_crossover_needs_rows () =
@@ -411,4 +422,6 @@ let suite =
       test_sha256_speedup_unenforced;
     Alcotest.test_case "EXPERIMENTS T8 table = ledger" `Quick
       test_auth_table_equals_ledger;
+    Alcotest.test_case "substrate compare allocates nothing" `Quick
+      test_substrate_compare_alloc;
   ]
