@@ -51,15 +51,15 @@ val pp : Format.formatter -> t -> unit
 (** {1 Structure} *)
 
 val append : t -> t -> t
-(** Concatenation (paper's [||]). O(ℓ) byte copies; at an unaligned
-    boundary each byte of the right operand is shifted into place. *)
+(** Concatenation (paper's [||]). O(ℓ), one allocation; at an unaligned
+    boundary the right operand is shifted into place 8 bytes at a time. *)
 
 val append_bit : t -> bool -> t
 
 val sub : t -> pos:int -> len:int -> t
 (** [sub b ~pos ~len] is bits [pos .. pos+len-1], 1-indexed.
     Raises [Invalid_argument] if the range is not within [b]. O(len): a byte
-    copy, shifted when [pos] is not byte-aligned. *)
+    copy, shifted a word at a time when [pos] is not byte-aligned. *)
 
 val range : t -> left:int -> right:int -> t
 (** [range b ~left ~right] is bits [B_left || ... || B_right] (inclusive,
@@ -107,7 +107,8 @@ val pad_to : int -> t -> t
 val min_fill : int -> t -> t
 (** [min_fill len p] is MIN_len(p): [p] right-padded with zeros to [len]
     bits — the smallest [len]-bit value with prefix [p].
-    Raises [Invalid_argument] if [length p > len]. O(len), via [append]. *)
+    Raises [Invalid_argument] if [length p > len]. O(len), one allocation:
+    [p]'s bytes copied into a zeroed buffer. *)
 
 val max_fill : int -> t -> t
 (** [max_fill len p] is MAX_len(p): [p] right-padded with ones. O(len). *)
