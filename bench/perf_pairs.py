@@ -26,6 +26,12 @@ verdict against the metric's `bound`:
 Each table ends with one line naming every metric that is worse or
 unresolved. Every run's result line is kept in a temporary directory,
 named in the report.
+
+Before any timed pair, both trees run each requested workload once at
+`--seconds 0 --seed 3` (the minimum session count): a change that moves
+`honest_kbits_per_session`, `session_rounds.p50`, `session_rounds.max` or
+`ok_share` is not a like-for-like comparison, so the script stops there,
+printing both values of every metric that differs, and exits 1.
 """
 
 import argparse
@@ -51,6 +57,28 @@ def export(rev, root, dest):
     if archive.returncode != 0:
         fail("git archive %s failed" % rev)
     subprocess.run(["tar", "-x", "-C", dest], input=archive.stdout, check=True)
+
+
+# The deterministic end-to-end metrics: equal on both trees at one seed
+# unless the change moved what the protocol sends or decides.
+DETERMINISTIC = ("honest_kbits_per_session", "session_rounds.p50",
+                 "session_rounds.max", "ok_share")
+
+
+def check_determinism(trees, workloads):
+    """Stop unless both trees agree on every DETERMINISTIC metric."""
+    differ = []
+    for workload in workloads:
+        got = {side: run(trees[side], workload, 3, 0)["metrics"] for side in trees}
+        for name in DETERMINISTIC:
+            p, c = (got[side][name]["value"] for side in ("parent", "change"))
+            print("%s seed 3 %s: parent %s, change %s" % (workload, name, p, c))
+            if p != c:
+                differ.append("%s %s (parent %s, change %s)" % (workload, name, p, c))
+    if differ:
+        print("perf_pairs: the trees differ at --seconds 0 --seed 3: " + "; ".join(differ),
+              file=sys.stderr)
+        sys.exit(1)
 
 
 def run(tree, workload, seed, seconds):
@@ -159,6 +187,7 @@ def main():
     try:
         export(args.parent, root, parent)
         trees = {"parent": parent, "change": root}
+        check_determinism(trees, workloads)
         for workload in workloads:
             results = {"parent": [], "change": []}
             for k in range(args.pairs):

@@ -17,9 +17,12 @@ type view = {
   n : int;
   t : int;
   corrupt : bool array;
-  prescribed : string option array array;
-      (** [prescribed.(s).(r)]: what party [s]'s protocol instance wants to
-          send to [r] this round. Rows of terminated parties are all-[None]. *)
+  inbound : string option array array;
+      (** [inbound.(r).(s)]: what party [s]'s protocol instance would send
+          to [r] this round, recipient-major as the round loop keeps the
+          round; columns of terminated parties are all-[None]. The matrix
+          is the loop's own and valid only inside [act]: read it there,
+          keep no reference to it or its rows. *)
 }
 
 type t = {
@@ -31,7 +34,7 @@ type t = {
 
 let make ~name act = { name; act }
 
-let prescribed_msg view ~sender ~recipient = view.prescribed.(sender).(recipient)
+let prescribed_msg view ~sender ~recipient = view.inbound.(recipient).(sender)
 
 (** {1 Generic strategies} *)
 

@@ -16,9 +16,12 @@ type view = {
   n : int;
   t : int;
   corrupt : bool array;
-  prescribed : string option array array;
-      (** [prescribed.(s).(r)]: what party [s]'s protocol instance would send
-          to [r] this round. Rows of terminated parties are all-[None]. *)
+  inbound : string option array array;
+      (** [inbound.(r).(s)]: what party [s]'s protocol instance would send
+          to [r] this round, recipient-major as the round loop keeps the
+          round; columns of terminated parties are all-[None]. The matrix
+          is the loop's own and valid only inside [act]: read it there,
+          keep no reference to it or its rows. *)
 }
 
 type t = {

@@ -129,8 +129,7 @@ val run_core :
 
     Every session keeps one stack of open spans per party ({!Obs.shard}):
     label scopes push and pop it, and each message is charged once, to the
-    sender's innermost open span (one {!Obs.message_row} per sender per
-    round); the session's {!Metrics} is filled from those totals when it
+    sender's innermost open span (one {!Obs.sent} per sender per round); the session's {!Metrics} is filled from those totals when it
     retires.
 
     [obs] attaches the run's {!Obs} recorder, and the sessions then keep

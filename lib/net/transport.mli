@@ -28,10 +28,12 @@ type slots = Wire.Frame.slots = {
           order — the order every frame carries its entries in. *)
   sids : int array;  (** [sids.(i)]: slot [i]'s session id. *)
   msgs : string option array array array;
-      (** [msgs.(i).(src).(dst)]: slot [i]'s traffic on edge [src -> dst],
-          [None] when silent; the diagonal is unused. When the loop hands
-          the round over it is what [src] sent; when [exchange] returns it
-          is what [dst] received. *)
+      (** [msgs.(i).(dst).(src)]: slot [i]'s traffic on edge [src -> dst],
+          [None] when silent — recipient-major, so when [exchange] returns,
+          row [msgs.(i).(dst)] is [dst]'s inbox. The diagonal is the
+          party's self slot, which no transport touches. When the loop
+          hands the round over a cell is what [src] sent; when [exchange]
+          returns it is what [dst] received. *)
 }
 (** One engine round, as the loop keeps it. The loop owns every array and
     reuses them round after round; a transport reads [sids] and writes the

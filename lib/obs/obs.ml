@@ -665,32 +665,22 @@ let message t ~session ~party ~dst ~round ~timeline_round ~bytes ~byzantine =
       }
       :: t.messages_rev
 
-(* A sender's whole row in one charge. The charge is additive, so the totals
-   equal one [message] per entry; only a recorder that keeps message events
-   takes them one by one. *)
-let message_row t ~session ~party ~round ~timeline_round ~byzantine row =
+(* A sender's whole round in one charge. The charge is additive, so the
+   totals equal one [message] per entry; only a recorder that keeps message
+   events takes them one by one, walking the sender's column. *)
+let sent t ~session ~party ~round ~timeline_round ~byzantine ~msgs ~bytes inbound =
   if t.messages then
-    for dst = 0 to Array.length row - 1 do
-      match row.(dst) with
+    for dst = 0 to Array.length inbound - 1 do
+      match inbound.(dst).(party) with
       | Some m when dst <> party ->
           message t ~session ~party ~dst ~round ~timeline_round
             ~bytes:(String.length m) ~byzantine
       | Some _ | None -> ()
     done
-  else begin
-    let msgs = ref 0 and bytes = ref 0 in
-    for dst = 0 to Array.length row - 1 do
-      match row.(dst) with
-      | Some m when dst <> party ->
-          msgs := !msgs + 1;
-          bytes := !bytes + String.length m
-      | Some _ | None -> ()
-    done;
-    if !msgs > 0 then
-      ignore
-        (charge t ~session ~party ~round ~timeline_round ~byzantine ~msgs:!msgs
-           ~bits:(8 * !bytes))
-  end
+  else if msgs > 0 then
+    ignore
+      (charge t ~session ~party ~round ~timeline_round ~byzantine ~msgs
+         ~bits:(8 * bytes))
 
 let live_sessions t ~round ~live = (cell t round).c_live <- live
 

@@ -198,20 +198,27 @@ val message :
     counts and the timeline. [timeline_round] is the engine round the
     traffic occupies — the timeline's key. *)
 
-val message_row :
+val sent :
   t ->
   session:int ->
   party:int ->
   round:int ->
   timeline_round:int ->
   byzantine:bool ->
-  string option array ->
+  msgs:int ->
+  bytes:int ->
+  string option array array ->
   unit
-(** [message_row t ... row] accounts every message [party] sends in one
-    round: [row.(dst)] is its message to [dst], and [row.(party)] (the self
-    slot) is free. The totals, spans and timeline equal one {!message} call
-    per [Some] entry, in [dst] order, but the row is charged once; a recorder
-    made with [~messages:true] still records one event per message. *)
+(** [sent t ... ~msgs ~bytes inbound] accounts every message [party] sends
+    in one round. [inbound] is the round recipient-major, as the round loop
+    keeps it: [inbound.(dst).(party)] is [party]'s message to [dst], and
+    the self slot [inbound.(party).(party)] is free. [msgs] and [bytes] are
+    the number and total payload bytes of [party]'s other [Some] cells —
+    the caller's own walk over them, which the round loop shares with its
+    frame ledger. The totals, spans and timeline equal one {!message} call
+    per such cell, in [dst] order, but the sender is charged once; a
+    recorder made with [~messages:true] walks the column and records one
+    event per message. *)
 
 val live_sessions : t -> round:int -> live:int -> unit
 (** Record the number of live sessions during an engine round. *)

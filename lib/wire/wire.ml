@@ -415,7 +415,7 @@ module Frame = struct
     reserve st 0 header;
     let pos = ref header and count = ref 0 in
     for i = 0 to s.live - 1 do
-      match s.msgs.(i).(src).(dst) with
+      match s.msgs.(i).(dst).(src) with
       | None -> ()
       | Some m ->
           let len = String.length m in
@@ -481,7 +481,7 @@ module Frame = struct
             on_round r;
             next := 0;
             for i = 0 to s.live - 1 do
-              s.msgs.(i).(src).(dst) <- None
+              s.msgs.(i).(dst).(src) <- None
             done);
         on_entry =
           (fun sid buf off len ->
@@ -493,7 +493,7 @@ module Frame = struct
                       live session"
                      sid src dst)
             | i ->
-                s.msgs.(i).(src).(dst) <- Some (Bytes.sub_string buf off len);
+                s.msgs.(i).(dst).(src) <- Some (Bytes.sub_string buf off len);
                 next := i + 1);
       }
     in

@@ -168,9 +168,11 @@ module Frame : sig
             admission order. *)
     sids : int array;  (** [sids.(i)]: slot [i]'s session id. *)
     msgs : string option array array array;
-        (** [msgs.(i).(src).(dst)]: slot [i]'s message on edge
-            [src -> dst], [None] when silent. {!write_edge} reads it as what
-            [src] sent; {!edge_receive} leaves in it what [dst] received. *)
+        (** [msgs.(i).(dst).(src)]: slot [i]'s message on edge
+            [src -> dst], [None] when silent — recipient-major, so row
+            [msgs.(i).(dst)] is [dst]'s inbox. {!write_edge} reads it as
+            what [src] sent; {!edge_receive} leaves in it what [dst]
+            received. *)
   }
 
   type staged = {
@@ -211,7 +213,7 @@ module Frame : sig
       edge's cells stay as they are, and it returns [true]. Any other body
       is {!parse}d. A malformed one returns [false] and changes nothing.
       A valid one runs [on_round] first; then the edge's live cells
-      [msgs.(i).(src).(dst)] are cleared to [None] and each entry is
+      [msgs.(i).(dst).(src)] are cleared to [None] and each entry is
       written into its slot's cell as a fresh copy of the bytes that
       arrived. The entries must come in admission order: each entry's slot
       is found by walking on from the previous entry's slot, and an entry

@@ -131,7 +131,7 @@ let run ?(max_rounds = 20_000) ?(allow_excess_corruptions = false) ?trace
         states
     in
     (* 2. Rushing adversary picks the corrupted parties' actual messages. *)
-    let view = { Adversary.round = !rounds; n; t; corrupt; prescribed } in
+    let view = { Adversary.round = !rounds; n; t; corrupt; inbound = Array.init n (fun r -> Array.init n (fun s -> prescribed.(s).(r))) } in
     let actual =
       Array.init n (fun s ->
           if not corrupt.(s) then prescribed.(s)

@@ -339,8 +339,8 @@ let parsing_transport ~n =
     done;
     for i = 0 to entries.Transport.live - 1 do
       Array.iteri
-        (fun src row ->
-          Array.iteri (fun dst _ -> if src <> dst then row.(dst) <- Some "\xffjunk") row)
+        (fun dst row ->
+          Array.iteri (fun src _ -> if src <> dst then row.(src) <- Some "\xffjunk") row)
         entries.Transport.msgs.(i)
     done;
     for src = 0 to n - 1 do

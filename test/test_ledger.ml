@@ -151,6 +151,10 @@ let edits : (string * (Ledger.t -> Ledger.t)) list =
     ( "engine.poll_throughput",
       edit (engine "poll" 4096.) (set "sessions_per_s" (Num 100.)) );
     ("engine.poll_alloc", edit (engine "poll" 4096.) (set "gc" (Num 500_000.)));
+    ( "engine.loop_floor_alloc",
+      edit
+        [ ("backend", Str "loop_floor"); ("adversary", Str "equivocate") ]
+        (set "words_per_round" (Num 700.)) );
     ( "substrate.row_shape",
       edit [ ("op", Str "merkle_build") ] (set "ops_per_s" (Num 0.)) );
     ( "substrate.codec_linear_alloc",
@@ -373,17 +377,25 @@ let test_auth_table_equals_ledger () =
     (List.map printed l.Ledger.rows)
     table
 
-(* Every row of EXPERIMENTS.md's ENGINE table is its ledger row as printed:
-   backend, K, wall (s), sessions/s, peak RSS (MiB), frames sent, frames
-   saved, gc (words/session) and draws (1 for a poll row). *)
+(* Every sim and poll row of EXPERIMENTS.md's ENGINE table is its ledger
+   row as printed: backend, K, wall (s), sessions/s, peak RSS (MiB), frames
+   sent, frames saved, gc (words/session) and draws (1 for a poll row); and
+   every row of its loop-floor table is a loop_floor row: adversary,
+   rounds, µs/round, words/round and draws. *)
 let test_engine_table_equals_ledger () =
   let l = ledger_of "engine" in
+  let backend row =
+    match List.assoc_opt "backend" row with
+    | Some (Str b) -> b
+    | _ -> Alcotest.fail "row without a backend"
+  in
+  let floor, sessions =
+    List.partition (fun row -> backend row = "loop_floor") l.Ledger.rows
+  in
   let printed row =
     let int key = int_of_float (num key row) in
     [
-      (match List.assoc_opt "backend" row with
-      | Some (Str b) -> b
-      | _ -> Alcotest.fail "row without a backend");
+      backend row;
       string_of_int (int "sessions");
       Printf.sprintf "%.3f" (num "wall_s" row);
       Printf.sprintf "%.1f" (num "sessions_per_s" row);
@@ -394,14 +406,26 @@ let test_engine_table_equals_ledger () =
       (if List.mem_assoc "draws" row then string_of_int (int "draws") else "1");
     ]
   in
-  let table =
-    table_under "## ENGINE —"
-      (read_file (Filename.concat ledger_dir "EXPERIMENTS.md"))
+  let printed_floor row =
+    [
+      (match List.assoc_opt "adversary" row with
+      | Some (Str a) -> a
+      | _ -> Alcotest.fail "loop_floor row without an adversary");
+      Printf.sprintf "%.0f" (num "engine_rounds" row);
+      Printf.sprintf "%.2f" (num "us_per_round" row);
+      Printf.sprintf "%.1f" (num "words_per_round" row);
+      Printf.sprintf "%.0f" (num "draws" row);
+    ]
   in
+  let text = read_file (Filename.concat ledger_dir "EXPERIMENTS.md") in
   Alcotest.(check (list (list string)))
     "ENGINE table = BENCH_engine.json"
-    (List.map printed l.Ledger.rows)
-    table
+    (List.map printed sessions)
+    (table_under "## ENGINE —" text);
+  Alcotest.(check (list (list string)))
+    "ENGINE loop-floor table = BENCH_engine.json"
+    (List.map printed_floor floor)
+    (table_under "### ENGINE loop floor" text)
 
 let suite =
   [

@@ -430,15 +430,22 @@ let test_bits_only_shard () =
   Alcotest.(check int) "no message events without ~messages" 0
     (List.length (Obs.messages full))
 
-(* [Obs.message_row] against one [Obs.message] per entry, on a seeded script
-   of spans and rows (self slots, silence, empty payloads, a byzantine
-   sender): the export, message events, counts and label table agree for a
-   bits-only shard, a span-plane recorder and one that keeps messages. *)
-let feed_rows ~per_row o seed =
+(* [Obs.sent] against one [Obs.message] per entry, on a seeded script of
+   spans and recipient-major round matrices (self slots, silence, empty
+   payloads, a byzantine sender): the export, message events, counts and
+   label table agree for a bits-only shard, a span-plane recorder and one
+   that keeps messages. *)
+let feed_rounds ~per_sender o seed =
   let rng = Prng.create seed in
   let n = 4 in
   for session = 0 to 1 do
     for round = 1 to 6 do
+      let inbound =
+        Array.init n (fun _ ->
+            Array.init n (fun _ ->
+                if Prng.int rng 3 = 0 then None
+                else Some (String.make (Prng.int rng 5) 'x')))
+      in
       for party = 0 to n - 1 do
         (match Prng.int rng 4 with
         | 0 ->
@@ -446,23 +453,24 @@ let feed_rows ~per_row o seed =
               ~label:(Printf.sprintf "l%d" (Prng.int rng 3))
         | 1 -> Obs.pop o ~session ~party ~round:(round - 1)
         | _ -> ());
-        let row =
-          Array.init n (fun _ ->
-              if Prng.int rng 3 = 0 then None
-              else Some (String.make (Prng.int rng 5) 'x'))
-        in
         let byzantine = party = n - 1 and timeline_round = round + (2 * session) in
-        if per_row then
-          Obs.message_row o ~session ~party ~round ~timeline_round ~byzantine row
-        else
-          Array.iteri
-            (fun dst m ->
-              match m with
-              | Some m when dst <> party ->
+        let msgs = ref 0 and bytes = ref 0 in
+        Array.iteri
+          (fun dst row ->
+            match row.(party) with
+            | Some m when dst <> party ->
+                if per_sender then begin
+                  incr msgs;
+                  bytes := !bytes + String.length m
+                end
+                else
                   Obs.message o ~session ~party ~dst ~round ~timeline_round
                     ~bytes:(String.length m) ~byzantine
-              | Some _ | None -> ())
-            row
+            | Some _ | None -> ())
+          inbound;
+        if per_sender then
+          Obs.sent o ~session ~party ~round ~timeline_round ~byzantine ~msgs:!msgs
+            ~bytes:!bytes inbound
       done
     done;
     for party = 0 to n - 1 do
@@ -470,18 +478,19 @@ let feed_rows ~per_row o seed =
     done
   done
 
-let prop_message_row_equals_messages =
-  QCheck.Test.make ~name:"message_row = one message per entry" ~count:100
+let prop_sent_equals_messages =
+  QCheck.Test.make ~name:"sent = one message per entry" ~count:100
     QCheck.small_nat (fun seed ->
       List.for_all
         (fun make ->
-          let per_msg = make () and per_row = make () in
-          feed_rows ~per_row:false per_msg seed;
-          feed_rows ~per_row:true per_row seed;
-          Obs.to_jsonl per_msg = Obs.to_jsonl per_row
-          && Obs.messages_csv per_msg = Obs.messages_csv per_row
-          && Obs.counts per_msg = Obs.counts per_row
-          && Obs.label_bits per_msg = Obs.label_bits per_row)
+          let per_msg = make () and per_sender = make () in
+          feed_rounds ~per_sender:false per_msg seed;
+          feed_rounds ~per_sender:true per_sender seed;
+          Obs.to_jsonl per_msg = Obs.to_jsonl per_sender
+          && Obs.messages_csv per_msg = Obs.messages_csv per_sender
+          && Obs.messages per_msg = Obs.messages per_sender
+          && Obs.counts per_msg = Obs.counts per_sender
+          && Obs.label_bits per_msg = Obs.label_bits per_sender)
         [
           (fun () -> Obs.shard None);
           (fun () -> Obs.create ());
@@ -952,5 +961,5 @@ let suite =
       test_convergence_find_prefix_blocks;
     Alcotest.test_case "convergence: high_cost_ca" `Quick
       test_convergence_high_cost_ca;
-    QCheck_alcotest.to_alcotest prop_message_row_equals_messages;
+    QCheck_alcotest.to_alcotest prop_sent_equals_messages;
   ]

@@ -203,8 +203,8 @@ let round_slots ~n ~sids msg =
     sids;
     msgs =
       Array.init live (fun i ->
-          Array.init n (fun src ->
-              Array.init n (fun dst -> if src = dst then None else msg i src dst)));
+          Array.init n (fun dst ->
+              Array.init n (fun src -> if src = dst then None else msg i src dst)));
   }
 
 let exchange net ~round s =
@@ -228,14 +228,14 @@ let test_exchange_slow_edge () =
       in
       exchange net ~round:0 s;
       Alcotest.(check (option string)) "slow edge payload intact" (Some big)
-        s.Wire.Frame.msgs.(0).(0).(1);
+        s.Wire.Frame.msgs.(0).(1).(0);
       for src = 0 to n - 1 do
         for dst = 0 to n - 1 do
           if src <> dst && not (src = 0 && dst = 1) then
             Alcotest.(check (option string))
               (Printf.sprintf "edge %d->%d delivered" src dst)
               (Some (Printf.sprintf "m%d%d" src dst))
-              s.Wire.Frame.msgs.(0).(src).(dst)
+              s.Wire.Frame.msgs.(0).(dst).(src)
         done
       done;
       let st = Net_poll.stats net in

@@ -239,8 +239,9 @@ let frame_gen =
 
 (* A random round as the loop keeps it: [live] slots (capacity a little
    larger) on [n] parties, distinct sids from 0..399 in random admission
-   order — across the 1-/2-byte varint boundary — and sent matrices mixing
-   silence, empty payloads, short ones and multi-KB ones. *)
+   order — across the 1-/2-byte varint boundary — and sent matrices
+   (recipient-major, as the loop keeps them) mixing silence, empty
+   payloads, short ones and multi-KB ones. *)
 type slot_case = { sc_n : int; sc_round : int; sc_slots : Wire.Frame.slots }
 
 (* [live] slots (capacity [cap]) on [n] parties, distinct sids from
@@ -259,8 +260,8 @@ let gen_slots ~n ~live ~cap ~payload st =
     sids = Array.init cap (fun i -> pool.(i));
     msgs =
       Array.init cap (fun _ ->
-          Array.init n (fun s ->
-              Array.init n (fun d -> if s = d then None else payload st)));
+          Array.init n (fun d ->
+              Array.init n (fun s -> if s = d then None else payload st)));
   }
 
 (* [s] with every cell of a fresh message matrix set to junk: what a
@@ -303,7 +304,7 @@ let slot_case_arb =
 let edge_entries (s : Wire.Frame.slots) ~src ~dst =
   List.filter_map
     (fun i ->
-      Option.map (fun m -> (s.Wire.Frame.sids.(i), m)) s.Wire.Frame.msgs.(i).(src).(dst))
+      Option.map (fun m -> (s.Wire.Frame.sids.(i), m)) s.Wire.Frame.msgs.(i).(dst).(src))
     (List.init s.Wire.Frame.live Fun.id)
 
 (* The stream record [write_edge] staged in [st]: u32 prefix, then body. *)
@@ -344,12 +345,12 @@ let prop_slot_codec_differential =
       Array.iteri
         (fun i mat ->
           Array.iteri
-            (fun src row ->
+            (fun dst row ->
               Array.iteri
-                (fun dst cell ->
+                (fun src cell ->
                   let want =
                     if src = dst || i >= s.Wire.Frame.live then junk
-                    else s.Wire.Frame.msgs.(i).(src).(dst)
+                    else s.Wire.Frame.msgs.(i).(dst).(src)
                   in
                   ok := !ok && cell = want)
                 row)
@@ -482,7 +483,7 @@ let prop_sink_stream_total =
           | _ -> false))
 
 (* Edge 0 -> 1's cells, slot by slot. *)
-let edge01 (s : Wire.Frame.slots) = Array.map (fun m -> m.(0).(1)) s.Wire.Frame.msgs
+let edge01 (s : Wire.Frame.slots) = Array.map (fun m -> m.(1).(0)) s.Wire.Frame.msgs
 
 let test_edge_sink_order () =
   let live = 3 in
@@ -540,8 +541,8 @@ let faithful_case () =
       sids = [| 10; 11; 12; 13 |];
       msgs =
         Array.init 4 (fun i ->
-            Array.init 2 (fun src ->
-                Array.init 2 (fun dst ->
+            Array.init 2 (fun dst ->
+                Array.init 2 (fun src ->
                     if src = 0 && dst = 1 && i < 3 then Some sent_values.(i) else None)));
     }
   in
@@ -571,7 +572,7 @@ let test_edge_sink_delivers_sent () =
   Alcotest.(check bool) "other frame parses" true
     (receive s st (body [ (10, "alphA"); (11, "bet"); (12, "gamma"); (13, "extra") ]));
   let fresh i want =
-    let got = s.Wire.Frame.msgs.(i).(0).(1) in
+    let got = s.Wire.Frame.msgs.(i).(1).(0) in
     Alcotest.(check (option string)) (Printf.sprintf "slot %d bytes" i) (Some want) got;
     Alcotest.(check bool)
       (Printf.sprintf "slot %d is a fresh copy" i)
@@ -775,11 +776,11 @@ let prop_receive_differential =
         for src = 0 to n - 1 do
           for dst = 0 to n - 1 do
             if src <> dst then begin
-              let as_written = s.Wire.Frame.msgs.(i).(src).(dst) in
+              let as_written = s.Wire.Frame.msgs.(i).(dst).(src) in
               ok :=
                 !ok
-                && as_written == sent.(i).(src).(dst)
-                && as_written = parsed.Wire.Frame.msgs.(i).(src).(dst)
+                && as_written == sent.(i).(dst).(src)
+                && as_written = parsed.Wire.Frame.msgs.(i).(dst).(src)
             end
           done
         done
