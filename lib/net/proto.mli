@@ -39,12 +39,14 @@ type inbox = string option array
     [s] sent nothing). Senders are authenticated by construction — slot [s]
     only ever holds [s]'s message, the paper's authenticated channels.
 
-    Ownership: the array is {e borrowed} from the runtime — engines reuse it
-    across rounds. The round loop passes it to the [Step]'s continuation,
+    Ownership: the array is {e borrowed} from the runtime — the round loop
+    hands over a row of the round's own message matrix, which the next send
+    phase overwrites. The round loop passes it to the [Step]'s continuation,
     which in a builder-made protocol is the code after the round's [let*]
     up to the next round; that code must consume the array (or copy what it
-    needs) before it reaches its next round, and may retain only the payload
-    strings and option boxes, which are immutable. Every builder-made
+    needs) before it reaches its next round — in particular, the next
+    round's [out] function must not read it — and may retain only the
+    payload strings and option boxes, which are immutable. Every builder-made
     protocol satisfies this because OCaml evaluates that code strictly up to
     the next [Step]. See DESIGN.md, "Hot path & allocation discipline". *)
 
