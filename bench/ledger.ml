@@ -288,11 +288,17 @@ let claims =
 (* auth: Auth_ca at t < n/2 against Pi_Z at t < n/3, at equal n       *)
 (* ------------------------------------------------------------------ *)
 
+(* Honest bits of Pi_Z over the quorum-certificate BA that Auth_ba replaced
+   (views, locks and certificates; 4t+7 rounds), per n, on the pi_z_auth
+   rows' scenario, measured at 85ecc31. The pi_z_auth rows must cost at
+   most half as much. *)
+let quorum_pi_z_auth_bits = [ (4, 304_829_640.); (5, 630_738_656.); (7, 2_640_081_072.) ]
+
 let auth =
   [
     holds "auth.row_shape" Exact (fun l ->
         each_row l (fun row ->
-            one_of row "backend" [ "unauth"; "auth" ];
+            one_of row "backend" [ "unauth"; "auth"; "pi_z_auth" ];
             List.iter (int_at_least 1. row)
               [ "n"; "t"; "bits"; "honest_bits"; "rounds" ];
             ignore (flag row "ca_holds")));
@@ -320,6 +326,19 @@ let auth =
               bad "backend=\"auth\" n=%g: %g rounds, not t+1 = %g" (num row "n")
                 rounds (t +. 1.))
           (rows_where l [ ("backend", Str "auth") ]));
+    holds "auth.substrate_bits" Exact (fun l ->
+        let rows = rows_where l [ ("backend", Str "pi_z_auth") ] in
+        if rows = [] then bad "no backend=\"pi_z_auth\" rows";
+        List.iter
+          (fun row ->
+            let n = num row "n" and bits = num row "honest_bits" in
+            match List.assoc_opt (int_of_float n) quorum_pi_z_auth_bits with
+            | None -> bad "backend=\"pi_z_auth\" n=%g has no quorum figure" n
+            | Some quorum ->
+                if bits > quorum /. 2. then
+                  bad "backend=\"pi_z_auth\" n=%g: %g honest bits, above half the \
+                       quorum BA's %g" n bits quorum)
+          rows);
   ]
 
 (* ------------------------------------------------------------------ *)

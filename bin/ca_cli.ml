@@ -63,10 +63,13 @@ let resolve_ba ba_name =
       exit 2
 
 (* A fresh authenticated setup per protocol run: XMSS signers are stateful.
-   64 instances is a ~3x margin over the ~23 BA sub-calls a Pi_Z run opens. *)
-let auth_setup ~seed ~n ~t =
+   Counted runs of Pi_Z over the auth backend (n = 4..10, l = 32..2^16,
+   passive and equivocate) open 13 to 23 BA sub-calls and sign n times per
+   call; the call count grows with log n (each FINDPREFIX iteration opens up
+   to four), so 64 instances at 2n signatures each leave a wide margin. *)
+let auth_setup ~seed ~n =
   Auth.Setup.generate ~seed:(seed + 7919) ~n
-    ~capacity:(Auth.Auth_ba.required_capacity ~t ~instances:64)
+    ~capacity:(Auth.Auth_ba.required_capacity ~n ~instances:64)
 
 let workload_catalogue rng ~n ~bits =
   [
@@ -170,13 +173,13 @@ let scenario ~ba n t protocol_name workload_name adversary_name attack_name bits
     | `Unauth -> lookup "protocol" (protocol_catalogue ~bits ~aa_rounds) protocol_name
     | `Auth ->
         require_pi_z ();
-        Workload.pi_z_auth (auth_setup ~seed ~n ~t)
+        Workload.pi_z_auth (auth_setup ~seed ~n)
     | `Adaptive ->
         require_pi_z ();
         Workload.pi_z_adaptive ()
     | `AdaptiveAuth ->
         require_pi_z ();
-        Workload.pi_z_adaptive_auth (auth_setup ~seed ~n ~t)
+        Workload.pi_z_adaptive_auth (auth_setup ~seed ~n)
   in
   let gen = lookup "workload" (workload_catalogue rng ~n ~bits) workload_name in
   let adversary = lookup "adversary" (adversary_catalogue ~seed) adversary_name in
@@ -312,11 +315,11 @@ let engine_scenario n t sessions spacing backend adversary_name attack_name
         let stats_of me = adaptive_stats.(k).(me) in
         match ba with
         | `Unauth -> Workload.pi_z
-        | `Auth -> Workload.pi_z_auth (auth_setup ~seed:(seed + (31 * k)) ~n ~t)
+        | `Auth -> Workload.pi_z_auth (auth_setup ~seed:(seed + (31 * k)) ~n)
         | `Adaptive -> Workload.pi_z_adaptive ~stats_of ()
         | `AdaptiveAuth ->
             Workload.pi_z_adaptive_auth ~stats_of
-              (auth_setup ~seed:(seed + (31 * k)) ~n ~t))
+              (auth_setup ~seed:(seed + (31 * k)) ~n))
   in
   let specs =
     List.init sessions (fun k ->
@@ -515,8 +518,9 @@ let ba_arg =
     & info [ "ba" ] ~docv:"BACKEND"
         ~doc:
           "BA substrate for the $(b,pi-z) protocol family: $(b,unauth) \
-           (phase king, plain model, t < n/3), $(b,auth) (quorum \
-           certificates over the XMSS PKI; the agreement sub-calls tolerate \
+           (phase king, plain model, t < n/3), $(b,auth) (n \
+           parallel Dolev-Strong broadcasts over the XMSS PKI and the \
+           (t+1)-th smallest of the common view; the agreement sub-calls tolerate \
            t < n/2, while the surrounding CA machinery keeps its own t < n/3 \
            requirement), $(b,adaptive) (fault-adaptive fast path: O(1)-round \
            optimistic preamble that terminates in O(nl + n^2 k) bits when no \

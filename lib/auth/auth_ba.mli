@@ -1,16 +1,20 @@
 (** Authenticated multivalued Byzantine Agreement for t < n/2 — the
-    quorum-certificate backend of the Π_BA seam ({!Ba.Substrate.S}).
+    authenticated backend of the Π_BA seam ({!Ba.Substrate.S}).
 
-    A view-by-view leader protocol in the Momose–Ren spirit: signed inputs
-    form input certificates, leaders propose values justified by the
-    highest-view certificate they know, quorums of signed votes form lock
-    certificates, and a final resolution round converges every honest party
-    on the highest-view certificate.  With t < n/2 every certificate of
-    n − t signatures contains an honest one — the fact that replaces the
-    t < n/3 counting arguments of the plain model.
+    n parallel {!Dolev_strong} broadcasts, one per party's input, give every
+    honest party the same view; the output is the (t+1)-th smallest
+    decodable value of that view, ordered by its canonical encoding. With
+    t < n/2 the honest values are a majority of the view, so the output lies
+    between two honest inputs: Agreement, Validity, and over a two-value
+    domain some honest party's input (Lemma 2). {!Auth_ca} runs the same
+    rule on fixed-width values.
 
-    Costs: 4t + 7 rounds, O(n²) messages per view, each carrying at most a
-    quorum of signatures. *)
+    Costs: t + 1 rounds; n Dolev–Strong instances, O(n³) signatures. *)
+
+val common_view :
+  Setup.t -> 'v Ba.Substrate.spec -> Net.Ctx.t -> instance:int -> 'v -> 'v Net.Proto.m
+(** [run] without its telemetry label: the one rule {!run} and {!Auth_ca.run}
+    wrap, each under its own label. *)
 
 val run :
   Setup.t -> 'v Ba.Substrate.spec -> Net.Ctx.t -> instance:int -> 'v -> 'v Net.Proto.m
@@ -18,22 +22,22 @@ val run :
     [setup] (party [i] signs with [setup.signers.(i)] only).  [instance]
     domain-separates signatures across concurrent or sequential invocations
     sharing one [setup]; honest parties must agree on it (it is a protocol
-    parameter).  If no value is certified in any view the output is
-    [spec.default].  Over a two-value domain the output is always some
-    honest party's input (the external-validity shape Π_ℤ's bit decisions
-    need).  Raises [Invalid_argument] if the setup size mismatches [ctx] or
-    2t ≥ n.  Telemetry label: ["auth_ba"]. *)
+    parameter).  Honest inputs must decode under [spec]; the output is
+    [spec.default] only if the view holds fewer than t + 1 decodable values,
+    which t corruptions cannot bring about.  Raises [Invalid_argument] if the
+    setup size mismatches [ctx] or 2t ≥ n.  Telemetry label: ["auth_ba"]. *)
 
 val rounds : t:int -> int
-(** [4t + 7]: 2 input rounds, 4 per view over t+1 views, 1 resolution. *)
+(** [t + 1]: Dolev–Strong's rounds; the n broadcasts run in parallel. *)
 
-val required_capacity : t:int -> instances:int -> int
-(** [instances × (t + 2)]: the per-party XMSS capacity a protocol opening
-    [instances] BA instances needs; Π_ℤ over {!substrate} opens one per
-    Π_BA call. *)
+val required_capacity : n:int -> instances:int -> int
+(** [instances × 2n]: the per-party XMSS capacity a protocol opening
+    [instances] BA instances needs (a party signs at most twice in each of
+    an instance's n broadcasts); Π_ℤ over {!substrate} opens one per Π_BA
+    call. *)
 
 val substrate : Setup.t -> (module Ba.Substrate.S)
-(** The authenticated backend of the Π_BA seam: name ["auth-quorum"],
+(** The authenticated backend of the Π_BA seam: name ["auth-dolev-strong"],
     assumption [`Authenticated], resilience t < n/2.
 
     The returned module embeds an instance counter that advances on every
@@ -44,7 +48,7 @@ val substrate : Setup.t -> (module Ba.Substrate.S)
     stateful and instance tags restart at 0 per substrate.
 
     Note the resilience split: plugging this substrate into the functorized
-    Π_ℤ stack ([Convex.Ca_int.Make]) upgrades the BA sub-calls to quorum
-    certificates, but the surrounding CA machinery keeps its own t < n/3
-    counting arguments — the composite still requires t < n/3.  Native
-    t < n/2 CA is {!Auth_ca}. *)
+    Π_ℤ stack ([Convex.Ca_int.Make]) makes the BA sub-calls authenticated,
+    but the surrounding CA machinery keeps its own t < n/3 counting
+    arguments — the composite still requires t < n/3.  Native t < n/2 CA is
+    {!Auth_ca}. *)

@@ -1,7 +1,7 @@
 (** Dolev–Strong authenticated broadcast: Byzantine Broadcast for {e any}
     t < n given a PKI — the classical signature-chain protocol, here used at
-    t < n/2 as the substrate for {!Auth_ca} (the paper's open problem about
-    the authenticated setting).
+    t < n/2 under {!Auth_ba.common_view}, the rule of {!Auth_ba} and
+    {!Auth_ca} (the paper's open problem about the authenticated setting).
 
     Round 1: the sender signs its value and sends it to all. A party that,
     in round r, receives a value carrying valid signatures from r distinct

@@ -1,6 +1,7 @@
 (** Dolev–Strong authenticated broadcast: Byzantine Broadcast for {e any}
     t < n given a PKI — the classical signature-chain protocol, used here at
-    t < n/2 as the substrate of {!Auth_ca}.
+    t < n/2 under {!Auth_ba.common_view}: n parallel instances give every
+    honest party the same view, for {!Auth_ba} and {!Auth_ca} alike.
 
     Guarantees: Termination (t+1 rounds); Agreement (all honest parties
     output the same [Some v] or all output [None]); Validity (an honest
@@ -19,8 +20,9 @@ val run :
   string ->
   string option Net.Proto.m
 (** [run setup ctx ~instance ~sender v]: [instance] domain-separates
-    signatures when several broadcasts run in one execution (as in
-    {!Auth_ca}). Only [sender]'s [v] matters. The [ctx] may be built with
+    signatures when several BA instances run in one execution (as in
+    {!Auth_ba.substrate}); the signed bytes also carry [sender], so the n
+    broadcasts of one instance share its tag. Only [sender]'s [v] matters. The [ctx] may be built with
     {!Net.Ctx.make_authenticated}. *)
 
 (** {1 Exposed for adversarial harnesses (signed-equivocation attacks)} *)

@@ -32,7 +32,7 @@ end
    entry point reifies Phase_king's builder — same code path, same
    "pi_ba" telemetry label, same wire bytes — so the functorized CA protocols
    instantiated with this module are bit-identical to the pre-seam stack
-   (pinned by test/test_substrate.ml). *)
+   (pinned by test/test_seam.ml). *)
 module Unauthenticated : S = struct
   let name = "phase-king"
   let assumption = `Plain

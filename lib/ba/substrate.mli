@@ -11,6 +11,8 @@
     Termination, Agreement and Validity (Definition 2), plus the two-element
     domain strengthening used by ADDLASTBIT / GETOUTPUT / Π_ℤ (Lemma 2): over
     a two-value domain the output is always some honest party's input.
+    test/test_substrate.ml checks both, with the exact {!S.rounds}, for
+    every backend under every generic adversary.
 
     Note the resilience split: [max_t] bounds the substrate itself, but the
     surrounding CA counting arguments (Π_BA+, FINDPREFIX) independently

@@ -180,7 +180,7 @@ let pi_z = { proto_name = "Pi_Z (this paper)"; run = Convex.agree_int; solves_ca
    under [~setup:`Authenticated] with a [setup] fresh for this run. *)
 let pi_z_auth setup =
   {
-    proto_name = "Pi_Z over auth-quorum BA (t<n/3; authenticated sub-calls)";
+    proto_name = "Pi_Z over auth-dolev-strong BA (t<n/3; authenticated sub-calls)";
     run =
       (fun ctx v ->
         let module B = (val Auth.Auth_ba.substrate setup) in

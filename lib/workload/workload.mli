@@ -108,13 +108,14 @@ val pi_z : protocol
 
 val pi_z_auth : Auth.Setup.t -> protocol
 (** Π_ℤ with its BA sub-calls routed through the authenticated t < n/2
-    quorum-certificate substrate ({!Auth.Auth_ba.substrate}) instead of
+    substrate ({!Auth.Auth_ba.substrate}: n parallel Dolev–Strong
+    broadcasts and the (t+1)-th smallest of the common view) instead of
     phase king. The surrounding CA machinery keeps its own t < n/3 counting
     arguments, so the composite's resilience is still t < n/3 — this is the
     seam demonstrator, not a resilience upgrade (native t < n/2 CA is
     {!Auth.Auth_ca}). Supply a {!Auth.Setup.t} fresh for this run
     (signers are stateful) with capacity ≥
-    [Auth.Auth_ba.required_capacity ~t ~instances:64], and pass
+    [Auth.Auth_ba.required_capacity ~n ~instances:64], and pass
     [~setup:`Authenticated] to {!run_int}. *)
 
 val pi_z_adaptive : ?stats_of:(int -> Adaptive.stats) -> unit -> protocol
@@ -127,7 +128,7 @@ val pi_z_adaptive_auth :
   ?stats_of:(int -> Adaptive.stats) -> Auth.Setup.t -> protocol
 (** The fast path over the authenticated fallback ({!pi_z_auth}'s stack).
     Same setup discipline as {!pi_z_auth}: fresh {!Auth.Setup.t}, capacity ≥
-    [required_capacity ~t ~instances:64], run with [~setup:`Authenticated]. *)
+    [required_capacity ~n ~instances:64], run with [~setup:`Authenticated]. *)
 
 val high_cost_ca : bits:int -> protocol
 val broadcast_ca : bits:int -> protocol

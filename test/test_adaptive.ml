@@ -320,7 +320,7 @@ let test_fast_path_ignores_fallback () =
   let n = 7 and t = 2 in
   let setup =
     Auth.Setup.generate ~seed:11 ~n
-      ~capacity:(Auth.Auth_ba.required_capacity ~t ~instances:64)
+      ~capacity:(Auth.Auth_ba.required_capacity ~n ~instances:64)
   in
   let auth = (module (val Auth.Auth_ba.substrate setup) : Ba.Substrate.S) in
   let rng = Prng.create 5 in

@@ -103,6 +103,7 @@ let find pairs (l : Ledger.t) =
 (* Row selectors. [every] matches all rows of the one-row obs ledger. *)
 let every = []
 let auth n = [ ("backend", Str "auth"); ("n", Num n) ]
+let pi_z_auth n = [ ("backend", Str "pi_z_auth"); ("n", Num n) ]
 let sweep backend f = [ ("backend", Str backend); ("f", Num f) ]
 let engine backend k = [ ("backend", Str backend); ("sessions", Num k) ]
 let codec op bits = [ ("op", Str op); ("bits", Num bits) ]
@@ -133,6 +134,8 @@ let edits : (string * (Ledger.t -> Ledger.t)) list =
     ("auth.pairing", edit (auth 7.) (set "n" (Num 8.)));
     (* The sequential composition's n(t+1) rounds at n=5, t=2. *)
     ("auth.native_rounds", edit (auth 5.) (set "rounds" (Num 15.)));
+    (* The quorum BA's own figure at n=7, above half of it. *)
+    ("auth.substrate_bits", edit (pi_z_auth 7.) (set "honest_bits" (Num 2_640_081_072.)));
     ("adaptive.row_shape", edit (sweep "pi_z" 3.) (set "rounds" (Num 0.)));
     ("adaptive.ca_holds", edit (sweep "adaptive" 2.) (set "ca_holds" (Bool false)));
     ("adaptive.f_coverage", drop (sweep "adaptive-auth" 1.));

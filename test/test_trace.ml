@@ -240,10 +240,15 @@ let test_engine_k8_csv_pinned () =
   Alcotest.check pin "engine K=8 CSV" engine_k8_csv_pin (digest (sorted_csv csv))
 
 (* [run] is the one command that runs a single scenario: the two it
-   replaced are gone, and [obs] needs [--check]. *)
+   replaced are gone, and [obs] needs [--check]. The two authenticated
+   backends run on ca_cli's own setup: an exhausted signing key or a
+   Definition 1 violation would exit non-zero. *)
 let test_cli_commands () =
   let code args = Sys.command (Printf.sprintf "%s %s >/dev/null 2>&1" cli args) in
   Alcotest.(check int) "list" 0 (code "list");
+  List.iter
+    (fun args -> Alcotest.(check int) args 0 (code args))
+    [ "run -n 4 -t 1 --ba auth"; "run -n 4 -t 1 --ba adaptive-auth" ];
   List.iter
     (fun args -> Alcotest.(check bool) (args ^ " is refused") true (code args <> 0))
     [ "trace -n 4 -t 1"; "telemetry -n 4 -t 1"; "obs" ]
