@@ -13,6 +13,10 @@ val int : t -> int -> int
 val bool : t -> bool
 val bytes : t -> int -> string
 
+val copy : t -> t
+(** A second generator at [g]'s current state: it draws what [g] draws
+    next. *)
+
 val split : t -> salt:int -> t
 (** A fresh generator derived from [g]'s stream and [salt] — lets one master
     seed drive independent sub-streams. *)

@@ -15,7 +15,10 @@
 let hash_bits = 256
 let digest_size = Sha256.digest_size
 
-type secret = { preimages : string array array (* [bit].[0|1] -> 32 bytes *) }
+(* The secret is the PRNG state the preimages were drawn from, not the 512
+   preimages: [preimages] replays the draws when the key signs, so an XMSS
+   signer's unused keys cost 8 bytes each instead of 16 KB. *)
+type secret = { origin : Net.Prng.t }
 
 type public = string
 (** 32-byte digest of the 512 public hashes. *)
@@ -25,29 +28,35 @@ type signature = {
   others : string array;  (** hash of the unrevealed preimage, 256 entries *)
 }
 
+(* [bit].[0|1] -> 32 bytes. *)
+let draw rng =
+  Array.init hash_bits (fun _ ->
+      [| Net.Prng.bytes rng digest_size; Net.Prng.bytes rng digest_size |])
+
+let preimages secret = draw (Net.Prng.copy secret.origin)
+
 let generate (rng : Net.Prng.t) =
-  let preimages =
-    Array.init hash_bits (fun _ ->
-        [| Net.Prng.bytes rng digest_size; Net.Prng.bytes rng digest_size |])
-  in
+  let origin = Net.Prng.copy rng in
+  let preimages = draw rng in
   let ctx = Sha256.init () in
   Array.iter
     (fun pair ->
       Sha256.feed ctx (Sha256.digest pair.(0));
       Sha256.feed ctx (Sha256.digest pair.(1)))
     preimages;
-  ({ preimages }, Sha256.finalize ctx)
+  ({ origin }, Sha256.finalize ctx)
 
 let message_bit digest i = Char.code digest.[i / 8] land (0x80 lsr (i mod 8)) <> 0
 
 let sign secret msg =
+  let preimages = preimages secret in
   let digest = Sha256.digest msg in
   let revealed = Array.make hash_bits "" in
   let others = Array.make hash_bits "" in
   for i = 0 to hash_bits - 1 do
     let b = if message_bit digest i then 1 else 0 in
-    revealed.(i) <- secret.preimages.(i).(b);
-    others.(i) <- Sha256.digest secret.preimages.(i).(1 - b)
+    revealed.(i) <- preimages.(i).(b);
+    others.(i) <- Sha256.digest preimages.(i).(1 - b)
   done;
   { revealed; others }
 

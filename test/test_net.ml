@@ -259,6 +259,22 @@ let test_prng_stream_pin () =
         "4c253d73756278ac5b90e31829b6a07ef603a19d29f13e0c8dce4aaf2d3f2372" );
     ]
 
+(* [bytes] draws byte i as [int g 256] of the i-th draw, and a [copy]
+   draws what its original draws next. *)
+let test_prng_bytes_reference () =
+  List.iter
+    (fun seed ->
+      let g = Prng.create seed and reference = Prng.create seed in
+      ignore (Prng.int g 5, Prng.int reference 5);
+      let again = Prng.copy g in
+      let got = Prng.bytes g 100 in
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d" seed)
+        (String.init 100 (fun _ -> Char.chr (Prng.int reference 256)))
+        got;
+      Alcotest.(check string) "copy replays" got (Prng.bytes again 100))
+    [ 1; -7; 424242 ]
+
 let test_prng_allocation () =
   let g = Prng.create 11 in
   let acc = ref 0 in
@@ -285,6 +301,7 @@ let suite =
       test_metrics_labels_deterministic;
     Alcotest.test_case "prng determinism" `Quick test_prng_determinism;
     Alcotest.test_case "prng stream pin" `Quick test_prng_stream_pin;
+    Alcotest.test_case "prng bytes = int 256 per byte" `Quick test_prng_bytes_reference;
     Alcotest.test_case "prng draws allocate nothing" `Quick test_prng_allocation;
     Alcotest.test_case "nesting depth adds no per-round allocation" `Quick
       test_nesting_depth_allocation;
