@@ -8,7 +8,7 @@
 
 DUNE ?= dune
 
-.PHONY: all build fmt test check bench bench-smoke soak-smoke obs-smoke soak-long perf-pairs clean
+.PHONY: all build fmt test test-suites check bench bench-smoke soak-smoke obs-smoke soak-long perf-pairs clean
 
 all: build
 
@@ -26,6 +26,22 @@ fmt:
 # BENCH_*.json ledger to its gates (bench/ledger.ml).
 test:
 	$(DUNE) runtest
+
+# Every alcotest suite in its own process, from the directory `dune runtest`
+# runs it in, after building what the suites read (ca_cli, EXPERIMENTS.md,
+# the committed ledgers). A check that passes only once an earlier suite
+# has warmed the heap fails here. Prints each failing suite's log and fails
+# if any suite fails. Not part of `check`: it runs the suites one by one
+# (about 45 s on two cores).
+test-suites:
+	$(DUNE) build test/test_main.exe bin/ca_cli.exe ./EXPERIMENTS.md $(wildcard BENCH_*.json)
+	@cd _build/default/test && failed=""; \
+	for s in $$(./test_main.exe list --color=never | awk 'NF >= 3 && $$2 ~ /^[0-9]+$$/ { print $$1 }' | sort -u); do \
+		if out=$$(./test_main.exe test $$s --color=never 2>&1); then echo "[ok]   $$s"; \
+		else echo "$$out" | tail -40; echo "[FAIL] $$s"; failed="$$failed $$s"; fi; \
+	done; \
+	if [ -n "$$failed" ]; then echo "[test-suites] failed:$$failed"; exit 1; fi; \
+	echo "[test-suites] every suite passed on its own"
 
 # The smoke pass runs every bench experiment and holds each fresh ledger to
 # its Exact gates without writing it. The paper tables and the claims fits

@@ -527,7 +527,10 @@ let engine =
    4x, quadratic ~16x). [compare] allocates nothing at either size; every
    other op allocates its result.
    Matrix RS encode at (13, 5) beats the reference path by
-   [rs_encode_speedup]x. One SHA-256 digest of the sha256 row's message
+   [rs_encode_speedup]x. RS decode at (13, 9) from the k systematic shares,
+   a straight copy of each column, runs at least [rs_decode_systematic]x the
+   rate of decode from parity shares alone, which interpolates every
+   column. One SHA-256 digest of the sha256 row's message
    allocates at most [sha256_alloc_words] minor words: its context and the
    digest string. A word per 64-byte block would read >= 1024 at the 64 KiB
    smoke size and >= 16384 at 1 MiB. The sha256 row times the active
@@ -539,6 +542,7 @@ let codec_small_bits = 8192.
 let codec_large_bits = 32768.
 let codec_alloc_growth = 5.
 let rs_encode_speedup = 5.
+let rs_decode_systematic = 3.
 let sha256_alloc_words = 128.
 let sha256_kernel_speedup = 2.
 
@@ -578,6 +582,20 @@ let substrate =
         let s = num row "speedup_vs_ref" in
         if s < rs_encode_speedup then
           bad "rs_encode(13,5) speedup %.1fx < %gx" s rs_encode_speedup);
+    holds "substrate.rs_decode_systematic" Timed (fun l ->
+        let rate shares =
+          num
+            (find_row l
+               ("rs_decode(13,9) " ^ shares)
+               [
+                 ("op", Str "rs_decode"); ("shares", Str shares); ("n", Num 13.); ("k", Num 9.);
+               ])
+            "ops_per_s"
+        in
+        let sys = rate "systematic" and par = rate "parity" in
+        if sys < rs_decode_systematic *. par then
+          bad "rs_decode(13,9) systematic %.0f op/s < %gx parity-only %.0f op/s" sys
+            rs_decode_systematic par);
     holds "substrate.sha256_alloc" Exact (fun l ->
         let words = num (find_row l "sha256" [ ("op", Str "sha256") ]) "minor_words_per_op" in
         if words > sha256_alloc_words then

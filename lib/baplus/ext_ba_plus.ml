@@ -81,8 +81,9 @@ module Make (B : Ba.Substrate.S) = struct
   let run (ctx : Ctx.t) input =
   let n = ctx.Ctx.n in
   let k = Ctx.quorum ctx in
-  (* One memoized codec context per (n, k) serves every FINDPREFIX iteration
-     and every concurrent session at these parameters. *)
+  (* One memoized codec context per (n, k), whose split-product tables
+     ((n−k)·k KiB) serve every FINDPREFIX iteration and every concurrent
+     session at these parameters. *)
   let codec = Reed_solomon.ctx ~n ~k in
   (* Step 1: erasure-code the input and commit to the codewords. *)
   let codewords = Reed_solomon.encode_with codec input in
@@ -132,8 +133,12 @@ module Make (B : Ba.Substrate.S) = struct
            | None -> Proto.receive_only ()
          in
          harvest inbox_b;
-         (* Step 4: reconstruct from any n−t verified codewords. Lemma 6 makes
-            failure unreachable when Π_BA+ returned non-⊥; stay total anyway.
+         (* Step 4: reconstruct from n−t verified codewords. The decoder
+            takes the n−t lowest indices held, in whatever order the table
+            yields them, and copies each systematic codeword among them
+            (indices below n−t) straight into the value; with no faulty
+            party below n−t it interpolates nothing. Lemma 6 makes failure
+            unreachable when Π_BA+ returned non-⊥; stay total anyway.
             A matching party skips the reconstruction: its shares are its own
             complete codeword set, whose decode is the committed input by the
             Reed-Solomon round-trip identity (differentially tested). *)

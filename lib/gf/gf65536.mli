@@ -4,7 +4,11 @@
 
     Elements are ints in [0, 65535]. Arithmetic uses log/exp tables over the
     primitive polynomial x^16 + x^12 + x^3 + x + 1 (0x1100B) with generator 2;
-    primitivity is checked when the tables are built. *)
+    primitivity is checked when the tables are built. The tables hold 16-bit
+    cells in two [Bytes] (256 KiB of exp, doubled so a sum of two logs needs
+    no modulo, and 128 KiB of log), built once at start-up: a quarter of
+    what [int array]s would take, small enough to stay in L2, and opaque to
+    the major GC's marking. *)
 
 type t = int
 (** Invariant: [0 <= x <= 0xffff]. Operations raise [Invalid_argument] on
@@ -36,10 +40,6 @@ val log : t -> int
     Inner-loop primitives for the Reed–Solomon codec: no range checks, no
     allocation. Callers must uphold the element invariant themselves; the
     checked API above remains the default. *)
-
-val mul_unsafe : t -> t -> t
-(** [mul a b] without range checks. Behaviour is undefined outside
-    [0, 0xffff]. *)
 
 val log_unsafe : t -> int
 (** [log a] without range checks, and [-1] for [a = 0]: the zero code of

@@ -5,4 +5,3 @@
 
 val encode : n:int -> k:int -> string -> string array
 val decode : n:int -> k:int -> (int * string) list -> (string, string) result
-val codeword_bytes : k:int -> msg_bytes:int -> int

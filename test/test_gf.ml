@@ -2,6 +2,17 @@
 
 module F = Gf65536
 
+(* Table-free product: shift-and-xor, reduced modulo 0x1100B as it goes. *)
+let ref_mul a b =
+  let acc = ref 0 and a = ref a and b = ref b in
+  while !b <> 0 do
+    if !b land 1 <> 0 then acc := !acc lxor !a;
+    a := !a lsl 1;
+    if !a land 0x10000 <> 0 then a := !a lxor 0x1100B;
+    b := !b lsr 1
+  done;
+  !acc
+
 let arb_elt = QCheck.int_bound 0xffff
 let arb_nonzero = QCheck.map (fun x -> 1 + (x mod 0xffff)) (QCheck.int_bound 100000)
 
@@ -25,6 +36,24 @@ let test_pow () =
   Alcotest.check Alcotest.int "pow x 1" 0x1234 (F.pow 0x1234 1);
   Alcotest.check Alcotest.int "pow via mul" (F.mul 7 (F.mul 7 7)) (F.pow 7 3)
 
+(* Every table cell against the reference: exp i = 2^i by repeated doubling
+   over the whole cycle, log inverts it on every non-zero element, and one
+   product per element reaches each cell of exp's doubled half. *)
+let test_tables_match_reference () =
+  let x = ref 1 in
+  for i = 0 to 65534 do
+    if F.exp i <> !x then Alcotest.failf "exp %d = %d, want %d" i (F.exp i) !x;
+    x := ref_mul !x 2
+  done;
+  Alcotest.check Alcotest.int "2^65535 = 1" 1 !x;
+  let top = F.exp 65534 in
+  for x = 1 to 0xffff do
+    if F.exp (F.log x) <> x then Alcotest.failf "exp (log %d) <> %d" x x;
+    if F.mul x top <> ref_mul x top then Alcotest.failf "mul %d 2^65534" x
+  done;
+  (* log top + 65535 - log 1: exp's last cell. *)
+  Alcotest.check Alcotest.int "last cell" top (F.div top 1)
+
 let prop name gen f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count:500 gen f)
 
 let suite =
@@ -37,15 +66,14 @@ let suite =
         F.mul a (F.mul b c) = F.mul (F.mul a b) c);
     prop "distributive" (QCheck.triple arb_elt arb_elt arb_elt) (fun (a, b, c) ->
         F.mul a (F.add b c) = F.add (F.mul a b) (F.mul a c));
-    prop "inverse" arb_nonzero (fun a -> F.mul a (F.inv a) = F.one);
+    prop "inverse" arb_nonzero (fun a -> ref_mul a (F.inv a) = F.one);
     prop "div inverts mul" (QCheck.pair arb_elt arb_nonzero) (fun (a, b) ->
         F.div (F.mul a b) b = a);
     prop "exp/log roundtrip" arb_nonzero (fun a -> F.exp (F.log a) = a);
     prop "add is involution" (QCheck.pair arb_elt arb_elt) (fun (a, b) ->
         F.add (F.add a b) b = a);
-    (* Unchecked hot-loop kernels agree with the checked API. *)
-    prop "mul_unsafe = mul" (QCheck.pair arb_elt arb_elt) (fun (a, b) ->
-        F.mul_unsafe a b = F.mul a b);
+    prop "mul = shift-and-xor reference" (QCheck.pair arb_elt arb_elt) (fun (a, b) ->
+        F.mul a b = ref_mul a b);
     prop "dot = sum of muls"
       (QCheck.pair (QCheck.list_of_size QCheck.Gen.(1 -- 8) arb_elt) arb_elt)
       (fun (coeffs, y0) ->
@@ -57,11 +85,13 @@ let suite =
         in
         let expected =
           let acc = ref 0 in
-          Array.iteri (fun j c -> acc := F.add !acc (F.mul c ys.(j))) coeffs;
+          Array.iteri (fun j c -> acc := !acc lxor ref_mul c ys.(j)) coeffs;
           !acc
         in
         let ylogs = Array.map F.log_unsafe ys in
         F.dot ~coeff_logs ~pos:0 ~ylogs ~k = expected);
     prop "log_unsafe = log, -1 at zero" arb_elt (fun a ->
         F.log_unsafe a = if a = 0 then -1 else F.log a);
+    Alcotest.test_case "tables = shift-and-xor reference" `Quick
+      test_tables_match_reference;
   ]

@@ -170,6 +170,15 @@ let edits : (string * (Ledger.t -> Ledger.t)) list =
       edit
         [ ("op", Str "rs_encode"); ("n", Num 13.); ("k", Num 5.) ]
         (set "speedup_vs_ref" (Num 4.)) );
+    ( "substrate.rs_decode_systematic",
+      fun l ->
+        let parity =
+          [ ("op", Str "rs_decode"); ("shares", Str "parity"); ("n", Num 13.); ("k", Num 9.) ]
+        in
+        edit
+          [ ("op", Str "rs_decode"); ("shares", Str "systematic"); ("n", Num 13.); ("k", Num 9.) ]
+          (set "ops_per_s" (Num (2. *. num "ops_per_s" (find parity l))))
+          l );
     (* One word per block at the 64 KiB smoke size. *)
     ( "substrate.sha256_alloc",
       edit [ ("op", Str "sha256") ] (set "minor_words_per_op" (Num 1024.)) );
