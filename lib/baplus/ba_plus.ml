@@ -26,18 +26,12 @@ let decode_vote raw =
   | Some ([ v1; v2 ] as vs) when String.compare v1 v2 < 0 -> Some vs
   | Some _ | None -> None
 
-(* Values occurring at least [threshold] times in [inbox], ascending.
+(* Values occurring at least [threshold] times in [all], ascending.
    Counted over a flat list (at most 2n values: each sender contributes at
    most two) instead of a per-call Hashtbl — the sorted output makes the
    counting order irrelevant, and the table allocation dominated these tiny
    domains. *)
-let values_with_support ~decode ~threshold inbox =
-  let all = ref [] in
-  Array.iter
-    (function
-      | None -> ()
-      | Some raw -> List.iter (fun v -> all := v :: !all) (decode raw))
-    inbox;
+let values_with_support ~threshold all =
   let rec distinct_with_quorum acc = function
     | [] -> acc
     | v :: rest ->
@@ -48,7 +42,21 @@ let values_with_support ~decode ~threshold inbox =
         if count >= threshold && not seen then distinct_with_quorum (v :: acc) rest
         else distinct_with_quorum acc rest
   in
-  List.sort String.compare (distinct_with_quorum [] !all)
+  List.sort String.compare (distinct_with_quorum [] all)
+
+(* The values [values_with_support] counts: every payload of a step-1
+   inbox, and every value of every valid step-2 vote, in no particular
+   order. *)
+let payloads inbox =
+  Array.fold_left (fun acc -> function None -> acc | Some raw -> raw :: acc) [] inbox
+
+let voted_values inbox =
+  Array.fold_left
+    (fun acc -> function
+      | None -> acc
+      | Some raw -> (
+          match decode_vote raw with Some vs -> List.rev_append vs acc | None -> acc))
+    [] inbox
 
 module Make (B : Ba.Substrate.S) = struct
   (* f-sensitive cost model, composed from the protocol's own structure: two
@@ -72,10 +80,7 @@ module Make (B : Ba.Substrate.S) = struct
     ((* Step 1: distribute inputs; find values received from n−2t parties. *)
      let* inbox1 = Proto.broadcast input in
      let seen =
-       values_with_support
-         ~decode:(fun raw -> [ raw ])
-         ~threshold:(ctx.Ctx.n - (2 * t))
-         inbox1
+       values_with_support ~threshold:(ctx.Ctx.n - (2 * t)) (payloads inbox1)
      in
      (* The counting argument caps [seen] at two values; if byzantine
         equivocation could ever break this we must not crash. *)
@@ -83,9 +88,7 @@ module Make (B : Ba.Substrate.S) = struct
      (* Step 2: vote for the values seen. *)
      let* inbox2 = Proto.broadcast (encode_vote seen) in
      let supported =
-       values_with_support
-         ~decode:(fun raw -> Option.value ~default:[] (decode_vote raw))
-         ~threshold:quorum inbox2
+       values_with_support ~threshold:quorum (voted_values inbox2)
      in
      (* Step 3: derive (a, b) with a <= b. *)
      let a, b =

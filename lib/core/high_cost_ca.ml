@@ -25,8 +25,13 @@ let ( let* ) = Proto.( let* )
 
 let encode_opt v = Wire.encode (Wire.w_option Wire.w_bits v)
 
+(* Hoisted readers: building the combinator chains at the decode site would
+   allocate their closures once per message. *)
+let r_opt_bits = Wire.r_option (Wire.r_bits ())
+let r_interval = Wire.r_pair (Wire.r_bits ()) (Wire.r_bits ())
+
 let decode_opt ~bits raw =
-  match Wire.decode_full (Wire.r_option (Wire.r_bits ())) raw with
+  match Wire.decode_full r_opt_bits raw with
   | Some (Some v) when Bitstring.length v = bits -> Some v
   | Some _ | None -> None
 
@@ -90,7 +95,7 @@ let run_custom (ctx : Ctx.t) ~bits ~select_interval v_in =
        Array.to_list inbox
        |> List.filter_map (fun raw ->
               Option.bind raw (fun raw ->
-                  match Wire.decode_full (Wire.r_pair (Wire.r_bits ()) (Wire.r_bits ())) raw with
+                  match Wire.decode_full r_interval raw with
                   | Some (lo, hi)
                     when Bitstring.length lo = bits
                          && Bitstring.length hi = bits

@@ -442,6 +442,14 @@ let test_engine_backend_identity () =
     Alcotest.fail "ca_cli.exe missing — check the (deps ...) in test/dune";
   let dir = Filename.temp_file "adaptive_obs" "" in
   Sys.remove dir;
+  let made = ref [] in
+  let remove_dir d =
+    if Sys.file_exists d then begin
+      Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
+      Sys.rmdir d
+    end
+  in
+  Fun.protect ~finally:(fun () -> List.iter remove_dir !made) @@ fun () ->
   let read path =
     let ic = open_in_bin path in
     let s = really_input_string ic (in_channel_length ic) in
@@ -456,6 +464,7 @@ let test_engine_backend_identity () =
     (fun (ba, extra) ->
       let variant backend domains =
         let d = Printf.sprintf "%s_%s_%s_d%d" dir ba backend domains in
+        made := d :: !made;
         let cmd =
           Printf.sprintf
             "%s engine --ba %s%s -n 7 -t 2 --sessions 8 --backend %s \
