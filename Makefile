@@ -45,13 +45,12 @@ test-suites:
 
 # The smoke pass runs every bench experiment and holds each fresh ledger to
 # its Exact gates without writing it. The paper tables and the claims fits
-# (t1, t2, f1, claims, t4-t7, t9) run at full size, so T1's crossover and
-# the C1-C5 fits are enforced on the real rows; auth, adaptive, engine,
-# substrate, obs and parallel run at reduced parameters. --domains 2
-# exercises the multicore fan-out and its bit-identity gates on every host.
+# (t1, t2, f1, claims, t4-t7) run at full size, so T1's crossover and the
+# C1-C5 fits are enforced on the real rows; auth, adaptive, engine,
+# substrate and obs run at reduced parameters.
 # `dune runtest` runs the t1 and claims part on its own (bench/dune).
 bench-smoke:
-	$(DUNE) exec bench/main.exe -- --smoke --domains 2
+	$(DUNE) exec bench/main.exe -- --smoke
 
 # ~10 s of the duration-based soak on the event-driven poll backend: mixed
 # adversarial workloads, staggered admission, Definition 1 checked per

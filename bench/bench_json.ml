@@ -23,11 +23,9 @@ let emit_value buf = function
 
 (* Shared provenance meta, stamped into every ledger: BENCH_*.json numbers
    are only comparable across PRs when each file records what produced them
-   (commit, compiler, the domain count the harness ran with, and the host's
-   core count, which bounds what a parallel or timed row could measure). *)
-
-let domains = ref 1
-let set_domains d = domains := d
+   (commit, compiler, and the host's core count, which bounds what a timed
+   row could measure). Ledgers written before the harness ran on one domain
+   only also carry a [domains] field, which readers ignore. *)
 
 let command_line cmd =
   try
@@ -54,7 +52,6 @@ let shared_meta () =
   [
     ("git_rev", Str (Lazy.force git_rev));
     ("ocaml_version", Str Sys.ocaml_version);
-    ("domains", Int !domains);
     ("nproc", Int (Domain.recommended_domain_count ()));
   ]
 

@@ -8,9 +8,9 @@
    counts, pairings, bit and allocation ratios) and run at every size,
    `--smoke` included. [Timed] gates hold a full-parameter run to its
    bounds: wall-clock figures and the sweep scale they are read at; a smoke
-   run skips them. A gate the ledger cannot exercise (a speedup bound on a
-   host without the cores) returns [Unenforced] with the reason — never a
-   silent [Pass]. *)
+   run skips them. A gate the ledger cannot exercise (a kernel speedup
+   bound on a host with only the portable kernel) returns [Unenforced] with
+   the reason — never a silent [Pass]. *)
 
 open Obs.Json
 
@@ -87,7 +87,6 @@ let of_json json =
           in_meta (fun () ->
               ignore (non_empty_str meta "git_rev");
               ignore (non_empty_str meta "ocaml_version");
-              int_at_least 1. meta "domains";
               (* The host's core count. Every committed ledger but
                  BENCH_obs.json carries it; that one predates the stamp. *)
               if List.mem_assoc "nproc" meta then int_at_least 1. meta "nproc";
@@ -647,7 +646,7 @@ let obs =
               bad "span_bits %g <> honest_bits %g" (num row "span_bits")
                 (num row "honest_bits")));
     (* Ledger equality, a deterministic export, Det export and trace identical
-       across sim / poll / domains=2, frame histogram = aggregate ledger. *)
+       across sim and poll, frame histogram = aggregate ledger. *)
     holds "obs.identity" Exact (fun l ->
         each_row l (fun row ->
             List.iter
@@ -659,52 +658,12 @@ let obs =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* parallel: multicore fan-out                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* At least [parallel_speedup]x at [parallel_domains] domains, enforced only
-   where the host recommends that many. *)
-let parallel_speedup = 2.
-let parallel_domains = 4.
-
-let parallel =
-  [
-    holds "parallel.row_shape" Exact (fun l ->
-        each_row l (fun row ->
-            int_at_least 1. row "domains";
-            positive row "cells_per_s";
-            ignore (num row "speedup_vs_seq");
-            ignore (flag row "identical")));
-    holds "parallel.identical" Exact (fun l ->
-        each_row l (fun row ->
-            if not (flag row "identical") then
-              bad "identical is false: bit-identity broken"));
-    gate "parallel.speedup" Timed (fun l ->
-        let recommended = in_meta (fun () -> num l.meta "recommended_domains") in
-        if recommended < parallel_domains then
-          Unenforced
-            (Printf.sprintf "host recommends %g domain(s); the bound needs %g"
-               recommended parallel_domains)
-        else
-          let row =
-            find_row l
-              (Printf.sprintf "domains=%g" parallel_domains)
-              [ ("domains", Num parallel_domains) ]
-          in
-          let s = num row "speedup_vs_seq" in
-          if s < parallel_speedup then
-            bad "speedup %.2fx at %g domains < %gx" s parallel_domains
-              parallel_speedup;
-          Pass);
-  ]
-
-(* ------------------------------------------------------------------ *)
 
 let gates =
   [
     ("t1", t1); ("claims", claims); ("auth", auth); ("adaptive", adaptive);
     ("engine", engine);
-    ("substrate", substrate); ("obs", obs); ("parallel", parallel);
+    ("substrate", substrate); ("obs", obs);
   ]
 
 (* The experiment's gates and their verdicts; [~timed:false] (a smoke run)

@@ -3,7 +3,6 @@
 
      dune exec bench/main.exe                 -- run everything
      dune exec bench/main.exe -- t1 f1        -- run a subset
-     dune exec bench/main.exe -- --domains 4  -- fan cells over 4 domains
 
    The paper (a brief announcement) has no empirical section; the experiments
    measure exactly what its theorems claim: communication complexity (honest
@@ -17,18 +16,13 @@ open Net
 let line = String.make 104 '-'
 
 (* --smoke: the experiments that take seconds to minutes at full size
-   (auth, adaptive, engine, substrate, obs, parallel) run at reduced
-   parameters; the paper tables and the claims fits take under a second
-   each and run at full size, so their Exact gates read the real rows.
+   (auth, adaptive, engine, substrate, obs) run at reduced parameters;
+   the paper tables and the claims fits take under a second each and run
+   at full size, so their Exact gates read the real rows.
    Wired into `make check` so the bench harness cannot rot; smoke runs hold
    each ledger to its Exact gates but never write it, so committed
    BENCH_*.json files are never clobbered. *)
 let smoke = ref false
-
-(* --domains N: fan independent experiment cells (t1, t4, parallel) out over
-   the shared domain pool. Defaults to the hardware parallelism bound; the
-   per-cell results are bit-identical for any value (Workload.run_cells). *)
-let domains = ref 1
 
 let write_json ~path ~meta ~rows = Bench_json.write ~smoke:!smoke ~path ~meta ~rows
 
@@ -83,40 +77,21 @@ let t1 () =
     "Pi_Z kbits" "TC-BA kbits" "HighCostCA kbits" "Broadcast-CA kbits";
   print_endline line;
   let lgs = [ 9; 10; 11; 12; 13; 14; 15; 16; 17 ] in
-  (* Each (l, protocol) grid point is an independent cell — the whole grid
-     fans out over the domain pool. run_protocol constructs its adversary and
-     PRNGs inside the thunk, so cells are self-contained. *)
-  let grid =
-    List.concat_map
-      (fun lg ->
-        let bits = 1 lsl lg in
-        let point name p =
-          Workload.cell ~label:(Printf.sprintf "2^%d/%s" lg name) (fun () ->
-              let r = run_protocol ~seed:(100 + lg) ~n ~t ~bits p in
-              assert (r.Workload.agreement);
-              r.Workload.honest_bits)
-        in
-        (* The cubic baselines get prohibitively slow past 2^15; their trend
-           is already unambiguous (skipped cells marked "-"). *)
-        [ point "pi_z" Workload.pi_z; point "tc" (Workload.turpin_coan_ba ~bits) ]
-        @ (if lg <= 15 then
-             [
-               point "hc" (Workload.high_cost_ca ~bits);
-               point "bc" (Workload.broadcast_ca ~bits);
-             ]
-           else []))
-      lgs
-  in
-  let results = Workload.run_cells ~domains:!domains grid in
   let json_rows = ref [] in
   List.iter
     (fun lg ->
-      let get name = List.assoc (Printf.sprintf "2^%d/%s" lg name) results in
-      let get_opt name =
-        List.assoc_opt (Printf.sprintf "2^%d/%s" lg name) results
+      let bits = 1 lsl lg in
+      let run p =
+        let r = run_protocol ~seed:(100 + lg) ~n ~t ~bits p in
+        assert (r.Workload.agreement);
+        r.Workload.honest_bits
       in
-      let ours = get "pi_z" and tc = get "tc" in
-      let hc = get_opt "hc" and bc = get_opt "bc" in
+      let ours = run Workload.pi_z and tc = run (Workload.turpin_coan_ba ~bits) in
+      (* The cubic baselines get prohibitively slow past 2^15; their trend
+         is already unambiguous (skipped cells marked "-"). *)
+      let baseline p = if lg <= 15 then Some (run p) else None in
+      let hc = baseline (Workload.high_cost_ca ~bits) in
+      let bc = baseline (Workload.broadcast_ca ~bits) in
       let cell = function Some b -> kbits b | None -> "-" in
       Printf.printf "2^%-6d | %18s | %18s | %18s | %18s\n" lg (kbits ours)
         (kbits tc) (cell hc) (cell bc);
@@ -342,11 +317,9 @@ let t4 () =
      <= t = floor((n-1)/3), for every adversary strategy and input attack. The 4-\n\
      corruption rows exceed the t < n/3 bound: failures there are expected (and the\n\
      Dolev-Reischuk-style impossibility says some strategy must break them).";
-  (* Adversary *factories*: strategies carry PRNG state, so every grid cell
-     instantiates a fresh adversary inside its thunk — cells are
-     self-contained (a pure function of the grid point) and fan out over the
-     domain pool. Earlier revisions shared instances across the sweep, which
-     made rows depend on run order. *)
+  (* Adversary *factories*: strategies carry PRNG state, so every row
+     instantiates a fresh adversary — each row is a pure function of its
+     grid point, not of the rows run before it. *)
   let factories =
     [
       (fun () -> Adversary.passive);
@@ -368,75 +341,57 @@ let t4 () =
   Printf.printf "%-6s %-14s %-16s %-8s %-8s %-8s\n" "corr." "adversary"
     "input attack" "term." "agree" "valid";
   print_endline line;
-  let grid =
-    List.concat_map
-      (fun n_corrupt ->
-        List.concat_map
-          (fun mk_adversary ->
-            List.map
-              (fun attack ->
-                Workload.cell
-                  ~label:
-                    (Printf.sprintf "%d/%s/%s" n_corrupt
-                       (mk_adversary ()).Adversary.name
-                       (Workload.input_attack_name attack))
-                  (fun () ->
-                    let adversary = mk_adversary () in
-                    let rng = Prng.create (n_corrupt + 17) in
-                    let corrupt = Array.make n false in
-                    let placed = ref 0 in
-                    while !placed < n_corrupt do
-                      let i = Prng.int rng n in
-                      if not corrupt.(i) then begin
-                        corrupt.(i) <- true;
-                        incr placed
-                      end
-                    done;
-                    let inputs =
-                      Workload.sensor_readings rng ~n ~base:(-1004) ~jitter:2
-                    in
-                    let inputs =
-                      Workload.apply_input_attack attack ~corrupt inputs
-                    in
-                    let term, agree, valid =
-                      match
-                        Sim.run ~max_rounds:4000 ~allow_excess_corruptions:true
-                          ~n ~t ~corrupt ~adversary (fun ctx ->
-                            Convex.agree_int ctx inputs.(ctx.Ctx.me))
-                      with
-                      | outcome -> (
-                          match Sim.honest_outputs ~corrupt outcome with
-                          | outputs ->
-                              let agree, valid =
-                                Workload.check_ca ~corrupt ~inputs outputs
-                              in
-                              (true, agree, valid)
-                          | exception Failure _ -> (false, false, false))
-                      | exception Sim.Round_limit_exceeded _ ->
-                          (false, false, false)
-                    in
-                    ( n_corrupt,
-                      adversary.Adversary.name,
-                      Workload.input_attack_name attack,
-                      term,
-                      agree,
-                      valid )))
-              [
-                Workload.Honest_inputs; Workload.Outlier_high;
-                Workload.Split_extremes;
-              ])
-          factories)
-      [ 0; 1; 3; 4 ]
+  let attacks =
+    [ Workload.Honest_inputs; Workload.Outlier_high; Workload.Split_extremes ]
   in
+  let mark b = if b then "yes" else "NO" in
   List.iter
-    (fun (_, (n_corrupt, name, attack, term, agree, valid)) ->
-      let mark b = if b then "yes" else "NO" in
-      Printf.printf "%-6d %-14s %-16s %-8s %-8s %-8s%s\n" n_corrupt name attack
-        (mark term) (mark agree) (mark valid)
-        (if n_corrupt > t && not (term && agree && valid) then
-           "   (beyond t: allowed to fail)"
-         else ""))
-    (Workload.run_cells ~domains:!domains grid)
+    (fun n_corrupt ->
+      List.iter
+        (fun mk_adversary ->
+          List.iter
+            (fun attack ->
+              let adversary = mk_adversary () in
+              let rng = Prng.create (n_corrupt + 17) in
+              let corrupt = Array.make n false in
+              let placed = ref 0 in
+              while !placed < n_corrupt do
+                let i = Prng.int rng n in
+                if not corrupt.(i) then begin
+                  corrupt.(i) <- true;
+                  incr placed
+                end
+              done;
+              let inputs =
+                Workload.sensor_readings rng ~n ~base:(-1004) ~jitter:2
+              in
+              let inputs = Workload.apply_input_attack attack ~corrupt inputs in
+              let term, agree, valid =
+                match
+                  Sim.run ~max_rounds:4000 ~allow_excess_corruptions:true ~n ~t
+                    ~corrupt ~adversary (fun ctx ->
+                      Convex.agree_int ctx inputs.(ctx.Ctx.me))
+                with
+                | outcome -> (
+                    match Sim.honest_outputs ~corrupt outcome with
+                    | outputs ->
+                        let agree, valid =
+                          Workload.check_ca ~corrupt ~inputs outputs
+                        in
+                        (true, agree, valid)
+                    | exception Failure _ -> (false, false, false))
+                | exception Sim.Round_limit_exceeded _ -> (false, false, false)
+              in
+              Printf.printf "%-6d %-14s %-16s %-8s %-8s %-8s%s\n" n_corrupt
+                adversary.Adversary.name
+                (Workload.input_attack_name attack)
+                (mark term) (mark agree) (mark valid)
+                (if n_corrupt > t && not (term && agree && valid) then
+                   "   (beyond t: allowed to fail)"
+                 else ""))
+            attacks)
+        factories)
+    [ 0; 1; 3; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* T5: component ablation                                              *)
@@ -784,39 +739,6 @@ let adaptive_exp () =
   Printf.printf
     "\n(the adaptive f=0 row is the preamble + one bit-BA; every f > 0 row is the\n\
      full Pi_Z cost plus that constant preamble — cost tracks f, not t.)\n"
-
-(* ------------------------------------------------------------------ *)
-(* T9: parallel composition economics                                  *)
-(* ------------------------------------------------------------------ *)
-
-let t9 () =
-  let bits = 256 in
-  header "T9  --  parallel protocol composition (Net.Proto.parallel)"
-    "Independent sub-protocol instances (the n broadcasts of Broadcast-CA) can be\n\
-     round-multiplexed: rounds become max instead of sum of the branches', outputs\n\
-     are bit-identical, and the byte overhead is only the multiplex framing.";
-  Printf.printf "%-10s | %17s | %17s | %14s | %10s\n" "n (t)" "rounds seq/par"
-    "kbits seq/par" "same output" "speedup";
-  print_endline line;
-  List.iter
-    (fun n ->
-      let t = (n - 1) / 3 in
-      let corrupt = Workload.spread_corrupt ~n ~t in
-      let inputs = standard_inputs ~seed:(700 + n) ~n ~bits in
-      let measure (p : Workload.protocol) =
-        let r =
-          Workload.run_int ~n ~t ~corrupt ~adversary:(Adversary.equivocate ~seed:3)
-            ~inputs p.Workload.run
-        in
-        (r.Workload.rounds, r.Workload.honest_bits, r.Workload.outputs)
-      in
-      let sr, sb, so = measure (Workload.broadcast_ca ~bits) in
-      let pr, pb, po = measure (Workload.broadcast_ca_parallel ~bits) in
-      Printf.printf "%-4d (%d)   | %7d / %-7d | %8s / %-8s | %14b | %9.1fx\n" n t sr
-        pr (kbits sb) (kbits pb)
-        (List.for_all2 Bigint.equal so po)
-        (float_of_int sr /. float_of_int pr))
-    [ 4; 7; 10; 13 ]
 
 (* ------------------------------------------------------------------ *)
 (* ENGINE: session-multiplexing throughput                             *)
@@ -1275,7 +1197,7 @@ let obs_bench () =
      Metrics.honest_bits exactly, the JSONL export must be byte-identical\n\
      across runs and stay under its size ceiling, the Det export and the\n\
      virtual-clock Chrome trace of a K-session engine run must be\n\
-     byte-identical across sim, poll and domains=2, and the frame-bytes\n\
+     byte-identical across sim and poll, and the frame-bytes\n\
      histogram must sum to the aggregate ledger exactly.";
   let n = 13 and t = 4 in
   let bits = if !smoke then 1 lsl 9 else 1 lsl 14 in
@@ -1354,14 +1276,7 @@ let obs_bench () =
     det_export (fun obs ->
         Engine.run_poll ~obs ~n:en ~t:et ~corrupt:ecorrupt (mk_specs ()))
   in
-  let par_j, par_tr, _, _ =
-    det_export (fun obs ->
-        Engine.run_sim ~domains:2 ~obs ~n:en ~t:et ~corrupt:ecorrupt (mk_specs ()))
-  in
-  let det_identical =
-    List.for_all (String.equal sim_j) [ poll_j; par_j ]
-    && List.for_all (String.equal sim_tr) [ poll_tr; par_tr ]
-  in
+  let det_identical = String.equal sim_j poll_j && String.equal sim_tr poll_tr in
   let frame_h = Obs.hist sim_obs ~tier:Obs.Det "engine/frame_bytes" in
   let hist_ledger_equal =
     Obs.Hist.sum frame_h = sim_o.Engine.aggregate.Engine.frame_bytes
@@ -1430,168 +1345,25 @@ let obs_bench () =
       ]
 
 (* ------------------------------------------------------------------ *)
-(* PARALLEL: multicore fan-out throughput and bit-identity             *)
-(* ------------------------------------------------------------------ *)
-
-let parallel_bench () =
-  let recommended = Pool.recommended () in
-  header
-    (Printf.sprintf
-       "PARALLEL  --  experiment fan-out over the domain pool  (recommended \
-        domains on this host: %d)" recommended)
-    "Engineering table (no paper claim): independent experiment cells (seed x\n\
-     adversary x n x l grid points) fan out over the fixed domain pool. The hard\n\
-     invariant is bit-identity — every domain count must reproduce the sequential\n\
-     results and the engine's sequential ledger exactly; the throughput column is\n\
-     hardware-honest (the speedup gate is enforced only where the host has the\n\
-     cores to meet it, and reports itself unenforced elsewhere).";
-  let n = 10 and t = 3 in
-  let bits = if !smoke then 1 lsl 8 else 1 lsl 11 in
-  let cell_count = if !smoke then 8 else 32 in
-  (* Cells are rebuilt per run: thunks construct their own PRNGs and
-     adversaries, so a sweep is a pure function of the grid. *)
-  let mk_cells () =
-    List.init cell_count (fun i ->
-        Workload.cell ~label:(Printf.sprintf "cell-%d" i) (fun () ->
-            let rng = Prng.create (6000 + i) in
-            let inputs =
-              Workload.clustered_bits rng ~n ~bits ~shared_prefix_bits:(bits / 2)
-            in
-            let r =
-              Workload.run_int ~n ~t
-                ~corrupt:(Workload.spread_corrupt ~n ~t)
-                ~adversary:(Adversary.equivocate ~seed:(6100 + i))
-                ~inputs Workload.pi_z.Workload.run
-            in
-            assert (r.Workload.agreement);
-            (r.Workload.honest_bits, r.Workload.rounds, r.Workload.labels)))
-  in
-  (* Parallel engine runs must replay the sequential ledger exactly —
-     outputs, per-session metrics, aggregate, Det obs export (the same
-     invariant test_multicore.ml asserts; re-checked here so `make bench`
-     cannot publish numbers from a divergent run). Two executions of one run
-     compared, so no ledger column carries it. *)
-  let engine_fingerprint domains =
-    let k = if !smoke then 4 else 8 in
-    let en = 7 and et = 2 in
-    let specs =
-      List.init k (fun s ->
-          let inputs =
-            let rng = Prng.create (6900 + s) in
-            Workload.clustered_bits rng ~n:en ~bits:64 ~shared_prefix_bits:32
-          in
-          Engine.session ~sid:s ~start_round:s
-            ~adversary:(Adversary.equivocate ~seed:(6950 + s))
-            (fun ctx -> Convex.agree_int ctx inputs.(ctx.Ctx.me)))
-    in
-    let obs = Obs.create () in
-    let outcome =
-      Engine.run_sim ~domains ~obs ~n:en ~t:et
-        ~corrupt:(Workload.spread_corrupt ~n:en ~t:et)
-        specs
-    in
-    ( List.map
-        (fun r ->
-          ( r.Engine.r_sid,
-            Array.to_list (Array.map (Option.map Bigint.to_hex) r.Engine.r_outputs),
-            r.Engine.r_metrics.Metrics.honest_bits,
-            Metrics.labels r.Engine.r_metrics ))
-        outcome.Engine.sessions,
-      outcome.Engine.aggregate,
-      Obs.to_jsonl ~tier:Obs.Det obs )
-  in
-  let engine_base = engine_fingerprint 1 in
-  List.iter
-    (fun d ->
-      if engine_fingerprint d <> engine_base then
-        failwith
-          (Printf.sprintf
-             "parallel: engine run at domains=%d does not replay the \
-              sequential ledger" d))
-    [ 2; 4 ];
-  Printf.printf "engine replay gate: domains 2 and 4 reproduce the sequential \
-                 ledger byte-for-byte\n\n";
-  (* Throughput sweep. *)
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let seq, seq_wall = time (fun () -> Workload.run_cells ~domains:1 (mk_cells ())) in
-  let domain_counts = List.sort_uniq compare [ 1; 2; 4; recommended ] in
-  Printf.printf "%-8s | %10s | %10s | %10s | %10s\n" "domains" "wall s"
-    "cells/s" "speedup" "identical";
-  print_endline line;
-  let json_rows = ref [] in
-  List.iter
-    (fun d ->
-      let results, wall =
-        if d = 1 then (seq, seq_wall)
-        else time (fun () -> Workload.run_cells ~domains:d (mk_cells ()))
-      in
-      (* The fan-out must be bit-identical to the sequential sweep. *)
-      let identical = results = seq in
-      let cells_per_s = float_of_int cell_count /. wall in
-      let speedup = seq_wall /. wall in
-      Printf.printf "%-8d | %10.3f | %10.1f | %9.2fx | %10b\n" d wall
-        cells_per_s speedup identical;
-      json_rows :=
-        [
-          ("domains", Bench_json.Int d);
-          ("wall_s", Bench_json.Float wall);
-          ("cells_per_s", Bench_json.Float cells_per_s);
-          ("speedup_vs_seq", Bench_json.Float speedup);
-          ("identical", Bench_json.Bool identical);
-        ]
-        :: !json_rows)
-    domain_counts;
-  write_json ~path:"BENCH_parallel.json"
-    ~meta:
-      [
-        ("experiment", Bench_json.Str "parallel");
-        ("n", Bench_json.Int n);
-        ("t", Bench_json.Int t);
-        ("bits", Bench_json.Int bits);
-        ("cells", Bench_json.Int cell_count);
-        ("recommended_domains", Bench_json.Int recommended);
-      ]
-    ~rows:(List.rev !json_rows)
-
-(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
     ("t1", t1); ("t2", t2); ("f1", f1); ("claims", claims); ("t4", t4);
     ("t5", t5); ("t6", t6); ("t7", t7); ("auth", auth_exp);
-    ("adaptive", adaptive_exp); ("t9", t9);
-    ("engine", engine_bench); ("substrate", substrate); ("obs", obs_bench);
-    ("parallel", parallel_bench);
+    ("adaptive", adaptive_exp); ("engine", engine_bench);
+    ("substrate", substrate); ("obs", obs_bench);
   ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  domains := Pool.recommended ();
   let rec parse ids = function
     | [] -> List.rev ids
     | "--smoke" :: rest ->
         smoke := true;
         parse ids rest
-    | "--domains" :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some d when d >= 1 ->
-            domains := d;
-            parse ids rest
-        | _ ->
-            Printf.eprintf "--domains expects an integer >= 1, got %S\n" v;
-            exit 2)
-    | [ "--domains" ] ->
-        prerr_endline "--domains expects a value";
-        exit 2
     | id :: rest -> parse (id :: ids) rest
   in
   let ids = parse [] args in
-  Bench_json.set_domains !domains;
-  Printf.printf "domains: %d (host recommends %d)\n" !domains (Pool.recommended ());
   let requested =
     match ids with _ :: _ -> ids | [] -> List.map fst experiments
   in

@@ -40,7 +40,6 @@ let protocol_catalogue ~bits ~aa_rounds =
     ("pi-z", Workload.pi_z);
     ("high-cost-ca", Workload.high_cost_ca ~bits);
     ("broadcast-ca", Workload.broadcast_ca ~bits);
-    ("broadcast-ca-parallel", Workload.broadcast_ca_parallel ~bits);
     ("median-ba", Workload.median_ba ~bits);
     ("tc-ba", Workload.turpin_coan_ba ~bits);
     ("phase-king-ba", Workload.phase_king_ba ~bits);
@@ -114,22 +113,6 @@ let lookup what table name =
       Printf.eprintf "error: unknown %s %S; available: %s\n" what name
         (String.concat ", " (List.map fst table));
       exit 2
-
-(* ------------------------------------------------------------------ *)
-(* --domains validation for the engine command: reject nonsense,
-   clamp to the hardware bound (oversubscribing the cores only adds barrier
-   overhead; bit-identity makes the clamp observable in wall-clock alone),
-   and report the decision in the run header. *)
-let effective_domains requested =
-  if requested < 1 then begin
-    Printf.eprintf "error: --domains must be >= 1 (got %d)\n" requested;
-    exit 2
-  end;
-  let recommended = Pool.recommended () in
-  let eff = min requested recommended in
-  Printf.printf "domains:         requested %d, effective %d (host recommends %d)\n"
-    requested eff recommended;
-  eff
 
 (* ------------------------------------------------------------------ *)
 (* One scenario: what run executes                                    *)
@@ -273,9 +256,8 @@ let run_scenario n t protocol_name workload_name adversary_name attack_name
 (* ------------------------------------------------------------------ *)
 
 let engine_scenario n t sessions spacing backend adversary_name attack_name
-    ba_name bits seed verbose domains_req obs_dir =
+    ba_name bits seed verbose obs_dir =
   require_resilience ~n ~t;
-  let domains = effective_domains domains_req in
   if sessions < 1 then begin
     Printf.eprintf "error: --sessions must be at least 1\n";
     exit 2
@@ -354,11 +336,11 @@ let engine_scenario n t sessions spacing backend adversary_name attack_name
   let sampler = Option.map (fun _ -> Engine.Sampler.create ()) obs_dir in
   let outcome =
     match backend with
-    | "poll" -> Engine.run_poll ?obs ?sampler ~domains ~n ~t ~corrupt specs
-    | _ -> Engine.run_sim ?obs ?sampler ~domains ~n ~t ~corrupt specs
+    | "poll" -> Engine.run_poll ?obs ?sampler ~n ~t ~corrupt specs
+    | _ -> Engine.run_sim ?obs ?sampler ~n ~t ~corrupt specs
   in
   (* The adaptive counters are Det-tier: summed over honest parties in fixed
-     index order, they are byte-identical across sim/poll and any --domains. *)
+     index order, they are byte-identical across sim and poll. *)
   (match (obs, ba) with
   | Some o, (`Adaptive | `AdaptiveAuth) ->
       let fast = Obs.counter o ~tier:Obs.Det "adaptive/fast_path_taken"
@@ -554,17 +536,6 @@ let file_arg =
           "Load the whole configuration from a scenario file (key = value \
            lines; see the Scenario library). Overrides the other options.")
 
-let domains_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "domains" ] ~docv:"D"
-        ~doc:
-          "Domains (cores) to run the per-round session steps on. \
-           Values below 1 are rejected; values above the host's recommended \
-           domain count are clamped to it, and the effective value is \
-           printed in the run header. Results are bit-identical for every \
-           value — only wall-clock changes.")
-
 let telemetry_file_arg =
   Arg.(
     value
@@ -658,7 +629,7 @@ let engine_cmd =
     Term.(
       const engine_scenario $ n_arg $ t_arg $ sessions_arg $ spacing_arg
       $ backend_arg $ adversary_arg $ attack_arg $ ba_arg $ bits_arg
-      $ seed_arg $ verbose_arg $ domains_arg $ obs_dir_arg)
+      $ seed_arg $ verbose_arg $ obs_dir_arg)
 
 let obs_check_arg =
   Arg.(

@@ -36,8 +36,8 @@ type stats = {
           protocol (missing/undecodable/inconsistent echoes) — a lower bound
           on the actual corruptions f in this party's view *)
 }
-(** Per-party fast-path accounting.  One record per (party, protocol run);
-    under a multicore runtime each party must own a distinct record (see
+(** Per-party fast-path accounting.  One record per (party, protocol run):
+    each party must own a distinct record (see
     [Workload.pi_z_adaptive]'s [stats_of]).  Mirrored into the Obs Det tier
     as [adaptive/{fast_path_taken,fallbacks,f_observed}] by the engine CLI. *)
 

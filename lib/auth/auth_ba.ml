@@ -23,7 +23,7 @@ open Net
 let common_view (setup : Setup.t) (spec : 'v Ba.Substrate.spec) (ctx : Ctx.t) ~instance
     input =
   let n = ctx.Ctx.n and t = ctx.Ctx.t in
-  if Array.length setup.pki <> n || Array.length setup.signers <> n then
+  if Setup.parties setup <> n then
     invalid_arg "Auth_ba.run: setup size mismatch";
   if 2 * t >= n then invalid_arg "Auth_ba.run: requires t < n/2";
   let encoded = spec.encode input in

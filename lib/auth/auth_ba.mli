@@ -19,7 +19,7 @@ val common_view :
 val run :
   Setup.t -> 'v Ba.Substrate.spec -> Net.Ctx.t -> instance:int -> 'v -> 'v Net.Proto.m
 (** Byzantine Agreement on ['v] at t < n/2, signing with the XMSS keys of
-    [setup] (party [i] signs with [setup.signers.(i)] only).  [instance]
+    [setup] (party [i] signs with [Setup.signer setup i] only).  [instance]
     domain-separates signatures across concurrent or sequential invocations
     sharing one [setup]; honest parties must agree on it (it is a protocol
     parameter).  Honest inputs must decode under [spec]; the output is

@@ -87,10 +87,12 @@ let chain_trim setup ~instance ~sender ~round value chain =
 let run (setup : Setup.t) (ctx : Ctx.t) ~instance ~sender v =
   if sender < 0 || sender >= ctx.Ctx.n then invalid_arg "Dolev_strong.run: bad sender";
   let t = ctx.Ctx.t in
-  let signer = setup.Setup.signers.(ctx.Ctx.me) in
   let accepted : (string, unit) Hashtbl.t = Hashtbl.create 2 in
   let sign value =
-    (ctx.Ctx.me, Sigs.Xmss.sign signer (signed_bytes ~instance ~sender value))
+    ( ctx.Ctx.me,
+      Sigs.Xmss.sign
+        (Setup.signer setup ctx.Ctx.me)
+        (signed_bytes ~instance ~sender value) )
   in
   Proto.with_label "dolev_strong"
     (let rec rounds r ~outbox =

@@ -7,26 +7,30 @@
 
     Key generation is deterministic in the seed, so simulator runs remain
     reproducible. The adversary knows corrupted parties' secrets (it runs
-    them) but, lacking SHA-256 preimages, cannot forge honest signatures. *)
+    them) but, lacking SHA-256 preimages, cannot forge honest signatures.
 
-type t = {
-  pki : Sigs.Xmss.public array;  (** party index -> verification key *)
-  signers : Sigs.Xmss.signer array;
-      (** party index -> signing key; the simulator hands party i's protocol
-          instance [signers.(i)] only. *)
-}
+    Each party's key pair is generated the first time it is needed: a run
+    that never signs or verifies (the adaptive fast path) pays nothing for
+    it. The per-party PRNG sub-streams are split from the master at
+    [generate] ([Prng.split] advances the master), so every key is the one
+    eager generation would have made, whichever party is forced first. *)
 
-(** [generate ~seed ~n ~capacity] — [capacity] = signatures available per
-    party for the whole run. *)
+type t = { keys : (Sigs.Xmss.signer * Sigs.Xmss.public) Lazy.t array }
+
 let generate ~seed ~n ~capacity =
   let master = Net.Prng.create seed in
-  let pairs =
-    Array.init n (fun i ->
-        Sigs.Xmss.generate (Net.Prng.split master ~salt:i) ~capacity)
-  in
-  { pki = Array.map snd pairs; signers = Array.map fst pairs }
+  {
+    keys =
+      Array.init n (fun i ->
+          let rng = Net.Prng.split master ~salt:i in
+          lazy (Sigs.Xmss.generate rng ~capacity));
+  }
+
+let parties setup = Array.length setup.keys
+let signer setup party = fst (Lazy.force setup.keys.(party))
+let public setup party = snd (Lazy.force setup.keys.(party))
 
 let verify setup ~party ~msg signature =
   party >= 0
-  && party < Array.length setup.pki
-  && Sigs.Xmss.verify ~public:setup.pki.(party) ~msg signature
+  && party < parties setup
+  && Sigs.Xmss.verify ~public:(public setup party) ~msg signature

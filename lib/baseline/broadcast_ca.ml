@@ -47,19 +47,3 @@ let run (ctx : Ctx.t) ~bits v_in =
      in
      let* view = gather 0 [] in
      Proto.return (choose ~bits ~t ~fallback:v_in view))
-
-(** The same protocol with the n broadcasts composed by {!Net.Proto.parallel}
-    instead of sequentially: identical outputs (the broadcasts are
-    independent and deterministic), O(n) rounds instead of O(n²). *)
-let run_parallel (ctx : Ctx.t) ~bits v_in =
-  if Bitstring.length v_in <> bits then
-    invalid_arg "Broadcast_ca.run_parallel: input length";
-  let n = ctx.Ctx.n and t = ctx.Ctx.t in
-  Proto.with_label "broadcast_ca"
-    (let* view =
-       Proto.parallel
-         (List.init n (fun sender ->
-              Ba.Broadcast.run Ba.Phase_king.bytes_spec ctx ~sender
-                (Wire.encode_value v_in)))
-     in
-     Proto.return (choose ~bits ~t ~fallback:v_in view))

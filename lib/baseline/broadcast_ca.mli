@@ -14,8 +14,3 @@ val run : Net.Ctx.t -> bits:int -> Bitstring.t -> Bitstring.t Net.Proto.m
 (** All honest parties must join with values of width [bits]; the common
     output lies within the honest inputs' range. The n broadcasts run
     sequentially: O(n²) rounds. *)
-
-val run_parallel : Net.Ctx.t -> bits:int -> Bitstring.t -> Bitstring.t Net.Proto.m
-(** [run] with the n broadcasts composed by {!Net.Proto.parallel}: identical
-    outputs, O(n) rounds, same total communication up to multiplexing
-    framing. *)

@@ -5,11 +5,11 @@
 open Net
 include Loop
 
-let run_core ?max_rounds ?domains ?obs ?on_round ~transport ~n ~t
+let run_core ?max_rounds ?obs ?on_round ~transport ~n ~t
     ~corrupt specs =
   if Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 corrupt > t then
     invalid_arg "Engine: more corruptions than t";
-  Loop.run_core ?max_rounds ?domains ?obs ?on_round ~transport ~n ~t
+  Loop.run_core ?max_rounds ?obs ?on_round ~transport ~n ~t
     ~corrupt specs
 
 (* ---- periodic time-series sampler ----------------------------------------- *)
@@ -115,9 +115,9 @@ let sampler_hook ?sampler ?poll_stats () =
 
 (* ---- simulator backend ---------------------------------------------------- *)
 
-let run_sim ?max_rounds ?domains ?obs ?sampler ~n ~t ~corrupt specs =
+let run_sim ?max_rounds ?obs ?sampler ~n ~t ~corrupt specs =
   let on_round = sampler_hook ?sampler () in
-  run_core ?max_rounds ?domains ?obs ?on_round
+  run_core ?max_rounds ?obs ?on_round
     ~transport:(Transport.loopback ()) ~n ~t ~corrupt specs
 
 (* ---- poll backend ---------------------------------------------------------- *)
@@ -133,7 +133,7 @@ let poll_sink o =
     sink_write_stall = (fun s -> Obs.Hist.record stall_h (ns s));
   }
 
-let run_poll ?max_rounds ?domains ?obs ?sampler ~n ~t ~corrupt specs =
+let run_poll ?max_rounds ?obs ?sampler ~n ~t ~corrupt specs =
   let net = Net_poll.create ~n () in
   Net_poll.set_sink net (Option.map poll_sink obs);
   let on_round =
@@ -142,5 +142,5 @@ let run_poll ?max_rounds ?domains ?obs ?sampler ~n ~t ~corrupt specs =
   Fun.protect
     ~finally:(fun () -> Net_poll.close net)
     (fun () ->
-      run_core ?max_rounds ?domains ?obs ?on_round
+      run_core ?max_rounds ?obs ?on_round
         ~transport:(Net_poll.transport net) ~n ~t ~corrupt specs)

@@ -58,7 +58,6 @@ type 'a outcome = 'a Net.Loop.outcome = {
 
 val run_core :
   ?max_rounds:int ->
-  ?domains:int ->
   ?obs:Obs.t ->
   ?on_round:(round:int -> live:int -> unit) ->
   transport:Net.Transport.t ->
@@ -121,7 +120,6 @@ end
 
 val run_sim :
   ?max_rounds:int ->
-  ?domains:int ->
   ?obs:Obs.t ->
   ?sampler:Sampler.t ->
   n:int ->
@@ -133,12 +131,11 @@ val run_sim :
     the deterministic lock-step simulator, with the per-session rushing
     adversaries controlling the corrupted parties. [sampler] records a
     {!Sampler} snapshot every 16 engine rounds.
-    Everything else — [domains], [obs], the raised exceptions — is
+    Everything else — [obs], the raised exceptions — is
     as {!run_core}. *)
 
 val run_poll :
   ?max_rounds:int ->
-  ?domains:int ->
   ?obs:Obs.t ->
   ?sampler:Sampler.t ->
   n:int ->

@@ -24,5 +24,3 @@ let make_authenticated ~n ~t ~me =
 (** [n - t]: the minimum number of honest parties (quorum size used
     throughout the paper). *)
 let quorum c = c.n - c.t
-
-let pp fmt c = Format.fprintf fmt "party %d of %d (t=%d)" c.me c.n c.t

@@ -16,5 +16,3 @@ val make_authenticated : n:int -> t:int -> me:int -> t
 val quorum : t -> int
 (** [n - t]: the minimum number of honest parties — the quorum size used
     throughout the paper. *)
-
-val pp : Format.formatter -> t -> unit

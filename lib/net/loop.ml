@@ -133,33 +133,32 @@ let honest_running ~corrupt states =
   from 0
 
 (* The round-driven scheduler, parameterized over the byte transport. Every
-   backend shares this loop and its one schedule — send phase, sequential
-   ledger replay, exchange, delivery phase; what varies is only how each
-   round's traffic reaches the recipients ({!Transport.exchange}), which
-   delivers in place into the round's message matrices. The loopback
-   transport moves nothing, so each recipient reads what was sent; the poll
-   transport writes each pair's frame from the slots into its own buffers,
-   pushes the bytes through a nonblocking socket mesh, leaves an edge whose
-   frame arrives byte for byte as written as it is and parses any other
-   frame back into its cells. Because the frames are a pure function of the
-   sessions' traffic, and delivery consumes only entry contents plus the
-   local self slot, every transport that moves the frames faithfully yields
-   bit-identical outputs, metrics, ledger and observability export.
+   backend shares this loop and its one schedule — send phase, exchange,
+   delivery phase; what varies is only how each round's traffic reaches
+   the recipients ({!Transport.exchange}), which delivers in place into the
+   round's message matrices. The loopback transport moves nothing, so each
+   recipient reads what was sent; the poll transport writes each pair's
+   frame from the slots into its own buffers, pushes the bytes through a
+   nonblocking socket mesh, leaves an edge whose frame arrives byte for byte
+   as written as it is and parses any other frame back into its cells.
+   Because the frames are a pure function of the sessions' traffic, and
+   delivery consumes only entry contents plus the local self slot, every
+   transport that moves the frames faithfully yields bit-identical outputs,
+   metrics, ledger and observability export.
 
    Steady-state rounds allocate O(live sessions), not O(engine state): the
-   live set, the per-slot step captures and the round view handed to the
+   live set, the per-slot round matrices and the round view handed to the
    transport are all preallocated at session capacity and reused every
    round. *)
-let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?obs ?on_round
+let run_core ?(max_rounds = default_max_rounds) ?obs ?on_round
     ~transport ~n ~t ~corrupt specs =
   if Array.length corrupt <> n then invalid_arg "Engine: corrupt array size";
-  if domains < 1 then invalid_arg "Engine: domains < 1";
   let n_corrupt = Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 corrupt in
   validate_specs specs;
-  (* Obs instruments, all recorded from the sequential sections of the loop
-     so the deterministic tier is identical for every backend and domain
-     count. The sampled round-wall histogram is the only wall-clock reader
-     and costs two gettimeofday calls per engine round when enabled. *)
+  (* Obs instruments, recorded by the loop itself and never by a transport,
+     so the deterministic tier is identical for every backend. The sampled
+     round-wall histogram is the only wall-clock reader and costs two
+     gettimeofday calls per engine round when enabled. *)
   let obs_frame_h = Option.map (fun o -> Obs.hist o ~tier:Obs.Det "engine/frame_bytes") obs in
   let obs_life_h = Option.map (fun o -> Obs.hist o ~tier:Obs.Det "engine/session_rounds") obs in
   let obs_wall_h = Option.map (fun o -> Obs.hist o ~tier:Obs.Sampled "engine/round_wall_ns") obs in
@@ -185,7 +184,7 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?obs ?on_round
   let cap = List.length specs in
   (* The live set, slot-indexed in admission order; retirement compacts in
      place (stable), so iterating slots 0 .. k_live-1 always visits sessions
-     in admission order — the order every sequential replay below relies on. *)
+     in admission order — the order frames carry their entries in. *)
   let live_arr : 'a live option array = Array.make cap None in
   let k_live = ref 0 in
   let live li = match live_arr.(li) with Some l -> l | None -> assert false in
@@ -222,19 +221,16 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?obs ?on_round
     Array.of_list (List.filter (fun s -> corrupt.(s)) (List.init n Fun.id))
   in
   let byz_mats : string option array array array = Array.make cap [||] in
-  let naive = Array.make cap 0 in
   (* The frame ledger is arithmetic over the sent matrices, the same on every
-     transport. While fewer than 128 sessions are live, every edge carries
-     fewer than 128 entries, so each frame's entry count is a one-byte
-     varint, and when nothing records the per-frame sizes the round's frame
-     bytes are [n(n-1) * (varint round + 1)] plus the entry bytes (varint
-     sid + varint len + payload) each session summed in its send phase
-     ([slot_entry]). Otherwise a sequential replay fills the per-edge
-     counters below (entry count; entry bytes), flat-indexed by [s * n + r],
-     and the frame pass sizes each edge's frame from them. Payload bytes
-     are always the send phase's per-slot sums ([slot_payload]). *)
-  let slot_entry = Array.make cap 0 in
-  let slot_payload = Array.make cap 0 in
+     transport, accumulated by the send phase's walk over each sender's
+     cells. While fewer than 128 sessions are live, every edge carries fewer
+     than 128 entries, so each frame's entry count is a one-byte varint, and
+     when nothing records the per-frame sizes ([summed]) the round's frame
+     bytes are [n(n-1) * (varint round + 1)] plus every entry's bytes
+     (varint sid + varint len + payload), added straight to [frame_bytes].
+     Otherwise the walk fills the per-edge counters below (entry count;
+     entry bytes), flat-indexed by [s * n + r], and the frame pass sizes
+     each edge's frame from them. *)
   let edge_cnt = Array.make (n * n) 0 in
   let edge_bytes = Array.make (n * n) 0 in
   (* The round view handed to the transport: built once, so a round costs
@@ -302,15 +298,9 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?obs ?on_round
   in
   (* 1–4. Send phase: every live session computes one of its own rounds'
      message matrix — prescribed cells, the rushing adversary's overrides
-     in (sender, recipient) order, byzantine truncation and the accounting
-     into the session's recorder. Sessions are independent within an
-     engine round — each touches only its own states, adversary PRNG and
-     recorder — so this phase shards across the pool in chunks of
-     consecutive slots; everything that writes shared state (bundles,
-     frame ledger, naive-frame counter) is deferred to the sequential pass
-     below, replayed in admission order from the sends each session
-     captured, so every byte matches the [domains:1] run. *)
-  let step li =
+     in (sender, recipient) order, byzantine truncation, the accounting
+     into the session's recorder and the frame ledger. *)
+  let step ~summed li =
     let l = live li in
     l.l_rounds <- l.l_rounds + 1;
     let states = l.l_states in
@@ -332,7 +322,7 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?obs ?on_round
           done
       | Proto.Push _ | Proto.Pop _ | Proto.Probe _ -> assert false
     done;
-    naive.(li) <- !stepping * (n - 1);
+    naive_frames := !naive_frames + (!stepping * (n - 1));
     (* The adversary views the untouched prescribed cells while every
        override is computed into the byzantine scratch; the overrides are
        written back only after the round's last [act] call, so no
@@ -359,10 +349,9 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?obs ?on_round
       done
     end;
     (* Accounting, one walk over each sender's cells (self free): the
-       sender's charge to the session's recorder, and the session's entry
-       and payload bytes for the frame ledger. *)
+       sender's charge to the session's recorder, the payload bytes, and
+       each entry's bytes — summed into [frame_bytes], or per edge. *)
     let sid_size = Wire.varint_size l.l_sid in
-    let entry = ref 0 and payload = ref 0 in
     for s = 0 to n - 1 do
       let sent = ref 0 and bytes = ref 0 and lens = ref 0 in
       for r = 0 to n - 1 do
@@ -371,24 +360,26 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?obs ?on_round
           | None -> ()
           | Some x ->
               let len = String.length x in
+              let len_size = Wire.varint_size len in
               incr sent;
               bytes := !bytes + len;
-              lens := !lens + Wire.varint_size len
+              lens := !lens + len_size;
+              if not summed then begin
+                let e = (s * n) + r in
+                edge_cnt.(e) <- edge_cnt.(e) + 1;
+                edge_bytes.(e) <- edge_bytes.(e) + sid_size + len_size + len
+              end
       done;
       Obs.sent l.l_obs ~session:l.l_sid ~party:s ~round:l.l_rounds
         ~timeline_round:!er ~byzantine:corrupt.(s) ~msgs:!sent
         ~bytes:!bytes m;
-      entry := !entry + (!sent * sid_size) + !lens + !bytes;
-      payload := !payload + !bytes
-    done;
-    slot_entry.(li) <- !entry;
-    slot_payload.(li) <- !payload
+      if summed then
+        frame_bytes := !frame_bytes + (!sent * sid_size) + !lens + !bytes;
+      payload_bytes := !payload_bytes + !bytes
+    done
   in
-  (* 6. Deliver and advance a live session — the other half of the round
-     body, parallel for the same reason the send phase is: a session
-     touches only its own states and recorder, and reads shared structures
-     no one writes concurrently. After the exchange, [m.(i).(s)] for
-     [s <> i] is what party [i] received on edge [s -> i] — [Some x]
+  (* 6. Deliver and advance a live session. After the exchange, [m.(i).(s)]
+     for [s <> i] is what party [i] received on edge [s -> i] — [Some x]
      exactly when that edge's frame carried [(sid, x)] — and [m.(i).(i)]
      is still the party's own self slot, so row [i] is party [i]'s inbox,
      borrowed by the protocol for the duration of the continuation (the
@@ -407,12 +398,6 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?obs ?on_round
       | Proto.Push _ | Proto.Pop _ | Proto.Probe _ -> assert false
     done
   in
-  let run_phase ~k body =
-    (* Chunked claims: a few shards per domain amortizes the atomic
-       counter while leaving enough shards to steal. *)
-    let chunk = max 1 (k / (domains * 4)) in
-    Pool.for_chunks ~domains ~chunk ~n:k body
-  in
   while !pending <> [] || !k_live > 0 do
     if !er >= max_rounds then raise (Round_limit_exceeded max_rounds);
     (* 0. Admit sessions whose start round has arrived. *)
@@ -430,47 +415,19 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?obs ?on_round
     let round_now = !er in
     let summed = Option.is_none obs_frame_h && k_now < 128 in
     (* 1–4. The send phase ([step] above). *)
-    run_phase ~k:k_now step;
-    (* Sequential replay of the shared-state effects, in admission order.
-       When the ledger is not summed, this tallies the per-edge counters
-       (zeroed again by the frame pass below). *)
     for li = 0 to k_now - 1 do
-      naive_frames := !naive_frames + naive.(li);
-      payload_bytes := !payload_bytes + slot_payload.(li)
+      step ~summed li
     done;
-    if not summed then
-      for li = 0 to k_now - 1 do
-        let m = msgs.(li) in
-        let sid_size = Wire.varint_size view.sids.(li) in
-        for r = 0 to n - 1 do
-          let row = m.(r) in
-          for s = 0 to n - 1 do
-            if s <> r then
-              match row.(s) with
-              | None -> ()
-              | Some x ->
-                  let len = String.length x in
-                  let e = (s * n) + r in
-                  edge_cnt.(e) <- edge_cnt.(e) + 1;
-                  edge_bytes.(e) <-
-                    edge_bytes.(e) + sid_size + Wire.varint_size len + len
-          done
-        done
-      done;
     (* 5. Account one coalesced frame per ordered pair (keep-alive empties
-       included), from the per-edge counters: a frame is varint round +
-       varint count + per entry (varint sid + varint len + payload), exactly
-       the entry bytes accumulated above — the length of the frame
-       {!Wire.Frame.write_edge} puts on the wire. The summed ledger adds the
-       same terms without visiting an edge: every count is a one-byte varint
-       there. *)
+       included): a frame is varint round + varint count + per entry (varint
+       sid + varint len + payload), exactly the entry bytes the send phase
+       accumulated — the length of the frame {!Wire.Frame.write_edge} puts
+       on the wire. The summed ledger has added the entries already and
+       every count is a one-byte varint there; otherwise each edge's frame is
+       sized from its counters, which are zeroed for the next round. *)
     frames_sent := !frames_sent + (n * (n - 1));
-    if summed then begin
-      frame_bytes := !frame_bytes + (n * (n - 1) * (Wire.varint_size round_now + 1));
-      for li = 0 to k_now - 1 do
-        frame_bytes := !frame_bytes + slot_entry.(li)
-      done
-    end
+    if summed then
+      frame_bytes := !frame_bytes + (n * (n - 1) * (Wire.varint_size round_now + 1))
     else begin
       let round_size = Wire.varint_size round_now in
       for s = 0 to n - 1 do
@@ -493,7 +450,9 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?obs ?on_round
        what its recipient received, and the delivery phase reads it. *)
     view.live <- k_now;
     transport.Transport.exchange ~round:round_now ~entries:view;
-    run_phase ~k:k_now deliver;
+    for li = 0 to k_now - 1 do
+      deliver li
+    done;
     (* 7. Retire sessions whose honest parties have all terminated; stable
        in-place compaction keeps slot order = admission order. *)
     let w = ref 0 in
@@ -527,8 +486,7 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?obs ?on_round
     incr er
   done;
   (* Fold the per-session shards back into the caller's recorder, in
-     session-index order — the export is then byte-identical to the
-     sequential run's. *)
+     session-index order (see [Obs.merge]). *)
   (match obs with
   | Some o ->
       List.iter

@@ -97,7 +97,6 @@ val max_byzantine_bytes : int
 
 val run_core :
   ?max_rounds:int ->
-  ?domains:int ->
   ?obs:Obs.t ->
   ?on_round:(round:int -> live:int -> unit) ->
   transport:Transport.t ->
@@ -113,17 +112,17 @@ val run_core :
     its callers ({!Sim.run}, [Engine]) enforce at most [t].
 
     Each engine round has one schedule on every transport. The loop
-    computes every live session's sends into slot-indexed matrices (one
-    parallel phase), accounts each ordered pair's coalesced frame bytes
-    arithmetically from them (a sequential replay), hands the round's slot
-    view ({!Transport.slots}: live count, slot -> sid, message matrices) to
-    {!Transport.exchange}, which leaves in each cell what its recipient
-    received, and delivers each inbox from those same cells (a second
-    parallel phase). Frames carry their entries in admission order, which
+    computes every live session's sends into slot-indexed matrices (the
+    send phase, whose walk over each sender's cells also accounts each
+    ordered pair's coalesced frame bytes arithmetically), hands the round's
+    slot view ({!Transport.slots}: live count, slot -> sid, message
+    matrices) to {!Transport.exchange}, which leaves in each cell what its
+    recipient received, and delivers each inbox from those same cells (the
+    delivery phase). Frames carry their entries in admission order, which
     is slot order, so both ends place an entry by its slot. Any transport
     that moves the frames faithfully yields bit-identical outputs,
     per-session metrics, aggregate ledger and deterministic observability
-    export. Every per-round structure (live set, step captures, slot view)
+    export. Every per-round structure (live set, round matrices, slot view)
     is preallocated at session capacity and reused, so steady-state rounds
     allocate only per-session transients.
 
@@ -141,17 +140,12 @@ val run_core :
     engine round — summing a session's span bits reproduces that session's
     [Metrics.honest_bits] exactly.
 
-    [domains] (default 1) shards the live sessions across the shared
-    {!Pool} at every engine-round barrier. Sequential-equals-parallel
-    bit-identity is a hard invariant: each session steps on one domain with
-    its own states, adversary PRNG and recorder, while everything shared —
-    admission, frame assembly, the aggregate ledger, the instruments — stays
-    on the calling domain in admission order, and the sessions' recorders
-    are merged back in session-index order ({!Obs.merge}) at every domain
-    count.
+    Each session records into its own recorder, and the sessions'
+    recorders are merged back into [obs] in session-index order
+    ({!Obs.merge}) after the run.
 
-    Instruments, deterministic tier (recorded from the sequential sections
-    only, so identical across transports and domain counts): histograms
+    Instruments, deterministic tier (recorded by the loop, never by the
+    transport, so identical across transports): histograms
     [engine/frame_bytes] (every coalesced frame's encoded size — the
     histogram sum equals the ledger's [frame_bytes]) and
     [engine/session_rounds] (session lifetimes at retirement), counters
@@ -163,7 +157,7 @@ val run_core :
 
     Raises [Invalid_argument] on inconsistent parameters (corrupt-array
     size, duplicate or negative sids, negative start rounds, empty session
-    list, [domains < 1]) and
+    list) and
     {!Round_limit_exceeded} past [max_rounds] engine rounds; transport
     failures propagate as the transport's own exceptions. *)
 

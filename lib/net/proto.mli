@@ -79,7 +79,6 @@ val lift : 'a t -> 'a m
     above. *)
 
 val return : 'a -> 'a m
-val bind : 'a m -> ('a -> 'b m) -> 'b m
 val ( let* ) : 'a m -> ('a -> 'b m) -> 'b m
 val map : 'a m -> ('a -> 'b) -> 'b m
 val ( let+ ) : 'a m -> ('a -> 'b) -> 'b m

@@ -11,16 +11,16 @@
    - [Det]: values derived from the deterministic execution (bytes, frames,
      rounds, live-session counts). The span plane (meta, rounds, spans,
      probes) is deterministic by construction and belongs here too. These
-     are byte-identical across the sim, poll, and multi-domain backends of
-     the same scenario and are asserted so in tests.
+     are byte-identical across the sim and poll backends of the same
+     scenario and are asserted so in tests.
    - [Sampled]: wall-clock and process-level measurements (durations, GC,
      RSS). Excluded from identity asserts by construction: the deterministic
      export path simply filters them out.
 
-   A recorder is single-threaded: domain-parallel sessions record into
-   private shards, merged afterwards with [merge], and the export walks the
-   buckets in sorted key order and the spans in pre-order, so it is
-   byte-identical no matter which domain recorded what. Recording an
+   A recorder is single-threaded: sessions record into private shards,
+   merged afterwards with [merge], and the export walks the buckets in
+   sorted key order and the spans in pre-order, so it is byte-identical
+   whichever shard recorded what. Recording an
    instrument allocates nothing; the span plane allocates one record per
    span, probe, bucket and round. Export is the cold path and allocates
    freely. *)

@@ -32,7 +32,7 @@
 
     A recorder is single-threaded. The round loop gives every session a
     private {!shard} and folds the shards back with {!merge}, in
-    session-index order, at every domain count. (The GC/RSS time-series sampler, which also
+    session-index order. (The GC/RSS time-series sampler, which also
     snapshots the poll mesh's counters, is [Engine.Sampler].) *)
 
 (** {1 JSON} *)

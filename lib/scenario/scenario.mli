@@ -21,13 +21,11 @@ type t = {
   seed : int;
 }
 
-val default : t
-(** n = 7, t = 2, pi-z on sensors vs equivocate/outlier-high, ba = unauth,
-    bits = 64, aa_rounds = 8, seed = 1. *)
-
 val parse : string -> (t, string) result
-(** Parse file contents (not a path). Starts from {!default}; every
-    assignment overrides one field. Errors name the offending line. *)
+(** Parse file contents (not a path). Starts from the defaults n = 7,
+    t = 2, pi-z on sensors vs equivocate/outlier-high, ba = unauth,
+    bits = 64, aa_rounds = 8, seed = 1; every assignment overrides one
+    field. Errors name the offending line. *)
 
 val load : string -> (t, string) result
 (** Read and parse a file by path. *)

@@ -100,20 +100,6 @@ type report = {
   labels : (string * int) list;  (** per-component honest bits *)
 }
 
-(** Experiment cells: independent simulation runs (one (seed, adversary, n,
-    ℓ, protocol) grid point each) fanned out over the domain pool. A cell
-    must be self-contained — fresh PRNGs and adversary instances inside the
-    thunk — which is exactly what makes the fan-out embarrassingly parallel
-    and the result list identical to the sequential one. *)
-type 'r cell = { cell_label : string; cell_run : unit -> 'r }
-
-let cell ~label run = { cell_label = label; cell_run = run }
-
-let run_cells ?(domains = 1) cells =
-  let arr = Array.of_list cells in
-  let results = Pool.map ~domains ~n:(Array.length arr) (fun i -> arr.(i).cell_run ()) in
-  List.mapi (fun i c -> (c.cell_label, results.(i))) cells
-
 (** Corrupt-set placement: spread corrupted parties across the index space
     (deterministic; avoids always corrupting a prefix). *)
 let spread_corrupt ~n ~t =
@@ -192,8 +178,7 @@ let pi_z_auth setup =
 (* The fault-adaptive CA wrapper (lib/adaptive): optimistic 4-round preamble
    + bit-BA arbitration in front of the full Π_ℤ stack over [fallback].
    [stats_of] maps a party id to the mutable accounting record that party
-   should fill — one record per (party, run) so domain-parallel executions
-   never share state. *)
+   should fill — one record per (party, run), so no two runs share one. *)
 let pi_z_adaptive ?stats_of () =
   {
     proto_name = "Pi_Z + fault-adaptive fast path";
@@ -259,17 +244,6 @@ let turpin_coan_ba ~bits =
             | Some b -> Bigint.of_bitstring b
             | None -> Bigint.zero));
     solves_ca = false;
-  }
-
-let broadcast_ca_parallel ~bits =
-  {
-    proto_name = "Broadcast-CA (parallel rounds)";
-    run =
-      (fun ctx v ->
-        Proto.run @@ Proto.map
-          (Baseline.Broadcast_ca.run_parallel ctx ~bits (to_fixed ~bits v))
-          Bigint.of_bitstring);
-    solves_ca = true;
   }
 
 let median_ba ~bits =

@@ -79,22 +79,6 @@ val run_int :
     {!Net.Sim.run}; [setup] (default [`Plain]) must be [`Authenticated] for
     protocols built on a cryptographic setup ({!pi_z_auth}). *)
 
-(** {1 Experiment-cell fan-out} *)
-
-type 'r cell = { cell_label : string; cell_run : unit -> 'r }
-(** One independent grid point of an experiment sweep (seed × adversary ×
-    n × ℓ × protocol). The thunk must be self-contained — construct PRNGs
-    and adversary instances inside it, never share stateful ones across
-    cells — so cells commute and the fan-out is deterministic. *)
-
-val cell : label:string -> (unit -> 'r) -> 'r cell
-
-val run_cells : ?domains:int -> 'r cell list -> (string * 'r) list
-(** Run every cell and return [(label, result)] in input order. [domains]
-    (default 1) fans the cells out over the shared {!Pool} — results are
-    collected by index, so the list is identical to the sequential one for
-    self-contained cells. Re-raises the first cell exception. *)
-
 (** {1 Protocols under a uniform Bigint interface} *)
 
 type protocol = {
@@ -122,7 +106,7 @@ val pi_z_adaptive : ?stats_of:(int -> Adaptive.stats) -> unit -> protocol
 (** Π_ℤ behind the fault-adaptive fast path ({!Adaptive.agree_int} over the
     unauthenticated substrate): O(nℓ + n²κ) bits in the zero-fault run,
     preamble + full Π_ℤ otherwise. [stats_of] supplies each party's
-    accounting record (one per (party, run) — never share across domains). *)
+    accounting record (one per (party, run) — never share across runs). *)
 
 val pi_z_adaptive_auth :
   ?stats_of:(int -> Adaptive.stats) -> Auth.Setup.t -> protocol
@@ -132,7 +116,6 @@ val pi_z_adaptive_auth :
 
 val high_cost_ca : bits:int -> protocol
 val broadcast_ca : bits:int -> protocol
-val broadcast_ca_parallel : bits:int -> protocol
 val median_ba : bits:int -> protocol
 val turpin_coan_ba : bits:int -> protocol
 val phase_king_ba : bits:int -> protocol

@@ -431,13 +431,13 @@ let test_cli_scenario_file_ba_adaptive () =
   Alcotest.check Alcotest.int "scenario file with ba = adaptive" 0 code
 
 (* ------------------------------------------------------------------ *)
-(* Backend identity: sim = poll = --domains 2, including the Det tier  *)
+(* Backend identity: sim = poll, including the Det tier                *)
 (* ------------------------------------------------------------------ *)
 
 let test_engine_backend_identity () =
   (* K = 8 sessions over both adaptive backends: the engine table and the
      Det-tier observability export must be byte-identical across the sim
-     and poll backends and across --domains 1/2. *)
+     and poll backends. *)
   if not (Sys.file_exists cli) then
     Alcotest.fail "ca_cli.exe missing — check the (deps ...) in test/dune";
   let dir = Filename.temp_file "adaptive_obs" "" in
@@ -462,20 +462,20 @@ let test_engine_backend_identity () =
      paying for the authenticated fallback in a unit test. *)
   List.iter
     (fun (ba, extra) ->
-      let variant backend domains =
-        let d = Printf.sprintf "%s_%s_%s_d%d" dir ba backend domains in
+      let variant backend =
+        let d = Printf.sprintf "%s_%s_%s" dir ba backend in
         made := d :: !made;
         let cmd =
           Printf.sprintf
             "%s engine --ba %s%s -n 7 -t 2 --sessions 8 --backend %s \
-             --domains %d --seed 5 --obs-dir %s >/dev/null 2>/dev/null"
-            cli ba extra backend domains d
+             --seed 5 --obs-dir %s >/dev/null 2>/dev/null"
+            cli ba extra backend d
         in
-        Alcotest.check Alcotest.int (Printf.sprintf "%s/%s/d%d" ba backend domains)
+        Alcotest.check Alcotest.int (Printf.sprintf "%s/%s" ba backend)
           0 (Sys.command cmd);
         read (Filename.concat d "obs_det.jsonl")
       in
-      let reference = variant "sim" 1 in
+      let reference = variant "sim" in
       let contains hay needle =
         let nh = String.length hay and nn = String.length needle in
         let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -483,12 +483,9 @@ let test_engine_backend_identity () =
       in
       Alcotest.check Alcotest.bool (ba ^ ": det tier mentions adaptive") true
         (contains reference "adaptive/fast_path_taken");
-      List.iter
-        (fun (backend, domains) ->
-          Alcotest.check Alcotest.string
-            (Printf.sprintf "%s: obs_det %s/d%d = sim/d1" ba backend domains)
-            reference (variant backend domains))
-        [ ("sim", 2); ("poll", 1); ("poll", 2) ])
+      Alcotest.check Alcotest.string
+        (Printf.sprintf "%s: obs_det poll = sim" ba)
+        reference (variant "poll"))
     [
       ("adaptive", "");
       ("adaptive-auth", " --adversary passive --attack honest-inputs");
@@ -516,6 +513,6 @@ let suite =
       test_cli_adaptive_backends;
     Alcotest.test_case "ca_cli: scenario file ba = adaptive" `Quick
       test_cli_scenario_file_ba_adaptive;
-    Alcotest.test_case "engine: sim = poll = domains 2 (Det tier)" `Slow
+    Alcotest.test_case "engine: sim = poll (Det tier)" `Slow
       test_engine_backend_identity;
   ]

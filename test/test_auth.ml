@@ -48,7 +48,7 @@ let test_ds_equivocating_sender () =
   let setup = fresh_setup ~n in
   let sign_batch value =
     let signature =
-      Sigs.Xmss.sign setup.Auth.Setup.signers.(0)
+      Sigs.Xmss.sign (Auth.Setup.signer setup 0)
         (Auth.Dolev_strong.signed_bytes ~instance:0 ~sender:0 value)
     in
     Auth.Dolev_strong.encode_batch [ (value, [ (0, signature) ]) ]

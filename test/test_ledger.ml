@@ -2,16 +2,13 @@
    (bench/ledger.ml), the same check bench/main.exe runs before it writes:
 
    1. every committed ledger parses and passes every gate, Timed included;
-      the only gate allowed to report itself unenforced is the one whose
-      host could not exercise it;
+      none reports itself unenforced;
    2. every experiment that declares gates has exactly one committed ledger;
    3. each gate bites: one in-memory edit of the committed ledger makes that
       gate, and only that gate, fail;
-   4. BENCH_parallel.json's speedup gate is unenforced, not passed, because
-      the host it was recorded on recommended one domain;
-   5. T1's crossover gate fails, not passes, on a ledger whose rows stop
+   4. T1's crossover gate fails, not passes, on a ledger whose rows stop
       short of the crossover;
-   6. the SHA-256 kernel speedup gate is unenforced, not passed, on a
+   5. the SHA-256 kernel speedup gate is unenforced, not passed, on a
       ledger recorded where only the portable kernel runs.
    Plus the shape and provenance checks every ledger goes through, and
    EXPERIMENTS.md's ENGINE and T8 tables against BENCH_engine.json and
@@ -46,9 +43,6 @@ let ledger_of experiment =
   | [ (_, l) ] -> l
   | ls -> Alcotest.failf "%d committed %s ledgers" (List.length ls) experiment
 
-(* Gates a committed ledger may leave unenforced, with why. *)
-let expected_unenforced = [ "parallel.speedup" ]
-
 let test_committed_pass () =
   Alcotest.(check bool) "some ledgers committed" true (Lazy.force committed <> []);
   List.iter
@@ -57,13 +51,7 @@ let test_committed_pass () =
         Printf.eprintf "warning: %s was generated from a dirty tree\n" file;
       List.iter
         (fun ((g : Ledger.gate), v) ->
-          let ok =
-            match v with
-            | Ledger.Pass -> true
-            | Ledger.Unenforced _ -> List.mem g.Ledger.name expected_unenforced
-            | Ledger.Fail _ -> false
-          in
-          if not ok then Alcotest.failf "%s: %s %s" file g.Ledger.name (Ledger.show v))
+          if v <> Ledger.Pass then Alcotest.failf "%s: %s %s" file g.Ledger.name (Ledger.show v))
         (Ledger.check ~timed:true l))
     (Lazy.force committed)
 
@@ -107,7 +95,6 @@ let pi_z_auth n = [ ("backend", Str "pi_z_auth"); ("n", Num n) ]
 let sweep backend f = [ ("backend", Str backend); ("f", Num f) ]
 let engine backend k = [ ("backend", Str backend); ("sessions", Num k) ]
 let codec op bits = [ ("op", Str op); ("bits", Num bits) ]
-let domains d = [ ("domains", Num d) ]
 let t1_row lg = [ ("log2_bits", Num lg) ]
 let l_fit protocol n = [ ("row", Str "l_fit"); ("protocol", Str protocol); ("n", Num n) ]
 let rounds n = [ ("row", Str "rounds"); ("n", Num n) ]
@@ -190,13 +177,6 @@ let edits : (string * (Ledger.t -> Ledger.t)) list =
     ( "obs.span_bits",
       edit every (fun row -> set "span_bits" (Num (num "span_bits" row +. 1.)) row) );
     ("obs.identity", edit every (set "det_identical" (Bool false)));
-    ("parallel.row_shape", edit (domains 2.) (set "cells_per_s" (Num 0.)));
-    ("parallel.identical", edit (domains 2.) (set "identical" (Bool false)));
-    (* The committed 4-domain row ran on a 1-core host: claiming 4 cores
-       exposes its sub-2x speedup. *)
-    ( "parallel.speedup",
-      fun l ->
-        { l with Ledger.meta = set "recommended_domains" (Num 4.) l.Ledger.meta } );
   ]
 
 let test_each_gate_bites () =
@@ -217,25 +197,6 @@ let test_each_gate_bites () =
   Alcotest.(check int) "one edit per gate"
     (List.length (List.concat_map snd Ledger.gates))
     (List.length edits)
-
-let test_parallel_speedup_unenforced () =
-  let l = ledger_of "parallel" in
-  Alcotest.(check (option (float 0.)))
-    "recorded on a 1-domain host" (Some 1.)
-    (match List.assoc_opt "recommended_domains" l.Ledger.meta with
-    | Some (Num d) -> Some d
-    | _ -> None);
-  match
-    List.find_map
-      (fun ((g : Ledger.gate), v) ->
-        if g.Ledger.name = "parallel.speedup" then Some v else None)
-      (Ledger.check ~timed:true l)
-  with
-  | Some (Ledger.Unenforced reason) ->
-      Alcotest.(check string) "reason"
-        "host recommends 1 domain(s); the bound needs 4" reason
-  | Some v -> Alcotest.failf "parallel.speedup: %s" (Ledger.show v)
-  | None -> Alcotest.fail "parallel.speedup not declared"
 
 (* The same ledger as if recorded on a host without SHA-NI: the sha256 row
    times the portable kernel against itself, and the gate says it could not
@@ -296,7 +257,7 @@ let test_smoke_runs_exact_only () =
 let test_shape_and_provenance () =
   let doc meta rows = Printf.sprintf {|{"meta": {%s}, "rows": %s}|} meta rows in
   let meta_with rev =
-    Printf.sprintf {|"git_rev": %S, "ocaml_version": "5", "domains": 1|} rev
+    Printf.sprintf {|"git_rev": %S, "ocaml_version": "5"|} rev
   in
   let meta = {|"experiment": "t1", |} ^ meta_with "abc1234" in
   let one_row = {|[{"a": 1}]|} in
@@ -304,6 +265,10 @@ let test_shape_and_provenance () =
   Alcotest.(check bool) "well-formed" true (accepts (doc meta one_row));
   Alcotest.(check bool) "nproc stamped" true
     (accepts (doc (meta ^ {|, "nproc": 2|}) one_row));
+  (* Ledgers written while the harness could run on several domains carry a
+     [domains] field; the reader ignores it. *)
+  Alcotest.(check bool) "legacy domains ignored" true
+    (accepts (doc (meta ^ {|, "domains": 1.5|}) one_row));
   List.iter
     (fun (what, s) -> Alcotest.(check bool) what false (accepts s))
     [
@@ -312,11 +277,7 @@ let test_shape_and_provenance () =
       ("row not an object", doc meta "[1]");
       ("no rows", Printf.sprintf {|{"meta": {%s}}|} meta);
       ( "no git_rev",
-        doc {|"experiment": "t1", "ocaml_version": "5", "domains": 1|} one_row );
-      ( "domains not an integer",
-        doc
-          {|"experiment": "t1", "git_rev": "a", "ocaml_version": "5", "domains": 1.5|}
-          one_row );
+        doc {|"experiment": "t1", "ocaml_version": "5"|} one_row );
       ("nproc below 1", doc (meta ^ {|, "nproc": 0|}) one_row);
       ("nproc not an integer", doc (meta ^ {|, "nproc": "4"|}) one_row);
       ("no experiment", doc (meta_with "a") one_row);
@@ -445,8 +406,6 @@ let suite =
     Alcotest.test_case "one ledger per gated experiment" `Quick
       test_one_ledger_per_gated_experiment;
     Alcotest.test_case "each gate fails on its own edit" `Quick test_each_gate_bites;
-    Alcotest.test_case "parallel speedup unenforced on 1 core" `Quick
-      test_parallel_speedup_unenforced;
     Alcotest.test_case "t1 crossover fails short of 2^16" `Quick
       test_t1_crossover_needs_rows;
     Alcotest.test_case "smoke runs the Exact gates only" `Quick

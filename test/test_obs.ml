@@ -7,7 +7,7 @@
       conflicts, and the export's own schema validators (strict JSON).
    3. The deterministic tier on a real K=8 engine workload: the Det JSONL
       and the virtual-clock chrome trace must be byte-identical across
-      run_sim, run_poll and run_sim ~domains:2, and the Det instruments must
+      run_sim and run_poll, and the Det instruments must
       reproduce the engine's aggregate ledger exactly (the frame-bytes
       histogram sums to the ledger's frame_bytes by construction).
    4. A differential pin: two runs' Det JSONL and chrome trace hash to what
@@ -218,7 +218,6 @@ let run_with_obs backend =
   let outcome =
     match backend with
     | `Sim -> Engine.run_sim ~obs ~n ~t ~corrupt specs
-    | `Sim_domains d -> Engine.run_sim ~domains:d ~obs ~n ~t ~corrupt specs
     | `Poll -> Engine.run_poll ~obs ~n ~t ~corrupt specs
   in
   (obs, outcome)
@@ -226,16 +225,11 @@ let run_with_obs backend =
 let test_det_tier_identical_across_backends () =
   let obs_sim, o_sim = run_with_obs `Sim in
   let obs_poll, _ = run_with_obs `Poll in
-  let obs_par, _ = run_with_obs (`Sim_domains 2) in
   let det o = Obs.to_jsonl ~tier:Obs.Det o in
   Alcotest.(check string) "Det JSONL: poll = sim" (det obs_sim) (det obs_poll);
-  Alcotest.(check string)
-    "Det JSONL: domains=2 = sim" (det obs_sim) (det obs_par);
   let tr_sim = Obs.Trace.chrome_trace obs_sim in
   Alcotest.(check string) "chrome trace: poll = sim" tr_sim
     (Obs.Trace.chrome_trace obs_poll);
-  Alcotest.(check string) "chrome trace: domains=2 = sim" tr_sim
-    (Obs.Trace.chrome_trace obs_par);
   (* The full export legitimately differs (wall-clock histograms, the poll
      sink's select-wait instruments); only the Det slice is identical. *)
   Alcotest.(check bool) "poll adds sampled instruments" true
@@ -313,11 +307,7 @@ let test_pinned_exports () =
   check_pinned "sim Pi_Z n=7 l=2^9" sim_pi_z_pins obs;
   List.iter
     (fun (name, backend) -> check_pinned name engine_k8_pins (fst (run_with_obs backend)))
-    [
-      ("engine K=8 sim", `Sim);
-      ("engine K=8 poll", `Poll);
-      ("engine K=8 domains=2", `Sim_domains 2);
-    ]
+    [ ("engine K=8 sim", `Sim); ("engine K=8 poll", `Poll) ]
 
 (* ---- one label stack, with and without a recorder ------------------------- *)
 
@@ -333,7 +323,6 @@ let test_labels_with_and_without_recorder () =
     let outcome =
       match backend with
       | `Sim -> Engine.run_sim ?obs ~n ~t ~corrupt specs
-      | `Sim_domains d -> Engine.run_sim ~domains:d ?obs ~n ~t ~corrupt specs
       | `Poll -> Engine.run_poll ?obs ~n ~t ~corrupt specs
     in
     List.map
@@ -378,7 +367,7 @@ let test_labels_with_and_without_recorder () =
       Alcotest.(check (list (pair string int)))
         (name ^ ": recorder label table = sessions' labels summed")
         summed (Obs.label_bits obs))
-    [ ("sim", `Sim); ("poll", `Poll); ("domains=2", `Sim_domains 2) ]
+    [ ("sim", `Sim); ("poll", `Poll) ]
 
 (* The loop's bits-only session recorder ([shard None]) against a full one fed
    the same events: the same counts and label table — a label is listed once
@@ -923,6 +912,54 @@ let test_show_value () =
     true
     (bytes <= float_of_int l)
 
+(* ---- shard merge ---------------------------------------------------------- *)
+
+(* The engine records each session into its own shard and merges the shards
+   back in session-index order: that must equal recording the sessions
+   straight into one recorder in the same order. *)
+let record_session o ~session =
+  for party = 0 to 1 do
+    Obs.push o ~session ~party ~round:0 ~label:"phase";
+    Obs.message o ~session ~party ~dst:(1 - party) ~round:1
+      ~timeline_round:(session + 1)
+      ~bytes:(4 + session) ~byzantine:false;
+    Obs.probe o ~session ~party ~round:1 ~byzantine:false ~key:"v"
+      ~value:(Bitstring.of_int (session + party));
+    Obs.pop o ~session ~party ~round:1;
+    Obs.finish o ~session ~party ~round:2
+  done
+
+let test_obs_merge () =
+  (* Direct recording in session order... *)
+  let direct = Obs.create ~messages:true () in
+  Obs.set_meta direct "kind" "merge-test";
+  List.iter (fun s -> record_session direct ~session:s) [ 0; 1; 2 ];
+  (* ...equals per-session shards merged in session-index order. *)
+  let merged = Obs.create ~messages:true () in
+  Obs.set_meta merged "kind" "merge-test";
+  List.iter
+    (fun s ->
+      let shard = Obs.shard (Some merged) in
+      record_session shard ~session:s;
+      Obs.merge ~into:merged shard)
+    [ 0; 1; 2 ];
+  Alcotest.(check string) "merged JSONL byte-identical" (Obs.to_jsonl direct)
+    (Obs.to_jsonl merged);
+  Alcotest.(check (list (pair string int))) "merged label table"
+    (Obs.label_bits direct) (Obs.label_bits merged);
+  Alcotest.(check string) "merged message CSV" (Obs.messages_csv direct)
+    (Obs.messages_csv merged);
+  let a = Obs.create () and b = Obs.create () in
+  record_session a ~session:0;
+  record_session b ~session:0;
+  match Obs.merge ~into:a b with
+  | () -> Alcotest.fail "bucket collision not rejected"
+  | exception Invalid_argument msg ->
+      (* Which colliding party is reported depends on hash order; the bucket
+         diagnostic prefix is the contract. *)
+      Alcotest.(check string) "collision diagnostic" "Obs.merge: bucket"
+        (String.sub msg 0 17)
+
 let suite =
   [
     Alcotest.test_case "show_value: decimal to 256 bits, O(l) past it" `Quick
@@ -937,7 +974,7 @@ let suite =
       test_hist_counts_and_merge;
     Alcotest.test_case "registry tiers, order, conflicts" `Quick
       test_registry_tiers_and_order;
-    Alcotest.test_case "Det tier byte-identical across sim/poll/domains=2"
+    Alcotest.test_case "Det tier byte-identical across sim/poll"
       `Quick test_det_tier_identical_across_backends;
     Alcotest.test_case "differential pin: one recorder = two-plane exports"
       `Quick test_pinned_exports;
@@ -945,6 +982,8 @@ let suite =
       test_labels_with_and_without_recorder;
     Alcotest.test_case "bits-only session recorder: counts and labels only"
       `Quick test_bits_only_shard;
+    Alcotest.test_case "Obs shard merge reproduces sequential JSONL" `Quick
+      test_obs_merge;
     Alcotest.test_case "sampler ring bounds and drops" `Quick
       test_sampler_ring_bounds;
     Alcotest.test_case "report lists the ten costliest labels" `Quick

@@ -1,10 +1,9 @@
-(* Proto.parallel: multiplexing semantics, round economics, adversary
-   robustness, and the parallel Broadcast-CA built on it. *)
+(* Proto.parallel: multiplexing semantics, round economics and adversary
+   robustness. *)
 
 open Net
 
 let ( let* ) = Proto.( let* )
-let bits_t = Alcotest.testable Bitstring.pp Bitstring.equal
 
 (* A branch that broadcasts a tag for [rounds] rounds, then returns the tags
    collected in its final round. *)
@@ -91,41 +90,6 @@ let test_parallel_under_adversaries () =
       | [] -> Alcotest.fail "no outputs")
     (Adversary.all_generic ~seed:21)
 
-let test_parallel_broadcast_ca () =
-  let n = 7 and t = 2 and bits = 16 in
-  let corrupt = Workload.spread_corrupt ~n ~t in
-  let inputs =
-    Array.init n (fun i ->
-        if corrupt.(i) then Bitstring.ones bits
-        else Bitstring.of_int_fixed ~bits (2000 + (i * 5)))
-  in
-  let run proto =
-    let outcome =
-      Sim.run ~n ~t ~corrupt ~adversary:(Adversary.equivocate ~seed:3) (fun ctx ->
-          Proto.run (proto ctx ~bits inputs.(ctx.Ctx.me)))
-    in
-    (Sim.honest_outputs ~corrupt outcome, outcome.Sim.metrics.Metrics.rounds)
-  in
-  let seq_outputs, seq_rounds = run Baseline.Broadcast_ca.run in
-  let par_outputs, par_rounds = run Baseline.Broadcast_ca.run_parallel in
-  (* Same deterministic result, far fewer rounds. *)
-  Alcotest.check (Alcotest.list bits_t) "identical outputs" seq_outputs par_outputs;
-  Alcotest.check Alcotest.bool
-    (Printf.sprintf "rounds collapse (%d -> %d)" seq_rounds par_rounds)
-    true
-    (par_rounds * (n - 1) <= seq_rounds);
-  (* And CA still holds. *)
-  let sorted =
-    List.sort Bitstring.compare
-      (List.filteri (fun i _ -> not corrupt.(i)) (Array.to_list inputs))
-  in
-  let lo = List.hd sorted and hi = List.nth sorted (List.length sorted - 1) in
-  List.iter
-    (fun o ->
-      Alcotest.check Alcotest.bool "validity" true
-        (Bitstring.compare lo o <= 0 && Bitstring.compare o hi <= 0))
-    par_outputs
-
 let prop_parallel_semantics =
   (* Random branch structures: rounds must be the max of the branches', and
      each branch must see exactly its own tag. *)
@@ -167,7 +131,6 @@ let suite =
     Alcotest.test_case "rounds = max" `Quick test_rounds_are_max_not_sum;
     Alcotest.test_case "finished branch quiet" `Quick test_finished_branch_goes_quiet;
     Alcotest.test_case "adversary robustness" `Quick test_parallel_under_adversaries;
-    Alcotest.test_case "parallel Broadcast-CA" `Quick test_parallel_broadcast_ca;
     Alcotest.test_case "empty rejected" `Quick test_empty_parallel_rejected;
     QCheck_alcotest.to_alcotest prop_parallel_semantics;
   ]

@@ -54,30 +54,25 @@ let check_same label (base_fp, base_csv, base_jsonl) (fp, csv, jsonl) =
     (Printf.sprintf "Det obs JSONL byte-identical (%s)" label)
     base_jsonl jsonl
 
-let check_poll_equals_sim ~sessions ~spacing ~n ~t ~seed backends =
+let check_poll_equals_sim ~sessions ~spacing ~n ~t ~seed =
   let corrupt = Workload.spread_corrupt ~n ~t in
   let run backend =
     recorded Bigint.to_hex (fun obs ->
         let specs = mk_specs ~n ~sessions ~spacing ~seed in
         match backend with
         | `Sim -> Engine.run_sim ~obs ~n ~t ~corrupt specs
-        | `Poll -> Engine.run_poll ~obs ~n ~t ~corrupt specs
-        | `Poll_domains d -> Engine.run_poll ~domains:d ~obs ~n ~t ~corrupt specs)
+        | `Poll -> Engine.run_poll ~obs ~n ~t ~corrupt specs)
   in
-  let base = run `Sim in
-  List.iter (fun (label, backend) -> check_same label base (run backend)) backends
+  check_same "poll" (run `Sim) (run `Poll)
 
-(* K=8 under equivocate with staggered admission: the poll mesh and a
-   parallel deliver phase must both reproduce the simulator byte for byte.
-   (Frames that park on every edge are "engine progresses, big frames
-   park"'s.) *)
+(* K=8 under equivocate with staggered admission: the poll mesh must
+   reproduce the simulator byte for byte. (Frames that park on every edge
+   are "engine progresses, big frames park"'s.) *)
 let test_poll_equals_sim_k8 () =
   check_poll_equals_sim ~sessions:8 ~spacing:2 ~n:7 ~t:2 ~seed:4242
-    [ ("poll", `Poll); ("poll domains=2", `Poll_domains 2) ]
 
 let test_poll_equals_sim_k64 () =
   check_poll_equals_sim ~sessions:64 ~spacing:1 ~n:7 ~t:2 ~seed:777
-    [ ("poll", `Poll) ]
 
 (* ---- single protocols over sockets ---------------------------------------- *)
 

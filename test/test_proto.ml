@@ -109,7 +109,11 @@ module Build (B : BUILDER) = struct
   let build ~me tree = B.run (eval ~me tree me)
 end
 
-module Cps = Build (Proto)
+module Cps = Build (struct
+  include Proto
+
+  let bind = Proto.( let* )
+end)
 module Spec = Build (Proto_spec)
 
 type event =

@@ -215,7 +215,7 @@ let test_cli_telemetry_pinned () =
   Alcotest.check pin "ca_cli run --telemetry report" report_pin
     (digest (from_line "telemetry report" out))
 
-(* The K=8 engine run of the obs and multicore suites (n=7, t=2, sessions
+(* The K=8 engine run of the obs and poll suites (n=7, t=2, sessions
    two rounds apart, each under its own equivocating adversary), its rows
    sorted by (session, round, src, dst). *)
 let engine_k8_csv_pin = ("85a8d0a4a9cb4851b56bd414e52e420196c9ec3eeafeda6a149d8e0f1d0dd140", 1668494)
