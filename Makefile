@@ -97,15 +97,21 @@ bench:
 # end-to-end metric's medians, quartiles, the change's win count and a
 # verdict against the metric's BENCHMARK.json bound (worse, unresolved or
 # ok), and ends each table with the metrics that are worse or unresolved.
-# WORKLOAD=all runs the three workloads in turn, one table each. Not part
-# of `check`.
+# WORKLOAD=all runs the three workloads in turn, one table each. Before
+# any timed pair both trees run once at --seconds 0 --seed 3, and the
+# script stops if a deterministic metric (honest kbits, rounds, ok_share)
+# differs. A change meant to move one of them names it: MOVES=METRIC (e.g.
+# MOVES=honest_kbits_per_session) requires that metric to move in its
+# better direction on every workload and every other deterministic metric
+# to be equal. Not part of `check`.
 PARENT ?= HEAD
 WORKLOAD ?= oracle_stream
 PAIRS ?= 10
 SECONDS ?= 25
+MOVES ?=
 perf-pairs:
 	python3 bench/perf_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
-		--pairs $(PAIRS) --seconds $(SECONDS)
+		--pairs $(PAIRS) --seconds $(SECONDS) $(if $(MOVES),--moves $(MOVES))
 
 clean:
 	$(DUNE) clean

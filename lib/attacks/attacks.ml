@@ -12,7 +12,8 @@
     - {!window_fabricator} attacks FINDPREFIX's Property (C) (Lemma 8),
     - {!prefix_saboteur} attacks liveness/cost: forces the ⊥ path of every
       Π_ℓBA+ iteration,
-    - [king_usurper] attacks the phase-king fallback adoption.
+    - [king_usurper] attacks the phase-king fallback adoption,
+    - {!backref_abuser} attacks Π_BA's back-reference resolution.
 
     The test-suite and the resilience experiment run every CA protocol
     against all of them; with ≤ t < n/3 corruptions none may violate
@@ -140,9 +141,38 @@ let prefix_saboteur =
     king rounds only agreed-upon or validity-checked data, Definition 1 must
     survive. *)
 let king_usurper ~payload =
+  let msg = Some (Ba.Phase_king.king_message payload) in
   Adversary.make ~name:"king-usurper" (fun view ~sender ~recipient ->
-      if view.Adversary.round mod 3 = 0 then Some payload
+      if view.Adversary.round mod 3 = 0 then msg
       else Adversary.prescribed_msg view ~sender ~recipient)
+
+(** Abuse Π_BA's back-references, reading the round number as phase king's
+    (round [3(k-1) + j] is round [j] of phase [k], and phase [k]'s king is
+    party [k-1]):
+    - round 1: the back-reference in phase 1, where it is a plain value;
+      in even phases silence toward even recipients and a full tag with an
+      empty or undecodable body toward odd ones; in odd phases after the
+      first the "same as last time" back-reference, which then follows
+      silence or a body that does not decode;
+    - round 2: the "my round-1 value" back-reference, which toward even
+      recipients of an even phase refers to no round-1 message;
+    - round 3: the king back-reference from every corrupt party, king or
+      not, and a full tag with an undecodable body toward odd recipients.
+    Every back-reference must resolve to something the sender could have
+    sent (or to silence), so Definition 2 and Lemma 2 hold. *)
+let backref_abuser =
+  let token = Some Ba.Phase_king.back_reference in
+  let empty = Some (Ba.Phase_king.king_message "")
+  and junk = Some (Ba.Phase_king.king_message "\255\255\255") in
+  Adversary.make ~name:"backref-abuser" (fun view ~sender:_ ~recipient ->
+      let round = view.Adversary.round - 1 in
+      let phase = (round / 3) + 1 and odd = recipient land 1 = 1 in
+      match round mod 3 with
+      | 0 when phase = 1 -> token
+      | 0 when phase mod 2 = 0 ->
+          if not odd then None else if recipient land 2 = 0 then empty else junk
+      | 0 | 1 -> token
+      | _ -> if odd then junk else token)
 
 (** Composite: rotate through the targeted attacks round-robin per round —
     a chaotic but protocol-shaped adversary for soak tests. *)
@@ -169,5 +199,6 @@ let all ~seed ~payload =
     window_fabricator;
     prefix_saboteur;
     king_usurper ~payload;
+    backref_abuser;
     rotating ~seed ~payload;
   ]

@@ -134,65 +134,177 @@ let sends msg =
 
 let silent _ = None
 
+(* Back-references. After phase 1's round-1 message, which is [spec.encode v]
+   itself, an honest party says "the value you already hold from me" in one
+   byte instead of re-sending it:
+   - round 1 of phases >= 2: [back_reference] ("SAME": my value is the one
+     I sent in my last round-1 message), else [full_tag ^ spec.encode v];
+   - round 2: [back_reference] ("MINE": I propose the value I sent in this
+     phase's round 1), else the proposal's own [w_opt_bytes] encoding;
+   - round 3, the king: [back_reference] ("MINE": my value is still the one
+     I sent in this phase's round 1), else [full_tag ^ spec.encode v].
+   [back_reference] is no [w_opt_bytes] encoding, and a full message's tag
+   differs from it, so every message is one of the three kinds. *)
+let back_reference = "\002"
+let full_tag = '\003'
+
+let king_message body =
+  let len = String.length body in
+  let b = Bytes.create (len + 1) in
+  Bytes.unsafe_set b 0 full_tag;
+  Bytes.unsafe_blit_string body 0 b 1 len;
+  Bytes.unsafe_to_string b
+
+let same = sends back_reference
+
+(* The body of a full rounds-1/3 message, [None] for anything else. *)
+let full_body m =
+  let len = String.length m in
+  if len > 0 && String.unsafe_get m 0 = full_tag then Some (String.sub m 1 (len - 1))
+  else None
+
+(* The first sender before [i] whose message in [inbox] is the bytes [m],
+   or -1: a full message resolves as the first copy of its bytes did, so
+   each distinct payload is resolved (and allocated) once. *)
+let rec first_copy inbox m j i =
+  if j >= i then -1
+  else
+    match inbox.(j) with
+    | Some x when String.equal x m -> j
+    | Some _ | None -> first_copy inbox m (j + 1) i
+
 (* The ⊥ proposal, the same bytes in every run. *)
 let no_proposal = sends (Wire.encode (w_opt_bytes None))
 
 (* Round 2's out: a proposal of the first value a quorum of round-1 senders
-   sent, ⊥ when there is none. *)
-let rec propose spec quorum = function
+   sent, ⊥ when there is none; a back-reference when that value is [equal]
+   to the party's own round-1 value [v]. *)
+let rec propose spec quorum v = function
   | [] -> no_proposal
   | (w, c) :: rest ->
-      if c >= quorum then sends (Wire.encode (w_opt_bytes (Some (spec.encode w))))
-      else propose spec quorum rest
+      if c < quorum then propose spec quorum v rest
+      else if spec.equal w v then same
+      else sends (Wire.encode (w_opt_bytes (Some (spec.encode w))))
+
+(* One run's state, shared by every round's continuation so that each
+   captures only the run and the phase's values. [one.(i)] is the body of
+   sender [i]'s latest round-1 message ([None] after silence or a malformed
+   one); [two.(i)] is the body sender [i] proposes this phase ([None] for
+   ⊥, silence or a malformed proposal). [f] is the rest of the protocol. *)
+type ('v, 'r) machine = {
+  spec : 'v spec;
+  t : int;
+  me : int;
+  quorum : int;
+  one : string option array;
+  two : string option array;
+  f : 'v -> 'r Proto.t;
+}
+
+(* [w], unless it is [equal] to the current value [v]: then [v] itself, so
+   a back-reference to [v]'s encoding stays possible. *)
+let keep spec v w = if spec.equal w v then v else w
 
 (* The phase king as a round machine: each round's [Step] is built here,
    its continuation is the code up to the next round, and the last phase
-   hands the output to the rest of the protocol, [f], inside the "pi_ba"
-   scope. *)
-let run spec (ctx : Ctx.t) input =
-  let t = ctx.Ctx.t and me = ctx.Ctx.me and quorum = Ctx.quorum ctx in
-  let decode_proposal raw =
-    match Wire.decode_full r_opt_bytes raw with
-    | None -> None (* malformed: drop sender *)
-    | Some None -> None (* an explicit "no proposal" carries no vote *)
-    | Some (Some payload) -> spec.decode payload
+   hands the output to [m.f] inside the "pi_ba" scope.
+
+   A receiver resolves every back-reference before it tallies, against what
+   that sender sent it earlier in the run ([m.one]). A resolved message is
+   one the sender could have sent verbatim without back-references, so each
+   resolved inbox is one the plain phase king admits, and the tallies run
+   on it unchanged.
+
+   An honest party sends a back-reference only when the value is physically
+   the object whose encoding the receiver holds; a vote or king value
+   [equal] to the current value therefore keeps the current one. *)
+let rec phase m k v sent =
+  if k > m.t + 1 then Proto.Pop (m.f v)
+  else
+    (* Round 1: universal exchange of current values. *)
+    Proto.Step
+      ( (if k = 1 then sends (m.spec.encode v)
+         else if v == sent then same
+         else sends (king_message (m.spec.encode v))),
+        fun inbox1 -> proposals m k v inbox1 )
+
+(* Round 2: resolve round 1, then the universal exchange of proposals. *)
+and proposals m k v inbox1 =
+  let one = m.one in
+  for i = 0 to Array.length one - 1 do
+    one.(i) <-
+      (match inbox1.(i) with
+      | Some msg when k > 1 ->
+          if String.equal msg back_reference then one.(i)
+          else
+            let j = first_copy inbox1 msg 0 i in
+            if j >= 0 then one.(j) else full_body msg
+      | msg -> msg)
+  done;
+  let spec = m.spec in
+  Proto.Step
+    ( propose spec m.quorum v (tally ~equal:spec.equal ~decode:spec.decode one),
+      fun inbox2 -> king_round m k v inbox2 )
+
+(* Round 3: resolve and count the votes, then the phase king circulates its
+   value. *)
+and king_round m k v inbox2 =
+  let spec = m.spec and one = m.one and two = m.two in
+  for i = 0 to Array.length two - 1 do
+    two.(i) <-
+      (match inbox2.(i) with
+      | None -> None
+      | Some msg when String.equal msg back_reference -> one.(i)
+      | Some msg -> (
+          let j = first_copy inbox2 msg 0 i in
+          if j >= 0 then two.(j)
+          else
+            match Wire.decode_full r_opt_bytes msg with
+            | Some p -> p
+            | None -> None (* malformed: drop sender *)))
+  done;
+  let w, locked =
+    match argmax spec (tally ~equal:spec.equal ~decode:spec.decode two) with
+    | Some (w, c) when c >= m.t + 1 -> (keep spec v w, c >= m.quorum)
+    | _ -> (v, false)
   in
+  let king = k - 1 in
+  Proto.Step
+    ( (if m.me <> king then silent
+       else if w == v then same
+       else sends (king_message (spec.encode w))),
+      fun inbox3 ->
+        let w =
+          if locked || m.me = king then w
+          else
+            let body =
+              match inbox3.(king) with
+              | Some msg when String.equal msg back_reference -> one.(king)
+              | Some msg -> full_body msg
+              | None -> None
+            in
+            keep spec w
+              (match Option.bind body spec.decode with Some x -> x | None -> spec.default)
+        in
+        phase m (k + 1) w v )
+
+let run spec (ctx : Ctx.t) input =
   {
     Proto.k =
       (fun f ->
-        let rec phase k v =
-          if k > t + 1 then Proto.Pop (f v)
-          else
-            (* Round 1: universal exchange of current values. *)
-            Proto.Step
-              ( sends (spec.encode v),
-                fun inbox1 ->
-                  (* Round 2: universal exchange of proposals. *)
-                  Proto.Step
-                    ( propose spec quorum
-                        (tally ~equal:spec.equal ~decode:spec.decode inbox1),
-                      fun inbox2 ->
-                        let votes = tally ~equal:spec.equal ~decode:decode_proposal inbox2 in
-                        let v, locked =
-                          match argmax spec votes with
-                          | Some (w, c) when c >= t + 1 -> (w, c >= quorum)
-                          | _ -> (v, false)
-                        in
-                        (* Round 3: the phase king circulates its value. *)
-                        let king = k - 1 in
-                        Proto.Step
-                          ( (if me = king then sends (spec.encode v) else silent),
-                            fun inbox3 ->
-                              let v =
-                                if locked || me = king then v
-                                else
-                                  match Option.bind inbox3.(king) spec.decode with
-                                  | Some w -> w
-                                  | None -> spec.default
-                              in
-                              phase (k + 1) v ) ) )
+        let n = ctx.Ctx.n in
+        let m =
+          {
+            spec;
+            t = ctx.Ctx.t;
+            me = ctx.Ctx.me;
+            quorum = Ctx.quorum ctx;
+            one = Array.make n None;
+            two = Array.make n None;
+            f;
+          }
         in
-        Proto.Push ("pi_ba", phase 1 input));
+        Proto.Push ("pi_ba", phase m 1 input input));
   }
 
 let rounds (ctx : Ctx.t) = 3 * (ctx.Ctx.t + 1)

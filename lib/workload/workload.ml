@@ -275,9 +275,10 @@ let phase_king_ba ~bits =
     are unlocked; they all adopt it, and persistence then carries the
     byzantine value to the output. Sound BA, no honest-range guarantee. *)
 let king_injector ~payload =
+  let msg = Some (Ba.Phase_king.king_message payload) in
   Adversary.make ~name:"king-injector" (fun view ~sender ~recipient ->
       if view.Adversary.round mod 3 = 0 && (view.Adversary.round / 3) - 1 = sender
-      then Some payload
+      then msg
       else Adversary.prescribed_msg view ~sender ~recipient)
 
 let approx_agreement ~bits ~rounds =

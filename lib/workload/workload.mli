@@ -127,5 +127,6 @@ val to_fixed : bits:int -> Bigint.t -> Bitstring.t
 
 val king_injector : payload:string -> Net.Adversary.t
 (** The textbook attack motivating CA: a corrupted early-phase king injects
-    [payload] while honest parties (whose inputs differ) are unlocked; plain
+    the value whose encoding is [payload] (sent as
+    {!Ba.Phase_king.king_message}[ payload]) while honest parties (whose inputs differ) are unlocked; plain
     BA then outputs the byzantine value. *)

@@ -275,14 +275,16 @@ let test_det_tier_identical_across_backends () =
    Chrome trace rendered from the span recorder. The one recorder must
    reproduce both byte for byte: the span plane and the Det instruments
    keep their values, and probes rendered at export match probes rendered
-   when emitted. *)
+   when emitted. The digests were re-taken when Π_BA's phase king began
+   sending back-references instead of repeated values (bits moved); the
+   rounds-and-outputs pins below were taken before that and hold after. *)
 let sim_pi_z_pins =
-  ( ("8cd3b2666168bce056ac6844151e9ef086354226968f2bc423bb5319342faaf9", 84256),
-    ("a49fd6062baaffe5eaf34b9f9e22c3b273a2839e8f767176c382a6c8c68dc52e", 103132) )
+  ( ("5cf551ef486985d9b5815af756280e3a6c142aa25acbffc7dd312b3e629a8491", 84159),
+    ("f002a9856b7baff15963282032b1fabb53b85ba673ffefe4d07902b047ea78be", 103118) )
 
 let engine_k8_pins =
-  ( ("0d9568572611543472f1801c6a9ae0cb81536ace080ef18dc9a0b85193b07586", 416972),
-    ("1ecfb07732f50b6f242b68e4ce9d5af78aac6274ca4cce67575539cfe36d8c49", 419403) )
+  ( ("2a900187bb77487e52c65269de4440c5f3821188344634594400bc6c30dac04c", 416666),
+    ("03a06156522e2f7cabd01c715f7c802b7debb409db8e1aa6f1b727e10a4e5b62", 419238) )
 
 let check_pinned name (det_pin, trace_pin) obs =
   let digest s = (Sha256.hex s, String.length s) in
@@ -292,6 +294,14 @@ let check_pinned name (det_pin, trace_pin) obs =
   Alcotest.check pin (name ^ ": chrome trace") trace_pin
     (digest (Obs.Trace.chrome_trace obs))
 
+(* The same two runs' rounds and honest outputs: per session of the engine
+   run, its admission and retirement rounds, its round count and its
+   outputs. *)
+let sim_pi_z_outcome_pin =
+  ("176b632624d0908fe6bbf807a0e281667e30fd8de5e42b5e17ab7d9543c5018f", 778)
+let engine_k8_outcome_pin =
+  ("4045a9b821c4f1fa0817db64c461c350fd01978e4ed5bd73c170bbc6996e45c5", 994)
+
 let test_pinned_exports () =
   let n = 7 and t = 2 and bits = 1 lsl 9 in
   let corrupt = Workload.spread_corrupt ~n ~t in
@@ -300,13 +310,41 @@ let test_pinned_exports () =
       (Workload.clustered_bits (Prng.create 14) ~n ~bits ~shared_prefix_bits:(bits / 2))
   in
   let obs = Obs.create () in
-  ignore
-    (Workload.run_int ~obs ~n ~t ~corrupt
-       ~adversary:(Adversary.equivocate ~seed:5)
-       ~inputs Workload.pi_z.Workload.run);
+  let report =
+    Workload.run_int ~obs ~n ~t ~corrupt
+      ~adversary:(Adversary.equivocate ~seed:5)
+      ~inputs Workload.pi_z.Workload.run
+  in
   check_pinned "sim Pi_Z n=7 l=2^9" sim_pi_z_pins obs;
+  let digest s = (Sha256.hex s, String.length s) in
+  let pin = Alcotest.(pair string int) in
+  Alcotest.check pin "sim Pi_Z n=7 l=2^9: rounds and outputs" sim_pi_z_outcome_pin
+    (digest
+       (String.concat " "
+          (string_of_int report.Workload.rounds
+          :: List.map Bigint.to_string report.Workload.outputs)));
   List.iter
-    (fun (name, backend) -> check_pinned name engine_k8_pins (fst (run_with_obs backend)))
+    (fun (name, backend) ->
+      let obs, outcome = run_with_obs backend in
+      check_pinned name engine_k8_pins obs;
+      Alcotest.check pin (name ^ ": rounds and outputs") engine_k8_outcome_pin
+        (digest
+           (String.concat "\n"
+              (List.map
+                 (fun r ->
+                   String.concat " "
+                     (List.map string_of_int
+                        [
+                          r.Engine.r_sid;
+                          r.Engine.r_admitted_at;
+                          r.Engine.r_retired_at;
+                          r.Engine.r_metrics.Metrics.rounds;
+                        ]
+                     @ Array.to_list
+                         (Array.map
+                            (function Some o -> Bigint.to_string o | None -> "-")
+                            r.Engine.r_outputs)))
+                 outcome.Engine.sessions))))
     [ ("engine K=8 sim", `Sim); ("engine K=8 poll", `Poll) ]
 
 (* ---- one label stack, with and without a recorder ------------------------- *)

@@ -110,9 +110,11 @@ let prop_rank_random =
 (* Byte-identity pins for Median_ba: per n, the SHA-256 and byte length of
    five runs on random 16-bit inputs, each run its Det JSONL
    ([Obs.to_jsonl ~tier:Det]: spans, labels, rounds, probes) followed by the
-   honest outputs. The values were captured while Median_ba still had its own
-   median window, before it ran on [rank_window] at the middle rank. *)
-let median_adversaries =
+   honest outputs, and a second pin of the round counts and outputs alone.
+   The values were captured while Median_ba still had its own median window,
+   before it ran on [rank_window] at the middle rank; n=10's Det pin was
+   re-taken when each record got adversaries of its own. *)
+let median_adversaries () =
   [
     Adversary.passive; Adversary.silent; Adversary.garbage ~seed:4;
     Adversary.equivocate ~seed:5; Attacks.rotating ~seed:6 ~payload:"median";
@@ -123,35 +125,44 @@ let median_record ~n ~t =
   let corrupt = Workload.spread_corrupt ~n ~t in
   let rng = Prng.create n in
   let inputs = Array.init n (fun _ -> Bitstring.of_int_fixed ~bits (Prng.int rng 65536)) in
-  String.concat "\n"
-    (List.map
-       (fun adversary ->
-         let obs = Obs.create () in
-         let outcome =
-           Sim.run ~obs ~n ~t ~corrupt ~adversary (fun ctx ->
-               Proto.run (Convex.Median_ba.run ctx ~bits inputs.(ctx.Ctx.me)))
-         in
-         String.concat "\n"
-           (Obs.to_jsonl ~tier:Obs.Det obs
-           :: List.map Bitstring.to_string (Sim.honest_outputs ~corrupt outcome)))
-       median_adversaries)
+  let runs =
+    List.map
+      (fun adversary ->
+        let obs = Obs.create () in
+        let outcome =
+          Sim.run ~obs ~n ~t ~corrupt ~adversary (fun ctx ->
+              Proto.run (Convex.Median_ba.run ctx ~bits inputs.(ctx.Ctx.me)))
+        in
+        let outputs = List.map Bitstring.to_string (Sim.honest_outputs ~corrupt outcome) in
+        ( String.concat "\n" (Obs.to_jsonl ~tier:Obs.Det obs :: outputs),
+          String.concat "\n" (string_of_int outcome.Sim.metrics.Metrics.rounds :: outputs) ))
+      (median_adversaries ())
+  in
+  (String.concat "\n" (List.map fst runs), String.concat "\n" (List.map snd runs))
 
 let median_pins =
   [
-    ((7, 2), ("ace1c7c7d051e0fc8c90fbcea4a85a144804dd4d50c6aef7a03757ab00bb511a", 40727));
-    ((10, 3), ("25582f5853c13cf8fc106b5b642f324ec3485b6d265b2c17407c73956ac32590", 61936));
+    ( (7, 2),
+      ( ("ace1c7c7d051e0fc8c90fbcea4a85a144804dd4d50c6aef7a03757ab00bb511a", 40727),
+        ("5f7e1561c3220a1566f5da1c23de7b8c411ec6bb6c342663cf773eb6e8cf42a1", 439) ) );
+    ( (10, 3),
+      ( ("6d14c7e9905442b596bfe0d4a2df313f737b87750a2348f5ee9de92a52f9b85b", 61934),
+        ("6f4e0c2259523f8554ea40ac8dfbef006d3dda04e09fdacb6f122f1e404d44b3", 609) ) );
   ]
 
 let median_pin_cases =
   List.map
-    (fun ((n, t), pin) ->
+    (fun ((n, t), (det_pin, outcome_pin)) ->
       Alcotest.test_case (Printf.sprintf "median_ba n=%d Det JSONL pin" n) `Quick
         (fun () ->
-          let s = median_record ~n ~t in
+          let det, outcome = median_record ~n ~t in
+          let digest s = (Sha256.hex s, String.length s) in
           Alcotest.(check (pair string int))
             (Printf.sprintf "median_ba n=%d" n)
-            pin
-            (Sha256.hex s, String.length s)))
+            det_pin (digest det);
+          Alcotest.(check (pair string int))
+            (Printf.sprintf "median_ba n=%d: rounds and outputs" n)
+            outcome_pin (digest outcome)))
     median_pins
 
 let suite =

@@ -5,23 +5,33 @@
    followed by the honest outputs. The values were captured from separate
    bit and block modules (Find_prefix_blocks, Add_last_bit, Add_last_block,
    Fixed_length_ca_blocks) before they were merged into one FINDPREFIX and
-   one FIXEDLENGTHCA with a bit and a block entry point each. *)
+   one FIXEDLENGTHCA with a bit and a block entry point each, and re-taken
+   when Π_BA's phase king began sending back-references instead of repeated
+   values (bits moved). A second pin per case covers only the round counts
+   and honest outputs; it was taken before the back-references and holds
+   after them. *)
 
 open Net
 
-let adversaries =
+(* Fresh per case: the strategies carry PRNG state, so a shared list would
+   make each case's record depend on the cases that ran before it. *)
+let adversaries () =
   [ Adversary.passive; Adversary.equivocate ~seed:5; Adversary.garbage ~seed:9 ]
 
+(* Each case's record under the three adversaries, twice: with the Det
+   JSONL (bits included), and as the round count and honest outputs only. *)
 let recorded ~n ~t ~corrupt ~show protocol =
-  String.concat "\n"
-    (List.map
-       (fun adversary ->
-         let obs = Obs.create () in
-         let outcome = Sim.run ~obs ~n ~t ~corrupt ~adversary protocol in
-         String.concat "\n"
-           (Obs.to_jsonl ~tier:Obs.Det obs
-           :: List.map show (Sim.honest_outputs ~corrupt outcome)))
-       adversaries)
+  let runs =
+    List.map
+      (fun adversary ->
+        let obs = Obs.create () in
+        let outcome = Sim.run ~obs ~n ~t ~corrupt ~adversary protocol in
+        let outputs = List.map show (Sim.honest_outputs ~corrupt outcome) in
+        ( String.concat "\n" (Obs.to_jsonl ~tier:Obs.Det obs :: outputs),
+          String.concat "\n" (string_of_int outcome.Sim.metrics.Metrics.rounds :: outputs) ))
+      (adversaries ())
+  in
+  (String.concat "\n" (List.map fst runs), String.concat "\n" (List.map snd runs))
 
 let show_search (r : Convex.Find_prefix.result) =
   String.concat " "
@@ -93,37 +103,53 @@ let block_size_one_cases =
 let pins =
   [
     ( "find_prefix l=64",
-      ("7831ad21157470b0ed781d0f32750c11c76747c728d87f53c424861e473df2c9", 97688) );
+      ( ("9ab9e40b12c1e577ffcfa4dd251b09e2be688974b3ed75c9fa9f30504cb98bc1", 97382),
+        ("24273a4099b0bb6889ffd878412f55d6daa0562cbf81d02c16d817a621d0b200", 1532) ) );
     ( "find_prefix_blocks l=64",
-      ("e2c1b73a367f7e8d732c3b707207d0723a31b83b1b1d18a3793fbc51f1fca9c0", 65501) );
+      ( ("451f282da5c02aa5e2bbfa3b99a44c7b635cfa1568f662a2a0a775fe7c6a3532", 65291),
+        ("ddbd29bf9757264c1b77d3634b4a9efca13f2f4766fa320624cde7e1e942cd2d", 1493) ) );
     ( "agree_fixed_length l=64",
-      ("b2afb4f792be164f5140d04e527afb5f5c939013d6ba8f43abb77baee2aa80aa", 106729) );
+      ( ("0cfe9effe877906b100dfb197bd15bd985f8ab89bbac2f9eeef693cbc1dde70a", 106398),
+        ("19734b779eb0330d71835396b99194c9350f73a65e8d9a012c581ed81d55e48b", 596) ) );
     ( "agree_fixed_length_blocks l=64",
-      ("2863fdb2a140bd7bfd3157fb842b25ff6eb736ec6a6a17a704ec0b3178d10c17", 79941) );
+      ( ("d78e1f626293bc051b449b9cb75bb8f32cf7ae19fd531f02b30a1f4d6b02e508", 79723),
+        ("f499f1711b9dd3d83e46ecabf2a5dd77bfe0a51ae5410f38f5d812eb6144eb7f", 593) ) );
     ( "find_prefix l=256",
-      ("0f7871c4d0e4990ebf01f6ec8efdfe65a625573dfa9891c903a420e923512c31", 141494) );
+      ( ("0d11fcd6572bb60c1b187a84f8fd35acd4629b9b7aeba8b4b68ca00aefde4b97", 141068),
+        ("ce812d2a3b3e8af2472059c72ef1934c39e237d4b6db30b1b555b26f4c0e1226", 5852) ) );
     ( "find_prefix_blocks l=256",
-      ("ce166fb1097cb6899cd2a161e7c52821c7d9541c03b2a282c6a40435d1b19b06", 72701) );
+      ( ("1c4b0b9ff3d2248797fcad8f2416c19fcf799285aad0acd71bdb8c36746c32ab", 72491),
+        ("3357c8fef0084cdce31d6cf55db4d2edcc4f4049897ffed686df74d9c4b0d070", 5813) ) );
     ( "agree_fixed_length l=256",
-      ("7766ef913c0ce423ec2737449314fbd48989e538b147f0d7bb59b9c7f5f2cf43", 147922) );
+      ( ("58dcd4dc265a66973ae07a99f1b5e9cf7139030c3fbee60a9a17a1a59867c33b", 147485),
+        ("4fef6f28bc311b1a4f0e79428ee7a9eeb602ec289e1feaa85d72b04e1e88ee2d", 2324) ) );
     ( "agree_fixed_length_blocks l=256",
-      ("c5798718b2d95babee2bcfcd8e0a99caf6494c5634eb7da6ad7bb4bf8c5ebd65", 84660) );
+      ( ("e9d9bd61d8c313890c1d293c199b8ef361a91c317592bb6ef74fb17f04d4c620", 84442),
+        ("e7afc5ce48fa6da345c8b9b0f80509aeb208fe80ad0d3d4e2cfe433c83cc4bbc", 2321) ) );
     ( "find_prefix l=1024",
-      ("5e377aa894eb65b2f8055d25caa822f832d79a3429bc3ed73c76f216844ba1e4", 211340) );
+      ( ("2dd5ca3763dc05133ba3278c5dee8f13bb0b0fd3ef8e2551dac45a2500377aca", 210801),
+        ("e2248beb825642ce53612545709de07de619309bd91c05a14a6832044f4e0e33", 24665) ) );
     ( "find_prefix_blocks l=1024",
-      ("b660b9b2168954122473efffbca6f8b4bb49f01864cf1e676a05330e23950a45", 101501) );
+      ( ("f41848085e71839c2c6a078f51b3fb0950f2c1ff0f51b62941bbfd3421e329c6", 101291),
+        ("e6a0a0dcfc8101ac088801941c1ea847474f1eec7d03e5229385008a3237f192", 23093) ) );
     ( "agree_fixed_length l=1024",
-      ("80118e4d8ac25cba060b9f117098dfd904e444db85a19d1caf18fdb1a0b65c18", 202547) );
+      ( ("672d37caf8afa67d25520f41405fd9f3f0f7bb9749ccec327253eed3f97beab4", 202005),
+        ("d3a7a65316c788239717f3b49202a7f32be74a4097937a1787af73cbd6fabe15", 9236) ) );
     ( "agree_fixed_length_blocks l=1024",
-      ("677930853e54597a7ae06392b636ee55e717861c56418212e0fccd419fb5be6e", 103584) );
+      ( ("192619bc627a946156d560a416d61fbb67011404eec623731302ee1f3458e502", 103362),
+        ("8b30e9d7d51d42fbbb180e7f4ac807c4598800e3830d97ebba2ec7cc2a3e5e64", 9233) ) );
     ( "pi_z n=7 l=32",
-      ("1436726814802256e3b0a9b8aa36cc869f554bd937a616a43fd46e580430b10c", 170938) );
+      ( ("d17b3f7378d15ec2cd9c642a7debdd95d7a3a411786373bf19c74129b4043e34", 170433),
+        ("90ab971d61bf50341860aea4979ccdb147663206ee388b601a46da50b93fe53c", 176) ) );
     ( "pi_z n=7 l=256",
-      ("c5ea2f0f489f43309b46660dde6640638462fec6381ecebe6796b1f0936032c8", 230363) );
+      ( ("36f123a47acccea53d02379876d7be1ad6eb75794ea1df74bb067f9a6df450dc", 229961),
+        ("385827ef9e178230041b55506db95535e9f5ae4f79ec4d9a7fc287beca7e9d43", 1181) ) );
     ( "pi_n block size 1",
-      ("ad97c59ce48c2424afe001ea996668838690e360dbe5dab43bca0727213b171b", 73521) );
+      ( ("93047877c7f5bf0fcc7390264459819f8431f629159440e52ac49d2e95c9e489", 73276),
+        ("39d9bc30d3cb71aeafaec3499dbba04365a1dfa4d95c288c221661e536a28e37", 57) ) );
     ( "pi_n block size 1, add_last_block",
-      ("6c31f75899f124878f4fd33722fbd5293d5f3dfe86224084a961f2fa1a3473b3", 87615) );
+      ( ("54131001937d6ed7755132bca8c8e3455d0bdfe78eb8b46044f36088822641f7", 87376),
+        ("694f180e9dfde222154f8124d2dc69b262dd0bb0fec2e8b704e13d7e469f8da7", 55) ) );
   ]
 
 let cases = fixed_length_cases @ pi_z_cases @ block_size_one_cases
@@ -170,6 +196,9 @@ let suite =
   :: List.map
        (fun (name, run) ->
          Alcotest.test_case name `Quick (fun () ->
+             let det, outcome = run () in
+             let det_pin, outcome_pin = List.assoc name pins in
+             Alcotest.(check (pair string int)) (name ^ ": Det JSONL") det_pin (digest det);
              Alcotest.(check (pair string int))
-               (name ^ ": Det JSONL") (List.assoc name pins) (digest (run ()))))
+               (name ^ ": rounds and outputs") outcome_pin (digest outcome)))
        cases

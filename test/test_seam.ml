@@ -3,7 +3,9 @@
    constants below were measured on the pre-refactor hard-wired stack (CLI
    scenarios of this repository, commit 3e9ad4c) — output value, honest and
    byzantine bit counts and round count under the equivocating adversary.
-   Both the [include Make (Unauthenticated)] default and an explicit
+   The bit counts were re-measured when Pi_BA's phase king began sending
+   back-references instead of repeated values; the outputs and round counts
+   are the original pins. Both the [include Make (Unauthenticated)] default and an explicit
    [Ca_int.Make (Ba.Substrate.Unauthenticated)] instantiation must reproduce
    them exactly.
 
@@ -60,8 +62,8 @@ let scenario_a =
         ~attack:Workload.Outlier_high ~seed:11 run),
     {
       p_output = "-1004";
-      p_honest_bits = 404160;
-      p_byz_bits = 137712;
+      p_honest_bits = 248832;
+      p_byz_bits = 76272;
       p_rounds = 186;
     } )
 
@@ -70,8 +72,8 @@ let scenario_b =
         ~attack:Workload.Split_extremes ~seed:3 run),
     {
       p_output = "2931199342671478915071";
-      p_honest_bits = 101408;
-      p_byz_bits = 24736;
+      p_honest_bits = 76928;
+      p_byz_bits = 18080;
       p_rounds = 159;
     } )
 

@@ -8,7 +8,8 @@
    - [run_option] with ⊥ mixed into the inputs: agreement, and unanimity on
      ⊥ or on a value is kept;
    - [rounds ctx] equals the measured round count exactly.
-   The adversaries are every one in [Adversary.all_generic], and for an
+   The adversaries are every one in [Adversary.all_generic] and
+   [Attacks.backref_abuser] (phase king's back-references), and for an
    [`Authenticated] backend also [forged_signatures]; a deterministic sweep
    runs each of them once per n at t = max_t. *)
 
@@ -111,6 +112,7 @@ module Conform (X : BACKEND) = struct
      message. *)
   let adversaries ~seed ~values =
     Adversary.all_generic ~seed
+    @ [ Attacks.backref_abuser ]
     @ if assumption = `Authenticated then [ forged_signatures ~values ] else []
 
   (* One run of [entry] at (n, t) on [inputs]: the honest outputs (raises if
