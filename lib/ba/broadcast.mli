@@ -9,7 +9,9 @@
     This is the primitive behind the introduction's "trivial" CA construction
     (broadcast every input, then apply a deterministic choice function),
     implemented as [Baseline.Broadcast_ca]. Cost for an ℓ-bit value: O(ℓn)
-    for the send plus BITS_ℓ(Π_BA) — O(ℓn³) with the phase-king Π_BA. *)
+    for the send plus BITS_ℓ(Π_BA) — with the phase-king Π_BA, O(ℓn² + n³)
+    when the honest parties received the same value and up to O(ℓn³) when
+    corrupt kings keep their values changing. *)
 
 val run :
   'v Phase_king.spec -> Net.Ctx.t -> sender:int -> 'v -> 'v Net.Proto.m

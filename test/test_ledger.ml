@@ -105,7 +105,7 @@ let edits : (string * (Ledger.t -> Ledger.t)) list =
     (* Above Turpin-Coan BA at 2^16, still below HighCostCA everywhere. *)
     ("t1.crossover", edit (t1_row 16.) (set "pi_z_bits" (Num 8_000_000.)));
     ("claims.row_shape", edit (rounds 7.) (set "pi_z_rounds" (Num 0.)));
-    ("claims.c1_linear_in_l", edit (l_fit "pi_z" 7.) (set "quad_r2" (Num 0.99)));
+    ("claims.c1_linear_in_l", edit (l_fit "pi_z" 7.) (set "quad_r2" (Num 1.)));
     (* n=13 holds the lowest slope/n; no other gate reads its slope. *)
     ("claims.c2_slope_per_n", edit (l_fit "pi_z" 13.) (scale "slope" 10.));
     ( "claims.c3_baseline_diverges",
