@@ -59,8 +59,9 @@ soak-smoke:
 	$(DUNE) exec bin/soak.exe -- --smoke
 
 # Observability round-trip on a real K=8 poll-backend run: export the
-# registry JSONL (full + deterministic tier), the sampler time series and
-# the Chrome trace, then schema-validate all four with `ca_cli obs --check`.
+# registry JSONL (full, with the time series' sample lines, and the
+# deterministic tier) and the Chrome trace, then schema-validate all three
+# with `ca_cli obs --check`, which also fails on an obs.jsonl without samples.
 # Then one scenario through `ca_cli run`'s two exports: the message CSV with
 # its summary, and the Det JSONL with the span report.
 obs-smoke:

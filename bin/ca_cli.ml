@@ -287,8 +287,8 @@ let engine_scenario n t sessions spacing backend adversary_name attack_name
      own fresh setup (XMSS signers are stateful, and sessions are
      independent protocol runs). *)
   (* Fast-path accounting for the adaptive backends: one record per
-     (session, party) so domain-parallel sessions never share state; summed
-     over honest parties into the Obs Det tier after the run. *)
+     (session, party), summed over honest parties into the Obs Det tier
+     after the run. *)
   let adaptive_stats =
     Array.init sessions (fun _ -> Array.init n (fun _ -> Adaptive.stats ()))
   in
@@ -333,11 +333,10 @@ let engine_scenario n t sessions spacing backend adversary_name attack_name
            ])
       obs_dir
   in
-  let sampler = Option.map (fun _ -> Engine.Sampler.create ()) obs_dir in
   let outcome =
     match backend with
-    | "poll" -> Engine.run_poll ?obs ?sampler ~n ~t ~corrupt specs
-    | _ -> Engine.run_sim ?obs ?sampler ~n ~t ~corrupt specs
+    | "poll" -> Engine.run_poll ?obs ~n ~t ~corrupt specs
+    | _ -> Engine.run_sim ?obs ~n ~t ~corrupt specs
   in
   (* The adaptive counters are Det-tier: summed over honest parties in fixed
      index order, they are byte-identical across sim and poll. *)
@@ -360,21 +359,16 @@ let engine_scenario n t sessions spacing backend adversary_name attack_name
   | _ -> ());
   (match obs_dir with
   | Some dir ->
-      let o = Option.get obs and smp = Option.get sampler in
-      (* Closing sample, so even zero-spacing smoke runs export a series. *)
-      Engine.Sampler.record smp
-        ~round:outcome.Engine.aggregate.Engine.engine_rounds ~live:0 ();
+      let o = Option.get obs in
       (try Unix.mkdir dir 0o755
        with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
       write_file (Filename.concat dir "obs.jsonl") (Obs.to_jsonl o);
       write_file
         (Filename.concat dir "obs_det.jsonl")
         (Obs.to_jsonl ~tier:Obs.Det o);
-      write_file (Filename.concat dir "sampler.jsonl") (Engine.Sampler.to_jsonl smp);
       write_file (Filename.concat dir "trace.json") (Obs.Trace.chrome_trace o);
       Printf.printf
-        "obs:             wrote obs.jsonl, obs_det.jsonl, sampler.jsonl, \
-         trace.json under %s\n"
+        "obs:             wrote obs.jsonl, obs_det.jsonl, trace.json under %s\n"
         dir
   | None -> ());
   Printf.printf
@@ -441,9 +435,8 @@ let obs_check dir =
         Printf.eprintf "error: %s: %s\n" path msg;
         exit 1
   in
-  check_file "obs.jsonl" Obs.Check.registry_jsonl "lines";
+  check_file "obs.jsonl" Obs.Check.engine_jsonl "lines";
   check_file "obs_det.jsonl" Obs.Check.registry_jsonl "lines";
-  check_file "sampler.jsonl" Obs.Check.sampler_jsonl "lines";
   check_file "trace.json" Obs.Check.chrome_trace "trace events"
 
 (* ------------------------------------------------------------------ *)
@@ -616,11 +609,10 @@ let obs_dir_arg =
     & info [ "obs-dir" ] ~docv:"DIR"
         ~doc:
           "Attach the observability plane and export its artifacts under \
-           $(docv): $(b,obs.jsonl) (spans, round timeline, probes and all \
-           instruments), $(b,obs_det.jsonl) (deterministic tier only — \
-           byte-identical across sim/poll and domain counts), \
-           $(b,sampler.jsonl) (GC/RSS/poll time series) and \
-           $(b,trace.json) (Chrome trace_event timeline for \
+           $(docv): $(b,obs.jsonl) (spans, round timeline, probes, all \
+           instruments and the GC/RSS/poll time series), $(b,obs_det.jsonl) \
+           (deterministic tier only — byte-identical across sim and poll) \
+           and $(b,trace.json) (Chrome trace_event timeline for \
            chrome://tracing or Perfetto).")
 
 let engine_cmd =

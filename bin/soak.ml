@@ -25,8 +25,10 @@ type cfg = {
   seed : int;
   max_sessions : int;
   max_rss_mb : int;
-  telemetry_every : int;
 }
+
+(* The wave's JSONL export is sized on every [telemetry_every]th wave. *)
+let telemetry_every = 5
 
 let default_cfg =
   {
@@ -35,25 +37,22 @@ let default_cfg =
     seed = 1;
     max_sessions = 48;
     max_rss_mb = 2048;
-    telemetry_every = 5;
   }
 
 let usage oc =
   output_string oc
     "usage: soak [--duration SECS] [--smoke] [--backend sim|poll] [--seed N]\n\
-    \            [--sessions K] [--max-rss-mb MB] [--telemetry-every N]\n\n\
+    \            [--max-rss-mb MB]\n\n\
      Duration-bounded engine soak: mixed workloads, staggered admission and\n\
      retirement, Definition 1 checked per session, one obs recorder per\n\
      wave, an obs health snapshot printed per wave, peak RSS asserted\n\
-     after every wave.\n\n\
+     after every wave. A wave runs up to 48 sessions (12 under --smoke);\n\
+     every 5th wave's JSONL export is sized.\n\n\
     \  --duration SECS      wall-clock budget (default 60)\n\
     \  --smoke              ~10 s run for CI (duration 8, smaller waves)\n\
     \  --backend NAME       sim | poll (default poll)\n\
     \  --seed N             master seed (default 1)\n\
-    \  --sessions K         max sessions per wave (default 48)\n\
-    \  --max-rss-mb MB      peak-RSS ceiling (default 2048)\n\
-    \  --telemetry-every N  size the wave's JSONL export every Nth wave\n\
-    \                       (default 5)\n"
+    \  --max-rss-mb MB      peak-RSS ceiling (default 2048)\n"
 
 let bad fmt =
   Printf.ksprintf
@@ -78,21 +77,15 @@ let rec parse cfg = function
       | _ -> bad "--duration expects a positive number, got %S" v)
   | "--backend" :: v :: rest -> parse { cfg with backend = v } rest
   | "--seed" :: v :: rest -> parse { cfg with seed = parse_int "--seed" v } rest
-  | "--sessions" :: v :: rest ->
-      parse { cfg with max_sessions = parse_int "--sessions" v } rest
   | "--max-rss-mb" :: v :: rest ->
       parse { cfg with max_rss_mb = parse_int "--max-rss-mb" v } rest
-  | "--telemetry-every" :: v :: rest ->
-      parse { cfg with telemetry_every = parse_int "--telemetry-every" v } rest
   | ("--help" | "-h") :: _ ->
       usage stdout;
       exit 0
   | [ flag ]
     when List.mem flag
-           [
-             "--duration"; "--backend"; "--seed"; "--sessions"; "--max-rss-mb";
-             "--telemetry-every";
-           ] -> bad "%s expects a value" flag
+           [ "--duration"; "--backend"; "--seed"; "--max-rss-mb" ] ->
+      bad "%s expects a value" flag
   | arg :: _ -> bad "unknown argument %S" arg
 
 (* ---- one wave ------------------------------------------------------------- *)
@@ -210,7 +203,7 @@ let draw_session ~corrupt ~n ~seed =
     d_resolving = workload_name <> "clustered";
   }
 
-let wave ~cfg ~obs ~sampler ~idx =
+let wave ~cfg ~obs ~idx =
   let seed = (cfg.seed * 1_000_003) + idx in
   let rng = Prng.create seed in
   let n = 4 + Prng.int rng 4 in
@@ -245,8 +238,8 @@ let wave ~cfg ~obs ~sampler ~idx =
   let mw0 = Gc.minor_words () in
   match
     match cfg.backend with
-    | "poll" -> Engine.run_poll ~obs ~sampler ~n ~t ~corrupt specs
-    | _ -> Engine.run_sim ~obs ~sampler ~n ~t ~corrupt specs
+    | "poll" -> Engine.run_poll ~obs ~n ~t ~corrupt specs
+    | _ -> Engine.run_sim ~obs ~n ~t ~corrupt specs
   with
   | exception e ->
       {
@@ -292,7 +285,7 @@ let wave ~cfg ~obs ~sampler ~idx =
           | Some _ | None -> ())
         outcome.Engine.sessions;
       let telemetry_bytes =
-        if idx mod cfg.telemetry_every = 0 then String.length (Obs.to_jsonl obs)
+        if idx mod telemetry_every = 0 then String.length (Obs.to_jsonl obs)
         else 0
       in
       {
@@ -317,10 +310,9 @@ let () =
   let rss_ceiling = cfg.max_rss_mb * 1024 * 1024 in
   (* One recorder per wave, so the span plane never outlives its wave. The
      interesting distributions are long-run ones: the soak totals fold each
-     wave's frame-bytes and round-wall histograms in after the wave. The
-     sampler ring keeps the most recent snapshots. *)
+     wave's frame-bytes and round-wall histograms in after the wave. Each
+     wave's recorder holds that wave's samples. *)
   let totals = Obs.create () in
-  let sampler = Engine.Sampler.create () in
   let frame_h = Obs.hist totals ~tier:Obs.Det "engine/frame_bytes" in
   let wall_h = Obs.hist totals ~tier:Obs.Sampled "engine/round_wall_ns" in
   let t0 = Unix.gettimeofday () in
@@ -347,7 +339,7 @@ let () =
     && (!waves = 0 || Unix.gettimeofday () -. t0 < cfg.duration)
   do
     let obs = Obs.create () in
-    let r = wave ~cfg ~obs ~sampler ~idx:!waves in
+    let r = wave ~cfg ~obs ~idx:!waves in
     Obs.Hist.merge ~into:frame_h (Obs.hist obs ~tier:Obs.Det "engine/frame_bytes");
     Obs.Hist.merge ~into:wall_h (Obs.hist obs ~tier:Obs.Sampled "engine/round_wall_ns");
     incr waves;
@@ -377,9 +369,7 @@ let () =
           (peak / (1024 * 1024))
           cfg.max_rss_mb
     | Some _ | None -> ());
-    (* Per-wave health snapshot: one sampler tick plus a line of cumulative
-       obs distributions. *)
-    Engine.Sampler.record sampler ~round:!total_rounds ();
+    (* Per-wave health snapshot: a line of cumulative obs distributions. *)
     Printf.printf
       "  wave %d health: rounds=%d frames=%d frame-p99=%dB round-p99=%.2fms \
        rss=%s\n\
@@ -409,15 +399,11 @@ let () =
     (match Net_poll.rss_peak_bytes () with
     | Some b -> Printf.sprintf "; peak rss %d MB" (b / (1024 * 1024))
     | None -> "");
-  Printf.printf
-    "      obs: %d frames (p50=%dB p99=%dB), round wall p99 %.2fms, %d \
-     sampler ticks (%d dropped)\n"
+  Printf.printf "      obs: %d frames (p50=%dB p99=%dB), round wall p99 %.2fms\n"
     (Obs.Hist.count frame_h)
     (Obs.Hist.quantile frame_h 0.5)
     (Obs.Hist.quantile frame_h 0.99)
-    (float_of_int (Obs.Hist.quantile wall_h 0.99) /. 1e6)
-    (Engine.Sampler.recorded sampler)
-    (Engine.Sampler.dropped sampler);
+    (float_of_int (Obs.Hist.quantile wall_h 0.99) /. 1e6);
   Printf.printf "      allocation: %.0f minor words/wave mean\n"
     (if !waves = 0 then 0.0 else !total_minor_words /. float_of_int !waves);
   (* Flatness: the allocation rate (minor words per frame byte) must not

@@ -32,12 +32,6 @@ let record_observed stats observed =
 let count_true a =
   Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 a
 
-(* Bit cost of the phase-king arbitration instance (the Unauthenticated
-   backend's model at value_bits = 1). *)
-let arbitration_bits (ctx : Ctx.t) =
-  let n = ctx.Ctx.n in
-  Ba.Phase_king.rounds ctx * n * n * 17
-
 (* ------------------------------------------------------------------ *)
 (* Value codec: canonical sign + minimal-magnitude encoding.  Injective on
    ℤ (the −0 form is rejected), so equal digests mean equal values under
@@ -288,7 +282,8 @@ let wrapper_cost (ctx : Ctx.t) ~value_bits ~fallback ~f =
     + (n * n * kappa) (* R2 *)
     + (n * (value_bits + 16)) (* R3: one broadcast of the full value *)
     + (n * n * 8) (* R4 *)
-    + arbitration_bits ctx
+    (* the phase-king arbitration instance on one bit *)
+    + Ba.Substrate.Unauthenticated.bits_estimate ctx ~value_bits:1
   in
   if f = 0 then
     { Ba.Substrate.c_f = 0; c_bits = preamble; c_rounds = fast_path_rounds ctx }

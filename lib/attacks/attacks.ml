@@ -174,8 +174,10 @@ let backref_abuser =
       | 0 | 1 -> token
       | _ -> if odd then junk else token)
 
-(** Composite: rotate through the targeted attacks round-robin per round —
-    a chaotic but protocol-shaped adversary for soak tests. *)
+(** Composite: rotate through the targeted attacks round-robin, one attack
+    per phase-king phase (rounds [3k+1 .. 3k+3] run attack [k mod 7]), so
+    each attack that reads phase king's rounds acts on a whole phase — a
+    chaotic but protocol-shaped adversary for soak tests. *)
 let rotating ~seed ~payload =
   let menu =
     [|
@@ -185,10 +187,11 @@ let rotating ~seed ~payload =
       window_fabricator;
       prefix_saboteur;
       king_usurper ~payload;
+      backref_abuser;
     |]
   in
   Adversary.make ~name:"rotating-attacks" (fun view ~sender ~recipient ->
-      let a = menu.(view.Adversary.round mod Array.length menu) in
+      let a = menu.((view.Adversary.round - 1) / 3 mod Array.length menu) in
       a.Adversary.act view ~sender ~recipient)
 
 let all ~seed ~payload =

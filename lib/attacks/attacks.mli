@@ -40,7 +40,8 @@ val backref_abuser : Net.Adversary.t
     or undecodable body. Definition 2 and Lemma 2 must hold. *)
 
 val rotating : seed:int -> payload:string -> Net.Adversary.t
-(** Round-robin through all targeted attacks — a protocol-shaped chaos
-    monkey for soak tests. *)
+(** Round-robin through every targeted attack above, one per phase-king
+    phase (rounds [3k+1 .. 3k+3] run attack [k mod 7]) — a protocol-shaped
+    chaos monkey for soak tests. *)
 
 val all : seed:int -> payload:string -> Net.Adversary.t list

@@ -28,15 +28,6 @@ type result = {
 
 let ( let* ) = Proto.( let* )
 
-let encode_window bits = Wire.encode (Wire.w_bits bits)
-
-let r_window = Wire.r_bits ()
-
-let decode_window ~expect_bits raw =
-  match Wire.decode_full r_window raw with
-  | Some bits when Bitstring.length bits = expect_bits -> Some bits
-  | Some _ | None -> None
-
 module Make (B : Ba.Substrate.S) = struct
   module Ext = Baplus.Ext_ba_plus.Make (B)
 
@@ -74,9 +65,9 @@ module Make (B : Ba.Substrate.S) = struct
             ~left:(((left - 1) * block_bits) + 1)
             ~right:(mid * block_bits)
         in
-        let* outcome = Ext.run ctx (encode_window window) in
-        let expect_bits = (mid - left + 1) * block_bits in
-        match Option.map (decode_window ~expect_bits) outcome with
+        let* outcome = Ext.run ctx (Wire.encode_value window) in
+        let bits = (mid - left + 1) * block_bits in
+        match Option.map (Wire.decode_value ~bits) outcome with
         | None | Some None ->
             (* ⊥ (or a non-window value, impossible for honest inputs but
                handled identically at every honest party): search left. *)

@@ -8,8 +8,9 @@
     and adds its two transports: {!run_sim}, the in-memory loopback, and
     {!run_poll}, a single-process event loop over nonblocking sockets. Both
     are byte-identical in outputs, per-session metrics, aggregate ledger
-    and the deterministic obs export, message events included. {!Sampler}
-    is the periodic GC/RSS time series their [on_round] hook drives. *)
+    and the deterministic obs export, message events included. With a
+    recorder attached, both also record the run's time series into it
+    ({!Obs.sample}). *)
 
 type 'a spec = 'a Net.Loop.spec = {
   sid : int;
@@ -70,58 +71,9 @@ val run_core :
     parties: raises [Invalid_argument] on more, otherwise as
     {!Net.Loop.run_core}. *)
 
-(** {1 Periodic time-series sampler} *)
-
-module Sampler : sig
-  type sample = {
-    s_idx : int;  (** Global sample index (dropped samples leave gaps). *)
-    s_round : int;
-    s_live : int;  (** Live sessions at sample time; [-1] unknown. *)
-    s_minor_words : float;
-    s_promoted_words : float;
-    s_major_words : float;
-    s_minor_collections : int;
-    s_major_collections : int;
-    s_heap_words : int;
-    s_compactions : int;
-    s_rss_bytes : int;  (** [-1] where [/proc] is unavailable. *)
-    s_poll : Net_poll.stats option;
-  }
-
-  type t
-  (** A bounded ring of samples: recording past capacity drops the oldest. *)
-
-  val create : ?capacity:int -> unit -> t
-  (** Default capacity 1024. *)
-
-  val record : t -> round:int -> ?live:int -> ?poll:Net_poll.stats -> unit -> unit
-  (** Snapshot [Gc.quick_stat], [Net_poll.rss_bytes] and the given gauges
-      into the ring. Everything here is sampled-tier by nature (wall-clock
-      and process-level, never byte-identical across runs). *)
-
-  val capacity : t -> int
-
-  val recorded : t -> int
-  (** Total samples ever recorded (retained + dropped). *)
-
-  val length : t -> int
-  (** Samples currently retained. *)
-
-  val dropped : t -> int
-  val samples : t -> sample list
-  (** Retained samples, chronological. *)
-
-  val to_jsonl : t -> string
-  (** One [sampler] header line (capacity / recorded / dropped), then one
-      [sample] line per retained sample, chronological; validated by
-      {!Obs.Check.sampler_jsonl}. *)
-end
-
-
 val run_sim :
   ?max_rounds:int ->
   ?obs:Obs.t ->
-  ?sampler:Sampler.t ->
   n:int ->
   t:int ->
   corrupt:bool array ->
@@ -129,15 +81,17 @@ val run_sim :
   'a outcome
 (** {!run_core} over the in-memory loopback ({!Net.Transport.loopback}):
     the deterministic lock-step simulator, with the per-session rushing
-    adversaries controlling the corrupted parties. [sampler] records a
-    {!Sampler} snapshot every 16 engine rounds.
-    Everything else — [obs], the raised exceptions — is
-    as {!run_core}. *)
+    adversaries controlling the corrupted parties. Everything else — [obs],
+    the raised exceptions — is as {!run_core}, and [obs] also gets a sample
+    ({!Obs.sample}) every 16 engine rounds and one when the run ends
+    (round [engine_rounds], live 0). Each holds the [Gc.quick_stat]
+    counters in words ([minor_words], [promoted_words], [major_words],
+    [minor_collections], [major_collections], [heap_words],
+    [compactions]) and [rss_bytes] ([-1] without [/proc]). *)
 
 val run_poll :
   ?max_rounds:int ->
   ?obs:Obs.t ->
-  ?sampler:Sampler.t ->
   n:int ->
   t:int ->
   corrupt:bool array ->
@@ -153,10 +107,11 @@ val run_poll :
     (asserted by [test/test_poll.ml]). The mesh is torn down on every exit
     path.
 
-    [obs] additionally records the mesh's select waits and write stalls in
-    the sampled-tier histograms [poll/select_wait_ns] and
-    [poll/write_stall_ns]. [sampler] snapshots every 16 engine rounds, with
-    the mesh's {!Net_poll.stats} attached. *)
+    [obs] gets the samples {!run_sim} records, each also holding the mesh's
+    [poll_rounds], [poll_frames], [poll_parked], [poll_max_backlog],
+    [select_wait_mean_ns] and [select_wait_max_ns] so far, and after the
+    run the mesh's select waits and write stalls in its sampled-tier
+    histograms [poll/select_wait_ns] and [poll/write_stall_ns]. *)
 
 val honest_outputs : corrupt:bool array -> 'a session_result -> 'a list
 (** {!Net.Loop.honest_outputs}. *)

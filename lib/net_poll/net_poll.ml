@@ -42,11 +42,6 @@ type stats = {
   p_conn_peak_backlog : int array array;
 }
 
-type sink = {
-  sink_select_wait : float -> unit;
-  sink_write_stall : float -> unit;
-}
-
 (* ---- connections ---------------------------------------------------------- *)
 
 type conn = {
@@ -88,9 +83,8 @@ type t = {
   mutable s_parked : int;
   mutable s_max_backlog : int;
   mutable s_minor_words : float;
-  mutable s_select_wait_total : float;
-  mutable s_select_wait_max : float;
-  mutable sink : sink option;
+  select_waits : Obs.Hist.t;  (* ns, one per [select] *)
+  write_stalls : Obs.Hist.t;  (* ns, one per drained park *)
 }
 
 let stall_timeout = 30.0
@@ -172,12 +166,12 @@ let create ~n () =
     s_parked = 0;
     s_max_backlog = 0;
     s_minor_words = 0.0;
-    s_select_wait_total = 0.0;
-    s_select_wait_max = 0.0;
-    sink = None;
+    select_waits = Obs.Hist.create ();
+    write_stalls = Obs.Hist.create ();
   }
 
-let set_sink t sink = t.sink <- sink
+let select_waits t = t.select_waits
+let write_stalls t = t.write_stalls
 
 let close t =
   if not t.closed then begin
@@ -201,10 +195,8 @@ let stats t =
     p_minor_words_per_round =
       (if t.s_rounds = 0 then 0.0
        else t.s_minor_words /. float_of_int t.s_rounds);
-    p_select_wait_max_s = t.s_select_wait_max;
-    p_select_wait_mean_s =
-      (if t.s_polls = 0 then 0.0
-       else t.s_select_wait_total /. float_of_int t.s_polls);
+    p_select_wait_max_s = float_of_int (Obs.Hist.max_value t.select_waits) /. 1e9;
+    p_select_wait_mean_s = Obs.Hist.mean t.select_waits /. 1e9;
     p_conn_peak_backlog =
       (let m = Array.make_matrix t.n t.n 0 in
        Array.iter (fun c -> m.(c.c_src).(c.c_dst) <- c.c_peak_backlog) t.conns;
@@ -247,13 +239,13 @@ let send_frame t c =
     c.c_peak_backlog <- max c.c_peak_backlog b
   end
 
-(* Write more of a parked frame; report the stall once it has drained. *)
+(* Nanoseconds since the wall-clock stamp [t0]. *)
+let ns_since t0 = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)
+
+(* Write more of a parked frame; record the stall once it has drained. *)
 let service_write t c =
   flush t c;
-  if backlog c = 0 then
-    match t.sink with
-    | Some s -> s.sink_write_stall (Unix.gettimeofday () -. c.c_park_t)
-    | None -> ()
+  if backlog c = 0 then Obs.Hist.record t.write_stalls (ns_since c.c_park_t)
 
 (* Accept one inbound frame's round, before any of its entries lands. *)
 let got_frame t c round =
@@ -300,10 +292,7 @@ let drive t =
     t.s_polls <- t.s_polls + 1;
     let sel_t0 = Unix.gettimeofday () in
     let readable, writable, _ = Unix.select !rfds !wfds [] stall_timeout in
-    let wait = Unix.gettimeofday () -. sel_t0 in
-    t.s_select_wait_total <- t.s_select_wait_total +. wait;
-    if wait > t.s_select_wait_max then t.s_select_wait_max <- wait;
-    (match t.sink with Some s -> s.sink_select_wait wait | None -> ());
+    Obs.Hist.record t.select_waits (ns_since sel_t0);
     if readable = [] && writable = [] then
       failwith "Net_poll: stalled (nothing readable or writable)";
     List.iter (fun fd -> service_write t (Hashtbl.find t.writer_of fd)) writable;

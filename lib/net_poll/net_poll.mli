@@ -64,17 +64,6 @@ type stats = {
           by each {!stats} call. *)
 }
 
-type sink = {
-  sink_select_wait : float -> unit;
-      (** Called once per [select(2)] return with the wait in seconds. *)
-  sink_write_stall : float -> unit;
-      (** Called when a parked connection fully drains, with the stall
-          duration in seconds (first park to empty backlog). *)
-}
-(** Per-event duration callbacks for an external observer (the [lib/obs]
-    sampled-tier histograms). Callbacks run inside the poll loop: they must
-    not block, raise, or re-enter this module. *)
-
 type t
 
 val create : n:int -> unit -> t
@@ -84,10 +73,15 @@ val create : n:int -> unit -> t
 
 val stats : t -> stats
 
-val set_sink : t -> sink option -> unit
-(** Install (or clear) the duration-event sink. No-op on the byte path when
-    unset: the only cost without a sink is the select-wait bookkeeping that
-    {!stats} reports anyway. *)
+val select_waits : t -> Obs.Hist.t
+(** Every [select(2)] wait of the mesh's life, in nanoseconds (wall clock),
+    one per poll. {!stats}' [p_select_wait_mean_s] and
+    [p_select_wait_max_s] are read from it. *)
+
+val write_stalls : t -> Obs.Hist.t
+(** One entry per parked frame once it has drained: the time from the park
+    to its last byte written, in nanoseconds. Empty while the kernel takes
+    every frame at once. *)
 
 val transport : t -> Net.Transport.t
 (** The {!Net.Transport} view driven by [Engine.run_poll], and the mesh's

@@ -15,7 +15,8 @@
      scenario and are asserted so in tests.
    - [Sampled]: wall-clock and process-level measurements (durations, GC,
      RSS). Excluded from identity asserts by construction: the deterministic
-     export path simply filters them out.
+     export path simply filters them out. The time series of samples
+     ([sample]: named int readings at an engine round) is Sampled too.
 
    A recorder is single-threaded: sessions record into private shards,
    merged afterwards with [merge], and the export walks the buckets in
@@ -386,6 +387,8 @@ type message = {
   label : string;
 }
 
+type sample = { sm_round : int; sm_live : int; sm_fields : (string * int) list }
+
 (* One party of one session: its stack of open spans and the counts of what
    it sent; the probes and (through the root's children) the span tree are
    filled only by a recorder that keeps them. *)
@@ -423,6 +426,7 @@ type t = {
   closed : (string, int) Hashtbl.t;
       (* Bits of the closed spans that carried a message, by label. *)
   mutable messages_rev : message list;
+  mutable samples_rev : sample list;
   (* Caches for the per-message hot path, which avoid both the tuple-key
      allocation and the hash lookup: the buckets of the last session
      recorded, by party ([no_bucket] where not looked up yet) — a session's
@@ -462,6 +466,7 @@ let make ~keep ~messages ~size =
     meta_rev = [];
     closed = Hashtbl.create size;
     messages_rev = [];
+    samples_rev = [];
     row_session = min_int;
     row = [||];
     cached_round = -1;
@@ -518,6 +523,10 @@ let counter_value c = c.cn_value
 let set_gauge g v = g.g_value <- v
 let max_gauge g v = if v > g.g_value then g.g_value <- v
 let gauge_value g = g.g_value
+
+let sample t ~round ~live fields =
+  t.samples_rev <-
+    { sm_round = round; sm_live = live; sm_fields = fields } :: t.samples_rev
 
 (* ---- spans, timeline, probes ---------------------------------------------- *)
 
@@ -705,7 +714,8 @@ let finish t ~session ~party ~round =
    and label totals add (sums commute, so the result is independent of
    merge order); [live] counts are recorded once, by the coordinator, and
    max-merge so a shard that never saw them (-1) cannot erase them.
-   Instruments are recorded by the coordinator only, so shards carry none. *)
+   Instruments and samples are recorded by the coordinator only, so shards
+   carry none. *)
 let merge ~into src =
   if into == src then invalid_arg "Obs.merge: merging a recorder into itself";
   Hashtbl.iter
@@ -920,6 +930,16 @@ let instruments_jsonl buf ?tier t =
       Buffer.add_char buf '\n')
     instrs
 
+(* The time series, in recording order; [idx] numbers the samples. *)
+let samples_jsonl buf t =
+  List.iteri
+    (fun idx s ->
+      Printf.bprintf buf {|{"kind":"sample","idx":%d,"round":%d,"live":%d|} idx
+        s.sm_round s.sm_live;
+      List.iter (fun (k, v) -> Printf.bprintf buf {|,"%s":%d|} (escape k) v) s.sm_fields;
+      Buffer.add_string buf "}\n")
+    (List.rev t.samples_rev)
+
 let to_jsonl ?tier t =
   let buf = Buffer.create 4096 in
   let span_plane_empty =
@@ -927,6 +947,7 @@ let to_jsonl ?tier t =
   in
   if tier <> Some Sampled && not span_plane_empty then span_plane_jsonl buf t;
   instruments_jsonl buf ?tier t;
+  if tier <> Some Det then samples_jsonl buf t;
   Buffer.contents buf
 
 (* ---- the span report ------------------------------------------------------ *)
@@ -1238,7 +1259,7 @@ module Check = struct
       Ok !count
     with Bad msg -> Error msg
 
-  let registry_jsonl content =
+  let registry ~samples content =
     check_lines content (fun where obj ->
         let ints = List.iter (require_int where obj) in
         match kind_of obj with
@@ -1280,27 +1301,22 @@ module Check = struct
                     | _ -> raise (Bad (where ^ ": malformed bucket entry")))
                   items
             | _ -> raise (Bad (where ^ ": hist without buckets array")))
+        | "sample" ->
+            (* [idx], [round], [live], then the readings: every one an int. *)
+            ints [ "idx"; "round"; "live" ];
+            (match obj with
+            | Obj fields ->
+                List.iter (fun (k, _) -> if k <> "kind" then require_int where obj k) fields
+            | _ -> ());
+            Stdlib.incr samples
         | k -> raise (Bad (Printf.sprintf "%s: unexpected kind %S" where k)))
 
-  let sampler_jsonl content =
-    let header = ref false in
-    let r =
-      check_lines content (fun where obj ->
-          match kind_of obj with
-          | "sampler" ->
-              header := true;
-              List.iter (require_int where obj) [ "capacity"; "recorded"; "dropped" ]
-          | "sample" ->
-              List.iter
-                (require_int where obj)
-                [
-                  "idx"; "round"; "live"; "minor_collections"; "major_collections";
-                  "heap_words"; "compactions"; "rss_bytes";
-                ]
-          | k -> raise (Bad (Printf.sprintf "%s: unexpected kind %S" where k)))
-    in
-    match r with
-    | Ok n when not !header -> Error (Printf.sprintf "no sampler header in %d lines" n)
+  let registry_jsonl content = registry ~samples:(ref 0) content
+
+  let engine_jsonl content =
+    let samples = ref 0 in
+    match registry ~samples content with
+    | Ok n when !samples = 0 -> Error (Printf.sprintf "no sample line in %d lines" n)
     | r -> r
 
   let chrome_trace content =

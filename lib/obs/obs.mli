@@ -25,15 +25,18 @@
       - {i message events} (only with [create ~messages:true]): one per
         sent message, exported as CSV ({!messages_csv}).
     - {b instruments}, a report of {e how the run behaves}: counters, gauges
-      and log-bucketed histograms, each carrying a {!tier}.
+      and log-bucketed histograms, each carrying a {!tier};
+    - {b samples}, the run's time series: named int readings taken at an
+      engine round ({!sample}). The engine backends take one every 16
+      engine rounds and one at run end: the GC counters, the RSS and, over
+      the poll mesh, its counters. Samples are Sampled-tier.
 
     Everything exports as one canonical JSONL ({!to_jsonl}), as a Chrome
     trace ({!Trace.chrome_trace}) and as a span report ({!pp_report}).
 
     A recorder is single-threaded. The round loop gives every session a
     private {!shard} and folds the shards back with {!merge}, in
-    session-index order. (The GC/RSS time-series sampler, which also
-    snapshots the poll mesh's counters, is [Engine.Sampler].) *)
+    session-index order. *)
 
 (** {1 JSON} *)
 
@@ -155,6 +158,13 @@ val max_gauge : gauge -> int -> unit
 
 val gauge_value : gauge -> int
 
+(** {2 Samples} *)
+
+val sample : t -> round:int -> live:int -> (string * int) list -> unit
+(** Record one sample of the run's time series: at engine round [round],
+    with [live] sessions live, the readings [fields] (name, value), kept in
+    the order given. Sampled-tier. *)
+
 (** {2 The span plane (recorded by the round loop, not by protocols)} *)
 
 val set_meta : t -> string -> string -> unit
@@ -236,8 +246,8 @@ val merge : into:t -> t -> unit
     label totals are summed ([live] max-merges, and is normally recorded
     only by the coordinator), and [src] meta keys unknown to [into] are
     appended.
-    [src]'s instruments are not merged: in the loop only the coordinator
-    records instruments, so shards carry none. Merging
+    [src]'s instruments and samples are not merged: in the loop only the
+    coordinator records them, so shards carry none. Merging
     the shards of a deterministic run into the coordinator's recorder
     reproduces the sequential recorder byte for byte under {!to_jsonl}
     (buckets are re-sorted at export; sums commute). [src] must not be used
@@ -283,9 +293,11 @@ val to_jsonl : ?tier:tier -> t -> string
     [total] line — omitted when nothing was recorded there. Then the
     instruments: counters, then gauges, then histograms, each sorted by
     name; histogram lines carry count/sum/min/max, p50/p90/p99 and the
-    non-empty buckets. [~tier:Det] keeps the span plane and the Det
+    non-empty buckets. Last the samples, in recording order: one
+    [{"kind":"sample","idx":i,"round":r,"live":l,...}] line each, its
+    readings after [live]. [~tier:Det] keeps the span plane and the Det
     instruments — the deterministic export used in byte-identity asserts;
-    [~tier:Sampled] keeps only the Sampled instruments. *)
+    [~tier:Sampled] keeps only the Sampled instruments and the samples. *)
 
 val pp_report : Format.formatter -> t -> unit
 (** Compact span report: totals, aggregated span tree, per-round heatmap,
@@ -343,19 +355,19 @@ end
 
 (** {1 Export schema checks}
 
-    Self-validation for the three export formats, used by the [obs-smoke]
+    Self-validation for the two export formats, used by the [obs-smoke]
     make target and tests. Lines are read with the strict {!Json.parse}. *)
 
 module Check : sig
   val registry_jsonl : string -> (int, string) result
   (** Validate a {!to_jsonl} export, every line kind: the required int,
       string and boolean fields are present, instrument tiers are [det] or
-      [sampled], and probe values are lowercase hex. [Ok] carries the line
-      count. *)
+      [sampled], probe values are lowercase hex, and every reading of a
+      sample is an int. [Ok] carries the line count. *)
 
-  val sampler_jsonl : string -> (int, string) result
-  (** Validate an [Engine.Sampler.to_jsonl] export (header line
-      required). *)
+  val engine_jsonl : string -> (int, string) result
+  (** {!registry_jsonl} on the full export of an engine run, which must
+      also carry at least one sample line. *)
 
   val chrome_trace : string -> (int, string) result
   (** Validate a {!Trace.chrome_trace} export; [Ok] carries the event

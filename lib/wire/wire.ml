@@ -267,8 +267,10 @@ let r_bits ?(max_bits = 8 * default_max_bytes) () cur =
 
 let encode_value v = encode (w_bits v)
 
+let r_value = r_bits ()
+
 let decode_value ~bits raw =
-  match decode_full (r_bits ()) raw with
+  match decode_full r_value raw with
   | Some v when Bitstring.length v = bits -> Some v
   | Some _ | None -> None
 

@@ -267,6 +267,33 @@ let test_cost_model_shape () =
     (2 * w4.Ba.Substrate.c_bits <= 3 * plain.Ba.Substrate.c_bits);
   Alcotest.check Alcotest.int "wrapper f echoed" 4 w4.Ba.Substrate.c_f
 
+(* The two cost models at a few (n, t, ℓ, f): (bits, rounds) of
+   [Adaptive.wrapper_cost] with the phase-king fallback, then of
+   [Convex.Ca_int.cost_estimate], as computed before the wrapper's
+   arbitration term was read from the substrate's own model. *)
+let cost_model_pins =
+  [
+    ((4, 1, 64, 0), (12832, 10), (696480, 244));
+    ((4, 1, 64, 1), (709312, 254), (696480, 244));
+    ((7, 2, 1024, 0), (48097, 13), (4786810, 548));
+    ((7, 2, 1024, 2), (4834907, 561), (4786810, 548));
+    ((13, 4, 8192, 0), (264719, 19), (34021221, 1121));
+    ((13, 4, 8192, 4), (34285940, 1140), (34021221, 1121));
+    ((25, 8, 65536, 3), (299106925, 2421), (296756250, 2390));
+  ]
+
+let test_cost_model_pins () =
+  List.iter
+    (fun ((n, t, value_bits, f), wrapper, plain) ->
+      let ctx = Ctx.make ~me:0 ~n ~t in
+      let pair c = (c.Ba.Substrate.c_bits, c.Ba.Substrate.c_rounds) in
+      let at = Printf.sprintf "n=%d t=%d l=%d f=%d" n t value_bits f in
+      Alcotest.(check (pair int int)) ("wrapper_cost " ^ at) wrapper
+        (pair (Adaptive.wrapper_cost ctx ~value_bits ~fallback:unauth ~f));
+      Alcotest.(check (pair int int)) ("Ca_int.cost_estimate " ^ at) plain
+        (pair (Convex.Ca_int.cost_estimate ctx ~value_bits ~f)))
+    cost_model_pins
+
 let test_cost_model_bounds_runs () =
   (* The model is an upper bound on measured runs: exact rounds and a
      tight bit count on the fast path, bounds on the fallback branch under
@@ -515,4 +542,5 @@ let suite =
       test_cli_scenario_file_ba_adaptive;
     Alcotest.test_case "engine: sim = poll (Det tier)" `Slow
       test_engine_backend_identity;
+    Alcotest.test_case "cost models pinned" `Quick test_cost_model_pins;
   ]

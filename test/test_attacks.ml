@@ -158,6 +158,26 @@ let test_saboteur_cost_bounded () =
   Alcotest.check Alcotest.bool "saboteur cannot inflate honest traffic" true
     (float_of_int sabotaged <= 2.0 *. float_of_int passive)
 
+(* [rotating] runs [king_usurper] for a whole phase-king phase, so some king
+   round (a round = 0 mod 3) carries the usurper's king message, and it
+   also runs [backref_abuser]. *)
+let test_rotating_reaches_every_attack () =
+  let n = 4 and t = 1 in
+  let corrupt = [| true; false; false; false |] in
+  let inbound = Array.init n (fun _ -> Array.make n (Some "prescribed")) in
+  let rotating = Attacks.rotating ~seed:1 ~payload in
+  let sent round =
+    rotating.Adversary.act { Adversary.round; n; t; corrupt; inbound } ~sender:0
+      ~recipient:1
+  in
+  let rounds = List.init 42 (fun i -> i + 1) in
+  Alcotest.(check bool) "a king round sends the usurper's king message" true
+    (List.exists
+       (fun r -> r mod 3 = 0 && sent r = Some (Ba.Phase_king.king_message payload))
+       rounds);
+  Alcotest.(check bool) "a round sends a back-reference" true
+    (List.exists (fun r -> sent r = Some Ba.Phase_king.back_reference) rounds)
+
 let suite =
   [
     Alcotest.test_case "BA+ vs vote stuffing" `Quick test_ba_plus_vs_vote_stuffer;
@@ -167,4 +187,6 @@ let suite =
     Alcotest.test_case "Pi_Z vs all attacks" `Slow test_pi_z_vs_all_attacks;
     Alcotest.test_case "HighCostCA vs all attacks" `Quick test_high_cost_vs_attacks;
     Alcotest.test_case "saboteur cost bounded" `Quick test_saboteur_cost_bounded;
+    Alcotest.test_case "rotating reaches every attack" `Quick
+      test_rotating_reaches_every_attack;
   ]

@@ -17,7 +17,8 @@
    5. The span plane: span bits = Metrics.honest_bits on every backend
       (sim, engine sim/poll), canonical JSONL determinism, cross-backend
       export equality, and the convex-hull convergence probes.
-   Plus the sampler ring bounds, the span report's label table, and the
+   Plus the samples (the recorder's time series), the span report's label
+   table, and the
    CLI's exports: one recorder behind run --csv --telemetry, and
    obs --check on an engine --obs-dir export. *)
 
@@ -231,7 +232,7 @@ let test_det_tier_identical_across_backends () =
   Alcotest.(check string) "chrome trace: poll = sim" tr_sim
     (Obs.Trace.chrome_trace obs_poll);
   (* The full export legitimately differs (wall-clock histograms, the poll
-     sink's select-wait instruments); only the Det slice is identical. *)
+     mesh's select waits, the samples); only the Det slice is identical. *)
   Alcotest.(check bool) "poll adds sampled instruments" true
     (Obs.to_jsonl obs_poll <> Obs.to_jsonl obs_sim);
   Alcotest.(check bool) "poll run recorded select waits" true
@@ -524,36 +525,86 @@ let prop_sent_equals_messages =
           (fun () -> Obs.create ~messages:true ());
         ])
 
-(* ---- sampler ring --------------------------------------------------------- *)
+(* ---- samples: the recorder's time series ----------------------------------- *)
 
-let test_sampler_ring_bounds () =
-  let s = Engine.Sampler.create ~capacity:4 () in
-  for r = 1 to 10 do
-    Engine.Sampler.record s ~round:r ~live:(r mod 3) ()
-  done;
-  Alcotest.(check int) "capacity" 4 (Engine.Sampler.capacity s);
-  Alcotest.(check int) "recorded counts every record" 10 (Engine.Sampler.recorded s);
-  Alcotest.(check int) "length bounded by capacity" 4 (Engine.Sampler.length s);
-  Alcotest.(check int) "dropped = recorded - retained" 6 (Engine.Sampler.dropped s);
-  let samples = Engine.Sampler.samples s in
-  Alcotest.(check (list int))
-    "retained samples chronological, newest kept"
-    [ 7; 8; 9; 10 ]
-    (List.map (fun smp -> smp.Engine.Sampler.s_round) samples);
-  Alcotest.(check (list int))
-    "global indices keep counting across drops"
-    [ 6; 7; 8; 9 ]
-    (List.map (fun smp -> smp.Engine.Sampler.s_idx) samples);
+(* The sample lines of an export, in export order, each as (idx, round,
+   live, the names of its readings). *)
+let sample_lines export =
+  List.filter_map
+    (fun line ->
+      let open Obs.Json in
+      match parse line with
+      | Ok
+          (Obj
+            (("kind", Str "sample")
+            :: ("idx", Num i) :: ("round", Num r) :: ("live", Num l) :: readings)) ->
+          Some (int_of_float i, int_of_float r, int_of_float l, List.map fst readings)
+      | _ -> None)
+    (String.split_on_char '\n' export)
+
+let gc_fields =
+  [
+    "minor_words"; "promoted_words"; "major_words"; "minor_collections";
+    "major_collections"; "heap_words"; "compactions"; "rss_bytes";
+  ]
+
+let poll_fields =
+  [
+    "poll_rounds"; "poll_frames"; "poll_parked"; "poll_max_backlog";
+    "select_wait_mean_ns"; "select_wait_max_ns";
+  ]
+
+let test_samples () =
+  let o = Obs.create () in
+  ignore (Obs.counter o ~tier:Obs.Det "engine/rounds");
+  Obs.sample o ~round:16 ~live:3 [ ("b", 2); ("a", -1) ];
+  Obs.sample o ~round:0 ~live:1 [];
+  let full = Obs.to_jsonl o in
+  Alcotest.(check (list string))
+    "samples after the instruments, in recording order, readings as given"
+    [
+      {|{"kind":"counter","tier":"det","name":"engine/rounds","value":0}|};
+      {|{"kind":"sample","idx":0,"round":16,"live":3,"b":2,"a":-1}|};
+      {|{"kind":"sample","idx":1,"round":0,"live":1}|};
+    ]
+    (String.split_on_char '\n' (String.trim full));
+  Alcotest.(check bool) "Det export leaves samples out" false
+    (contains (Obs.to_jsonl ~tier:Obs.Det o) "sample");
+  Alcotest.(check int) "Sampled export keeps them" 2
+    (List.length (sample_lines (Obs.to_jsonl ~tier:Obs.Sampled o)));
+  Alcotest.(check (result int string))
+    "registry check" (Ok 3) (Obs.Check.registry_jsonl full);
+  Alcotest.(check (result int string))
+    "engine check" (Ok 3) (Obs.Check.engine_jsonl full);
+  Alcotest.(check bool) "engine check wants a sample" true
+    (Result.is_error (Obs.Check.engine_jsonl (Obs.to_jsonl ~tier:Obs.Det o)));
+  (* Both engine backends sample every 16 engine rounds and once at run end;
+     over poll each sample also carries the mesh's readings. *)
+  let n = 4 and t = 1 in
+  let corrupt = Workload.spread_corrupt ~n ~t in
   List.iter
-    (fun smp ->
-      Alcotest.(check bool) "gc words sampled" true
-        (smp.Engine.Sampler.s_minor_words >= 0.0);
-      Alcotest.(check bool) "rss sampled or marked absent" true
-        (smp.Engine.Sampler.s_rss_bytes >= -1))
-    samples;
-  match Obs.Check.sampler_jsonl (Engine.Sampler.to_jsonl s) with
-  | Ok lines -> Alcotest.(check int) "header + 4 samples" 5 lines
-  | Error msg -> Alcotest.fail msg
+    (fun (name, run, fields) ->
+      let obs = Obs.create () in
+      let outcome = run ~obs (mk_specs ~n ~sessions:2 ~spacing:3 ~seed:77) in
+      let rounds = outcome.Engine.aggregate.Engine.engine_rounds in
+      let samples = sample_lines (Obs.to_jsonl obs) in
+      Alcotest.(check (list (pair int int)))
+        (name ^ ": idx and rounds")
+        (List.mapi (fun i r -> (i, r))
+           (List.filter (fun r -> r mod 16 = 0) (List.init rounds Fun.id) @ [ rounds ]))
+        (List.map (fun (i, r, _, _) -> (i, r)) samples);
+      List.iter
+        (fun (_, r, live, names) ->
+          Alcotest.(check (list string)) (Printf.sprintf "%s: round %d readings" name r)
+            fields names;
+          if r = rounds then Alcotest.(check int) (name ^ ": none live at the end") 0 live)
+        samples)
+    [
+      ("sim", (fun ~obs specs -> Engine.run_sim ~obs ~n ~t ~corrupt specs), gc_fields);
+      ( "poll",
+        (fun ~obs specs -> Engine.run_poll ~obs ~n ~t ~corrupt specs),
+        gc_fields @ poll_fields );
+    ]
 
 (* ---- the span report ------------------------------------------------------ *)
 
@@ -626,7 +677,7 @@ let test_run_one_recorder () =
 let test_obs_check_cli () =
   let dir = Filename.temp_file "ca-obs-dir" "" in
   Sys.remove dir;
-  let files = [ "obs.jsonl"; "obs_det.jsonl"; "sampler.jsonl"; "trace.json" ] in
+  let files = [ "obs.jsonl"; "obs_det.jsonl"; "trace.json" ] in
   Fun.protect
     ~finally:(fun () ->
       List.iter
@@ -643,6 +694,13 @@ let test_obs_check_cli () =
               (Filename.quote dir)));
       Alcotest.(check int) "obs --check accepts the export" 0
         (cli_code ("obs --check " ^ Filename.quote dir));
+      let full = Filename.concat dir "obs.jsonl" in
+      let export = read_file full in
+      Out_channel.with_open_bin full (fun oc ->
+          output_string oc (read_file (Filename.concat dir "obs_det.jsonl")));
+      Alcotest.(check int) "obs --check rejects an obs.jsonl without samples" 1
+        (cli_code ("obs --check " ^ Filename.quote dir));
+      Out_channel.with_open_bin full (fun oc -> output_string oc export);
       Out_channel.with_open_bin (Filename.concat dir "trace.json") (fun oc ->
           output_string oc "{not json");
       Alcotest.(check int) "obs --check rejects a corrupted trace" 1
@@ -655,11 +713,13 @@ let test_check_rejects_garbage () =
   Alcotest.(check bool) "registry: not json" true
     (fails (Obs.Check.registry_jsonl "not json\n"));
   Alcotest.(check bool) "registry: wrong kind" true
-    (fails (Obs.Check.registry_jsonl "{\"kind\":\"sample\",\"idx\":0}\n"));
-  Alcotest.(check bool) "sampler: missing header" true
+    (fails (Obs.Check.registry_jsonl "{\"kind\":\"sampler\",\"idx\":0}\n"));
+  Alcotest.(check bool) "registry: sample without live" true
+    (fails (Obs.Check.registry_jsonl "{\"kind\":\"sample\",\"idx\":0,\"round\":1}\n"));
+  Alcotest.(check bool) "registry: non-int reading" true
     (fails
-       (Obs.Check.sampler_jsonl
-          "{\"kind\":\"sample\",\"idx\":0,\"round\":1,\"live\":0}\n"));
+       (Obs.Check.registry_jsonl
+          "{\"kind\":\"sample\",\"idx\":0,\"round\":1,\"live\":0,\"rss\":1.5}\n"));
   Alcotest.(check bool) "trace: no traceEvents" true
     (fails (Obs.Check.chrome_trace "{\"foo\":[]}"));
   Alcotest.(check bool) "trace: bad phase" true
@@ -1022,8 +1082,8 @@ let suite =
       `Quick test_bits_only_shard;
     Alcotest.test_case "Obs shard merge reproduces sequential JSONL" `Quick
       test_obs_merge;
-    Alcotest.test_case "sampler ring bounds and drops" `Quick
-      test_sampler_ring_bounds;
+    Alcotest.test_case "samples: order, tier, both backends" `Quick
+      test_samples;
     Alcotest.test_case "report lists the ten costliest labels" `Quick
       test_report_top_labels;
     Alcotest.test_case "run: one recorder for --csv and --telemetry" `Quick

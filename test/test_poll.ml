@@ -384,7 +384,7 @@ let test_engine_progresses_under_backpressure () =
   Alcotest.(check bool) "mean select wait <= max select wait" true
     (st.Net_poll.p_select_wait_mean_s <= st.Net_poll.p_select_wait_max_s)
 
-(* The poll sink's write-stall histogram records one stall per parked
+(* The poll mesh's write-stall histogram records one stall per parked
    frame: some on the big-frame sessions, none on the K = 8 run, whose
    frames the kernel always takes at once. *)
 let test_write_stall_histogram () =

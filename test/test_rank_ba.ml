@@ -113,7 +113,8 @@ let prop_rank_random =
    honest outputs, and a second pin of the round counts and outputs alone.
    The values were captured while Median_ba still had its own median window,
    before it ran on [rank_window] at the middle rank; n=10's Det pin was
-   re-taken when each record got adversaries of its own. *)
+   re-taken when each record got adversaries of its own, and again when
+   [Attacks.rotating] began to run one attack per phase-king phase. *)
 let median_adversaries () =
   [
     Adversary.passive; Adversary.silent; Adversary.garbage ~seed:4;
@@ -146,7 +147,7 @@ let median_pins =
       ( ("ace1c7c7d051e0fc8c90fbcea4a85a144804dd4d50c6aef7a03757ab00bb511a", 40727),
         ("5f7e1561c3220a1566f5da1c23de7b8c411ec6bb6c342663cf773eb6e8cf42a1", 439) ) );
     ( (10, 3),
-      ( ("6d14c7e9905442b596bfe0d4a2df313f737b87750a2348f5ee9de92a52f9b85b", 61934),
+      ( ("3e62afc682d5cafa8c66d9f50f5cc6212db7ab695c78a5a8a82ef3212b9eec47", 61935),
         ("6f4e0c2259523f8554ea40ac8dfbef006d3dda04e09fdacb6f122f1e404d44b3", 609) ) );
   ]
 
