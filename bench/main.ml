@@ -611,9 +611,10 @@ let adaptive_exp () =
      misbehaves. The adaptive layer (lib/adaptive) puts a 4-round optimistic preamble\n\
      + one bit-BA arbitration in front of Pi_Z: at f = 0 it terminates in\n\
      O(n*l + n^2*k) bits; any active corruption can veto the certificate, after which\n\
-     the full stack runs and the preamble is pure overhead. Gates (bench/ledger.ml):\n\
-     the f = 0 row well below the matching Pi_Z cost (the BENCH_t1 lg13 row), the\n\
-     f = t row close to it, the fast path taken exactly at f = 0.";
+     the full stack runs and the preamble is pure overhead. Gates (bench/ledger.ml),\n\
+     each against the pi_z row at the same f: the f = 0 row at least 4x fewer bits\n\
+     and 20x fewer rounds, the f = t row at most 1.5x the bits, and the fast path\n\
+     taken exactly at f = 0.";
   let json_rows = ref [] in
   let row ~backend ~f ~n ~t ~bits ~(report : Workload.report) ~fast ~model =
     let holds = report.Workload.agreement && report.Workload.convex_validity in

@@ -3,7 +3,9 @@
     blocks of ℓ/n² bits — for a prefix of a valid value that is at least as
     long as the honest inputs' longest common prefix.
 
-    Each iteration runs Π_ℓBA+ on the current window of blocks:
+    Each iteration agrees on the current window of blocks — with Π_ℓBA+ when
+    the window is longer than κ = 256 bits, and with Π_BA+ on the window
+    itself otherwise (see [agree_window] below):
     - ⊥ (Bounded Pre-Agreement) ⇒ fewer than n−2t honest parties share this
       window, so for {e any} candidate window at least t+1 honest parties
       hold differing values — record the current value as [v_bot] and recurse
@@ -23,28 +25,47 @@ type result = {
   prefix_star : Bitstring.t;
   v : Bitstring.t;  (** valid, ℓ bits, has [prefix_star] as a prefix *)
   v_bot : Bitstring.t;  (** valid, ℓ bits; see Lemma 1 (ii) *)
-  iterations : int;  (** diagnostic: Π_ℓBA+ invocations used *)
+  iterations : int;  (** diagnostic: window agreements (Π_BA+ or Π_ℓBA+) used *)
 }
 
 let ( let* ) = Proto.( let* )
 
 module Make (B : Ba.Substrate.S) = struct
+  module BP = Baplus.Ba_plus.Make (B)
   module Ext = Baplus.Ext_ba_plus.Make (B)
 
-  (* f-sensitive cost model: ⌈log₂(ℓ+1)⌉ binary-search iterations, each one
-     Π_ℓBA+ instance on a window of at most ℓ bits.  Inherits the
-     substrate's f-adaptivity through Ext's composed model. *)
+  (* κ, the length of the root Π_ℓBA+ agrees on in place of its value. *)
+  let kappa = 8 * Sha256.digest_size
+
+  (* The agreement an iteration runs on a window of [bits] bits. Π_ℓBA+
+     replaces its value by a κ-bit Merkle root before Π_BA+ and pays two
+     distribution rounds of codewords and witnesses to get it back, which
+     only shrinks anything for a window longer than κ. A window of at most κ
+     bits goes to Π_BA+ as it is: the same Agreement, Intrusion Tolerance
+     and Bounded Pre-Agreement, without needing collision resistance, in
+     O(κn²) bits of exchange. [bits] is a function of the agreed search
+     bounds, so every honest party takes the same branch. *)
+  let agree_window ~bits = if bits <= kappa then BP.run else Ext.run
+
+  (* f-sensitive cost model of the bit search along its longest path, where
+     every outcome is ⊥ and the window halves: ⌈log₂(ℓ+1)⌉ iterations, on
+     windows of ⌊s/2⌋+1 bits for s = ℓ, ⌊ℓ/2⌋, …, 1. A window of at most κ
+     bits is charged as {!Baplus.Ba_plus} on that window; a longer one
+     as Π_ℓBA+ on the whole ℓ bits.  Inherits the substrate's f-adaptivity
+     through both composed models. *)
   let cost_estimate (ctx : Ctx.t) ~value_bits ~f =
-    let iterations =
-      let rec go acc p = if p > value_bits then acc else go (acc + 1) (2 * p) in
-      max 1 (go 0 1)
-    in
     let ext = Ext.cost_estimate ctx ~value_bits ~f in
-    {
-      Ba.Substrate.c_f = f;
-      c_bits = iterations * ext.Ba.Substrate.c_bits;
-      c_rounds = iterations * ext.Ba.Substrate.c_rounds;
-    }
+    let rec go ~bits ~rounds s =
+      if s = 0 then { Ba.Substrate.c_f = f; c_bits = bits; c_rounds = rounds }
+      else
+        let window = (s / 2) + 1 in
+        let c =
+          if window <= kappa then BP.cost_estimate ctx ~value_bits:window ~f else ext
+        in
+        go ~bits:(bits + c.Ba.Substrate.c_bits) ~rounds:(rounds + c.Ba.Substrate.c_rounds)
+          (s / 2)
+    in
+    go ~bits:0 ~rounds:0 (max 1 value_bits)
 
   (* The search over [blocks] blocks of [block_bits] bits each, under span
      [label]; [probe] names the convergence probe. *)
@@ -65,8 +86,8 @@ module Make (B : Ba.Substrate.S) = struct
             ~left:(((left - 1) * block_bits) + 1)
             ~right:(mid * block_bits)
         in
-        let* outcome = Ext.run ctx (Wire.encode_value window) in
         let bits = (mid - left + 1) * block_bits in
+        let* outcome = agree_window ~bits ctx (Wire.encode_value window) in
         match Option.map (Wire.decode_value ~bits) outcome with
         | None | Some None ->
             (* ⊥ (or a non-window value, impossible for honest inputs but

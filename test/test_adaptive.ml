@@ -77,7 +77,10 @@ let test_fast_path_engages_at_f0 () =
      hull by construction, and here also an actual input. *)
   Alcotest.check Alcotest.bool "f=0: output is some input" true
     (Array.exists (Bigint.equal o) inputs);
-  (* The whole point: an order of magnitude fewer bits than Pi_Z. *)
+  (* The point: fewer bits and far fewer rounds than Pi_Z on the same
+     inputs. On these 11-bit sensor readings Pi_Z's FINDPREFIX agrees on
+     every window with Pi_BA+ directly, so the bit gain is 1.54x (30 240
+     against 46 512 bits); it grows with l (ledger.ml, adaptive.fast_path_gain). *)
   let plain =
     Sim.run ~n ~t ~corrupt ~adversary:Adversary.passive (fun ctx ->
         Convex.agree_int ctx inputs.(ctx.Ctx.me))
@@ -85,9 +88,15 @@ let test_fast_path_engages_at_f0 () =
   let fast_bits = outcome.Sim.metrics.Metrics.honest_bits in
   let plain_bits = plain.Sim.metrics.Metrics.honest_bits in
   Alcotest.check Alcotest.bool
-    (Printf.sprintf "f=0 cost: %d adaptive vs %d plain (>=5x)" fast_bits plain_bits)
+    (Printf.sprintf "f=0 cost: %d adaptive vs %d plain (>=1.5x)" fast_bits plain_bits)
     true
-    (5 * fast_bits <= plain_bits);
+    (3 * fast_bits <= 2 * plain_bits);
+  let fast_rounds = outcome.Sim.metrics.Metrics.rounds in
+  let plain_rounds = plain.Sim.metrics.Metrics.rounds in
+  Alcotest.check Alcotest.bool
+    (Printf.sprintf "f=0 rounds: %d adaptive vs %d plain (>=10x)" fast_rounds plain_rounds)
+    true
+    (10 * fast_rounds <= plain_rounds);
   Alcotest.check Alcotest.int "f=0 rounds: preamble + arbitration"
     (Adaptive.fast_path_rounds (Ctx.make ~me:0 ~n ~t))
     outcome.Sim.metrics.Metrics.rounds
@@ -270,16 +279,19 @@ let test_cost_model_shape () =
 (* The two cost models at a few (n, t, ℓ, f): (bits, rounds) of
    [Adaptive.wrapper_cost] with the phase-king fallback, then of
    [Convex.Ca_int.cost_estimate], as computed before the wrapper's
-   arbitration term was read from the substrate's own model. *)
+   arbitration term was read from the substrate's own model. Re-taken when
+   [Find_prefix.cost_estimate] began charging each window of at most κ bits
+   as Π_BA+ on that window: the f > 0 wrapper rows and every Ca_int row
+   moved (n=4 ℓ=64: 696 480 → 76 672 bits, 244 → 230 rounds). *)
 let cost_model_pins =
   [
-    ((4, 1, 64, 0), (12832, 10), (696480, 244));
-    ((4, 1, 64, 1), (709312, 254), (696480, 244));
-    ((7, 2, 1024, 0), (48097, 13), (4786810, 548));
-    ((7, 2, 1024, 2), (4834907, 561), (4786810, 548));
-    ((13, 4, 8192, 0), (264719, 19), (34021221, 1121));
-    ((13, 4, 8192, 4), (34285940, 1140), (34021221, 1121));
-    ((25, 8, 65536, 3), (299106925, 2421), (296756250, 2390));
+    ((4, 1, 64, 0), (12832, 10), (76672, 230));
+    ((4, 1, 64, 1), (89504, 240), (76672, 230));
+    ((7, 2, 1024, 0), (48097, 13), (1478722, 530));
+    ((7, 2, 1024, 2), (1526819, 543), (1478722, 530));
+    ((13, 4, 8192, 0), (264719, 19), (15548169, 1103));
+    ((13, 4, 8192, 4), (15812888, 1122), (15548169, 1103));
+    ((25, 8, 65536, 3), (164178175, 2403), (161827500, 2372));
   ]
 
 let test_cost_model_pins () =

@@ -285,7 +285,11 @@ let test_engine_auth_ca_forged_sigs () =
    n=4, t=1: the SHA-256 and byte length of a passive and an equivocating
    run, each run its Det JSONL ([Obs.to_jsonl ~tier:Det]) followed by the
    honest outputs. The value was captured when Auth_ba became n parallel
-   Dolev-Strong broadcasts plus the (t+1)-th smallest of the common view.
+   Dolev-Strong broadcasts plus the (t+1)-th smallest of the common view,
+   and re-taken when FINDPREFIX began agreeing on windows of at most κ bits
+   with Π_BA+ itself: the passive run went from 46 to 38 rounds and the
+   equivocating one from 53 to 47 (no distribution rounds after a short
+   window), with the outputs (-1016 and -1000) unchanged.
    Every run draws a fresh setup: XMSS signers are stateful. *)
 let auth_pi_z_record () =
   let n = 4 and t = 1 in
@@ -313,7 +317,7 @@ let test_pi_z_pin () =
   let s = auth_pi_z_record () in
   Alcotest.(check (pair string int))
     "pi_z over auth_ba n=4"
-    ("f81d7c10b1183b47a83669078f6ec903c807133a0302b6bcd623416569d8b128", 46937)
+    ("761289bdc292b839ad2623ab94a3229b6f69625f7f84d8861e7e7c1f278f21a5", 41290)
     (Sha256.hex s, String.length s)
 
 let suite =

@@ -130,11 +130,11 @@ let edits : (string * (Ledger.t -> Ledger.t)) list =
     ( "adaptive.cost_tracks_f",
       edit (sweep "adaptive" 1.) (set "honest_bits" (Num 1000.)) );
     ("adaptive.pi_z_pairing", drop (sweep "pi_z" 2.));
-    (* Above a fifth of Pi_Z at f = t, still below every faulty row. *)
+    (* Above a fourth of Pi_Z at f = 0, still below every faulty row. *)
     ( "adaptive.fast_path_gain",
       fun l ->
-        let pz_t = num "honest_bits" (find (sweep "pi_z" 4.) l) in
-        edit (sweep "adaptive" 0.) (set "honest_bits" (Num (pz_t /. 4.))) l );
+        let pz0 = num "honest_bits" (find (sweep "pi_z" 0.) l) in
+        edit (sweep "adaptive" 0.) (set "honest_bits" (Num (pz0 /. 3.))) l );
     ("adaptive.fallback_overhead", edit (sweep "adaptive" 4.) (scale "honest_bits" 10.));
     ("engine.row_shape", edit (engine "sim" 1.) (List.remove_assoc "gc"));
     ("engine.poll_scale", edit (engine "poll" 4096.) (set "sessions" (Num 2048.)));

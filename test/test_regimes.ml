@@ -9,7 +9,16 @@
    when Π_BA's phase king began sending back-references instead of repeated
    values (bits moved). A second pin per case covers only the round counts
    and honest outputs; it was taken before the back-references and holds
-   after them. *)
+   after them. Both were re-taken when FINDPREFIX began agreeing on windows
+   of at most κ bits with Π_BA+ itself. Every non-⊥ call on such a window
+   skips Π_ℓBA+'s two distribution rounds, so each case's round counts fell
+   (find_prefix l=64: 126 → 120 under each adversary; pi_z n=7 l=32: 182 →
+   172 passive, 217 → 209 otherwise). Where two windows each had n−2t
+   sharers, Π_BA+ now orders them by their bytes rather than by their
+   Merkle roots and agrees on the other one, so three passive outputs moved,
+   each to another valid value: find_prefix and agree_fixed_length at
+   l=1024, pi_z n=7 l=32 (3735977983 → 3735977856) and pi_n block size 1
+   (65408 → 1003). *)
 
 open Net
 
@@ -103,53 +112,53 @@ let block_size_one_cases =
 let pins =
   [
     ( "find_prefix l=64",
-      ( ("9ab9e40b12c1e577ffcfa4dd251b09e2be688974b3ed75c9fa9f30504cb98bc1", 97382),
-        ("24273a4099b0bb6889ffd878412f55d6daa0562cbf81d02c16d817a621d0b200", 1532) ) );
+      ( ("3a546a1f056b9be69cf87641f3a1e807df6114c73cefee54ab00c8a284698b32", 89987),
+        ("aa6abfabf2f7500bb6e28571cee0f2ef5cf9bbee7149af6d33f6297ee4f865fa", 1532) ) );
     ( "find_prefix_blocks l=64",
-      ( ("451f282da5c02aa5e2bbfa3b99a44c7b635cfa1568f662a2a0a775fe7c6a3532", 65291),
-        ("ddbd29bf9757264c1b77d3634b4a9efca13f2f4766fa320624cde7e1e942cd2d", 1493) ) );
+      ( ("f9abb86b7329a8c4b7a5e8a2b9325f44745030377d65e53f47db770709a6c1dc", 57740),
+        ("0d82733164ce566bb785025c0652a4e8f4c3576bfd4aeaeb435e44d9364864be", 1493) ) );
     ( "agree_fixed_length l=64",
-      ( ("0cfe9effe877906b100dfb197bd15bd985f8ab89bbac2f9eeef693cbc1dde70a", 106398),
-        ("19734b779eb0330d71835396b99194c9350f73a65e8d9a012c581ed81d55e48b", 596) ) );
+      ( ("d9936ae3b40a86a8b015821b3a4576d0b8f717bf3ab5482f21979f5818e8e6a4", 98994),
+        ("5fbce7dccc30b06c874e2c45aaeb2783a46f4d2f94eb7ee824a72e284051ebf2", 596) ) );
     ( "agree_fixed_length_blocks l=64",
-      ( ("d78e1f626293bc051b449b9cb75bb8f32cf7ae19fd531f02b30a1f4d6b02e508", 79723),
-        ("f499f1711b9dd3d83e46ecabf2a5dd77bfe0a51ae5410f38f5d812eb6144eb7f", 593) ) );
+      ( ("f2c63b93fad701a1fa4b60696c4e502ec02b763fb408e7d05e6809fbef2e3c76", 72154),
+        ("0d68dfd8b49457ea2225aab74d478615de88cba9da58d31b056096d98cffb125", 593) ) );
     ( "find_prefix l=256",
-      ( ("0d11fcd6572bb60c1b187a84f8fd35acd4629b9b7aeba8b4b68ca00aefde4b97", 141068),
-        ("ce812d2a3b3e8af2472059c72ef1934c39e237d4b6db30b1b555b26f4c0e1226", 5852) ) );
+      ( ("397975160ef83af39cf71bb66af281024e3f42b7f85f1b255180202c0c5a0e7e", 133702),
+        ("890780b0ad231420a1069268d075080d8974d1b2319e412c151ee5da4d20c42d", 5852) ) );
     ( "find_prefix_blocks l=256",
-      ( ("1c4b0b9ff3d2248797fcad8f2416c19fcf799285aad0acd71bdb8c36746c32ab", 72491),
-        ("3357c8fef0084cdce31d6cf55db4d2edcc4f4049897ffed686df74d9c4b0d070", 5813) ) );
+      ( ("91a9ec3dfecdc62292fb26e161e7d8cf3121ccbba67f965cc6145c668594d6ac", 64982),
+        ("4f08034b0e297483774f3511369016ecfd64faba990ce86713b6092034635df5", 5813) ) );
     ( "agree_fixed_length l=256",
-      ( ("58dcd4dc265a66973ae07a99f1b5e9cf7139030c3fbee60a9a17a1a59867c33b", 147485),
-        ("4fef6f28bc311b1a4f0e79428ee7a9eeb602ec289e1feaa85d72b04e1e88ee2d", 2324) ) );
+      ( ("c0fabab3f5a92382b236b5fe83dba98d53dcb6bdcc03e60688a8cb4572f1cad3", 140115),
+        ("58bff4d2c12ec91533ee482fa6565c8dfa8729fe4daf9385f16f5c7fefc81040", 2324) ) );
     ( "agree_fixed_length_blocks l=256",
-      ( ("e9d9bd61d8c313890c1d293c199b8ef361a91c317592bb6ef74fb17f04d4c620", 84442),
-        ("e7afc5ce48fa6da345c8b9b0f80509aeb208fe80ad0d3d4e2cfe433c83cc4bbc", 2321) ) );
+      ( ("d460e498e8e675e9710ad57819bc385186f33801aab8aebabe2c278f78f854c3", 76918),
+        ("71d3cefa404b7df725c9166a304d47b8f72686d8f3767fb0b28da142c56e5a0f", 2321) ) );
     ( "find_prefix l=1024",
-      ( ("2dd5ca3763dc05133ba3278c5dee8f13bb0b0fd3ef8e2551dac45a2500377aca", 210801),
-        ("e2248beb825642ce53612545709de07de619309bd91c05a14a6832044f4e0e33", 24665) ) );
+      ( ("4b2f6ec93c5c5950adf930a652fd71c1ae43014b3c56122a3bec2a53a3a6dd54", 200239),
+        ("cd6feecdbc44f888f7f95cc103fbd41ba3423b92bb98d900d93f01669717f9a6", 24665) ) );
     ( "find_prefix_blocks l=1024",
-      ( ("f41848085e71839c2c6a078f51b3fb0950f2c1ff0f51b62941bbfd3421e329c6", 101291),
-        ("e6a0a0dcfc8101ac088801941c1ea847474f1eec7d03e5229385008a3237f192", 23093) ) );
+      ( ("ab1b50f276f9b6ff2484b4ce79de8e8365748334b9dac98fbd3625bdebcf5b08", 96338),
+        ("9d230248bfa49d3c9a3c665e2144f940395eae184711455ecbfc32f6060d5e95", 23093) ) );
     ( "agree_fixed_length l=1024",
-      ( ("672d37caf8afa67d25520f41405fd9f3f0f7bb9749ccec327253eed3f97beab4", 202005),
-        ("d3a7a65316c788239717f3b49202a7f32be74a4097937a1787af73cbd6fabe15", 9236) ) );
+      ( ("c25e63d912d73ac24ed197f1569b73bf2f40e6b11c1d0281da99208204926e5e", 191438),
+        ("4f160e8fdec667981770fd774eae34fa663645175b28b6280633a91e49267ad3", 9236) ) );
     ( "agree_fixed_length_blocks l=1024",
-      ( ("192619bc627a946156d560a416d61fbb67011404eec623731302ee1f3458e502", 103362),
-        ("8b30e9d7d51d42fbbb180e7f4ac807c4598800e3830d97ebba2ec7cc2a3e5e64", 9233) ) );
+      ( ("181c48effce73618c9b110c8ee94a6ad260a5c47864162c2655ac34fc0a2506f", 98376),
+        ("ace258bf436d37873b422a1cacc87beb4cd069318d31a4a1ede1e6796b4802e4", 9233) ) );
     ( "pi_z n=7 l=32",
-      ( ("d17b3f7378d15ec2cd9c642a7debdd95d7a3a411786373bf19c74129b4043e34", 170433),
-        ("90ab971d61bf50341860aea4979ccdb147663206ee388b601a46da50b93fe53c", 176) ) );
+      ( ("89d9798718c9f7a3e428ca329b33b4fdbca1c5f5c54f4c296c8dd7215b0a4e05", 153439),
+        ("a757fea7385ab2b4cad19f7277b85d1f2e3aeb22b1b541015d4358eaef8da221", 176) ) );
     ( "pi_z n=7 l=256",
-      ( ("36f123a47acccea53d02379876d7be1ad6eb75794ea1df74bb067f9a6df450dc", 229961),
-        ("385827ef9e178230041b55506db95535e9f5ae4f79ec4d9a7fc287beca7e9d43", 1181) ) );
+      ( ("0bcd3e93a84ebe3846fe917a8114dd82f502d7f7df2971d6dbb3a96101373bdb", 217705),
+        ("619b737abc0a3933f0f7fb78a3171c7db7e71c1712b136199da9f8175bdd2951", 1181) ) );
     ( "pi_n block size 1",
-      ( ("93047877c7f5bf0fcc7390264459819f8431f629159440e52ac49d2e95c9e489", 73276),
-        ("39d9bc30d3cb71aeafaec3499dbba04365a1dfa4d95c288c221661e536a28e37", 57) ) );
+      ( ("e1ec17dfdbe9c4cc8934cc0cb384349286251ecdc5717fe80a97a2a30d505236", 63301),
+        ("c71a5d5b936aad71e6656b8de71631015f54ac279101ed8b250041b7378b35aa", 53) ) );
     ( "pi_n block size 1, add_last_block",
-      ( ("54131001937d6ed7755132bca8c8e3455d0bdfe78eb8b46044f36088822641f7", 87376),
-        ("694f180e9dfde222154f8124d2dc69b262dd0bb0fec2e8b704e13d7e469f8da7", 55) ) );
+      ( ("7d45e5b05a9d5a8e5e87dbca34dabc54ce0ab4f0084695518cec3562f37c069c", 80665),
+        ("b675cf6c74f99c58ea0fd279b0b0fb85da3d63275233f591a3c9080188b459f0", 55) ) );
   ]
 
 let cases = fixed_length_cases @ pi_z_cases @ block_size_one_cases
@@ -165,7 +174,8 @@ let has_label jsonl label =
   go 0
 
 (* The two block-size-1 runs take the block search; under the passive
-   adversary the first agrees on 65408 with a full prefix, and under
+   adversary the first agrees on 1003 (of the two windows that two parties
+   share each, Π_BA+ takes the lower), and under
    equivocation the second stops short and adds a one-bit block. *)
 let test_block_size_one () =
   let corrupt = Sim.corrupt_first ~n:4 1 in
@@ -185,7 +195,7 @@ let test_block_size_one () =
         Alcotest.(check bool) (name ^ ": " ^ label) expected (has_label jsonl label))
       labels
   in
-  check "passive" Adversary.passive 1002 ~output:"65408"
+  check "passive" Adversary.passive 1002 ~output:"1003"
     ~labels:[ ("find_prefix_blocks", true); ("find_prefix", false) ];
   check "equivocate" (Adversary.equivocate ~seed:5) 0 ~output:"1023"
     ~labels:

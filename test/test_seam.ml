@@ -4,8 +4,11 @@
    scenarios of this repository, commit 3e9ad4c) — output value, honest and
    byzantine bit counts and round count under the equivocating adversary.
    The bit counts were re-measured when Pi_BA's phase king began sending
-   back-references instead of repeated values; the outputs and round counts
-   are the original pins. Both the [include Make (Unauthenticated)] default and an explicit
+   back-references instead of repeated values. The bit and round counts
+   were re-taken when FINDPREFIX began agreeing on windows of at most
+   kappa bits with Pi_BA+ itself, which skips Pi_lBA+'s two distribution rounds
+   after each such non-⊥ call (A: 186 → 180 rounds, B: 159 → 157); the
+   outputs are the original pins. Both the [include Make (Unauthenticated)] default and an explicit
    [Ca_int.Make (Ba.Substrate.Unauthenticated)] instantiation must reproduce
    them exactly.
 
@@ -62,9 +65,9 @@ let scenario_a =
         ~attack:Workload.Outlier_high ~seed:11 run),
     {
       p_output = "-1004";
-      p_honest_bits = 248832;
-      p_byz_bits = 76272;
-      p_rounds = 186;
+      p_honest_bits = 37584;
+      p_byz_bits = 16944;
+      p_rounds = 180;
     } )
 
 let scenario_b =
@@ -72,9 +75,9 @@ let scenario_b =
         ~attack:Workload.Split_extremes ~seed:3 run),
     {
       p_output = "2931199342671478915071";
-      p_honest_bits = 76928;
-      p_byz_bits = 18080;
-      p_rounds = 159;
+      p_honest_bits = 28608;
+      p_byz_bits = 8448;
+      p_rounds = 157;
     } )
 
 let test_default_path_pinned () =
