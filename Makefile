@@ -101,10 +101,10 @@ bench:
 # WORKLOAD=all runs the three workloads in turn, one table each. Before
 # any timed pair both trees run once at --seconds 0 --seed 3, and the
 # script stops if a deterministic metric (honest kbits, rounds, ok_share)
-# differs. A change meant to move one of them names it: MOVES=METRIC (e.g.
-# MOVES=honest_kbits_per_session) requires that metric to move in its
-# better direction on every workload and every other deterministic metric
-# to be equal. Not part of `check`.
+# differs. A change meant to move some of them names them, comma-separated:
+# MOVES=METRIC[,METRIC...] (e.g. MOVES=honest_kbits_per_session) requires
+# each named metric to move in its better direction on every workload and
+# every other deterministic metric to be equal. Not part of `check`.
 PARENT ?= HEAD
 WORKLOAD ?= oracle_stream
 PAIRS ?= 10

@@ -33,10 +33,11 @@ Before any timed pair, both trees run each requested workload once at
 `ok_share` is not a like-for-like comparison, so the script stops there,
 printing both values of every metric that differs, and exits 1.
 
-A change meant to move one of those metrics names it with `--moves METRIC`:
-the seed-3 check then requires METRIC to be better on the change's side, in
-the direction BENCHMARK.json declares, on every requested workload, and
-every other deterministic metric to be equal; it stops as above otherwise.
+A change meant to move some of those metrics names them with
+`--moves METRIC[,METRIC...]`: the seed-3 check then requires each named
+metric to be better on the change's side, in the direction BENCHMARK.json
+declares, on every requested workload, and every other deterministic metric
+to be equal; it stops as above otherwise.
 """
 
 import argparse
@@ -70,20 +71,20 @@ DETERMINISTIC = ("honest_kbits_per_session", "session_rounds.p50",
                  "session_rounds.max", "ok_share")
 
 
-def check_determinism(trees, workloads, moves=None, better=None):
-    """Stop unless both trees agree on every DETERMINISTIC metric but
-    [moves], which must instead be better on the change's side, in the
-    direction [better] ("higher" or "lower")."""
+def check_determinism(trees, workloads, moves=(), better=None):
+    """Stop unless both trees agree on every DETERMINISTIC metric but those
+    in [moves], which must instead be better on the change's side, in the
+    direction [better] maps them to ("higher" or "lower")."""
     differ = []
     for workload in workloads:
         got = {side: run(trees[side], workload, 3, 0)["metrics"] for side in trees}
         for name in DETERMINISTIC:
             p, c = (got[side][name]["value"] for side in ("parent", "change"))
             print("%s seed 3 %s: parent %s, change %s" % (workload, name, p, c))
-            if name == moves:
-                if not (c > p if better == "higher" else c < p):
+            if name in moves:
+                if not (c > p if better[name] == "higher" else c < p):
                     differ.append("%s %s did not move %s (parent %s, change %s)" % (
-                        workload, name, better, p, c))
+                        workload, name, better[name], p, c))
             elif p != c:
                 differ.append("%s %s (parent %s, change %s)" % (workload, name, p, c))
     if differ:
@@ -177,17 +178,19 @@ def main():
     ap.add_argument("--seconds", type=int, default=25)
     ap.add_argument("--seed-base", type=int, default=None,
                     help="first pair's seed (default: drawn from the clock)")
-    ap.add_argument("--moves", default=None, metavar="METRIC",
-                    help="the one deterministic metric the change is meant to move")
+    ap.add_argument("--moves", default=None, metavar="METRIC[,METRIC...]",
+                    help="the deterministic metrics the change is meant to move")
     args = ap.parse_args()
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "BENCHMARK.json")) as f:
         bench = json.load(f)
     metrics = bench["end_to_end"]
-    if args.moves is not None and args.moves not in DETERMINISTIC:
-        fail("--moves takes one of %s" % ", ".join(DETERMINISTIC))
-    better = {m["name"]: m["better"] for m in metrics}.get(args.moves)
+    moves = args.moves.split(",") if args.moves else []
+    for name in moves:
+        if name not in DETERMINISTIC:
+            fail("--moves takes some of %s" % ", ".join(DETERMINISTIC))
+    better = {m["name"]: m["better"] for m in metrics}
     declared = [w["name"] for w in bench["workloads"]]
     if args.workload == "all":
         workloads = declared
@@ -202,7 +205,7 @@ def main():
     try:
         export(args.parent, root, parent)
         trees = {"parent": parent, "change": root}
-        check_determinism(trees, workloads, args.moves, better)
+        check_determinism(trees, workloads, moves, better)
         for workload in workloads:
             results = {"parent": [], "change": []}
             for k in range(args.pairs):

@@ -29,8 +29,9 @@ module type S = sig
 end
 
 (* The default backend: the unauthenticated t < n/3 phase-king stack.  Every
-   entry point reifies Phase_king's builder — same code path, same
-   "pi_ba" telemetry label, same wire bytes — so the functorized CA protocols
+   entry point reifies the [Proto.m] that Phase_king's round machine builds
+   (one [Proto.Step] per round) — same code path, same "pi_ba" telemetry
+   label, same wire bytes — so the functorized CA protocols
    instantiated with this module are bit-identical to the pre-seam stack
    (pinned by test/test_seam.ml). *)
 module Unauthenticated : S = struct

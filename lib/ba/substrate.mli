@@ -79,6 +79,7 @@ module type S = sig
 end
 
 module Unauthenticated : S
-(** The existing unauthenticated [t < n/3] phase-king stack, reifying
-    {!Phase_king}'s builders — same code path, same ["pi_ba"] telemetry
-    label, same wire bytes as the pre-seam protocols. *)
+(** The existing unauthenticated [t < n/3] phase-king stack, reifying the
+    [Proto.m] values {!Phase_king}'s round machine builds — same code path,
+    same ["pi_ba"] telemetry label, same wire bytes as the pre-seam
+    protocols. *)
