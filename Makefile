@@ -48,7 +48,7 @@ test-suites:
 # (t1, t2, f1, claims, t4-t7) run at full size, so T1's crossover and the
 # C1-C5 fits are enforced on the real rows; auth, adaptive, engine,
 # substrate and obs run at reduced parameters.
-# `dune runtest` runs the t1 and claims part on its own (bench/dune).
+# `dune runtest` runs the t1, claims and t4 part on its own (bench/dune).
 bench-smoke:
 	$(DUNE) exec bench/main.exe -- --smoke
 

@@ -284,6 +284,50 @@ let claims =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* t4: Definition 1 under every registered adversary (n = 10, t = 3)  *)
+(* ------------------------------------------------------------------ *)
+
+(* The cells with at most meta.t corruptions, each with its name; the
+   others exceed t < n/3 and may fail. A ledger without such a cell has
+   nothing to show, and fails. *)
+let t4_within_t l =
+  let t = in_meta (fun () -> num l.meta "t") in
+  let cells =
+    List.filter_map
+      (fun row ->
+        if num row "corruptions" > t then None
+        else
+          Some
+            ( Printf.sprintf "%s/%s/%g corrupt" (non_empty_str row "adversary")
+                (non_empty_str row "input_attack") (num row "corruptions"),
+              row ))
+      l.rows
+  in
+  if cells = [] then bad "no cell with at most t = %g corruptions" t;
+  cells
+
+(* Within t, Definition 1 holds, and Pi_Z takes at most the rounds
+   [Ca_int.cost_estimate] charges at f = t for the widest honest input
+   ([model_rounds], recorded per cell with its [value_bits]). *)
+let t4 =
+  [
+    holds "t4.definition1" Exact (fun l ->
+        List.iter
+          (fun (cell, row) ->
+            List.iter
+              (fun key -> if not (flag row key) then bad "%s: %s is false" cell key)
+              [ "terminated"; "agreement"; "validity" ])
+          (t4_within_t l));
+    holds "t4.rounds_bound" Exact (fun l ->
+        List.iter
+          (fun (cell, row) ->
+            let rounds = num row "rounds" and model = num row "model_rounds" in
+            if rounds > model then
+              bad "%s: rounds %g > model_rounds %g" cell rounds model)
+          (t4_within_t l));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* auth: Auth_ca at t < n/2 against Pi_Z at t < n/3, at equal n       *)
 (* ------------------------------------------------------------------ *)
 
@@ -676,7 +720,7 @@ let obs =
 
 let gates =
   [
-    ("t1", t1); ("claims", claims); ("auth", auth); ("adaptive", adaptive);
+    ("t1", t1); ("claims", claims); ("t4", t4); ("auth", auth); ("adaptive", adaptive);
     ("engine", engine);
     ("substrate", substrate); ("obs", obs);
   ]

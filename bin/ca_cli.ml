@@ -15,25 +15,24 @@ open Net
 (* Catalogues                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let adversary_catalogue ~seed =
-  [
-    ("passive", Adversary.passive);
-    ("silent", Adversary.silent);
-    ("crash", Adversary.crash ~after:10);
-    ("garbage", Adversary.garbage ~seed);
-    ("spammer", Adversary.spammer ~seed ~max_len:128);
-    ("equivocate", Adversary.equivocate ~seed);
-    ("bitflip", Adversary.bitflip ~seed);
-    ("delayer", Adversary.delayer ());
-  ]
+let lookup what table name =
+  match List.assoc_opt name table with
+  | Some v -> v
+  | None ->
+      Printf.eprintf "error: unknown %s %S; available: %s\n" what name
+        (String.concat ", " (List.map fst table));
+      exit 2
 
-let attack_catalogue =
-  [
-    ("honest-inputs", Workload.Honest_inputs);
-    ("outlier-high", Workload.Outlier_high);
-    ("outlier-low", Workload.Outlier_low);
-    ("split-extremes", Workload.Split_extremes);
-  ]
+let adversaries = List.map (fun e -> (e.Attacks.name, e)) Attacks.registry
+
+(* The adversary named [name] in [Attacks.registry], built fresh from
+   [seed]; the attacks that inject a value inject the digest of the seed. *)
+let adversary ~seed name =
+  (lookup "adversary" adversaries name).Attacks.make ~seed
+    ~payload:(Sha256.digest (string_of_int seed))
+
+let input_attacks =
+  List.map (fun a -> (Workload.input_attack_name a, a)) Workload.input_attacks
 
 let protocol_catalogue ~bits ~aa_rounds =
   [
@@ -106,14 +105,6 @@ let require_resilience ~n ~t =
     exit 2
   end
 
-let lookup what table name =
-  match List.assoc_opt name table with
-  | Some v -> v
-  | None ->
-      Printf.eprintf "error: unknown %s %S; available: %s\n" what name
-        (String.concat ", " (List.map fst table));
-      exit 2
-
 (* ------------------------------------------------------------------ *)
 (* One scenario: what run executes                                    *)
 (* ------------------------------------------------------------------ *)
@@ -165,8 +156,8 @@ let scenario ~ba n t protocol_name workload_name adversary_name attack_name bits
         Workload.pi_z_adaptive_auth (auth_setup ~seed ~n)
   in
   let gen = lookup "workload" (workload_catalogue rng ~n ~bits) workload_name in
-  let adversary = lookup "adversary" (adversary_catalogue ~seed) adversary_name in
-  let attack = lookup "attack" attack_catalogue attack_name in
+  let adversary = adversary ~seed adversary_name in
+  let attack = lookup "attack" input_attacks attack_name in
   let corrupt = Workload.spread_corrupt ~n ~t in
   {
     protocol;
@@ -273,7 +264,7 @@ let engine_scenario n t sessions spacing backend adversary_name attack_name
       exit 2);
   let ba = resolve_ba ba_name in
   let session_setup = ba_setup ba in
-  let attack = lookup "attack" attack_catalogue attack_name in
+  let attack = lookup "attack" input_attacks attack_name in
   let corrupt = Workload.spread_corrupt ~n ~t in
   (* Each session gets its own seeded input vector and its own adversary
      instance (strategies carry PRNG state), as the engine requires. *)
@@ -305,11 +296,7 @@ let engine_scenario n t sessions spacing backend adversary_name attack_name
   in
   let specs =
     List.init sessions (fun k ->
-        let adversary =
-          lookup "adversary"
-            (adversary_catalogue ~seed:(seed + (997 * k)))
-            adversary_name
-        in
+        let adversary = adversary ~seed:(seed + (997 * k)) adversary_name in
         Engine.session ~start_round:(k * spacing) ~adversary ~setup:session_setup
           ~sid:k (fun ctx ->
             protos.(k).Workload.run ctx inputs.(k).(ctx.Ctx.me)))
@@ -448,8 +435,8 @@ let list_catalogues () =
   Printf.printf "protocols:  %s\n" (names (protocol_catalogue ~bits:64 ~aa_rounds:8));
   Printf.printf "workloads:  %s\n"
     (names (workload_catalogue (Prng.create 0) ~n:4 ~bits:64));
-  Printf.printf "adversaries: %s\n" (names (adversary_catalogue ~seed:0));
-  Printf.printf "attacks:    %s\n" (names attack_catalogue);
+  Printf.printf "adversaries: %s\n" (names adversaries);
+  Printf.printf "attacks:    %s\n" (names input_attacks);
   Printf.printf "ba backends: %s\n" (String.concat ", " ba_backends)
 
 (* ------------------------------------------------------------------ *)

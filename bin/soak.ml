@@ -100,18 +100,6 @@ type wave_report = {
   w_failures : string list;
 }
 
-let spread_corrupt rng ~n ~t =
-  let corrupt = Array.make n false in
-  let placed = ref 0 in
-  while !placed < t do
-    let i = Prng.int rng n in
-    if not corrupt.(i) then begin
-      corrupt.(i) <- true;
-      incr placed
-    end
-  done;
-  corrupt
-
 (* One session's random draw: inputs (workload family + input attack),
    protocol wide enough for the inputs, message adversary. Deterministic in
    [seed].
@@ -146,10 +134,7 @@ let draw_session ~corrupt ~n ~seed =
             ~skew_ns:(1 + Prng.int rng 100000) )
   in
   let attack =
-    List.nth
-      [ Workload.Honest_inputs; Workload.Outlier_high; Workload.Outlier_low;
-        Workload.Split_extremes ]
-      (Prng.int rng 4)
+    List.nth Workload.input_attacks (Prng.int rng (List.length Workload.input_attacks))
   in
   let inputs = Workload.apply_input_attack attack ~corrupt inputs in
   (* Wide enough that the fixed-width comparators never clamp an input. *)
@@ -181,12 +166,11 @@ let draw_session ~corrupt ~n ~seed =
     then Workload.pi_z
     else proto
   in
-  let adversaries =
-    Adversary.all_generic ~seed
-    @ Attacks.all ~seed ~payload:(Sha256.digest (string_of_int seed))
+  let entry =
+    List.nth Attacks.registry (Prng.int rng (List.length Attacks.registry))
   in
   let adversary =
-    List.nth adversaries (Prng.int rng (List.length adversaries))
+    entry.Attacks.make ~seed ~payload:(Sha256.digest (string_of_int seed))
   in
   let describe =
     Printf.sprintf "proto=%s workload=%s attack=%s adversary=%s"
@@ -212,7 +196,7 @@ let wave ~cfg ~obs ~idx =
      corrupts only f <= t parties. Zero-fault waves must see the adaptive
      fast path engage; faulty waves exercise its detection and fallback. *)
   let f = Prng.int rng (t + 1) in
-  let corrupt = spread_corrupt rng ~n ~t:f in
+  let corrupt = Workload.random_corrupt rng ~n ~count:f in
   let sessions = 1 + Prng.int rng cfg.max_sessions in
   let spacing = Prng.int rng 3 in
   let describe_wave =

@@ -194,14 +194,49 @@ let rotating ~seed ~payload =
       let a = menu.((view.Adversary.round - 1) / 3 mod Array.length menu) in
       a.Adversary.act view ~sender ~recipient)
 
-let all ~seed ~payload =
+(* ------------------------------------------------------------------ *)
+(* The registry                                                        *)
+(* ------------------------------------------------------------------ *)
+
+type entry = {
+  name : string;
+  byte_level : bool;
+  make : seed:int -> payload:string -> Adversary.t;
+}
+
+(* Every entry builds its strategy afresh and names it after itself, so the
+   name a strategy reports is the name it is looked up by. *)
+let registry =
+  let entry byte_level name make =
+    let make ~seed ~payload = { (make ~seed ~payload) with Adversary.name } in
+    { name; byte_level; make }
+  in
+  let generic name make = entry true name (fun ~seed ~payload:_ -> make seed) in
+  let attack = entry false in
   [
-    vote_stuffer ~payload;
-    tuple_forger ~seed;
-    index_confuser;
-    window_fabricator;
-    prefix_saboteur;
-    king_usurper ~payload;
-    backref_abuser;
-    rotating ~seed ~payload;
+    generic "passive" (fun _ -> Adversary.passive);
+    generic "silent" (fun _ -> Adversary.silent);
+    generic "crash" (fun _ -> Adversary.crash ~after:3);
+    generic "garbage" (fun seed -> Adversary.garbage ~seed);
+    generic "spammer" (fun seed -> Adversary.spammer ~seed ~max_len:64);
+    generic "equivocate" (fun seed -> Adversary.equivocate ~seed);
+    generic "bitflip" (fun seed -> Adversary.bitflip ~seed);
+    generic "delayer" (fun _ -> Adversary.delayer ());
+    (* Silent in odd rounds, garbage in even ones. *)
+    generic "silent-garbage" (fun seed ->
+        let garbage = Adversary.garbage ~seed:(seed + 1) in
+        Adversary.make ~name:"silent-garbage" (fun view ~sender ~recipient ->
+            if view.Adversary.round land 1 = 1 then None
+            else garbage.Adversary.act view ~sender ~recipient));
+    attack "vote-stuffer" (fun ~seed:_ ~payload -> vote_stuffer ~payload);
+    attack "tuple-forger" (fun ~seed ~payload:_ -> tuple_forger ~seed);
+    attack "index-confuser" (fun ~seed:_ ~payload:_ -> index_confuser);
+    attack "window-fabricator" (fun ~seed:_ ~payload:_ -> window_fabricator);
+    attack "prefix-saboteur" (fun ~seed:_ ~payload:_ -> prefix_saboteur);
+    attack "king-usurper" (fun ~seed:_ ~payload -> king_usurper ~payload);
+    attack "backref-abuser" (fun ~seed:_ ~payload:_ -> backref_abuser);
+    attack "rotating-attacks" (fun ~seed ~payload -> rotating ~seed ~payload);
   ]
+
+let generic = List.filter (fun e -> e.byte_level) registry
+let instantiate ~seed ~payload entries = List.map (fun e -> e.make ~seed ~payload) entries

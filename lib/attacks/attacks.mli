@@ -44,4 +44,36 @@ val rotating : seed:int -> payload:string -> Net.Adversary.t
     phase (rounds [3k+1 .. 3k+3] run attack [k mod 7]) — a protocol-shaped
     chaos monkey for soak tests. *)
 
-val all : seed:int -> payload:string -> Net.Adversary.t list
+(** {1 The registry}
+
+    Every adversary the repository runs by name: the benchmark's resilience
+    table, the soak, [ca_cli] ([--adversary NAME], [list]) and the test
+    suites all read this one list. *)
+
+type entry = {
+  name : string;
+      (** What [ca_cli list] prints and [--adversary] takes; also the built
+          strategy's {!Net.Adversary.t.name}. Lower-case letters, digits
+          and dashes. *)
+  byte_level : bool;
+      (** A generic strategy of {!Net.Adversary}, blind to the protocol. *)
+  make : seed:int -> payload:string -> Net.Adversary.t;
+      (** A fresh strategy: strategies carry PRNG and replay state, so each
+          run builds its own. The generic entries ignore [payload]; the
+          attacks that inject a value inject [payload]. *)
+}
+
+val registry : entry list
+(** In order: the nine byte-level strategies ([passive], [silent], [crash]
+    after round 3, [garbage], [spammer] up to 64 bytes, [equivocate],
+    [bitflip], [delayer], and [silent-garbage], which is silent in odd
+    rounds and [garbage] (seed + 1) in even ones), then the eight attacks
+    above ([vote-stuffer], [tuple-forger], [index-confuser],
+    [window-fabricator], [prefix-saboteur], [king-usurper],
+    [backref-abuser], [rotating-attacks]). *)
+
+val generic : entry list
+(** The [byte_level] entries, in registry order. *)
+
+val instantiate : seed:int -> payload:string -> entry list -> Net.Adversary.t list
+(** [make ~seed ~payload] of each entry, in order. *)

@@ -58,6 +58,3 @@ let run (spec : 'v Phase_king.spec) (ctx : Ctx.t) input =
      else Proto.return spec.default)
 
 let run_bytes ctx v = run Phase_king.bytes_spec ctx v
-
-(** 2 exchange rounds + the binary phase-king agreement. *)
-let rounds ctx = 2 + Phase_king.rounds ctx

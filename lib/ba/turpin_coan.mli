@@ -8,9 +8,5 @@
     Guarantees: Termination, Agreement; Validity (unanimous honest inputs are
     kept). When honest parties disagree the output may be [spec.default]. *)
 
-val run : 'v Phase_king.spec -> Net.Ctx.t -> 'v -> 'v Net.Proto.m
-
 val run_bytes : Net.Ctx.t -> string -> string Net.Proto.m
-
-val rounds : Net.Ctx.t -> int
-(** Exact round count: 2 exchange rounds + the binary phase-king BA. *)
+(** Byte-string values; the default output is the empty string. *)

@@ -110,23 +110,3 @@ let delayer () =
       let old = Option.join (Hashtbl.find_opt held key) in
       Hashtbl.replace held key (prescribed_msg view ~sender ~recipient);
       old)
-
-(** Strategy switcher: behave as [a] in odd rounds and [b] in even rounds. *)
-let alternate a b =
-  make ~name:(Printf.sprintf "alt(%s,%s)" a.name b.name)
-    (fun view ~sender ~recipient ->
-      if view.round land 1 = 1 then a.act view ~sender ~recipient
-      else b.act view ~sender ~recipient)
-
-let all_generic ~seed =
-  [
-    passive;
-    silent;
-    crash ~after:3;
-    garbage ~seed;
-    spammer ~seed ~max_len:64;
-    equivocate ~seed;
-    bitflip ~seed;
-    delayer ();
-    alternate silent (garbage ~seed:(seed + 1));
-  ]

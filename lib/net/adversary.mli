@@ -9,7 +9,8 @@
 
     The strategies here are protocol-agnostic (byte-level); protocol-aware
     attacks live in [Attacks], and attacks on {e inputs} (outliers etc.) in
-    [Workload.apply_input_attack]. *)
+    [Workload.apply_input_attack]. [Attacks.registry] names every strategy
+    the repository runs by name, these included. *)
 
 type view = {
   round : int;  (** 1-based round number. *)
@@ -67,6 +68,3 @@ val bitflip : seed:int -> t
 
 val delayer : unit -> t
 (** Replay the previous round's prescribed message (desynchronisation). *)
-
-val all_generic : seed:int -> t list
-(** The standard battery the test-suite runs every protocol against. *)

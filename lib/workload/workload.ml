@@ -82,6 +82,8 @@ let apply_input_attack attack ~corrupt inputs =
         inputs);
   inputs
 
+let input_attacks = [ Honest_inputs; Outlier_high; Outlier_low; Split_extremes ]
+
 let input_attack_name = function
   | Honest_inputs -> "honest-inputs"
   | Outlier_high -> "outlier-high"
@@ -114,6 +116,18 @@ let spread_corrupt ~n ~t =
     if !missing > 0 && not corrupt.(i) then begin
       corrupt.(i) <- true;
       decr missing
+    end
+  done;
+  corrupt
+
+let random_corrupt rng ~n ~count =
+  let corrupt = Array.make n false in
+  let placed = ref 0 in
+  while !placed < count do
+    let i = Prng.int rng n in
+    if not corrupt.(i) then begin
+      corrupt.(i) <- true;
+      incr placed
     end
   done;
   corrupt

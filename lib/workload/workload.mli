@@ -41,6 +41,9 @@ type input_attack =
 val apply_input_attack :
   input_attack -> corrupt:bool array -> Bigint.t array -> Bigint.t array
 
+val input_attacks : input_attack list
+(** Every constructor, in declaration order. *)
+
 val input_attack_name : input_attack -> string
 
 (** {1 Scenario running} *)
@@ -57,6 +60,10 @@ type report = {
 
 val spread_corrupt : n:int -> t:int -> bool array
 (** Deterministic corrupt-set placement spread across the index space. *)
+
+val random_corrupt : Net.Prng.t -> n:int -> count:int -> bool array
+(** [count] distinct parties drawn uniformly from [rng]: one [Prng.int rng n]
+    per draw, redrawing an index already taken. *)
 
 val check_ca : corrupt:bool array -> inputs:Bigint.t array -> Bigint.t list -> bool * bool
 (** [check_ca ~corrupt ~inputs outputs] is Definition 1's [(agreement,

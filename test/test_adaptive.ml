@@ -262,7 +262,7 @@ let test_unanimity_output_is_the_input () =
           Alcotest.check Alcotest.string
             (Printf.sprintf "unanimity at f=%d vs %s" f adversary.Adversary.name)
             (Bigint.to_string v) (Bigint.to_string o))
-        (Adversary.all_generic ~seed:(31 * (f + 1))))
+        Attacks.(instantiate ~seed:(31 * (f + 1)) ~payload:"" generic))
     [ 0; 1; 2 ]
 
 let test_cost_model_shape () =
@@ -410,8 +410,8 @@ let prop_wrapper_definition1 =
             let m = Bigint.of_int (Prng.int rng 2_000_000) in
             if Prng.int rng 2 = 0 then Bigint.neg m else m)
       in
-      let advs = Adversary.all_generic ~seed:(seed + 1) in
-      let adversary = List.nth advs (adv_idx mod List.length advs) in
+      let entry = List.nth Attacks.generic (adv_idx mod List.length Attacks.generic) in
+      let adversary = entry.Attacks.make ~seed:(seed + 1) ~payload:"" in
       let outcome =
         Sim.run ~n ~t ~corrupt ~adversary (fun ctx ->
             Adaptive.agree_int ~fallback:unauth ctx inputs.(ctx.Ctx.me))

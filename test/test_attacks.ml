@@ -4,7 +4,10 @@
 open Net
 
 let payload = Sha256.digest "fabricated-by-the-adversary"
-let all_attacks = Attacks.all ~seed:31337 ~payload
+let all_attacks =
+  Attacks.registry
+  |> List.filter (fun e -> not e.Attacks.byte_level)
+  |> Attacks.instantiate ~seed:31337 ~payload
 
 let test_ba_plus_vs_vote_stuffer () =
   (* Intrusion Tolerance under direct vote stuffing. *)
@@ -178,6 +181,67 @@ let test_rotating_reaches_every_attack () =
   Alcotest.(check bool) "a round sends a back-reference" true
     (List.exists (fun r -> sent r = Some Ba.Phase_king.back_reference) rounds)
 
+(* [Attacks.registry] is the one menu: its names are unique and CLI-safe
+   and name the strategies they build; two strategies built from the same
+   (seed, payload) run a Pi_Z session to the same Det JSONL, so no entry
+   shares state between its instances; and [ca_cli] lists exactly these
+   names and runs each of them. *)
+let test_registry () =
+  let names = List.map (fun e -> e.Attacks.name) Attacks.registry in
+  Alcotest.(check int) "names unique" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  let cli_safe c = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '-' in
+  List.iter
+    (fun (e : Attacks.entry) ->
+      Alcotest.(check bool) (e.name ^ " is CLI-safe") true
+        (e.name <> "" && String.for_all cli_safe e.name);
+      Alcotest.(check string) "the strategy's own name" e.name
+        (e.make ~seed:1 ~payload).Adversary.name)
+    Attacks.registry;
+  let n = 7 and t = 2 in
+  let corrupt = Workload.spread_corrupt ~n ~t in
+  let inputs =
+    Workload.apply_input_attack Workload.Outlier_high ~corrupt
+      (Workload.sensor_readings (Prng.create 3) ~n ~base:(-1004) ~jitter:2)
+  in
+  let det (e : Attacks.entry) =
+    let obs = Obs.create () in
+    ignore
+      (Workload.run_int ~obs ~n ~t ~corrupt ~adversary:(e.make ~seed:5 ~payload) ~inputs
+         Workload.pi_z.Workload.run);
+    Obs.to_jsonl ~tier:Obs.Det obs
+  in
+  List.iter
+    (fun (e : Attacks.entry) ->
+      Alcotest.(check string) (e.name ^ ": two instances, one Det JSONL") (det e) (det e))
+    Attacks.registry;
+  let cli = Filename.concat (Filename.dirname Sys.executable_name) "../bin/ca_cli.exe" in
+  let listed =
+    let ic = Unix.open_process_in (Filename.quote cli ^ " list") in
+    let lines = In_channel.input_all ic in
+    Alcotest.(check bool) "ca_cli list exits 0" true
+      (Unix.close_process_in ic = Unix.WEXITED 0);
+    match
+      List.find_opt
+        (String.starts_with ~prefix:"adversaries:")
+        (String.split_on_char '\n' lines)
+    with
+    | None -> Alcotest.fail "ca_cli list prints no adversaries line"
+    | Some line ->
+        String.sub line 12 (String.length line - 12)
+        |> String.split_on_char ',' |> List.map String.trim
+  in
+  Alcotest.(check (list string)) "ca_cli list prints the registry" names listed;
+  List.iter
+    (fun name ->
+      Alcotest.(check int)
+        ("ca_cli run --adversary " ^ name)
+        0
+        (Sys.command
+           (Printf.sprintf "%s run --adversary %s -n 7 -t 2 >/dev/null 2>&1"
+              (Filename.quote cli) name)))
+    listed
+
 let suite =
   [
     Alcotest.test_case "BA+ vs vote stuffing" `Quick test_ba_plus_vs_vote_stuffer;
@@ -189,4 +253,5 @@ let suite =
     Alcotest.test_case "saboteur cost bounded" `Quick test_saboteur_cost_bounded;
     Alcotest.test_case "rotating reaches every attack" `Quick
       test_rotating_reaches_every_attack;
+    Alcotest.test_case "one registry" `Quick test_registry;
   ]

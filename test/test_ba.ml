@@ -11,7 +11,7 @@ let all_equal = function
   | [] -> true
   | x :: rest -> List.for_all (String.equal x) rest
 
-let adversaries = Adversary.all_generic ~seed:1234
+let adversaries = Attacks.(instantiate ~seed:1234 ~payload:"" generic)
 
 let test_validity_all_honest () =
   let n = 4 in
@@ -240,15 +240,7 @@ let prop_agreement =
     (fun (seed, t, adv_idx) ->
       let n = (3 * t) + 1 + (seed mod 3) in
       let rng = Prng.create seed in
-      let corrupt = Array.make n false in
-      let placed = ref 0 in
-      while !placed < t do
-        let i = Prng.int rng n in
-        if not corrupt.(i) then begin
-          corrupt.(i) <- true;
-          incr placed
-        end
-      done;
+      let corrupt = Workload.random_corrupt rng ~n ~count:t in
       let inputs = Array.init n (fun _ -> Printf.sprintf "v%d" (Prng.int rng 3)) in
       let adversary = List.nth adversaries (adv_idx mod List.length adversaries) in
       let outcome =
@@ -419,15 +411,7 @@ let prop_matches_frozen_phase_king =
   let differential (type v) (spec : v Ba.Phase_king.spec) domain ~n ~adversary ~seed =
     let t = (n - 1) / 3 in
     let rng = Prng.create seed in
-    let corrupt = Array.make n false in
-    let placed = ref 0 in
-    while !placed < t do
-      let i = Prng.int rng n in
-      if not corrupt.(i) then begin
-        corrupt.(i) <- true;
-        incr placed
-      end
-    done;
+    let corrupt = Workload.random_corrupt rng ~n ~count:t in
     let size = 2 + Prng.int rng (min 2 (Array.length domain - 1)) in
     let common = domain.(Prng.int rng size) in
     let unanimous = Prng.int rng 3 = 0 in
@@ -436,7 +420,7 @@ let prop_matches_frozen_phase_king =
           if unanimous && not corrupt.(i) then common else domain.(Prng.int rng size))
     in
     let sent = Hashtbl.create 64 in
-    let inner = List.nth (Adversary.all_generic ~seed) adversary in
+    let inner = (List.nth Attacks.generic adversary).Attacks.make ~seed ~payload:"" in
     let recording =
       Adversary.make ~name:"recording" (fun view ~sender ~recipient ->
           let m = inner.Adversary.act view ~sender ~recipient in

@@ -4,7 +4,7 @@
 
 open Net
 
-let adversaries = Adversary.all_generic ~seed:99
+let adversaries = Attacks.(instantiate ~seed:99 ~payload:"" generic)
 
 let all_equal_opt = function
   | [] -> true
@@ -230,15 +230,7 @@ let prop_ext_agreement_random =
     (fun (seed, adv_idx, len) ->
       let n = 7 and t = 2 in
       let rng = Prng.create seed in
-      let corrupt = Array.make n false in
-      let placed = ref 0 in
-      while !placed < t do
-        let i = Prng.int rng n in
-        if not corrupt.(i) then begin
-          corrupt.(i) <- true;
-          incr placed
-        end
-      done;
+      let corrupt = Workload.random_corrupt rng ~n ~count:t in
       let inputs =
         Array.init n (fun _ -> Prng.bytes rng (1 + (len mod 64 * Prng.int rng 5)))
       in

@@ -31,9 +31,14 @@ let workloads =
     ("identical", fun _ -> Array.make n (Bigint.of_int 123456));
   ]
 
+(* Every registered adversary: the generic ones from seed 5, the attacks
+   from seed 6. *)
 let adversaries =
-  Adversary.all_generic ~seed:5
-  @ Attacks.all ~seed:6 ~payload:(Sha256.digest "grid")
+  List.map
+    (fun e ->
+      e.Attacks.make ~seed:(if e.Attacks.byte_level then 5 else 6)
+        ~payload:(Sha256.digest "grid"))
+    Attacks.registry
 
 let input_attacks = [ Workload.Honest_inputs; Workload.Outlier_high ]
 

@@ -6,7 +6,7 @@ open Net
 
 let bits_t = Alcotest.testable Bitstring.pp Bitstring.equal
 let bigint_t = Alcotest.testable Bigint.pp Bigint.equal
-let adversaries = Adversary.all_generic ~seed:2024
+let adversaries = Attacks.(instantiate ~seed:2024 ~payload:"" generic)
 
 (* Honest inputs of a run (corrupt parties' inputs are adversary-controlled
    and do not constrain validity). *)

@@ -4,8 +4,8 @@
    Π_ℓBA+ for longer ones.
 
    The grid: n ∈ {4, 7, 10}, ℓ ∈ {8, 64, 255, 256, 257, 1024}, uniform and
-   clustered inputs, every adversary in [Adversary.all_generic] and
-   [Attacks.all], with the corrupted parties spread over the index space.
+   clustered inputs, every adversary in [Attacks.registry], with the
+   corrupted parties spread over the index space.
    In every cell both searches satisfy Lemma 1 (Lemma 4 for the block
    search at n = 4), Π_ℤ satisfies Definition 1 on the same inputs, the
    library's search sends no more honest bits than the reference's and no
@@ -38,8 +38,9 @@ let families =
    library's run and the reference's must each start from a new copy. The
    flag marks the generic ones. *)
 let adversaries ~seed =
-  List.map (fun a -> (true, a)) (Adversary.all_generic ~seed)
-  @ List.map (fun a -> (false, a)) (Attacks.all ~seed ~payload:"\x01\x02")
+  List.map
+    (fun e -> (e.Attacks.byte_level, e.Attacks.make ~seed ~payload:"\x01\x02"))
+    Attacks.registry
 
 let has_ext_distribute (m : Metrics.t) =
   List.exists (fun (label, bits) -> label = "ext_distribute" && bits > 0) (Metrics.labels m)

@@ -99,6 +99,12 @@ let t1_row lg = [ ("log2_bits", Num lg) ]
 let l_fit protocol n = [ ("row", Str "l_fit"); ("protocol", Str protocol); ("n", Num n) ]
 let rounds n = [ ("row", Str "rounds"); ("n", Num n) ]
 
+let t4_cell corruptions adversary =
+  [
+    ("corruptions", Num corruptions); ("adversary", Str adversary);
+    ("input_attack", Str "outlier-high");
+  ]
+
 (* One edit per declared gate, on the committed ledger of its experiment. *)
 let edits : (string * (Ledger.t -> Ledger.t)) list =
   [
@@ -116,6 +122,11 @@ let edits : (string * (Ledger.t -> Ledger.t)) list =
     ( "claims.baseline_rounds",
       edit (rounds 7.) (fun row ->
           set "tc_ba_rounds" (Num (num "tc_ba_rounds" row +. 1.)) row) );
+    ("t4.definition1", edit (t4_cell 3. "king-usurper") (set "validity" (Bool false)));
+    (* One round above the model, in a cell 35 rounds below it. *)
+    ( "t4.rounds_bound",
+      edit (t4_cell 3. "vote-stuffer") (fun row ->
+          set "rounds" (Num (num "model_rounds" row +. 1.)) row) );
     ("auth.row_shape", edit (auth 4.) (set "honest_bits" (Num 0.)));
     ("auth.ca_holds", edit (auth 5.) (set "ca_holds" (Bool false)));
     ("auth.pairing", edit (auth 7.) (set "n" (Num 8.)));

@@ -90,15 +90,7 @@ let prop_median_random =
     (fun (seed, adv) ->
       let n = 7 and t = 2 and bits = 12 in
       let rng = Prng.create seed in
-      let corrupt = Array.make n false in
-      let placed = ref 0 in
-      while !placed < t do
-        let i = Prng.int rng n in
-        if not corrupt.(i) then begin
-          corrupt.(i) <- true;
-          incr placed
-        end
-      done;
+      let corrupt = Workload.random_corrupt rng ~n ~count:t in
       let inputs = Array.init n (fun _ -> Bitstring.of_int_fixed ~bits (Prng.int rng 4096)) in
       let adversary = List.nth adversaries (adv mod List.length adversaries) in
       let outcome = run_median ~n ~t ~bits ~corrupt ~adversary inputs in

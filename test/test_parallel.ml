@@ -88,7 +88,7 @@ let test_parallel_under_adversaries () =
             true
             (List.for_all (( = ) first) rest)
       | [] -> Alcotest.fail "no outputs")
-    (Adversary.all_generic ~seed:21)
+    Attacks.(instantiate ~seed:21 ~payload:"" generic)
 
 let prop_parallel_semantics =
   (* Random branch structures: rounds must be the max of the branches', and

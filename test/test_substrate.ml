@@ -8,7 +8,7 @@
    - [run_option] with ⊥ mixed into the inputs: agreement, and unanimity on
      ⊥ or on a value is kept;
    - [rounds ctx] equals the measured round count exactly.
-   The adversaries are every one in [Adversary.all_generic] and
+   The adversaries are every generic one in [Attacks.registry] and
    [Attacks.backref_abuser] (phase king's back-references), and for an
    [`Authenticated] backend also [forged_signatures]; a deterministic sweep
    runs each of them once per n at t = max_t. *)
@@ -111,7 +111,7 @@ module Conform (X : BACKEND) = struct
      [values] are the run's possible inputs as the forger finds them in a
      message. *)
   let adversaries ~seed ~values =
-    Adversary.all_generic ~seed
+    Attacks.(instantiate ~seed ~payload:"" generic)
     @ [ Attacks.backref_abuser ]
     @ if assumption = `Authenticated then [ forged_signatures ~values ] else []
 
