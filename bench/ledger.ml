@@ -298,8 +298,9 @@ let t4_within_t l =
         if num row "corruptions" > t then None
         else
           Some
-            ( Printf.sprintf "%s/%s/%g corrupt" (non_empty_str row "adversary")
-                (non_empty_str row "input_attack") (num row "corruptions"),
+            ( Printf.sprintf "%s/%s/%s/%g corrupt" (non_empty_str row "inputs")
+                (non_empty_str row "adversary") (non_empty_str row "input_attack")
+                (num row "corruptions"),
               row ))
       l.rows
   in

@@ -318,11 +318,21 @@ let t4 () =
      the rounds Pi_Z's cost model charges at f = t. The 4-corruption rows exceed the\n\
      t < n/3 bound: failures there are expected (and the Dolev-Reischuk-style\n\
      impossibility says some strategy must break them).";
-  Printf.printf "%-6s %-18s %-16s %-6s %-6s %-6s %7s %7s %10s\n" "corr." "adversary"
-    "input attack" "term." "agree" "valid" "rounds" "model" "kbits";
+  Printf.printf "%-15s %-6s %-18s %-16s %-6s %-6s %-6s %7s %7s %10s\n" "inputs" "corr."
+    "adversary" "input attack" "term." "agree" "valid" "rounds" "model" "kbits";
   print_endline line;
   let attacks =
     [ Workload.Honest_inputs; Workload.Outlier_high; Workload.Split_extremes ]
+  in
+  (* Two input families: 10-bit sensor readings, and 1024-bit values sharing
+     their top 512 bits, long enough that FINDPREFIX's windows above κ run
+     Π_ℓBA+ and its distribution. *)
+  let families =
+    [
+      ("sensor", fun rng -> Workload.sensor_readings rng ~n ~base:(-1004) ~jitter:2);
+      ( "clustered-1024",
+        fun rng -> Workload.clustered_bits rng ~n ~bits:1024 ~shared_prefix_bits:512 );
+    ]
   in
   let model_rounds ~value_bits =
     let cost = Convex.Ca_int.cost_estimate (Ctx.make ~me:0 ~n ~t) ~value_bits ~f:t in
@@ -330,13 +340,13 @@ let t4 () =
   in
   let mark b = if b then "yes" else "NO" in
   let opt = function Some v -> Bench_json.Int v | None -> Bench_json.Null in
-  let cell n_corrupt (entry : Attacks.entry) attack =
+  let cell (family, draw) n_corrupt (entry : Attacks.entry) attack =
     (* Every cell builds its own strategy: strategies carry PRNG state, so
        each cell is a pure function of its grid point. *)
     let adversary = entry.Attacks.make ~seed:7 ~payload:(Sha256.digest "evil") in
     let rng = Prng.create (n_corrupt + 17) in
     let corrupt = Workload.random_corrupt rng ~n ~count:n_corrupt in
-    let inputs = Workload.sensor_readings rng ~n ~base:(-1004) ~jitter:2 in
+    let inputs = draw rng in
     let inputs = Workload.apply_input_attack attack ~corrupt inputs in
     let value_bits =
       Array.fold_left max 0
@@ -357,7 +367,7 @@ let t4 () =
           | exception Failure _ -> (false, false, false, None, None))
       | exception Sim.Round_limit_exceeded _ -> (false, false, false, None, None)
     in
-    Printf.printf "%-6d %-18s %-16s %-6s %-6s %-6s %7s %7d %10s%s\n" n_corrupt
+    Printf.printf "%-15s %-6d %-18s %-16s %-6s %-6s %-6s %7s %7d %10s%s\n" family n_corrupt
       entry.Attacks.name
       (Workload.input_attack_name attack)
       (mark term) (mark agree) (mark valid)
@@ -368,6 +378,7 @@ let t4 () =
          "   (beyond t: allowed to fail)"
        else "");
     [
+      ("inputs", Bench_json.Str family);
       ("corruptions", Bench_json.Int n_corrupt);
       ("adversary", Bench_json.Str entry.Attacks.name);
       ("input_attack", Bench_json.Str (Workload.input_attack_name attack));
@@ -382,11 +393,14 @@ let t4 () =
   in
   let rows =
     List.concat_map
-      (fun n_corrupt ->
+      (fun family ->
         List.concat_map
-          (fun entry -> List.map (cell n_corrupt entry) attacks)
-          Attacks.registry)
-      [ 0; 1; 3; 4 ]
+          (fun n_corrupt ->
+            List.concat_map
+              (fun entry -> List.map (cell family n_corrupt entry) attacks)
+              Attacks.registry)
+          [ 0; 1; 3; 4 ])
+      families
   in
   write_json ~path:"BENCH_t4.json"
     ~meta:

@@ -73,41 +73,56 @@ module Make (B : Ba.Substrate.S) = struct
       c_rounds = 2 + (2 * opt.Ba.Substrate.c_rounds) + (2 * bit.Ba.Substrate.c_rounds);
     }
 
-  let run (ctx : Ctx.t) input =
-  let t = ctx.Ctx.t in
-  let quorum = Ctx.quorum ctx in
-  Proto.with_label "pi_ba_plus"
-    ((* Step 1: distribute inputs; find values received from n−2t parties. *)
-     let* inbox1 = Proto.broadcast input in
-     let seen =
-       values_with_support ~threshold:(ctx.Ctx.n - (2 * t)) (payloads inbox1)
-     in
-     (* The counting argument caps [seen] at two values; if byzantine
-        equivocation could ever break this we must not crash. *)
-     let seen = match seen with v1 :: v2 :: _ -> [ v1; v2 ] | vs -> vs in
-     (* Step 2: vote for the values seen. *)
-     let* inbox2 = Proto.broadcast (encode_vote seen) in
-     let supported =
-       values_with_support ~threshold:quorum (voted_values inbox2)
-     in
-     (* Step 3: derive (a, b) with a <= b. *)
-     let a, b =
-       match supported with
-       | [] -> (None, None)
-       | [ v ] -> (Some v, Some v)
-       | v :: rest -> (Some v, Some (List.nth rest (List.length rest - 1)))
-     in
-     (* Step 4: try to agree on a. *)
-     let* a' = Proto.lift (B.run_option ctx a) in
-     let happy_a = match (a, a') with Some x, Some y -> String.equal x y | _ -> false in
-     let* agreed_a = Proto.lift (B.run_bit ctx happy_a) in
-     if agreed_a then Proto.return a'
-     else
-       (* Step 5: try to agree on b. *)
-       let* b' = Proto.lift (B.run_option ctx b) in
-       let happy_b = match (b, b') with Some x, Some y -> String.equal x y | _ -> false in
-       let* agreed_b = Proto.lift (B.run_bit ctx happy_b) in
-       if agreed_b then Proto.return b' else Proto.return None)
+  (* Steps 1 (after its broadcast) to 5, given the step-1 inbox: the rest of
+     Π_BA+ once every party has sent its input. *)
+  let decide (ctx : Ctx.t) inbox1 =
+    let t = ctx.Ctx.t in
+    let quorum = Ctx.quorum ctx in
+    (* Step 1: find values received from n−2t parties. *)
+    let seen =
+      values_with_support ~threshold:(ctx.Ctx.n - (2 * t)) (payloads inbox1)
+    in
+    (* The counting argument caps [seen] at two values; if byzantine
+       equivocation could ever break this we must not crash. *)
+    let seen = match seen with v1 :: v2 :: _ -> [ v1; v2 ] | vs -> vs in
+    (* Step 2: vote for the values seen. *)
+    let* inbox2 = Proto.broadcast (encode_vote seen) in
+    let supported =
+      values_with_support ~threshold:quorum (voted_values inbox2)
+    in
+    (* Step 3: derive (a, b) with a <= b. *)
+    let a, b =
+      match supported with
+      | [] -> (None, None)
+      | [ v ] -> (Some v, Some v)
+      | v :: rest -> (Some v, Some (List.nth rest (List.length rest - 1)))
+    in
+    (* Step 4: try to agree on a. *)
+    let* a' = Proto.lift (B.run_option ctx a) in
+    let happy_a = match (a, a') with Some x, Some y -> String.equal x y | _ -> false in
+    let* agreed_a = Proto.lift (B.run_bit ctx happy_a) in
+    if agreed_a then Proto.return a'
+    else
+      (* Step 5: try to agree on b. *)
+      let* b' = Proto.lift (B.run_option ctx b) in
+      let happy_b = match (b, b') with Some x, Some y -> String.equal x y | _ -> false in
+      let* agreed_b = Proto.lift (B.run_bit ctx happy_b) in
+      if agreed_b then Proto.return b' else Proto.return None
+
+  (* Step 1's broadcast of the inputs, then the rest. *)
+  let run ctx input =
+    Proto.with_label "pi_ba_plus"
+      (let* inbox1 = Proto.broadcast input in
+       decide ctx inbox1)
+
+  (* The same protocol, also returning the step-1 inbox. The round loop
+     lends the inbox only until the next round, so it is copied before
+     [decide] runs on. *)
+  let run_with_inputs ctx input =
+    Proto.with_label "pi_ba_plus"
+      (let* inbox1 = Proto.broadcast input in
+       let inputs = Array.copy inbox1 in
+       Proto.map (decide ctx inbox1) (fun out -> (inputs, out)))
 end
 
 include Make (Ba.Substrate.Unauthenticated)

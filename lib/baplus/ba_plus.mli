@@ -17,6 +17,14 @@ module Make (B : Ba.Substrate.S) : sig
   (** [run ctx v] joins Π_BA+ with input [v]; [None] is the paper's ⊥.  The
       four inner agreement instances run on the substrate [B]. *)
 
+  val run_with_inputs :
+    Net.Ctx.t -> string -> (string option array * string option) Net.Proto.m
+  (** [run_with_inputs ctx v] is [run ctx v] that also returns what step 1
+      delivered: slot [s] holds the input party [s] broadcast ([None] if it
+      sent none), slot [me] the party's own. {!Ext_ba_plus} reads the
+      parties' Merkle roots from it. Same messages, rounds and output as
+      [run]. *)
+
   val cost_estimate :
     Net.Ctx.t -> value_bits:int -> f:int -> Ba.Substrate.cost
   (** f-sensitive cost model for one Π_BA+ instance: the two value exchanges

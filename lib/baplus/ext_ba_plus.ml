@@ -34,9 +34,9 @@ let decode_tuple raw =
    anyway). Stores [index -> (codeword, raw_tuple)] so a tuple can be
    republished verbatim. A full table short-circuits the walk — indices are
    bounded by [n], so [n] entries means nothing new can be learned and the
-   per-message decode would be pure waste (this is every matching party in
-   round 3b). The witnesses of one inbox, and of both rounds, share their
-   upper nodes; the one [checker] per call hashes each such node once. *)
+   per-message decode would be pure waste. The witnesses of one inbox, and
+   of both rounds, share their upper nodes; the one [checker] per call
+   hashes each such node once. *)
 let harvest ~n ~checker ~into inbox =
   if Hashtbl.length into < n then
     Array.iter
@@ -62,7 +62,10 @@ module Make (B : Ba.Substrate.S) = struct
 
   (* f-sensitive cost model: the inner Π_BA+ runs on the κ-bit Merkle root,
      then two distribution rounds ship O(ℓ/(n−t))-bit codewords with
-     O(κ log n) witnesses.  Inherits BP's (hence B's) f-adaptivity. *)
+     O(κ log n) witnesses.  It charges the worst case, in which every party
+     needs the value: n² tuples a round. A run sends tuples only to the
+     parties whose root differs from the agreed one, none when every party
+     committed to it.  Inherits BP's (hence B's) f-adaptivity. *)
   let cost_estimate (ctx : Ctx.t) ~value_bits ~f =
     let n = ctx.Ctx.n in
     let kappa = 8 * Sha256.digest_size in
@@ -89,67 +92,69 @@ module Make (B : Ba.Substrate.S) = struct
   let codewords = Reed_solomon.encode_with codec input in
   let tree = Merkle.build codewords in
   let z = Merkle.root tree in
-  (* Step 2: agree on a root. *)
-  let* z_agreed = BP.run ctx z in
+  (* Step 2: agree on a root, keeping the root each party broadcast in
+     Π_BA+'s first round. *)
+  let* roots, z_agreed = BP.run_with_inputs ctx z in
   match z_agreed with
   | None -> Proto.return None
   | Some z_star ->
       Proto.with_label "ext_distribute"
-        (let mine = String.equal z z_star in
-         (* A holder of the committed value already knows every authenticated
-            tuple; everyone else learns its own from round 3a. Matching
-            parties materialize all n tuples once — each is both sent in 3a
-            and kept in [shares] below, and witness + encode per tuple is the
-            expensive half of the round. *)
-         let tuples =
-           if mine then
-             Array.init n (fun j ->
-                 encode_tuple ~index:j ~codeword:codewords.(j)
-                   ~witness:(Merkle.witness tree j))
-           else [||]
+        ((* A party that committed to z* holds the value and needs nothing.
+            Everyone else does: an honest party sent every party the same
+            root, so each honest party sees the same honest parties in
+            need, and a party that sent no root counts as one. Both
+            distribution rounds go only to them. *)
+         let needs =
+           Array.map
+             (function Some root -> not (String.equal root z_star) | None -> true)
+             roots
          in
-         (* Step 3a: matching parties ship codeword j to party j. *)
-         let* inbox_a =
-           Proto.exchange (fun j -> if mine then Some tuples.(j) else None)
-         in
-         let shares = Hashtbl.create n in
-         (* A matching party's table is full from the start, so it checks no
-            witness and needs no checker. *)
-         let harvest =
-           if mine then begin
-             Array.iteri (fun j c -> Hashtbl.add shares j (c, tuples.(j))) codewords;
-             ignore
-           end
-           else harvest ~n ~checker:(Merkle.checker ~root:z_star ~leaves:n) ~into:shares
-         in
-         harvest inbox_a;
-         (* Step 3b: republish your own verified codeword to everyone. *)
-         let republish =
-           Option.map snd (Hashtbl.find_opt shares ctx.Ctx.me)
-         in
-         let* inbox_b =
-           match republish with
-           | Some raw -> Proto.broadcast raw
-           | None -> Proto.receive_only ()
-         in
-         harvest inbox_b;
-         (* Step 4: reconstruct from n−t verified codewords. The decoder
-            takes the n−t lowest indices held, in whatever order the table
-            yields them, and copies each systematic codeword among them
-            (indices below n−t) straight into the value; with no faulty
-            party below n−t it interpolates nothing. Lemma 6 makes failure
-            unreachable when Π_BA+ returned non-⊥; stay total anyway.
-            A matching party skips the reconstruction: its shares are its own
-            complete codeword set, whose decode is the committed input by the
-            Reed-Solomon round-trip identity (differentially tested). *)
-         if mine then Proto.return (Some input)
-         else
+         if String.equal z z_star then begin
+           (* A holder encodes and authenticates only the tuples it sends. *)
+           let tuple j =
+             Some
+               (encode_tuple ~index:j ~codeword:codewords.(j)
+                  ~witness:(Merkle.witness tree j))
+           in
+           (* Step 3a: codeword j to each party j in need. *)
+           let* _ = Proto.exchange (fun j -> if needs.(j) then tuple j else None) in
+           (* Step 3b: its own codeword to each of them. *)
+           let own = if Array.exists Fun.id needs then tuple ctx.Ctx.me else None in
+           let* _ = Proto.exchange (fun j -> if needs.(j) then own else None) in
+           (* Its codewords decode to its input by the Reed-Solomon
+              round-trip identity (differentially tested). *)
+           Proto.return (Some input)
+         end
+         else begin
+           let shares = Hashtbl.create n in
+           let harvest =
+             harvest ~n ~checker:(Merkle.checker ~root:z_star ~leaves:n) ~into:shares
+           in
+           (* Step 3a: its own codeword, from the holders. *)
+           let* inbox_a = Proto.receive_only () in
+           harvest inbox_a;
+           (* Step 3b: republish it to every party in need. *)
+           let* inbox_b =
+             match Hashtbl.find_opt shares ctx.Ctx.me with
+             | Some (_, raw) ->
+                 let republish = Some raw in
+                 Proto.exchange (fun j -> if needs.(j) then republish else None)
+             | None -> Proto.receive_only ()
+           in
+           harvest inbox_b;
+           (* Step 4: reconstruct from n−t verified codewords. The decoder
+              takes the n−t lowest indices held, in whatever order the table
+              yields them, and copies each systematic codeword among them
+              (indices below n−t) straight into the value; with no faulty
+              party below n−t it interpolates nothing. Lemma 6 makes failure
+              unreachable when Π_BA+ returned non-⊥; stay total anyway. *)
            let collected =
              Hashtbl.fold (fun index (codeword, _) acc -> (index, codeword) :: acc) shares []
            in
            match Reed_solomon.decode_with codec collected with
            | Ok value -> Proto.return (Some value)
-           | Error _ -> Proto.return None)
+           | Error _ -> Proto.return None
+         end)
 end
 
 include Make (Ba.Substrate.Unauthenticated)

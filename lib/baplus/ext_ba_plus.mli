@@ -6,8 +6,12 @@
     codewords of O(ℓ/n) bits, commits to them with a Merkle tree, and runs
     Π_BA+ on the κ-bit root [z]. On a non-⊥ root [z*], parties holding the
     matching value ship codeword [j] (with its Merkle witness) to party [j];
-    every party then republishes its own authenticated codeword to everyone,
-    and [n−t] verified codewords reconstruct the value by erasure decoding.
+    every party then republishes its own authenticated codeword, and [n−t]
+    verified codewords reconstruct the value by erasure decoding. Both
+    rounds go only to the parties in need: those whose root, as received in
+    Π_BA+'s first round, is not [z*]. A party that committed to [z*] returns
+    its own input, so a run in which every party did ships no codeword
+    (a deviation from the paper, which sends to every party; DESIGN.md).
 
     Merkle verification makes corrupted codewords detectable, so decoding
     never sees a wrong share; Intrusion Tolerance of Π_BA+ guarantees the
@@ -35,7 +39,8 @@ module Make (B : Ba.Substrate.S) : sig
   val cost_estimate :
     Net.Ctx.t -> value_bits:int -> f:int -> Ba.Substrate.cost
   (** f-sensitive cost model for one Π_ℓBA+ instance: the inner Π_BA+ on the
-      κ-bit root plus the two codeword-distribution rounds.  Composes
+      κ-bit root plus the two codeword-distribution rounds, charged at their
+      worst case, in which every party needs the value.  Composes
       {!Ba_plus.Make.cost_estimate}, so a fault-adaptive substrate's early
       stopping propagates.  A planning model, not an accounting identity. *)
 end

@@ -162,20 +162,24 @@ let test_ext_partial_preagreement () =
 
 let test_ext_communication_linear_in_length () =
   (* Doubling ℓ should roughly double honest bits (the ℓn term dominates),
-     far below the ℓn² of echoing values all-to-all. *)
+     far below the ℓn² of echoing values all-to-all. The t corrupted
+     parties are silent: they broadcast no root, so the honest parties
+     ship them codewords in both distribution rounds (unanimous passive
+     parties would all hold the value and ship none). *)
   let n = 7 and t = 2 in
   let corrupt = Sim.corrupt_first ~n t in
   let bits_for len =
     let v = String.make len 'v' in
     let inputs = Array.make n v in
-    let outcome = run_ext ~n ~t ~corrupt ~adversary:Adversary.passive inputs in
+    let outcome = run_ext ~n ~t ~corrupt ~adversary:Adversary.silent inputs in
     outcome.Sim.metrics.Metrics.honest_bits
   in
   let b1 = bits_for 20_000 and b2 = bits_for 40_000 in
   let growth = float_of_int (b2 - b1) /. float_of_int 20_000 in
-  (* Marginal cost per extra input bit: two distribution rounds of ~n²/k
-     codeword copies, i.e. ~2n²/(n−t) ≈ 3n — linear in n, far below the n²
-     of echoing values all-to-all. *)
+  (* Marginal cost per extra input bit: two distribution rounds in which
+     each of the n−t honest parties sends each of the t silent ones a
+     codeword of ℓ/(n−t) bits, i.e. 2t — linear in n, far below the n² of
+     echoing values all-to-all. *)
   Alcotest.check Alcotest.bool "marginal bits per input bit = Θ(n), not n²" true
     (growth /. 8. < float_of_int (4 * n));
   Alcotest.check Alcotest.bool "marginal bits per input bit >= 1" true (growth /. 8. >= 1.)
@@ -199,7 +203,10 @@ let test_ext_distribution_bits_match_theorem1 () =
   (* Theorem 1's value-dependent term, checked against the per-label
      accounting: the distribution step must cost at most
      c * (l*n*(n/k) + k_sec*n^2*log n) bits for a small constant c (two
-     rounds of n^2/k codeword copies plus the Merkle witnesses). *)
+     rounds of n^2/k codeword copies plus the Merkle witnesses). The t
+     corrupted parties are silent, so the honest parties distribute to them;
+     when every party is passive and holds the value, nobody needs a
+     codeword and the step sends nothing. *)
   let n = 7 and t = 2 in
   let k = n - t in
   let corrupt = Sim.corrupt_first ~n t in
@@ -207,21 +214,22 @@ let test_ext_distribution_bits_match_theorem1 () =
     (fun len ->
       let v = String.make len 'd' in
       let inputs = Array.make n v in
-      let outcome =
-        Sim.run ~n ~t ~corrupt ~adversary:Adversary.passive (fun ctx ->
-            Proto.run (Baplus.Ext_ba_plus.run ctx inputs.(ctx.Ctx.me)))
-      in
-      let dist =
+      let dist adversary =
+        let outcome = run_ext ~n ~t ~corrupt ~adversary inputs in
         Option.value ~default:0
           (List.assoc_opt "ext_distribute" (Metrics.labels outcome.Sim.metrics))
       in
       let l = 8 * len in
       let witness_term = 256 * n * n * 8 in
       let bound = 3 * ((l * n * n / k) + witness_term) in
+      let silent = dist Adversary.silent in
       Alcotest.check Alcotest.bool
         (Printf.sprintf "distribution bits bounded at l=%d" l)
         true
-        (dist > 0 && dist <= bound))
+        (silent > 0 && silent <= bound);
+      Alcotest.check Alcotest.int
+        (Printf.sprintf "unanimous passive: no distribution at l=%d" l)
+        0 (dist Adversary.passive))
     [ 100; 1000; 10_000 ]
 
 let prop_ext_agreement_random =

@@ -598,7 +598,9 @@ let test_cost_model_regime_gap () =
 let test_label_split_shape () =
   (* T5's premise: the only l-dependent label is the RS+Merkle distribution;
      doubling l must leave the k-bit agreement labels (pi_ba_plus) nearly
-     unchanged while ext_distribute grows. *)
+     unchanged while ext_distribute grows. The corrupted parties are silent,
+     so every non-⊥ Π_ℓBA+ window is distributed to them; passive ones
+     would hold each agreed window and receive none. *)
   let n = 7 and t = 2 in
   let run bits =
     let corrupt = Workload.spread_corrupt ~n ~t in
@@ -610,7 +612,7 @@ let test_label_split_shape () =
                (Bigint.add (Bigint.pow2 (bits - 2)) (Bigint.of_int i))))
     in
     let report =
-      Workload.run_int ~n ~t ~corrupt ~adversary:Adversary.passive
+      Workload.run_int ~n ~t ~corrupt ~adversary:Adversary.silent
         ~inputs:(Array.map Fun.id inputs) Workload.pi_z.Workload.run
     in
     let get label = Option.value ~default:0 (List.assoc_opt label report.Workload.labels) in

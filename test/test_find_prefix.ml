@@ -189,15 +189,16 @@ let test_block_grid () =
 
 (* The branch sits exactly at κ: a search whose first window is 256 bits
    (ℓ = 511) never distributes, and one whose first window is 257 bits
-   (ℓ = 512, every later window at most 128) distributes. Unanimous inputs
-   make every outcome non-⊥, so every Π_ℓBA+ call distributes. *)
+   (ℓ = 512, every later window at most 128) distributes. Unanimous honest
+   inputs make every outcome non-⊥, and the silent corrupted party sends
+   no root, so every Π_ℓBA+ call distributes to it. *)
 let test_branch_at_kappa () =
   let n = 4 and t = 1 in
-  let corrupt = Array.make n false in
+  let corrupt = Sim.corrupt_first ~n t in
   let distributes bits =
     let v = Bitstring.max_fill bits (Bitstring.of_string "10") in
     let outcome =
-      Sim.run ~n ~t ~corrupt ~adversary:Adversary.passive (fun ctx ->
+      Sim.run ~n ~t ~corrupt ~adversary:Adversary.silent (fun ctx ->
           Proto.run (Convex.Find_prefix.run ctx ~bits v))
     in
     List.iter

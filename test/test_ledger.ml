@@ -101,7 +101,7 @@ let rounds n = [ ("row", Str "rounds"); ("n", Num n) ]
 
 let t4_cell corruptions adversary =
   [
-    ("corruptions", Num corruptions); ("adversary", Str adversary);
+    ("inputs", Str "sensor"); ("corruptions", Num corruptions); ("adversary", Str adversary);
     ("input_attack", Str "outlier-high");
   ]
 
