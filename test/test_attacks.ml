@@ -31,11 +31,15 @@ let test_ba_plus_vs_vote_stuffer () =
 
 let test_ext_vs_forgery () =
   (* Lemma 6: forged or relabeled tuples must be discarded; the honest value
-     still reconstructs. *)
+     still reconstructs. Honest parties 4 and 6 hold other values, so they
+     need the agreed one and must rebuild it from exactly the n−t honest
+     codewords among the forgeries (a party holding it harvests nothing). *)
   let n = 7 and t = 2 in
   let corrupt = Array.init n (fun i -> i = 2 || i = 5) in
   let value = String.init 3000 (fun i -> Char.chr (i * 13 land 0xff)) in
-  let inputs = Array.make n value in
+  let inputs =
+    Array.init n (fun i -> if i = 4 || i = 6 then String.make 3000 (Char.chr i) else value)
+  in
   List.iter
     (fun adversary ->
       let outcome =
