@@ -173,6 +173,44 @@ let rec first_copy inbox m j i =
     | Some x when String.equal x m -> j
     | Some _ | None -> first_copy inbox m (j + 1) i
 
+(* Resolution, shared with every king protocol that sends back-references
+   (HIGHCOSTCA too). Each fills a receiver's per-sender array in place;
+   [None] is silence, a reference to nothing, or a malformed message. *)
+
+(* A round-1 inbox after phase 1: a back-reference keeps [one.(i)], a full
+   message gives its body (the first copy's, when an earlier sender sent
+   the same bytes). *)
+let resolve_round_one one inbox =
+  for i = 0 to Array.length one - 1 do
+    one.(i) <-
+      (match inbox.(i) with
+      | Some msg when String.equal msg back_reference -> one.(i)
+      | Some msg ->
+          let j = first_copy inbox msg 0 i in
+          if j >= 0 then one.(j) else full_body msg
+      | None -> None)
+  done
+
+(* A proposal or vote inbox into [into]: "MINE" is [one.(i)], any other
+   message [body msg] (the first copy's, as above). *)
+let resolve_mine ~body one into inbox =
+  for i = 0 to Array.length into - 1 do
+    into.(i) <-
+      (match inbox.(i) with
+      | None -> None
+      | Some msg when String.equal msg back_reference -> one.(i)
+      | Some msg ->
+          let j = first_copy inbox msg 0 i in
+          if j >= 0 then into.(j) else body msg)
+  done
+
+(* The king's round-3 message: "MINE" is its round-1 body of this phase. *)
+let resolve_king one inbox king =
+  match inbox.(king) with
+  | Some msg when String.equal msg back_reference -> one.(king)
+  | Some msg -> full_body msg
+  | None -> None
+
 (* The ⊥ proposal, the same bytes in every run. *)
 let no_proposal = sends (Wire.encode (w_opt_bytes None))
 
@@ -205,6 +243,11 @@ type ('v, 'r) machine = {
    a back-reference to [v]'s encoding stays possible. *)
 let keep spec v w = if spec.equal w v then v else w
 
+(* The body a full round-2 message proposes; [None] for ⊥ and for a
+   malformed proposal, which drops its sender. *)
+let proposal_body msg =
+  match Wire.decode_full r_opt_bytes msg with Some p -> p | None -> None
+
 (* The phase king as a round machine: each round's [Step] is built here,
    its continuation is the code up to the next round, and the last phase
    hands the output to [m.f] inside the "pi_ba" scope.
@@ -231,16 +274,7 @@ let rec phase m k v sent =
 (* Round 2: resolve round 1, then the universal exchange of proposals. *)
 and proposals m k v inbox1 =
   let one = m.one in
-  for i = 0 to Array.length one - 1 do
-    one.(i) <-
-      (match inbox1.(i) with
-      | Some msg when k > 1 ->
-          if String.equal msg back_reference then one.(i)
-          else
-            let j = first_copy inbox1 msg 0 i in
-            if j >= 0 then one.(j) else full_body msg
-      | msg -> msg)
-  done;
+  if k > 1 then resolve_round_one one inbox1 else Array.blit inbox1 0 one 0 (Array.length one);
   let spec = m.spec in
   Proto.Step
     ( propose spec m.quorum v (tally ~equal:spec.equal ~decode:spec.decode one),
@@ -250,19 +284,7 @@ and proposals m k v inbox1 =
    value. *)
 and king_round m k v inbox2 =
   let spec = m.spec and one = m.one and two = m.two in
-  for i = 0 to Array.length two - 1 do
-    two.(i) <-
-      (match inbox2.(i) with
-      | None -> None
-      | Some msg when String.equal msg back_reference -> one.(i)
-      | Some msg -> (
-          let j = first_copy inbox2 msg 0 i in
-          if j >= 0 then two.(j)
-          else
-            match Wire.decode_full r_opt_bytes msg with
-            | Some p -> p
-            | None -> None (* malformed: drop sender *)))
-  done;
+  resolve_mine ~body:proposal_body one two inbox2;
   let w, locked =
     match argmax spec (tally ~equal:spec.equal ~decode:spec.decode two) with
     | Some (w, c) when c >= m.t + 1 -> (keep spec v w, c >= m.quorum)
@@ -277,14 +299,10 @@ and king_round m k v inbox2 =
         let w =
           if locked || m.me = king then w
           else
-            let body =
-              match inbox3.(king) with
-              | Some msg when String.equal msg back_reference -> one.(king)
-              | Some msg -> full_body msg
-              | None -> None
-            in
             keep spec w
-              (match Option.bind body spec.decode with Some x -> x | None -> spec.default)
+              (match Option.bind (resolve_king one inbox3 king) spec.decode with
+              | Some x -> x
+              | None -> spec.default)
         in
         phase m (k + 1) w v )
 

@@ -53,6 +53,34 @@ val king_message : string -> string
 (** [king_message body] is the full round-3 message (and round-1 message
     after phase 1) carrying the value whose [spec.encode] is [body]. *)
 
+(** {1 Resolving back-references}
+
+    Shared by every king protocol that sends {!back_reference}s (HIGHCOSTCA
+    too). A receiver keeps, per sender, the resolved body of that sender's
+    latest round-1 message ([one]); each function fills its array in place,
+    and [None] stands for silence, a reference to nothing or a malformed
+    message. A full message whose bytes an earlier sender in the inbox also
+    sent resolves to that sender's body, so each distinct payload is
+    resolved once. *)
+
+val resolve_round_one : string option array -> Net.Proto.inbox -> unit
+(** [resolve_round_one one inbox]: a round-1 inbox after the run's first
+    exchange. A back-reference keeps [one.(i)], a {!king_message} gives its
+    body, anything else [None]. *)
+
+val resolve_mine :
+  body:(string -> string option) ->
+  string option array ->
+  string option array ->
+  Net.Proto.inbox ->
+  unit
+(** [resolve_mine ~body one into inbox]: a proposal or vote inbox. A
+    back-reference ("MINE") is [one.(i)], any other message [body msg]. *)
+
+val resolve_king : string option array -> Net.Proto.inbox -> int -> string option
+(** [resolve_king one inbox king]: the body of the king's round-3 message,
+    a back-reference being [one.(king)]. *)
+
 val tally :
   equal:('v -> 'v -> bool) ->
   decode:(string -> 'v option) ->

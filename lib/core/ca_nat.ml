@@ -61,7 +61,16 @@ module Make (B : Ba.Substrate.S) = struct
         (High_cost_ca.run ctx ~bits:blocksize_bits
            (Bitstring.of_int_fixed ~bits:blocksize_bits blocksize))
     in
-    let blocksize' = max 1 (Bitstring.to_int blocksize_agreed) in
+    (* Beyond t corruptions the agreed size can be any 64-bit value. One
+       that no honest length produces (zero, or past max_int / n², where
+       ℓ_EST would overflow) reads as 1, so every honest party still runs
+       the same ℓ_EST. *)
+    let blocksize' =
+      if Bitstring.significant_bits blocksize_agreed > 62 then 1
+      else
+        let b = Bitstring.to_int blocksize_agreed in
+        if b < 1 || b > max_int / n2 then 1 else b
+    in
     let l_est = blocksize' * n2 in
     let v =
       if Bigint.bit_length v_in > l_est then Bigint.pred (Bigint.pow2 l_est) else v_in

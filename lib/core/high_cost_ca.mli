@@ -6,7 +6,19 @@
     count), where the cubic cost is affordable, and as the "existing CA
     protocol" baseline. {!Rank_ba} reuses the search stage with a rank-window
     interval rule via {!run_custom}, and {!Median_ba} with that window at
-    the median rank. *)
+    the median rank.
+
+    Messages: the setup's input and interval exchanges carry the values in
+    full. In the king phases a value the receiver already holds from the
+    sender travels as phase king's one-byte [Ba.Phase_king.back_reference]:
+    round 1's "the value I last sent you in round 1" (the setup input in
+    phase 1), and rounds 2–4's "the value I sent in this phase's round 1";
+    anything else is sent in full ([Ba.Phase_king.king_message] of the
+    encoded value in rounds 1 and 3, the option encoding in rounds 2 and
+    4). Receivers resolve every back-reference before they tally, so rounds,
+    honest decisions and the O(ℓ·n³) worst case are the plain protocol's;
+    an all-honest unanimous run costs 8·(n(n−1)(3·|enc v| + 3(t+1)) +
+    (t+1)(n−1)) bits. *)
 
 val run : Net.Ctx.t -> bits:int -> Bitstring.t -> Bitstring.t Net.Proto.m
 (** All honest parties must join with values of the same width [bits]; the

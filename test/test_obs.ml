@@ -288,8 +288,8 @@ let test_det_tier_identical_across_backends () =
    52 800 to 17 600, its rounds and outputs held, and the engine run (no
    window longer than κ) did not move. *)
 let sim_pi_z_pins =
-  ( ("9e2bfa29be4f7da9bdab9e13f39171341d0837659d687efe51d98701c5c275a8", 84121),
-    ("3a6b8fb58ab0bd9500bf85c3f78aea945a247e3fc8d7a64aedf5e37d6debd344", 103084) )
+  ( ("5ebeab66cbb7b7728e1b06dfd987ec45053c8b4edfef6c1c7b9063743348bf60", 84086),
+    ("f35b380cd9850735b4cd7480749a58bb4c59304b54e9c8968a5ea1f73cc92a1c", 103069) )
 
 let engine_k8_pins =
   ( ("d7131610eed1d6bc699a20fd83ced89318af70a93c262a1f967fcce4a8317dcf", 391333),

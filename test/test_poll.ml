@@ -146,10 +146,12 @@ let test_pi_z_over_sockets_equals_sim () =
     r.Engine.r_metrics.Metrics.rounds
 
 let test_long_values_over_sockets () =
-  (* 20 KB values: multi-kilobyte frames once coalesced, exercising partial
-     reads and writes. *)
+  (* 40 KB values: multi-kilobyte frames once coalesced, exercising partial
+     reads and writes. HIGHCOSTCA sends its 20 000-bit block in full only
+     in the setup (2.5 KB inputs, 5 KB intervals); its king phases move
+     one-byte back-references. *)
   let n = 4 in
-  let big = Bigint.pred (Bigint.pow2 160_000) in
+  let big = Bigint.pred (Bigint.pow2 320_000) in
   let inputs = Array.init n (fun i -> Bigint.sub big (Bigint.of_int i)) in
   let outputs, _, agg =
     over_sockets ~n (fun ctx -> Proto.run (Convex.agree_nat ctx inputs.(ctx.Ctx.me)))

@@ -114,7 +114,9 @@ let prop_rank_random =
    The values were captured while Median_ba still had its own median window,
    before it ran on [rank_window] at the middle rank; n=10's Det pin was
    re-taken when each record got adversaries of its own, and again when
-   [Attacks.rotating] began to run one attack per phase-king phase. *)
+   [Attacks.rotating] began to run one attack per phase-king phase. Both Det
+   pins were re-taken when HIGHCOSTCA's king phases began to send
+   back-references (only span bits moved). *)
 let median_adversaries () =
   [
     Adversary.passive; Adversary.silent; Adversary.garbage ~seed:4;
@@ -144,10 +146,10 @@ let median_record ~n ~t =
 let median_pins =
   [
     ( (7, 2),
-      ( ("ace1c7c7d051e0fc8c90fbcea4a85a144804dd4d50c6aef7a03757ab00bb511a", 40727),
+      ( ("3fc14285764fda306d5af4caf526407c8258f04e5558e2e3180795916c0d3d49", 40667),
         ("5f7e1561c3220a1566f5da1c23de7b8c411ec6bb6c342663cf773eb6e8cf42a1", 439) ) );
     ( (10, 3),
-      ( ("3e62afc682d5cafa8c66d9f50f5cc6212db7ab695c78a5a8a82ef3212b9eec47", 61935),
+      ( ("b5008c118293fe4dca192abd18027e92e3eb9d99386c2df6589da055315327dc", 61865),
         ("6f4e0c2259523f8554ea40ac8dfbef006d3dda04e09fdacb6f122f1e404d44b3", 609) ) );
   ]
 

@@ -125,7 +125,7 @@ let pins =
       ( ("d9936ae3b40a86a8b015821b3a4576d0b8f717bf3ab5482f21979f5818e8e6a4", 98994),
         ("5fbce7dccc30b06c874e2c45aaeb2783a46f4d2f94eb7ee824a72e284051ebf2", 596) ) );
     ( "agree_fixed_length_blocks l=64",
-      ( ("f2c63b93fad701a1fa4b60696c4e502ec02b763fb408e7d05e6809fbef2e3c76", 72154),
+      ( ("9dfaa0cdb111bb8cff83b8e8f699a8d9b140febb3f99e069040d1e7c30b73da6", 72140),
         ("0d68dfd8b49457ea2225aab74d478615de88cba9da58d31b056096d98cffb125", 593) ) );
     ( "find_prefix l=256",
       ( ("397975160ef83af39cf71bb66af281024e3f42b7f85f1b255180202c0c5a0e7e", 133702),
@@ -137,7 +137,7 @@ let pins =
       ( ("c0fabab3f5a92382b236b5fe83dba98d53dcb6bdcc03e60688a8cb4572f1cad3", 140115),
         ("58bff4d2c12ec91533ee482fa6565c8dfa8729fe4daf9385f16f5c7fefc81040", 2324) ) );
     ( "agree_fixed_length_blocks l=256",
-      ( ("d460e498e8e675e9710ad57819bc385186f33801aab8aebabe2c278f78f854c3", 76918),
+      ( ("f0c7f679f052bac9e487730741db876e4e8d3868a0a62e670037b372936b075d", 76901),
         ("71d3cefa404b7df725c9166a304d47b8f72686d8f3767fb0b28da142c56e5a0f", 2321) ) );
     ( "find_prefix l=1024",
       ( ("7e221e3d8c87c99730298de3e350cc235ea98c606e4279ce3593f8f3b91d8af7", 200233),
@@ -149,19 +149,19 @@ let pins =
       ( ("e66023149223d77ba0738d16077b44fc4a9323e5b67d627aa6ae6b7136438ad6", 191432),
         ("4f160e8fdec667981770fd774eae34fa663645175b28b6280633a91e49267ad3", 9236) ) );
     ( "agree_fixed_length_blocks l=1024",
-      ( ("1fca6d8b3d6cde5342d0fc02dafbac7ae3d5f54358475c3b1ec2b7b457db9bff", 98329),
+      ( ("543bea81ae0443b6aafc7b0d017684600b37a4b274fc799e691a0814fb0c5295", 98288),
         ("ace258bf436d37873b422a1cacc87beb4cd069318d31a4a1ede1e6796b4802e4", 9233) ) );
     ( "pi_z n=7 l=32",
       ( ("89d9798718c9f7a3e428ca329b33b4fdbca1c5f5c54f4c296c8dd7215b0a4e05", 153439),
         ("a757fea7385ab2b4cad19f7277b85d1f2e3aeb22b1b541015d4358eaef8da221", 176) ) );
     ( "pi_z n=7 l=256",
-      ( ("0bcd3e93a84ebe3846fe917a8114dd82f502d7f7df2971d6dbb3a96101373bdb", 217705),
+      ( ("f56d3e9c22513552a29c4f07947b0991e6da5ff2948a88148bbae92b20eabec6", 217599),
         ("619b737abc0a3933f0f7fb78a3171c7db7e71c1712b136199da9f8175bdd2951", 1181) ) );
     ( "pi_n block size 1",
-      ( ("e1ec17dfdbe9c4cc8934cc0cb384349286251ecdc5717fe80a97a2a30d505236", 63301),
+      ( ("57436e37c24907eb2197c45e678a98cf17d0e7bf9bcab027166b5e2e56de2732", 63271),
         ("c71a5d5b936aad71e6656b8de71631015f54ac279101ed8b250041b7378b35aa", 53) ) );
     ( "pi_n block size 1, add_last_block",
-      ( ("7d45e5b05a9d5a8e5e87dbca34dabc54ce0ab4f0084695518cec3562f37c069c", 80665),
+      ( ("1cd3d9db02a6eaf3b554bbd6ae611d499768a9274a4059e7672e1409ec12966f", 80629),
         ("b675cf6c74f99c58ea0fd279b0b0fb85da3d63275233f591a3c9080188b459f0", 55) ) );
   ]
 
