@@ -1265,8 +1265,7 @@ let obs_bench () =
   let deterministic_jsonl = String.equal j1 (Obs.to_jsonl ~tier:Obs.Det o2) in
   (* Cross-backend identity on a K-session engine run: the Det export and
      the virtual-clock chrome trace are pure functions of the execution, so
-     sim, poll and a 2-domain sim run must produce byte-identical
-     artifacts. *)
+     sim and poll runs must produce byte-identical artifacts. *)
   let en = 7 and et = 2 in
   let k = if !smoke then 4 else 32 in
   let ecorrupt = Workload.spread_corrupt ~n:en ~t:et in

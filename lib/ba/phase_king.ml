@@ -38,10 +38,10 @@ type 'v spec = {
    call allocates only the decoded values, one list cell per group and the
    result. *)
 
-(* Per-domain integer scratch for [tally]. [tally] takes the buffer out of
-   the cell while it runs, so a re-entrant call (from [decode] or [equal])
-   would build its own rather than overwrite it. *)
-let tally_scratch : int array ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [||])
+(* Integer scratch for [tally]. [tally] takes the buffer out of the cell
+   while it runs, so a re-entrant call (from [decode] or [equal]) would
+   build its own rather than overwrite it. *)
+let tally_scratch = ref [||]
 
 (* Index of the group whose value is [equal] to [v], or -1, in a list of the
    groups' values newest first whose head is group [g]. Groups are pairwise
@@ -59,9 +59,10 @@ let rec entries counts base g acc = function
 
 let tally ~equal ~decode inbox =
   let n = Array.length inbox in
-  let cell = Domain.DLS.get tally_scratch in
-  let s = if Array.length !cell >= 3 * n then !cell else Array.make (3 * n) 0 in
-  cell := [||];
+  let s =
+    if Array.length !tally_scratch >= 3 * n then !tally_scratch else Array.make (3 * n) 0
+  in
+  tally_scratch := [||];
   (* Distinct byte string b: s.(b) is its first sender and s.(n + b) its
      value group, -1 when undecodable. Group g: s.(2n + g) is its count. *)
   let vals = ref [] in
@@ -101,7 +102,7 @@ let tally ~equal ~decode inbox =
         in
         if g >= 0 then s.((2 * n) + g) <- s.((2 * n) + g) + 1
   done;
-  cell := s;
+  tally_scratch := s;
   entries s (2 * n) (!ng - 1) [] !vals
 
 (* Value with the highest count; ties broken by canonical encoding so all

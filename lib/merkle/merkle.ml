@@ -27,12 +27,10 @@ type tree = {
 
 let empty_leaf = Sha256.digest "\x02"
 
-(* Per-domain hashing context for [build]: a tree is built once per party
-   per Π_ℓBA+ invocation, so the context is reused rather than allocated per
-   build. One context per domain is enough: a build runs to completion on
-   its domain (nothing in this repo runs protocol code on systhreads), and
-   it cannot re-enter itself — it calls only Sha256. *)
-let build_ctx : Sha256.ctx Domain.DLS.key = Domain.DLS.new_key Sha256.init
+(* The hashing context for [build]: a tree is built once per party per
+   Π_ℓBA+ invocation, so the context is reused rather than allocated per
+   build. A build cannot re-enter itself — it calls only Sha256. *)
+let build_ctx = Sha256.init ()
 
 let next_pow2 n =
   let p = ref 1 in
@@ -51,7 +49,7 @@ let build values =
   let padded = next_pow2 leaves in
   let depth = depth_of padded in
   let levels = Array.init (depth + 1) (fun l -> Bytes.create ((padded lsr l) * dsize)) in
-  let ctx = Domain.DLS.get build_ctx in
+  let ctx = build_ctx in
   let level0 = levels.(0) in
   for i = 0 to leaves - 1 do
     Sha256.reset ctx;
@@ -98,16 +96,16 @@ let entry = pair + dsize
 
 let zero_pair_digest = Sha256.digest ("\x01" ^ String.make pair '\000')
 
-(* Per-domain walk scratch: the hashing context, and 97 bytes laid out as
-   the inner-node tag (byte 0), the node's two children (bytes 1-64) and the
+(* Walk scratch: the hashing context, and 97 bytes laid out as the
+   inner-node tag (byte 0), the node's two children (bytes 1-64) and the
    digest reached so far (bytes 65-96). A walk runs once per harvested share
-   on the Π_ℓBA+ hot path; safe per domain for the same reasons as
-   [build_ctx]. *)
-let walk_scratch : (Sha256.ctx * Bytes.t) Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let s = Bytes.make (1 + pair + dsize) '\000' in
-      Bytes.set_uint8 s 0 0x01;
-      (Sha256.init (), s))
+   on the Π_ℓBA+ hot path and, like [build], calls only Sha256. *)
+let walk_ctx = Sha256.init ()
+
+let walk_scratch =
+  let s = Bytes.make (1 + pair + dsize) '\000' in
+  Bytes.set_uint8 s 0 0x01;
+  s
 
 (* [len] bytes of [a] at [apos] against [b] at [bpos], eight at a time;
    [len] is a multiple of 8. *)
@@ -125,7 +123,7 @@ let equal_sub a apos b bpos len =
    a checker's memo for a tree of [padded] leaves whose depth the witness
    has; with [padded = 0] every node is hashed. *)
 let walk ~memo ~padded ~root ~index ~value w =
-  let ctx, s = Domain.DLS.get walk_scratch in
+  let ctx = walk_ctx and s = walk_scratch in
   let cur = 1 + pair in
   Sha256.reset ctx;
   Sha256.feed_byte ctx 0x00;

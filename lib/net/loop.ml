@@ -93,16 +93,16 @@ let honest_outputs ~corrupt result =
     result.r_outputs;
   List.rev !out
 
-(* A live session: one protocol state per party, the session's recorder
-   (each party's stack of open spans, which every message is charged to —
-   see {!Obs.shard}) and the session-local round count, which doubles as
-   the adversary's round number. *)
+(* A live session: one protocol state per party, the session's recording
+   handle (each party's stack of open spans, which every message is charged
+   to — see {!Obs.session}) and the session-local round count, which doubles
+   as the adversary's round number. *)
 type 'a live = {
   l_index : int;
   l_sid : int;
   l_adversary : Adversary.t;
   l_states : 'a Proto.t array;
-  l_obs : Obs.t;
+  l_obs : Obs.session;
   mutable l_rounds : int;
   l_admitted : int;
 }
@@ -110,16 +110,16 @@ type 'a live = {
 (* Normalize label/probe nodes so that every state is [Done] or [Step].
    [round] is the session-local number of rounds completed — the stamp
    spans and probes carry. *)
-let rec settle ~obs ~corrupt ~sid ~round i = function
+let rec settle ~obs ~corrupt ~round i = function
   | Proto.Push (label, rest) ->
-      Obs.push obs ~session:sid ~party:i ~round ~label;
-      settle ~obs ~corrupt ~sid ~round i rest
+      Obs.push obs ~party:i ~round ~label;
+      settle ~obs ~corrupt ~round i rest
   | Proto.Pop rest ->
-      Obs.pop obs ~session:sid ~party:i ~round;
-      settle ~obs ~corrupt ~sid ~round i rest
+      Obs.pop obs ~party:i ~round;
+      settle ~obs ~corrupt ~round i rest
   | Proto.Probe (key, value, rest) ->
-      Obs.probe obs ~session:sid ~party:i ~round ~byzantine:corrupt.(i) ~key ~value;
-      settle ~obs ~corrupt ~sid ~round i rest
+      Obs.probe obs ~party:i ~round ~byzantine:corrupt.(i) ~key ~value;
+      settle ~obs ~corrupt ~round i rest
   | (Proto.Done _ | Proto.Step _) as s -> s
 
 (* Some honest party is still stepping: checked every round per session,
@@ -170,9 +170,6 @@ let run_core ?(max_rounds = default_max_rounds) ?obs ?on_round
   let record_frame sz =
     match obs_frame_h with Some h -> Obs.Hist.record h sz | None -> ()
   in
-  (* The sessions' recorders when the caller passed one, merged into it in
-     session-index order after the run (see [Obs.merge]). *)
-  let shards = ref [] in
   let pending = ref (admission_order specs) in
   let finished = ref [] in
   let er = ref 0 in
@@ -241,7 +238,7 @@ let run_core ?(max_rounds = default_max_rounds) ?obs ?on_round
     (match obs_life_h with Some h -> Obs.Hist.record h l.l_rounds | None -> ());
     (match obs_sessions_c with Some c -> Obs.incr c 1 | None -> ());
     for i = 0 to n - 1 do
-      Obs.finish l.l_obs ~session:l.l_sid ~party:i ~round:l.l_rounds
+      Obs.finish l.l_obs ~party:i ~round:l.l_rounds
     done;
     finished :=
       ( l.l_index,
@@ -258,14 +255,13 @@ let run_core ?(max_rounds = default_max_rounds) ?obs ?on_round
       :: !finished
   in
   let admit (idx, spec) =
-    let shard = Obs.shard obs in
-    if Option.is_some obs then shards := (idx, shard) :: !shards;
+    let handle = Obs.session obs ~session:spec.sid ~n in
     let states =
       Array.init n (fun me -> spec.protocol (ctx_maker spec.setup ~n ~t ~me))
     in
     Array.iteri
       (fun i s ->
-        states.(i) <- settle ~obs:shard ~corrupt ~sid:spec.sid ~round:0 i s)
+        states.(i) <- settle ~obs:handle ~corrupt ~round:0 i s)
       states;
     let l =
       {
@@ -273,7 +269,7 @@ let run_core ?(max_rounds = default_max_rounds) ?obs ?on_round
         l_sid = spec.sid;
         l_adversary = spec.adversary;
         l_states = states;
-        l_obs = shard;
+        l_obs = handle;
         l_rounds = 0;
         l_admitted = !er;
       }
@@ -370,7 +366,7 @@ let run_core ?(max_rounds = default_max_rounds) ?obs ?on_round
                 edge_bytes.(e) <- edge_bytes.(e) + sid_size + len_size + len
               end
       done;
-      Obs.sent l.l_obs ~session:l.l_sid ~party:s ~round:l.l_rounds
+      Obs.sent l.l_obs ~party:s ~round:l.l_rounds
         ~timeline_round:!er ~byzantine:corrupt.(s) ~msgs:!sent
         ~bytes:!bytes m;
       if summed then
@@ -392,7 +388,7 @@ let run_core ?(max_rounds = default_max_rounds) ?obs ?on_round
       match states.(i) with
       | Proto.Step (_, k) ->
           states.(i) <-
-            settle ~obs:l.l_obs ~corrupt ~sid:l.l_sid ~round:l.l_rounds i
+            settle ~obs:l.l_obs ~corrupt ~round:l.l_rounds i
               (k m.(i))
       | Proto.Done _ -> ()
       | Proto.Push _ | Proto.Pop _ | Proto.Probe _ -> assert false
@@ -485,14 +481,6 @@ let run_core ?(max_rounds = default_max_rounds) ?obs ?on_round
     | None -> ());
     incr er
   done;
-  (* Fold the per-session shards back into the caller's recorder, in
-     session-index order (see [Obs.merge]). *)
-  (match obs with
-  | Some o ->
-      List.iter
-        (fun (_, shard) -> Obs.merge ~into:o shard)
-        (List.sort (fun (a, _) (b, _) -> compare a b) !shards)
-  | None -> ());
   let results =
     List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) !finished)
   in

@@ -126,23 +126,22 @@ val run_core :
     is preallocated at session capacity and reused, so steady-state rounds
     allocate only per-session transients.
 
-    Every session keeps one stack of open spans per party ({!Obs.shard}):
-    label scopes push and pop it, and each message is charged once, to the
-    sender's innermost open span (one {!Obs.sent} per sender per round); the session's {!Metrics} is filled from those totals when it
+    Every session records through one {!Obs.session} handle, made at
+    admission, which keeps one stack of open spans per party: label scopes
+    push and pop it, and each message is charged once, to the sender's
+    innermost open span (one {!Obs.sent} per sender per round); the
+    session's {!Metrics} is filled from the handle's totals when it
     retires.
 
-    [obs] attaches the run's {!Obs} recorder, and the sessions then keep
-    their span trees too. Span plane: each session records spans and probes
-    under its [sid] at session-local rounds completed, messages are filed on
-    the timeline under the 0-based engine round (and, for a recorder made
-    with [~messages:true], as one event each, with its session id and
+    [obs] attaches the run's {!Obs} recorder, and every session's handle
+    then writes into it as the session runs.
+    Span plane: each session records spans and probes under its [sid] at
+    session-local rounds completed, messages are filed on the timeline under
+    the 0-based engine round (and, for a recorder made with
+    [~messages:true], as one event each, with its session id and
     session-local round), and the live-session count is recorded once per
     engine round — summing a session's span bits reproduces that session's
     [Metrics.honest_bits] exactly.
-
-    Each session records into its own recorder, and the sessions'
-    recorders are merged back into [obs] in session-index order
-    ({!Obs.merge}) after the run.
 
     Instruments, deterministic tier (recorded by the loop, never by the
     transport, so identical across transports): histograms

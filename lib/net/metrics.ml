@@ -1,5 +1,5 @@
-(* Communication accounting of one session, filled from its recorder when
-   the session retires. *)
+(* Communication accounting of one session, filled from its recording handle
+   when the session retires. *)
 
 type t = {
   rounds : int;
@@ -10,15 +10,15 @@ type t = {
   label_bits : (string * int) list;
 }
 
-let of_obs ~rounds o =
-  let c = Obs.counts o in
+let of_obs ~rounds h =
+  let c = Obs.session_counts h in
   {
     rounds;
     honest_bits = c.Obs.honest_bits;
     honest_msgs = c.Obs.honest_msgs;
     byz_bits = c.Obs.byz_bits;
     byz_msgs = c.Obs.byz_msgs;
-    label_bits = Obs.label_bits o;
+    label_bits = Obs.session_label_bits h;
   }
 
 let labels m = m.label_bits

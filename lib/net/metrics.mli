@@ -9,8 +9,8 @@
     [honest_bits].
 
     The round loop charges each message once, to the sender's innermost
-    open span of the session's {!Obs} recorder, and fills a [t] from that
-    recorder's totals when the session retires ({!of_obs}). *)
+    open span in the session's {!Obs.session} handle, and fills a [t] from
+    that handle's totals when the session retires ({!of_obs}). *)
 
 type t = {
   rounds : int;
@@ -21,9 +21,9 @@ type t = {
   label_bits : (string * int) list;  (** see {!labels} *)
 }
 
-val of_obs : rounds:int -> Obs.t -> t
-(** A session's counts and label table, read from its recorder
-    ({!Obs.counts}, {!Obs.label_bits}). *)
+val of_obs : rounds:int -> Obs.session -> t
+(** A session's counts and label table, read from its handle
+    ({!Obs.session_counts}, {!Obs.session_label_bits}). *)
 
 val labels : t -> (string * int) list
 (** Honest bits by the sending party's innermost {!Proto.with_label} scope

@@ -18,10 +18,11 @@
      export path simply filters them out. The time series of samples
      ([sample]: named int readings at an engine round) is Sampled too.
 
-   A recorder is single-threaded: sessions record into private shards,
-   merged afterwards with [merge], and the export walks the buckets in
-   sorted key order and the spans in pre-order, so it is byte-identical
-   whichever shard recorded what. Recording an
+   A recorder is single-threaded. Each session records through a handle
+   ([session]) that holds its parties' buckets and writes straight into the
+   recorder; the export walks the buckets in sorted key order and the spans
+   in pre-order, and timeline cells and label totals are sums, so it is
+   byte-identical whatever order the sessions recorded in. Recording an
    instrument allocates nothing; the span plane allocates one record per
    span, probe, bucket and round. Export is the cold path and allocates
    freely. *)
@@ -389,14 +390,21 @@ type message = {
 
 type sample = { sm_round : int; sm_live : int; sm_fields : (string * int) list }
 
-(* One party of one session: its stack of open spans and the counts of what
-   it sent; the probes and (through the root's children) the span tree are
-   filled only by a recorder that keeps them. *)
+(* Bits by label: a chain of mutable cells, one per label, with no list
+   spine (every bucket keeps one cell per label it closed). *)
+type labels = Nil | Label of { label : string; mutable bits : int; next : labels }
+
+(* One party of one session: its stack of open spans, the counts of what it
+   sent and its closed spans' label totals; the probes and (through the
+   root's children) the span tree are filled only when a recorder keeps
+   them. *)
 type bucket = {
   b_session : int;
   b_party : int;
   b_root : span;
   mutable b_stack : span list;  (* open spans, innermost first; root last *)
+  mutable b_labels : labels;
+      (* bits of the closed spans that carried a message *)
   mutable b_probes_rev : probe list;
   mutable b_probe_counts : (string * int) list;
   mutable b_last_round : int;
@@ -415,25 +423,15 @@ type cell = {
 }
 
 type t = {
-  keep : bool;
-      (* Span trees, timeline and probes. Only the round loop's bits-only
-         session recorders ([shard None]) leave them out. *)
   messages : bool;
   instrs : (string, tier * instr) Hashtbl.t;
   buckets : (int * int, bucket) Hashtbl.t;
   timeline : (int, cell) Hashtbl.t;
   mutable meta_rev : (string * string) list;
-  closed : (string, int) Hashtbl.t;
-      (* Bits of the closed spans that carried a message, by label. *)
   mutable messages_rev : message list;
   mutable samples_rev : sample list;
-  (* Caches for the per-message hot path, which avoid both the tuple-key
-     allocation and the hash lookup: the buckets of the last session
-     recorded, by party ([no_bucket] where not looked up yet) — a session's
-     recorder in the round loop holds one session — and the last round
-     cell. *)
-  mutable row_session : int;
-  mutable row : bucket array;
+  (* The last round cell, for the per-message hot path: every live session
+     of an engine round charges the same one. *)
   mutable cached_round : int;
   mutable cached_cell : cell option;
 }
@@ -445,6 +443,7 @@ let mk_bucket ~session ~party =
     b_party = party;
     b_root = root;
     b_stack = [ root ];
+    b_labels = Nil;
     b_probes_rev = [];
     b_probe_counts = [];
     b_last_round = 0;
@@ -454,32 +453,32 @@ let mk_bucket ~session ~party =
     b_byz_msgs = 0;
   }
 
-let no_bucket = mk_bucket ~session:min_int ~party:min_int
-
-let make ~keep ~messages ~size =
+let create ?(messages = false) () =
   {
-    keep;
     messages;
-    instrs = Hashtbl.create size;
-    buckets = Hashtbl.create size;
-    timeline = Hashtbl.create (4 * size);
+    instrs = Hashtbl.create 64;
+    buckets = Hashtbl.create 64;
+    timeline = Hashtbl.create 256;
     meta_rev = [];
-    closed = Hashtbl.create size;
     messages_rev = [];
     samples_rev = [];
-    row_session = min_int;
-    row = [||];
     cached_round = -1;
     cached_cell = None;
   }
 
-let create ?(messages = false) () = make ~keep:true ~messages ~size:64
+(* One session's parties, indexed by party, recording into [s_obs] when a
+   recorder is attached. *)
+type session = { s_obs : t option; s_buckets : bucket array }
 
-(* A bits-only shard lives as long as its session: with thousands of
-   sessions live at once, its tables start at the smallest size. *)
-let shard = function
-  | Some parent -> make ~keep:true ~messages:parent.messages ~size:8
-  | None -> make ~keep:false ~messages:false ~size:1
+let session obs ~session ~n =
+  let buckets = Array.init n (fun party -> mk_bucket ~session ~party) in
+  (match obs with
+  | Some o ->
+      if n > 0 && Hashtbl.mem o.buckets (session, 0) then
+        invalid_arg (Printf.sprintf "Obs.session: session %d already recorded" session);
+      Array.iter (fun b -> Hashtbl.add o.buckets (session, b.b_party) b) buckets
+  | None -> ());
+  { s_obs = obs; s_buckets = buckets }
 
 (* ---- instruments ---------------------------------------------------------- *)
 
@@ -536,66 +535,51 @@ let set_meta t key value =
       List.map (fun (k, v) -> if k = key then (k, value) else (k, v)) t.meta_rev
   else t.meta_rev <- (key, value) :: t.meta_rev
 
-let bucket t ~session ~party =
-  if session = t.row_session && party >= 0 && party < Array.length t.row
-     && t.row.(party) != no_bucket
-  then t.row.(party)
-  else begin
-    let b =
-      match Hashtbl.find t.buckets (session, party) with
-      | b -> b
-      | exception Not_found ->
-          let b = mk_bucket ~session ~party in
-          Hashtbl.add t.buckets (session, party) b;
-          b
-    in
-    if session <> t.row_session then begin
-      t.row_session <- session;
-      t.row <- [||]
-    end;
-    if party >= Array.length t.row then begin
-      let row = Array.make (max (party + 1) (2 * Array.length t.row)) no_bucket in
-      Array.blit t.row 0 row 0 (Array.length t.row);
-      t.row <- row
-    end;
-    if party >= 0 then t.row.(party) <- b;
-    b
-  end
-
 let touch b round = if round > b.b_last_round then b.b_last_round <- round
 
-let add_bits table label bits =
-  Hashtbl.replace table label
-    (bits + match Hashtbl.find table label with b -> b | exception Not_found -> 0)
+(* Add [bits] to [label]'s cell; [false] when [labels] has none. *)
+let rec add_label labels label bits =
+  match labels with
+  | Nil -> false
+  | Label l ->
+      if String.equal l.label label then begin
+        l.bits <- l.bits + bits;
+        true
+      end
+      else add_label l.next label bits
+
+let add_bits labels label bits =
+  if add_label labels label bits then labels else Label { label; bits; next = labels }
 
 (* A span leaves the stack: its own bits join its label's total. A span that
    carried no message leaves no entry, so a label is listed exactly when
    some message was sent under it. *)
-let close t sp = if sp.sp_msgs > 0 then add_bits t.closed sp.sp_label sp.sp_bits
+let close b sp =
+  if sp.sp_msgs > 0 then b.b_labels <- add_bits b.b_labels sp.sp_label sp.sp_bits
 
-let push t ~session ~party ~round ~label =
-  let b = bucket t ~session ~party in
+let push h ~party ~round ~label =
+  let b = h.s_buckets.(party) in
   touch b round;
   let sp = mk_span ~label ~enter:round in
-  (if t.keep then
+  (if Option.is_some h.s_obs then
      match b.b_stack with
      | parent :: _ -> parent.sp_children_rev <- sp :: parent.sp_children_rev
      | [] -> assert false);
   b.b_stack <- sp :: b.b_stack
 
-let pop t ~session ~party ~round =
-  let b = bucket t ~session ~party in
+let pop h ~party ~round =
+  let b = h.s_buckets.(party) in
   touch b round;
   match b.b_stack with
   | sp :: (_ :: _ as rest) ->
       sp.sp_exit <- round;
       b.b_stack <- rest;
-      close t sp
+      close b sp
   | _ -> () (* only the root is open: mirror the runtimes' lenient Pop *)
 
-let probe t ~session ~party ~round ~byzantine ~key ~value =
-  if t.keep then begin
-    let b = bucket t ~session ~party in
+let probe h ~party ~round ~byzantine ~key ~value =
+  if Option.is_some h.s_obs then begin
+    let b = h.s_buckets.(party) in
     touch b round;
     let iter = Option.value ~default:0 (List.assoc_opt key b.b_probe_counts) in
     b.b_probe_counts <- (key, iter + 1) :: List.remove_assoc key b.b_probe_counts;
@@ -624,10 +608,10 @@ let cell t round =
       c
 
 (* Charge [msgs] messages of [bits] in total, all sent by [party] in one
-   round: the sender's innermost open span and counts, and the timeline cell
-   when the recorder keeps one. Returns the sender's bucket. *)
-let charge t ~session ~party ~round ~timeline_round ~byzantine ~msgs ~bits =
-  let b = bucket t ~session ~party in
+   round: the sender's innermost open span and counts, and the recorder's
+   timeline cell when one is attached. Returns the sender's bucket. *)
+let charge h ~party ~round ~timeline_round ~byzantine ~msgs ~bits =
+  let b = h.s_buckets.(party) in
   if byzantine then begin
     b.b_byz_bits <- b.b_byz_bits + bits;
     b.b_byz_msgs <- b.b_byz_msgs + msgs
@@ -642,59 +626,60 @@ let charge t ~session ~party ~round ~timeline_round ~byzantine ~msgs ~bits =
         sp.sp_msgs <- sp.sp_msgs + msgs
     | [] -> ()
   end;
-  if t.keep then begin
-    let c = cell t timeline_round in
-    if byzantine then begin
-      c.c_byz_bits <- c.c_byz_bits + bits;
-      c.c_byz_msgs <- c.c_byz_msgs + msgs
-    end
-    else begin
-      c.c_bits <- c.c_bits + bits;
-      c.c_msgs <- c.c_msgs + msgs
-    end
-  end;
+  (match h.s_obs with
+  | Some t ->
+      let c = cell t timeline_round in
+      if byzantine then begin
+        c.c_byz_bits <- c.c_byz_bits + bits;
+        c.c_byz_msgs <- c.c_byz_msgs + msgs
+      end
+      else begin
+        c.c_bits <- c.c_bits + bits;
+        c.c_msgs <- c.c_msgs + msgs
+      end
+  | None -> ());
   b
 
 (* The one charge per message, plus its event when the recorder keeps
    those. *)
-let message t ~session ~party ~dst ~round ~timeline_round ~bytes ~byzantine =
-  let b =
-    charge t ~session ~party ~round ~timeline_round ~byzantine ~msgs:1 ~bits:(8 * bytes)
-  in
-  if t.messages then
-    t.messages_rev <-
-      {
-        session;
-        round;
-        src = party;
-        dst;
-        bytes;
-        byzantine;
-        label = (match b.b_stack with sp :: _ :: _ -> sp.sp_label | _ -> "");
-      }
-      :: t.messages_rev
+let message h ~party ~dst ~round ~timeline_round ~bytes ~byzantine =
+  let b = charge h ~party ~round ~timeline_round ~byzantine ~msgs:1 ~bits:(8 * bytes) in
+  match h.s_obs with
+  | Some t when t.messages ->
+      t.messages_rev <-
+        {
+          session = b.b_session;
+          round;
+          src = party;
+          dst;
+          bytes;
+          byzantine;
+          label = (match b.b_stack with sp :: _ :: _ -> sp.sp_label | _ -> "");
+        }
+        :: t.messages_rev
+  | _ -> ()
 
 (* A sender's whole round in one charge. The charge is additive, so the
    totals equal one [message] per entry; only a recorder that keeps message
    events takes them one by one, walking the sender's column. *)
-let sent t ~session ~party ~round ~timeline_round ~byzantine ~msgs ~bytes inbound =
-  if t.messages then
-    for dst = 0 to Array.length inbound - 1 do
-      match inbound.(dst).(party) with
-      | Some m when dst <> party ->
-          message t ~session ~party ~dst ~round ~timeline_round
-            ~bytes:(String.length m) ~byzantine
-      | Some _ | None -> ()
-    done
-  else if msgs > 0 then
-    ignore
-      (charge t ~session ~party ~round ~timeline_round ~byzantine ~msgs
-         ~bits:(8 * bytes))
+let sent h ~party ~round ~timeline_round ~byzantine ~msgs ~bytes inbound =
+  match h.s_obs with
+  | Some t when t.messages ->
+      for dst = 0 to Array.length inbound - 1 do
+        match inbound.(dst).(party) with
+        | Some m when dst <> party ->
+            message h ~party ~dst ~round ~timeline_round ~bytes:(String.length m)
+              ~byzantine
+        | Some _ | None -> ()
+      done
+  | _ ->
+      if msgs > 0 then
+        ignore (charge h ~party ~round ~timeline_round ~byzantine ~msgs ~bits:(8 * bytes))
 
 let live_sessions t ~round ~live = (cell t round).c_live <- live
 
-let finish t ~session ~party ~round =
-  let b = bucket t ~session ~party in
+let finish h ~party ~round =
+  let b = h.s_buckets.(party) in
   touch b round;
   (* Close anything a truncated run left open; the root stays open and is
      given its exit round at export time (b_last_round). *)
@@ -702,44 +687,10 @@ let finish t ~session ~party ~round =
     (fun sp ->
       if sp != b.b_root then begin
         sp.sp_exit <- round;
-        close t sp
+        close b sp
       end)
     b.b_stack;
   b.b_stack <- [ b.b_root ]
-
-(* Shard merge. The round loop gives each session its own shard recorder, so
-   across the shards of one run every (session × party) bucket exists
-   exactly once — adopting them wholesale preserves each bucket's event
-   order, and the export's sorted-bucket walk does the rest. Timeline cells
-   and label totals add (sums commute, so the result is independent of
-   merge order); [live] counts are recorded once, by the coordinator, and
-   max-merge so a shard that never saw them (-1) cannot erase them.
-   Instruments and samples are recorded by the coordinator only, so shards
-   carry none. *)
-let merge ~into src =
-  if into == src then invalid_arg "Obs.merge: merging a recorder into itself";
-  Hashtbl.iter
-    (fun key b ->
-      if Hashtbl.mem into.buckets key then
-        invalid_arg
-          (Printf.sprintf "Obs.merge: bucket (session %d, party %d) present in both"
-             b.b_session b.b_party);
-      Hashtbl.add into.buckets key b)
-    src.buckets;
-  Hashtbl.iter
-    (fun r sc ->
-      let c = cell into r in
-      c.c_bits <- c.c_bits + sc.c_bits;
-      c.c_msgs <- c.c_msgs + sc.c_msgs;
-      c.c_byz_bits <- c.c_byz_bits + sc.c_byz_bits;
-      c.c_byz_msgs <- c.c_byz_msgs + sc.c_byz_msgs;
-      if sc.c_live > c.c_live then c.c_live <- sc.c_live)
-    src.timeline;
-  Hashtbl.iter (add_bits into.closed) src.closed;
-  into.messages_rev <- List.rev_append src.messages_rev into.messages_rev;
-  List.iter
-    (fun (k, v) -> if not (List.mem_assoc k into.meta_rev) then into.meta_rev <- (k, v) :: into.meta_rev)
-    (List.rev src.meta_rev)
 
 (* ---- queries -------------------------------------------------------------- *)
 
@@ -771,17 +722,18 @@ let sessions t =
 
 type counts = { honest_bits : int; honest_msgs : int; byz_bits : int; byz_msgs : int }
 
-let counts t =
-  Hashtbl.fold
-    (fun _ b c ->
-      {
-        honest_bits = c.honest_bits + b.b_bits;
-        honest_msgs = c.honest_msgs + b.b_msgs;
-        byz_bits = c.byz_bits + b.b_byz_bits;
-        byz_msgs = c.byz_msgs + b.b_byz_msgs;
-      })
-    t.buckets
-    { honest_bits = 0; honest_msgs = 0; byz_bits = 0; byz_msgs = 0 }
+let fold_counts iter =
+  let hb = ref 0 and hm = ref 0 and bb = ref 0 and bm = ref 0 in
+  iter (fun b ->
+      hb := !hb + b.b_bits;
+      hm := !hm + b.b_msgs;
+      bb := !bb + b.b_byz_bits;
+      bm := !bm + b.b_byz_msgs);
+  { honest_bits = !hb; honest_msgs = !hm; byz_bits = !bb; byz_msgs = !bm }
+
+let iter_buckets t f = Hashtbl.iter (fun _ b -> f b) t.buckets
+let counts t = fold_counts (iter_buckets t)
+let session_counts h = fold_counts (fun f -> Array.iter f h.s_buckets)
 
 let honest_bits t ~session =
   Hashtbl.fold
@@ -790,20 +742,34 @@ let honest_bits t ~session =
 
 let honest_bits_total t = (counts t).honest_bits
 
-(* Bits descending, then label ascending: ties (equal-cost components are
-   common in lock-step protocols) must not depend on hash-table order. *)
-let label_bits t =
-  let table = Hashtbl.copy t.closed in
-  Hashtbl.iter
-    (fun _ b ->
+(* Every bucket's closed label totals plus its open spans that carried a
+   message. Bits descending, then label ascending: ties (equal-cost
+   components are common in lock-step protocols) must not depend on
+   recording order. *)
+let fold_label_bits iter =
+  let sum = ref Nil in
+  iter (fun b ->
+      let rec closed = function
+        | Nil -> ()
+        | Label l ->
+            sum := add_bits !sum l.label l.bits;
+            closed l.next
+      in
+      closed b.b_labels;
       List.iter
         (fun sp ->
           if sp.sp_msgs > 0 then
-            add_bits table (if sp == b.b_root then unlabeled else sp.sp_label) sp.sp_bits)
-        b.b_stack)
-    t.buckets;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) table []
+            sum := add_bits !sum (if sp == b.b_root then unlabeled else sp.sp_label) sp.sp_bits)
+        b.b_stack);
+  let rec to_list acc = function
+    | Nil -> acc
+    | Label l -> to_list ((l.label, l.bits) :: acc) l.next
+  in
+  to_list [] !sum
   |> List.sort (fun (la, a) (lb, b) -> if a <> b then compare b a else compare la lb)
+
+let label_bits t = fold_label_bits (iter_buckets t)
+let session_label_bits h = fold_label_bits (fun f -> Array.iter f h.s_buckets)
 
 let probe_keys t ~session =
   let keys = Hashtbl.create 8 in
@@ -1118,7 +1084,12 @@ let pp_messages fmt t ~n =
   let ms = messages t in
   Format.fprintf fmt "%d messages@." (List.length ms);
   let per_round = Hashtbl.create 64 in
-  List.iter (fun m -> if not m.byzantine then add_bits per_round m.round (8 * m.bytes)) ms;
+  List.iter
+    (fun m ->
+      if not m.byzantine then
+        Hashtbl.replace per_round m.round
+          ((8 * m.bytes) + Option.value ~default:0 (Hashtbl.find_opt per_round m.round)))
+    ms;
   (* Rounds ascending, then a stable sort by bits: ties list the earlier
      round first. *)
   let hottest =

@@ -34,9 +34,8 @@
     Everything exports as one canonical JSONL ({!to_jsonl}), as a Chrome
     trace ({!Trace.chrome_trace}) and as a span report ({!pp_report}).
 
-    A recorder is single-threaded. The round loop gives every session a
-    private {!shard} and folds the shards back with {!merge}, in
-    session-index order. *)
+    A recorder is single-threaded. Each session records through its own
+    handle ({!session}), which writes straight into the recorder. *)
 
 (** {1 JSON} *)
 
@@ -130,13 +129,6 @@ val create : ?messages:bool -> unit -> t
 (** A recorder that keeps the span plane and instruments. With [~messages:true]
     (default [false]) it also keeps one event per sent message. *)
 
-val shard : t option -> t
-(** The recorder the round loop gives one session. [shard (Some parent)]
-    keeps what [parent] keeps, for {!merge} into [parent]. [shard None]
-    keeps only each party's stack of open spans and the totals they fold
-    into ({!counts}, {!label_bits}) — no span tree, timeline, probes or
-    events — which is what a session's [Metrics] is filled from. *)
-
 (** {2 Instruments} *)
 
 type counter
@@ -173,16 +165,31 @@ val set_meta : t -> string -> string -> unit
     are part of the Det export, so they should describe the scenario, not
     the backend that ran it. *)
 
-val push : t -> session:int -> party:int -> round:int -> label:string -> unit
+type session
+(** One session's recording handle: one bucket per party (a stack of open
+    spans, the party's sent counts and its label totals). *)
+
+val session : t option -> session:int -> n:int -> session
+(** [session obs ~session:sid ~n] is the handle session [sid] of [n]
+    parties records through; every recording function below takes it and a
+    party in [0 .. n-1]. With [Some o] the handle's buckets join [o]'s at
+    once, and span trees, probes, timeline cells and message events are
+    written into [o] as they happen; raises [Invalid_argument] if [o]
+    already holds session [sid]. With [None] the handle is bits-only: it
+    keeps each party's stack of open spans and the totals they fold into
+    ({!session_counts}, {!session_label_bits}) — no span tree, timeline,
+    probes or events — which is what a session's [Metrics] is filled
+    from. *)
+
+val push : session -> party:int -> round:int -> label:string -> unit
 (** Open a child span of the innermost open span. [round] is the
     session-local number of rounds completed. *)
 
-val pop : t -> session:int -> party:int -> round:int -> unit
+val pop : session -> party:int -> round:int -> unit
 (** Close the innermost open span; ignored if only the root is open. *)
 
 val probe :
-  t ->
-  session:int ->
+  session ->
   party:int ->
   round:int ->
   byzantine:bool ->
@@ -190,11 +197,11 @@ val probe :
   value:Bitstring.t ->
   unit
 (** Record a probe data point. The value is kept as is and rendered as
-    lowercase hex ([Bigint.to_hex] of [Bigint.of_bitstring]) at export. *)
+    lowercase hex ([Bigint.to_hex] of [Bigint.of_bitstring]) at export.
+    A bits-only handle drops it. *)
 
 val message :
-  t ->
-  session:int ->
+  session ->
   party:int ->
   dst:int ->
   round:int ->
@@ -209,8 +216,7 @@ val message :
     traffic occupies — the timeline's key. *)
 
 val sent :
-  t ->
-  session:int ->
+  session ->
   party:int ->
   round:int ->
   timeline_round:int ->
@@ -233,25 +239,10 @@ val sent :
 val live_sessions : t -> round:int -> live:int -> unit
 (** Record the number of live sessions during an engine round. *)
 
-val finish : t -> session:int -> party:int -> round:int -> unit
+val finish : session -> party:int -> round:int -> unit
 (** Mark a party's instance as finished after [round] session rounds: fixes
     the root span's exit round and closes any span a truncated run left
     open. *)
-
-val merge : into:t -> t -> unit
-(** Fold a shard recorder into [into], where each shard recorded a disjoint
-    set of (session × party) buckets (the round loop uses one shard per
-    session): buckets and message events are adopted wholesale — a bucket
-    present in both recorders raises [Invalid_argument] — timeline cells and
-    label totals are summed ([live] max-merges, and is normally recorded
-    only by the coordinator), and [src] meta keys unknown to [into] are
-    appended.
-    [src]'s instruments and samples are not merged: in the loop only the
-    coordinator records them, so shards carry none. Merging
-    the shards of a deterministic run into the coordinator's recorder
-    reproduces the sequential recorder byte for byte under {!to_jsonl}
-    (buckets are re-sorted at export; sums commute). [src] must not be used
-    afterwards (its buckets are shared). *)
 
 (** {2 Queries} *)
 
@@ -262,6 +253,9 @@ type counts = { honest_bits : int; honest_msgs : int; byz_bits : int; byz_msgs :
 
 val counts : t -> counts
 (** Bits and messages sent, honest and byzantine, over every bucket. *)
+
+val session_counts : session -> counts
+(** {!counts} over one handle's buckets. *)
 
 val honest_bits : t -> session:int -> int
 (** Honest bits sent in the session — its span bits summed, which equals
@@ -274,6 +268,9 @@ val label_bits : t -> (string * int) list
     span reported as ["(unlabeled)"]. A label is listed when some message
     was sent under it. Sorted bits descending, then label ascending — the
     order of [Metrics.labels], which is this list for one session. *)
+
+val session_label_bits : session -> (string * int) list
+(** {!label_bits} over one handle's buckets. *)
 
 val probe_keys : t -> session:int -> string list
 (** Distinct probe keys recorded in a session, ascending. *)

@@ -89,20 +89,18 @@ let make_ctx ~n ~k =
   done;
   { ctx_n = n; ctx_k = k; split }
 
-(* Process-wide (n, k) -> ctx memo. Lock-free CAS on an immutable list: a
-   losing race recomputes an identical context, which is harmless — contexts
-   are deterministic functions of (n, k). *)
-let memo : ((int * int) * ctx) list Atomic.t = Atomic.make []
+(* Process-wide (n, k) -> ctx memo: contexts are deterministic functions of
+   (n, k). *)
+let memo : ((int * int) * ctx) list ref = ref []
 
-let rec ctx ~n ~k =
+let ctx ~n ~k =
   check_params ~n ~k;
-  let cached = Atomic.get memo in
-  match List.assoc_opt (n, k) cached with
+  match List.assoc_opt (n, k) !memo with
   | Some c -> c
   | None ->
       let c = make_ctx ~n ~k in
-      if Atomic.compare_and_set memo cached (((n, k), c) :: cached) then c
-      else ctx ~n ~k
+      memo := ((n, k), c) :: !memo;
+      c
 
 let put_symbol buf pos v =
   Bytes.unsafe_set buf pos (Char.unsafe_chr ((v lsr 8) land 0xff));

@@ -1,20 +1,20 @@
 type writer = Buffer.t -> unit
 
 (* [encode] is called once per protocol message — the hottest allocation site
-   in the codebase. A per-domain scratch buffer amortizes the Buffer (and its
-   growth copies) across every message a domain ever encodes; the [busy] flag
-   catches a writer that itself calls [encode] and falls back to a fresh
+   in the codebase. One module-level scratch buffer amortizes the Buffer (and
+   its growth copies) across every message the process encodes; the [busy]
+   flag catches a writer that itself calls [encode] and falls back to a fresh
    buffer rather than clobbering the outer encoding. The output string is the
    only allocation that escapes. *)
-let scratch : (Buffer.t * bool ref) Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> (Buffer.create 256, ref false))
+let scratch = Buffer.create 256
+let busy = ref false
 
 (* Shrink the scratch back after an outsized message so one huge encoding
-   doesn't pin megabytes in every domain for the rest of the process. *)
+   doesn't pin megabytes for the rest of the process. *)
 let scratch_keep = 1 lsl 16
 
 let encode w =
-  let buf, busy = Domain.DLS.get scratch in
+  let buf = scratch in
   if !busy then begin
     let b = Buffer.create 64 in
     w b;
@@ -43,11 +43,6 @@ let w_u8 v buf =
   if v < 0 || v > 0xff then invalid_arg "Wire.w_u8";
   Buffer.add_char buf (Char.chr v)
 
-let w_u16 v buf =
-  if v < 0 || v > 0xffff then invalid_arg "Wire.w_u16";
-  Buffer.add_char buf (Char.chr (v lsr 8));
-  Buffer.add_char buf (Char.chr (v land 0xff))
-
 let w_varint v buf =
   if v < 0 then invalid_arg "Wire.w_varint";
   let rec go v =
@@ -63,8 +58,6 @@ let varint_size v =
   if v < 0 then invalid_arg "Wire.varint_size";
   let rec go v n = if v < 0x80 then n else go (v lsr 7) (n + 1) in
   go v 1
-
-let w_bool b buf = Buffer.add_char buf (if b then '\001' else '\000')
 
 let w_fixed s buf = Buffer.add_string buf s
 
@@ -101,16 +94,16 @@ type 'a reader = cursor -> 'a option
 
 let ( let* ) = Option.bind
 
-(* One reusable cursor per domain: [decode_full] runs once per received
-   message, and the per-call record was the last allocation left on the
-   decode path. The [busy] flag covers the re-entrant case (a reader that
-   itself calls [decode_full]) by falling back to a fresh cursor; [src] is
-   cleared on exit so the scratch never retains a decoded message. *)
-let cursor_scratch : (cursor * bool ref) Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ({ src = ""; pos = 0 }, ref false))
+(* One reusable cursor: [decode_full] runs once per received message, and
+   the per-call record was the last allocation left on the decode path. The
+   [cursor_busy] flag covers the re-entrant case (a reader that itself calls
+   [decode_full]) by falling back to a fresh cursor; [src] is cleared on
+   exit so the scratch never retains a decoded message. *)
+let cursor_scratch = { src = ""; pos = 0 }
+let cursor_busy = ref false
 
 let decode_full r s =
-  let cur, busy = Domain.DLS.get cursor_scratch in
+  let cur = cursor_scratch and busy = cursor_busy in
   if !busy then begin
     let cur = { src = s; pos = 0 } in
     match r cur with
@@ -158,15 +151,6 @@ let r_u8 cur =
     Some b
   end
 
-let r_u16 cur =
-  if cur.pos + 2 > String.length cur.src then None
-  else begin
-    let hi = Char.code (String.unsafe_get cur.src cur.pos) in
-    let lo = Char.code (String.unsafe_get cur.src (cur.pos + 1)) in
-    cur.pos <- cur.pos + 2;
-    Some ((hi lsl 8) lor lo)
-  end
-
 (* [-1] on malformed input — the int-returning shape keeps the per-varint
    cost at zero allocations; [r_varint] wraps the result for the reader
    interface. The loop is a top-level function: written as an inner [rec]
@@ -200,18 +184,6 @@ let rec leading_loop s acc shift count pos =
     else leading_loop s acc (shift + 7) (count + 1) (pos + 1)
 
 let leading_varint s = leading_loop s 0 0 0 0
-
-let r_bool cur =
-  if cur.pos >= String.length cur.src then None
-  else
-    match String.unsafe_get cur.src cur.pos with
-    | '\000' ->
-        cur.pos <- cur.pos + 1;
-        Some false
-    | '\001' ->
-        cur.pos <- cur.pos + 1;
-        Some true
-    | _ -> None
 
 let default_max_bytes = 16 * 1024 * 1024
 

@@ -16,7 +16,7 @@ type writer = Buffer.t -> unit
 
 val encode : writer -> string
 (** Runs the writer and returns the encoded bytes. The buffer behind it is a
-    per-domain scratch (reused across calls; reentrant calls fall back to a
+    module-level scratch (reused across calls; reentrant calls fall back to a
     fresh buffer), so only the returned string is allocated per message. *)
 
 val varint_size : int -> int
@@ -24,13 +24,11 @@ val varint_size : int -> int
     [Invalid_argument] on negative input, like the writer. *)
 
 val w_u8 : int -> writer
-val w_u16 : int -> writer
-(** Big-endian. Raises [Invalid_argument] when out of range. *)
+(** Raises [Invalid_argument] when out of range. *)
 
 val w_varint : int -> writer
 (** Unsigned LEB128; non-negative ints only. *)
 
-val w_bool : bool -> writer
 val w_bytes : string -> writer
 (** Varint length prefix followed by raw bytes. *)
 
@@ -55,7 +53,6 @@ val decode_full : 'a reader -> string -> 'a option
 (** Runs the reader and requires that it consumed the whole input. *)
 
 val r_u8 : int reader
-val r_u16 : int reader
 
 val r_varint : int reader
 (** Rejects encodings longer than 9 bytes (keeps values within [int]). *)
@@ -64,8 +61,6 @@ val leading_varint : string -> int
 (** The varint at the start of [s], as [r_varint] would read it first; [-1]
     when malformed. Allocates nothing, so a decoder can look at a message's
     leading field before deciding to decode the rest. *)
-
-val r_bool : bool reader
 
 val r_bytes : ?max:int -> unit -> string reader
 (** [max] (default 16 MiB) bounds the declared length before any allocation —

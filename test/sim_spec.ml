@@ -76,6 +76,7 @@ let run ?(max_rounds = 20_000) ?(allow_excess_corruptions = false) ?trace
   let n_corrupt = Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 corrupt in
   if n_corrupt > t && not allow_excess_corruptions then
     invalid_arg "Sim_spec.run: more corruptions than t";
+  let obs = Option.map (fun o -> Obs.session (Some o) ~session:0 ~n) obs in
   let rounds = ref 0 in
   let honest_bits = ref 0 and honest_msgs = ref 0 in
   let byz_bits = ref 0 and byz_msgs = ref 0 in
@@ -87,20 +88,20 @@ let run ?(max_rounds = 20_000) ?(allow_excess_corruptions = false) ?trace
     | Proto.Push (l, rest) ->
         label_stacks.(i) <- l :: label_stacks.(i);
         (match obs with
-        | Some o -> Obs.push o ~session:0 ~party:i ~round ~label:l
+        | Some o -> Obs.push o ~party:i ~round ~label:l
         | None -> ());
         settle ~round i rest
     | Proto.Pop rest ->
         (label_stacks.(i) <-
            (match label_stacks.(i) with [] -> [] | _ :: tl -> tl));
         (match obs with
-        | Some o -> Obs.pop o ~session:0 ~party:i ~round
+        | Some o -> Obs.pop o ~party:i ~round
         | None -> ());
         settle ~round i rest
     | Proto.Probe (key, value, rest) ->
         (match obs with
         | Some o ->
-            Obs.probe o ~session:0 ~party:i ~round ~byzantine:corrupt.(i) ~key
+            Obs.probe o ~party:i ~round ~byzantine:corrupt.(i) ~key
               ~value
         | None -> ());
         settle ~round i rest
@@ -169,7 +170,7 @@ let run ?(max_rounds = 20_000) ?(allow_excess_corruptions = false) ?trace
               | None -> ());
               (match obs with
               | Some o ->
-                  Obs.message o ~session:0 ~party:s ~dst:r ~round:!rounds
+                  Obs.message o ~party:s ~dst:r ~round:!rounds
                     ~timeline_round:!rounds ~bytes ~byzantine:corrupt.(s)
               | None -> ());
               if corrupt.(s) then begin
@@ -196,7 +197,7 @@ let run ?(max_rounds = 20_000) ?(allow_excess_corruptions = false) ?trace
   (match obs with
   | Some o ->
       for i = 0 to n - 1 do
-        Obs.finish o ~session:0 ~party:i ~round:!rounds
+        Obs.finish o ~party:i ~round:!rounds
       done
   | None -> ());
   Array.iteri

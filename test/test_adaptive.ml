@@ -2,8 +2,9 @@
    its cost, Definition 1 under mixed adversaries at every f in 0..t,
    targeted attacks on the certificate (threshold equivocation, forged and
    withheld echoes, a forged median value), the wrapper's cost model against
-   measured runs, the fast path's independence of its fallback, and the CLI
-   surface of the adaptive backends. *)
+   measured runs, the fast path's independence of its fallback, the order
+   key's resolution on deep ties, and the CLI surface of the adaptive
+   backends. *)
 
 open Net
 
@@ -111,6 +112,43 @@ let test_fast_path_engages_under_passive_faults () =
   let outcome, stats = run_wrapper ~n ~t ~corrupt ~adversary:Adversary.passive inputs in
   ignore (check_definition_1 "passive faults" ~corrupt inputs outcome);
   assert_branch "passive faults" ~corrupt stats ~fast:true
+
+(* The R1 order key keeps a magnitude's sign, bit length and top 128 bits
+   (doc/PROTOCOLS.md, "Key resolution"). At f = 0 (n = 7, t = 2), uniform
+   64-bit values resolve on the key and take the fast path: 13 rounds. Seven
+   512-bit values sharing a 256-bit prefix all tie on it, so the key median
+   is party 3 by id, whatever its value. The certificate forms only if that
+   value has t + 1 parties at or below and at or above it, i.e. only if
+   between t and n - 1 - t inputs lie strictly below it. Measured: at seed 1
+   party 3 holds the largest input, every party falls back and the run
+   takes 263 rounds; at seed 4 it happens to hold the true median, and the
+   fast path engages in 13 rounds. A pin of today's behaviour, not
+   a fix: a deep-tie family keeps the fast path only by that luck. *)
+let test_order_key_resolution () =
+  let n = 7 and t = 2 in
+  let corrupt = Array.make n false in
+  List.iter
+    (fun (name, inputs, below_party_3, fast, rounds) ->
+      let outcome, stats = run_wrapper ~n ~t ~corrupt ~adversary:Adversary.passive inputs in
+      ignore (check_definition_1 name ~corrupt inputs outcome);
+      Option.iter
+        (fun below ->
+          Alcotest.(check int) (name ^ ": inputs below party 3's") below
+            (Array.fold_left
+               (fun acc v -> if Bigint.compare v inputs.(n / 2) < 0 then acc + 1 else acc)
+               0 inputs))
+        below_party_3;
+      assert_branch name ~corrupt stats ~fast;
+      Alcotest.(check int) (name ^ ": rounds") rounds outcome.Sim.metrics.Metrics.rounds)
+    [
+      ("uniform 64-bit", Workload.uniform_bits (Prng.create 1) ~n ~bits:64, None, true, 13);
+      ( "256-bit tie, seed 1",
+        Workload.clustered_bits (Prng.create 1) ~n ~bits:512 ~shared_prefix_bits:256,
+        Some 6, false, 263 );
+      ( "256-bit tie, seed 4",
+        Workload.clustered_bits (Prng.create 4) ~n ~bits:512 ~shared_prefix_bits:256,
+        Some 3, true, 13 );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Definition 1 under active adversaries at every f in 0..t            *)
@@ -555,4 +593,6 @@ let suite =
     Alcotest.test_case "engine: sim = poll (Det tier)" `Slow
       test_engine_backend_identity;
     Alcotest.test_case "cost models pinned" `Quick test_cost_model_pins;
+    Alcotest.test_case "order key: 64-bit values resolve, 256-bit ties" `Quick
+      test_order_key_resolution;
   ]

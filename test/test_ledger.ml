@@ -11,8 +11,8 @@
    5. the SHA-256 kernel speedup gate is unenforced, not passed, on a
       ledger recorded where only the portable kernel runs.
    Plus the shape and provenance checks every ledger goes through, and
-   EXPERIMENTS.md's ENGINE and T8 tables against BENCH_engine.json and
-   BENCH_auth.json. *)
+   EXPERIMENTS.md's T1, ENGINE and T8 tables against BENCH_t1.json,
+   BENCH_engine.json and BENCH_auth.json. *)
 
 open Obs.Json
 
@@ -335,6 +335,26 @@ let table_under heading text =
   | _header :: _separator :: body -> List.map cells body
   | _ -> Alcotest.failf "no table under %S" heading
 
+(* Every row of EXPERIMENTS.md's T1 table is the ledger row at the same
+   log2_bits as printed: each protocol's honest bits / 1000, rounded, and
+   [-] for a [null] cell (a cubic baseline skipped for time). *)
+let test_t1_table_equals_ledger () =
+  let l = ledger_of "t1" in
+  let printed row =
+    Printf.sprintf "2^%.0f" (num "log2_bits" row)
+    :: List.map
+         (fun key ->
+           match List.assoc_opt key row with
+           | Some (Num bits) -> Printf.sprintf "%.0f" (Float.round (bits /. 1000.))
+           | Some Null -> "-"
+           | _ -> Alcotest.failf "row without %s" key)
+         [ "pi_z_bits"; "tc_ba_bits"; "high_cost_ca_bits"; "broadcast_ca_bits" ]
+  in
+  Alcotest.(check (list (list string)))
+    "T1 table = BENCH_t1.json"
+    (List.map printed l.Ledger.rows)
+    (table_under "## T1 —" (read_file (Filename.concat ledger_dir "EXPERIMENTS.md")))
+
 (* Every row of EXPERIMENTS.md's T8 table is its ledger row as printed:
    backend, n, t, honest kbit, rounds and whether Definition 1 held. *)
 let test_auth_table_equals_ledger () =
@@ -460,6 +480,8 @@ let suite =
       test_sha256_speedup_unenforced;
     Alcotest.test_case "EXPERIMENTS T8 table = ledger" `Quick
       test_auth_table_equals_ledger;
+    Alcotest.test_case "EXPERIMENTS T1 table = ledger" `Quick
+      test_t1_table_equals_ledger;
     Alcotest.test_case "substrate compare allocates nothing" `Quick
       test_substrate_compare_alloc;
     Alcotest.test_case "stale ledger names its difference" `Quick

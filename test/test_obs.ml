@@ -416,44 +416,48 @@ let test_labels_with_and_without_recorder () =
         summed (Obs.label_bits obs))
     [ ("sim", `Sim); ("poll", `Poll) ]
 
-(* The loop's bits-only session recorder ([shard None]) against a full one fed
-   the same events: the same counts and label table — a label is listed once
-   a message was sent under it, even an empty one — and nothing else kept. *)
-let test_bits_only_shard () =
+(* The loop's bits-only session handle ([session None]) against one on a full
+   recorder fed the same events: the same counts and label table — a label is
+   listed once a message was sent under it, even an empty one. *)
+let test_bits_only_session () =
   let feed o =
     for party = 0 to 2 do
-      Obs.push o ~session:5 ~party ~round:0 ~label:"outer";
-      Obs.message o ~session:5 ~party ~dst:((party + 1) mod 3) ~round:1
+      Obs.push o ~party ~round:0 ~label:"outer";
+      Obs.message o ~party ~dst:((party + 1) mod 3) ~round:1
         ~timeline_round:0 ~bytes:(3 + party) ~byzantine:false;
-      Obs.push o ~session:5 ~party ~round:1 ~label:"empty";
-      Obs.message o ~session:5 ~party ~dst:((party + 2) mod 3) ~round:2
+      Obs.push o ~party ~round:1 ~label:"empty";
+      Obs.message o ~party ~dst:((party + 2) mod 3) ~round:2
         ~timeline_round:1 ~bytes:0 ~byzantine:false;
-      Obs.pop o ~session:5 ~party ~round:2;
-      Obs.push o ~session:5 ~party ~round:2 ~label:"silent";
-      Obs.probe o ~session:5 ~party ~round:2 ~byzantine:false ~key:"v"
+      Obs.pop o ~party ~round:2;
+      Obs.push o ~party ~round:2 ~label:"silent";
+      Obs.probe o ~party ~round:2 ~byzantine:false ~key:"v"
         ~value:(Bitstring.of_int party);
-      Obs.pop o ~session:5 ~party ~round:3;
-      Obs.pop o ~session:5 ~party ~round:3;
-      Obs.message o ~session:5 ~party ~dst:0 ~round:4 ~timeline_round:3
+      Obs.pop o ~party ~round:3;
+      Obs.pop o ~party ~round:3;
+      Obs.message o ~party ~dst:0 ~round:4 ~timeline_round:3
         ~bytes:2 ~byzantine:(party = 2);
-      Obs.finish o ~session:5 ~party ~round:4
+      Obs.finish o ~party ~round:4
     done
   in
-  let full = Obs.create () and bare = Obs.shard None in
-  feed full;
+  let full = Obs.create () in
+  let bare = Obs.session None ~session:5 ~n:3 in
+  feed (Obs.session (Some full) ~session:5 ~n:3);
   feed bare;
   let labels = Alcotest.(list (pair string int)) in
   Alcotest.check labels "full recorder labels"
     [ ("outer", 8 * 12); ("(unlabeled)", 8 * 4); ("empty", 0) ]
     (Obs.label_bits full);
   Alcotest.check labels "bits-only labels = full" (Obs.label_bits full)
-    (Obs.label_bits bare);
-  let c = Obs.counts bare in
+    (Obs.session_label_bits bare);
+  let c = Obs.session_counts bare in
   Alcotest.(check (list int)) "counts: honest bits/msgs, byz bits/msgs"
     [ 8 * 16; 8; 16; 1 ]
     [ c.Obs.honest_bits; c.Obs.honest_msgs; c.Obs.byz_bits; c.Obs.byz_msgs ];
   Alcotest.(check bool) "counts = full" true (Obs.counts full = c);
-  Alcotest.(check int) "session query" (8 * 16) (Obs.honest_bits bare ~session:5);
+  Alcotest.(check int) "session query" (8 * 16) (Obs.honest_bits full ~session:5);
+  Alcotest.check_raises "a session recorded twice"
+    (Invalid_argument "Obs.session: session 5 already recorded") (fun () ->
+      ignore (Obs.session (Some full) ~session:5 ~n:3));
   let kinds o =
     List.filter_map
       (fun l -> Scanf.sscanf_opt l {|{"kind":"%[a-z]"|} Fun.id)
@@ -461,20 +465,20 @@ let test_bits_only_shard () =
   in
   Alcotest.(check bool) "full keeps rounds, spans and probes" true
     (List.for_all (fun k -> List.mem k (kinds full)) [ "round"; "span"; "probe" ]);
-  Alcotest.(check (list string)) "bits-only keeps only the root spans"
-    [ "span"; "span"; "span"; "total" ] (kinds bare);
   Alcotest.(check int) "no message events without ~messages" 0
     (List.length (Obs.messages full))
 
 (* [Obs.sent] against one [Obs.message] per entry, on a seeded script of
    spans and recipient-major round matrices (self slots, silence, empty
    payloads, a byzantine sender): the export, message events, counts and
-   label table agree for a bits-only shard, a span-plane recorder and one
-   that keeps messages. *)
+   label table agree for bits-only handles, a span-plane recorder and one
+   that keeps messages. Returns the sessions' handles. *)
 let feed_rounds ~per_sender o seed =
   let rng = Prng.create seed in
-  let n = 4 in
+  let n = 4 and handles = ref [] in
   for session = 0 to 1 do
+    let o = Obs.session o ~session ~n in
+    handles := o :: !handles;
     for round = 1 to 6 do
       let inbound =
         Array.init n (fun _ ->
@@ -485,9 +489,9 @@ let feed_rounds ~per_sender o seed =
       for party = 0 to n - 1 do
         (match Prng.int rng 4 with
         | 0 ->
-            Obs.push o ~session ~party ~round:(round - 1)
+            Obs.push o ~party ~round:(round - 1)
               ~label:(Printf.sprintf "l%d" (Prng.int rng 3))
-        | 1 -> Obs.pop o ~session ~party ~round:(round - 1)
+        | 1 -> Obs.pop o ~party ~round:(round - 1)
         | _ -> ());
         let byzantine = party = n - 1 and timeline_round = round + (2 * session) in
         let msgs = ref 0 and bytes = ref 0 in
@@ -500,19 +504,20 @@ let feed_rounds ~per_sender o seed =
                   bytes := !bytes + String.length m
                 end
                 else
-                  Obs.message o ~session ~party ~dst ~round ~timeline_round
+                  Obs.message o ~party ~dst ~round ~timeline_round
                     ~bytes:(String.length m) ~byzantine
             | Some _ | None -> ())
           inbound;
         if per_sender then
-          Obs.sent o ~session ~party ~round ~timeline_round ~byzantine ~msgs:!msgs
+          Obs.sent o ~party ~round ~timeline_round ~byzantine ~msgs:!msgs
             ~bytes:!bytes inbound
       done
     done;
     for party = 0 to n - 1 do
-      Obs.finish o ~session ~party ~round:6
+      Obs.finish o ~party ~round:6
     done
-  done
+  done;
+  List.rev !handles
 
 let prop_sent_equals_messages =
   QCheck.Test.make ~name:"sent = one message per entry" ~count:100
@@ -520,17 +525,26 @@ let prop_sent_equals_messages =
       List.for_all
         (fun make ->
           let per_msg = make () and per_sender = make () in
-          feed_rounds ~per_sender:false per_msg seed;
-          feed_rounds ~per_sender:true per_sender seed;
-          Obs.to_jsonl per_msg = Obs.to_jsonl per_sender
-          && Obs.messages_csv per_msg = Obs.messages_csv per_sender
-          && Obs.messages per_msg = Obs.messages per_sender
-          && Obs.counts per_msg = Obs.counts per_sender
-          && Obs.label_bits per_msg = Obs.label_bits per_sender)
+          let handles_msg = feed_rounds ~per_sender:false per_msg seed in
+          let handles_sender = feed_rounds ~per_sender:true per_sender seed in
+          List.for_all2
+            (fun a b ->
+              Obs.session_counts a = Obs.session_counts b
+              && Obs.session_label_bits a = Obs.session_label_bits b)
+            handles_msg handles_sender
+          &&
+          match (per_msg, per_sender) with
+          | Some per_msg, Some per_sender ->
+              Obs.to_jsonl per_msg = Obs.to_jsonl per_sender
+              && Obs.messages_csv per_msg = Obs.messages_csv per_sender
+              && Obs.messages per_msg = Obs.messages per_sender
+              && Obs.counts per_msg = Obs.counts per_sender
+              && Obs.label_bits per_msg = Obs.label_bits per_sender
+          | _ -> true)
         [
-          (fun () -> Obs.shard None);
-          (fun () -> Obs.create ());
-          (fun () -> Obs.create ~messages:true ());
+          (fun () -> None);
+          (fun () -> Some (Obs.create ()));
+          (fun () -> Some (Obs.create ~messages:true ()));
         ])
 
 (* ---- samples: the recorder's time series ----------------------------------- *)
@@ -620,12 +634,13 @@ let test_samples () =
    lists the ten costliest, costliest first. *)
 let test_report_top_labels () =
   let o = Obs.create () in
+  let h = Obs.session (Some o) ~session:0 ~n:1 in
   for k = 0 to 11 do
     let label = Printf.sprintf "label-%02d" k in
-    Obs.push o ~session:0 ~party:0 ~round:k ~label;
-    Obs.message o ~session:0 ~party:0 ~dst:1 ~round:(k + 1) ~timeline_round:(k + 1)
+    Obs.push h ~party:0 ~round:k ~label;
+    Obs.message h ~party:0 ~dst:1 ~round:(k + 1) ~timeline_round:(k + 1)
       ~bytes:(k + 1) ~byzantine:false;
-    Obs.pop o ~session:0 ~party:0 ~round:(k + 1)
+    Obs.pop h ~party:0 ~round:(k + 1)
   done;
   let lines = String.split_on_char '\n' (Format.asprintf "%a" Obs.pp_report o) in
   (* The table: the indented lines after its heading, as (rank, label). *)
@@ -1018,54 +1033,6 @@ let test_show_value () =
     true
     (bytes <= float_of_int l)
 
-(* ---- shard merge ---------------------------------------------------------- *)
-
-(* The engine records each session into its own shard and merges the shards
-   back in session-index order: that must equal recording the sessions
-   straight into one recorder in the same order. *)
-let record_session o ~session =
-  for party = 0 to 1 do
-    Obs.push o ~session ~party ~round:0 ~label:"phase";
-    Obs.message o ~session ~party ~dst:(1 - party) ~round:1
-      ~timeline_round:(session + 1)
-      ~bytes:(4 + session) ~byzantine:false;
-    Obs.probe o ~session ~party ~round:1 ~byzantine:false ~key:"v"
-      ~value:(Bitstring.of_int (session + party));
-    Obs.pop o ~session ~party ~round:1;
-    Obs.finish o ~session ~party ~round:2
-  done
-
-let test_obs_merge () =
-  (* Direct recording in session order... *)
-  let direct = Obs.create ~messages:true () in
-  Obs.set_meta direct "kind" "merge-test";
-  List.iter (fun s -> record_session direct ~session:s) [ 0; 1; 2 ];
-  (* ...equals per-session shards merged in session-index order. *)
-  let merged = Obs.create ~messages:true () in
-  Obs.set_meta merged "kind" "merge-test";
-  List.iter
-    (fun s ->
-      let shard = Obs.shard (Some merged) in
-      record_session shard ~session:s;
-      Obs.merge ~into:merged shard)
-    [ 0; 1; 2 ];
-  Alcotest.(check string) "merged JSONL byte-identical" (Obs.to_jsonl direct)
-    (Obs.to_jsonl merged);
-  Alcotest.(check (list (pair string int))) "merged label table"
-    (Obs.label_bits direct) (Obs.label_bits merged);
-  Alcotest.(check string) "merged message CSV" (Obs.messages_csv direct)
-    (Obs.messages_csv merged);
-  let a = Obs.create () and b = Obs.create () in
-  record_session a ~session:0;
-  record_session b ~session:0;
-  match Obs.merge ~into:a b with
-  | () -> Alcotest.fail "bucket collision not rejected"
-  | exception Invalid_argument msg ->
-      (* Which colliding party is reported depends on hash order; the bucket
-         diagnostic prefix is the contract. *)
-      Alcotest.(check string) "collision diagnostic" "Obs.merge: bucket"
-        (String.sub msg 0 17)
-
 let suite =
   [
     Alcotest.test_case "show_value: decimal to 256 bits, O(l) past it" `Quick
@@ -1087,9 +1054,7 @@ let suite =
     Alcotest.test_case "labels: one stack with and without a recorder" `Quick
       test_labels_with_and_without_recorder;
     Alcotest.test_case "bits-only session recorder: counts and labels only"
-      `Quick test_bits_only_shard;
-    Alcotest.test_case "Obs shard merge reproduces sequential JSONL" `Quick
-      test_obs_merge;
+      `Quick test_bits_only_session;
     Alcotest.test_case "samples: order, tier, both backends" `Quick
       test_samples;
     Alcotest.test_case "report lists the ten costliest labels" `Quick
