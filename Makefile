@@ -8,7 +8,7 @@
 
 DUNE ?= dune
 
-.PHONY: all build fmt test test-suites check bench bench-smoke soak-smoke obs-smoke soak-long perf-pairs clean
+.PHONY: all build fmt test test-suites check release bench bench-smoke soak-smoke obs-smoke soak-long perf-pairs clean
 
 all: build
 
@@ -72,12 +72,23 @@ obs-smoke:
 	$(DUNE) exec bin/ca_cli.exe -- run -n 7 -t 2 --adversary equivocate \
 		--csv /tmp/ca-obs-smoke/run.csv --telemetry /tmp/ca-obs-smoke/run.jsonl
 
-# The release build last: perfbench and `make bench` build with
-# --profile release (-O3), so a stub or flag that breaks only there fails
-# here rather than first in a benchmark run.
-check: build fmt test bench-smoke soak-smoke obs-smoke
+# perfbench and `make bench` build with --profile release (-O3), so a stub
+# or flag that breaks only there fails here rather than first in a
+# benchmark run.
+release:
 	$(DUNE) build --profile release
-	@echo "[check] tier-1 gate passed"
+
+# Every step runs, whichever fails (each under `$(MAKE) -k`), and `check`
+# fails at the end, naming each step that failed. The release build goes
+# last: it leaves _build/default in the release profile.
+CHECK_STEPS = build fmt test bench-smoke soak-smoke obs-smoke release
+check:
+	@failed=""; \
+	for step in $(CHECK_STEPS); do \
+		$(MAKE) -k --no-print-directory $$step || failed="$$failed $$step"; \
+	done; \
+	if [ -n "$$failed" ]; then echo "[check] failed:$$failed"; exit 1; fi; \
+	echo "[check] tier-1 gate passed"
 
 # Long soak: >= 30 min of the duration-based poll soak with per-wave obs
 # health snapshots and a hard peak-RSS ceiling asserted after every wave.

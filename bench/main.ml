@@ -1387,18 +1387,38 @@ let () =
   in
   List.iter
     (fun id ->
-      match List.assoc_opt id experiments with
-      | Some f ->
-          (* Major-heap state left behind by one experiment must not skew the
-             next one's wall-clock (allocation-heavy measurements pay for GC
-             work proportional to live heap): start each experiment from a
-             compacted heap, as a standalone run would. *)
-          Gc.compact ();
-          let t0 = Unix.gettimeofday () in
-          f ();
-          Printf.printf "\n[%s completed in %.1fs]\n" id (Unix.gettimeofday () -. t0)
-      | None ->
-          Printf.eprintf "unknown experiment %S; available: %s\n" id
-            (String.concat " " (List.map fst experiments));
-          exit 1)
-    requested
+      if not (List.mem_assoc id experiments) then begin
+        Printf.eprintf "unknown experiment %S; available: %s\n" id
+          (String.concat " " (List.map fst experiments));
+        exit 1
+      end)
+    requested;
+  (* Every requested experiment runs, whichever fails: a failing gate or a
+     stale ledger is reported at the end with the others, and the run exits
+     1 if any failed. *)
+  let failed =
+    List.filter_map
+      (fun id ->
+        (* Major-heap state left behind by one experiment must not skew the
+           next one's wall-clock (allocation-heavy measurements pay for GC
+           work proportional to live heap): start each experiment from a
+           compacted heap, as a standalone run would. *)
+        Gc.compact ();
+        let t0 = Unix.gettimeofday () in
+        match (List.assoc id experiments) () with
+        | () ->
+            Printf.printf "\n[%s completed in %.1fs]\n" id (Unix.gettimeofday () -. t0);
+            None
+        | exception e ->
+            let msg = Printexc.to_string e in
+            Printf.printf "\n[%s FAILED after %.1fs: %s]\n%!" id
+              (Unix.gettimeofday () -. t0) msg;
+            Some (id, msg))
+      requested
+  in
+  match failed with
+  | [] -> ()
+  | _ ->
+      flush stdout;
+      List.iter (fun (id, msg) -> Printf.eprintf "[failed] %s: %s\n" id msg) failed;
+      exit 1

@@ -23,7 +23,7 @@ type cfg = {
   duration : float;
   backend : string;
   seed : int;
-  max_sessions : int;
+  wave_cap : int;  (* most sessions in one wave *)
   max_rss_mb : int;
 }
 
@@ -35,7 +35,7 @@ let default_cfg =
     duration = 60.0;
     backend = "poll";
     seed = 1;
-    max_sessions = 48;
+    wave_cap = 48;
     max_rss_mb = 2048;
   }
 
@@ -70,7 +70,7 @@ let parse_int name v =
 let rec parse cfg = function
   | [] -> cfg
   | "--smoke" :: rest ->
-      parse { cfg with duration = 8.0; max_sessions = 12 } rest
+      parse { cfg with duration = 8.0; wave_cap = 12 } rest
   | "--duration" :: v :: rest -> (
       match float_of_string_opt v with
       | Some d when d > 0.0 -> parse { cfg with duration = d } rest
@@ -197,7 +197,7 @@ let wave ~cfg ~obs ~idx =
      fast path engage; faulty waves exercise its detection and fallback. *)
   let f = Prng.int rng (t + 1) in
   let corrupt = Workload.random_corrupt rng ~n ~count:f in
-  let sessions = 1 + Prng.int rng cfg.max_sessions in
+  let sessions = 1 + Prng.int rng cfg.wave_cap in
   let spacing = Prng.int rng 3 in
   let describe_wave =
     Printf.sprintf
@@ -317,7 +317,7 @@ let () =
     "soak: backend=%s duration=%.0fs seed=%d max-sessions/wave=%d \
      rss-ceiling=%dMB\n\
      %!"
-    cfg.backend cfg.duration cfg.seed cfg.max_sessions cfg.max_rss_mb;
+    cfg.backend cfg.duration cfg.seed cfg.wave_cap cfg.max_rss_mb;
   while
     (not !rss_breached)
     && (!waves = 0 || Unix.gettimeofday () -. t0 < cfg.duration)

@@ -31,17 +31,6 @@ let is_vote raw =
   | Some values -> List.length values <= 2
   | None -> false
 
-let parse_tuple raw =
-  let open Wire in
-  decode_full
-    (fun cur ->
-      let* index = r_varint cur in
-      let* codeword = r_bytes () cur in
-      let* witness = r_bytes () cur in
-      let* w = Merkle.decode_witness witness in
-      Some (index, codeword, w))
-    raw
-
 (** Always vote — alone and unanimously — for a fabricated value, whenever
     the protocol expects a vote from us. Intrusion Tolerance must hold: with
     only t byzantine voters the fabricated value can never reach the n−t vote
@@ -62,17 +51,11 @@ let tuple_forger ~seed =
   Adversary.make ~name:"tuple-forger" (fun view ~sender ~recipient ->
       match Adversary.prescribed_msg view ~sender ~recipient with
       | Some raw as msg -> (
-          match parse_tuple raw with
+          match Baplus.Ext_ba_plus.decode_tuple raw with
           | None -> msg
           | Some (index, codeword, witness) ->
-              Some
-                (Wire.encode
-                   (Wire.seq
-                      [
-                        Wire.w_varint index;
-                        Wire.w_bytes (Prng.bytes rng (String.length codeword));
-                        Wire.w_bytes (Merkle.encode_witness witness);
-                      ])))
+              let codeword = Prng.bytes rng (String.length codeword) in
+              Some (Baplus.Ext_ba_plus.encode_tuple ~index ~codeword ~witness))
       | None -> None)
 
 (** Relabel every distribution tuple with a shifted index (a valid codeword
@@ -82,18 +65,15 @@ let index_confuser =
   Adversary.make ~name:"index-confuser" (fun view ~sender ~recipient ->
       match Adversary.prescribed_msg view ~sender ~recipient with
       | Some raw as msg -> (
-          match parse_tuple raw with
+          match Baplus.Ext_ba_plus.decode_tuple raw with
           | None -> msg
           | Some (index, codeword, witness) ->
-              Some
-                (Wire.encode
-                   (Wire.seq
-                      [
-                        Wire.w_varint ((index + 1) mod view.Adversary.n);
-                        Wire.w_bytes codeword;
-                        Wire.w_bytes (Merkle.encode_witness witness);
-                      ])))
+              let index = (index + 1) mod view.Adversary.n in
+              Some (Baplus.Ext_ba_plus.encode_tuple ~index ~codeword ~witness))
       | None -> None)
+
+let complement bits =
+  Bitstring.init (Bitstring.length bits) (fun i -> not (Bitstring.get bits i))
 
 (** Whenever the protocol would send a bitstring window (FINDPREFIX inputs,
     HIGHCOSTCA values), send the complement instead — a well-formed value
@@ -105,12 +85,7 @@ let window_fabricator =
       | Some raw as msg -> (
           match Wire.decode_full (Wire.r_bits ()) raw with
           | None -> msg
-          | Some bits ->
-              let flipped =
-                Bitstring.init (Bitstring.length bits) (fun i ->
-                    not (Bitstring.get bits i))
-              in
-              Some (Wire.encode (Wire.w_bits flipped)))
+          | Some bits -> Some (Wire.encode_value (complement bits)))
       | None -> None)
 
 (** Equivocate on windows: send the true window to low-index recipients and
@@ -125,12 +100,7 @@ let prefix_saboteur =
       | Some raw as msg when recipient >= view.Adversary.n / 2 -> (
           match Wire.decode_full (Wire.r_bits ()) raw with
           | None -> msg
-          | Some bits ->
-              let flipped =
-                Bitstring.init (Bitstring.length bits) (fun i ->
-                    not (Bitstring.get bits i))
-              in
-              Some (Wire.encode (Wire.w_bits flipped)))
+          | Some bits -> Some (Wire.encode_value (complement bits)))
       | other -> other)
 
 (** In every round that looks like a phase-king king round (the corrupted

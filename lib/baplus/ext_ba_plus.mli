@@ -17,6 +17,15 @@
     never sees a wrong share; Intrusion Tolerance of Π_BA+ guarantees the
     committed value is an honest input, so reconstruction is consistent. *)
 
+val encode_tuple : index:int -> codeword:string -> witness:Merkle.witness -> string
+(** The one codec of a distribution tuple (steps 3a and 3b): the codeword's
+    index as a varint, the codeword and the encoded Merkle witness, each
+    length-prefixed. The attacks that forge tuples write with it. *)
+
+val decode_tuple : string -> (int * string * Merkle.witness) option
+(** Inverse of {!encode_tuple}: [Some (index, codeword, witness)], [None] on
+    malformed bytes. It checks the shape only, not the witness. *)
+
 val harvest :
   n:int ->
   checker:Merkle.checker ->

@@ -346,31 +346,30 @@ let run_core ?(max_rounds = default_max_rounds) ?obs ?on_round
     end;
     (* Accounting, one walk over each sender's cells (self free): the
        sender's charge to the session's recorder, the payload bytes, and
-       each entry's bytes — summed into [frame_bytes], or per edge. *)
-    let sid_size = Wire.varint_size l.l_sid in
+       each entry's frame bytes — summed into [frame_bytes], or per edge. *)
+    let sid = l.l_sid in
     for s = 0 to n - 1 do
-      let sent = ref 0 and bytes = ref 0 and lens = ref 0 in
+      let sent = ref 0 and bytes = ref 0 and entries = ref 0 in
       for r = 0 to n - 1 do
         if r <> s then
           match m.(r).(s) with
           | None -> ()
           | Some x ->
               let len = String.length x in
-              let len_size = Wire.varint_size len in
+              let size = Wire.Frame.entry_bytes ~sid len in
               incr sent;
               bytes := !bytes + len;
-              lens := !lens + len_size;
-              if not summed then begin
+              if summed then entries := !entries + size
+              else begin
                 let e = (s * n) + r in
                 edge_cnt.(e) <- edge_cnt.(e) + 1;
-                edge_bytes.(e) <- edge_bytes.(e) + sid_size + len_size + len
+                edge_bytes.(e) <- edge_bytes.(e) + size
               end
       done;
       Obs.sent l.l_obs ~party:s ~round:l.l_rounds
         ~timeline_round:!er ~byzantine:corrupt.(s) ~msgs:!sent
         ~bytes:!bytes m;
-      if summed then
-        frame_bytes := !frame_bytes + (!sent * sid_size) + !lens + !bytes;
+      frame_bytes := !frame_bytes + !entries;
       payload_bytes := !payload_bytes + !bytes
     done
   in
@@ -409,28 +408,29 @@ let run_core ?(max_rounds = default_max_rounds) ?obs ?on_round
     in
     let k_now = !k_live in
     let round_now = !er in
-    let summed = Option.is_none obs_frame_h && k_now < 128 in
+    let summed = Option.is_none obs && k_now < 128 in
     (* 1–4. The send phase ([step] above). *)
     for li = 0 to k_now - 1 do
       step ~summed li
     done;
     (* 5. Account one coalesced frame per ordered pair (keep-alive empties
-       included): a frame is varint round + varint count + per entry (varint
-       sid + varint len + payload), exactly the entry bytes the send phase
-       accumulated — the length of the frame {!Wire.Frame.write_edge} puts
-       on the wire. The summed ledger has added the entries already and
-       every count is a one-byte varint there; otherwise each edge's frame is
-       sized from its counters, which are zeroed for the next round. *)
+       included), sized by {!Wire.Frame} as {!Wire.Frame.write_edge} writes
+       it. Summed (no recorder sizes single frames, and below 128 live
+       sessions every count has [k_now]'s one-byte varint), the entries are
+       added already; otherwise each edge's frame is sized from its
+       counters, which are zeroed for the next round. *)
     frames_sent := !frames_sent + (n * (n - 1));
     if summed then
-      frame_bytes := !frame_bytes + (n * (n - 1) * (Wire.varint_size round_now + 1))
+      frame_bytes :=
+        !frame_bytes + (n * (n - 1) * Wire.Frame.header_bytes ~round:round_now ~count:k_now)
     else begin
-      let round_size = Wire.varint_size round_now in
       for s = 0 to n - 1 do
         for r = 0 to n - 1 do
           if s <> r then begin
             let e = (s * n) + r in
-            let sz = round_size + Wire.varint_size edge_cnt.(e) + edge_bytes.(e) in
+            let sz =
+              Wire.Frame.header_bytes ~round:round_now ~count:edge_cnt.(e) + edge_bytes.(e)
+            in
             record_frame sz;
             frame_bytes := !frame_bytes + sz;
             edge_cnt.(e) <- 0;

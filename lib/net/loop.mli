@@ -76,7 +76,9 @@ type aggregate = {
   frames_saved : int;  (** [naive_frames - frames_sent]. *)
   frame_bytes : int;
       (** Encoded {!Wire.Frame} bytes on the wire — includes session-id tags
-          and byzantine payloads. *)
+          and byzantine payloads. Each frame is sized by
+          {!Wire.Frame.header_bytes} plus {!Wire.Frame.entry_bytes} per
+          entry: exactly the body {!Wire.Frame.write_edge} writes. *)
   payload_bytes : int;  (** Raw session payload bytes inside the frames. *)
   honest_bits_total : int;  (** Sum of the sessions' honest bits. *)
 }

@@ -13,12 +13,14 @@
     A transport is an {e exchange}: a per-round barrier over the round
     loop's own slot-indexed view of the round ({!slots}), which it delivers
     in place. A byte-moving transport writes each pair's frame straight from
-    the slots ({!Wire.Frame.write_edge}) and takes what arrives straight
-    back into them ({!Wire.Frame.edge_receive}): a frame that arrives as
-    written leaves its edge's cells as they are, and any other is parsed
-    into them. An in-memory transport never touches bytes at all.
-    Frame-byte accounting lives in the loop and is arithmetic over the same
-    slots, so the ledger is identical either way. Within the exchange a
+    the slots ({!Wire.Frame.write_edge}) and reads what arrives straight
+    back into them with the frame's one reader ({!Wire.Frame.edge_receive}):
+    a frame that arrives as written leaves its edge's cells as they are,
+    and any other is validated, then parsed into them. An in-memory
+    transport never touches bytes at all. Frame-byte accounting lives in
+    the loop and is arithmetic over the same slots, with the sizes
+    {!Wire.Frame.header_bytes} and {!Wire.Frame.entry_bytes} give, so the
+    ledger is identical either way. Within the exchange a
     real transport is free to be event-driven (nonblocking I/O, partial
     writes, backpressure) — the loop only observes the completed round. *)
 

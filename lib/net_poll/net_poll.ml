@@ -4,9 +4,12 @@
    active in the same select).
 
    Wire format per direction: u32 big-endian body length, then the encoded
-   Wire.Frame, decoded incrementally by Wire.Frame.Decoder so a frame split
-   across any number of partial reads reassembles without ever blocking the
-   loop.
+   Wire.Frame. Wire.Frame.Decoder (feed_sub, next_body) reassembles each
+   body across any number of partial reads without ever blocking the loop,
+   refusing a declared length over Wire.Frame.max_frame_bytes before it
+   buffers the body, and hands it to the frame's one reader,
+   Wire.Frame.edge_receive. The frame bytes a round moves are the round
+   loop's ledger, sized by Wire.Frame.header_bytes and entry_bytes.
 
    Backpressure: each frame goes to the socket straight from its staged
    record at once; whatever the kernel's send buffer does not take parks

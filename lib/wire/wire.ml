@@ -54,10 +54,13 @@ let w_varint v buf =
   in
   go v
 
+(* Top-level loop and a one-byte fast path: [varint_size] inlines into the
+   round loop's frame-byte ledger, which sizes every message. *)
+let rec varint_size_from v n = if v < 0x80 then n else varint_size_from (v lsr 7) (n + 1)
+
 let varint_size v =
   if v < 0 then invalid_arg "Wire.varint_size";
-  let rec go v n = if v < 0x80 then n else go (v lsr 7) (n + 1) in
-  go v 1
+  if v < 0x80 then 1 else varint_size_from (v lsr 7) 2
 
 let w_fixed s buf = Buffer.add_string buf s
 
@@ -151,39 +154,37 @@ let r_u8 cur =
     Some b
   end
 
-(* [-1] on malformed input — the int-returning shape keeps the per-varint
-   cost at zero allocations; [r_varint] wraps the result for the reader
-   interface. The loop is a top-level function: written as an inner [rec]
-   it would capture the cursor and allocate a closure per varint. *)
-let rec varint_loop cur limit acc shift count pos =
-  if count > 9 || pos >= limit then -1
+(* The one varint decoding loop: the varint at [buf.[pos]], read no further
+   than [limit]; [-1] on malformed input (truncated, past ten bytes, or
+   negative as an [int]). The int-returning shape keeps the per-varint cost
+   at zero allocations: the end of the varint goes to [varint_stop], and a
+   string is read through [Bytes.unsafe_of_string]. The loop is top-level:
+   written as an inner [rec] it would capture its arguments and allocate a
+   closure per varint. *)
+let varint_stop = ref 0
+
+let rec varint_loop buf limit acc shift pos =
+  if shift > 63 || pos >= limit then -1
   else
-    let b = Char.code (String.unsafe_get cur.src pos) in
+    let b = Char.code (Bytes.unsafe_get buf pos) in
     let acc = acc lor ((b land 0x7f) lsl shift) in
     if acc < 0 then -1
     else if b land 0x80 = 0 then begin
-      cur.pos <- pos + 1;
+      varint_stop := pos + 1;
       acc
     end
-    else varint_loop cur limit acc (shift + 7) (count + 1) (pos + 1)
+    else varint_loop buf limit acc (shift + 7) (pos + 1)
 
-let varint_raw cur = varint_loop cur (String.length cur.src) 0 0 0 cur.pos
+let varint_at buf limit pos = varint_loop buf limit 0 0 pos
 
-let r_varint cur =
-  match varint_raw cur with -1 -> None | v -> Some v
+let varint_raw cur =
+  let v = varint_at (Bytes.unsafe_of_string cur.src) (String.length cur.src) cur.pos in
+  if v >= 0 then cur.pos <- !varint_stop;
+  v
 
-(* [varint_loop] over a bare string, for a caller that only peeks: with no
-   cursor to move, nothing is allocated. *)
-let rec leading_loop s acc shift count pos =
-  if count > 9 || pos >= String.length s then -1
-  else
-    let b = Char.code (String.unsafe_get s pos) in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if acc < 0 then -1
-    else if b land 0x80 = 0 then acc
-    else leading_loop s acc (shift + 7) (count + 1) (pos + 1)
+let r_varint cur = match varint_raw cur with -1 -> None | v -> Some v
 
-let leading_varint s = leading_loop s 0 0 0 0
+let leading_varint s = varint_at (Bytes.unsafe_of_string s) (String.length s) 0
 
 let default_max_bytes = 16 * 1024 * 1024
 
@@ -246,20 +247,6 @@ let decode_value ~bits raw =
   | Some v when Bitstring.length v = bits -> Some v
   | Some _ | None -> None
 
-(* Bytes-side varint loop for the frame parser, top-level for the same
-   no-closure-per-varint reason as [varint_loop]. [-1] on malformed. *)
-let rec varint_bytes_loop buf limit p acc shift count pos =
-  if count > 9 || pos >= limit then -1
-  else
-    let b = Char.code (Bytes.unsafe_get buf pos) in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if acc < 0 then -1
-    else if b land 0x80 = 0 then begin
-      p := pos + 1;
-      acc
-    end
-    else varint_bytes_loop buf limit p acc (shift + 7) (count + 1) (pos + 1)
-
 (* Session-multiplexed frames ------------------------------------------------ *)
 
 (* One coalesced frame carries every live session's round-[r] message between
@@ -277,70 +264,10 @@ module Frame = struct
   let encode { round; entries } =
     encode (seq [ w_varint round; w_list (w_pair w_varint w_bytes) entries ])
 
-  type sink = {
-    on_round : int -> unit;
-    on_entry : int -> Bytes.t -> int -> int -> unit;
-  }
-
-  (* The one frame parser. The first pass validates the whole body (varint
-     widths, entry bound, payload bounds, full consumption) without
-     allocating; only a valid body reaches the second pass, which re-reads
-     the headers and hands each entry to the sink by offset. A malformed
-     frame therefore delivers nothing. *)
-  let parse sink buf pos limit =
-    if pos < 0 || limit < pos || limit > Bytes.length buf then
-      invalid_arg "Wire.Frame.parse";
-    let p = ref pos in
-    let read_varint () = varint_bytes_loop buf limit p 0 0 0 !p in
-    let round = read_varint () in
-    let count = if round < 0 then -1 else read_varint () in
-    let rec valid i =
-      if i = count then !p = limit
-      else
-        let sid = read_varint () in
-        sid >= 0
-        &&
-        let len = read_varint () in
-        len >= 0 && len <= default_max_bytes && limit - !p >= len
-        &&
-        (p := !p + len;
-         valid (i + 1))
-    in
-    if count < 0 || count > max_sessions || not (valid 0) then false
-    else begin
-      sink.on_round round;
-      p := pos;
-      ignore (read_varint () : int);
-      ignore (read_varint () : int);
-      for _ = 1 to count do
-        let sid = read_varint () in
-        let len = read_varint () in
-        let off = !p in
-        p := off + len;
-        sink.on_entry sid buf off len
-      done;
-      true
-    end
-
-  (* A sink that collects one frame as a list: the reference form that
-     [decode] and [Decoder.next] return. *)
-  let list_sink () =
-    let round = ref 0 and rev = ref [] in
-    ( {
-        on_round = (fun r -> round := r);
-        on_entry =
-          (fun sid buf off len ->
-            rev := (sid, Bytes.sub_string buf off len) :: !rev);
-      },
-      fun () -> { round = !round; entries = List.rev !rev } )
-
-  let decode s =
-    if String.length s > max_frame_bytes then None
-    else
-      let sink, frame = list_sink () in
-      if parse sink (Bytes.unsafe_of_string s) 0 (String.length s) then
-        Some (frame ())
-      else None
+  (* The layout's sizes: what the round loop's frame-byte ledger adds up,
+     and what [write_edge] reserves and backfills. *)
+  let entry_bytes ~sid len = varint_size sid + varint_size len + len
+  let header_bytes ~round ~count = varint_size round + varint_size count
 
   (* The slot codec: frames written from and taken back into the round
      loop's slot-indexed round. *)
@@ -378,16 +305,15 @@ module Frame = struct
     end
 
   (* One walk over the slots. The entries go after a header reserved at its
-     widest: the count is at most [live], so its varint is at most
-     [varint_size live] bytes. Once the count is known, the prefix, round
-     and count are backfilled right before the first entry, so the record
-     starts at [first] and its bytes are exactly the reference encoding. *)
+     widest: the count is at most [live]. Once the count is known, the
+     prefix, round and count are backfilled right before the first entry,
+     so the record starts at [first] and its bytes are exactly the
+     reference encoding. *)
   let write_edge s ~round ~src ~dst st =
     if round < 0 then invalid_arg "Wire.w_varint";
-    let round_size = varint_size round in
-    let header = 4 + round_size + varint_size s.live in
-    reserve st 0 header;
-    let pos = ref header and count = ref 0 in
+    let widest = header_bytes ~round ~count:s.live in
+    reserve st 0 (4 + widest);
+    let pos = ref (4 + widest) and count = ref 0 in
     for i = 0 to s.live - 1 do
       match s.msgs.(i).(dst).(src) with
       | None -> ()
@@ -401,7 +327,7 @@ module Frame = struct
           pos := p + len;
           incr count
     done;
-    let first = header - varint_size !count - round_size - 4 in
+    let first = widest - header_bytes ~round ~count:!count in
     let body = !pos - first - 4 in
     let b = st.bytes in
     Bytes.set_int32_be b first (Int32.of_int body);
@@ -430,57 +356,73 @@ module Frame = struct
     done;
     !i = len
 
-  (* The leading varint of [buf[pos .. limit-1]], which [equal_sub] has
-     matched against a written frame, so it is well formed. *)
-  let rec round_at buf limit acc shift pos =
-    let b = Char.code (Bytes.get buf pos) in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 || pos + 1 >= limit then acc
-    else round_at buf limit acc (shift + 7) (pos + 1)
+  (* The frame reader's two passes over the [count] entries at [pos] of a
+     body ending at [limit], each top-level so that a parse allocates
+     nothing but the payload copies. The first checks that they fill the
+     body exactly: varint widths, each payload within the bound and inside
+     the body. *)
+  let rec entries_fit buf limit pos count =
+    if count = 0 then pos = limit
+    else
+      let sid = varint_at buf limit pos in
+      sid >= 0
+      &&
+      let len = varint_at buf limit !varint_stop in
+      let off = !varint_stop in
+      len >= 0 && len <= max_frame_bytes && limit - off >= len
+      && entries_fit buf limit (off + len) (count - 1)
 
-  (* A body equal to the staged one leaves the edge's cells as they are.
-     Any other is parsed by the entry-wise sink: [parse] reaches it only
-     once the whole body has validated, and it then clears the edge's live
-     cells and writes each entry, a fresh copy of the bytes that arrived,
-     into its slot's cell. Entries arrive in admission order, so each one's
-     slot is found by walking on from the previous entry's: O(live) per
-     frame in total, and a sid that is out of order or not live runs off
-     the end. *)
-  let edge_receive s ~src ~dst ~on_round st =
-    let next = ref 0 in
-    let sink =
-      {
-        on_round =
-          (fun r ->
-            on_round r;
-            next := 0;
-            for i = 0 to s.live - 1 do
-              s.msgs.(i).(dst).(src) <- None
-            done);
-        on_entry =
-          (fun sid buf off len ->
-            match slot_from s.sids s.live sid !next with
-            | -1 ->
-                failwith
-                  (Printf.sprintf
-                     "Wire.Frame: session %d on edge %d->%d is not the next \
-                      live session"
-                     sid src dst)
-            | i ->
-                s.msgs.(i).(dst).(src) <- Some (Bytes.sub_string buf off len);
-                next := i + 1);
-      }
-    in
-    fun buf pos limit ->
-      if pos < 0 || limit < pos || limit > Bytes.length buf then
-        invalid_arg "Wire.Frame.edge_receive";
-      let len = limit - pos in
-      if len = st.stop - st.first - 4 && equal_sub buf pos st.bytes (st.first + 4) len
-      then begin
-        on_round (round_at buf limit 0 0 pos);
-        true
-      end
-      else parse sink buf pos limit
+  (* The second writes each entry, a fresh copy of its bytes, into the cell
+     of its slot, found by walking on from the previous entry's slot
+     [next]: entries arrive in admission order, so a frame costs O(live)
+     in total, and a sid that is out of order or not live runs off the
+     end. *)
+  let rec deliver s ~src ~dst buf limit pos count next =
+    if count > 0 then begin
+      let sid = varint_at buf limit pos in
+      let len = varint_at buf limit !varint_stop in
+      let off = !varint_stop in
+      match slot_from s.sids s.live sid next with
+      | -1 ->
+          failwith
+            (Printf.sprintf
+               "Wire.Frame: session %d on edge %d->%d is not the next live session"
+               sid src dst)
+      | i ->
+          s.msgs.(i).(dst).(src) <- Some (Bytes.sub_string buf off len);
+          deliver s ~src ~dst buf limit (off + len) (count - 1) (i + 1)
+    end
+
+  (* A body that differs from the staged one: validated whole, and only
+     then delivered, so a malformed body changes nothing. *)
+  let parse_into s ~src ~dst ~on_round buf pos limit =
+    let round = varint_at buf limit pos in
+    let count = if round < 0 then -1 else varint_at buf limit !varint_stop in
+    let first = !varint_stop in
+    if count < 0 || count > max_sessions || not (entries_fit buf limit first count)
+    then false
+    else begin
+      on_round round;
+      for i = 0 to s.live - 1 do
+        s.msgs.(i).(dst).(src) <- None
+      done;
+      deliver s ~src ~dst buf limit first count 0;
+      true
+    end
+
+  (* The one frame reader. A body equal to the staged one is compared, not
+     parsed, and leaves the edge's cells as they are: its entries are the
+     values that were sent. *)
+  let edge_receive s ~src ~dst ~on_round st buf pos limit =
+    if pos < 0 || limit < pos || limit > Bytes.length buf then
+      invalid_arg "Wire.Frame.edge_receive";
+    let len = limit - pos in
+    if len = st.stop - st.first - 4 && equal_sub buf pos st.bytes (st.first + 4) len
+    then begin
+      on_round (varint_at buf limit pos);
+      true
+    end
+    else parse_into s ~src ~dst ~on_round buf pos limit
 
   (* Incremental decoding of the length-prefixed frame stream the socket
      transports speak: u32 big-endian body length, then the encoded frame.
@@ -490,21 +432,13 @@ module Frame = struct
     type state = Running | Failed of string
 
     type t = {
-      max_frame : int;
       mutable buf : Bytes.t;  (* [lo, hi) holds the undecoded bytes *)
       mutable lo : int;
       mutable hi : int;
       mutable state : state;
     }
 
-    let create ?(max_frame = max_frame_bytes) () =
-      {
-        max_frame;
-        buf = Bytes.create 4096;
-        lo = 0;
-        hi = 0;
-        state = Running;
-      }
+    let create () = { buf = Bytes.create 4096; lo = 0; hi = 0; state = Running }
 
     let buffered d = d.hi - d.lo
 
@@ -522,17 +456,8 @@ module Frame = struct
         d.buf <- buf
       end
 
-    let feed d s =
-      match d.state with
-      | Failed _ -> ()
-      | Running ->
-          let len = String.length s in
-          reserve d len;
-          Bytes.blit_string s 0 d.buf d.hi len;
-          d.hi <- d.hi + len
-
-    (* [feed] from a caller-owned slice — what the socket read loops use so a
-       read lands in the decoder with one blit and no intermediate string. *)
+    (* A read lands in the decoder with one blit from the caller's buffer
+       and no intermediate string. *)
     let feed_sub d src off len =
       if off < 0 || len < 0 || off + len > Bytes.length src then
         invalid_arg "Wire.Frame.Decoder.feed_sub";
@@ -558,34 +483,23 @@ module Frame = struct
           if buffered d < 4 then Ok false
           else begin
             let len = Int32.to_int (Bytes.get_int32_be d.buf d.lo) land 0xffff_ffff in
-            if len > d.max_frame then
+            if len > max_frame_bytes then
               fail d
-                (Printf.sprintf "frame length %d exceeds max %d" len d.max_frame)
+                (Printf.sprintf "frame length %d exceeds max %d" len max_frame_bytes)
             else if buffered d < 4 + len then Ok false
             else begin
               (* Consume first, then hand over the body where it lies: the
-                 bytes stay put until the next [feed], so [accept] reads them
-                 in place. A custom [max_frame] above the protocol bound
-                 still rejects oversized bodies, as [decode] does. *)
+                 bytes stay put until the next [feed_sub], so [accept]
+                 reads them in place. *)
               let body_pos = d.lo + 4 in
               d.lo <- d.lo + 4 + len;
               if d.lo = d.hi then begin
                 d.lo <- 0;
                 d.hi <- 0
               end;
-              if len <= max_frame_bytes && accept d.buf body_pos (body_pos + len)
-              then Ok true
+              if accept d.buf body_pos (body_pos + len) then Ok true
               else fail d "undecodable frame body"
             end
           end
-
-    let next_with d sink = next_body d (parse sink)
-
-    let next d =
-      let sink, frame = list_sink () in
-      match next_with d sink with
-      | Ok true -> Ok (Some (frame ()))
-      | Ok false -> Ok None
-      | Error msg -> Error msg
   end
 end

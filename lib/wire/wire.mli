@@ -55,7 +55,7 @@ val decode_full : 'a reader -> string -> 'a option
 val r_u8 : int reader
 
 val r_varint : int reader
-(** Rejects encodings longer than 9 bytes (keeps values within [int]). *)
+(** Reads at most ten bytes; [None] when truncated or negative as an [int]. *)
 
 val leading_varint : string -> int
 (** The varint at the start of [s], as [r_varint] would read it first; [-1]
@@ -98,12 +98,10 @@ val ( let* ) : 'a option -> ('a -> 'b option) -> 'b option
     towards the recipient this round is simply absent from the frame —
     absence decodes as [None] in that session's inbox slot.
 
-    Every frame that is read is read by one parser, {!Frame.parse}: it
-    validates the whole body, then hands each entry to a {!Frame.sink} by
-    offset. The list forms ({!Frame.decode}, {!Frame.Decoder.next}) and the
-    slot form ({!Frame.edge_receive}) are sinks over it. The one frame not
-    read is one that arrives byte for byte as its edge wrote it: its
-    entries are the values that were sent. *)
+    The layout, [varint round, varint count, count × (varint sid, varint
+    length, payload)], is sized by {!Frame.header_bytes} and
+    {!Frame.entry_bytes} and written by {!Frame.write_edge}. A frame has
+    one reader, {!Frame.edge_receive}. *)
 
 module Frame : sig
   type t = {
@@ -112,50 +110,31 @@ module Frame : sig
         (** [(session id, payload)] for every session with traffic, in the
             engine's admission order. *)
   }
-
-  val max_sessions : int
-  (** Bound on entries per frame enforced by the parser. *)
+  (** A frame as a value: the input of the reference writer {!encode}. *)
 
   val max_frame_bytes : int
-  (** Bound on an encoded frame's size (16 MiB). [decode] rejects longer
-      inputs, and the stream decoder rejects longer declared lengths
-      {e before} allocating — a byzantine peer must not be able to trigger
+  (** Bound on a frame body's size (16 MiB), and on each payload in it. The
+      stream {!Decoder} rejects a longer declared length {e before}
+      buffering the body — a byzantine peer must not be able to trigger
       huge allocations. *)
 
   val encode : t -> string
   (** The reference encoding; {!write_edge} is tested against it. *)
 
-  type sink = {
-    on_round : int -> unit;
-        (** Called once per valid frame with its round, before any entry. *)
-    on_entry : int -> Bytes.t -> int -> int -> unit;
-        (** [on_entry sid buf off len]: one entry, its payload at
-            [buf[off .. off+len-1]], in frame order. The bytes are only
-            valid during the call. *)
-  }
-  (** Where {!parse} hands a validated frame. A sink may raise to reject a
-      frame; the exception propagates out of the parse. *)
+  val entry_bytes : sid:int -> int -> int
+  (** [entry_bytes ~sid len]: the bytes one entry with a [len]-byte payload
+      takes in a frame body — varint sid, varint length, payload. *)
 
-  val parse : sink -> Bytes.t -> int -> int -> bool
-  (** [parse sink buf pos limit] reads the frame body [buf[pos .. limit-1]].
-      It first validates all of it: varint widths, the {!max_sessions}
-      bound, every payload inside the body and the body fully consumed. A
-      malformed body returns [false] and reaches no sink callback; a valid
-      one goes to [sink.on_round], then to [sink.on_entry] once per entry,
-      and returns [true]. Raises [Invalid_argument] only if the range is out
-      of [buf]'s bounds; never on the bytes. *)
-
-  val decode : string -> t option
-  (** {!parse} into a list. Total: [None] on any malformation. *)
+  val header_bytes : round:int -> count:int -> int
+  (** The bytes before a frame body's first entry: varint round, varint
+      count. A body is its header plus its entries. *)
 
   (** {2 Slot codec}
 
       The round loop keeps a round slot-indexed, not as per-edge entry
       lists: slot [i] holds the [i]-th live session in admission order.
       These functions write an edge's frame straight from the slots and
-      take one that arrives straight back into them: a frame that arrives
-      as it was written is not parsed at all, any other is parsed into the
-      edge's cells ({!edge_receive}). *)
+      take one that arrives straight back into them. *)
 
   type slots = {
     mutable live : int;
@@ -204,20 +183,20 @@ module Frame : sig
       bodies [buf[pos .. limit-1]] that arrive on edge [src -> dst], where
       [st] holds what this edge wrote; apply it to [s] once and reuse the
       acceptor. A body equal to [st]'s, compared eight bytes at a time, is
-      accepted unparsed: [on_round] gets its round (and may raise), the
-      edge's cells stay as they are, and it returns [true]. Any other body
-      is {!parse}d. A malformed one returns [false] and changes nothing.
-      A valid one runs [on_round] first; then the edge's live cells
-      [msgs.(i).(dst).(src)] are cleared to [None] and each entry is
-      written into its slot's cell as a fresh copy of the bytes that
-      arrived. The entries must come in admission order: each entry's slot
-      is found by walking on from the previous entry's slot, and an entry
-      whose sid is not the next live sid on that walk (out of order,
-      repeated, or not live) raises [Failure], the edge's cells part
-      written. Raises [Invalid_argument] if the range is out of [buf]'s
-      bounds. *)
-
-  type frame := t
+      not parsed and allocates nothing: [on_round] gets its round (and may
+      raise), the edge's cells stay as they are, and it returns [true]: its
+      entries are the values that were sent. Any other body is validated
+      whole first (varint widths, at most 65 536 entries, every payload
+      inside the body and within {!max_frame_bytes}, nothing left over). A
+      malformed one returns [false] and changes nothing. A valid one runs [on_round] first; then
+      the edge's live cells [msgs.(i).(dst).(src)] are cleared to [None]
+      and each entry is written into its slot's cell as a fresh copy of
+      the bytes that arrived. The entries must come in admission order:
+      each entry's slot is found by walking on from the previous entry's
+      slot, and an entry whose sid is not the next live sid on that walk
+      (out of order, repeated, or not live) raises [Failure], the edge's
+      cells part written. Raises [Invalid_argument] if the range is out of
+      [buf]'s bounds; never on the bytes. *)
 
   (** Incremental decoding of the length-prefixed frame stream the socket
       transports speak — [u32 big-endian body length] then the encoded frame,
@@ -227,40 +206,28 @@ module Frame : sig
   module Decoder : sig
     type t
 
-    val create : ?max_frame:int -> unit -> t
-    (** [max_frame] (default {!max_frame_bytes}) bounds the declared body
-        length accepted from the stream. *)
-
-    val feed : t -> string -> unit
-    (** Append a chunk of stream bytes. Ignored after an error. *)
+    val create : unit -> t
+    (** A decoder that accepts declared body lengths up to
+        {!max_frame_bytes}. *)
 
     val feed_sub : t -> Bytes.t -> int -> int -> unit
-    (** [feed_sub d src off len] appends [src[off .. off+len-1]] — {!feed}
-        without the intermediate string, for callers that read into a
-        reusable scratch buffer (the socket transports). The bytes are
-        copied out before returning; [src] may be reused immediately.
-        Raises [Invalid_argument] if the range is out of bounds. *)
+    (** [feed_sub d src off len] appends the stream bytes
+        [src[off .. off+len-1]], for callers that read into a reusable
+        scratch buffer (the socket transports). The bytes are copied out
+        before returning; [src] may be reused immediately. The decoder's
+        buffer grows only with the bytes fed, never with a declared length.
+        Ignored after an error. Raises [Invalid_argument] if the range is
+        out of bounds. *)
 
     val next_body : t -> (Bytes.t -> int -> int -> bool) -> (bool, string) result
     (** [next_body d accept]: [Ok true] — one complete frame consumed and
-        its body [buf[pos .. limit-1]] handed to [accept buf pos limit],
-        which returned [true]; [Ok false] — feed more; [Error msg] — an
-        oversized declared length, or [accept] returned [false] (the body
-        is undecodable); the error is sticky. An exception from [accept]
-        propagates, with the frame consumed. The body bytes are only valid
-        during the call. *)
-
-    val next_with : t -> sink -> (bool, string) result
-    (** [next_body d (parse sink)]: [Ok true] — one complete frame consumed
-        and {!parse}d into the sink; [Ok false] — the buffered bytes are a (possibly empty) prefix
-        of a valid frame, feed more; [Error msg] — the stream is malformed
-        (oversized declared length or undecodable body); the error is
-        sticky. An exception from the sink propagates, with the frame
-        consumed. *)
-
-    val next : t -> (frame option, string) result
-    (** {!next_with} into a list: [Ok (Some frame)] for a decoded frame,
-        [Ok None] to feed more, [Error] as above. *)
+        its body [buf[pos .. limit-1]] handed to [accept buf pos limit]
+        (in the program, an {!edge_receive} acceptor), which returned
+        [true]; [Ok false] — the buffered bytes are a (possibly empty)
+        prefix of a frame, feed more; [Error msg] — an oversized declared
+        length, or [accept] returned [false] (the body is undecodable); the
+        error is sticky. An exception from [accept] propagates, with the
+        frame consumed. The body bytes are only valid during the call. *)
 
     val buffered : t -> int
     (** Bytes fed but not yet consumed by a decoded frame — nonzero at

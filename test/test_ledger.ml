@@ -431,6 +431,67 @@ let test_engine_table_equals_ledger () =
     (List.map printed_floor floor)
     (table_under "### ENGINE loop floor" text)
 
+(* EXPERIMENTS.md's CLAIMS text quotes BENCH_claims.json: the rounds
+   sentence gives each [rounds] row as Π_ℤ/HighCostCA/TC-BA at its n, and
+   C5's Measured cell each Π_ℤ [l_fit] intercept / 1000, rounded, in n
+   order. *)
+let test_claims_text_equals_ledger () =
+  let l = ledger_of "claims" in
+  let rows kind =
+    List.filter (fun row -> List.assoc_opt "row" row = Some (Str kind)) l.Ledger.rows
+  in
+  let int key row = Printf.sprintf "%.0f" (num key row) in
+  let rounds =
+    List.mapi
+      (fun i row ->
+        Printf.sprintf "%s/%s/%s at %s%s"
+          (int "pi_z_rounds" row) (int "high_cost_ca_rounds" row)
+          (int "tc_ba_rounds" row)
+          (if i = 0 then "n = " else "")
+          (int "n" row))
+      (rows "rounds")
+  in
+  let sentence =
+    match List.rev rounds with
+    | last :: (_ :: _ as rest) ->
+        String.concat ", " (List.rev rest) ^ " and " ^ last ^ "."
+    | _ -> Alcotest.fail "fewer than two rounds rows"
+  in
+  let text = read_file (Filename.concat ledger_dir "EXPERIMENTS.md") in
+  let prefix = "Rounds (Π_ℤ / HighCostCA / TC-BA): " in
+  let paragraph =
+    let rec from = function
+      | l :: rest when String.starts_with ~prefix l -> l :: upto rest
+      | _ :: rest -> from rest
+      | [] -> Alcotest.failf "no line starting %S" prefix
+    and upto = function
+      | l :: rest when String.trim l <> "" -> l :: upto rest
+      | _ -> []
+    in
+    from (String.split_on_char '\n' text)
+    |> List.map String.trim |> String.concat " "
+  in
+  Alcotest.(check string)
+    "rounds sentence = BENCH_claims.json rounds rows" (prefix ^ sentence)
+    (String.sub paragraph 0 (min (String.length paragraph) (String.length prefix + String.length sentence)));
+  let intercepts =
+    List.filter (fun row -> List.assoc_opt "protocol" row = Some (Str "pi_z")) (rows "l_fit")
+    |> List.sort (fun a b -> compare (num "n" a) (num "n" b))
+    |> List.map (fun row ->
+           Printf.sprintf "%.0fk" (Float.round (num "intercept" row /. 1000.)))
+  in
+  let c5 =
+    List.find_map
+      (function
+        | gate :: _ :: measured :: _ when gate = "`claims.c5_additive_term`" -> Some measured
+        | _ -> None)
+      (table_under "## CLAIMS —" text)
+  in
+  Alcotest.(check (option string))
+    "C5 intercepts = BENCH_claims.json pi_z l_fit rows"
+    (Some (String.concat ", " intercepts ^ " bits"))
+    c5
+
 (* The staleness check behind `bench/main.exe --smoke`: a
    recomputed ledger equal to its committed copy but for the provenance
    stamp passes; one moved cell, one missing row or one moved meta field
@@ -482,6 +543,8 @@ let suite =
       test_auth_table_equals_ledger;
     Alcotest.test_case "EXPERIMENTS T1 table = ledger" `Quick
       test_t1_table_equals_ledger;
+    Alcotest.test_case "EXPERIMENTS CLAIMS text = ledger" `Quick
+      test_claims_text_equals_ledger;
     Alcotest.test_case "substrate compare allocates nothing" `Quick
       test_substrate_compare_alloc;
     Alcotest.test_case "stale ledger names its difference" `Quick

@@ -401,6 +401,49 @@ let test_write_stall_histogram () =
     (stalls ~n:7 ~t:2 ~corrupt:(Workload.spread_corrupt ~n:7 ~t:2)
        (mk_specs ~n:7 ~sessions:8 ~spacing:2 ~seed:4242))
 
+(* ---- a byzantine blob against the frame bound (ROADMAP item 12) --------- *)
+
+(* Two rounds at n = 4, t = 1: each honest party broadcasts a short value,
+   then what it heard, and outputs the bytes it heard in both rounds.
+   Corrupt party 3 sends the one shared [blob] to every peer in both
+   rounds, so K sessions admitted together put K copies of it in each of
+   party 3's frames. *)
+let blob_corrupt = [| false; false; false; true |]
+
+let blob_specs ~sessions blob =
+  let ( let* ) = Proto.( let* ) in
+  let heard inbox =
+    Array.fold_left (fun a m -> a + Option.fold ~none:0 ~some:String.length m) 0 inbox
+  in
+  let adversary = Adversary.make ~name:"blob" (fun _ ~sender:_ ~recipient:_ -> Some blob) in
+  List.init sessions (fun k ->
+      Engine.session ~sid:k ~adversary (fun ctx ->
+          Proto.run
+            (let* first = Proto.broadcast (Printf.sprintf "%d:%d" k ctx.Ctx.me) in
+             let* second = Proto.broadcast (string_of_int (heard first)) in
+             Proto.return (heard first + heard second))))
+
+let blob_run backend ~sessions blob =
+  let run = match backend with `Sim -> Engine.run_sim | `Poll -> Engine.run_poll in
+  fingerprint string_of_int (run ~n:4 ~t:1 ~corrupt:blob_corrupt (blob_specs ~sessions blob))
+
+(* A byzantine sender may put up to [Loop.max_byzantine_bytes] in each
+   session's message, but the poll decoder refuses a frame over
+   [Wire.Frame.max_frame_bytes]: 64 sessions' 256 KiB blobs make party 3's
+   frames 16 777 474 bytes, and the poll run aborts where the simulator
+   completes. This pins that defect (ROADMAP item 12); once item 12 lands,
+   the failing case becomes a sim = poll assertion like the passing one. *)
+let test_blob_frame_bound () =
+  let big = String.make (256 * 1024) 'B' in
+  ignore (blob_run `Sim ~sessions:64 big);
+  Alcotest.check_raises "poll: 64 x 256 KiB aborts the run"
+    (Failure "Net_poll: frame length 16777474 exceeds max 16777216") (fun () ->
+      ignore (blob_run `Poll ~sessions:64 big));
+  let fits = String.make 200_000 'b' in
+  Alcotest.(check bool)
+    "64 x 200 000 B: poll = sim (outputs, metrics, aggregate)" true
+    (blob_run `Sim ~sessions:64 fits = blob_run `Poll ~sessions:64 fits)
+
 (* ---- transport violations and lifecycle ----------------------------------- *)
 
 (* An exchange that raises part-way (here the last connection's edge,
@@ -479,6 +522,8 @@ let suite =
       test_exchange_allocation;
     Alcotest.test_case "engine progresses, big frames park" `Quick
       test_engine_progresses_under_backpressure;
+    Alcotest.test_case "byzantine blob over the frame bound aborts poll" `Quick
+      test_blob_frame_bound;
     Alcotest.test_case "wrong-round frame rejected" `Quick
       test_wrong_round_rejected;
     Alcotest.test_case "create/close/exchange lifecycle" `Quick test_lifecycle;

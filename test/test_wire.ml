@@ -84,150 +84,19 @@ let prop_list_roundtrip =
       decode_full (r_list (r_pair r_varint (r_bytes ()))) (encode (w_list (w_pair w_varint w_bytes) l))
       = Some l)
 
-let test_session_frame () =
-  let frame =
-    { Wire.Frame.round = 42; entries = [ (0, "alpha"); (7, ""); (3, "beta") ] }
-  in
-  (match Wire.Frame.decode (Wire.Frame.encode frame) with
-  | Some f ->
-      Alcotest.check Alcotest.int "round" 42 f.Wire.Frame.round;
-      Alcotest.check
-        (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string))
-        "entries preserve order" frame.Wire.Frame.entries f.Wire.Frame.entries
-  | None -> Alcotest.fail "frame roundtrip");
-  (* Empty keep-alive frames are tiny and roundtrip too. *)
-  let empty = { Wire.Frame.round = 0; entries = [] } in
-  Alcotest.check Alcotest.int "empty frame is 2 bytes" 2
-    (String.length (Wire.Frame.encode empty));
-  Alcotest.check Alcotest.bool "empty roundtrip" true
-    (Wire.Frame.decode (Wire.Frame.encode empty) = Some empty);
-  (* Defensive: garbage and truncations decode to None, never raise. *)
-  List.iter
-    (fun s ->
-      match Wire.Frame.decode s with
-      | Some _ | None -> ())
-    [ ""; "\xff"; "\x01\x05"; String.make 64 '\xee' ];
-  Alcotest.check Alcotest.bool "truncated entry rejected" true
-    (Wire.Frame.decode "\x00\x01\x03\x05ab" = None)
+(* ---- frame streams through the one reader -------------------------------- *)
 
-let prop_session_frame_roundtrip =
-  QCheck.Test.make ~name:"session frame roundtrip" ~count:200
-    QCheck.(pair small_nat (small_list (pair small_nat string)))
-    (fun (round, entries) ->
-      Wire.Frame.(decode (encode { round; entries })) = Some { Wire.Frame.round; entries })
+let u32 len =
+  let b = Bytes.create 4 in
+  Bytes.set_int32_be b 0 (Int32.of_int len);
+  Bytes.to_string b
 
-(* ---- incremental frame-stream decoder ------------------------------------- *)
-
-let u32_prefix body =
-  let len = String.length body in
-  Printf.sprintf "%c%c%c%c%s"
-    (Char.chr ((len lsr 24) land 0xff))
-    (Char.chr ((len lsr 16) land 0xff))
-    (Char.chr ((len lsr 8) land 0xff))
-    (Char.chr (len land 0xff))
-    body
+let u32_prefix body = u32 (String.length body) ^ body
 
 let stream_of frames =
   String.concat "" (List.map (fun f -> u32_prefix (Wire.Frame.encode f)) frames)
 
-let drain dec =
-  let rec go acc =
-    match Wire.Frame.Decoder.next dec with
-    | Ok (Some f) -> go (f :: acc)
-    | Ok None -> Ok (List.rev acc)
-    | Error msg -> Error msg
-  in
-  go []
-
-(* Feed [s] in chunks of [size] bytes, draining after every chunk. *)
-let feed_chunked dec s size =
-  let frames = ref [] in
-  let err = ref None in
-  let i = ref 0 in
-  while !i < String.length s && !err = None do
-    let k = min size (String.length s - !i) in
-    Wire.Frame.Decoder.feed dec (String.sub s !i k);
-    i := !i + k;
-    match drain dec with
-    | Ok fs -> frames := !frames @ fs
-    | Error msg -> err := Some msg
-  done;
-  match !err with Some msg -> Error msg | None -> Ok !frames
-
-let sample_frames =
-  [
-    { Wire.Frame.round = 0; entries = [] };
-    { Wire.Frame.round = 3; entries = [ (0, "alpha"); (5, "") ] };
-    { Wire.Frame.round = 4; entries = [ (1, String.make 300 'x') ] };
-    { Wire.Frame.round = 5; entries = List.init 20 (fun i -> (i, "p")) };
-  ]
-
-let test_decoder_split_boundaries () =
-  let s = stream_of sample_frames in
-  List.iter
-    (fun size ->
-      let dec = Wire.Frame.Decoder.create () in
-      match feed_chunked dec s size with
-      | Ok frames ->
-          Alcotest.check Alcotest.bool
-            (Printf.sprintf "chunk size %d recovers all frames" size)
-            true (frames = sample_frames);
-          Alcotest.check Alcotest.int
-            (Printf.sprintf "chunk size %d leaves nothing buffered" size)
-            0
-            (Wire.Frame.Decoder.buffered dec)
-      | Error msg -> Alcotest.fail msg)
-    [ 1; 2; 3; 7; 64; String.length s ]
-
-let test_decoder_truncation () =
-  (* A prefix cut anywhere inside a frame is a clean "feed me more", at every
-     possible cut point — decoding is total on truncation. *)
-  let s = stream_of [ List.nth sample_frames 1 ] in
-  for cut = 0 to String.length s - 1 do
-    let dec = Wire.Frame.Decoder.create () in
-    Wire.Frame.Decoder.feed dec (String.sub s 0 cut);
-    match Wire.Frame.Decoder.next dec with
-    | Ok None -> ()
-    | Ok (Some _) -> Alcotest.fail (Printf.sprintf "cut %d: frame from prefix" cut)
-    | Error msg -> Alcotest.fail (Printf.sprintf "cut %d: %s" cut msg)
-  done
-
-let test_decoder_oversize_and_garbage () =
-  (* Declared length beyond the bound fails before any body arrives, and the
-     error is sticky. *)
-  let dec = Wire.Frame.Decoder.create ~max_frame:64 () in
-  Wire.Frame.Decoder.feed dec (u32_prefix (String.make 65 'z'));
-  (match Wire.Frame.Decoder.next dec with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "oversized declared length accepted");
-  Wire.Frame.Decoder.feed dec (stream_of [ List.hd sample_frames ]);
-  (match Wire.Frame.Decoder.next dec with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "error not sticky");
-  (* A well-formed prefix around an undecodable body also fails cleanly. *)
-  let dec = Wire.Frame.Decoder.create () in
-  Wire.Frame.Decoder.feed dec (u32_prefix "\xff\xff\xff\xff");
-  match Wire.Frame.Decoder.next dec with
-  | Error msg ->
-      Alcotest.check Alcotest.string "body diagnostic" "undecodable frame body"
-        msg
-  | Ok _ -> Alcotest.fail "garbage body accepted"
-
-let prop_decoder_chunked_roundtrip =
-  QCheck.Test.make ~name:"frame stream roundtrip under random chunking"
-    ~count:100
-    QCheck.(
-      pair
-        (small_list (pair small_nat (small_list (pair small_nat string))))
-        (int_range 1 17))
-    (fun (raw, size) ->
-      let frames =
-        List.map (fun (round, entries) -> { Wire.Frame.round; entries }) raw
-      in
-      let dec = Wire.Frame.Decoder.create () in
-      feed_chunked dec (stream_of frames) size = Ok frames)
-
-(* ---- slot codec ≡ the list codec ----------------------------------------- *)
+(* ---- slot codec ≡ the reference encoding ---------------------------------- *)
 
 let frame_gen =
   QCheck.(pair small_nat (small_list (pair small_nat string)))
@@ -295,7 +164,7 @@ let slot_case_arb =
       Printf.sprintf "n=%d round=%d live=%d" c.sc_n c.sc_round
         c.sc_slots.Wire.Frame.live)
 
-(* The edge's entries in admission order: what the list codec would carry. *)
+(* The edge's entries in admission order: what the reference encoding carries. *)
 let edge_entries (s : Wire.Frame.slots) ~src ~dst =
   List.filter_map
     (fun i ->
@@ -353,33 +222,226 @@ let prop_slot_codec_differential =
         got.Wire.Frame.msgs;
       !ok)
 
+(* Every session below [all_live] is live at the reader: a frame whose sids
+   increase and stay below it is one the reader takes whole. *)
+let all_live = 400
+
+(* A frame as the reader takes it: sids reduced below [all_live], each kept
+   once, in increasing order. *)
+let readable (round, entries) =
+  {
+    Wire.Frame.round;
+    entries =
+      List.sort_uniq
+        (fun (a, _) (b, _) -> compare a b)
+        (List.map (fun (sid, m) -> (sid mod all_live, m)) entries);
+  }
+
+(* A receiver on edge 0 -> 1 with sessions [0 .. all_live-1] live, parsing
+   every body. [accept] is the acceptor the stream decoder hands bodies to;
+   each body it takes is rebuilt from the round [on_round] saw and the
+   cells it filled, in slot order, and pushed on [frames]. *)
+let frame_reader () =
+  let s =
+    {
+      Wire.Frame.live = all_live;
+      sids = Array.init all_live Fun.id;
+      msgs = Array.init all_live (fun _ -> Array.make_matrix 2 2 None);
+    }
+  in
+  let frames = ref [] and round = ref (-1) in
+  let parse = parse_receive s ~src:0 ~dst:1 ~on_round:(fun r -> round := r) in
+  let accept buf pos limit =
+    parse buf pos limit
+    &&
+    let entries =
+      List.filter_map
+        (fun i -> Option.map (fun m -> (i, m)) s.Wire.Frame.msgs.(i).(1).(0))
+        (List.init all_live Fun.id)
+    in
+    frames := { Wire.Frame.round = !round; entries } :: !frames;
+    true
+  in
+  (accept, frames)
+
+(* One body through [frame_reader]: the frame it read, [None] if refused. *)
+let read_frame body =
+  let accept, frames = frame_reader () in
+  if accept (Bytes.of_string body) 0 (String.length body) then Some (List.hd !frames)
+  else None
+
+(* Feed [s] in chunks of [size] bytes, each planted at offset 3 of a
+   scratch with stale bytes around it (the range, not the buffer, is what
+   gets fed), taking every complete body with [accept] after each chunk.
+   [Some msg] is the decoder's error. *)
+let feed_chunked dec accept s size =
+  let scratch = Bytes.make (size + 7) '\xee' in
+  let err = ref None and i = ref 0 in
+  let rec pump () =
+    match Wire.Frame.Decoder.next_body dec accept with
+    | Ok true -> pump ()
+    | Ok false -> ()
+    | Error msg -> err := Some msg
+  in
+  while !i < String.length s && !err = None do
+    let k = min size (String.length s - !i) in
+    Bytes.blit_string s !i scratch 3 k;
+    Wire.Frame.Decoder.feed_sub dec scratch 3 k;
+    i := !i + k;
+    pump ()
+  done;
+  !err
+
+(* [s] through a fresh decoder into a fresh reader: the frames read and the
+   bytes left buffered, or the decoder's error. *)
+let decode_stream s size =
+  let dec = Wire.Frame.Decoder.create () in
+  let accept, frames = frame_reader () in
+  match feed_chunked dec accept s size with
+  | None -> Ok (List.rev !frames, Wire.Frame.Decoder.buffered dec)
+  | Some msg -> Error msg
+
+let test_session_frame () =
+  let frame =
+    { Wire.Frame.round = 42; entries = [ (0, "alpha"); (3, "beta"); (7, "") ] }
+  in
+  (match read_frame (Wire.Frame.encode frame) with
+  | Some f ->
+      Alcotest.check Alcotest.int "round" 42 f.Wire.Frame.round;
+      Alcotest.check
+        (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string))
+        "entries preserve order" frame.Wire.Frame.entries f.Wire.Frame.entries
+  | None -> Alcotest.fail "frame roundtrip");
+  (* Empty keep-alive frames are tiny and roundtrip too. *)
+  let empty = { Wire.Frame.round = 0; entries = [] } in
+  Alcotest.check Alcotest.int "empty frame is 2 bytes" 2
+    (String.length (Wire.Frame.encode empty));
+  Alcotest.check Alcotest.bool "empty roundtrip" true
+    (read_frame (Wire.Frame.encode empty) = Some empty);
+  (* Defensive: garbage and truncations are refused, never raise. *)
+  List.iter
+    (fun s ->
+      Alcotest.check Alcotest.bool
+        (Printf.sprintf "%S refused" s)
+        true
+        (read_frame s = None))
+    [ ""; "\xff"; "\x01\x05"; String.make 64 '\xee'; "\x00\x01\x03\x05ab" ]
+
+let prop_session_frame_roundtrip =
+  QCheck.Test.make ~name:"session frame roundtrip" ~count:200
+    QCheck.(pair small_nat (small_list (pair small_nat string)))
+    (fun raw ->
+      let f = readable raw in
+      read_frame (Wire.Frame.encode f) = Some f)
+
+let sample_frames =
+  [
+    { Wire.Frame.round = 0; entries = [] };
+    { Wire.Frame.round = 3; entries = [ (0, "alpha"); (5, "") ] };
+    { Wire.Frame.round = 4; entries = [ (1, String.make 300 'x') ] };
+    { Wire.Frame.round = 5; entries = List.init 20 (fun i -> (i, "p")) };
+  ]
+
+let test_decoder_split_boundaries () =
+  let s = stream_of sample_frames in
+  List.iter
+    (fun size ->
+      match decode_stream s size with
+      | Ok (frames, left) ->
+          Alcotest.check Alcotest.bool
+            (Printf.sprintf "chunk size %d recovers all frames" size)
+            true (frames = sample_frames);
+          Alcotest.check Alcotest.int
+            (Printf.sprintf "chunk size %d leaves nothing buffered" size)
+            0 left
+      | Error msg -> Alcotest.fail msg)
+    [ 1; 2; 3; 7; 64; String.length s ]
+
+let test_decoder_truncation () =
+  (* A prefix cut anywhere inside a frame is a clean "feed me more", at every
+     possible cut point — decoding is total on truncation. *)
+  let s = stream_of [ List.nth sample_frames 1 ] in
+  for cut = 0 to String.length s - 1 do
+    match decode_stream (String.sub s 0 cut) (max cut 1) with
+    | Ok ([], left) -> Alcotest.(check int) (Printf.sprintf "cut %d buffered" cut) cut left
+    | Ok _ -> Alcotest.fail (Printf.sprintf "cut %d: frame from prefix" cut)
+    | Error msg -> Alcotest.fail (Printf.sprintf "cut %d: %s" cut msg)
+  done
+
+let test_decoder_oversize_and_garbage () =
+  (* A declared length beyond the bound fails before any body arrives, and
+     the error is sticky. *)
+  let over = Wire.Frame.max_frame_bytes + 1 in
+  let dec = Wire.Frame.Decoder.create () in
+  let accept, frames = frame_reader () in
+  Alcotest.(check (option string))
+    "oversized declared length refused"
+    (Some (Printf.sprintf "frame length %d exceeds max %d" over Wire.Frame.max_frame_bytes))
+    (feed_chunked dec accept (u32 over ^ "zz") 64);
+  Alcotest.(check (option string))
+    "error sticky" (Some "frame length 16777217 exceeds max 16777216")
+    (feed_chunked dec accept (stream_of [ List.hd sample_frames ]) 64);
+  Alcotest.(check int) "nothing read" 0 (List.length !frames);
+  (* A well-formed prefix around an undecodable body also fails cleanly. *)
+  Alcotest.(check bool)
+    "body diagnostic" true
+    (decode_stream (u32_prefix "\xff\xff\xff\xff") 64 = Error "undecodable frame body")
+
+let prop_decoder_chunked_roundtrip =
+  QCheck.Test.make ~name:"frame stream roundtrip under random chunking"
+    ~count:100
+    QCheck.(
+      pair
+        (small_list (pair small_nat (small_list (pair small_nat string))))
+        (int_range 1 17))
+    (fun (raw, size) ->
+      let frames = List.map readable raw in
+      decode_stream (stream_of frames) size = Ok (frames, 0))
+
+let test_frame_at_exact_limit () =
+  (* A frame of exactly [max_frame_bytes] is the largest the stream accepts:
+     body = varint 0 (round) + varint 1 (count) + varint 0 (sid)
+          + varint len (4 bytes here) + len payload bytes. *)
+  let len = Wire.Frame.max_frame_bytes - 7 in
+  let f = { Wire.Frame.round = 0; entries = [ (0, String.make len 'q') ] } in
+  let body = Wire.Frame.encode f in
+  Alcotest.check Alcotest.int "sized at the limit" Wire.Frame.max_frame_bytes
+    (String.length body);
+  (match decode_stream (u32_prefix body) (4 + String.length body) with
+  | Ok ([ f' ], left) ->
+      Alcotest.check Alcotest.bool "limit frame roundtrips" true (f' = f);
+      Alcotest.check Alcotest.int "nothing buffered" 0 left
+  | Ok _ -> Alcotest.fail "limit frame: wrong frame count"
+  | Error msg -> Alcotest.fail msg);
+  (* One byte more and the declared length is rejected before the body. *)
+  let over = { f with Wire.Frame.entries = [ (0, String.make (len + 1) 'q') ] } in
+  match decode_stream (u32_prefix (Wire.Frame.encode over)) 64 with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "oversized frame accepted"
+
+(* Arbitrary bytes through the decoder and the reader: malformation is a
+   value, not an exception — the one exception is the reader's [Failure]
+   on a well-formed frame whose sids are not the live sessions in order. *)
+let prop_decoder_garbage_total =
+  QCheck.Test.make ~name:"decoder total on garbage" ~count:300 QCheck.string
+    (fun s ->
+      match decode_stream s 5 with
+      | Ok _ | Error _ -> true
+      | exception Failure _ -> true)
+
 (* The one parser against an independent reference: the reader combinators
    ([r_varint], [r_list], [r_bytes]) over the frame grammar. On arbitrary
-   bodies — valid frames, mutated ones, garbage — both accept the same
-   bodies with the same content. *)
+   bodies — valid frames, mutated ones, garbage — [edge_receive] takes
+   exactly the bodies the reference accepts, with the same round and
+   entries, or raises [Failure] when their sids are not the live sessions
+   in order; a body the reference refuses changes nothing. *)
 let reference_decode s =
   decode_full
     (fun cur ->
       let* round = r_varint cur in
-      let* entries =
-        r_list ~max:Wire.Frame.max_sessions (r_pair r_varint (r_bytes ())) cur
-      in
+      let* entries = r_list ~max:65536 (r_pair r_varint (r_bytes ())) cur in
       Some { Wire.Frame.round; entries })
     s
-
-type event = Round of int | Entry of int * string
-
-let recording_sink events =
-  {
-    Wire.Frame.on_round = (fun r -> events := Round r :: !events);
-    on_entry =
-      (fun sid buf off len ->
-        events := Entry (sid, Bytes.sub_string buf off len) :: !events);
-  }
-
-let events_of_frame f =
-  Round f.Wire.Frame.round
-  :: List.map (fun (sid, m) -> Entry (sid, m)) f.Wire.Frame.entries
 
 let body_gen =
   QCheck.Gen.(
@@ -388,8 +450,9 @@ let body_gen =
         (1, string_size ~gen:char (int_range 0 40));
         ( 3,
           fun st ->
-            let round, entries = QCheck.gen frame_gen st in
-            let b = Bytes.of_string (Wire.Frame.encode { round; entries }) in
+            let raw = QCheck.gen frame_gen st in
+            let f = if bool st then readable raw else { Wire.Frame.round = fst raw; entries = snd raw } in
+            let b = Bytes.of_string (Wire.Frame.encode f) in
             let len = Bytes.length b in
             if int_range 0 3 st = 0 then
               Bytes.set b (int_range 0 (len - 1) st)
@@ -401,81 +464,120 @@ let body_gen =
             ^ if int_range 0 5 st = 0 then "\x00" else "" );
       ])
 
+(* The sids increase and stay below [all_live]: the reader takes them all. *)
+let rec in_order = function
+  | (a, _) :: ((b, _) :: _ as rest) -> a < b && in_order rest
+  | [ (a, _) ] -> a < all_live
+  | [] -> true
+
 let prop_parse_matches_reference =
   QCheck.Test.make ~name:"parse = reader-combinator reference, all or nothing"
     ~count:500
     (QCheck.make body_gen ~print:String.escaped)
     (fun body ->
-      let events = ref [] in
-      let ok =
-        Wire.Frame.parse (recording_sink events) (Bytes.of_string body) 0
-          (String.length body)
-      in
-      match reference_decode body with
-      | Some f -> ok && List.rev !events = events_of_frame f
-      | None -> (not ok) && !events = [])
-
-(* Arbitrary streams, cut into random chunks, through the sink parser:
-   never raises, fails exactly when [Decoder.next] fails, and hands over
-   exactly the frames [next] returns — none of a failing frame. *)
-let prop_sink_stream_total =
-  QCheck.Test.make ~name:"next_with: total, fails exactly when next fails"
-    ~count:300
-    QCheck.(
-      pair
-        (make
-           Gen.(
-             frequency
-               [
-                 (1, string_size ~gen:char (int_range 0 80));
-                 ( 2,
-                   map
-                     (fun bodies ->
-                       String.concat "" (List.map (fun b -> u32_prefix b) bodies))
-                     (list_size (int_range 0 4) body_gen) );
-               ])
-           ~print:String.escaped)
-        (int_range 1 17))
-    (fun (stream, size) ->
-      let a = Wire.Frame.Decoder.create ~max_frame:4096 () in
-      let b = Wire.Frame.Decoder.create ~max_frame:4096 () in
-      let events = ref [] in
-      let sink = recording_sink events in
-      let rec pump () =
-        match Wire.Frame.Decoder.next_with b sink with
-        | Ok true -> pump ()
-        | Ok false -> Ok ()
-        | Error msg -> Error msg
-      in
-      let err = ref None in
-      let i = ref 0 in
+      let accept, frames = frame_reader () in
       match
-        while !i < String.length stream && !err = None do
-          let k = min size (String.length stream - !i) in
-          Wire.Frame.Decoder.feed b (String.sub stream !i k);
-          i := !i + k;
-          match pump () with Ok () -> () | Error msg -> err := Some msg
-        done
+        (accept (Bytes.of_string body) 0 (String.length body), reference_decode body)
       with
-      | exception _ -> false
-      | () -> (
-          let via_sink = List.rev !events in
-          match (feed_chunked a stream size, !err) with
-          | Ok frames, None -> via_sink = List.concat_map events_of_frame frames
-          | Error m, Some m' ->
-              m = m'
-              &&
-              (* [feed_chunked] drops the frames decoded before the error;
-                 re-decode the stream's good prefix to compare. *)
-              let c = Wire.Frame.Decoder.create ~max_frame:4096 () in
-              Wire.Frame.Decoder.feed c stream;
-              let rec good acc =
-                match Wire.Frame.Decoder.next c with
-                | Ok (Some f) -> good (f :: acc)
-                | Ok None | Error _ -> List.rev acc
+      | true, Some f -> in_order f.Wire.Frame.entries && !frames = [ f ]
+      | false, None -> !frames = []
+      | true, None | false, Some _ -> false
+      | exception Failure _ -> (
+          match reference_decode body with
+          | Some f -> not (in_order f.Wire.Frame.entries)
+          | None -> false))
+
+(* Arbitrary streams through feed_sub -> next_body -> edge_receive, cut at
+   random: garbage, frames valid and mutated, and u32 prefixes that declare
+   anything up to 2^32 - 1 bytes, with at most a few bytes of body behind
+   them. The reader never raises but for its documented [Failure] (after
+   which the stream goes on: that frame is consumed), and the words it
+   allocates (minor + major - promoted) stay within
+
+     64 + 4.5 * fed + 64 * failures   (failures <= fed / 8),
+
+   linear in the bytes fed:
+   - the decoder's buffer grows only with bytes fed, never with a declared
+     length: a growth to capacity c happens when the bytes held plus the
+     chunk exceed the old capacity, and c = max (need, 2 * old) <= 2 * fed;
+     capacities at least double, so all growths together allocate at most
+     4 * fed bytes, fed / 2 words (each growth's header in the 64);
+   - each accepted entry is copied once: an entry of an l-byte payload
+     spans at least l + 2 body bytes and allocates [Some] (2 words) and a
+     string of at most l / 8 + 2 words, at most 2 words per byte: 2 * fed;
+   - after a sticky error, each [next_body] call returns a fresh [Error]
+     (2 words), one call per chunk of at least one byte: 2 * fed;
+   - each [Failure] allocates its message (measured at 16 words; 64
+     allowed), and a failing frame spans at least 8 bytes (u32 prefix,
+     round, count, sid, length). *)
+let stream_gen =
+  QCheck.Gen.(
+    let segment =
+      frequency
+        [
+          (2, string_size ~gen:char (int_range 0 40));
+          (4, map u32_prefix body_gen);
+          ( 1,
+            fun st ->
+              let declared =
+                if bool st then int_range (Wire.Frame.max_frame_bytes + 1) 0xffff_ffff st
+                else int_range 0 Wire.Frame.max_frame_bytes st
               in
-              via_sink = List.concat_map events_of_frame (good [])
-          | _ -> false))
+              u32 declared ^ string_size ~gen:char (int_range 0 8) st );
+        ]
+    in
+    pair
+      (map (String.concat "") (list_size (int_range 0 8) segment))
+      (list_size (int_range 1 8) (int_range 1 64)))
+
+let prop_reader_allocation_bounded =
+  QCheck.Test.make
+    ~name:"feed_sub -> next_body -> edge_receive: total, allocation linear in bytes fed"
+    ~count:300
+    (QCheck.make stream_gen ~print:(fun (s, cuts) ->
+         Printf.sprintf "%S cut by %s" s (String.concat "," (List.map string_of_int cuts))))
+    (fun (stream, cuts) ->
+      (* The chunks, each its own buffer, cut before the measured span: the
+         sizes cycle through [cuts]. *)
+      let rec chunks pos cs acc =
+        if pos >= String.length stream then List.rev acc
+        else
+          let c, cs = match cs with c :: cs -> (c, cs) | [] -> (List.hd cuts, List.tl cuts) in
+          let k = min c (String.length stream - pos) in
+          chunks (pos + k) cs (Bytes.of_string (String.sub stream pos k) :: acc)
+      in
+      let chunks = chunks 0 cuts [] in
+      let s =
+        {
+          Wire.Frame.live = all_live;
+          sids = Array.init all_live Fun.id;
+          msgs = Array.init all_live (fun _ -> Array.make_matrix 2 2 None);
+        }
+      in
+      let dec = Wire.Frame.Decoder.create () in
+      let accept = parse_receive s ~src:0 ~dst:1 ~on_round:ignore in
+      let failures = ref 0 in
+      let rec pump () =
+        match Wire.Frame.Decoder.next_body dec accept with
+        | Ok true -> pump ()
+        | Ok false | Error _ -> ()
+        | exception Failure _ ->
+            incr failures;
+            pump ()
+      in
+      let words () =
+        let minor, promoted, major = Gc.counters () in
+        minor +. major -. promoted
+      in
+      let w0 = words () in
+      List.iter
+        (fun b ->
+          Wire.Frame.Decoder.feed_sub dec b 0 (Bytes.length b);
+          pump ())
+        chunks;
+      let used = words () -. w0 in
+      let fed = float_of_int (String.length stream) in
+      used <= 64. +. (4.5 *. fed) +. (64. *. float_of_int !failures))
 
 (* Edge 0 -> 1's cells, slot by slot. *)
 let edge01 (s : Wire.Frame.slots) = Array.map (fun m -> m.(1).(0)) s.Wire.Frame.msgs
@@ -579,46 +681,6 @@ let test_edge_sink_delivers_sent () =
   fresh 2 "gamma";
   fresh 3 "extra"
 
-(* Like [feed_chunked], but through [feed_sub]: each chunk is planted at a
-   non-zero offset of an oversized scratch (stale bytes around it) to prove
-   the range — not the buffer — is what gets fed. *)
-let feed_chunked_sub dec s size =
-  let scratch = Bytes.make (size + 7) '\xee' in
-  let frames = ref [] in
-  let err = ref None in
-  let i = ref 0 in
-  while !i < String.length s && !err = None do
-    let k = min size (String.length s - !i) in
-    Bytes.blit_string s !i scratch 3 k;
-    Wire.Frame.Decoder.feed_sub dec scratch 3 k;
-    i := !i + k;
-    match drain dec with
-    | Ok fs -> frames := !frames @ fs
-    | Error msg -> err := Some msg
-  done;
-  match !err with Some msg -> Error msg | None -> Ok !frames
-
-let prop_feed_sub_differential =
-  (* On arbitrary bytes — valid streams and garbage alike — [feed_sub]
-     behaves exactly like [feed] under the same chunking. *)
-  QCheck.Test.make ~name:"feed_sub = feed under random chunking" ~count:300
-    QCheck.(pair string (int_range 1 17))
-    (fun (s, size) ->
-      let a = Wire.Frame.Decoder.create ~max_frame:4096 () in
-      let b = Wire.Frame.Decoder.create ~max_frame:4096 () in
-      feed_chunked a s size = feed_chunked_sub b s size
-      && Wire.Frame.Decoder.buffered a = Wire.Frame.Decoder.buffered b)
-
-let prop_feed_sub_stream_roundtrip =
-  QCheck.Test.make ~name:"frame stream roundtrip via feed_sub" ~count:100
-    QCheck.(pair (small_list frame_gen) (int_range 1 17))
-    (fun (raw, size) ->
-      let frames =
-        List.map (fun (round, entries) -> { Wire.Frame.round; entries }) raw
-      in
-      let dec = Wire.Frame.Decoder.create () in
-      feed_chunked_sub dec (stream_of frames) size = Ok frames)
-
 let test_write_edge_edges () =
   (* Empty keep-alive frame: the 2-byte body every idle edge sends each
      round. *)
@@ -639,45 +701,7 @@ let test_write_edge_edges () =
   let buf = Bytes.make 4 'z' in
   Alcotest.check_raises "feed_sub bad range"
     (Invalid_argument "Wire.Frame.Decoder.feed_sub") (fun () ->
-      Wire.Frame.Decoder.feed_sub (Wire.Frame.Decoder.create ()) buf 2 3);
-  let sink = { Wire.Frame.on_round = ignore; on_entry = (fun _ _ _ _ -> ()) } in
-  Alcotest.check_raises "parse bad range"
-    (Invalid_argument "Wire.Frame.parse") (fun () ->
-      ignore (Wire.Frame.parse sink buf 2 5))
-
-let test_frame_at_exact_limit () =
-  (* A frame of exactly [max_frame_bytes] is the largest the stream accepts:
-     body = varint 0 (round) + varint 1 (count) + varint 0 (sid)
-          + varint len (4 bytes here) + len payload bytes. *)
-  let len = Wire.Frame.max_frame_bytes - 7 in
-  let f = { Wire.Frame.round = 0; entries = [ (0, String.make len 'q') ] } in
-  let body = Wire.Frame.encode f in
-  Alcotest.check Alcotest.int "sized at the limit" Wire.Frame.max_frame_bytes
-    (String.length body);
-  let dec = Wire.Frame.Decoder.create () in
-  Wire.Frame.Decoder.feed dec (u32_prefix body);
-  (match drain dec with
-  | Ok [ f' ] ->
-      Alcotest.check Alcotest.bool "limit frame roundtrips" true (f' = f)
-  | Ok _ -> Alcotest.fail "limit frame: wrong frame count"
-  | Error msg -> Alcotest.fail msg);
-  Alcotest.check Alcotest.int "nothing buffered" 0
-    (Wire.Frame.Decoder.buffered dec);
-  (* One byte more and the declared length is rejected before the body. *)
-  let over = { f with Wire.Frame.entries = [ (0, String.make (len + 1) 'q') ] } in
-  let dec = Wire.Frame.Decoder.create () in
-  Wire.Frame.Decoder.feed dec (u32_prefix (Wire.Frame.encode over));
-  match Wire.Frame.Decoder.next dec with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "oversized frame accepted"
-
-let prop_decoder_garbage_total =
-  (* Arbitrary bytes through the incremental decoder: [next] returns, it
-     never raises — malformation is a value, not an exception. *)
-  QCheck.Test.make ~name:"decoder total on garbage" ~count:300 QCheck.string
-    (fun s ->
-      let dec = Wire.Frame.Decoder.create ~max_frame:4096 () in
-      match feed_chunked dec s 5 with Ok _ | Error _ -> true)
+      Wire.Frame.Decoder.feed_sub (Wire.Frame.Decoder.create ()) buf 2 3)
 
 (* Both paths of [edge_receive] on hand-made bodies. *)
 let test_edge_receive_paths () =
@@ -692,6 +716,14 @@ let test_edge_receive_paths () =
   Alcotest.(check bool) "as written: accepted" true (receive s st ~on_round written);
   Alcotest.(check (list int)) "as written: on_round ran" [ 2 ] !rounds;
   Alcotest.(check bool) "as written: cells untouched" true (cells_are s sent_cells);
+  (* Compared, not parsed: a hundred bodies as written allocate nothing. *)
+  let body = Bytes.of_string written in
+  let accept = Wire.Frame.edge_receive s ~src:0 ~dst:1 ~on_round:ignore st in
+  let m0 = Gc.minor_words () in
+  for _ = 1 to 100 do
+    ignore (accept body 0 (Bytes.length body) : bool)
+  done;
+  Alcotest.(check (float 0.)) "as written: no allocation" 0. (Gc.minor_words () -. m0);
   (* Same length, one byte off: parsed, every entry a copy. *)
   let off_by_one = Bytes.of_string written in
   let last = Bytes.length off_by_one - 1 in
@@ -826,13 +858,12 @@ let suite =
       test_decoder_oversize_and_garbage;
     QCheck_alcotest.to_alcotest prop_decoder_chunked_roundtrip;
     QCheck_alcotest.to_alcotest prop_decoder_garbage_total;
+    QCheck_alcotest.to_alcotest prop_reader_allocation_bounded;
     Alcotest.test_case "write_edge: keep-alive and bad inputs" `Quick
       test_write_edge_edges;
     Alcotest.test_case "frame at exactly max_frame_bytes" `Quick
       test_frame_at_exact_limit;
     QCheck_alcotest.to_alcotest prop_slot_codec_differential;
-    QCheck_alcotest.to_alcotest prop_feed_sub_differential;
-    QCheck_alcotest.to_alcotest prop_feed_sub_stream_roundtrip;
     Alcotest.test_case "composites" `Quick test_composites;
     Alcotest.test_case "adversarial bytes" `Quick test_adversarial;
     Alcotest.test_case "session frames" `Quick test_session_frame;
@@ -842,7 +873,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_random_bytes_never_crash;
     QCheck_alcotest.to_alcotest prop_list_roundtrip;
     QCheck_alcotest.to_alcotest prop_parse_matches_reference;
-    QCheck_alcotest.to_alcotest prop_sink_stream_total;
     Alcotest.test_case "edge_sink: admission order or Failure" `Quick
       test_edge_sink_order;
     Alcotest.test_case "edge_sink: a faithful entry is the sent value" `Quick
