@@ -347,7 +347,7 @@ let run_core ?(max_rounds = default_max_rounds) ?obs ?on_round
     (* Accounting, one walk over each sender's cells (self free): the
        sender's charge to the session's recorder, the payload bytes, and
        each entry's frame bytes — summed into [frame_bytes], or per edge. *)
-    let sid = l.l_sid in
+    let sid_bytes = Wire.Frame.sid_bytes l.l_sid in
     for s = 0 to n - 1 do
       let sent = ref 0 and bytes = ref 0 and entries = ref 0 in
       for r = 0 to n - 1 do
@@ -356,7 +356,7 @@ let run_core ?(max_rounds = default_max_rounds) ?obs ?on_round
           | None -> ()
           | Some x ->
               let len = String.length x in
-              let size = Wire.Frame.entry_bytes ~sid len in
+              let size = Wire.Frame.entry_bytes ~sid_bytes len in
               incr sent;
               bytes := !bytes + len;
               if summed then entries := !entries + size

@@ -54,13 +54,10 @@ let w_varint v buf =
   in
   go v
 
-(* Top-level loop and a one-byte fast path: [varint_size] inlines into the
-   round loop's frame-byte ledger, which sizes every message. *)
-let rec varint_size_from v n = if v < 0x80 then n else varint_size_from (v lsr 7) (n + 1)
-
 let varint_size v =
   if v < 0 then invalid_arg "Wire.varint_size";
-  if v < 0x80 then 1 else varint_size_from (v lsr 7) 2
+  let rec go v n = if v < 0x80 then n else go (v lsr 7) (n + 1) in
+  go v 1
 
 let w_fixed s buf = Buffer.add_string buf s
 
@@ -266,7 +263,8 @@ module Frame = struct
 
   (* The layout's sizes: what the round loop's frame-byte ledger adds up,
      and what [write_edge] reserves and backfills. *)
-  let entry_bytes ~sid len = varint_size sid + varint_size len + len
+  let sid_bytes = varint_size
+  let entry_bytes ~sid_bytes len = sid_bytes + varint_size len + len
   let header_bytes ~round ~count = varint_size round + varint_size count
 
   (* The slot codec: frames written from and taken back into the round

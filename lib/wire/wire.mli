@@ -55,11 +55,13 @@ val decode_full : 'a reader -> string -> 'a option
 val r_u8 : int reader
 
 val r_varint : int reader
-(** Reads at most ten bytes; [None] when truncated or negative as an [int]. *)
+(** Reads at most ten bytes; [None] when truncated or negative as an [int].
+    A tenth byte's value bits are dropped: ["\x80"] × 9 then ["\x01"] reads
+    as 0, so distinct byte strings can decode to the same int. *)
 
 val leading_varint : string -> int
-(** The varint at the start of [s], as [r_varint] would read it first; [-1]
-    when malformed. Allocates nothing, so a decoder can look at a message's
+(** The varint at the start of [s], as [r_varint] would read it first (a
+    tenth byte's value bits dropped); [-1] when malformed. Allocates nothing, so a decoder can look at a message's
     leading field before deciding to decode the rest. *)
 
 val r_bytes : ?max:int -> unit -> string reader
@@ -121,9 +123,11 @@ module Frame : sig
   val encode : t -> string
   (** The reference encoding; {!write_edge} is tested against it. *)
 
-  val entry_bytes : sid:int -> int -> int
-  (** [entry_bytes ~sid len]: the bytes one entry with a [len]-byte payload
-      takes in a frame body — varint sid, varint length, payload. *)
+  val sid_bytes : int -> int
+  val entry_bytes : sid_bytes:int -> int -> int
+  (** [entry_bytes ~sid_bytes:(sid_bytes sid) len]: the bytes one entry with
+      a [len]-byte payload takes in a frame body — varint sid, varint
+      length, payload. A session's [sid_bytes] is computed once. *)
 
   val header_bytes : round:int -> count:int -> int
   (** The bytes before a frame body's first entry: varint round, varint
